@@ -9,9 +9,9 @@ in two byte-identical kernel implementations, selected at runtime by
 * ``"python"`` -- pure-python scalar reference: per-element log/exp
   table lookups over plain lists.  No third-party dependencies.
 * ``"numpy"`` -- table-batched: one fused log-gather + exp-gather + XOR
-  reduction over contiguous ``int64`` arrays (the long-message
-  benchmarks encode hundreds of kilobits, so the per-symbol hot path
-  must be array-based, not per-element Python).
+  reduction over zero-sentinel tables with ``uint16`` products (the
+  long-message benchmarks encode hundreds of kilobits, so the
+  per-symbol hot path must be array-based, not per-element Python).
 
 Both kernels are exact GF arithmetic over the same tables, so outputs
 are bit-identical by construction; ``tests/test_backend_conformance.py``
@@ -35,7 +35,7 @@ except ImportError:  # pragma: no cover - exercised in no-numpy installs
 
 from ..perf import config, counters
 
-__all__ = ["BinaryField", "GF256", "GF65536"]
+__all__ = ["BinaryField", "LogMatrix", "GF256", "GF65536"]
 
 
 def _as_rows(data) -> list[list[int]]:
@@ -50,6 +50,23 @@ def _as_flat(vec) -> list[int]:
     if np is not None and isinstance(vec, np.ndarray):
         return vec.tolist()
     return list(vec)
+
+
+class LogMatrix(list):
+    """Coefficient rows that remember their log-domain form.
+
+    A plain list of rows to every consumer (the scalar oracle, matrix
+    inversion, tests).  The numpy kernel parks the discrete logs of the
+    coefficients on it at first use, so a matrix applied many times (an
+    RS generator, a memoized decode matrix) is converted once.  It
+    belongs to the one field it is multiplied in and is never mutated.
+    """
+
+    __slots__ = ("logs",)
+
+    def __init__(self, rows) -> None:
+        super().__init__(rows)
+        self.logs = None
 
 
 class BinaryField:
@@ -91,10 +108,20 @@ class BinaryField:
         self._log = None
 
     def _numpy_tables(self):
-        """The exp/log tables as ``int64`` arrays (numpy backend only)."""
+        """Zero-sentinel ``(exp, log)`` tables (numpy backend only).
+
+        ``log[0]`` is ``2(q-1)``, past every sum of two real logs, and
+        the ``uint16`` antilog table is zero from there up to
+        ``2 log[0] = 4(q-1)``: ``exp[log a + log b]`` is already 0 when
+        an operand is 0, so no kernel masks anything.  Logs are ``intp``
+        (the sentinel needs 18 bits, and ``take`` indexes in ``intp``).
+        """
         if self._exp is None:
-            self._exp = np.array(self._exp_list, dtype=np.int64)
-            self._log = np.array(self._log_list, dtype=np.int64)
+            sentinel = 2 * self.mul_group_order
+            self._exp = np.zeros(2 * sentinel + 1, dtype=np.uint16)
+            self._exp[:sentinel] = self._exp_list
+            self._log = np.array(self._log_list, dtype=np.intp)
+            self._log[0] = sentinel
         return self._exp, self._log
 
     # -- scalar ops -------------------------------------------------------
@@ -131,40 +158,20 @@ class BinaryField:
     def mul_vec(self, a, b):
         """Element-wise GF product of two same-length int sequences.
 
-        Returns an ``int64`` array on the numpy backend, a list on the
+        Returns a ``uint16`` array on the numpy backend, a list on the
         python backend; the element values are identical either way.
         """
         if config.backend() == "numpy":
-            return self._mul_vec_numpy(a, b)
+            exp, log = self._numpy_tables()
+            return exp.take(log.take(a) + log.take(b))
         return [self.mul(x, y) for x, y in zip(_as_flat(a), _as_flat(b))]
-
-    def _mul_vec_numpy(self, a, b):
-        exp, log = self._numpy_tables()
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        zero = (a == 0) | (b == 0)
-        # 0 has no discrete log: look up on a zero-safe copy (log 1 = 0)
-        # so no out-of-domain table access happens, then mask.
-        safe_a = np.where(a == 0, 1, a)
-        safe_b = np.where(b == 0, 1, b)
-        result = exp[log[safe_a] + log[safe_b]]
-        return np.where(zero, 0, result)
 
     def scalar_mul_vec(self, scalar: int, vec):
         """GF product of one scalar with an int sequence."""
         if config.backend() == "numpy":
-            return self._scalar_mul_vec_numpy(scalar, vec)
+            exp, log = self._numpy_tables()
+            return exp.take(log.take(vec) + log[scalar])
         return [self.mul(scalar, x) for x in _as_flat(vec)]
-
-    def _scalar_mul_vec_numpy(self, scalar: int, vec):
-        exp, log = self._numpy_tables()
-        if scalar == 0:
-            return np.zeros_like(np.asarray(vec, dtype=np.int64))
-        vec = np.asarray(vec, dtype=np.int64)
-        zero = vec == 0
-        safe = np.where(zero, 1, vec)
-        result = exp[log[scalar] + log[safe]]
-        return np.where(zero, 0, result)
 
     def matmul(self, matrix: Sequence[Sequence[int]], data):
         """GF matrix product ``matrix (r x k) @ data (k x c) -> (r x c)``.
@@ -202,50 +209,39 @@ class BinaryField:
             out.append(acc)
         return out
 
-    #: cube-size ceiling (elements) below which the fully-vectorized 3D
-    #: kernel runs; above it the per-row loop keeps peak memory at one
-    #: row's working set.  2^22 int64 elements = 32 MiB of products.
-    _MATMUL_CUBE_LIMIT = 1 << 22
+    #: products gathered per step.  Wider calls walk the columns in
+    #: blocks of this many ``(row, k, column)`` elements, so the
+    #: transient sums and products stay near 10 MiB whatever ``c`` is.
+    _MATMUL_BLOCK = 1 << 20
 
     def _matmul_numpy(self, matrix, data):
         """Table-batched kernel: the discrete logs of ``data`` are
-        looked up *once* per call (not once per matrix coefficient).
-
-        Small products run as one fused 3D gather --
-        ``exp[log_mat[:, :, None] + log_data[None, :, :]]`` XOR-reduced
-        over the shared ``k`` axis -- which removes the per-output-row
-        python loop entirely (the dominant call shape is many tiny
-        ``(n x k) @ (k x c)`` products per execution).  Oversized
-        products fall back to the per-row loop, bounding peak memory;
-        both shapes are byte-identical to the scalar oracle.
+        looked up *once* per call (not once per matrix coefficient), a
+        :class:`LogMatrix` brings the coefficients' logs with it, and
+        each column block is one fused gather --
+        ``exp[log_mat[:, :, None] + log_data]`` XOR-reduced over the
+        shared ``k`` axis.  The sentinel tables make zeros fall out of
+        the gather itself; byte-identical to the scalar oracle.
         """
         exp, log = self._numpy_tables()
-        data = np.asarray(data, dtype=np.int64)
-        rows = len(matrix)
-        cols = data.shape[1]
-        out = np.zeros((rows, cols), dtype=np.int64)
-        if not rows or not cols:
+        log_data = log.take(data)
+        cols = log_data.shape[1]
+        out = np.empty((len(matrix), cols), dtype=np.uint16)
+        if not out.size:
             return out
-        mat = np.asarray(matrix, dtype=np.int64)
-        data_zero = data == 0
-        log_data = log[np.where(data_zero, 1, data)]
-        if rows * data.shape[0] * cols <= self._MATMUL_CUBE_LIMIT:
-            mat_zero = mat == 0
-            log_mat = log[np.where(mat_zero, 1, mat)]
-            products = exp[log_mat[:, :, None] + log_data[None, :, :]]
-            products[mat_zero[:, :, None] | data_zero[None, :, :]] = 0
-            np.bitwise_xor.reduce(products, axis=1, out=out)
-            return out
-        for r in range(rows):
-            row = mat[r]
-            nonzero = np.flatnonzero(row)
-            if nonzero.size == 0:
-                continue
-            products = exp[
-                log[row[nonzero, None]] + log_data[nonzero]
-            ]
-            products[data_zero[nonzero]] = 0
-            out[r] = np.bitwise_xor.reduce(products, axis=0)
+        if not isinstance(matrix, LogMatrix):
+            log_mat = log.take(matrix)[:, :, None]
+        elif matrix.logs is None:
+            log_mat = matrix.logs = log.take(matrix)[:, :, None]
+        else:
+            log_mat = matrix.logs
+        step = max(1, self._MATMUL_BLOCK // log_mat.size)
+        for at in range(0, cols, step):
+            np.bitwise_xor.reduce(
+                exp.take(log_mat + log_data[:, at:at + step]),
+                axis=1,
+                out=out[:, at:at + step],
+            )
         return out
 
     # -- linear algebra -----------------------------------------------------

@@ -21,10 +21,12 @@ Construction (classic polynomial-evaluation RS over ``GF(2^a)``):
 The codec precomputes the generator matrix once per ``(n, k)`` pair.
 The symbol plumbing and the Vandermonde application come in two
 byte-identical kernels selected by :func:`repro.perf.config.backend`:
-the ``"numpy"`` backend frames via ``frombuffer``/``reshape`` and
-evaluates with batched exp/log gathers (keeping the very-long-input
-experiments at hundreds of kilobits fast), the ``"python"`` backend is
-the dependency-free ``struct``-based scalar reference.
+the ``"numpy"`` backend frames via ``frombuffer``/``reshape`` (wire
+symbols stay 16-bit views, used only as gather indices) and evaluates
+with batched exp/log gathers over log-domain matrices (keeping the
+very-long-input experiments at hundreds of kilobits fast), the
+``"python"`` backend is the dependency-free ``struct``-based scalar
+reference.
 
 Inverted decode submatrices are memoized **process-wide**, keyed by the
 full code parameters ``(field degree, field modulus, n, k, indices)``
@@ -46,7 +48,7 @@ except ImportError:  # pragma: no cover - exercised in no-numpy installs
 
 from ..errors import CodingError
 from ..perf import config, counters
-from .gf import GF65536, BinaryField
+from .gf import GF65536, BinaryField, LogMatrix
 
 __all__ = ["ReedSolomonCode", "rs_code", "clear_decode_matrix_cache"]
 
@@ -64,7 +66,7 @@ _LENGTH_HEADER_BYTES = 4
 #: the least recently used one, so long multi-code soaks (fuzz
 #: campaigns rotating through many ``(n, k)`` shapes) keep their hot
 #: working set instead of the old clear-everything overflow behaviour.
-_DECODE_MATRIX_CACHE: OrderedDict[tuple, list[list[int]]] = OrderedDict()
+_DECODE_MATRIX_CACHE: OrderedDict[tuple, LogMatrix] = OrderedDict()
 
 
 def _cache_cap() -> int:
@@ -111,18 +113,18 @@ class ReedSolomonCode:
         self.symbol_bytes = field.degree // 8
         if field.degree % 8:
             raise CodingError("field degree must be a multiple of 8")
+        #: big-endian wire symbols, as numpy reads and writes them.
+        self._wire_dtype = ">u2" if self.symbol_bytes == 2 else ">u1"
         self.points = [i + 1 for i in range(n)]
-        self.generator = field.vandermonde(self.points, k)
+        self.generator = LogMatrix(field.vandermonde(self.points, k))
 
-    def _invert_submatrix(
-        self, indices: tuple[int, ...]
-    ) -> list[list[int]]:
+    def _invert_submatrix(self, indices: tuple[int, ...]) -> LogMatrix:
         counters.bump("gf_matrix_invert")
-        return self.field.invert_matrix(
-            [self.generator[i] for i in indices]
+        return LogMatrix(
+            self.field.invert_matrix([self.generator[i] for i in indices])
         )
 
-    def _decode_matrix(self, indices: tuple[int, ...]) -> list[list[int]]:
+    def _decode_matrix(self, indices: tuple[int, ...]) -> LogMatrix:
         """The cached inverse for this code's share-index tuple."""
         key = (
             self.field.degree,
@@ -153,10 +155,9 @@ class ReedSolomonCode:
         return framed + b"\x00" * padding
 
     def _frame_numpy(self, data: bytes):
-        """Read the framed payload as a ``(k, chunks)`` int64 array."""
-        dtype = ">u2" if self.symbol_bytes == 2 else ">u1"
-        symbols = np.frombuffer(self._framed(data), dtype=dtype)
-        return symbols.astype(np.int64).reshape(-1, self.k).T
+        """View the framed payload as ``(k, chunks)`` wire symbols."""
+        symbols = np.frombuffer(self._framed(data), dtype=self._wire_dtype)
+        return symbols.reshape(-1, self.k).T
 
     def _frame_python(self, data: bytes) -> list[list[int]]:
         """Read the framed payload as ``k`` rows of chunk symbols."""
@@ -182,11 +183,8 @@ class ReedSolomonCode:
             raise CodingError("non-zero padding in decoded payload")
         return body[:length]
 
-    def _symbols_to_bytes(self, row) -> bytes:
-        """One codeword row (chunk symbols) back to wire bytes."""
-        if np is not None and isinstance(row, np.ndarray):
-            dtype = ">u2" if self.symbol_bytes == 2 else ">u1"
-            return row.astype(dtype).tobytes()
+    def _symbols_to_bytes(self, row: list[int]) -> bytes:
+        """One row of symbols back to wire bytes (python backend)."""
         if self.symbol_bytes == 2:
             return struct.pack(f">{len(row)}H", *row)
         return bytes(row)
@@ -196,13 +194,16 @@ class ReedSolomonCode:
         """``RS.ENCODE``: return the ``n`` codewords of ``data``."""
         counters.bump("rs_encode")
         if config.backend() == "numpy":
-            chunks = self._frame_numpy(data)                 # (k, c)
-        else:
-            chunks = self._frame_python(data)
-        evaluations = self.field.matmul(self.generator, chunks)  # (n, c)
-        return [
-            self._symbols_to_bytes(evaluations[i]) for i in range(self.n)
-        ]
+            evaluations = self.field.matmul(
+                self.generator, self._frame_numpy(data)     # (k, c)
+            )                                                # (n, c)
+            # One byte-swap for the whole matrix, then a copy per row.
+            wire = evaluations.astype(self._wire_dtype)
+            return [row.tobytes() for row in wire]
+        evaluations = self.field.matmul(
+            self.generator, self._frame_python(data)
+        )
+        return [self._symbols_to_bytes(row) for row in evaluations]
 
     def share_length(self, data_len: int) -> int:
         """Byte length every codeword of a ``data_len``-byte value has."""
@@ -239,17 +240,12 @@ class ReedSolomonCode:
             decode_matrix = self._invert_submatrix(indices)
 
         if config.backend() == "numpy":
-            dtype = ">u2" if self.symbol_bytes == 2 else ">u1"
-            # Fill the (k, c) symbol matrix row by row, upcasting
-            # straight into the preallocated array -- no per-share
-            # list, no stack copy.
-            received = np.empty(
-                (self.k, length // self.symbol_bytes), dtype=np.int64
-            )
-            for row, i in enumerate(indices):
-                received[row] = np.frombuffer(shares[i], dtype=dtype)
+            # The k shares back to back are the (k, c) symbol matrix.
+            received = np.frombuffer(
+                b"".join(shares[i] for i in indices), dtype=self._wire_dtype
+            ).reshape(self.k, -1)
             chunks = self.field.matmul(decode_matrix, received)  # (k, c)
-            flat = chunks.T.reshape(-1).astype(dtype)
+            flat = chunks.T.astype(self._wire_dtype, order="C")
             return self._unframe_bytes(flat.tobytes())
 
         if self.symbol_bytes == 2:

@@ -119,7 +119,9 @@ class BitString(WireSized):
                 return BitString.empty()
             width = stop - start
             shifted = self.value >> (self.length - stop)
-            return BitString(shifted & ((1 << width) - 1), width)
+            if start:  # a prefix is already < 2^width: nothing to mask off
+                shifted &= (1 << width) - 1
+            return BitString(shifted, width)
         if index < 0:
             index += self.length
         if not 0 <= index < self.length:

@@ -26,8 +26,8 @@ implementations --
   lookups element by element, ``struct``-based symbol framing,
   ``hash_parts``-style Merkle hashing.  No third-party dependencies;
   the default when numpy is not installed.
-* ``"numpy"`` -- table-batched kernels: log/exp gathers over contiguous
-  ``int64`` arrays, vectorised Vandermonde application, single-call
+* ``"numpy"`` -- table-batched kernels: log/exp gathers over
+  zero-sentinel ``uint16`` tables, vectorised Vandermonde application, single-call
   sha256 over packed leaf/node buffers.  The default whenever numpy is
   importable.
 

@@ -370,21 +370,25 @@ def _pool_pass(
     from ..perf import config
 
     failed: list[list[tuple[int, Any]]] = []
+    if not chunks:
+        return failed
     executor = ProcessPoolExecutor(
         max_workers=min(workers, len(chunks)),
         initializer=warm_worker,
         initargs=(config.backend(),),
     )
     try:
-        futures = [
-            (
-                executor.submit(
+        futures = []
+        for chunk in chunks:
+            try:
+                future = executor.submit(
                     _run_chunk, fn, chunk, timeout_s, multiplex
-                ),
-                chunk,
-            )
-            for chunk in chunks
-        ]
+                )
+            except BrokenProcessPool:
+                # A worker died while later chunks were still queueing.
+                failed.append(chunk)
+            else:
+                futures.append((future, chunk))
         for future, chunk in futures:
             try:
                 outcomes.extend(future.result())
@@ -405,29 +409,32 @@ def _dispatch(
     """Fan chunks out over a pool, surviving broken worker processes.
 
     A hard worker death (segfault, ``os._exit``) breaks the whole pool,
-    taking every in-flight chunk with it.  Lost chunks are split into
-    single-case chunks and retried in fresh pools until the survivors
-    drain; a case that keeps killing its worker is recorded as a
-    ``WorkerCrash`` outcome instead of aborting the campaign.  The
-    single-case salvage passes drop back to ``multiplex=1`` -- a batch
-    of one has no one to share its loop with anyway.
+    taking every in-flight chunk with it -- healthy bystanders included.
+    The lost cases are re-run one per chunk in fresh pools; whatever a
+    salvage pool loses in turn is halved and each half gets a pool of
+    its own, until every suspect has run alone.  Only a case that died
+    *alone in its pool* is recorded as ``WorkerCrash``: sharing a pool
+    with the poison case is never held against a healthy one, however
+    loaded the host.  The single-case salvage passes drop back to
+    ``multiplex=1`` -- a batch of one has no one to share its loop with
+    anyway.
     """
     outcomes: list[CaseOutcome] = []
     lost = _pool_pass(fn, chunks, workers, timeout_s, outcomes, multiplex)
-    pending = [[case] for chunk in lost for case in chunk]
-    while pending:
-        failed = _pool_pass(fn, pending, workers, timeout_s, outcomes)
-        if len(failed) == len(pending):
-            # No progress: every remaining case reliably kills its worker.
-            outcomes.extend(
+    groups = [[[case] for chunk in lost for case in chunk]]
+    while groups:
+        group = groups.pop()
+        lost = _pool_pass(fn, group, workers, timeout_s, outcomes)
+        if lost and len(group) == 1:
+            ((index, _),) = group[0]
+            outcomes.append(
                 CaseOutcome(
                     index=index,
                     error="worker process died while running this case",
                     error_type="WorkerCrash",
                 )
-                for chunk in failed
-                for index, _ in chunk
             )
-            break
-        pending = failed
+        elif lost:
+            half = len(lost) // 2
+            groups += [lost[half:], lost[:half]]
     return outcomes

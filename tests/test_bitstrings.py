@@ -158,6 +158,18 @@ class TestIndexing:
         cut = data.draw(st.integers(min_value=0, max_value=len(bs)))
         assert bs.prefix(cut).concat(bs.suffix_from(cut)) == bs
 
+    @given(naturals, st.integers(min_value=0, max_value=8), st.data())
+    def test_prefix_fast_path_matches_general_slice(self, v, pad, data):
+        """A slice from bit 0 skips the mask; it must equal the same
+        bits taken through the masked path (the string shifted right by
+        one guard bit, sliced at 1) and the per-bit definition."""
+        bs = bits_fixed(v, v.bit_length() + pad)   # leading zeros too
+        k = data.draw(st.integers(min_value=0, max_value=len(bs)))
+        general = (BitString(1, 1) + bs)[1:1 + k]
+        assert bs[:k] == bs.prefix(k) == general
+        assert bs[:k] == BitString.from_bits(bs.bits()[:k])
+        assert len(bs[:k]) == k
+
 
 class TestAlgebra:
     def test_concat(self):

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from repro.coding.gf import GF256, GF65536, BinaryField
+from repro.coding.gf import GF256, GF65536, BinaryField, LogMatrix
+from repro.perf import config
 
 elements256 = st.integers(min_value=0, max_value=255)
 nonzero256 = st.integers(min_value=1, max_value=255)
@@ -188,6 +191,179 @@ class TestZeroHandling:
         zero = [[0, 0], [0, 0]]
         data = np.array([[9, 8], [7, 6]])
         assert rows(GF256.matmul(zero, data)) == [[0, 0], [0, 0]]
+
+
+FIELDS = st.sampled_from([GF256, GF65536])
+
+#: how ``data`` reaches the kernel: the RS framing hands it big-endian
+#: transposed views, tests and callers hand it everything else.
+DATA_FORMS = {
+    "list": lambda grid: grid,
+    "int64": lambda grid: np.array(grid, dtype=np.int64),
+    "uint16": lambda grid: np.array(grid, dtype=np.uint16),
+    "transposed": lambda grid: np.ascontiguousarray(
+        np.array(grid, dtype=np.uint16).T
+    ).T,
+    "strided": lambda grid: np.repeat(
+        np.array(grid, dtype=np.int64), 2, axis=1
+    )[:, ::2],
+    "wire": lambda grid: np.array(grid, dtype=">u2"),
+}
+MATRIX_FORMS = {
+    "list": lambda grid: grid,
+    "logmatrix": LogMatrix,
+    "uint16": lambda grid: np.array(grid, dtype=np.uint16),
+    "int64": lambda grid: np.array(grid, dtype=np.int64),
+}
+
+
+@st.composite
+def kernel_cases(draw):
+    """``(field, matrix, data, block)``: zero-heavy operands whose
+    column count sits on, next to, or far past the column-block edge
+    that ``block`` (a shrunken ``_MATMUL_BLOCK``) puts in the way."""
+    field = draw(FIELDS)
+    element = st.one_of(
+        st.just(0),
+        st.sampled_from([1, 2, field.order - 1]),
+        st.integers(min_value=0, max_value=field.order - 1),
+    )
+    r = draw(st.integers(min_value=1, max_value=5))
+    k = draw(st.integers(min_value=1, max_value=5))
+    block = draw(st.sampled_from([1, 2 * r * k, 4 * r * k, 16 * r * k]))
+    step = max(1, block // (r * k))
+    c = draw(st.sampled_from(
+        [1, 2, step, step + 1, 2 * step - 1, 2 * step + 1, 3 * step + 2, 97]
+    ))
+    matrix = [
+        draw(st.lists(element, min_size=k, max_size=k)) for _ in range(r)
+    ]
+    data = [
+        draw(st.lists(element, min_size=c, max_size=c)) for _ in range(k)
+    ]
+    if draw(st.booleans()):
+        matrix[draw(st.integers(0, r - 1))] = [0] * k     # zero matrix row
+    if draw(st.booleans()):
+        j = draw(st.integers(0, k - 1))                   # zero matrix column
+        for row in matrix:
+            row[j] = 0
+    if draw(st.booleans()):
+        data[draw(st.integers(0, k - 1))] = [0] * c       # zero data row
+    if draw(st.booleans()):
+        j = draw(st.integers(0, c - 1))                   # zero data column
+        for row in data:
+            row[j] = 0
+    return field, matrix, data, block
+
+
+class TestSentinelKernel:
+    """The numpy kernel against the scalar oracle, called directly (no
+    backend switch in between): zeros must fall out of the padded
+    tables, whatever the shape, layout or dtype of the operands."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kernel_cases(),
+        st.sampled_from(sorted(MATRIX_FORMS)),
+        st.sampled_from(sorted(DATA_FORMS)),
+    )
+    def test_matmul_matches_scalar_oracle(self, case, matrix_form, data_form):
+        field, matrix, data, block = case
+        expected = field._matmul_python(matrix, data)
+        with mock.patch.object(BinaryField, "_MATMUL_BLOCK", block):
+            out = field._matmul_numpy(
+                MATRIX_FORMS[matrix_form](matrix), DATA_FORMS[data_form](data)
+            )
+        assert out.dtype == np.uint16
+        assert out.tolist() == expected
+
+    @pytest.mark.parametrize("field", [GF256, GF65536], ids=["2^8", "2^16"])
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (4, 1, 1), (1, 4, 1),
+                                       (4, 3, 1), (2, 3, 500)])
+    def test_named_shapes(self, field, shape):
+        r, k, c = shape
+        top = field.order - 1
+        matrix = [[(7 * i + j) % 3 and top - i - j for j in range(k)]
+                  for i in range(r)]
+        data = [[(i + j) % 4 and top - 5 * i - j for j in range(c)]
+                for i in range(k)]
+        out = field._matmul_numpy(matrix, data)
+        assert out.shape == (r, c)
+        assert out.tolist() == field._matmul_python(matrix, data)
+
+    @pytest.mark.parametrize("field", [GF256, GF65536], ids=["2^8", "2^16"])
+    def test_table_layout(self, field):
+        """``log[0] = 2(q-1)``; the antilog table is ``uint16``, holds
+        the real powers below the sentinel and zeros from there up to
+        ``2 log[0] = 4(q-1)`` -- the index ``0 * 0`` gathers."""
+        exp, log = field._numpy_tables()
+        top = field.order - 1
+        assert exp.dtype == np.uint16
+        assert log[0] == 2 * top
+        assert len(exp) == 2 * log[0] + 1 == 4 * top + 1
+        assert not exp[log[0]:].any()
+        assert exp[: log[0]].all()
+        # Two real logs never reach the zero region ...
+        assert 2 * log[1:].max() < log[0]
+        # ... and a zero operand always does, at both of its ends.
+        assert log[0] + log[1:].min() == log[0]
+        assert exp[log[0] + log[0]] == 0
+
+    @pytest.mark.parametrize("field", [GF256, GF65536], ids=["2^8", "2^16"])
+    def test_extreme_indices_through_every_kernel(self, field):
+        """``0 * 0`` (the largest index), ``0 * 1`` (the smallest zero
+        index) and the two largest real logs multiplied together."""
+        exp, log = field._numpy_tables()
+        big = int(np.argmax(log[1:])) + 1          # log = q - 2
+        xs = [0, 0, 1, big, big]
+        ys = [0, 1, 0, big, 0]
+        expected = [field.mul(x, y) for x, y in zip(xs, ys)]
+        with config.use_backend("numpy"):
+            assert field.mul_vec(xs, ys).tolist() == expected
+            for scalar in (0, 1, big):
+                assert field.scalar_mul_vec(scalar, xs).tolist() == [
+                    field.mul(scalar, x) for x in xs
+                ]
+            out = field.matmul([xs], [[y] for y in ys])
+        assert out.tolist() == [[field.mul(big, big)]]
+
+    @settings(max_examples=100, deadline=None)
+    @given(FIELDS, st.data())
+    def test_vector_kernels_with_zero_operands(self, field, data):
+        element = st.one_of(
+            st.just(0), st.integers(min_value=0, max_value=field.order - 1)
+        )
+        size = data.draw(st.integers(min_value=0, max_value=40))
+        xs = data.draw(st.lists(element, min_size=size, max_size=size))
+        ys = data.draw(st.lists(element, min_size=size, max_size=size))
+        scalar = data.draw(element)
+        as_form = DATA_FORMS[
+            data.draw(st.sampled_from(["list", "int64", "uint16", "wire"]))
+        ]
+        with config.use_backend("numpy"):
+            product = field.mul_vec(as_form(xs), as_form(ys))
+            scaled = field.scalar_mul_vec(scalar, as_form(xs))
+        assert product.dtype == scaled.dtype == np.uint16
+        assert product.tolist() == [field.mul(x, y) for x, y in zip(xs, ys)]
+        assert scaled.tolist() == [field.mul(scalar, x) for x in xs]
+
+    def test_log_matrix_converted_once(self):
+        """A :class:`LogMatrix` is a plain list of rows that picks up
+        its log-domain form at the first numpy product and keeps it."""
+        rows_ = [[0, 1, 2], [3, 0, 255]]
+        matrix = LogMatrix(rows_)
+        data = [[1, 0], [0, 9], [7, 7]]
+        assert matrix == rows_ and matrix.logs is None
+        with config.use_backend("python"):
+            expected = GF256.matmul(matrix, data)
+        assert matrix.logs is None
+        with config.use_backend("numpy"):
+            first = GF256.matmul(matrix, data)
+            logs = matrix.logs
+            second = GF256.matmul(matrix, data)
+        assert logs is not None and matrix.logs is logs
+        assert first.tolist() == second.tolist() == expected
+        assert first.tolist() == GF256._matmul_numpy(rows_, data).tolist()
 
 
 class TestLinearAlgebra:

@@ -16,12 +16,15 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
 
 from repro.analysis import GridSpec, grid_record, run_grid, sweep_document
 from repro.sim.fuzz import fuzz, sample_case_at, standard_registry
+from repro.sim import parallel
 from repro.sim.parallel import (
     CaseOutcome,
     derive_seed,
@@ -167,6 +170,60 @@ class TestRunMany:
         assert [o.ok for o in outcomes] == [True, False, True, True]
         assert outcomes[1].error_type == "WorkerCrash"
         assert [o.value for o in outcomes if o.ok] == [1, 2, 3]
+
+    def test_bystanders_of_a_broken_pool_are_not_blamed(self, monkeypatch):
+        """Regression (ROADMAP "fix first"): the worst case a loaded
+        host can produce, made deterministic -- every pool that holds
+        the poison case loses *all* its chunks.  Only a case that died
+        alone in its pool may be called ``WorkerCrash``."""
+        pools = []
+
+        def lossy_pool_pass(fn, chunks, workers, timeout_s, outcomes,
+                            multiplex=1):
+            pools.append([index for chunk in chunks for index, _ in chunk])
+            if any(x < 0 for chunk in chunks for _, x in chunk):
+                return list(chunks)
+            outcomes.extend(
+                CaseOutcome(index=index, value=fn(x))
+                for chunk in chunks for index, x in chunk
+            )
+            return []
+
+        monkeypatch.setattr(parallel, "_pool_pass", lossy_pool_pass)
+        payloads = [1, 2, -1, 3, 4, 5, -2, 6]
+        outcomes = run_many(
+            die_on_negative, payloads, workers=2, chunksize=2
+        )
+        assert [o.index for o in outcomes] == list(range(len(payloads)))
+        assert [o.error_type for o in outcomes] == [
+            "WorkerCrash" if x < 0 else None for x in payloads
+        ]
+        assert [o.value for o in outcomes if o.ok] == [1, 2, 3, 4, 5, 6]
+        # Both verdicts came from a pool the suspect had to itself.
+        assert [2] in pools and [6] in pools
+
+    def test_worker_crash_is_isolated_on_a_loaded_host(self):
+        """The same guarantee end to end, with every core kept busy by
+        a sibling process (the condition the flaky runs had in common):
+        real pools, real ``os._exit``, repeated."""
+        burn = "while True: pass"
+        siblings = [
+            subprocess.Popen([sys.executable, "-c", burn])
+            for _ in range(os.cpu_count() or 1)
+        ]
+        try:
+            for _ in range(5):
+                outcomes = run_many(
+                    die_on_negative, [1, -1, 2, 3], workers=2, chunksize=1
+                )
+                assert [o.error_type for o in outcomes] == [
+                    None, "WorkerCrash", None, None
+                ]
+                assert [o.value for o in outcomes if o.ok] == [1, 2, 3]
+        finally:
+            for sibling in siblings:
+                sibling.kill()
+                sibling.wait()
 
     def test_timeout_from_worker_thread_runs_unguarded(self):
         """``run_many(workers=1, timeout_s=...)`` from a non-main thread

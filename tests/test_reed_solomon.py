@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.coding.gf import GF256
+from repro.coding.gf import GF256, GF65536, LogMatrix
 from repro.coding.reed_solomon import ReedSolomonCode, rs_code
 from repro.crypto import merkle
 from repro.errors import CodingError
+from repro.perf import config
 
 payloads = st.binary(min_size=0, max_size=400)
 
@@ -249,6 +252,36 @@ class TestFraming:
         data = b"\x00" * size
         shares = code.encode(data)
         assert code.decode({0: shares[0], 1: shares[1], 4: shares[4]}) == data
+
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    @pytest.mark.parametrize("field, digest", [
+        (GF65536, "de3d151fa698d8fe06520b526a06bbf2"
+                  "0a8da3665be808766f4627ca114b0117"),
+        (GF256, "f9643c5c98a566e0588cc7b12c65e4e1"
+                "3c36a3859a3ed6d763adee47c08aefa6"),
+    ], ids=["GF65536", "GF256"])
+    def test_wire_bytes_pinned(self, backend, field, digest):
+        """The codewords are a wire format: the digests were recorded
+        before the kernels moved to 16-bit symbols and must not move."""
+        if backend == "numpy":
+            pytest.importorskip("numpy")
+        payload = bytes(range(256)) * 3 + b"\x00\x00tail"
+        code = ReedSolomonCode(7, 5, field=field)
+        with config.use_backend(backend):
+            shares = code.encode(payload)
+            assert code.decode(dict(list(enumerate(shares))[2:])) == payload
+        assert hashlib.sha256(b"".join(shares)).hexdigest() == digest
+
+    def test_numpy_framing_stays_at_symbol_width(self):
+        """Symbols reach the kernel as views at their wire width (they
+        are only gather indices); matrices carry their logs along."""
+        pytest.importorskip("numpy")
+        for code in (ReedSolomonCode(7, 5), ReedSolomonCode(7, 5, field=GF256)):
+            chunks = code._frame_numpy(b"\x01\x02\x03" * 11)
+            assert chunks.dtype.itemsize == code.symbol_bytes
+            assert chunks.shape[0] == code.k
+            assert isinstance(code.generator, LogMatrix)
+            assert isinstance(code._invert_submatrix((0, 2, 3, 4, 6)), LogMatrix)
 
     def test_tampered_length_header_detected(self):
         # Build shares of a *non-codeword* by mixing two encodings; the
