@@ -2,16 +2,24 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench examples report quick-report clean
+.PHONY: install test bench perfbench perfbench-test examples report quick-report clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
 
 test:
-	$(PYTHON) -m pytest tests/
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m pytest -x -q
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+# The repository's benchmark (BENCHMARK.json): all four workloads, 20 s each.
+perfbench:
+	$(PYTHON) perfbench/run.py
+
+# Its plumbing checks (--smoke runs, a few seconds).
+perfbench-test:
+	$(PYTHON) -m pytest perfbench/tests -q
 
 examples:
 	@set -e; for script in examples/*.py; do \

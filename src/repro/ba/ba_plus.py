@@ -64,19 +64,15 @@ def ba_plus(
 
     # Line 1: send the input to all parties.  Validated values are raw
     # kappa-bit ``bytes``, whose canonical order IS the bytes order, so
-    # the counting and tie-breaking below key on the values directly
-    # instead of building per-message key tuples.
+    # the tie-breaking below keys on the values directly.
     inbox = yield from broadcast_round(ctx, f"{channel}/input", v_in)
-    counts: dict[bytes, int] = {}
-    for received in inbox.values():
-        if value_domain.validate(received):
-            counts[received] = counts.get(received, 0) + 1
+    counts = value_domain.tally(inbox.values())
 
     # Line 2: vote for every value seen n - 2t times (at most two exist
     # when t < n/3; if byzantine equivocation somehow produced more we
     # keep the two most frequent, deterministically).
     seen = sorted(
-        (item for item in counts.items() if item[1] >= ctx.pre_agreement),
+        (item for item in counts if item[1] >= ctx.pre_agreement),
         key=lambda item: (-item[1], item[0]),
     )[:2]
     vote_values = sorted(value for value, _ in seen)

@@ -20,7 +20,7 @@ The special symbol "bottom" is represented as Python ``None`` throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from ..core.bitstrings import BitString
 
@@ -34,6 +34,11 @@ __all__ = [
     "bitstring_domain",
     "BIT_DOMAIN",
 ]
+
+
+#: Exact ballot types :meth:`Domain.tally` may count before validating.
+_INTS = {int}
+_DIGESTS = {bytes, type(None)}
 
 
 def canonical_key(value: Any) -> tuple:
@@ -74,6 +79,37 @@ class Domain:
             return bool(self.contains(value))
         except Exception:
             return False
+
+    def tally(self, ballots: Iterable[Any]) -> list[tuple[Any, int]]:
+        """``(value, count)`` of the domain-valid ballots, first-seen order.
+
+        Count-then-validate: when every ballot's *exact* type is ``int``,
+        or ``bytes``/``None``, equal ballots are indistinguishable to
+        ``contains`` and to :func:`canonical_key`, so they are counted at
+        C level and each distinct value is validated once.  Any other
+        inbox (``bool``/``float`` twins of ``1``, ``bytearray``,
+        unhashables, junk) is validated copy by copy and merged by
+        canonical key under its first-seen representative, so ``True``
+        is never counted as, or validated on behalf of, ``1``.
+        """
+        ballots = list(ballots)
+        kinds = set(map(type, ballots))
+        if kinds == _INTS or (kinds and kinds <= _DIGESTS):
+            first = ballots[0]
+            if ballots.count(first) == len(ballots):
+                counts = {first: len(ballots)}
+            else:
+                counts = {}
+                for ballot in ballots:
+                    counts[ballot] = counts.get(ballot, 0) + 1
+            return [
+                pair for pair in counts.items() if self.validate(pair[0])
+            ]
+        merged: dict[tuple, list] = {}
+        for ballot in ballots:
+            if self.validate(ballot):
+                merged.setdefault(canonical_key(ballot), [ballot, 0])[1] += 1
+        return [(value, count) for value, count in merged.values()]
 
 
 BIT_DOMAIN = Domain(

@@ -46,55 +46,15 @@ _PROPOSE = "PROPOSE"
 _NO_PROPOSE = "NOPROP"
 
 
-def _most_frequent(
-    values: list[Any],
-) -> tuple[Any, int]:
-    """Most frequent value with deterministic (canonical-key) tie-break."""
-    if not values:
-        return None, 0
-    # Fast paths for the two ballot shapes that dominate the CA stack's
-    # BA invocations: all-int (binary/nat domains) and bottom-or-digest
-    # (the ``PI_BA+`` agreement domain).  ``canonical_key`` maps an int
-    # ``v`` to ``(1, v)``, ``None`` to ``(0,)``, and ``bytes`` to
-    # ``(2, v)``, so within those shapes the canonical order is the
-    # natural one and the key tuples need not be built.  Exact-type
-    # checks so ``bool`` ballots (an int subclass, merged with their
-    # int twins by canonical_key) keep the general path's first-seen
-    # representative semantics.
-    ints = True
-    digests = True
-    for value in values:
-        kind = type(value)
-        if kind is not int:
-            ints = False
-        if kind is not bytes and value is not None:
-            digests = False
-        if not (ints or digests):
-            break
-    else:
-        counts_fast: dict = {}
-        for value in values:
-            counts_fast[value] = counts_fast.get(value, 0) + 1
-        if ints:
-            best = max(counts_fast, key=lambda v: (counts_fast[v], v))
-        else:
-            best = max(
-                counts_fast,
-                key=lambda v: (
-                    counts_fast[v],
-                    v is not None,
-                    b"" if v is None else v,
-                ),
-            )
-        return best, counts_fast[best]
-    counts: dict[tuple, list] = {}
-    for value in values:
-        key = canonical_key(value)
-        entry = counts.setdefault(key, [0, value])
-        entry[0] += 1
-    best_key = max(counts, key=lambda k: (counts[k][0], k))
-    count, value = counts[best_key]
-    return value, count
+def _plurality(tallied: list[tuple[Any, int]]) -> tuple[Any, int]:
+    """Most frequent tallied value, ties broken by canonical order."""
+    if len(tallied) == 1:
+        return tallied[0]
+    return max(
+        tallied,
+        key=lambda pair: (pair[1], canonical_key(pair[0])),
+        default=(None, 0),
+    )
 
 
 def phase_king(
@@ -113,8 +73,7 @@ def phase_king(
 
         # Round 1: universal exchange of estimates.
         inbox = yield from broadcast_round(ctx, f"{tag}/exch", est)
-        received = [v for v in inbox.values() if domain.validate(v)]
-        maj, cnt = _most_frequent(received)
+        maj, cnt = _plurality(domain.tally(inbox.values()))
 
         # Round 2: propose the majority value if it had a strong quorum.
         if cnt >= ctx.quorum:
@@ -128,13 +87,12 @@ def phase_king(
             if isinstance(msg, tuple)
             and len(msg) == 2
             and msg[0] == _PROPOSE
-            and domain.validate(msg[1])
         ]
-        prop, pcnt = _most_frequent(proposals)
+        prop, pcnt = _plurality(domain.tally(proposals))
 
         # Round 3: the king arbitrates (everyone else stays silent).
         if ctx.party_id == king:
-            king_value = prop if proposals else est
+            king_value = prop if pcnt > 0 else est
             inbox = yield from broadcast_round(
                 ctx, f"{tag}/king", king_value
             )

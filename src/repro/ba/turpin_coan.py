@@ -52,15 +52,9 @@ def turpin_coan(
 
     # Round 1: exchange inputs.
     inbox = yield from broadcast_round(ctx, f"{channel}/input", value)
-    counts: dict[tuple, list] = {}
-    for received in inbox.values():
-        if domain.validate(received):
-            entry = counts.setdefault(canonical_key(received), [0, received])
-            entry[0] += 1
-
     candidate: Any = None
     have_candidate = False
-    for count, received in counts.values():
+    for received, count in domain.tally(inbox.values()):
         if count >= ctx.quorum:
             candidate = received
             have_candidate = True
@@ -71,22 +65,15 @@ def turpin_coan(
         (_CANDIDATE, candidate) if have_candidate else (_NO_CANDIDATE,)
     )
     inbox = yield from broadcast_round(ctx, f"{channel}/candidate", message)
-    candidate_counts: dict[tuple, list] = {}
-    for received in inbox.values():
-        if (
-            isinstance(received, tuple)
-            and len(received) == 2
-            and received[0] == _CANDIDATE
-            and domain.validate(received[1])
-        ):
-            entry = candidate_counts.setdefault(
-                canonical_key(received[1]), [0, received[1]]
-            )
-            entry[0] += 1
-
-    strong = any(
-        count >= ctx.quorum for count, _ in candidate_counts.values()
+    candidate_counts = domain.tally(
+        received[1]
+        for received in inbox.values()
+        if isinstance(received, tuple)
+        and len(received) == 2
+        and received[0] == _CANDIDATE
     )
+
+    strong = any(count >= ctx.quorum for _, count in candidate_counts)
     decision = yield from binary_ba(
         ctx, 1 if strong else 0, BIT_DOMAIN, channel=f"{channel}/ba"
     )
@@ -95,8 +82,8 @@ def turpin_coan(
         return None
     # Quorum intersection: at most one value can have t + 1 candidate
     # votes, and if BA agreed on 1 every honest party sees it.
-    for count, received in sorted(
-        candidate_counts.values(), key=lambda e: (-e[0], canonical_key(e[1]))
+    for received, count in sorted(
+        candidate_counts, key=lambda e: (-e[1], canonical_key(e[0]))
     ):
         if count >= ctx.t + 1:
             return received

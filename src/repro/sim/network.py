@@ -311,6 +311,9 @@ class SynchronousNetwork:
             self._states[party] = _PartyState(generator=gen)
         #: next round the scheduler will attempt (stepping API state).
         self._next_round = 0
+        #: whether some honest party is still unfinished, as of the last
+        #: round's resume pass (``t < n``: at least one is at the start).
+        self._honest_running = True
         #: "plain run": fast path with no trace and no monitors armed --
         #: the per-round hook dispatch and RoundRecord assembly are
         #: skipped entirely and inbox dicts come from the arena.
@@ -378,9 +381,9 @@ class SynchronousNetwork:
                 stats=self.stats,
                 outputs=self._partial_outputs(),
             )
-        if self._all_honest_finished():
+        if not self._honest_running:
             return False
-        self._run_round(round_index)
+        self._honest_running = self._run_round(round_index)
         self._next_round = round_index + 1
         counters.bump("sched_rounds")
         return True
@@ -426,13 +429,6 @@ class SynchronousNetwork:
             if violation.trace is None:
                 violation.trace = self.trace
             raise
-
-    def _all_honest_finished(self) -> bool:
-        return all(
-            state.finished
-            for party, state in self._states.items()
-            if party not in self.corrupted
-        )
 
     def _resume(
         self, party: int, state: _PartyState, round_index: int
@@ -588,46 +584,75 @@ class SynchronousNetwork:
                 inbox.clear()
         else:
             inboxes = {party: {} for party in states}
-        # List-indexed view of the inbox dicts: party ids are dense
-        # 0..n-1, and a C-level list index beats a dict hash on the
-        # innermost (per-message) loop.
-        inbox_rows = [inboxes[party] for party in range(n)]
         round_bits = 0
         round_messages = 0
         byz_count = 0
         sender_bits: list[tuple[int, int]] = []
+        # An all-broadcast round (every honest bundle marked by
+        # ``broadcast_round``, or empty like the non-kings' king round)
+        # delivers the same ``{sender: payload}`` dict to every party:
+        # build it once in party order, price each sender once, and
+        # ``update`` each private inbox from it.  The length check
+        # holds the mark to the network's own ``n``.
+        shared: dict[int, Any] | None = {}
         for party, out in outgoings.items():
             if corrupted and party in corrupted:
                 continue
-            # A broadcast reuses one payload object for every
-            # destination; sizing it once per object is exact (bit_size
-            # is pure) and skips the dominant per-message cost.  The
-            # one-object memo covers the broadcast shape; bundles with
-            # several distinct payloads (e.g. ``distribute``) price
-            # each object as before.  Seeded with a private sentinel:
-            # ``None`` is a real payload (the protocols' bottom symbol,
-            # priced at 1 bit) and must not match an empty memo.
-            memo_obj = _NO_PAYLOAD
-            memo_bits = 0
-            party_sent = 0
-            party_messages = 0
-            for dst, payload in out.messages.items():
-                if not 0 <= dst < n:
+            messages = out.messages
+            if not messages:
+                continue
+            if not out.broadcast or len(messages) != n:
+                shared = None
+                break
+            shared[party] = messages[party]
+        if shared is not None:
+            fanout = n - 1
+            if fanout:
+                for party, payload in shared.items():
+                    party_sent = bit_size(payload) * fanout
+                    sender_bits.append((party, party_sent))
+                    round_bits += party_sent
+                round_messages = len(shared) * fanout
+            for inbox in inboxes.values():
+                inbox.update(shared)
+        else:
+            # List-indexed view of the inbox dicts: party ids are dense
+            # 0..n-1, and a C-level list index beats a dict hash on the
+            # innermost (per-message) loop.
+            inbox_rows = [inboxes[party] for party in range(n)]
+            for party, out in outgoings.items():
+                if corrupted and party in corrupted:
                     continue
-                inbox_rows[dst][party] = payload
-                if dst != party:
-                    if payload is memo_obj:
-                        bits = memo_bits
-                    else:
-                        bits = bit_size(payload)
-                        memo_obj = payload
-                        memo_bits = bits
-                    party_sent += bits
-                    party_messages += 1
-            if party_messages:
-                sender_bits.append((party, party_sent))
-                round_bits += party_sent
-                round_messages += party_messages
+                # A broadcast reuses one payload object for every
+                # destination; sizing it once per object is exact
+                # (bit_size is pure) and skips the dominant per-message
+                # cost.  The one-object memo covers the broadcast shape;
+                # bundles with several distinct payloads (e.g.
+                # ``distribute``) price each object as before.  Seeded
+                # with a private sentinel: ``None`` is a real payload
+                # (the protocols' bottom symbol, priced at 1 bit) and
+                # must not match an empty memo.
+                memo_obj = _NO_PAYLOAD
+                memo_bits = 0
+                party_sent = 0
+                party_messages = 0
+                for dst, payload in out.messages.items():
+                    if not 0 <= dst < n:
+                        continue
+                    inbox_rows[dst][party] = payload
+                    if dst != party:
+                        if payload is memo_obj:
+                            bits = memo_bits
+                        else:
+                            bits = bit_size(payload)
+                            memo_obj = payload
+                            memo_bits = bits
+                        party_sent += bits
+                        party_messages += 1
+                if party_messages:
+                    sender_bits.append((party, party_sent))
+                    round_bits += party_sent
+                    round_messages += party_messages
         if corrupted:
             for party, out in outgoings.items():
                 if party not in corrupted:
@@ -678,7 +703,13 @@ class SynchronousNetwork:
         for monitor in self.monitors:
             self._monitored(monitor.on_round, record, self)
 
-    def _run_round(self, round_index: int) -> None:
+    def _run_round(self, round_index: int) -> bool:
+        """Run one round; ``False`` once every honest party has finished.
+
+        A party that is neither finished nor down yields, so after the
+        resume pass "some honest party is unfinished" is "some honest
+        party yielded or is down" -- no second scan of the states.
+        """
         # 0. Crash plane: restarts due now, then declarative crashes
         # whose down round is now (both before any generator resumes).
         restarted: frozenset[int] = frozenset()
@@ -708,7 +739,7 @@ class SynchronousNetwork:
         if not outgoings:
             # Every generator terminated while consuming last round's
             # inbox -- no network round takes place.
-            return
+            return bool(down)
 
         # Lockstep sanity check: running honest parties share one channel.
         honest_channels = {
@@ -747,7 +778,7 @@ class SynchronousNetwork:
 
         if self._fast_path:
             self._finish_round_fast(round_index, outgoings, honest_channels)
-            return
+            return bool(honest_channels)
 
         honest_outgoing: dict[tuple[int, int], Any] = {}
         spec_outgoing: dict[tuple[int, int], Any] = {}
@@ -931,3 +962,6 @@ class SynchronousNetwork:
             self._monitored(monitor.on_round, record, self)
 
         self.corrupted.update(accepted)
+        return bool(self.down) or any(
+            party not in self.corrupted for party in outgoings
+        )

@@ -44,10 +44,17 @@ class Outgoing:
 
     ``slots=True``: one ``Outgoing`` is allocated per party per round,
     so the per-instance ``__dict__`` was pure scheduler overhead.
+
+    ``broadcast`` is a promise that ``messages`` is one payload object
+    keyed by every party id ``0..n-1`` (only :func:`broadcast_round`
+    makes it).  It changes nothing observable: the fault-free delivery
+    path uses it to share one ``{sender: payload}`` dict per round
+    instead of storing ``n * n`` copies; every other path ignores it.
     """
 
     channel: str
     messages: dict[int, Any] = field(default_factory=dict)
+    broadcast: bool = False
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,5 +140,5 @@ def broadcast_round(
     """Send ``payload`` to all n parties (self included) for one round."""
     # fromkeys builds the bundle at C speed; same keys, same order.
     messages = dict.fromkeys(ctx.all_parties, payload)
-    inbox = yield Outgoing(channel=channel, messages=messages)
+    inbox = yield Outgoing(channel, messages, broadcast=True)
     return inbox

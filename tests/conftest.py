@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.ba.domains import canonical_key
 from repro.sim import run_protocol
 from repro.sim.adversary import standard_adversary_suite
 
@@ -51,3 +52,15 @@ def run(factory, inputs, n, t, **kwargs):
     """Shorthand for run_protocol with sane test defaults."""
     kwargs.setdefault("kappa", 64)
     return run_protocol(factory, inputs, n=n, t=t, **kwargs)
+
+
+def oracle_tally(domain, ballots):
+    """Reference semantics for ``Domain.tally``, written out: validate
+    every copy, count by canonical key, keep the first-seen
+    representative.  The differential tests compare against this."""
+    groups = {}
+    for ballot in ballots:
+        if domain.validate(ballot):
+            entry = groups.setdefault(canonical_key(ballot), [ballot, 0])
+            entry[1] += 1
+    return [(value, count) for value, count in groups.values()]

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 
-from hypothesis import given, strategies as st
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.ba.domains import (
     BIT_DOMAIN,
+    Domain,
     bit_domain,
     bitstring_domain,
     canonical_key,
@@ -16,6 +19,8 @@ from repro.ba.domains import (
     optional_digest_domain,
 )
 from repro.core.bitstrings import BitString
+
+from conftest import oracle_tally
 
 
 class TestCanonicalKey:
@@ -125,3 +130,126 @@ class TestBitstringDomain:
         assert d.validate(BitString(5, 4))
         assert not d.validate(BitString(5, 5))
         assert d.default == BitString(0, 4)
+
+
+# -- Domain.tally: differential against the validate-each semantics -------
+
+DIGEST_A = b"\xaa" * 16
+DIGEST_B = b"\xbb" * 16
+Pair = namedtuple("Pair", "tag value")
+
+TALLY_DOMAINS = [
+    BIT_DOMAIN,
+    nat_domain(),
+    nat_domain(max_bits=4),
+    digest_domain(128),
+    optional_digest_domain(128),
+    bitstring_domain(),
+]
+
+#: Twins of the counted types: equal and hash-equal to an honest ballot
+#: but of another type (or the near-miss ``bytearray``).
+INT_TWINS = st.sampled_from([0, 1, 2, 16, True, False, 1.0, -0.0])
+DIGEST_TWINS = st.sampled_from(
+    [DIGEST_A, DIGEST_B, None, b"x", bytearray(DIGEST_A), bytearray(b"x")]
+)
+
+#: Honest values of every domain next to their adversarial twins,
+#: near-misses, and junk.
+BALLOTS = st.sampled_from(
+    [
+        0, 1, 2, 7, 16, -1, 2**70,
+        True, False, 1.0, 0.0, -0.0, float("nan"), Fraction(1, 1),
+        DIGEST_A, DIGEST_B, b"x", b"",
+        bytearray(DIGEST_A), bytearray(b"x"),
+        None, "1", "",
+        BitString(1, 1), BitString(1, 2), BitString(0, 0),
+        (1,), (0, 1), Pair("PROPOSE", 1),
+    ]
+) | st.builds(list, st.lists(st.integers(0, 1), max_size=2)) | st.builds(
+    dict, st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), max_size=1)
+) | st.builds(set, st.lists(st.integers(0, 1), max_size=2))
+
+INBOXES = st.one_of(
+    st.lists(INT_TWINS, max_size=10),
+    st.lists(DIGEST_TWINS, max_size=10),
+    st.lists(BALLOTS, max_size=10),
+)
+
+
+def typed(pairs):
+    return [(value, type(value), count) for value, count in pairs]
+
+
+def counting(domain):
+    """``domain`` plus a log of every value its ``contains`` was asked."""
+    seen = []
+
+    def contains(value):
+        seen.append(value)
+        return domain.contains(value)
+
+    return Domain(domain.name, contains, domain.default), seen
+
+
+class TestTally:
+    @pytest.mark.parametrize("domain", TALLY_DOMAINS, ids=lambda d: d.name)
+    @given(ballots=INBOXES)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_validate_each_oracle(self, domain, ballots):
+        assert typed(domain.tally(ballots)) == typed(
+            oracle_tally(domain, ballots)
+        )
+
+    @pytest.mark.parametrize("domain", TALLY_DOMAINS, ids=lambda d: d.name)
+    @given(ballots=INBOXES)
+    @settings(max_examples=50, deadline=None)
+    def test_accepts_any_iterable(self, domain, ballots):
+        inbox = dict(enumerate(ballots))
+        assert typed(domain.tally(inbox.values())) == typed(
+            domain.tally(iter(ballots))
+        )
+
+    def test_unanimous(self):
+        assert BIT_DOMAIN.tally([1] * 7) == [(1, 7)]
+        assert optional_digest_domain(128).tally([None] * 4) == [(None, 4)]
+
+    def test_first_seen_order_and_exact_tie(self):
+        assert nat_domain().tally([5, 3, 5, 3]) == [(5, 2), (3, 2)]
+        assert optional_digest_domain(128).tally(
+            [DIGEST_B, None, DIGEST_A, None]
+        ) == [(DIGEST_B, 1), (None, 2), (DIGEST_A, 1)]
+
+    def test_all_invalid_and_empty(self):
+        assert BIT_DOMAIN.tally([2, 3, 2]) == []
+        assert BIT_DOMAIN.tally(["x", None, [1]]) == []
+        assert BIT_DOMAIN.tally([]) == []
+        assert BIT_DOMAIN.tally(iter(())) == []
+
+    def test_bool_is_never_counted_as_int(self):
+        # True is a valid bit, equal to and hashing like 1 -- it must be
+        # validated itself and merged under the first-seen representative.
+        tallied = BIT_DOMAIN.tally([True, 1, 1])
+        assert typed(tallied) == [(True, bool, 3)]
+        assert typed(BIT_DOMAIN.tally([1, True, 1.0])) == [(1, int, 2)]
+        assert nat_domain().tally([True, 1, 1]) == [(1, 2)]
+        assert nat_domain().tally([0, False, -0.0]) == [(0, 1)]
+        assert digest_domain(8).tally([b"x", bytearray(b"x")]) == [(b"x", 1)]
+
+    def test_out_of_domain_value_of_the_counted_type_is_validated_once(self):
+        domain, seen = counting(BIT_DOMAIN)
+        assert domain.tally([1, 1, 7, 1, 1, 1, 1]) == [(1, 6)]
+        assert seen == [1, 7]
+        domain, seen = counting(digest_domain(128))
+        assert domain.tally([DIGEST_A] * 6 + [b"short"]) == [(DIGEST_A, 6)]
+        assert seen == [DIGEST_A, b"short"]
+
+    def test_unanimous_inbox_validates_one_copy(self):
+        domain, seen = counting(nat_domain())
+        assert domain.tally([9] * 16) == [(9, 16)]
+        assert seen == [9]
+
+    def test_foreign_type_sends_every_copy_through_validate(self):
+        domain, seen = counting(BIT_DOMAIN)
+        assert domain.tally([1, 1, "junk", 1]) == [(1, 3)]
+        assert seen == [1, 1, "junk", 1]

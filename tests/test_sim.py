@@ -25,6 +25,7 @@ from repro.sim import (
     run_protocol,
 )
 from repro.sim.adversary import DROP, AdaptiveCorruptionAdversary
+from repro.perf import counters
 from repro.sim.metrics import CommunicationStats
 
 
@@ -149,6 +150,13 @@ def two_round_protocol(ctx, v):
     return max(x for x in inbox.values() if isinstance(x, int))
 
 
+def straggler_protocol(ctx, v):
+    """Party 0 runs six rounds, everyone else one."""
+    for round_index in range(6 if ctx.party_id == 0 else 1):
+        yield from broadcast_round(ctx, f"r{round_index}", v)
+    return v
+
+
 class TestScheduler:
     def test_all_honest_echo(self):
         result = run_protocol(echo_protocol, [1, 2, 3, 4], 4, 1)
@@ -241,6 +249,37 @@ class TestScheduler:
 
         result = run_protocol(instant, [7] * 4, 4, 1)
         assert result.common_output() == 7
+
+    def test_corrupting_the_last_running_party_ends_the_execution(self):
+        # Parties 1-3 finish after one round; party 0 would run six.
+        # Once it is adaptively corrupted no honest party is unfinished.
+        adv = AdaptiveCorruptionAdversary(
+            schedule=[(0, 0)], inner=PassiveAdversary()
+        )
+        result = run_protocol(straggler_protocol, [1, 2, 3, 4], 4, 1,
+                              adversary=adv)
+        assert result.stats.rounds == 2
+        assert sorted(result.outputs) == [1, 2, 3]
+
+    def test_a_down_straggler_keeps_the_scheduler_stepping(self):
+        # Party 0 is the only unfinished party while it is down (rounds
+        # 2-3): the scheduler idles through them, then replays it.
+        counters.reset()
+        nobody = AdaptiveCorruptionAdversary(
+            schedule=[], inner=PassiveAdversary()
+        )
+        result = run_protocol(straggler_protocol, [1, 2, 3, 4], 4, 1,
+                              adversary=nobody, crashes=[(0, 2, 4)])
+        assert sorted(result.outputs) == [0, 1, 2, 3]
+        assert result.crash_log == [("down", 2, 0), ("up", 4, 0)]
+        assert result.stats.rounds == 6
+        assert counters.snapshot()["sched_rounds"] == 9
+
+    def test_run_is_idempotent_once_finished(self):
+        network = SynchronousNetwork(echo_protocol, [1, 2, 3, 4], 4, 1)
+        first = network.run()
+        assert network.run().outputs == first.outputs
+        assert network.stats.rounds == 1
 
     def test_determinism(self):
         def run():
