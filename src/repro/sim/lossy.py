@@ -56,7 +56,6 @@ from typing import Any
 from ..errors import ConfigurationError, ReproError
 from ..perf import counters
 from .metrics import CommunicationStats
-from .sizing import bit_size
 
 __all__ = [
     "ACK_BITS",
@@ -121,18 +120,6 @@ class TimeoutEscalation:
     def next_budget(self, budget: int) -> int:
         """The re-armed slot budget after one exhausted attempt."""
         return min(budget * self.growth, max(budget, self.budget_cap))
-
-
-class _Flight:
-    """One in-flight payload on one link, until acknowledged."""
-
-    __slots__ = ("payload", "bits", "attempts", "due")
-
-    def __init__(self, payload: Any, bits: int) -> None:
-        self.payload = payload
-        self.bits = bits
-        self.attempts = 0
-        self.due = 0
 
 
 class LossyTransport:
@@ -272,20 +259,17 @@ class LossyTransport:
         """
         return 0
 
-    def _lossy(self, link: tuple[int, int]) -> bool:
-        return self.links is None or link in self.links
-
-    def _cut(self, link: tuple[int, int], at: int) -> bool:
-        """Is ``link`` deterministically severed at global slot ``at``?"""
-        return False
-
-    def _drop_rate(self, link: tuple[int, int], at: int) -> float:
-        """Per-copy loss probability of ``link`` at global slot ``at``."""
+    def _drop_at(self, at: int) -> float:
+        """Per-copy loss probability of a lossy link at global slot ``at``."""
         return self.drop
 
-    def _delay_rate(self, link: tuple[int, int], at: int) -> float:
-        """Per-copy one-slot-late probability at global slot ``at``."""
-        return self.delay
+    def _severed_at(self, at: int) -> tuple[frozenset[int], ...]:
+        """Partition sides in force at global slot ``at``.
+
+        A link whose endpoints fall on different sides of any returned
+        member set is deterministically severed for that slot.
+        """
+        return ()
 
     def _backoff(self, attempts: int) -> int:
         # Cap the exponent *before* exponentiation: at attempt 300 the
@@ -309,31 +293,31 @@ class LossyTransport:
     def synchronize(
         self,
         round_index: int,
-        messages: dict[tuple[int, int], Any],
+        link_bits: dict[tuple[int, int], int],
         stats: CommunicationStats,
     ) -> int:
         """Simulate one logical round's slots until every payload is acked.
 
-        ``messages`` is the honest traffic of the round keyed by
-        ``(src, dst)``; loopback links (``src == dst``) never touch the
-        wire.  Returns the number of physical slots simulated and
-        accounts every retransmitted copy, ack frame, and (under
-        escalation) resync beacon on ``stats``.
+        ``link_bits`` prices the round's honest traffic per ``(src, dst)``
+        link: the synchronizer needs what a retransmitted copy costs,
+        never the payload.  Loopback links (``src == dst``) stay off the
+        wire; they are listed so their party joins resync beacons.
+        Returns the number of physical slots simulated and accounts
+        every retransmitted copy, ack frame, and (under escalation)
+        resync beacon on ``stats``.
 
         Raises:
             TransportTimeout: the slot budget (including every escalated
                 retry, when an escalation policy is armed) ran out with
                 payloads still unacknowledged.
         """
-        pending: dict[tuple[int, int], _Flight] = {}
+        #: link -> copies sent so far, in sorted link order.
+        pending: dict[tuple[int, int], int] = {}
         parties: set[int] = set()
-        for link in sorted(messages):
-            src, dst = link
-            parties.add(src)
-            parties.add(dst)
-            if src == dst:
-                continue
-            pending[link] = _Flight(messages[link], bit_size(messages[link]))
+        for link in sorted(link_bits):
+            parties.update(link)
+            if link[0] != link[1]:
+                pending[link] = 0
         if not pending:
             return 0
 
@@ -344,7 +328,7 @@ class LossyTransport:
         total_slots = 0
         for attempt in range(attempts):
             slots = self._attempt_round(
-                round_index, attempt, pending, stats, budget
+                round_index, attempt, pending, link_bits, stats, budget
             )
             total_slots += slots
             stats.record_slots(slots)
@@ -393,74 +377,84 @@ class LossyTransport:
         self,
         round_index: int,
         attempt: int,
-        pending: dict[tuple[int, int], _Flight],
+        pending: dict[tuple[int, int], int],
+        link_bits: dict[tuple[int, int], int],
         stats: CommunicationStats,
         budget: int,
     ) -> int:
-        """One bounded synchronization attempt; prunes acked flights.
+        """One bounded synchronization attempt; prunes acked links.
 
-        Returns the slots simulated; flights still in ``pending``
-        afterwards were not acknowledged within ``budget`` slots.
+        Returns the slots simulated; links still in ``pending`` were not
+        acknowledged within ``budget`` slots.  An unacked link sits in
+        exactly one slot-keyed table -- due for (re)transmission, or in
+        the air awaiting its ack -- so a slot touches only the links
+        with an event in it, in sorted order, transmissions first.
         """
         rng = random.Random(self._attempt_seed(round_index, attempt))
+        coin = rng.random
         base_time = self._clock
-        for flight in pending.values():
-            flight.due = 0
+        faulty, delay, reorder = self.links, self.delay, self.reorder
+        #: slot -> links whose next copy is transmitted then.
+        due: dict[int, list[tuple[int, int]]] = {0: list(pending)}
         #: slot -> links whose payload copy arrives then (ack pending).
         arrivals: dict[int, list[tuple[int, int]]] = {}
+        retrans_bits = retrans_messages = acks = 0
         slots_used = 0
+
+        def back_off(link: tuple[int, int]) -> None:
+            # a lost copy or ack: the sender retransmits after a backoff.
+            resend = slot + self._backoff(pending[link])
+            due.setdefault(resend, []).append(link)
+
         for slot in range(budget):
             if not pending:
                 break
             slots_used = slot + 1
+            sending = due.pop(slot, ())
+            if not sending and slot not in arrivals:
+                continue
             at = base_time + slot
+            drop = self._drop_at(at)
+            # a copy severed by a partition is lost without a coin.
+            sides = self._severed_at(at)
 
             # 1. transmissions due this slot (first copies and backoffs).
-            for link in sorted(pending):
-                flight = pending[link]
-                if flight.due != slot:
-                    continue
-                flight.attempts += 1
-                if flight.attempts > 1:
-                    stats.record_retransmit(flight.bits)
-                if self._cut(link, at):
-                    # severed by a partition: no coin consumed, the
-                    # copy is deterministically lost.
-                    flight.due = slot + self._backoff(flight.attempts)
-                    continue
-                if self._lossy(link) and rng.random() < self._drop_rate(
-                    link, at
-                ):
-                    flight.due = slot + self._backoff(flight.attempts)
+            for link in sorted(sending):
+                pending[link] += 1
+                if pending[link] > 1:
+                    retrans_messages += 1
+                    retrans_bits += link_bits[link]
+                lossy = faulty is None or link in faulty
+                cut = sides and _severed(link, sides)
+                if cut or (lossy and coin() < drop):
+                    back_off(link)
                     continue
                 arrival = slot
-                if (
-                    self._lossy(link)
-                    and self.delay
-                    and rng.random() < self._delay_rate(link, at)
-                ):
+                if lossy and delay and coin() < delay:
                     arrival += 1
-                    if self.reorder and rng.random() < self.reorder:
+                    if reorder and coin() < reorder:
                         arrival += rng.randrange(1, 4)
                 arrivals.setdefault(arrival, []).append(link)
 
-            # 2. arrivals: receiver acks; a lost ack keeps the flight
-            # pending, so the sender backs off and retransmits.
+            # 2. arrivals: the receiver acks; the ack crosses the same link.
             for link in sorted(arrivals.pop(slot, ())):
-                flight = pending.get(link)
-                if flight is None:
-                    continue  # duplicate copy of an already-acked payload
-                stats.record_ack(ACK_BITS)
-                if self._cut(link, at):
-                    flight.due = slot + self._backoff(flight.attempts)
-                    continue
-                if self._lossy(link) and rng.random() < self._drop_rate(
-                    link, at
-                ):
-                    flight.due = slot + self._backoff(flight.attempts)
-                    continue
-                del pending[link]
+                acks += 1
+                lossy = faulty is None or link in faulty
+                cut = sides and _severed(link, sides)
+                if cut or (lossy and coin() < drop):
+                    back_off(link)
+                else:
+                    del pending[link]
+        stats.retrans_bits += retrans_bits
+        stats.retrans_messages += retrans_messages
+        stats.ack_bits += acks * ACK_BITS
+        stats.ack_messages += acks
         return slots_used
+
+
+def _severed(link: tuple[int, int], sides: tuple[frozenset[int], ...]) -> bool:
+    """Does ``link`` cross the boundary of any partition side?"""
+    return any((link[0] in side) != (link[1] in side) for side in sides)
 
 
 def _derive(label: str, *parts: int) -> int:

@@ -114,11 +114,6 @@ class CommunicationStats:
         """Account one simulated round (or async scheduler step)."""
         self.rounds += 1
 
-    def record_retransmit(self, bits: int) -> None:
-        """Account one retransmitted copy of an honest payload."""
-        self.retrans_bits += bits
-        self.retrans_messages += 1
-
     def record_ack(self, bits: int) -> None:
         """Account one acknowledgement frame of the round synchronizer."""
         self.ack_bits += bits

@@ -780,17 +780,45 @@ class SynchronousNetwork:
             self._finish_round_fast(round_index, outgoings, honest_channels)
             return bool(honest_channels)
 
+        # Honest payloads are priced here, once per distinct object per
+        # sender (the fast path's identity memo); the transport and the
+        # stats below read ``link_bits`` instead of re-sizing payloads.
+        # Loopback links cost 0: a process does not use the network to
+        # talk to itself.
+        n = self.n
         honest_outgoing: dict[tuple[int, int], Any] = {}
         spec_outgoing: dict[tuple[int, int], Any] = {}
         channels: dict[int, str] = {}
+        link_bits: dict[tuple[int, int], int] = {}
+        sender_bits: list[tuple[int, int]] = []
+        round_bits = round_messages = 0
         for party, out in outgoings.items():
             channels[party] = out.channel
-            bucket = (
-                spec_outgoing if party in self.corrupted else honest_outgoing
-            )
+            if party in self.corrupted:
+                for dst, payload in out.messages.items():
+                    if 0 <= dst < n:
+                        spec_outgoing[(party, dst)] = payload
+                continue
+            memo_obj = _NO_PAYLOAD
+            memo_bits = party_sent = party_messages = 0
             for dst, payload in out.messages.items():
-                if 0 <= dst < self.n:
-                    bucket[(party, dst)] = payload
+                if not 0 <= dst < n:
+                    continue
+                link = (party, dst)
+                honest_outgoing[link] = payload
+                if dst == party:
+                    link_bits[link] = 0
+                    continue
+                if payload is not memo_obj:
+                    memo_obj = payload
+                    memo_bits = bit_size(payload)
+                link_bits[link] = memo_bits
+                party_sent += memo_bits
+                party_messages += 1
+            if party_messages:
+                sender_bits.append((party, party_sent))
+                round_bits += party_sent
+                round_messages += party_messages
 
         # 2. The rushing adversary acts on the full round view.
         view = RoundView(
@@ -814,15 +842,15 @@ class SynchronousNetwork:
         # restoring the lockstep abstraction (overhead lands in the
         # retrans_*/ack_* stats, never in honest_bits).
         if self.transport is not None:
-            live_traffic = {
-                link: payload
-                for link, payload in honest_outgoing.items()
-                if link[1] not in self.down
-            }
+            live_bits = link_bits
+            if self.down:
+                live_bits = {
+                    link: bits
+                    for link, bits in link_bits.items()
+                    if link[1] not in self.down
+                }
             try:
-                self.transport.synchronize(
-                    round_index, live_traffic, self.stats
-                )
+                self.transport.synchronize(round_index, live_bits, self.stats)
             except TransportTimeout as timeout:
                 raise SimulationError(
                     str(timeout),
@@ -837,16 +865,15 @@ class SynchronousNetwork:
         inboxes: dict[int, dict[int, Any]] = {
             party: {} for party in self._states
         }
-        round_bits = 0
-        round_messages = 0
         byz_count = 0
         for (src, dst), payload in honest_outgoing.items():
             inboxes[dst][src] = payload
-            if dst != src:
-                bits = bit_size(payload)
-                self.stats.record_send(src, channels[src], bits)
-                round_bits += bits
-                round_messages += 1
+        # Post lockstep check every honest sender shares one channel.
+        channel = next(iter(honest_channels), "")
+        if sender_bits:
+            self.stats.record_round_sends(
+                channel, sender_bits, round_messages, round_bits
+            )
         guard = self._guard
         for (src, dst), payload in byz_messages.items():
             if src in self.corrupted and 0 <= dst < self.n:
@@ -938,9 +965,7 @@ class SynchronousNetwork:
 
         record = RoundRecord(
             round_index=round_index,
-            channel=(
-                next(iter(honest_channels)) if honest_channels else ""
-            ),
+            channel=channel,
             honest_messages=round_messages,
             honest_bits=round_bits,
             byzantine_messages=byz_count,

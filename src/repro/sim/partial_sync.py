@@ -225,16 +225,14 @@ class PartialSyncTransport(LossyTransport):
         return horizon is not None and at >= horizon
 
     # -- synchronizer hooks --------------------------------------------
-    def _cut(self, link: tuple[int, int], at: int) -> bool:
-        src, dst = link
-        for start, heal, members in self.partitions:
-            if at < start or (heal != -1 and at >= heal):
-                continue
-            if (src in members) != (dst in members):
-                return True
-        return False
+    def _severed_at(self, at: int) -> tuple[frozenset[int], ...]:
+        return tuple(
+            members
+            for start, heal, members in self.partitions
+            if at >= start and (heal == -1 or at < heal)
+        )
 
-    def _drop_rate(self, link: tuple[int, int], at: int) -> float:
+    def _drop_at(self, at: int) -> float:
         rate = self.drop
         if self.gst is not None and at < self.gst:
             rate = max(rate, self.pre_gst_drop)

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Any, Callable, Sequence
 
 from ..errors import ConfigurationError, ReproError
@@ -64,14 +65,56 @@ class RecoveryError(ReproError):
     """
 
 
+#: leaf types whose ``repr`` is canonical as it stands, at any size.
+_VERBATIM = frozenset({str, bytes, bool, float, type(None)})
+
+
+def _canonical(value: Any) -> str:
+    """``repr`` with ints in hex and dataclasses by their comparing fields.
+
+    CPython refuses decimal conversion of ints past 4300 digits, and
+    long values are what the paper is about.  Non-comparing fields (the
+    ``memoized_wire_bits`` slot) stay out: pricing never moves a digest.
+    """
+    kind = type(value)
+    if kind is int:
+        return hex(value)
+    if kind in _VERBATIM:
+        return repr(value)
+    if kind is tuple or kind is list or kind is set or kind is frozenset:
+        parts = [_canonical(item) for item in value]
+        if kind is set or kind is frozenset:
+            parts.sort()
+        return f"{kind.__name__}({','.join(parts)})"
+    if kind is dict:
+        return "dict" + _canonical(list(value.items()))
+    if kind is Fraction:
+        return "frac" + _canonical((value.numerator, value.denominator))
+    fields = getattr(kind, "__dataclass_fields__", None)
+    if fields is None:
+        return repr(value)
+    comparing = [getattr(value, n) for n, f in fields.items() if f.compare]
+    return kind.__name__ + _canonical(comparing)
+
+
 def outbox_digest(outgoing: Outgoing | None) -> str:
-    """Stable digest of one round's emitted outbox (``None`` = no yield)."""
-    hasher = hashlib.sha256()
+    """Stable digest of one round's emitted outbox (``None`` = no yield).
+
+    Blind to the insertion order of ``messages``; a payload object
+    shared by several destinations (a broadcast) is formatted once.
+    """
+    parts: list[str] = []
     if outgoing is not None:
-        hasher.update(outgoing.channel.encode())
-        for dst in sorted(outgoing.messages):
-            hasher.update(f"|{dst}|{outgoing.messages[dst]!r}".encode())
-    return hasher.hexdigest()[:32]
+        parts.append(outgoing.channel)
+        messages = outgoing.messages
+        texts: dict[int, str] = {}
+        for dst in sorted(messages):
+            payload = messages[dst]
+            text = texts.get(id(payload))
+            if text is None:
+                text = texts[id(payload)] = _canonical(payload)
+            parts.append(f"|{dst}|{text}")
+    return hashlib.sha256("".join(parts).encode()).hexdigest()[:32]
 
 
 @dataclass(frozen=True)

@@ -138,21 +138,25 @@ def measure_payload(
         value, depth = stack.pop()
         if depth > max_depth:
             return "depth", bits
-        if value is None or isinstance(value, bool):
-            bits += 1
-        elif isinstance(value, int):
-            bits += max(1, value.bit_length()) + (1 if value < 0 else 0)
-        elif isinstance(value, Fraction):
-            stack.append((value.numerator, depth + 1))
-            stack.append((value.denominator, depth + 1))
-        elif isinstance(value, (bytes, bytearray)):
-            bits += 8 * len(value)
-        elif isinstance(value, str):
-            bits += 8
-        elif isinstance(value, (tuple, list, frozenset)):
+        # Exact types first, as ``sizing.bit_size`` does: ints, tuples
+        # and bytes are most of the wire.  A bool is an int that prices
+        # at 1 bit by the int formula, so it needs no branch of its own.
+        kind = type(value)
+        if kind is int or isinstance(value, int):
+            bits += (value.bit_length() or 1) + (value < 0)
+        elif kind is tuple or isinstance(value, (tuple, list, frozenset)):
             next_depth = depth + 1
             for item in value:
                 stack.append((item, next_depth))
+        elif kind is bytes or isinstance(value, (bytes, bytearray)):
+            bits += 8 * len(value)
+        elif value is None:
+            bits += 1
+        elif isinstance(value, Fraction):
+            stack.append((value.numerator, depth + 1))
+            stack.append((value.denominator, depth + 1))
+        elif isinstance(value, str):
+            bits += 8
         elif isinstance(value, dict):
             next_depth = depth + 1
             for key, item in value.items():

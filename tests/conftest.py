@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.ba.domains import canonical_key
-from repro.sim import run_protocol
+from repro.sim import ACK_BITS, TransportTimeout, run_protocol
 from repro.sim.adversary import standard_adversary_suite
 
 # Small (n, t) configurations exercising both t = (n-1)/3 tightness and
@@ -64,3 +66,160 @@ def oracle_tally(domain, ballots):
             entry = groups.setdefault(canonical_key(ballot), [ballot, 0])
             entry[1] += 1
     return [(value, count) for value, count in groups.values()]
+
+
+# ---------------------------------------------------------------------------
+# Reference synchronizer: the slot-scan loop the lossy transport shipped
+# with before its due-slot table, kept verbatim as a differential oracle
+# (tests/test_lossy.py).  It re-sorts and re-scans every pending flight
+# each slot and asks four per-message questions of the transport, here
+# answered from the transport's public configuration.
+# ---------------------------------------------------------------------------
+
+
+class _Flight:
+    """One in-flight payload on one link, until acknowledged."""
+
+    __slots__ = ("bits", "attempts", "due")
+
+    def __init__(self, bits: int) -> None:
+        self.bits = bits
+        self.attempts = 0
+        self.due = 0
+
+
+def _oracle_lossy(transport, link):
+    return transport.links is None or link in transport.links
+
+
+def _oracle_cut(transport, link, at):
+    """Is ``link`` deterministically severed at global slot ``at``?"""
+    src, dst = link
+    for start, heal, members in getattr(transport, "partitions", ()):
+        if at < start or (heal != -1 and at >= heal):
+            continue
+        if (src in members) != (dst in members):
+            return True
+    return False
+
+
+def _oracle_drop_rate(transport, link, at):
+    """Per-copy loss probability of ``link`` at global slot ``at``."""
+    rate = transport.drop
+    gst = getattr(transport, "gst", None)
+    if gst is not None and at < gst:
+        rate = max(rate, transport.pre_gst_drop)
+    for start, end, extra in getattr(transport, "churn", ()):
+        if start <= at < end:
+            rate = max(rate, extra)
+    return rate
+
+
+def oracle_attempt_round(transport, round_index, attempt, pending, stats, budget):
+    """One bounded synchronization attempt over ``link -> _Flight``."""
+    rng = random.Random(transport._attempt_seed(round_index, attempt))
+    base_time = transport._clock
+    for flight in pending.values():
+        flight.due = 0
+    #: slot -> links whose payload copy arrives then (ack pending).
+    arrivals = {}
+    slots_used = 0
+    for slot in range(budget):
+        if not pending:
+            break
+        slots_used = slot + 1
+        at = base_time + slot
+
+        # 1. transmissions due this slot (first copies and backoffs).
+        for link in sorted(pending):
+            flight = pending[link]
+            if flight.due != slot:
+                continue
+            flight.attempts += 1
+            if flight.attempts > 1:
+                stats.retrans_bits += flight.bits
+                stats.retrans_messages += 1
+            if _oracle_cut(transport, link, at):
+                # severed by a partition: no coin consumed, the
+                # copy is deterministically lost.
+                flight.due = slot + transport._backoff(flight.attempts)
+                continue
+            if _oracle_lossy(transport, link) and rng.random() < (
+                _oracle_drop_rate(transport, link, at)
+            ):
+                flight.due = slot + transport._backoff(flight.attempts)
+                continue
+            arrival = slot
+            if (
+                _oracle_lossy(transport, link)
+                and transport.delay
+                and rng.random() < transport.delay
+            ):
+                arrival += 1
+                if transport.reorder and rng.random() < transport.reorder:
+                    arrival += rng.randrange(1, 4)
+            arrivals.setdefault(arrival, []).append(link)
+
+        # 2. arrivals: receiver acks; a lost ack keeps the flight
+        # pending, so the sender backs off and retransmits.
+        for link in sorted(arrivals.pop(slot, ())):
+            flight = pending.get(link)
+            if flight is None:
+                continue  # duplicate copy of an already-acked payload
+            stats.record_ack(ACK_BITS)
+            if _oracle_cut(transport, link, at):
+                flight.due = slot + transport._backoff(flight.attempts)
+                continue
+            if _oracle_lossy(transport, link) and rng.random() < (
+                _oracle_drop_rate(transport, link, at)
+            ):
+                flight.due = slot + transport._backoff(flight.attempts)
+                continue
+            del pending[link]
+    return slots_used
+
+
+def oracle_synchronize(transport, round_index, link_bits, stats):
+    """The pre-due-table ``LossyTransport.synchronize`` over the oracle
+    attempt loop; returns ``(slots, pending)`` or raises with ``pending``
+    attached to the :class:`TransportTimeout`."""
+    pending = {}
+    parties = set()
+    for link in sorted(link_bits):
+        src, dst = link
+        parties.add(src)
+        parties.add(dst)
+        if src == dst:
+            continue
+        pending[link] = _Flight(link_bits[link])
+    if not pending:
+        return 0, pending
+
+    escalation = transport.escalation
+    attempts = 1 if escalation is None else escalation.max_attempts
+    budget = transport.slot_budget
+    total_slots = 0
+    for attempt in range(attempts):
+        slots = oracle_attempt_round(
+            transport, round_index, attempt, pending, stats, budget
+        )
+        total_slots += slots
+        stats.record_slots(slots)
+        transport._clock += slots
+        if not pending:
+            return total_slots, pending
+        if attempt + 1 >= attempts:
+            break
+        transport._resync(round_index, attempt, parties, stats)
+        total_slots += escalation.beacon_slots
+        budget = escalation.next_budget(budget)
+
+    timeout = TransportTimeout(
+        f"round {round_index}: {len(pending)} payload(s) still "
+        f"unacknowledged after {total_slots} slots across "
+        f"{attempts} attempt(s) "
+        f"(drop={transport.drop}, delay={transport.delay}, "
+        f"transport={transport.describe()})"
+    )
+    timeout.pending = pending
+    raise timeout

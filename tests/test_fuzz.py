@@ -3,6 +3,7 @@ repro artifacts, and the weakened-protocol canary."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 
@@ -12,6 +13,8 @@ from repro.cli import main
 from repro.core.add_last import add_last_bit
 from repro.core.bitstrings import BitString
 from repro.core.find_prefix import find_prefix
+from repro.errors import ReproError
+from repro.perf import counters as perf_counters
 from repro.sim.fuzz import (
     ARTIFACT_FORMAT,
     ARTIFACT_SCHEMA_VERSION,
@@ -28,8 +31,12 @@ from repro.sim.fuzz import (
     replay_counters,
     run_case,
     sample_case,
+    sample_case_at,
     standard_registry,
     validate_artifact,
+    _build_adversary,
+    _build_inputs,
+    _execute,
 )
 from repro.sim.invariants import paper_bit_budget, paper_round_budget
 
@@ -459,3 +466,67 @@ class TestCliFuzz:
         ]) == 0
         out = capsys.readouterr().out
         assert "crash plane" in out
+
+
+# ---------------------------------------------------------------------------
+# campaign goldens: every observable of every case, pinned across refactors
+# ---------------------------------------------------------------------------
+
+
+def campaign_digest(seeds: int, cases: int, **planes) -> str:
+    """sha256 over everything a campaign case lets an observer see.
+
+    Outputs, every stats field (with the insertion order of the
+    per-party ledger), channel trace, the full round trace, the crash
+    and quarantine logs, the recorded adversary script and the
+    deterministic counter block.  A delivery-path refactor that is not
+    byte-identical moves this digest.
+    """
+    registry = standard_registry()
+    hasher = hashlib.sha256()
+    for seed in range(seeds):
+        for index in range(cases):
+            case = sample_case_at(seed, index, registry, **planes)
+            spec = registry[case.protocol]
+            adversary = _build_adversary(case)
+            with perf_counters.capture() as captured:
+                try:
+                    result = _execute(
+                        case, spec, _build_inputs(case, spec), adversary
+                    )
+                except ReproError as error:
+                    observed = (type(error).__name__, str(error))
+                else:
+                    stats = result.stats
+                    observed = (
+                        result.outputs,
+                        stats.summary_dict(),
+                        stats.honest_messages,
+                        stats.retrans_messages,
+                        stats.ack_messages,
+                        dict(stats.bits_by_channel),
+                        list(stats.bits_by_party.items()),
+                        result.channel_trace,
+                        repr(result.trace),
+                        result.crash_log,
+                        result.quarantine_log,
+                        result.recoveries,
+                        result.fallback and result.fallback.to_dict(),
+                    )
+            block = {name: captured.get(name) for name in NETWORK_COUNTERS}
+            hasher.update(
+                repr((seed, index, observed, adversary.script, block)).encode()
+            )
+    return hasher.hexdigest()
+
+
+class TestCampaignGolden:
+    def test_crash_bombs_campaign_is_pinned(self):
+        assert campaign_digest(10, 8, crash=True, bombs=True) == (
+            "f386d6de60da45861453c6f6756a0d15aa5470519ac5495eed5b760599f5263f"
+        )
+
+    def test_crash_partition_bombs_campaign_is_pinned(self):
+        assert campaign_digest(
+            4, 8, crash=True, partition=True, bombs=True
+        ) == "58267c4d3b66ef458fd87ec6ca7867e5ba7038eefce0b8a9e119b43d856416d9"

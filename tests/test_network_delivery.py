@@ -12,6 +12,10 @@ inbox from it.  The mark must change nothing observable.  Contracts:
 3. **Non-aliasing**: every party still owns its inbox dict.
 4. **The fault-plane path ignores the mark**: WAL-forced general-path
    runs and crash/restart replays reproduce marked bundles identically.
+5. **One ledger**: the general path (WAL-forced, or under a perfect
+   ``LossyTransport``) fills ``CommunicationStats`` exactly as the fast
+   path does, field by field and key order included; links to a down
+   party are priced but never handed to the transport.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import dataclasses
 import pytest
 
 from repro.perf import config, counters
+from repro.sim import ACK_BITS, CommunicationStats, LossyTransport
 from repro.sim.adversary import PassiveAdversary
 from repro.sim.party import Outgoing, broadcast_round, exchange
 from repro.sim.runner import run_protocol
@@ -211,3 +216,63 @@ def test_crash_restart_replays_marked_bundles(backend):
     assert len(crashed["outputs"][1]) == 6
     senders = [sender for sender, _ in crashed["outputs"][0][2]]
     assert senders == [0, 2, 3, 4, 5, 6]
+
+
+# what a perfect transport still pays: one ack per wire message and one
+# slot per round; every other field must match a transport-free run.
+TRANSPORT_FIELDS = {"ack_bits", "ack_messages", "transport_slots"}
+
+
+def ledger(observed):
+    """Every comparing stats field; dict fields as ordered item lists."""
+    stats = observed["stats"]
+    return {
+        f.name: (
+            list(getattr(stats, f.name).items())
+            if isinstance(getattr(stats, f.name), dict)
+            else getattr(stats, f.name)
+        )
+        for f in dataclasses.fields(CommunicationStats)
+        if f.compare
+    }
+
+
+@pytest.mark.parametrize("n,t", GRID)
+def test_general_path_fills_the_fast_paths_ledger(n, t):
+    """Broadcast, bottom, king, ``distribute``-style and early-finisher
+    rounds: one pricing and one batched accounting for all three paths."""
+    fast = ledger(observe(probe(marked), n, t))
+    assert ledger(observe(probe(marked), n, t, recovery=True)) == fast
+    wired = ledger(observe(probe(marked), n, t, transport=LossyTransport()))
+    for name, value in fast.items():
+        if name not in TRANSPORT_FIELDS:
+            assert wired[name] == value, name
+    assert wired["ack_messages"] == fast["honest_messages"]
+    assert wired["ack_bits"] == ACK_BITS * fast["honest_messages"]
+    assert wired["transport_slots"] == (6 if n > 1 else 0)
+
+
+def test_links_to_a_down_party_are_priced_but_not_synchronized():
+    """Party 1 is down over the bottom round and the king round: the six
+    messages addressed to it count in ``honest_bits`` when sent, never
+    reach the transport, and are re-delivered (one retransmitted copy
+    and one ack each) when it restarts."""
+    n, t = 7, 2
+    plane = dict(adversary=OneCorrupted(), crashes=[(1, 2, 4)])
+    parked = ledger(observe(probe(marked), n, t, **plane))
+    wired = ledger(
+        observe(probe(marked), n, t, transport=LossyTransport(), **plane)
+    )
+    for name, value in parked.items():
+        if name not in TRANSPORT_FIELDS:
+            assert wired[name] == value, name
+    assert parked["honest_messages"] == 156
+    assert parked["honest_bits"] == 1880
+    assert parked["bits_by_party"][:2] == [(0, 404), (1, 300)]
+    # five honest live senders in the bottom round, the king alone after.
+    assert parked["retrans_messages"] == parked["ack_messages"] == 6
+    assert parked["retrans_bits"] == 5 * 1 + 15
+    # on the wire every priced message is acked exactly once: in its own
+    # round, or at re-delivery.
+    assert wired["ack_messages"] == wired["honest_messages"]
+    assert wired["transport_slots"] == 6

@@ -8,10 +8,14 @@ from __future__ import annotations
 import hashlib
 import itertools
 import warnings
+from fractions import Fraction
 
 import pytest
 
+from repro.core.bitstrings import BitString
 from repro.core.fixed_length import fixed_length_ca
+from repro.core.high_cost_ca import high_cost_ca
+from repro.crypto.merkle import MerkleWitness
 from repro.errors import ConfigurationError
 from repro.sim import (
     CrashEvent,
@@ -27,6 +31,7 @@ from repro.sim import (
 )
 from repro.sim.recovery import WriteAheadLog, outbox_digest
 from repro.sim.party import Outgoing
+from repro.sim.sizing import bit_size
 
 KAPPA = 64
 
@@ -58,6 +63,29 @@ class TestWal:
         b = Outgoing("ch", {1: "y", 0: "x"})
         assert outbox_digest(a) == outbox_digest(b)
         assert outbox_digest(None) != outbox_digest(a)
+
+    def test_outbox_digest_is_blind_to_the_pricing_memo(self):
+        witness = MerkleWitness(3, (b"\x01" * 8, b"\x02" * 8))
+        outbox = Outgoing("ch", {0: ("share", witness), 1: BitString(5, 3)})
+        before = outbox_digest(outbox)
+        assert bit_size(witness) == witness._wire_bits_memo
+        assert outbox_digest(outbox) == before
+
+    def test_outbox_digest_tells_payloads_apart(self):
+        huge = 1 << 20000  # past CPython's 4300-digit str(int) limit
+        digests = {
+            outbox_digest(Outgoing("ch", {0: payload}))
+            for payload in (
+                huge, huge + 1, -huge, (huge,), [huge], BitString(huge, 20001),
+                1, True, "1", b"1", None, (), Fraction(1, 3), (1, 3),
+                frozenset({1, 3}), {1: 3},
+            )
+        }
+        assert len(digests) == 16
+        shared = (huge, b"x")
+        assert outbox_digest(Outgoing("ch", {0: shared, 1: shared})) == (
+            outbox_digest(Outgoing("ch", {0: (huge, b"x"), 1: (huge, b"x")}))
+        )
 
     def test_checkpoints_chain(self):
         wal = WriteAheadLog(checkpoint_interval=2)
@@ -185,7 +213,7 @@ _TICKET = itertools.count()
 def _nondeterministic_protocol(ctx, v_in):
     """Broadcasts a fresh global counter value -- unrecoverable."""
     for _ in range(6):
-        yield from broadcast_round(ctx, "bad", next(_TICKET))
+        yield from broadcast_round(ctx, "bad", v_in + next(_TICKET))
     return v_in
 
 
@@ -194,6 +222,29 @@ class TestReplayVerification:
         with pytest.raises(RecoveryError):
             run_protocol(
                 _nondeterministic_protocol, [1, 2, 3, 4], n=4, t=1,
+                kappa=KAPPA, crashes=[(1, 2, 4)],
+                adversary=HonestObserver(),
+            )
+
+    def test_long_values_recover(self):
+        """ell = 20000: the WAL digest must not convert ints to decimal
+        (CPython raises past 4300 digits)."""
+        inputs = [2**19999 + i for i in range(4)]
+        result = run_protocol(
+            high_cost_ca, inputs, n=4, t=1,
+            adversary=CrashRestartAdversary([(2, 1, 3)]),
+        )
+        assert result.recoveries == 1
+        assert result.crash_log == [("down", 1, 2), ("up", 3, 2)]
+        assert len(result.outputs) == 4
+        result.assert_convex_valid(inputs)
+
+    def test_long_values_are_still_verified_on_replay(self):
+        """A divergence in the lowest bit of a 20000-bit payload is
+        caught when the restarted party replays its WAL."""
+        with pytest.raises(RecoveryError):
+            run_protocol(
+                _nondeterministic_protocol, [1 << 20000] * 4, n=4, t=1,
                 kappa=KAPPA, crashes=[(1, 2, 4)],
                 adversary=HonestObserver(),
             )
