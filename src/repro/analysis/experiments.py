@@ -29,8 +29,7 @@ from ..core.high_cost_ca import high_cost_ca
 from ..core.protocol_n import protocol_n
 from ..core.protocol_z import protocol_z
 from ..sim.adversary import Adversary
-from ..sim.multiplex import multiplexable
-from ..sim.network import SynchronousNetwork
+from ..sim.runner import run_protocol
 
 __all__ = [
     "Measurement",
@@ -38,7 +37,6 @@ __all__ = [
     "make_inputs",
     "measure",
     "measure_case",
-    "open_measurement",
     "sweep_ell",
     "sweep_n",
     "comparison_series",
@@ -140,59 +138,6 @@ def make_inputs(
     raise ValueError(f"unknown spread {spread!r}")
 
 
-def _open(
-    protocol: str,
-    n: int,
-    t: int | None,
-    ell: int,
-    kappa: int = 128,
-    seed: int = 0,
-    spread: str = "spread",
-    adversary: Adversary | None = None,
-    inputs: list[int] | None = None,
-):
-    """Build one grid point's (unstarted) network plus its finalizer.
-
-    The single setup path behind :func:`measure` (which runs the
-    network to completion itself) and :func:`open_measurement` (which
-    hands the network to the multiplex scheduler to be stepped
-    cooperatively).  Splitting construction from execution is what lets
-    both drivers produce the same :class:`Measurement` by construction.
-    """
-    if t is None:
-        t = (n - 1) // 3
-    if inputs is None:
-        inputs = make_inputs(n, ell, seed=seed, spread=spread)
-    factory_builder = PROTOCOLS[protocol]
-    factory = factory_builder(ell)
-    network = SynchronousNetwork(
-        protocol_factory=lambda ctx, v: factory(ctx, v),
-        inputs=inputs,
-        n=n,
-        t=t,
-        kappa=kappa,
-        adversary=adversary,
-        max_rounds=500_000,
-    )
-
-    def finalize(result) -> Measurement:
-        return Measurement(
-            protocol=protocol,
-            n=n,
-            t=t,
-            ell=ell,
-            kappa=kappa,
-            bits=result.stats.honest_bits,
-            rounds=result.stats.rounds,
-            messages=result.stats.honest_messages,
-            output=result.common_output(),
-            channel_bits=dict(result.stats.bits_by_channel),
-            wall_s=result.stats.wall_s,
-        )
-
-    return network, finalize
-
-
 def measure(
     protocol: str,
     n: int,
@@ -205,32 +150,42 @@ def measure(
     inputs: list[int] | None = None,
 ) -> Measurement:
     """Run one execution and collect its communication metrics."""
-    network, finalize = _open(
-        protocol, n, t, ell, kappa=kappa, seed=seed, spread=spread,
-        adversary=adversary, inputs=inputs,
+    if t is None:
+        t = (n - 1) // 3
+    if inputs is None:
+        inputs = make_inputs(n, ell, seed=seed, spread=spread)
+    factory_builder = PROTOCOLS[protocol]
+    factory = factory_builder(ell)
+    result = run_protocol(
+        lambda ctx, v: factory(ctx, v),
+        inputs,
+        n=n,
+        t=t,
+        kappa=kappa,
+        adversary=adversary,
+        max_rounds=500_000,
     )
-    return finalize(network.run())
+    return Measurement(
+        protocol=protocol,
+        n=n,
+        t=t,
+        ell=ell,
+        kappa=kappa,
+        bits=result.stats.honest_bits,
+        rounds=result.stats.rounds,
+        messages=result.stats.honest_messages,
+        output=result.common_output(),
+        channel_bits=dict(result.stats.bits_by_channel),
+        wall_s=result.stats.wall_s,
+    )
 
 
-def open_measurement(params: dict):
-    """Opener for :func:`measure_case`: ``(network, finalize)`` pair.
-
-    The :func:`repro.sim.multiplex.multiplexable` contract --
-    ``finalize(network.run()) == measure_case(params)`` holds because
-    both sides share :func:`_open` verbatim.
-    """
-    return _open(**params)
-
-
-@multiplexable(open_measurement)
 def measure_case(params: dict) -> Measurement:
     """:func:`measure` with keyword arguments packed in one dict.
 
     The payload shape :func:`repro.sim.parallel.run_many` needs: a
     module-level callable of one picklable argument, so benchmark grids
-    and CLI sweeps can fan grid points out over worker processes --
-    and, being ``@multiplexable``, cooperatively interleave within a
-    process under ``run_many(..., multiplex=K)``.
+    and CLI sweeps can fan grid points out over worker processes.
     """
     return measure(**params)
 

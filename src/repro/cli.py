@@ -116,10 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--workers", default="1",
                        help="worker processes: a count, or 'auto' for all "
                             "cpus (results are identical regardless)")
-    sweep.add_argument("--multiplex", type=int, default=1,
-                       help="grid points interleaved per interpreter loop "
-                            "(cooperative scheduler; results are identical "
-                            "regardless)")
     sweep.add_argument("--timeout", type=float, default=None,
                        help="per-grid-point wall-clock budget in seconds")
     sweep.add_argument("--save", default=None,
@@ -168,10 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--workers", default="1",
                       help="worker processes: a count, or 'auto' for all "
                            "cpus (the report is identical regardless)")
-    fuzz.add_argument("--multiplex", type=int, default=1,
-                      help="cooperative instances per interpreter loop "
-                           "(forwarded to the execution engine; campaign "
-                           "results are identical regardless)")
     fuzz.add_argument("--case-timeout", type=float, default=None,
                       help="per-case wall-clock budget in seconds; an "
                            "over-budget case becomes a recorded failure")
@@ -357,8 +349,7 @@ def _cmd_sweep(args) -> int:
     workers = resolve_workers(args.workers)
     try:
         measurements, wall_s = run_grid(
-            spec, workers=workers, timeout_s=args.timeout,
-            multiplex=args.multiplex,
+            spec, workers=workers, timeout_s=args.timeout
         )
     except RuntimeError as error:
         print(f"error: {error}", file=sys.stderr)
@@ -479,7 +470,6 @@ def _cmd_fuzz(args) -> int:
             crash=args.crash,
             partition=args.partition,
             bombs=args.bombs,
-            multiplex=args.multiplex,
         )
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)

@@ -22,17 +22,9 @@ counter               bumped by
 ``encode_cache_miss`` the corresponding cold computations
 ``net_rounds``        synchronous rounds the network delivered
 ``net_messages``      payloads placed in inboxes (honest + byzantine)
-``sched_instances``   protocol executions the lockstep scheduler armed
-                      (one per :meth:`SynchronousNetwork.begin`,
-                      whether driven serially or multiplexed)
-``sched_rounds``      scheduler round-loop iterations that executed a
-                      round (including rounds where every generator
-                      terminated and no traffic flowed, which
-                      ``net_rounds`` does not count)
-``sched_resumes``     party generator resumes actually performed
-                      (finished and down parties are skipped without
-                      touching their generator); batched into one bump
-                      per round
+``sched_resumes``     party generator resumes performed (finished and
+                      down parties are skipped without touching their
+                      generator); batched into one bump per round
 ``transport_resyncs`` round-resync escalations the lossy/partial-sync
                       synchronizer performed (one per exhausted slot
                       budget that was retried instead of timing out)

@@ -42,7 +42,6 @@ __all__ = [
     "QUICK_CONFIGS",
     "FULL_CONFIGS",
     "COMPARISON_CONFIG",
-    "SCHED_BATTERY",
     "backend_comparison",
     "config_key",
     "hotpath_document",
@@ -86,25 +85,6 @@ COMPARISON_CONFIG: dict[str, Any] = dict(
 )
 
 
-#: The scheduler micro-battery: a fleet of small instances run twice in
-#: this process -- once serially, once through the cooperative
-#: multiplex scheduler -- with the multiplexed counters (including the
-#: ``sched_*`` family) recorded as a deterministic entry.  Serial and
-#: multiplexed passes must agree byte for byte; a divergence perturbs
-#: the entry's output digest, so the zero-tolerance ``--check`` gate
-#: catches scheduler regressions alongside kernel ones.
-SCHED_BATTERY: dict[str, Any] = dict(
-    protocol="fixed_length_ca", n=4, t=1, ell=64,
-    spread="clustered", instances=8,
-)
-
-_SCHED_KEY = (
-    f"sched/multiplex/{SCHED_BATTERY['protocol']}"
-    f"/n{SCHED_BATTERY['n']}/t{SCHED_BATTERY['t']}"
-    f"/ell{SCHED_BATTERY['ell']}/x{SCHED_BATTERY['instances']}"
-)
-
-
 def config_key(cfg: dict[str, Any]) -> str:
     """Stable human-readable id for one profiled config."""
     return (
@@ -144,58 +124,6 @@ def _run_config(cfg: dict[str, Any]) -> tuple[dict[str, Any], float]:
         "rounds": m.rounds,
         "messages": m.messages,
         "output_sha256": _output_digest(m.output),
-    }
-    return entry, wall_s
-
-
-def _run_sched_battery() -> tuple[dict[str, Any], float]:
-    """Run the scheduler micro-battery; one deterministic entry.
-
-    Both passes stay in-process (``workers=1``) so their counters land
-    in this interpreter's ledger; the entry's counters are the
-    multiplexed pass', and the serial pass' counters plus measurements
-    are folded into the output digest -- equal passes hash like a
-    single stable run, a divergence changes the digest and fails the
-    zero-tolerance check.
-    """
-    from ..analysis.experiments import measure_case
-    from ..sim.parallel import run_many
-
-    battery = SCHED_BATTERY
-    jobs = [
-        dict(
-            protocol=battery["protocol"], n=battery["n"], t=battery["t"],
-            ell=battery["ell"], seed=seed, spread=battery["spread"],
-        )
-        for seed in range(battery["instances"])
-    ]
-    started = time.perf_counter()
-    config.reset_process_caches()
-    counters.reset()
-    serial = [outcome.value for outcome in run_many(measure_case, jobs)]
-    serial_counts = counters.snapshot()
-    config.reset_process_caches()
-    counters.reset()
-    muxed = [
-        outcome.value
-        for outcome in run_many(
-            measure_case, jobs, multiplex=battery["instances"]
-        )
-    ]
-    mux_counts = counters.snapshot()
-    wall_s = time.perf_counter() - started
-    identical = serial == muxed and serial_counts == mux_counts
-    digest_material = (
-        [_output_digest(m.output) for m in muxed],
-        "identical" if identical else "DIVERGED",
-    )
-    entry = {
-        "params": dict(battery),
-        "counters": mux_counts,
-        "bits": sum(m.bits for m in muxed),
-        "rounds": sum(m.rounds for m in muxed),
-        "messages": sum(m.messages for m in muxed),
-        "output_sha256": _output_digest(digest_material),
     }
     return entry, wall_s
 
@@ -302,12 +230,6 @@ def hotpath_document(
             entry, wall_s = _run_config(cfg)
             deterministic[key] = entry
             wall[key] = round(wall_s, 6)
-        if configs is None:
-            # The scheduler micro-battery rides in both the quick and
-            # the full battery (explicit --configs runs stay as given).
-            entry, wall_s = _run_sched_battery()
-            deterministic[_SCHED_KEY] = entry
-            wall[_SCHED_KEY] = round(wall_s, 6)
         timing: dict[str, Any] = {
             "wall_s": wall,
             "backend": battery_backend,

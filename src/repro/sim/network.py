@@ -314,16 +314,6 @@ class SynchronousNetwork:
         #: whether some honest party is still unfinished, as of the last
         #: round's resume pass (``t < n``: at least one is at the start).
         self._honest_running = True
-        #: "plain run": fast path with no trace and no monitors armed --
-        #: the per-round hook dispatch and RoundRecord assembly are
-        #: skipped entirely and inbox dicts come from the arena.
-        self._plain = False
-        #: two alternating banks of per-party inbox dicts (plain runs
-        #: only).  The dicts delivered in round ``r`` are reused in
-        #: round ``r + 2``: every protocol consumes its inbox between
-        #: consecutive yields, so the bank being refilled is always two
-        #: rounds stale and never aliased by a live generator.
-        self._arena: tuple[dict[int, dict[int, Any]], ...] | None = None
 
     # ------------------------------------------------------------------
     def run(self) -> ExecutionResult:
@@ -342,25 +332,14 @@ class SynchronousNetwork:
 
     # -- stepping API ---------------------------------------------------
     # ``run()`` is ``begin(); while step(): pass; finish()``.  The
-    # decomposition exists so :class:`repro.sim.multiplex
-    # .MultiplexScheduler` can interleave many executions round-by-round
-    # in one interpreter loop; both drivers produce byte-identical
-    # executions because each network's evolution is a pure function of
-    # its own state.
+    # decomposition lets an outside driver act between rounds (the
+    # perfbench traced run wraps each ``step()`` in a span); the
+    # execution is the same either way because each network's evolution
+    # is a pure function of its own state.
 
     def begin(self) -> None:
-        """Arm one execution: monitors, plain-run flag, inbox arena."""
+        """Arm one execution: reset the round cursor, start monitors."""
         self._next_round = 0
-        self._plain = (
-            self._fast_path and self.trace is None and not self.monitors
-        )
-        if self._plain:
-            states = self._states
-            self._arena = (
-                {party: {} for party in states},
-                {party: {} for party in states},
-            )
-        counters.bump("sched_instances")
         for monitor in self.monitors:
             monitor.on_start(self)
 
@@ -385,7 +364,6 @@ class SynchronousNetwork:
             return False
         self._honest_running = self._run_round(round_index)
         self._next_round = round_index + 1
-        counters.bump("sched_rounds")
         return True
 
     def finish(self) -> ExecutionResult:
@@ -566,24 +544,14 @@ class SynchronousNetwork:
         scan sees identical dicts.  Stats, counters, channel trace, and
         (when requested) the :class:`RoundRecord` are byte-identical;
         only the per-link dict churn and the RoundView are skipped.
-
-        On a plain run the inbox dicts come from the two-bank arena
-        (cleared and refilled instead of freshly allocated); with a
-        trace or monitors armed every round gets fresh dicts, since a
-        tracing consumer may legitimately retain them.
+        Every round gets fresh inbox dicts: a protocol (or a tracing
+        consumer) may keep the ones it was handed.
         """
         n = self.n
         stats = self.stats
         corrupted = self.corrupted
         states = self._states
-        if self._plain:
-            # Bank r%2 was delivered in round r-2 and has been consumed
-            # (every protocol reads its inbox before its next yield).
-            inboxes = self._arena[round_index & 1]
-            for inbox in inboxes.values():
-                inbox.clear()
-        else:
-            inboxes = {party: {} for party in states}
+        inboxes = {party: {} for party in states}
         round_bits = 0
         round_messages = 0
         byz_count = 0
@@ -676,7 +644,7 @@ class SynchronousNetwork:
         counters.bump("net_rounds")
         counters.bump("net_messages", round_messages + byz_count)
 
-        if self._plain or (self.trace is None and not self.monitors):
+        if self.trace is None and not self.monitors:
             return
         record = RoundRecord(
             round_index=round_index,

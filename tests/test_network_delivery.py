@@ -1,8 +1,9 @@
-"""Shared-broadcast delivery: the ``Outgoing.broadcast`` mark.
+"""Round delivery: the fast path, the general path, the broadcast mark.
 
 ``broadcast_round`` marks its bundle so the fault-free delivery path can
 build one ``{sender: payload}`` dict per round and ``update`` every
-inbox from it.  The mark must change nothing observable.  Contracts:
+inbox from it.  The mark must change nothing observable, and neither
+may the choice of delivery path.  Contracts:
 
 1. **Parity**: a protocol yielding marked bundles and the same protocol
    yielding unmarked ``Outgoing``s with the equal dict give identical
@@ -16,6 +17,11 @@ inbox from it.  The mark must change nothing observable.  Contracts:
    ``LossyTransport``) fills ``CommunicationStats`` exactly as the fast
    path does, field by field and key order included; links to a down
    party are priced but never handed to the transport.
+6. **Fast path = general path**: the zero-fault fast path and the
+   WAL-forced general path agree on inbox insertion order, outputs,
+   stats and channel trace, on an ``(n, t)`` grid under every backend.
+7. **Inboxes are the protocol's to keep**: an inbox held across rounds
+   still holds its own round's payloads, whatever observes the run.
 """
 
 from __future__ import annotations
@@ -24,9 +30,12 @@ import dataclasses
 
 import pytest
 
+from repro.analysis.experiments import make_inputs
+from repro.core.fixed_length import fixed_length_ca
 from repro.perf import config, counters
 from repro.sim import ACK_BITS, CommunicationStats, LossyTransport
 from repro.sim.adversary import PassiveAdversary
+from repro.sim.invariants import default_monitors
 from repro.sim.party import Outgoing, broadcast_round, exchange
 from repro.sim.runner import run_protocol
 
@@ -276,3 +285,90 @@ def test_links_to_a_down_party_are_priced_but_not_synchronized():
     # round, or at re-delivery.
     assert wired["ack_messages"] == wired["honest_messages"]
     assert wired["transport_slots"] == 6
+
+
+# -- fast path vs general path ----------------------------------------------
+
+PATH_GRID = [(4, 1), (7, 2), (10, 3)]
+
+
+def _stats(result):
+    return dataclasses.replace(result.stats, wall_s=0.0)
+
+
+def _order_probe(ctx, v):
+    """Record the exact inbox key order for a few rounds."""
+    orders = []
+    for _ in range(4):
+        inbox = yield from broadcast_round(ctx, "probe", (v, ctx.party_id))
+        orders.append(tuple(inbox))
+    return tuple(orders)
+
+
+@pytest.mark.parametrize("n,t", PATH_GRID)
+@pytest.mark.parametrize("backend", config.available_backends())
+def test_fast_path_inbox_order_matches_general_path(backend, n, t):
+    with config.use_backend(backend):
+        inputs = list(range(n))
+        fast = run_protocol(_order_probe, inputs, n=n, t=t)
+        slow = run_protocol(_order_probe, inputs, n=n, t=t, recovery=True)
+    # The outputs ARE the observed insertion orders, per party per round.
+    assert fast.outputs == slow.outputs
+    assert _stats(fast) == _stats(slow)
+
+
+@pytest.mark.parametrize("n,t", PATH_GRID)
+@pytest.mark.parametrize("backend", config.available_backends())
+def test_fast_path_matches_general_path_full_protocol(backend, n, t):
+    with config.use_backend(backend):
+        inputs = make_inputs(n, 96, seed=3, spread="spread")
+
+        def factory(ctx, v):
+            return fixed_length_ca(ctx, v, 96)
+
+        fast = run_protocol(factory, inputs, n=n, t=t)
+        slow = run_protocol(factory, inputs, n=n, t=t, recovery=True)
+    assert fast.outputs == slow.outputs
+    assert fast.channel_trace == slow.channel_trace
+    assert _stats(fast) == _stats(slow)
+
+
+def _hoarder(ctx, value):
+    """Keeps every inbox it is handed and reads them only at the end."""
+    kept = []
+    for round_index in range(5):
+        inbox = yield from broadcast_round(ctx, "keep", (value, round_index))
+        kept.append(inbox)
+    return tuple(tuple(inbox.items()) for inbox in kept)
+
+
+@pytest.mark.parametrize("n,t", [(1, 0), (4, 1), (7, 2)])
+def test_a_kept_inbox_holds_its_own_rounds_payloads(n, t):
+    """Observing a run must not change it: plain, traced, monitored and
+    general-path runs hand out inboxes nobody overwrites later."""
+    # bytes inputs: the convex-validity monitor skips non-integer runs.
+    inputs = [bytes([party]) for party in range(n)]
+    expected = tuple(
+        tuple((sender, (inputs[sender], round_index)) for sender in range(n))
+        for round_index in range(5)
+    )
+    for observed in (
+        {},
+        {"trace": True},
+        {"monitors": default_monitors()},
+        {"recovery": True},
+    ):
+        result = run_protocol(_hoarder, inputs, n=n, t=t, **observed)
+        assert set(result.outputs.values()) == {expected}, observed
+
+
+def test_sched_resumes_counts_generator_touches():
+    """Finished and down parties are not counted: the exact figure is
+    pinned by ``test_sim``'s down-straggler test."""
+    inputs = make_inputs(4, 32, seed=1)
+    with counters.capture() as counts:
+        run_protocol(
+            lambda ctx, v: fixed_length_ca(ctx, v, 32), inputs, n=4, t=1
+        )
+    # Resumes are per party per round, minus finished parties.
+    assert counts["sched_resumes"] >= counts["net_rounds"] > 0

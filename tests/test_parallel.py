@@ -178,8 +178,7 @@ class TestRunMany:
         alone in its pool may be called ``WorkerCrash``."""
         pools = []
 
-        def lossy_pool_pass(fn, chunks, workers, timeout_s, outcomes,
-                            multiplex=1):
+        def lossy_pool_pass(fn, chunks, workers, timeout_s, outcomes):
             pools.append([index for chunk in chunks for index, _ in chunk])
             if any(x < 0 for chunk in chunks for _, x in chunk):
                 return list(chunks)

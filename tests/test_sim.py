@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.analysis.experiments import make_inputs
 from repro.core.bitstrings import BitString
+from repro.core.fixed_length import fixed_length_ca
 from repro.errors import (
     ConfigurationError,
     HonestPartyError,
@@ -25,7 +29,8 @@ from repro.sim import (
     run_protocol,
 )
 from repro.sim.adversary import DROP, AdaptiveCorruptionAdversary
-from repro.perf import counters
+from repro.perf import config, counters
+from repro.sim.invariants import default_monitors
 from repro.sim.metrics import CommunicationStats
 
 
@@ -264,16 +269,24 @@ class TestScheduler:
     def test_a_down_straggler_keeps_the_scheduler_stepping(self):
         # Party 0 is the only unfinished party while it is down (rounds
         # 2-3): the scheduler idles through them, then replays it.
-        counters.reset()
         nobody = AdaptiveCorruptionAdversary(
             schedule=[], inner=PassiveAdversary()
         )
-        result = run_protocol(straggler_protocol, [1, 2, 3, 4], 4, 1,
-                              adversary=nobody, crashes=[(0, 2, 4)])
+        network = SynchronousNetwork(straggler_protocol, [1, 2, 3, 4], 4, 1,
+                                     adversary=nobody, crashes=[(0, 2, 4)])
+        steps = 0
+        with counters.capture() as ops:
+            network.begin()
+            while network.step():
+                steps += 1
+            result = network.finish()
         assert sorted(result.outputs) == [0, 1, 2, 3]
         assert result.crash_log == [("down", 2, 0), ("up", 4, 0)]
         assert result.stats.rounds == 6
-        assert counters.snapshot()["sched_rounds"] == 9
+        assert steps == 9
+        # Only generators actually touched are counted: all four in
+        # rounds 0-1, nobody while party 0 is down, party 0 alone after.
+        assert ops["sched_resumes"] == 4 + 4 + 5
 
     def test_run_is_idempotent_once_finished(self):
         network = SynchronousNetwork(echo_protocol, [1, 2, 3, 4], 4, 1)
@@ -291,6 +304,82 @@ class TestScheduler:
         a, b = run(), run()
         assert a.outputs == b.outputs
         assert a.stats.honest_bits == b.stats.honest_bits
+
+
+def _everything(network, drive):
+    """All an execution exposes (wall time aside) under ``drive``."""
+    config.reset_process_caches()
+    with counters.capture() as ops:
+        result = drive(network)
+    return {
+        "outputs": result.outputs,
+        "stats": dataclasses.replace(result.stats, wall_s=0.0),
+        "channel_trace": result.channel_trace,
+        "trace": result.trace,
+        "crash_log": result.crash_log,
+        "counters": ops,
+    }
+
+
+def _stepped(network):
+    network.begin()
+    while network.step():
+        pass
+    return network.finish()
+
+
+class TestSteppingAPI:
+    """``begin(); while step(): ...; finish()`` from outside is ``run()``
+    (the perfbench traced run drives executions this way)."""
+
+    PLANES = {
+        "fast-path": lambda: {},
+        "monitored": lambda: {"monitors": default_monitors(), "trace": True},
+        "crash-plane": lambda: {
+            "adversary": AdaptiveCorruptionAdversary(
+                schedule=[], inner=PassiveAdversary()
+            ),
+            "crashes": [(0, 2, 4)],
+            "trace": True,
+        },
+    }
+
+    @pytest.mark.parametrize("plane", sorted(PLANES))
+    @pytest.mark.parametrize("backend", config.available_backends())
+    def test_outside_driver_equals_run(self, backend, plane):
+        inputs = make_inputs(4, 48, seed=2, spread="clustered")
+
+        def network():
+            return SynchronousNetwork(
+                lambda ctx, v: fixed_length_ca(ctx, v, 48), inputs, 4, 1,
+                **self.PLANES[plane](),
+            )
+
+        with config.use_backend(backend):
+            ran = _everything(network(), SynchronousNetwork.run)
+            stepped = _everything(network(), _stepped)
+        assert stepped == ran
+        assert ran["counters"]["sched_resumes"] > 0
+        if plane == "crash-plane":
+            assert ran["crash_log"] == [("down", 2, 0), ("up", 4, 0)]
+
+    def test_step_past_the_round_budget_raises_like_run(self):
+        def forever(ctx, v):
+            while True:
+                yield from broadcast_round(ctx, "loop", 0)
+
+        with pytest.raises(SimulationError) as ran:
+            SynchronousNetwork(forever, [0] * 4, 4, 1, max_rounds=3).run()
+        network = SynchronousNetwork(forever, [0] * 4, 4, 1, max_rounds=3)
+        network.begin()
+        assert [network.step() for _ in range(3)] == [True] * 3
+        with pytest.raises(SimulationError) as stepped:
+            network.step()
+        assert str(stepped.value) == str(ran.value)
+        assert stepped.value.outputs == ran.value.outputs == {}
+        assert dataclasses.replace(
+            stepped.value.stats, wall_s=0.0
+        ) == dataclasses.replace(ran.value.stats, wall_s=0.0)
 
 
 class TestAdversaryFramework:
