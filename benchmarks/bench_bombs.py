@@ -3,8 +3,8 @@
 The wire guards (:mod:`repro.sim.wire`) promise two things at once:
 
 1. **Zero honest-path cost.**  Arming the guards must not change a
-   single honest bit: the zero-fault fast path never consults them,
-   and on the general path they only inspect byzantine-origin traffic.
+   single honest bit: the bare run never consults them, and beside a
+   fault plane they only inspect byzantine-origin traffic.
    The overhead cells run ``PI_Z`` with guards off and on and assert
    byte-identical honest accounting.
 2. **Bounded hostile cost.**  Every payload-bomb family in

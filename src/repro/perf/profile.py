@@ -53,7 +53,7 @@ __all__ = [
 SCHEMA = "repro-hotpath-bench-v1"
 
 #: CI-sized configs: a few seconds total, still exercising every hot
-#: subsystem (RS, Merkle, GF, fast-path network, FindPrefix loop).
+#: subsystem (RS, Merkle, GF, bare-run network, FindPrefix loop).
 QUICK_CONFIGS: tuple[dict[str, Any], ...] = (
     dict(protocol="fixed_length_ca", n=4, t=1, ell=256,
          seed=0, spread="spread"),

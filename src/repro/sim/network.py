@@ -80,8 +80,8 @@ ProtocolFactory = Callable[[Context, Any], Proto[Any]]
 #: exact totals, the ledger keeps the first offenders for attribution.
 _QUARANTINE_LOG_CAP = 256
 
-#: Sentinel for the fast path's payload-sizing memo: distinct from every
-#: real payload (including ``None``, the protocols' bottom symbol).
+#: Sentinel for the payload-sizing memo: distinct from every real
+#: payload (including ``None``, the protocols' bottom symbol).
 _NO_PAYLOAD = object()
 
 
@@ -238,23 +238,17 @@ class SynchronousNetwork:
             event if isinstance(event, CrashEvent) else CrashEvent(*event)
             for event in (crashes or ())
         ]
+        #: declarative crash windows keyed by their down round.
+        self._declared_crashes: dict[int, dict[int, int]] = {}
         for event in declared:
             if not 0 <= event.party < n:
                 raise ConfigurationError(
                     f"crash schedule names party {event.party}, "
                     f"outside 0..{n - 1}"
                 )
-        #: declarative crash windows keyed by their down round.
-        self._declared_crashes: dict[int, dict[int, int]] = {}
-        for event in declared:
-            self._declared_crashes.setdefault(event.down, {})[
-                event.party
-            ] = event.up
-        wants_recovery = bool(
-            recovery
-            or declared
-            or getattr(self.adversary, "has_crash_plane", False)
-        )
+            windows = self._declared_crashes.setdefault(event.down, {})
+            windows[event.party] = event.up
+        crash_plane = getattr(self.adversary, "has_crash_plane", False)
         self._recovery = (
             RecoveryManager(
                 protocol_factory,
@@ -264,34 +258,35 @@ class SynchronousNetwork:
                 kappa,
                 recovery if isinstance(recovery, RecoveryConfig) else None,
             )
-            if wants_recovery
+            if recovery or declared or crash_plane
             else None
         )
-        #: Fast-path eligibility: with no lossy transport, no crash or
-        #: recovery plane, and the exact PassiveAdversary (which relays
-        #: corrupted parties' spec messages verbatim, never adapts, and
-        #: never crashes anyone), round delivery is a pure function of
-        #: the yielded Outgoing bundles and can skip the per-link dict
-        #: churn and the RoundView.  Byte-identical by construction; see
-        #: :meth:`_finish_round_fast`.
-        self._fast_path = (
-            transport is None
-            and self._recovery is None
-            and type(self.adversary) is PassiveAdversary
-        )
+        # Stage arming, decided once from what the caller passed (stage
+        # table on :meth:`_run_round`); ``transport`` and ``_recovery``
+        # arm their own stages by being present.
+        #: whether the adversary asks for crashes at round boundaries.
+        self._crash_plane = bool(crash_plane)
+        # The exact PassiveAdversary relays corrupted parties' spec
+        # messages verbatim, never adapts and never crashes anyone.
+        scripted = type(self.adversary) is not PassiveAdversary
         #: Inbound wire guard (hostile-payload plane).  ``True`` derives
         #: limits from the bit envelopes at a default payload length;
         #: pass an explicit :class:`WireLimits` (e.g. from
         #: ``WireLimits.from_envelopes(n, t, ell, kappa)``) for
-        #: protocol-accurate bounds.  Only byzantine-origin traffic on
-        #: the general delivery path is ever checked -- honest sends and
-        #: the zero-fault fast path are untouched, so arming guards
-        #: cannot perturb honest accounting.
+        #: protocol-accurate bounds.  Armed only beside a plane that can
+        #: carry hostile or re-delivered traffic; the bare run never
+        #: consults it.  Only byzantine-origin traffic is ever checked,
+        #: so arming guards cannot perturb honest accounting.
         if guards is True:
             guards = WireLimits.from_envelopes(n, t, ell=4096, kappa=kappa)
-        elif guards is False:
-            guards = None
-        self._guard = WireGuard(guards) if guards is not None else None
+        planes = (
+            scripted or transport is not None or self._recovery is not None
+        )
+        self._guard = WireGuard(guards) if guards and planes else None
+        #: whether the adversary stage runs (``RoundView``, ``deliver``,
+        #: ``adapt``); the guard inspects what ``deliver`` returns, so it
+        #: arms the stage too.
+        self._consult_adversary = scripted or self._guard is not None
         self.quarantine_log: list[tuple[int, int, int, str]] = []
         #: honest parties currently powered off (crash plane).
         self.down: set[int] = set()
@@ -353,12 +348,8 @@ class SynchronousNetwork:
         """
         round_index = self._next_round
         if round_index >= self.max_rounds:
-            raise SimulationError(
-                f"protocol did not terminate within {self.max_rounds} "
-                "rounds",
-                trace=self.trace,
-                stats=self.stats,
-                outputs=self._partial_outputs(),
+            raise self._failure(
+                f"protocol did not terminate within {self.max_rounds} rounds"
             )
         if not self._honest_running:
             return False
@@ -368,15 +359,10 @@ class SynchronousNetwork:
 
     def finish(self) -> ExecutionResult:
         """Assemble the result once :meth:`step` has returned ``False``."""
-        outputs = {
-            party: state.output
-            for party, state in self._states.items()
-            if state.finished and party not in self.corrupted
-        }
         result = ExecutionResult(
             n=self.n,
             t=self.t,
-            outputs=outputs,
+            outputs=self._partial_outputs(),
             corrupted=frozenset(self.corrupted),
             stats=self.stats,
             channel_trace=self.channel_trace,
@@ -398,6 +384,15 @@ class SynchronousNetwork:
             for party, state in self._states.items()
             if state.finished and party not in self.corrupted
         }
+
+    def _failure(self, message: str) -> SimulationError:
+        """A :class:`SimulationError` carrying the partial execution."""
+        return SimulationError(
+            message,
+            trace=self.trace,
+            stats=self.stats,
+            outputs=self._partial_outputs(),
+        )
 
     def _monitored(self, hook, *args) -> None:
         """Run a monitor hook, attaching the partial trace on violation."""
@@ -454,12 +449,9 @@ class SynchronousNetwork:
                 inbox_digest=digest,
             ) from error
         if not isinstance(outgoing, Outgoing):
-            raise SimulationError(
+            raise self._failure(
                 f"party {party} yielded {type(outgoing).__name__}, "
-                "expected Outgoing",
-                trace=self.trace,
-                stats=self.stats,
-                outputs=self._partial_outputs(),
+                "expected Outgoing"
             )
         return outgoing
 
@@ -528,34 +520,140 @@ class SynchronousNetwork:
             self.crash_log.append(("down", down_round, party))
         return accepted, clipped
 
-    def _finish_round_fast(
+    def _observe(
         self,
         round_index: int,
-        outgoings: dict[int, Outgoing],
         honest_channels: set[str],
+        restarted: frozenset[int],
+        channel: str = "",
+        traffic: tuple[int, int, int] = (0, 0, 0),
+        boundary: tuple[Any, Any, Any, Any] = ((), (), (), ()),
+        down_parties: frozenset[int] | None = None,
     ) -> None:
-        """Deliver one round with no fault plane armed.
+        """Observe stage: the round's one record, traced and monitored.
 
-        Valid only under :attr:`_fast_path` conditions, where the
-        general path degenerates to "deliver every yielded message
-        verbatim": honest messages first in party order, then corrupted
-        parties' spec messages -- exactly the inbox insertion order the
-        general path produces, so ``distribute``'s first-valid-tuple
-        scan sees identical dicts.  Stats, counters, channel trace, and
-        (when requested) the :class:`RoundRecord` are byte-identical;
-        only the per-link dict churn and the RoundView are skipped.
-        Every round gets fresh inbox dicts: a protocol (or a tracing
-        consumer) may keep the ones it was handed.
+        ``traffic`` is ``(honest messages, honest bits, byzantine
+        messages)``; ``boundary`` the new and clipped corruptions, then
+        the new and clipped crashes, and ``down_parties`` who was down
+        before those crashes (default: who is down now).  A round
+        stopped at the lockstep check has none of them.
+        """
+        record = RoundRecord(
+            round_index,
+            channel,
+            *traffic,
+            corrupted=frozenset(self.corrupted),
+            finished_parties=frozenset(
+                p for p, s in self._states.items() if s.finished
+            ),
+            honest_channels=tuple(sorted(honest_channels)),
+            new_corruptions=frozenset(boundary[0]),
+            clipped_corruptions=frozenset(boundary[1]),
+            down_parties=(
+                frozenset(self.down) if down_parties is None else down_parties
+            ),
+            restarted_parties=restarted,
+            new_crashes=frozenset(boundary[2]),
+            clipped_crashes=frozenset(boundary[3]),
+        )
+        if self.trace is not None:
+            self.trace.append(record)
+        for monitor in self.monitors:
+            self._monitored(monitor.on_round, record, self)
+
+    def _run_round(self, round_index: int) -> bool:
+        """Run one round; ``False`` once every honest party has finished.
+
+        One pipeline.  ``__init__`` arms the optional stages from what
+        the caller passed; an unarmed stage costs one attribute test a
+        round and builds nothing:
+
+        ================  =========================  =====================
+        stage             armed when                 reads
+        ================  =========================  =====================
+        crash / restart   a recovery plane           WALs, crash schedule
+        resume            always                     last round's inboxes
+        lockstep check    always                     honest channel labels
+        price + deliver   always                     the yielded bundles
+        adversary         ``_consult_adversary``     ``RoundView`` (links)
+        synchronize       a transport                link -> bits
+        byzantine insert  always; guard when armed   ``deliver()``'s reply
+        commit, park/WAL  always; a recovery plane   the round's inboxes
+        account           always                     per-sender prices
+        adapt + crashes   the adversary stage        the same ``RoundView``
+        observe           ``trace`` or monitors      what the stages made
+        ================  =========================  =====================
+
+        A party that is neither finished nor down yields, so after the
+        resume pass "some honest party is unfinished" is "some honest
+        party yielded or is down" -- no second scan of the states.
         """
         n = self.n
-        stats = self.stats
-        corrupted = self.corrupted
         states = self._states
-        inboxes = {party: {} for party in states}
-        round_bits = 0
-        round_messages = 0
-        byz_count = 0
+        corrupted = self.corrupted
+        down = self.down
+        stats = self.stats
+        recovery = self._recovery
+        transport = self.transport
+
+        # Crash plane: restarts due now, then declarative crashes whose
+        # down round is now (both before any generator resumes).
+        restarted: frozenset[int] = frozenset()
+        if recovery is not None:
+            restarted = self._process_restarts(round_index)
+            declared = self._declared_crashes.pop(round_index, None)
+            if declared:
+                self._accept_crashes(declared, round_index)
+
+        # Resume every running generator (down parties stay frozen).
+        # The finished/down guards are hoisted out of ``_resume`` so a
+        # long-finished party costs one attribute read, not a call;
+        # ``sched_resumes`` counts actual generator touches only.
+        outgoings: dict[int, Outgoing] = {}
+        resumes = 0
+        for party, state in states.items():
+            if state.finished or (down and party in down):
+                continue
+            resumes += 1
+            outgoing = self._resume(party, state, round_index)
+            if outgoing is not None:
+                outgoings[party] = outgoing
+        if resumes:
+            counters.bump("sched_resumes", resumes)
+        if not outgoings:
+            # Every generator terminated while consuming last round's
+            # inbox -- no network round takes place.
+            return bool(down)
+
+        # Lockstep sanity check: running honest parties share one channel.
+        honest_channels = {
+            out.channel
+            for party, out in outgoings.items()
+            if party not in corrupted
+        }
+        observed = self.trace is not None or bool(self.monitors)
+        if len(honest_channels) > 1:
+            if observed:
+                self._observe(round_index, honest_channels, restarted)
+            raise self._failure(
+                f"honest parties out of lockstep in round {round_index}: "
+                f"{sorted(honest_channels)}"
+            )
+        channel = next(iter(honest_channels), "")
+        if honest_channels:
+            self.channel_trace.append(channel)
+
+        # Price and deliver honest traffic.  Every party gets a fresh
+        # private inbox (a protocol or a tracing consumer may keep the
+        # ones it was handed), honest senders in party order.  Loopback
+        # links cost 0: a process does not use the network to talk to
+        # itself.  Links to down parties are priced like any other.
+        inboxes: dict[int, dict[int, Any]] = {party: {} for party in states}
         sender_bits: list[tuple[int, int]] = []
+        round_bits = round_messages = 0
+        #: ``id(payload) -> bits`` for the synchronizer's link table;
+        #: payloads outlive the round in ``outgoings``, so ids are unique.
+        prices: dict[int, int] | None = {} if transport is not None else None
         # An all-broadcast round (every honest bundle marked by
         # ``broadcast_round``, or empty like the non-kings' king round)
         # delivers the same ``{sender: payload}`` dict to every party:
@@ -577,9 +675,11 @@ class SynchronousNetwork:
             fanout = n - 1
             if fanout:
                 for party, payload in shared.items():
-                    party_sent = bit_size(payload) * fanout
-                    sender_bits.append((party, party_sent))
-                    round_bits += party_sent
+                    bits = bit_size(payload)
+                    if prices is not None:
+                        prices[id(payload)] = bits
+                    sender_bits.append((party, bits * fanout))
+                    round_bits += bits * fanout
                 round_messages = len(shared) * fanout
             for inbox in inboxes.values():
                 inbox.update(shared)
@@ -591,370 +691,180 @@ class SynchronousNetwork:
             for party, out in outgoings.items():
                 if corrupted and party in corrupted:
                     continue
-                # A broadcast reuses one payload object for every
-                # destination; sizing it once per object is exact
+                # An unmarked broadcast reuses one payload object for
+                # every destination; sizing each *object* once is exact
                 # (bit_size is pure) and skips the dominant per-message
-                # cost.  The one-object memo covers the broadcast shape;
-                # bundles with several distinct payloads (e.g.
-                # ``distribute``) price each object as before.  Seeded
-                # with a private sentinel: ``None`` is a real payload
-                # (the protocols' bottom symbol, priced at 1 bit) and
-                # must not match an empty memo.
+                # cost.  Seeded with a private sentinel: ``None`` is a
+                # real payload (bottom, 1 bit), not an empty memo.
                 memo_obj = _NO_PAYLOAD
-                memo_bits = 0
-                party_sent = 0
-                party_messages = 0
+                memo_bits = party_sent = party_messages = 0
                 for dst, payload in out.messages.items():
                     if not 0 <= dst < n:
                         continue
                     inbox_rows[dst][party] = payload
                     if dst != party:
-                        if payload is memo_obj:
-                            bits = memo_bits
-                        else:
-                            bits = bit_size(payload)
+                        if payload is not memo_obj:
                             memo_obj = payload
-                            memo_bits = bits
-                        party_sent += bits
+                            memo_bits = bit_size(payload)
+                            if prices is not None:
+                                prices[id(payload)] = memo_bits
+                        party_sent += memo_bits
                         party_messages += 1
                 if party_messages:
                     sender_bits.append((party, party_sent))
                     round_bits += party_sent
                     round_messages += party_messages
-        if corrupted:
+
+        # Link-keyed views of the same traffic, for the stages that read
+        # them.  Loopback links stay in the synchronizer's table at 0
+        # bits (their party joins resync beacons); links to down parties
+        # stay off it (senders keep those copies until the restart).
+        consult = self._consult_adversary
+        if consult or transport is not None:
+            honest_outgoing: dict[tuple[int, int], Any] = {}
+            spec_outgoing: dict[tuple[int, int], Any] = {}
             for party, out in outgoings.items():
-                if party not in corrupted:
-                    continue
+                into = spec_outgoing if party in corrupted else honest_outgoing
                 for dst, payload in out.messages.items():
                     if 0 <= dst < n:
-                        inboxes[dst][party] = payload
-                        byz_count += 1
-        for party, state in states.items():
-            state.inbox = inboxes[party]
+                        into[party, dst] = payload
+        if transport is not None:
+            link_bits = {
+                link: 0 if link[0] == link[1] else prices[id(payload)]
+                for link, payload in honest_outgoing.items()
+                if link[1] not in down
+            }
+
+        # The rushing adversary acts on the full round view.
+        if consult:
+            view = RoundView(
+                round_index=round_index,
+                n=n,
+                t=self.t,
+                kappa=self.kappa,
+                corrupted=frozenset(corrupted),
+                channels={p: out.channel for p, out in outgoings.items()},
+                honest_outgoing=honest_outgoing,
+                spec_outgoing=spec_outgoing,
+                corrupted_inputs={p: self.inputs[p] for p in corrupted},
+                down=frozenset(down),
+            )
+            byz_messages = self.adversary.deliver(view)
+
+        # Synchronize the wire: every honest payload to a live
+        # destination is retransmitted until acked, restoring lockstep
+        # (overhead lands in retrans_*/ack_* stats, never honest_bits).
+        if transport is not None:
+            try:
+                transport.synchronize(round_index, link_bits, stats)
+            except TransportTimeout as timeout:
+                raise self._failure(str(timeout)) from timeout
+
+        # Corrupted senders go in after the honest ones: what the
+        # adversary returned, or -- nobody consulted -- the spec
+        # messages verbatim.
+        byz_count = 0
+        if consult:
+            guard = self._guard
+            for (src, dst), payload in byz_messages.items():
+                if src in corrupted and 0 <= dst < n:
+                    if guard is not None and dst not in corrupted:
+                        # Honest parties validate byzantine-origin traffic
+                        # before it enters their inbox; out-of-bounds
+                        # payloads are quarantined (discarded, attributed),
+                        # never raised on.  Corrupted destinations are the
+                        # adversary's own code and do not validate.
+                        counters.bump("guard_checks")
+                        reason, bits = guard.check(round_index, src, payload)
+                        if reason is not None:
+                            counters.bump("guard_quarantined")
+                            stats.record_quarantine(bits)
+                            if len(self.quarantine_log) < _QUARANTINE_LOG_CAP:
+                                self.quarantine_log.append(
+                                    (round_index, src, dst, reason)
+                                )
+                            continue
+                    inboxes[dst][src] = payload
+                    byz_count += 1
+        elif corrupted:
+            for party, out in outgoings.items():
+                if party in corrupted:
+                    for dst, payload in out.messages.items():
+                        if 0 <= dst < n:
+                            inboxes[dst][party] = payload
+                            byz_count += 1
+
+        # Commit.  Down parties' inboxes are parked (senders keep
+        # retransmitting) instead of delivered; live parties' executed
+        # rounds go to their WALs.
+        if recovery is not None:
+            honest = {p for p in range(n) if p not in corrupted}
+            for party in sorted(down):
+                recovery.park(party, round_index, inboxes.pop(party), honest)
+            for party, out in outgoings.items():
+                if party not in corrupted:
+                    recovery.log_round(party, round_index, inboxes[party], out)
+        for party, inbox in inboxes.items():
+            states[party].inbox = inbox
+
+        # Account.  Post lockstep check every honest sender shares one
+        # channel, so the whole round batches into one update.
         if sender_bits:
-            # Post lockstep check every honest sender shares one
-            # channel, so the whole round batches into one update.
             stats.record_round_sends(
-                next(iter(honest_channels)),
-                sender_bits,
-                round_messages,
-                round_bits,
+                channel, sender_bits, round_messages, round_bits
             )
         stats.record_round()
         counters.bump("net_rounds")
         counters.bump("net_messages", round_messages + byz_count)
 
-        if self.trace is None and not self.monitors:
-            return
-        record = RoundRecord(
-            round_index=round_index,
-            channel=(
-                next(iter(honest_channels)) if honest_channels else ""
-            ),
-            honest_messages=round_messages,
-            honest_bits=round_bits,
-            byzantine_messages=byz_count,
-            corrupted=frozenset(corrupted),
-            finished_parties=frozenset(
-                p for p, s in self._states.items() if s.finished
-            ),
-            honest_channels=tuple(sorted(honest_channels)),
-            new_corruptions=frozenset(),
-            clipped_corruptions=frozenset(),
-            down_parties=frozenset(),
-            restarted_parties=frozenset(),
-            new_crashes=frozenset(),
-            clipped_crashes=frozenset(),
-        )
-        if self.trace is not None:
-            self.trace.append(record)
-        for monitor in self.monitors:
-            self._monitored(monitor.on_round, record, self)
-
-    def _run_round(self, round_index: int) -> bool:
-        """Run one round; ``False`` once every honest party has finished.
-
-        A party that is neither finished nor down yields, so after the
-        resume pass "some honest party is unfinished" is "some honest
-        party yielded or is down" -- no second scan of the states.
-        """
-        # 0. Crash plane: restarts due now, then declarative crashes
-        # whose down round is now (both before any generator resumes).
-        restarted: frozenset[int] = frozenset()
-        if self._recovery is not None:
-            restarted = self._process_restarts(round_index)
-            declared = self._declared_crashes.pop(round_index, None)
-            if declared:
-                self._accept_crashes(declared, round_index)
-
-        # 1. Resume every running generator (down parties stay frozen).
-        # The finished/down guards are hoisted out of ``_resume`` so a
-        # long-finished party costs one attribute read, not a call, and
-        # the resume count lands in ``sched_resumes`` as one batched
-        # bump per round (actual generator touches only).
-        outgoings: dict[int, Outgoing] = {}
-        down = self.down
-        resumes = 0
-        for party, state in self._states.items():
-            if state.finished or (down and party in down):
-                continue
-            resumes += 1
-            outgoing = self._resume(party, state, round_index)
-            if outgoing is not None:
-                outgoings[party] = outgoing
-        if resumes:
-            counters.bump("sched_resumes", resumes)
-        if not outgoings:
-            # Every generator terminated while consuming last round's
-            # inbox -- no network round takes place.
-            return bool(down)
-
-        # Lockstep sanity check: running honest parties share one channel.
-        honest_channels = {
-            out.channel
-            for party, out in outgoings.items()
-            if party not in self.corrupted
-        }
-        if len(honest_channels) > 1:
-            record = RoundRecord(
-                round_index=round_index,
-                channel="",
-                honest_messages=0,
-                honest_bits=0,
-                byzantine_messages=0,
-                corrupted=frozenset(self.corrupted),
-                finished_parties=frozenset(
-                    p for p, s in self._states.items() if s.finished
-                ),
-                honest_channels=tuple(sorted(honest_channels)),
-                down_parties=frozenset(self.down),
-                restarted_parties=restarted,
-            )
-            if self.trace is not None:
-                self.trace.append(record)
-            for monitor in self.monitors:
-                self._monitored(monitor.on_round, record, self)
-            raise SimulationError(
-                f"honest parties out of lockstep in round {round_index}: "
-                f"{sorted(honest_channels)}",
-                trace=self.trace,
-                stats=self.stats,
-                outputs=self._partial_outputs(),
-            )
-        if honest_channels:
-            self.channel_trace.append(next(iter(honest_channels)))
-
-        if self._fast_path:
-            self._finish_round_fast(round_index, outgoings, honest_channels)
-            return bool(honest_channels)
-
-        # Honest payloads are priced here, once per distinct object per
-        # sender (the fast path's identity memo); the transport and the
-        # stats below read ``link_bits`` instead of re-sizing payloads.
-        # Loopback links cost 0: a process does not use the network to
-        # talk to itself.
-        n = self.n
-        honest_outgoing: dict[tuple[int, int], Any] = {}
-        spec_outgoing: dict[tuple[int, int], Any] = {}
-        channels: dict[int, str] = {}
-        link_bits: dict[tuple[int, int], int] = {}
-        sender_bits: list[tuple[int, int]] = []
-        round_bits = round_messages = 0
-        for party, out in outgoings.items():
-            channels[party] = out.channel
-            if party in self.corrupted:
-                for dst, payload in out.messages.items():
-                    if 0 <= dst < n:
-                        spec_outgoing[(party, dst)] = payload
-                continue
-            memo_obj = _NO_PAYLOAD
-            memo_bits = party_sent = party_messages = 0
-            for dst, payload in out.messages.items():
-                if not 0 <= dst < n:
-                    continue
-                link = (party, dst)
-                honest_outgoing[link] = payload
-                if dst == party:
-                    link_bits[link] = 0
-                    continue
-                if payload is not memo_obj:
-                    memo_obj = payload
-                    memo_bits = bit_size(payload)
-                link_bits[link] = memo_bits
-                party_sent += memo_bits
-                party_messages += 1
-            if party_messages:
-                sender_bits.append((party, party_sent))
-                round_bits += party_sent
-                round_messages += party_messages
-
-        # 2. The rushing adversary acts on the full round view.
-        view = RoundView(
-            round_index=round_index,
-            n=self.n,
-            t=self.t,
-            kappa=self.kappa,
-            corrupted=frozenset(self.corrupted),
-            channels=channels,
-            honest_outgoing=dict(honest_outgoing),
-            spec_outgoing=dict(spec_outgoing),
-            corrupted_inputs={
-                p: self.inputs[p] for p in self.corrupted
-            },
-            down=frozenset(self.down),
-        )
-        byz_messages = self.adversary.deliver(view)
-
-        # 3. Synchronize the wire: on a lossy transport every honest
-        # payload to a live destination is retransmitted until acked,
-        # restoring the lockstep abstraction (overhead lands in the
-        # retrans_*/ack_* stats, never in honest_bits).
-        if self.transport is not None:
-            live_bits = link_bits
-            if self.down:
-                live_bits = {
-                    link: bits
-                    for link, bits in link_bits.items()
-                    if link[1] not in self.down
-                }
-            try:
-                self.transport.synchronize(round_index, live_bits, self.stats)
-            except TransportTimeout as timeout:
-                raise SimulationError(
-                    str(timeout),
-                    trace=self.trace,
-                    stats=self.stats,
-                    outputs=self._partial_outputs(),
-                ) from timeout
-
-        # 4. Deliver inboxes and account honest bits.  Down parties'
-        # inboxes are parked (senders keep retransmitting) instead of
-        # delivered; live parties' executed rounds go to their WALs.
-        inboxes: dict[int, dict[int, Any]] = {
-            party: {} for party in self._states
-        }
-        byz_count = 0
-        for (src, dst), payload in honest_outgoing.items():
-            inboxes[dst][src] = payload
-        # Post lockstep check every honest sender shares one channel.
-        channel = next(iter(honest_channels), "")
-        if sender_bits:
-            self.stats.record_round_sends(
-                channel, sender_bits, round_messages, round_bits
-            )
-        guard = self._guard
-        for (src, dst), payload in byz_messages.items():
-            if src in self.corrupted and 0 <= dst < self.n:
-                if guard is not None and dst not in self.corrupted:
-                    # Honest parties validate byzantine-origin traffic
-                    # before it enters their inbox; out-of-bounds
-                    # payloads are quarantined (discarded + attributed),
-                    # never raised on.  Corrupted destinations do not
-                    # validate -- that is the adversary's own code.
-                    counters.bump("guard_checks")
-                    reason, bits = guard.check(round_index, src, payload)
-                    if reason is not None:
-                        counters.bump("guard_quarantined")
-                        self.stats.record_quarantine(bits)
-                        if len(self.quarantine_log) < _QUARANTINE_LOG_CAP:
-                            self.quarantine_log.append(
-                                (round_index, src, dst, reason)
-                            )
-                        continue
-                inboxes[dst][src] = payload
-                byz_count += 1
-        for party, state in self._states.items():
-            if party not in self.down:
-                state.inbox = inboxes[party]
-        if self._recovery is not None:
-            honest_senders = {
-                p for p in range(self.n) if p not in self.corrupted
+        running = bool(honest_channels)
+        accepted = clipped = crashed = crash_clipped = ()
+        down_before = None
+        if consult:
+            # Adaptive corruptions (effective next round).  An
+            # over-budget ``adapt()`` is clipped deterministically, and
+            # the clipped parties recorded and warned about.  Down
+            # parties share the ``t`` budget and cannot be corrupted.
+            requested = {
+                party
+                for party in self.adversary.adapt(view)
+                if 0 <= party < n
+                and party not in corrupted
+                and party not in down
             }
-            for party in sorted(self.down):
-                self._recovery.park(
-                    party, round_index, inboxes[party], honest_senders
+            allowed = max(0, self.t - len(corrupted) - len(down))
+            accepted = set(sorted(requested)[:allowed])
+            clipped = requested - accepted
+            if clipped:
+                self.clipped_corruptions.extend(
+                    (round_index, party) for party in sorted(clipped)
                 )
-            for party, out in outgoings.items():
-                if party not in self.corrupted:
-                    self._recovery.log_round(
-                        party, round_index, inboxes[party], out
-                    )
-        self.stats.record_round()
-        counters.bump("net_rounds")
-        counters.bump("net_messages", round_messages + byz_count)
-
-        # 5. Adaptive corruptions (effective next round).  An over-budget
-        # ``adapt()`` is clipped deterministically; the clipped parties
-        # are recorded and warned about rather than silently dropped.
-        # Down parties share the same ``t`` budget and cannot be
-        # corrupted while powered off.
-        requested = {
-            party
-            for party in self.adversary.adapt(view)
-            if 0 <= party < self.n
-            and party not in self.corrupted
-            and party not in self.down
-        }
-        allowed = max(0, self.t - len(self.corrupted) - len(self.down))
-        accepted = set(sorted(requested)[:allowed])
-        clipped = requested - accepted
-        if clipped:
-            self.clipped_corruptions.extend(
-                (round_index, party) for party in sorted(clipped)
+                warnings.warn(
+                    f"adaptive corruption budget exhausted in round "
+                    f"{round_index}: clipped parties {sorted(clipped)} "
+                    f"(t={self.t}, already corrupted "
+                    f"{len(corrupted)}) -- the adversary configuration "
+                    "is over-powered and was silently weakened",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+            # Adversarial crashes (effective next round), clipped
+            # against the combined corruption + down budget.
+            if self._crash_plane:
+                down_before = frozenset(down)
+                requests = self.adversary.crash_restarts(view)
+                crashed, crash_clipped = self._accept_crashes(
+                    {p: up for p, up in requests.items() if p not in accepted},
+                    round_index + 1,
+                    pending_corruptions=len(accepted),
+                )
+        if observed:
+            self._observe(
+                round_index, honest_channels, restarted, channel,
+                (round_messages, round_bits, byz_count),
+                (accepted, clipped, crashed, crash_clipped), down_before,
             )
-            warnings.warn(
-                f"adaptive corruption budget exhausted in round "
-                f"{round_index}: clipped parties {sorted(clipped)} "
-                f"(t={self.t}, already corrupted "
-                f"{len(self.corrupted)}) -- the adversary configuration "
-                "is over-powered and was silently weakened",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-
-        # 6. Adversarial crashes (effective next round), clipped against
-        # the combined corruption + down budget.
-        down_before = frozenset(self.down)
-        crash_accepted: set[int] = set()
-        crash_clipped: set[int] = set()
-        if self._recovery is not None and getattr(
-            self.adversary, "has_crash_plane", False
-        ):
-            crash_requests = self.adversary.crash_restarts(view)
-            crash_accepted, crash_clipped = self._accept_crashes(
-                {
-                    party: up
-                    for party, up in crash_requests.items()
-                    if party not in accepted
-                },
-                round_index + 1,
-                pending_corruptions=len(accepted),
-            )
-
-        record = RoundRecord(
-            round_index=round_index,
-            channel=channel,
-            honest_messages=round_messages,
-            honest_bits=round_bits,
-            byzantine_messages=byz_count,
-            corrupted=frozenset(self.corrupted),
-            finished_parties=frozenset(
-                p for p, s in self._states.items() if s.finished
-            ),
-            honest_channels=tuple(sorted(honest_channels)),
-            new_corruptions=frozenset(accepted),
-            clipped_corruptions=frozenset(clipped),
-            down_parties=down_before,
-            restarted_parties=restarted,
-            new_crashes=frozenset(crash_accepted),
-            clipped_crashes=frozenset(crash_clipped),
-        )
-        if self.trace is not None:
-            self.trace.append(record)
-        for monitor in self.monitors:
-            self._monitored(monitor.on_round, record, self)
-
-        self.corrupted.update(accepted)
-        return bool(self.down) or any(
-            party not in self.corrupted for party in outgoings
-        )
+        if accepted:
+            corrupted.update(accepted)
+            running = any(party not in corrupted for party in outgoings)
+        return running or bool(down)

@@ -47,9 +47,10 @@ class Outgoing:
 
     ``broadcast`` is a promise that ``messages`` is one payload object
     keyed by every party id ``0..n-1`` (only :func:`broadcast_round`
-    makes it).  It changes nothing observable: the fault-free delivery
-    path uses it to share one ``{sender: payload}`` dict per round
-    instead of storing ``n * n`` copies; every other path ignores it.
+    makes it).  It changes nothing observable: the network's deliver
+    stage uses it to build one ``{sender: payload}`` dict per
+    all-broadcast round and ``update`` each private inbox from it,
+    instead of storing ``n * n`` messages one by one.
     """
 
     channel: str

@@ -30,10 +30,12 @@ Design constraints, all load-bearing:
   the ``guard_*`` perf counters -- never on ``honest_bits``, which
   remains the paper's BITS_l(PI) measure.
 
-The guard is only consulted for byzantine-origin traffic (general-path
-delivery in :class:`~repro.sim.network.SynchronousNetwork` and
-byzantine injections in :class:`~repro.asynchrony.network.AsyncNetwork`);
-the zero-fault fast path never touches it.
+The guard is only consulted for byzantine-origin traffic (what the
+adversary's ``deliver`` returned in
+:class:`~repro.sim.network.SynchronousNetwork`, byzantine injections in
+:class:`~repro.asynchrony.network.AsyncNetwork`); a bare synchronous
+run -- no scripted adversary, transport or recovery plane -- never
+touches it.
 """
 
 from __future__ import annotations

@@ -159,7 +159,7 @@ class TestIndexing:
         assert bs.prefix(cut).concat(bs.suffix_from(cut)) == bs
 
     @given(naturals, st.integers(min_value=0, max_value=8), st.data())
-    def test_prefix_fast_path_matches_general_slice(self, v, pad, data):
+    def test_prefix_shortcut_matches_general_slice(self, v, pad, data):
         """A slice from bit 0 skips the mask; it must equal the same
         bits taken through the masked path (the string shifted right by
         one guard bit, sliced at 1) and the per-bit definition."""

@@ -5,9 +5,10 @@ Three pillars of the hostile-payload hardening plane:
 1. **Byte-identity** -- arming the guards must not change a single bit
    of honest executions: outputs, ``honest_bits``, rounds, and the
    whole stats document are equal with guards on and off, for every
-   registry protocol, on both the zero-fault fast path (plain
-   :class:`PassiveAdversary`) and the general path (a spec-following
-   subclass whose corrupted traffic the guard actually inspects).
+   registry protocol, on both the bare run (plain
+   :class:`PassiveAdversary`, guard never armed) and with the adversary
+   stage armed (a spec-following subclass whose corrupted traffic the
+   guard actually inspects).
 2. **Grid canary** -- every bomb class is survived by every registry
    protocol at ``(n, t) in {(4, 1), (7, 2)}``: honest parties terminate
    with convex-valid agreed outputs under the full monitor stack.
@@ -62,11 +63,11 @@ def _grid_inputs(n: int) -> list[int]:
 
 
 class _SpecFollowingCorruptions(PassiveAdversary):
-    """Spec-following, but as a *subclass*: forces the general path.
+    """Spec-following, but as a *subclass*: arms the adversary stage.
 
-    The fast path requires ``type(adversary) is PassiveAdversary``
-    exactly, so this adversary's (identical) corrupted traffic flows
-    through the byzantine delivery loop where the guard inspects it.
+    Only ``type(adversary) is PassiveAdversary`` exactly leaves it
+    unarmed, so this adversary's (identical) corrupted traffic comes
+    back from ``deliver()`` and the guard inspects it.
     """
 
 
@@ -101,7 +102,7 @@ class TestByteIdentity:
         assert on.stats.rejected_bits == 0
         assert on.quarantine_log == []
 
-    def test_fast_path_never_consults_the_guard(self):
+    def test_bare_run_never_consults_the_guard(self):
         registry = standard_registry()
         spec = registry["pi_n"]
         limits = WireLimits.from_envelopes(4, 1, 8, KAPPA)

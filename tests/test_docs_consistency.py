@@ -75,6 +75,29 @@ class TestReadme:
             assert (ROOT / match).exists(), match
 
 
+class TestNetworkSymbols:
+    def test_quoted_network_attributes_exist(self):
+        """A deleted ``SynchronousNetwork`` method cannot stay documented:
+        every backticked ``SynchronousNetwork.<name>``, ``_finish_round*``
+        or ``_run_round`` in README, DESIGN and ``docs/*.md`` resolves."""
+        from repro.sim.network import SynchronousNetwork
+
+        network = SynchronousNetwork(lambda ctx, v: iter(()), [0], n=1, t=0)
+        pattern = re.compile(
+            r"`(?:SynchronousNetwork\.(\w+)|(_finish_round\w*|_run_round))\b"
+        )
+        docs = [ROOT / "README.md", ROOT / "DESIGN.md"]
+        docs += sorted((ROOT / "docs").glob("*.md"))
+        quoted = {
+            (doc.name, qualified or bare)
+            for doc in docs
+            for qualified, bare in pattern.findall(doc.read_text())
+        }
+        assert ("performance.md", "_run_round") in quoted
+        for doc, name in sorted(quoted):
+            assert hasattr(network, name), f"{doc} quotes {name}"
+
+
 class TestDocsDirectory:
     @pytest.mark.parametrize(
         "name", ["model.md", "protocol-walkthrough.md", "api.md"]

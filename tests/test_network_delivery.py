@@ -1,25 +1,28 @@
-"""Round delivery: the fast path, the general path, the broadcast mark.
+"""Round delivery: the broadcast mark and the optional stages.
 
-``broadcast_round`` marks its bundle so the fault-free delivery path can
-build one ``{sender: payload}`` dict per round and ``update`` every
-inbox from it.  The mark must change nothing observable, and neither
-may the choice of delivery path.  Contracts:
+``SynchronousNetwork._run_round`` is one pipeline.  ``broadcast_round``
+marks its bundle so the deliver stage can build one ``{sender:
+payload}`` dict per round and ``update`` every inbox from it; a
+transport, a scripted adversary, a recovery plane, a trace or monitors
+arm further stages.  Neither the mark nor an armed stage may change what
+the protocol observes or what the ledger says.  Contracts:
 
 1. **Parity**: a protocol yielding marked bundles and the same protocol
    yielding unmarked ``Outgoing``s with the equal dict give identical
-   inbox key order, stats, channel trace, counters and round records.
+   inbox key order, stats, channel trace, counters and round records --
+   on the bare run and under every plane (``PLANES``).
 2. **Fallback**: a round in which one honest sender is not a broadcast
    takes the per-message loop, with the same result.
-3. **Non-aliasing**: every party still owns its inbox dict.
-4. **The fault-plane path ignores the mark**: WAL-forced general-path
-   runs and crash/restart replays reproduce marked bundles identically.
-5. **One ledger**: the general path (WAL-forced, or under a perfect
-   ``LossyTransport``) fills ``CommunicationStats`` exactly as the fast
-   path does, field by field and key order included; links to a down
-   party are priced but never handed to the transport.
-6. **Fast path = general path**: the zero-fault fast path and the
-   WAL-forced general path agree on inbox insertion order, outputs,
-   stats and channel trace, on an ``(n, t)`` grid under every backend.
+3. **Non-aliasing**: every party still owns its inbox dict, under every
+   plane (the shared dict is never handed out or logged).
+4. **Crash/restart** replays reproduce marked bundles identically.
+5. **One ledger**: arming the WAL or a perfect ``LossyTransport`` fills
+   ``CommunicationStats`` exactly as the bare run does, field by field
+   and key order included; links to a down party are priced but never
+   handed to the transport.
+6. **Arming a plane changes nothing**: the bare run and the WAL-armed
+   run agree on inbox insertion order, outputs, stats, channel trace and
+   round records, on an ``(n, t)`` grid under every backend.
 7. **Inboxes are the protocol's to keep**: an inbox held across rounds
    still holds its own round's payloads, whatever observes the run.
 """
@@ -115,6 +118,33 @@ def observe(protocol, n, t, **kwargs):
     }
 
 
+class SpecFollowing(PassiveAdversary):
+    """Spec-following, but not the exact ``PassiveAdversary``: arms the
+    adversary stage (``RoundView``, ``deliver``, ``adapt``)."""
+
+
+class OneCorrupted(PassiveAdversary):
+    """Leaves one unit of the shared ``t`` budget for a crash."""
+
+    def select_corruptions(self, n, t):
+        return {n - 1}
+
+
+#: one column per optional stage set; built fresh per run (a transport
+#: and an adversary carry state).  ``crashed`` needs ``t >= 2``.
+PLANES = {
+    "bare": lambda: {},
+    "wal": lambda: {"recovery": True},
+    "transport": lambda: {"transport": LossyTransport()},
+    "scripted": lambda: {"adversary": SpecFollowing()},
+    "crashed": lambda: {"adversary": OneCorrupted(), "crashes": [(1, 2, 4)]},
+}
+
+
+def planes_for(t):
+    return [plane for plane in PLANES if plane != "crashed" or t >= 2]
+
+
 @pytest.mark.parametrize("n,t", GRID)
 @pytest.mark.parametrize("trace", [False, True], ids=["plain", "traced"])
 def test_marked_equals_unmarked(n, t, trace):
@@ -164,7 +194,9 @@ def test_mark_for_another_n_falls_back():
 
 @pytest.mark.parametrize("n,t", [(2, 0), (4, 1), (7, 2)])
 def test_inboxes_are_private(n, t):
-    """Party 0 vandalises its inbox before anyone else reads theirs."""
+    """Party 0 vandalises its inbox before anyone else reads theirs,
+    under every plane and backend; a WAL-replayed party (``crashed``)
+    still reads every round intact."""
 
     def protocol(ctx, value):
         seen = []
@@ -178,33 +210,50 @@ def test_inboxes_are_private(n, t):
         return tuple(seen)
 
     inputs = list(range(n))
-    result = run_protocol(protocol, inputs, n=n, t=t)
-    expected = tuple(
-        tuple((sender, (sender, round_index)) for sender in range(n))
-        for round_index in range(3)
-    )
-    for party in range(1, n):
-        if party in result.outputs:
-            assert result.outputs[party] == expected
+    for backend in config.available_backends():
+        for plane in planes_for(t):
+            with config.use_backend(backend):
+                result = run_protocol(
+                    protocol, inputs, n=n, t=t, **PLANES[plane]()
+                )
+            # ``crashed``: party 1 is down in round 2, unheard then.
+            silent = {2: 1} if plane == "crashed" else {}
+            expected = tuple(
+                tuple(
+                    (sender, (sender, round_index))
+                    for sender in range(n)
+                    if silent.get(round_index) != sender
+                )
+                for round_index in range(3)
+            )
+            readers = set(result.outputs) - {0}
+            assert readers, (backend, plane)
+            for party in readers:
+                assert result.outputs[party] == expected, (backend, plane)
 
 
-@pytest.mark.parametrize("n,t", GRID)
+@pytest.mark.parametrize(
+    "n,t,plane", [(n, t, plane) for n, t in GRID for plane in planes_for(t)]
+)
 @pytest.mark.parametrize("backend", config.available_backends())
-def test_wal_forced_general_path_ignores_the_mark(backend, n, t):
+def test_marked_equals_unmarked_under_every_plane(backend, n, t, plane):
+    """Shared-broadcast delivery is a deliver-stage variant every
+    configuration takes; the bare run is the reference for the planes
+    that leave the execution alone."""
     with config.use_backend(backend):
-        fast = observe(probe(marked), n, t)
-        slow = observe(probe(marked), n, t, recovery=True)
-        slow_unmarked = observe(probe(unmarked), n, t, recovery=True)
-    assert slow == slow_unmarked
-    for key in ("outputs", "stats", "channel_trace", "counters"):
-        assert fast[key] == slow[key], key
-
-
-class OneCorrupted(PassiveAdversary):
-    """Leaves one unit of the shared ``t`` budget for a crash."""
-
-    def select_corruptions(self, n, t):
-        return {n - 1}
+        bare = observe(probe(marked), n, t)
+        armed = observe(probe(marked), n, t, trace=True, **PLANES[plane]())
+        armed_unmarked = observe(
+            probe(unmarked), n, t, trace=True, **PLANES[plane]()
+        )
+    assert armed == armed_unmarked
+    if plane == "crashed":
+        return  # a crash changes the execution; pinned below
+    keys = ["outputs", "channel_trace", "counters"]
+    if plane != "transport":
+        keys.append("stats")  # a transport adds acks and slots; see ledger
+    for key in keys:
+        assert bare[key] == armed[key], key
 
 
 @pytest.mark.parametrize("backend", config.available_backends())
@@ -247,17 +296,17 @@ def ledger(observed):
 
 
 @pytest.mark.parametrize("n,t", GRID)
-def test_general_path_fills_the_fast_paths_ledger(n, t):
+def test_armed_planes_fill_the_bare_runs_ledger(n, t):
     """Broadcast, bottom, king, ``distribute``-style and early-finisher
-    rounds: one pricing and one batched accounting for all three paths."""
-    fast = ledger(observe(probe(marked), n, t))
-    assert ledger(observe(probe(marked), n, t, recovery=True)) == fast
+    rounds: the WAL and a perfect transport leave the ledger alone."""
+    bare = ledger(observe(probe(marked), n, t))
+    assert ledger(observe(probe(marked), n, t, recovery=True)) == bare
     wired = ledger(observe(probe(marked), n, t, transport=LossyTransport()))
-    for name, value in fast.items():
+    for name, value in bare.items():
         if name not in TRANSPORT_FIELDS:
             assert wired[name] == value, name
-    assert wired["ack_messages"] == fast["honest_messages"]
-    assert wired["ack_bits"] == ACK_BITS * fast["honest_messages"]
+    assert wired["ack_messages"] == bare["honest_messages"]
+    assert wired["ack_bits"] == ACK_BITS * bare["honest_messages"]
     assert wired["transport_slots"] == (6 if n > 1 else 0)
 
 
@@ -287,7 +336,7 @@ def test_links_to_a_down_party_are_priced_but_not_synchronized():
     assert wired["transport_slots"] == 6
 
 
-# -- fast path vs general path ----------------------------------------------
+# -- arming a plane changes nothing ------------------------------------------
 
 PATH_GRID = [(4, 1), (7, 2), (10, 3)]
 
@@ -307,30 +356,33 @@ def _order_probe(ctx, v):
 
 @pytest.mark.parametrize("n,t", PATH_GRID)
 @pytest.mark.parametrize("backend", config.available_backends())
-def test_fast_path_inbox_order_matches_general_path(backend, n, t):
+def test_inbox_order_is_the_same_with_the_wal_armed(backend, n, t):
     with config.use_backend(backend):
         inputs = list(range(n))
-        fast = run_protocol(_order_probe, inputs, n=n, t=t)
-        slow = run_protocol(_order_probe, inputs, n=n, t=t, recovery=True)
+        bare = run_protocol(_order_probe, inputs, n=n, t=t)
+        armed = run_protocol(_order_probe, inputs, n=n, t=t, recovery=True)
     # The outputs ARE the observed insertion orders, per party per round.
-    assert fast.outputs == slow.outputs
-    assert _stats(fast) == _stats(slow)
+    assert bare.outputs == armed.outputs
+    assert _stats(bare) == _stats(armed)
 
 
 @pytest.mark.parametrize("n,t", PATH_GRID)
 @pytest.mark.parametrize("backend", config.available_backends())
-def test_fast_path_matches_general_path_full_protocol(backend, n, t):
+def test_full_protocol_is_the_same_with_the_wal_armed(backend, n, t):
     with config.use_backend(backend):
         inputs = make_inputs(n, 96, seed=3, spread="spread")
 
         def factory(ctx, v):
             return fixed_length_ca(ctx, v, 96)
 
-        fast = run_protocol(factory, inputs, n=n, t=t)
-        slow = run_protocol(factory, inputs, n=n, t=t, recovery=True)
-    assert fast.outputs == slow.outputs
-    assert fast.channel_trace == slow.channel_trace
-    assert _stats(fast) == _stats(slow)
+        bare = run_protocol(factory, inputs, n=n, t=t, trace=True)
+        armed = run_protocol(
+            factory, inputs, n=n, t=t, trace=True, recovery=True
+        )
+    assert bare.outputs == armed.outputs
+    assert bare.channel_trace == armed.channel_trace
+    assert bare.trace == armed.trace
+    assert _stats(bare) == _stats(armed)
 
 
 def _hoarder(ctx, value):
@@ -345,7 +397,7 @@ def _hoarder(ctx, value):
 @pytest.mark.parametrize("n,t", [(1, 0), (4, 1), (7, 2)])
 def test_a_kept_inbox_holds_its_own_rounds_payloads(n, t):
     """Observing a run must not change it: plain, traced, monitored and
-    general-path runs hand out inboxes nobody overwrites later."""
+    WAL-armed runs hand out inboxes nobody overwrites later."""
     # bytes inputs: the convex-validity monitor skips non-integer runs.
     inputs = [bytes([party]) for party in range(n)]
     expected = tuple(

@@ -3,12 +3,12 @@
 Two contracts under test:
 
 1. **Correctness neutrality**: every cache (execution-scoped RS-encode +
-   Merkle-forest memo, decode-matrix reuse, memoized ``wire_bits``) and
-   the zero-fault network fast path are byte-for-byte invisible --
-   identical outputs, ``CommunicationStats``, channel traces, and round
-   traces with the caches on or off, fast path or general path, honest
+   Merkle-forest memo, decode-matrix reuse, memoized ``wire_bits``) is
+   byte-for-byte invisible -- identical outputs, ``CommunicationStats``,
+   channel traces, and round traces with the caches on or off, honest
    or byzantine runs.  Byzantine garbage must never poison an honest
-   party's cache.
+   party's cache.  (That arming a network stage changes nothing is
+   ``tests/test_network_delivery.py``'s contract.)
 2. **Deterministic observability**: the operation counters are pure
    functions of the executed config (reproducible across runs once the
    process-level memos are cleared), and the ``repro profile`` document
@@ -80,29 +80,6 @@ def test_caches_neutral_under_byzantine_garbage():
     with config.caches(False):
         cold = _run_fixed(adversary=RandomGarbageAdversary(seed=11))
     assert _comparable(warm) == _comparable(cold)
-
-
-def test_fast_path_matches_general_path():
-    """recovery=True arms the WAL plane, forcing the general path."""
-    fast = _run_fixed()
-    slow = _run_fixed(recovery=True)
-    assert _comparable(fast) == _comparable(slow)
-
-
-def test_fast_path_flag():
-    from repro.sim.network import SynchronousNetwork
-
-    def factory(ctx, v):
-        return fixed_length_ca(ctx, v, 16)
-
-    inputs = make_inputs(4, 16, seed=0)
-    assert SynchronousNetwork(factory, inputs, n=4, t=1)._fast_path
-    assert not SynchronousNetwork(
-        factory, inputs, n=4, t=1, adversary=RandomGarbageAdversary(seed=0)
-    )._fast_path
-    assert not SynchronousNetwork(
-        factory, inputs, n=4, t=1, recovery=True
-    )._fast_path
 
 
 # -- cache poisoning -------------------------------------------------------
