@@ -41,36 +41,56 @@ from ..errors import CodingError
 from ..perf import config, counters
 
 
+def _memo(ctx: Context, key: tuple, compute, counter: str | None = None):
+    """``compute()``, remembered under ``key`` for this execution.
+
+    The one fork on :func:`repro.perf.config.caches_enabled`: off, every
+    call computes.  On, the result lives in ``ctx.cache`` -- one dict per
+    execution, shared by its ``n`` parties (they run in one process and
+    recompute the same pure functions of the same wire bytes), never by
+    two executions or two workers.  ``None`` means "nothing to remember"
+    and is never stored.  ``counter`` names the ``<counter>_hit`` /
+    ``<counter>_miss`` pair of the one memo that has one.
+
+    Callers build ``key`` only from values of exact builtin type
+    (``bytes``, ``int``, ``tuple`` of those): hashing and comparing such
+    a key runs no foreign code, so nothing a byzantine party sends is
+    ever hashed on its own terms, and whatever fails that test takes the
+    uncached path.
+    """
+    if not config.caches_enabled():
+        return compute()
+    entry = ctx.cache.get(key)
+    if counter is not None:
+        counters.bump(counter + ("_miss" if entry is None else "_hit"))
+    if entry is None:
+        entry = compute()
+        if entry is not None:
+            ctx.cache[key] = entry
+    return entry
+
+
 def _encode_and_build(
     ctx: Context, payload: bytes
 ) -> tuple[tuple[bytes, ...], bytes, tuple[merkle.MerkleWitness, ...]]:
     """Memoized ``RS.ENCODE`` + ``MT.BUILD`` of ``payload``.
 
     The encoding is a pure function of ``(n, k, kappa, payload)``, and the
-    CA stack recomputes it constantly: ``FindPrefix`` re-encodes the same
-    prefix across binary-search steps, and :func:`decode_with_check`
-    re-encodes every decoded value.  The memo lives in ``ctx.cache`` --
-    execution-scoped, never shared across parties or workers -- and maps a
-    payload to *its own* encoding only, so garbled byzantine inputs can
-    never poison an honest party's entry for a different payload.
+    CA stack recomputes it constantly: every party holding the agreed
+    value encodes it, ``FindPrefix`` re-encodes the same prefix across
+    binary-search steps, and :func:`decode_with_check` re-encodes every
+    decoded value.  An entry maps a payload to *its own* encoding only,
+    so garbled byzantine inputs can never poison the entry for a
+    different payload.
     """
-    if not config.caches_enabled():
-        code = rs_code(ctx.n, ctx.quorum)
-        shares = code.encode(payload)
+
+    def compute():
+        shares = rs_code(ctx.n, ctx.quorum).encode(payload)
         root, witnesses = merkle.build(ctx.kappa, shares)
         return tuple(shares), root, tuple(witnesses)
+
     key = ("rs+mt", ctx.n, ctx.quorum, ctx.kappa, payload)
-    hit = ctx.cache.get(key)
-    if hit is not None:
-        counters.bump("encode_cache_hit")
-        return hit
-    counters.bump("encode_cache_miss")
-    code = rs_code(ctx.n, ctx.quorum)
-    shares = code.encode(payload)
-    root, witnesses = merkle.build(ctx.kappa, shares)
-    entry = (tuple(shares), root, tuple(witnesses))
-    ctx.cache[key] = entry
-    return entry
+    return _memo(ctx, key, compute, counter="encode_cache")
 
 
 def encode_and_accumulate(
@@ -87,16 +107,47 @@ def encode_and_accumulate(
     return code, shares, root, witnesses
 
 
+def _plain_share_tuple(z_star, index, share, witness) -> bool:
+    """Whether every part is of exact builtin type (see :func:`_memo`)."""
+    return (
+        type(witness) is merkle.MerkleWitness
+        and type(z_star) is bytes
+        and type(index) is int
+        and type(share) is bytes
+        and type(witness.siblings) is tuple
+        and all(type(s) is bytes for s in witness.siblings)
+    )
+
+
 def valid_share_tuple(
     ctx: Context, z_star: bytes, index: int, message
 ) -> bool:
-    """Structural + Merkle validation of a ``(i, s_i, w_i)`` tuple."""
+    """Structural + Merkle validation of a ``(i, s_i, w_i)`` tuple.
+
+    All ``n`` parties check the same ``n`` forwarded tuples, so an
+    accepted ``(z*, i, s_i, w_i)`` is remembered and its hash chain runs
+    once per execution.  Successes only: a rejected tuple is re-checked
+    wherever it shows up, so junk never occupies the memo (at most ``n``
+    entries per agreed root).
+    """
     if not (isinstance(message, tuple) and len(message) == 3):
         return False
     i, share, witness = message
     if i != index or not isinstance(share, bytes) or not share:
         return False
-    return merkle.verify(ctx.kappa, z_star, i, share, witness)
+    kappa = ctx.kappa
+
+    def verified():
+        # None for a rejected tuple, which _memo does not remember.
+        return merkle.verify(kappa, z_star, i, share, witness) or None
+
+    if not (
+        merkle.well_formed(kappa, z_star, i, share, witness)
+        and _plain_share_tuple(z_star, i, share, witness)
+    ):
+        return verified() is True
+    key = ("mt.verify", kappa, z_star, i, share, witness.siblings)
+    return _memo(ctx, key, verified) is True
 
 
 def decode_with_check(
@@ -106,19 +157,35 @@ def decode_with_check(
 
     Returns the committed value iff ``z*`` commits a valid codeword
     vector and at least ``k`` of its codewords were collected; otherwise
-    ``None``.  Deterministic in ``(z*, collected)``.
+    ``None``.  Deterministic in ``(z*, collected)``, so the verdict --
+    decode, re-encode and root comparison together -- is computed once
+    per execution for each distinct share set.
     """
     code = rs_code(ctx.n, ctx.quorum)
     if len(collected) < code.k:
         return None
-    try:
-        value = code.decode(collected)
-    except CodingError:
-        return None
-    _, root, _ = _encode_and_build(ctx, value)
-    if root != z_star:
-        return None
-    return value
+
+    def compute():
+        try:
+            value = code.decode(collected)
+        except CodingError:
+            return (None,)
+        _, root, _ = _encode_and_build(ctx, value)
+        return (value if root == z_star else None,)
+
+    if not (
+        type(z_star) is bytes
+        and all(
+            type(i) is int and type(share) is bytes
+            for i, share in collected.items()
+        )
+    ):
+        return compute()[0]
+    key = (
+        "rs.decode", ctx.n, code.k, ctx.kappa, z_star,
+        tuple(sorted(collected.items())),
+    )
+    return _memo(ctx, key, compute)[0]
 
 
 def distribute(

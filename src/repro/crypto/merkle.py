@@ -29,7 +29,7 @@ from ..perf import config, counters
 from ..sim.sizing import WireSized, memoized_wire_bits
 from .hashing import digest_size_bytes, hash_leaves, hash_pair_level
 
-__all__ = ["MerkleWitness", "build", "verify", "witness_bits"]
+__all__ = ["MerkleWitness", "build", "verify", "well_formed", "witness_bits"]
 
 _LEAF_TAG = b"\x00"
 _NODE_TAG = b"\x01"
@@ -163,11 +163,12 @@ def build(
     return levels[-1][0], witnesses
 
 
-def verify(
+def well_formed(
     kappa: int, root: bytes, index: int, leaf: bytes, witness: MerkleWitness
 ) -> bool:
-    """``MT.VERIFY(z, i, s_i, w_i)``; byzantine-proof (never raises)."""
-    counters.bump("merkle_verify")
+    """The structural half of :func:`verify`: everything it tests before
+    hashing.  Hashes nothing, never raises, and calls no method of an
+    argument that fails an earlier test."""
     if not isinstance(witness, MerkleWitness):
         return False
     if not isinstance(root, bytes) or not isinstance(leaf, bytes):
@@ -185,9 +186,16 @@ def verify(
         not isinstance(s, bytes) or len(s) != size for s in witness.siblings
     ):
         return False
-    if index >= (1 << len(witness.siblings)):
-        return False
+    return index < (1 << len(witness.siblings))
 
+
+def verify(
+    kappa: int, root: bytes, index: int, leaf: bytes, witness: MerkleWitness
+) -> bool:
+    """``MT.VERIFY(z, i, s_i, w_i)``; byzantine-proof (never raises)."""
+    counters.bump("merkle_verify")
+    if not well_formed(kappa, root, index, leaf, witness):
+        return False
     node = _leaf_hash(kappa, leaf)
     position = index
     for sibling in witness.siblings:

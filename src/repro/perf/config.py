@@ -9,10 +9,14 @@ so benchmarks can quantify what each layer buys.
 
 **Caches** (:func:`caches_enabled` / :func:`set_caches_enabled`):
 
-* the per-party RS-encode + Merkle-forest memo
-  (:func:`repro.ba.distribution.encode_and_accumulate` /
-  ``decode_with_check``), keyed by ``(n, k, kappa, payload)`` and stored
-  on the execution-scoped :attr:`repro.sim.party.Context.cache`;
+* the kernel memo of :mod:`repro.ba.distribution`, one dict per
+  execution on :attr:`repro.sim.party.Context.cache`, shared by that
+  execution's ``n`` parties: RS-encode + Merkle-forest keyed by
+  ``(n, k, kappa, payload)``, accepted Merkle paths keyed by
+  ``(kappa, z*, i, share, siblings)`` (successes only), and the
+  ``decode_with_check`` verdict keyed by ``(n, k, kappa, z*, shares)``
+  -- each distinct input is computed once per execution, not once per
+  party;
 * the inverted-Vandermonde decode-matrix reuse in
   :meth:`repro.coding.reed_solomon.ReedSolomonCode.decode`, a
   process-wide memo keyed by the *full* code parameters

@@ -263,9 +263,12 @@ def check_counters(
     mismatch, a profiled config absent from the baseline) and should
     fail CI; *notes* are strict improvements (counters below baseline),
     which mean the committed baseline is stale and should be refreshed.
-    Baseline configs the new run skipped are also notes: the committed
-    baseline covers the *full* battery while the CI gate runs the
-    ``--quick`` subset of it.
+    A ``*_hit`` counter is a note in either direction: hits are calls
+    minus misses, so they rise when a memo gets better and fall when a
+    caller stops asking, and the work is gated by the miss and operation
+    counters beside them.  Baseline configs the new run skipped are also
+    notes: the committed baseline covers the *full* battery while the CI
+    gate runs the ``--quick`` subset of it.
     """
     errors: list[str] = []
     notes: list[str] = []
@@ -288,7 +291,12 @@ def check_counters(
         for name in sorted(set(new_counts) | set(base_counts)):
             after = new_counts.get(name, 0)
             before = base_counts.get(name, 0)
-            if after > before:
+            if after != before and name.endswith("_hit"):
+                notes.append(
+                    f"{key}: counter {name} moved {before} -> {after} "
+                    "(refresh the committed baseline)"
+                )
+            elif after > before:
                 errors.append(
                     f"{key}: counter {name} regressed {before} -> {after}"
                 )

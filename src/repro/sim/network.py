@@ -249,6 +249,9 @@ class SynchronousNetwork:
             windows = self._declared_crashes.setdefault(event.down, {})
             windows[event.party] = event.up
         crash_plane = getattr(self.adversary, "has_crash_plane", False)
+        # This execution's ``Context.cache``: one dict for the n parties
+        # and any WAL-replayed incarnation of them.
+        cache: dict = {}
         self._recovery = (
             RecoveryManager(
                 protocol_factory,
@@ -257,6 +260,7 @@ class SynchronousNetwork:
                 t,
                 kappa,
                 recovery if isinstance(recovery, RecoveryConfig) else None,
+                cache,
             )
             if recovery or declared or crash_plane
             else None
@@ -301,7 +305,7 @@ class SynchronousNetwork:
         self.clipped_corruptions: list[tuple[int, int]] = []
         self._states: dict[int, _PartyState] = {}
         for party in range(n):
-            ctx = Context(party_id=party, n=n, t=t, kappa=kappa)
+            ctx = Context(party_id=party, n=n, t=t, kappa=kappa, cache=cache)
             gen = protocol_factory(ctx, self.inputs[party])
             self._states[party] = _PartyState(generator=gen)
         #: next round the scheduler will attempt (stepping API state).

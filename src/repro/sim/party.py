@@ -69,9 +69,13 @@ class Context:
         t: Maximum number of corruptions tolerated; ``t < n/3``.
         kappa: Security parameter -- output length of ``H_kappa`` in bits.
         cache: Execution-scoped memo space for pure recomputations
-            (RS encodings, Merkle forests).  Excluded from equality and
-            repr; each party gets a fresh dict per execution, so entries
-            never leak across parties, executions, or worker processes.
+            (RS encodings with their Merkle forests, accepted Merkle
+            paths, decode verdicts).  The network creates one dict per
+            execution and hands it to all ``n`` contexts, replayed
+            parties included, so what one party computed the others
+            reuse; a context built on its own gets a fresh dict.
+            Entries never cross executions or worker processes.
+            Excluded from equality and repr.
     """
 
     party_id: int

@@ -219,6 +219,7 @@ class RecoveryManager:
         t: int,
         kappa: int,
         config: RecoveryConfig | None = None,
+        cache: dict | None = None,
     ) -> None:
         self.protocol_factory = protocol_factory
         self.inputs = dict(inputs)
@@ -226,6 +227,8 @@ class RecoveryManager:
         self.t = t
         self.kappa = kappa
         self.config = config or RecoveryConfig()
+        #: the execution's :attr:`Context.cache`, handed to replays.
+        self.cache: dict = {} if cache is None else cache
         self.wals: dict[int, WriteAheadLog] = {
             party: WriteAheadLog(self.config.checkpoint_interval)
             for party in range(n)
@@ -293,7 +296,10 @@ class RecoveryManager:
                     stats.retrans_messages += entry.redelivery_messages
         self.recoveries += 1
 
-        ctx = Context(party_id=party, n=self.n, t=self.t, kappa=self.kappa)
+        ctx = Context(
+            party_id=party, n=self.n, t=self.t, kappa=self.kappa,
+            cache=self.cache,
+        )
         generator = self.protocol_factory(ctx, self.inputs[party])
 
         feed: list[tuple[dict[int, Any], str | None]] = [
