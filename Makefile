@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench perfbench perfbench-test examples report quick-report clean
+.PHONY: install test bench perfbench perfbench-test perfbench-pairs examples report quick-report clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -20,6 +20,14 @@ perfbench:
 # Its plumbing checks (--smoke runs, a few seconds).
 perfbench-test:
 	$(PYTHON) -m pytest perfbench/tests -q
+
+# Alternating pairs against another revision, the way a gain is claimed:
+#   make perfbench-pairs BASE=<rev> WORKLOAD=<name> [SEED=0] [PAIRS=10]
+SEED ?= 0
+PAIRS ?= 10
+perfbench-pairs:
+	$(PYTHON) benchmarks/perfbench_pairs.py --base $(BASE) \
+		--workload $(WORKLOAD) --seed $(SEED) --pairs $(PAIRS)
 
 examples:
 	@set -e; for script in examples/*.py; do \

@@ -14,8 +14,10 @@ module implements on an immutable :class:`BitString` value type:
 
 A :class:`BitString` is stored as ``(value, length)`` -- a Python int plus
 an explicit bit length -- so prefixes, concatenation and comparisons are
-O(1)-ish big-int operations rather than per-bit loops, which matters for
-the very-long-input benchmarks (``l`` up to hundreds of kilobits).
+single big-int operations rather than per-bit loops.  Each is still
+``O(length)`` (a slice ``O(min(stop, length - start) + width)``), which
+is what callers holding megabit values count: see "Local cost of the
+l-bit value" in ``docs/performance.md``.
 """
 
 from __future__ import annotations
@@ -118,9 +120,15 @@ class BitString(WireSized):
             if stop <= start:
                 return BitString.empty()
             width = stop - start
-            shifted = self.value >> (self.length - stop)
-            if start:  # a prefix is already < 2^width: nothing to mask off
-                shifted &= (1 << width) - 1
+            tail = self.length - start
+            if start and tail < stop:
+                # the tail is the shorter side: drop the head first, so
+                # the shift moves tail bits rather than stop bits
+                shifted = (self.value & ((1 << tail) - 1)) >> (tail - width)
+            else:
+                shifted = self.value >> (self.length - stop)
+                if start:  # a prefix is already < 2^width: no mask
+                    shifted &= (1 << width) - 1
             return BitString(shifted, width)
         if index < 0:
             index += self.length
@@ -200,8 +208,8 @@ class BitString(WireSized):
             raise ValueError("bitstring wire data too short")
         length = int.from_bytes(data[:_LENGTH_HEADER_BYTES], "big")
         payload = data[_LENGTH_HEADER_BYTES:]
-        if len(payload) < max(1, (length + 7) // 8):
-            raise ValueError("bitstring wire payload truncated")
+        if len(payload) != max(1, (length + 7) // 8):
+            raise ValueError("bitstring wire payload is not canonical")
         value = int.from_bytes(payload, "big")
         if value.bit_length() > length:
             raise ValueError("bitstring wire payload has stray high bits")

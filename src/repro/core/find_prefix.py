@@ -81,24 +81,25 @@ def find_prefix(
         raise ValueError(
             f"unit_bits={unit_bits} must divide ell={ell}"
         )
-    if not 0 <= v_in < (1 << ell):
+    if v_in < 0 or v_in.bit_length() > ell:
         raise ValueError(f"input {v_in} is not a valid {ell}-bit value")
 
     num_units = ell // unit_bits
     left, right = 1, num_units + 1
     v = v_in
     v_bot = v_in
-    prefix = BitString.empty()
+    prefix_len = 0  # Lemma 1(i): PREFIX* is BITS_l(v)'s first prefix_len bits
     iteration = 0
 
     while left != right:
         mid = (left + right) // 2
         bits = bits_fixed(v, ell)
-        segment = bits[(left - 1) * unit_bits: mid * unit_bits]
+        segment = bits[prefix_len: mid * unit_bits]
+        payload = segment.to_wire_bytes()
 
         agreed_bytes = yield from ext_ba_plus(
             ctx,
-            segment.to_wire_bytes(),
+            payload,
             channel=f"{channel}/i{iteration}",
             ba=ba,
         )
@@ -111,30 +112,37 @@ def find_prefix(
         else:
             # Intrusion Tolerance: the agreed segment is an honest
             # party's segment, hence well-formed and of the right size.
-            try:
-                agreed = BitString.from_wire_bytes(agreed_bytes)
-            except ValueError as exc:
-                raise ProtocolViolation(
-                    "PI_lBA+ returned an unparsable segment despite "
-                    "Intrusion Tolerance"
-                ) from exc
-            if agreed.length != segment.length:
-                raise ProtocolViolation(
-                    f"PI_lBA+ returned {agreed.length} bits, expected "
-                    f"{segment.length}"
-                )
-            new_prefix = prefix.concat(agreed)
-            head = bits.prefix(mid * unit_bits)
-            # Remark 2: parties on the wrong side of PREFIX* snap to the
-            # nearest value with the agreed prefix, staying in the hull.
-            if head.value < new_prefix.value:
-                v = new_prefix.min_fill(ell)
-            elif head.value > new_prefix.value:
-                v = new_prefix.max_fill(ell)
-            prefix = new_prefix
+            # The wire format is canonical, so the party's own bytes are
+            # its own segment and leave v as it is; any other reply is
+            # parsed and checked.
+            if agreed_bytes != payload:
+                try:
+                    agreed = BitString.from_wire_bytes(agreed_bytes)
+                except ValueError as exc:
+                    raise ProtocolViolation(
+                        "PI_lBA+ returned an unparsable segment despite "
+                        "Intrusion Tolerance"
+                    ) from exc
+                if agreed.length != segment.length:
+                    raise ProtocolViolation(
+                        f"PI_lBA+ returned {agreed.length} bits, expected "
+                        f"{segment.length}"
+                    )
+                # Remark 2: parties on the wrong side of PREFIX* snap to
+                # the nearest value with the agreed prefix, staying in
+                # the hull.  Both segments continue the one PREFIX* at
+                # equal length, so they compare as v's head and the new
+                # prefix do.
+                new_prefix = bits.prefix(prefix_len).concat(agreed)
+                if segment.value < agreed.value:
+                    v = new_prefix.min_fill(ell)
+                elif segment.value > agreed.value:
+                    v = new_prefix.max_fill(ell)
+            prefix_len = mid * unit_bits
             left = mid + 1
         iteration += 1
 
+    prefix = bits_fixed(v, ell).prefix(prefix_len)
     return PrefixResult(prefix=prefix, v=v, v_bot=v_bot)
 
 

@@ -44,13 +44,12 @@ def get_output(
         raise ValueError(
             f"prefix length {prefix.length} out of range for ell={ell}"
         )
-    lower = prefix.min_fill(ell)
-    upper = prefix.max_fill(ell)
-
     # Lines 1-3: witnesses announce which side of the prefix they sit on.
-    mine = bits_fixed(v_bot, ell)
-    if not mine.has_prefix(prefix):
-        my_bit = 0 if v_bot < lower else 1
+    # A value that does not extend the prefix lies below MIN_l(prefix)
+    # exactly when its own first |prefix| bits read lower than the prefix.
+    head = bits_fixed(v_bot, ell).prefix(prefix.length)
+    if head != prefix:
+        my_bit = 0 if head.value < prefix.value else 1
         inbox = yield from broadcast_round(ctx, f"{channel}/announce", my_bit)
     else:
         inbox = yield from exchange(f"{channel}/announce", {})
@@ -74,4 +73,4 @@ def get_output(
 
     # Line 5: agree on the choice.
     agreed = yield from ba(ctx, choice, BIT_DOMAIN, channel=f"{channel}/ba")
-    return lower if agreed == 0 else upper
+    return prefix.min_fill(ell) if agreed == 0 else prefix.max_fill(ell)

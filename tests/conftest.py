@@ -7,6 +7,11 @@ import random
 import pytest
 
 from repro.ba.domains import canonical_key
+from repro.ba.ext_ba_plus import ext_ba_plus
+from repro.ba.phase_king import phase_king
+from repro.core.bitstrings import BitString, bits_fixed
+from repro.core.find_prefix import PrefixResult
+from repro.errors import ProtocolViolation
 from repro.sim import ACK_BITS, TransportTimeout, run_protocol
 from repro.sim.adversary import standard_adversary_suite
 
@@ -223,3 +228,77 @@ def oracle_synchronize(transport, round_index, link_bits, stats):
     )
     timeout.pending = pending
     raise timeout
+
+
+# ---------------------------------------------------------------------------
+# Reference FindPrefix: the loop as it shipped before it carried PREFIX*
+# as a length -- the prefix rebuilt with ``concat`` every iteration, heads
+# compared instead of segments, every reply parsed -- kept verbatim as a
+# differential oracle (tests/test_find_prefix.py::TestMatchesOracle).
+# Retires with the three oracles above (ROADMAP item 3).
+# ---------------------------------------------------------------------------
+
+
+def oracle_find_prefix(ctx, v_in, ell, unit_bits=1, channel="fp", ba=phase_king):
+    ctx.require_resilience(3)
+    if ell <= 0:
+        raise ValueError(f"ell must be positive, got {ell}")
+    if ell % unit_bits:
+        raise ValueError(
+            f"unit_bits={unit_bits} must divide ell={ell}"
+        )
+    if not 0 <= v_in < (1 << ell):
+        raise ValueError(f"input {v_in} is not a valid {ell}-bit value")
+
+    num_units = ell // unit_bits
+    left, right = 1, num_units + 1
+    v = v_in
+    v_bot = v_in
+    prefix = BitString.empty()
+    iteration = 0
+
+    while left != right:
+        mid = (left + right) // 2
+        bits = bits_fixed(v, ell)
+        segment = bits[(left - 1) * unit_bits: mid * unit_bits]
+
+        agreed_bytes = yield from ext_ba_plus(
+            ctx,
+            segment.to_wire_bytes(),
+            channel=f"{channel}/i{iteration}",
+            ba=ba,
+        )
+
+        if agreed_bytes is None:
+            # Bottom: fewer than n - 2t honest parties share this
+            # segment; v becomes the avoidance witness v_bot.
+            v_bot = v
+            right = mid
+        else:
+            # Intrusion Tolerance: the agreed segment is an honest
+            # party's segment, hence well-formed and of the right size.
+            try:
+                agreed = BitString.from_wire_bytes(agreed_bytes)
+            except ValueError as exc:
+                raise ProtocolViolation(
+                    "PI_lBA+ returned an unparsable segment despite "
+                    "Intrusion Tolerance"
+                ) from exc
+            if agreed.length != segment.length:
+                raise ProtocolViolation(
+                    f"PI_lBA+ returned {agreed.length} bits, expected "
+                    f"{segment.length}"
+                )
+            new_prefix = prefix.concat(agreed)
+            head = bits.prefix(mid * unit_bits)
+            # Remark 2: parties on the wrong side of PREFIX* snap to the
+            # nearest value with the agreed prefix, staying in the hull.
+            if head.value < new_prefix.value:
+                v = new_prefix.min_fill(ell)
+            elif head.value > new_prefix.value:
+                v = new_prefix.max_fill(ell)
+            prefix = new_prefix
+            left = mid + 1
+        iteration += 1
+
+    return PrefixResult(prefix=prefix, v=v, v_bot=v_bot)

@@ -158,17 +158,43 @@ class TestIndexing:
         cut = data.draw(st.integers(min_value=0, max_value=len(bs)))
         assert bs.prefix(cut).concat(bs.suffix_from(cut)) == bs
 
-    @given(naturals, st.integers(min_value=0, max_value=8), st.data())
+    @given(
+        st.integers(min_value=0, max_value=(1 << 300) - 1),
+        st.integers(min_value=0, max_value=8),
+        st.data(),
+    )
     def test_prefix_shortcut_matches_general_slice(self, v, pad, data):
-        """A slice from bit 0 skips the mask; it must equal the same
-        bits taken through the masked path (the string shifted right by
-        one guard bit, sliced at 1) and the per-bit definition."""
+        """``__getitem__`` has three branches -- a slice from bit 0 skips
+        the mask, a slice whose tail is the shorter side masks the head
+        off before shifting, the rest shift and then mask -- and every
+        one must read the same bits as the per-bit definition."""
         bs = bits_fixed(v, v.bit_length() + pad)   # leading zeros too
         k = data.draw(st.integers(min_value=0, max_value=len(bs)))
         general = (BitString(1, 1) + bs)[1:1 + k]
         assert bs[:k] == bs.prefix(k) == general
-        assert bs[:k] == BitString.from_bits(bs.bits()[:k])
         assert len(bs[:k]) == k
+        a = data.draw(st.integers(min_value=0, max_value=len(bs)))
+        c = data.draw(st.integers(min_value=a, max_value=len(bs)))
+        for lo, hi in ((0, k), (a, c), (k, len(bs))):
+            assert bs[lo:hi] == BitString.from_bits(bs.bits()[lo:hi])
+
+    def test_slice_both_sides_of_the_shorter_tail_line(self):
+        """One 2^16-bit value, cut where ``length - start < stop`` flips:
+        the branches agree with each other and with a rebuild from the
+        three pieces."""
+        length = 1 << 16
+        bs = BitString(int.from_bytes(bytes(range(256)) * 32, "big"), length)
+        for start, stop in [
+            (1, length - 1),             # tail longer by one: shift, mask
+            (1, length),                 # tail shorter by one: mask, shift
+            (length // 2, length // 2 + 1337),      # tail == stop - 1337
+            (length // 2 - 700, length // 2 + 637),  # just on the other side
+            (length - 1337, length), (3, 1340), (0, length),
+        ]:
+            piece = bs[start:stop]
+            assert len(piece) == stop - start
+            assert bs[:start] + piece + bs[stop:] == bs
+            assert piece.value == (bs.value >> (length - stop)) % (1 << (stop - start))
 
 
 class TestAlgebra:
@@ -264,6 +290,46 @@ class TestWire:
     def test_wire_empty(self):
         empty = BitString.empty()
         assert BitString.from_wire_bytes(empty.to_wire_bytes()) == empty
+
+    def test_wire_rejects_trailing_bytes(self):
+        """A trailing byte must not silently become part of the value."""
+        data = BitString(5, 11).to_wire_bytes()
+        with pytest.raises(ValueError):
+            BitString.from_wire_bytes(data + b"\x00")
+
+    def test_wire_rejects_leading_padding(self):
+        """Zero bytes between header and payload do not name the same
+        segment a second time."""
+        data = BitString(5, 11).to_wire_bytes()
+        with pytest.raises(ValueError):
+            BitString.from_wire_bytes(data[:4] + b"\x00\x00" + data[4:])
+
+    @given(st.one_of(
+        st.binary(max_size=12),
+        # an honest encoding with bytes spliced in after the header and
+        # at the end, so that a good share of the draws parse
+        st.builds(
+            lambda bs, head, tail: (
+                bs.to_wire_bytes()[:4] + head + bs.to_wire_bytes()[4:] + tail
+            ),
+            st.integers(min_value=0, max_value=40).flatmap(
+                lambda length: st.builds(
+                    BitString,
+                    st.integers(min_value=0, max_value=(1 << length) - 1),
+                    st.just(length),
+                )
+            ),
+            st.binary(max_size=2), st.binary(max_size=2),
+        ),
+    ))
+    def test_wire_is_canonical(self, data):
+        """Any bytes that parse re-serialise to themselves, so wire
+        equality is value equality."""
+        try:
+            parsed = BitString.from_wire_bytes(data)
+        except ValueError:
+            return
+        assert parsed.to_wire_bytes() == data
 
 
 class TestRepr:

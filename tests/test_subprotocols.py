@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core.add_last import add_last_bit, add_last_block
 from repro.core.bitstrings import BitString, bits_fixed
@@ -185,3 +186,31 @@ class TestGetOutput:
             next(get_output(ctx, BitString.empty(), 0, 8))
         with pytest.raises(ValueError):
             next(get_output(ctx, BitString.from_str("101010101"), 0, 8))
+
+    @given(st.data())
+    def test_witness_test_reads_the_head_only(self, data):
+        """``get_output`` decides "witness?" and "which side?" from the
+        first ``|prefix|`` bits of ``v_bot``; that is the same verdict as
+        ``has_prefix`` and the full-width comparisons with ``MIN_l`` /
+        ``MAX_l`` of the prefix."""
+        ell = data.draw(st.integers(min_value=1, max_value=200), label="ell")
+        k = data.draw(st.integers(min_value=1, max_value=ell), label="|prefix|")
+        prefix = BitString(
+            data.draw(st.integers(min_value=0, max_value=(1 << k) - 1)), k
+        )
+        top = (1 << ell) - 1
+        # half the draws sit at the ends of the prefix's interval, where
+        # the verdict flips
+        near_an_end = st.builds(
+            lambda end, d: min(max(end + d, 0), top),
+            st.sampled_from([prefix.min_fill(ell), prefix.max_fill(ell)]),
+            st.integers(min_value=-2, max_value=2),
+        )
+        v_bot = data.draw(
+            st.one_of(st.integers(min_value=0, max_value=top), near_an_end),
+            label="v_bot",
+        )
+        head = bits_fixed(v_bot, ell).prefix(k)
+        assert (head != prefix) == (not bits_fixed(v_bot, ell).has_prefix(prefix))
+        assert (head.value < prefix.value) == (v_bot < prefix.min_fill(ell))
+        assert (head.value > prefix.value) == (v_bot > prefix.max_fill(ell))
