@@ -163,10 +163,16 @@ def build_parser() -> argparse.ArgumentParser:
                       help="replay budget per shrink")
     fuzz.add_argument("--workers", default="1",
                       help="worker processes: a count, or 'auto' for all "
-                           "cpus (the report is identical regardless)")
+                           "cpus (one executor at any count; the report "
+                           "is byte-identical across counts when no "
+                           "engine incident -- timeout, lost worker -- "
+                           "fired)")
     fuzz.add_argument("--case-timeout", type=float, default=None,
-                      help="per-case wall-clock budget in seconds; an "
-                           "over-budget case becomes a recorded failure")
+                      help="per-case wall-clock budget in seconds, at any "
+                           "worker count; an over-budget case is retried "
+                           "once, then becomes a recorded ExecutionEngine "
+                           "failure (an engine incident, never a verdict "
+                           "about the protocol)")
     fuzz.add_argument("--crash", action="store_true",
                       help="also sample the resilience planes: lossy "
                            "honest links (drop/delay/reorder under the "
@@ -254,10 +260,16 @@ def build_parser() -> argparse.ArgumentParser:
                         help="ddmin-shrink violating cases before "
                              "archiving (slow)")
     search.add_argument("--workers", default="1",
-                        help="worker processes (or 'auto'); campaign "
-                             "content is identical for any value")
+                        help="worker processes (or 'auto'); one executor "
+                             "at any count, and campaign content is "
+                             "byte-identical across counts when no engine "
+                             "incident -- timeout, lost worker -- fired")
     search.add_argument("--case-timeout", type=float, default=None,
-                        help="per-case wall-clock budget in seconds")
+                        help="per-case wall-clock budget in seconds, at "
+                             "any worker count; an over-budget case is "
+                             "retried once, then journaled as an "
+                             "ExecutionEngine incident (fitness 0, never "
+                             "a violation)")
     search.add_argument("--stop-on-violation", action="store_true",
                         help="end the campaign at the first batch with a "
                              "genuine violation")

@@ -104,8 +104,7 @@ class BinaryField:
         exp[self.mul_group_order:] = exp[: self.mul_group_order]
         self._exp_list = exp
         self._log_list = log
-        self._exp = None  # numpy views, built on demand
-        self._log = None
+        self._tables = None  # numpy (exp, log) views, built on demand
 
     def _numpy_tables(self):
         """Zero-sentinel ``(exp, log)`` tables (numpy backend only).
@@ -115,14 +114,19 @@ class BinaryField:
         ``2 log[0] = 4(q-1)``: ``exp[log a + log b]`` is already 0 when
         an operand is 0, so no kernel masks anything.  Logs are ``intp``
         (the sentinel needs 18 bits, and ``take`` indexes in ``intp``).
+
+        Built in locals and published in one store: the first build may
+        run inside a timed case, and an alarm that lands mid-build must
+        leave the field unbuilt, not half-built for the process's life.
         """
-        if self._exp is None:
+        if self._tables is None:
             sentinel = 2 * self.mul_group_order
-            self._exp = np.zeros(2 * sentinel + 1, dtype=np.uint16)
-            self._exp[:sentinel] = self._exp_list
-            self._log = np.array(self._log_list, dtype=np.intp)
-            self._log[0] = sentinel
-        return self._exp, self._log
+            exp = np.zeros(2 * sentinel + 1, dtype=np.uint16)
+            exp[:sentinel] = self._exp_list
+            log = np.array(self._log_list, dtype=np.intp)
+            log[0] = sentinel
+            self._tables = exp, log
+        return self._tables
 
     # -- scalar ops -------------------------------------------------------
     def add(self, a: int, b: int) -> int:

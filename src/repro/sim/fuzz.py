@@ -25,9 +25,13 @@ Every step is deterministic in the top-level seed: the same seed yields
 the same campaign, the same failures, and the same shrunk artifacts.
 Case ``i`` is seeded with ``H(campaign_seed, i)``
 (:func:`repro.sim.parallel.derive_seed`), never with a position in a
-shared RNG stream -- so campaigns fan out over worker processes
-(``workers > 1``) and still produce **byte-identical** reports and
-repro artifacts to a serial run.
+shared RNG stream, and every campaign -- :func:`fuzz` here, the search
+of :mod:`repro.sim.search` -- samples its cases in the parent and runs
+them through one executor, :func:`execute_cases`, which is
+:func:`repro.sim.parallel.run_many` at every worker count.  Serial is
+that engine with one worker, so reports and repro artifacts are
+**byte-identical** across worker counts by construction; a timeout or a
+lost worker is an ``ExecutionEngine`` incident, never a verdict.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ import math
 import os
 import random
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field, fields as dataclass_fields, replace
 from fractions import Fraction
 from typing import Any, Callable
@@ -89,10 +94,12 @@ __all__ = [
     "FuzzReport",
     "standard_registry",
     "sample_faults",
+    "sample_case_in",
     "sample_case",
     "sample_case_at",
     "run_case",
     "run_case_ex",
+    "execute_cases",
     "shrink_failure",
     "failure_to_artifact",
     "save_artifact",
@@ -400,9 +407,8 @@ def sample_faults(
 ) -> FaultSpec:
     """Draw one :class:`FaultSpec` from the campaign distribution.
 
-    Shared by :func:`sample_case` and the adversary-search engine's
-    fresh-case synthesis (:mod:`repro.sim.search`); the draw order is
-    part of the campaign determinism contract and must not change.
+    Called by :func:`sample_case_in`; the draw order is part of the
+    campaign determinism contract and must not change.
     """
     drop = rng.choice(_FAULT_RATES)
     duplicate = rng.choice(_FAULT_RATES)
@@ -467,14 +473,21 @@ def sample_faults(
     )
 
 
-def sample_case(
+def sample_case_in(
     rng: random.Random,
-    registry: dict[str, ProtocolSpec],
+    protocol: str,
+    n: int,
+    t: int,
+    ell: int,
     crash: bool = False,
     partition: bool = False,
     bombs: bool = False,
 ) -> FuzzCase:
-    """Draw one chaos configuration from the campaign distribution.
+    """Draw one chaos configuration at fixed ``(protocol, n, t, ell)``.
+
+    Everything below the axes, for :func:`sample_case` (which draws
+    them first) and the adversary search (whose bandit picks them).
+    The order of the draws is a wire format: journals are keyed on it.
 
     ``crash=True`` additionally samples the resilience-plane axes:
     honest-link drop/delay/reorder rates (realised by a
@@ -493,11 +506,6 @@ def sample_case(
     bomb draws come *after* every pre-existing draw -- including the
     case seed -- so ``bombs=False`` campaigns are untouched.
     """
-    name = rng.choice(sorted(registry))
-    spec = registry[name]
-    n = rng.choice((4, 5, 6, 7))
-    t = rng.randint(1, max(1, (n - 1) // 3))
-    ell = spec.ell_for(n, rng.choice((8, 16, 32, 64, 128)))
     count = rng.randint(1, 3)
     adversaries = tuple(
         rng.choice(sorted(ADVERSARY_CATALOG)) for _ in range(count)
@@ -505,15 +513,13 @@ def sample_case(
     faults = sample_faults(rng, n, t, crash=crash, partition=partition)
     spread = rng.choice(_SPREADS)
     case_seed = rng.getrandbits(32)
-    guards = False
     if bombs:
-        guards = True
         extra = rng.randint(1, 2)
         adversaries = adversaries + tuple(
             rng.choice(sorted(BOMB_CATALOG)) for _ in range(extra)
         )
     return FuzzCase(
-        protocol=name,
+        protocol=protocol,
         n=n,
         t=t,
         ell=ell,
@@ -522,8 +528,27 @@ def sample_case(
         adversaries=adversaries,
         faults=faults,
         seed=case_seed,
-        guards=guards,
+        guards=bombs,
     )
+
+
+def sample_case(
+    rng: random.Random,
+    registry: dict[str, ProtocolSpec],
+    crash: bool = False,
+    partition: bool = False,
+    bombs: bool = False,
+) -> FuzzCase:
+    """Draw one chaos configuration from the campaign distribution.
+
+    Picks ``(protocol, n, t, ell)`` and leaves the rest -- and the
+    meaning of the plane flags -- to :func:`sample_case_in`.
+    """
+    name = rng.choice(sorted(registry))
+    n = rng.choice((4, 5, 6, 7))
+    t = rng.randint(1, max(1, (n - 1) // 3))
+    ell = registry[name].ell_for(n, rng.choice((8, 16, 32, 64, 128)))
+    return sample_case_in(rng, name, n, t, ell, crash, partition, bombs)
 
 
 def sample_case_at(
@@ -930,6 +955,19 @@ class CaseStats:
         )
 
 
+def _violation_kind(error: Exception) -> str:
+    """The failure kind a campaign files, the shrinker compares against
+    and a replay reproduces for an execution's exception."""
+    if isinstance(error, HonestPartyError):
+        # the no-crash meta-invariant: byzantine input must never crash
+        # honest protocol code.  A first-class failure kind, shrinkable
+        # like any monitor violation and never budgeted.
+        return "HonestPartyError"
+    if isinstance(error, ProtocolViolation):
+        return error.monitor or "ProtocolViolation"
+    return "SimulationError"
+
+
 def run_case_ex(
     case: FuzzCase, registry: dict[str, ProtocolSpec] | None = None
 ) -> tuple["FuzzFailure | None", CaseStats]:
@@ -945,37 +983,10 @@ def run_case_ex(
     with perf_counters.capture() as captured:
         try:
             result = _execute(case, spec, inputs, adversary)
-        except HonestPartyError as error:
-            # the no-crash meta-invariant: byzantine input must never
-            # crash honest protocol code.  A first-class failure kind,
-            # shrinkable like any monitor violation and never budgeted.
+        except (HonestPartyError, ProtocolViolation, SimulationError) as error:
             return FuzzFailure(
                 case=case,
-                kind="HonestPartyError",
-                message=str(error),
-                inputs=inputs,
-                initial_corruptions=set(adversary.initial_corruptions),
-                script=dict(adversary.script),
-                adapt_schedule=list(adversary.adapt_schedule),
-                crash_schedule=list(adversary.crash_schedule),
-                original_script_size=len(adversary.script),
-            ), stats
-        except ProtocolViolation as violation:
-            return FuzzFailure(
-                case=case,
-                kind=violation.monitor or "ProtocolViolation",
-                message=str(violation),
-                inputs=inputs,
-                initial_corruptions=set(adversary.initial_corruptions),
-                script=dict(adversary.script),
-                adapt_schedule=list(adversary.adapt_schedule),
-                crash_schedule=list(adversary.crash_schedule),
-                original_script_size=len(adversary.script),
-            ), stats
-        except SimulationError as error:
-            return FuzzFailure(
-                case=case,
-                kind="SimulationError",
+                kind=_violation_kind(error),
                 message=str(error),
                 inputs=inputs,
                 initial_corruptions=set(adversary.initial_corruptions),
@@ -1042,12 +1053,8 @@ def _replays_same(
             failure.inputs,
             adversary,
         )
-    except HonestPartyError:
-        return failure.kind == "HonestPartyError"
-    except ProtocolViolation as violation:
-        return (violation.monitor or "ProtocolViolation") == failure.kind
-    except SimulationError:
-        return failure.kind == "SimulationError"
+    except (HonestPartyError, ProtocolViolation, SimulationError) as error:
+        return _violation_kind(error) == failure.kind
     return False
 
 
@@ -1341,15 +1348,8 @@ def replay_artifact(
     )
     try:
         _execute(case, spec, inputs, adversary)
-    except HonestPartyError as error:
-        return ReplayOutcome(kind="HonestPartyError", message=str(error))
-    except ProtocolViolation as violation:
-        return ReplayOutcome(
-            kind=violation.monitor or "ProtocolViolation",
-            message=str(violation),
-        )
-    except SimulationError as error:
-        return ReplayOutcome(kind="SimulationError", message=str(error))
+    except (HonestPartyError, ProtocolViolation, SimulationError) as error:
+        return ReplayOutcome(kind=_violation_kind(error), message=str(error))
     return ReplayOutcome(kind=None, message=None)
 
 
@@ -1389,20 +1389,16 @@ def _filtered_registry(
     return {name: registry[name] for name in protocols}
 
 
-def _run_campaign_case(
-    index: int,
-    campaign_seed: int,
-    registry: dict[str, ProtocolSpec],
-    shrink: bool,
-    max_shrink_runs: int,
-    crash: bool = False,
-    partition: bool = False,
-    bombs: bool = False,
-) -> tuple[FuzzFailure | None, CaseStats]:
-    """Sample, execute, and (on failure) shrink one campaign case."""
-    case = sample_case_at(
-        campaign_seed, index, registry, crash=crash, partition=partition,
-        bombs=bombs,
+def _case_worker(task: tuple) -> tuple[FuzzFailure | None, CaseStats]:
+    """Engine entry point: execute and (when asked) shrink one case.
+
+    ``source`` is the parent's registry when the task stays in this
+    process, else the module-level builder (``ProtocolSpec`` factories
+    are closures and do not pickle; the builder does, by name).
+    """
+    case, source, protocols, shrink, max_shrink_runs = task
+    registry = (
+        _filtered_registry(source(), protocols) if callable(source) else source
     )
     failure, stats = run_case_ex(case, registry)
     if failure is not None and shrink:
@@ -1410,26 +1406,60 @@ def _run_campaign_case(
     return failure, stats
 
 
-def _campaign_worker(task: dict) -> tuple[FuzzFailure | None, CaseStats]:
-    """Process-pool entry point: one case, registry rebuilt in-worker.
+def execute_cases(
+    cases: list[FuzzCase],
+    registry: dict[str, ProtocolSpec],
+    builder: Callable[[], dict[str, ProtocolSpec]] | None,
+    protocols: list[str] | None,
+    workers: int,
+    case_timeout_s: float | None,
+    shrink: bool = False,
+    max_shrink_runs: int = 400,
+) -> tuple[list[tuple[FuzzFailure | None, CaseStats]], Counter]:
+    """Run sampled cases through the engine; one outcome per case, in order.
 
-    ``ProtocolSpec`` factories are closures and do not pickle, so each
-    worker rebuilds the registry from a module-level ``registry_builder``
-    callable (the builder itself pickles by qualified name).
+    The executor of every campaign (:func:`fuzz`, the adversary search)
+    at every worker count: :func:`~repro.sim.parallel.run_many` runs
+    one worker inline under the per-case guard a pool worker uses, so a
+    verdict cannot depend on where the case ran.  ``registry`` is
+    ``builder()`` filtered to ``protocols``; only the builder crosses a
+    process boundary, so ``workers > 1`` needs one.
+
+    A case the engine lost -- its worker died, it exceeded
+    ``case_timeout_s`` (each retried once with the same payload), or
+    the harness raised something that is not a verdict -- comes back as
+    an ``ExecutionEngine`` failure instead of ending the campaign.  The
+    counter holds the engine's incidents by ``error_type`` and its
+    ``"retries"``.
     """
-    registry = _filtered_registry(
-        task["registry_builder"](), task["protocols"]
+    source = builder if workers > 1 else registry
+    collected = run_many(
+        _case_worker,
+        [(case, source, protocols, shrink, max_shrink_runs) for case in cases],
+        workers=workers,
+        timeout_s=case_timeout_s,
+        retries=1,
     )
-    return _run_campaign_case(
-        task["index"],
-        task["campaign_seed"],
-        registry,
-        task["shrink"],
-        task["max_shrink_runs"],
-        crash=task.get("crash", False),
-        partition=task.get("partition", False),
-        bombs=task.get("bombs", False),
+    incidents = Counter(
+        outcome.error_type for outcome in collected if not outcome.ok
     )
+    incidents["retries"] = sum(outcome.retries for outcome in collected)
+    results = [
+        outcome.value if outcome.ok else (
+            FuzzFailure(
+                case=case,
+                kind="ExecutionEngine",
+                message=f"{outcome.error_type}: {outcome.error}",
+                inputs=_build_inputs(case, registry[case.protocol]),
+                initial_corruptions=set(),
+                script={},
+                adapt_schedule=[],
+            ),
+            CaseStats(),
+        )
+        for case, outcome in zip(cases, collected)
+    ]
+    return results, incidents
 
 
 def fuzz(
@@ -1472,17 +1502,20 @@ def fuzz(
     failures are shrunk (unless ``shrink=False``) and, when
     ``artifact_dir`` is given, archived as replayable JSON artifacts.
 
-    ``workers > 1`` (or ``"auto"``) fans cases out over a process pool
-    via :func:`repro.sim.parallel.run_many`; reports and artifacts are
-    byte-identical to a serial run because every case is seeded by
-    ``derive_seed(seed, index)`` and collected in index order.  A worker
-    that crashes or exceeds ``case_timeout_s`` is surfaced as a recorded
-    ``ExecutionEngine`` failure instead of killing the campaign.
+    The cases are sampled here and run by :func:`execute_cases`, which
+    is :func:`repro.sim.parallel.run_many` at every worker count
+    (``workers > 1`` or ``"auto"`` fans them out over a process pool);
+    reports and artifacts are byte-identical across worker counts
+    because every case is seeded by ``derive_seed(seed, index)``, runs
+    under the same guard and is collected in index order.  A case whose
+    worker dies, that exceeds ``case_timeout_s`` (at one worker too,
+    from the main thread) or whose harness raises is a recorded
+    ``ExecutionEngine`` failure instead of the end of the campaign.
 
     A custom registry travels to workers through ``registry_builder``
     (a module-level callable returning the registry -- the specs
     themselves hold closures and do not pickle).  Passing a bare
-    ``registry`` object without a builder forces serial execution.
+    ``registry`` object without a builder forces one worker.
     """
     if registry is None:
         builder = registry_builder or standard_registry
@@ -1500,86 +1533,30 @@ def fuzz(
         runs=runs, seed=seed, workers=worker_count, crash=crash,
         partition=partition, bombs=bombs,
     )
-    if worker_count == 1:
-        outcomes = [
-            _run_campaign_case(
-                index, seed, parent_registry, shrink, max_shrink_runs,
-                crash=crash, partition=partition, bombs=bombs,
-            )
-            for index in range(runs)
-        ]
-        errors: dict[int, str] = {}
-    else:
-        tasks = [
-            {
-                "index": index,
-                "campaign_seed": seed,
-                "protocols": list(protocols) if protocols else None,
-                "shrink": shrink,
-                "max_shrink_runs": max_shrink_runs,
-                "registry_builder": builder,
-                "crash": crash,
-                "partition": partition,
-                "bombs": bombs,
-            }
-            for index in range(runs)
-        ]
-        collected = run_many(
-            _campaign_worker,
-            tasks,
-            workers=worker_count,
-            timeout_s=case_timeout_s,
-            retries=1,
-        )
-        outcomes = [outcome.value for outcome in collected]
-        report.retries = sum(outcome.retries for outcome in collected)
-        errors = {
-            outcome.index: f"{outcome.error_type}: {outcome.error}"
-            for outcome in collected
-            if not outcome.ok
-        }
-        report.worker_crashes = sum(
-            1
-            for outcome in collected
-            if outcome.error_type == "WorkerCrash"
-        )
-        report.case_timeouts = sum(
-            1
-            for outcome in collected
-            if outcome.error_type == "CaseTimeout"
-        )
-
-    for index in range(runs):
-        case = sample_case_at(
+    report.cases = [
+        sample_case_at(
             seed, index, parent_registry, crash=crash, partition=partition,
             bombs=bombs,
         )
+        for index in range(runs)
+    ]
+    outcomes, incidents = execute_cases(
+        report.cases, parent_registry, builder, protocols, worker_count,
+        case_timeout_s, shrink, max_shrink_runs,
+    )
+    report.retries = incidents["retries"]
+    report.worker_crashes = incidents["WorkerCrash"]
+    report.case_timeouts = incidents["CaseTimeout"]
+
+    for index, (failure, case_stats) in enumerate(outcomes):
         if progress is not None:
-            progress(index, case)
-        report.cases.append(case)
-        outcome = outcomes[index]
-        failure, case_stats = (
-            outcome if outcome is not None else (None, CaseStats())
-        )
+            progress(index, report.cases[index])
         if case_stats.resyncs:
             report.resyncs += case_stats.resyncs
             report.escalated_cases += 1
         if case_stats.rung is not None:
             report.degradations[case_stats.rung] = (
                 report.degradations.get(case_stats.rung, 0) + 1
-            )
-        if index in errors:
-            # Crash/timeout isolation: the engine lost this case -- record
-            # it as a campaign failure rather than aborting the sweep.
-            spec = parent_registry[case.protocol]
-            failure = FuzzFailure(
-                case=case,
-                kind="ExecutionEngine",
-                message=errors[index],
-                inputs=_build_inputs(case, spec),
-                initial_corruptions=set(),
-                script={},
-                adapt_schedule=[],
             )
         if failure is None:
             continue
@@ -1588,7 +1565,12 @@ def fuzz(
             path = os.path.join(
                 artifact_dir, f"repro-{seed}-{index:04d}.json"
             )
+            # a case the engine lost is archived as it stands: recording
+            # its counters would re-run it here, un-timed and un-isolated.
             report.artifacts.append(
-                save_artifact(failure, path, registry=parent_registry)
+                save_artifact(
+                    failure, path, registry=parent_registry,
+                    record_counters=failure.kind != "ExecutionEngine",
+                )
             )
     return report

@@ -1,10 +1,11 @@
 """Process-pool execution engine for sweeps, fuzz campaigns, benchmarks.
 
 Every driver that fans out *independent* protocol executions -- fuzz
-cases, benchmark grid points, exhaustive small-n strategy enumerations
--- funnels through :func:`run_many`: a chunked
-:class:`~concurrent.futures.ProcessPoolExecutor` dispatcher whose
-results are, by construction, **byte-identical to a serial run**:
+and search cases, benchmark grid points, exhaustive small-n strategy
+enumerations -- funnels through :func:`run_many` at every worker count
+(one worker runs the per-case guard inline, more run it in a chunked
+:class:`~concurrent.futures.ProcessPoolExecutor`), so results are, by
+construction, **byte-identical across worker counts**:
 
 * **Deterministic seed derivation.**  Case ``i`` of a campaign with
   seed ``s`` is seeded with ``derive_seed(s, i) = H(s, i)`` (SHA-256),
@@ -16,7 +17,9 @@ results are, by construction, **byte-identical to a serial run**:
   failed :class:`CaseOutcome`; a case that exceeds ``timeout_s`` is
   interrupted (``SIGALRM``) and recorded as a timeout; a worker process
   that dies outright (segfault, ``os._exit``) fails only its chunk --
-  the pool is rebuilt and the campaign continues.
+  the pool is rebuilt and the campaign continues.  Both are *engine
+  incidents*, never verdicts about the case: :class:`CaseTimeout` is a
+  ``BaseException``, so no ``except Exception`` under test can file it.
 * **Worker warm-up.**  Workers pre-build the ``GF(2^8)``/``GF(2^16)``
   exp/log tables on start-up so per-case latencies do not include
   one-off table construction.
@@ -99,8 +102,13 @@ def warm_worker(backend: str | None = None) -> None:
         config.set_backend(backend)
 
 
-class CaseTimeout(Exception):
-    """Raised inside a worker when a case exceeds its time budget."""
+class CaseTimeout(BaseException):
+    """Raised by the alarm when a case exceeds its time budget.
+
+    A ``BaseException``: the stack catches ``Exception`` to turn a crash
+    on hostile input into a verdict (a rejected ballot, a
+    ``HonestPartyError``), and a spent time budget must never be one.
+    """
 
 
 @dataclass(frozen=True)
@@ -160,11 +168,19 @@ def _run_one(
         and hasattr(signal, "SIGALRM")
         and threading.current_thread() is threading.main_thread()
     )
-    if armed:
-        previous = signal.signal(signal.SIGALRM, _alarm_handler)
-        signal.setitimer(signal.ITIMER_REAL, timeout_s)
     try:
-        value = fn(payload)
+        # Armed and cleared inside the ``try``, so the handlers below
+        # run alarm-free.  The timer repeats: an alarm that lands where
+        # exceptions are discarded (a ``__del__``, a gc callback) would
+        # otherwise be spent and the case run on un-timed.
+        try:
+            if armed:
+                previous = signal.signal(signal.SIGALRM, _alarm_handler)
+                signal.setitimer(signal.ITIMER_REAL, timeout_s, timeout_s)
+            value = fn(payload)
+        finally:
+            if armed:
+                signal.setitimer(signal.ITIMER_REAL, 0.0)
         return CaseOutcome(
             index=index,
             value=value,
@@ -187,6 +203,7 @@ def _run_one(
         )
     finally:
         if armed:
+            # cleared again: an alarm may have cut the first clear short.
             signal.setitimer(signal.ITIMER_REAL, 0.0)
             signal.signal(signal.SIGALRM, previous)
 

@@ -23,7 +23,9 @@ not at all.  This module turns the same case machinery into an
 
 Everything stays deterministic in the campaign seed: case ``i``'s
 planning RNG is ``derive_seed(seed, i)``, engine state advances only at
-batch boundaries (so worker count cannot reorder decisions), and every
+batch boundaries (so worker count cannot reorder decisions), planned
+cases run through the chaos plane's one executor
+(:func:`repro.sim.fuzz.execute_cases`) at every worker count, and every
 completed case is journaled to a crash-safe manifest
 (:mod:`repro.sim.manifest`).  A killed campaign resumed from its
 manifest replays the journal through the same state-update logic and
@@ -57,9 +59,9 @@ from .fuzz import (
     FuzzFailure,
     ProtocolSpec,
     _filtered_registry,
+    execute_cases,
     load_artifact,
-    run_case_ex,
-    sample_faults,
+    sample_case_in,
     save_artifact,
     shrink_failure,
     standard_registry,
@@ -68,7 +70,7 @@ from .fuzz import (
     _SPREADS,
 )
 from .manifest import CampaignJournal
-from .parallel import derive_seed, resolve_workers, run_many
+from .parallel import derive_seed, resolve_workers
 
 __all__ = [
     "SearchCell",
@@ -199,48 +201,6 @@ def case_signature(case: dict, outcome: dict) -> tuple:
 # ---------------------------------------------------------------------------
 # Case synthesis: fresh samples and power-scheduled mutation
 # ---------------------------------------------------------------------------
-
-
-def _sample_in_cell(
-    rng: random.Random,
-    cell: SearchCell,
-    crash: bool,
-    partition: bool,
-    bombs: bool = False,
-) -> FuzzCase:
-    """A fresh uniform case inside one cell (the non-guided baseline).
-
-    Like :func:`~repro.sim.fuzz.sample_case`, the bomb draws are gated
-    on their flag and appended *after* every pre-existing draw, so
-    ``bombs=False`` campaigns plan exactly the cases they always did.
-    """
-    count = rng.randint(1, 3)
-    adversaries = tuple(
-        rng.choice(sorted(ADVERSARY_CATALOG)) for _ in range(count)
-    )
-    faults = sample_faults(rng, cell.n, cell.t, crash=crash,
-                           partition=partition)
-    spread = rng.choice(_SPREADS)
-    case_seed = rng.getrandbits(32)
-    guards = False
-    if bombs:
-        guards = True
-        extra = rng.randint(1, 2)
-        adversaries = adversaries + tuple(
-            rng.choice(sorted(BOMB_CATALOG)) for _ in range(extra)
-        )
-    return FuzzCase(
-        protocol=cell.protocol,
-        n=cell.n,
-        t=cell.t,
-        ell=cell.ell,
-        kappa=64,
-        spread=spread,
-        adversaries=adversaries,
-        faults=faults,
-        seed=case_seed,
-        guards=guards,
-    )
 
 
 def _mutate_once(
@@ -504,14 +464,6 @@ class SearchReport:
 # ---------------------------------------------------------------------------
 
 
-def _search_worker(task: dict) -> tuple["FuzzFailure | None", CaseStats]:
-    """Process-pool entry point: execute one planned case."""
-    registry = _filtered_registry(
-        task["registry_builder"](), task["protocols"]
-    )
-    return run_case_ex(FuzzCase.from_dict(task["case"]), registry)
-
-
 class SearchEngine:
     """Batch-stepped bandit/corpus search with a journaled campaign."""
 
@@ -595,9 +547,11 @@ class SearchEngine:
                 max_ops=self.config.max_mutation_ops,
             )
         else:
-            case = _sample_in_cell(
-                rng, cell, self.config.crash, self.config.partition,
-                bombs=self.config.bombs,
+            # a fresh uniform case inside the cell (the non-guided
+            # baseline), drawn like a blind campaign's.
+            case = sample_case_in(
+                rng, cell.protocol, cell.n, cell.t, cell.ell,
+                self.config.crash, self.config.partition, self.config.bombs,
             )
         return cell_index, case
 
@@ -737,50 +691,12 @@ class SearchEngine:
     def _execute(
         self, fresh: list[tuple[int, FuzzCase]], worker_count: int
     ) -> dict[int, tuple["FuzzFailure | None", CaseStats]]:
-        results: dict[int, tuple[FuzzFailure | None, CaseStats]] = {}
-        if not fresh:
-            return results
-        if worker_count == 1:
-            for index, case in fresh:
-                results[index] = run_case_ex(case, self.registry)
-            return results
-        tasks = [
-            {
-                "case": case.to_dict(),
-                "registry_builder": self._builder,
-                "protocols": (
-                    list(self.config.protocols)
-                    if self.config.protocols
-                    else None
-                ),
-            }
-            for _, case in fresh
-        ]
-        collected = run_many(
-            _search_worker,
-            tasks,
-            workers=worker_count,
-            timeout_s=self.config.case_timeout_s,
-            retries=1,
+        outcomes, incidents = execute_cases(
+            [case for _, case in fresh], self.registry, self._builder,
+            self.config.protocols, worker_count, self.config.case_timeout_s,
         )
-        for (index, case), outcome in zip(fresh, collected):
-            self.retries += outcome.retries
-            if outcome.ok:
-                results[index] = outcome.value
-            else:
-                # the engine lost this case; record it as such rather
-                # than aborting (and never as a protocol violation).
-                failure = FuzzFailure(
-                    case=case,
-                    kind="ExecutionEngine",
-                    message=f"{outcome.error_type}: {outcome.error}",
-                    inputs=[],
-                    initial_corruptions=set(),
-                    script={},
-                    adapt_schedule=[],
-                )
-                results[index] = (failure, CaseStats())
-        return results
+        self.retries += incidents["retries"]
+        return {index: outcome for (index, _), outcome in zip(fresh, outcomes)}
 
     def _report(self, worker_count: int) -> SearchReport:
         arms = {}

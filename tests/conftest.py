@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
@@ -20,6 +21,21 @@ from repro.sim.adversary import standard_adversary_suite
 CONFIGS = [(4, 1), (7, 2), (10, 3)]
 
 SMALL_CONFIGS = [(4, 1), (7, 2)]
+
+
+@pytest.fixture
+def plain_unraisablehook(monkeypatch):
+    """For tests whose case timeout is shorter than a millisecond.
+
+    The engine's alarm repeats, because one that lands where the
+    interpreter discards exceptions (a ``__del__``, hypothesis's gc
+    callback) is handed to ``sys.unraisablehook`` and is gone.  pytest
+    replaces that hook with python code slow enough for the *next*
+    sub-millisecond alarm to land inside it, which it reports as a test
+    error ("Failed to process unraisable exception").  The
+    interpreter's own hook is C and prints to the captured stderr.
+    """
+    monkeypatch.setattr(sys, "unraisablehook", sys.__unraisablehook__)
 
 
 def adversary_params():

@@ -157,3 +157,17 @@ class TestBombFlags:
                      "--quiet"])
         assert code == 0
         assert "bomb plane" in capsys.readouterr().out
+
+
+@pytest.mark.usefixtures("plain_unraisablehook")
+class TestCaseTimeout:
+    def test_default_worker_count_honours_the_case_timeout(self, capsys):
+        """``--workers 1`` is the default and ``--case-timeout``'s help
+        promises a recorded failure: every over-budget case is a counted
+        engine incident, none a protocol verdict."""
+        code = main(["fuzz", "--runs", "3", "--seed", "0", "--case-timeout",
+                     "0.0005", "--no-shrink", "--quiet"])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "3 case timeout(s)" in out
+        assert "HonestPartyError" not in out

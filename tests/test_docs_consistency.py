@@ -14,6 +14,12 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
+#: the prose that quotes code by name: README, DESIGN and ``docs/*.md``.
+DOCS = [ROOT / "README.md", ROOT / "DESIGN.md"] + sorted(
+    (ROOT / "docs").glob("*.md")
+)
+
+
 def read(name: str) -> str:
     return (ROOT / name).read_text()
 
@@ -86,16 +92,42 @@ class TestNetworkSymbols:
         pattern = re.compile(
             r"`(?:SynchronousNetwork\.(\w+)|(_finish_round\w*|_run_round))\b"
         )
-        docs = [ROOT / "README.md", ROOT / "DESIGN.md"]
-        docs += sorted((ROOT / "docs").glob("*.md"))
         quoted = {
             (doc.name, qualified or bare)
-            for doc in docs
+            for doc in DOCS
             for qualified, bare in pattern.findall(doc.read_text())
         }
         assert ("performance.md", "_run_round") in quoted
         for doc, name in sorted(quoted):
             assert hasattr(network, name), f"{doc} quotes {name}"
+
+
+class TestCampaignSymbols:
+    def test_deleted_campaign_paths_stay_undocumented(self):
+        """The serial fork's entry points and the search's sampler copy
+        are gone; no doc may describe the campaign through them."""
+        gone = re.compile(
+            r"_campaign_worker|_run_campaign_case|_search_worker"
+            r"|_sample_in_cell"
+        )
+        for doc in DOCS:
+            assert not gone.findall(doc.read_text()), doc.name
+
+    def test_quoted_campaign_names_resolve(self):
+        """Every backticked ``repro.sim.{fuzz,parallel,search}.<name>``
+        in README, DESIGN and ``docs/*.md`` is a real attribute."""
+        import importlib
+
+        pattern = re.compile(r"`repro\.sim\.(fuzz|parallel|search)\.(\w+)")
+        quoted = {
+            (doc.name, module, name)
+            for doc in DOCS
+            for module, name in pattern.findall(doc.read_text())
+        }
+        assert ("execution-engine.md", "fuzz", "execute_cases") in quoted
+        for doc, module, name in sorted(quoted):
+            target = importlib.import_module(f"repro.sim.{module}")
+            assert hasattr(target, name), f"{doc} quotes {module}.{name}"
 
 
 class TestDocsDirectory:

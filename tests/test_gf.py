@@ -409,3 +409,27 @@ class TestConstruction:
     def test_order(self):
         assert GF256.order == 256
         assert GF65536.order == 65536
+
+
+def test_numpy_tables_survive_an_interrupted_build(monkeypatch):
+    """The first batched kernel call may run inside a timed case: a
+    ``BaseException`` landing mid-build (the engine's alarm) must leave
+    the lazily built tables unbuilt, never half-built."""
+    field = BinaryField(8, 0x11D)
+    real_array, interrupted = np.array, []
+
+    def array_interrupted_once(*args, **kwargs):
+        if not interrupted:
+            interrupted.append(True)
+            raise KeyboardInterrupt
+        return real_array(*args, **kwargs)
+
+    monkeypatch.setattr(np, "array", array_interrupted_once)
+    matrix, data = [[1, 2], [3, 255]], [[5, 0, 7], [11, 13, 254]]
+    with config.use_backend("numpy"):
+        with pytest.raises(KeyboardInterrupt):
+            field.matmul(matrix, data)
+        assert interrupted
+        assert field.matmul(matrix, data).tolist() == field._matmul_python(
+            matrix, data
+        )

@@ -10,20 +10,35 @@ Three layers:
 3. Conformance -- the headline guarantee: a campaign or sweep run with
    ``workers=1`` and ``workers=4`` produces identical failure sets,
    identical minimized scripts, and byte-identical JSON artifacts.
+4. Engine parity -- one worker *is* the engine: harness errors and
+   timeouts are the same recorded ``ExecutionEngine`` incidents at
+   every worker count, never verdicts about the case.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
+import random
+import signal
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import pytest
 
 from repro.analysis import GridSpec, grid_record, run_grid, sweep_document
-from repro.sim.fuzz import fuzz, sample_case_at, standard_registry
+from repro.sim import fuzz as fuzz_module
+from repro.sim.fuzz import (
+    fuzz,
+    load_artifact,
+    sample_case,
+    sample_case_at,
+    sample_case_in,
+    standard_registry,
+)
 from repro.sim import parallel
 from repro.sim.parallel import (
     CaseOutcome,
@@ -31,6 +46,8 @@ from repro.sim.parallel import (
     resolve_workers,
     run_many,
 )
+
+from repro.sim.search import SearchConfig, run_search
 
 from test_fuzz import canary_registry
 
@@ -59,6 +76,48 @@ def die_on_negative(x: int) -> int:
     if x < 0:
         os._exit(13)  # hard death: not an exception, kills the worker
     return x
+
+
+def sleep_swallowing_exceptions(seconds: float) -> float:
+    """Code under test that catches ``Exception`` around everything, the
+    way the simulator does around an honest party's generator."""
+    deadline = time.monotonic() + seconds
+    while time.monotonic() < deadline:
+        try:
+            time.sleep(0.01)
+        except Exception:
+            pass
+    return seconds
+
+
+class _SleepsInDel:
+    def __del__(self):
+        time.sleep(0.3)
+
+
+def sleep_after_a_slow_finalizer(seconds: float) -> float:
+    """The first alarm lands inside ``__del__``, where the interpreter
+    prints and discards whatever is raised."""
+    _SleepsInDel()
+    time.sleep(seconds)
+    return seconds
+
+
+def interrupt(_: int) -> None:
+    raise KeyboardInterrupt
+
+
+def _exploding_build(ell: int):
+    raise ValueError("builder exploded")
+
+
+def raising_registry():
+    """A harness bug, not a verdict: ``pi_z``'s factory raises."""
+    registry = standard_registry()
+    return {
+        "pi_n": registry["pi_n"],
+        "pi_z": replace(registry["pi_z"], build=_exploding_build),
+    }
 
 
 def sleep_until_flagged(payload: tuple[str, int]) -> int:
@@ -160,6 +219,36 @@ class TestRunMany:
         assert outcomes[0].ok
         assert not outcomes[1].ok
         assert outcomes[1].error_type == "CaseTimeout"
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_timeout_cannot_be_swallowed_as_an_exception(self, workers):
+        """``CaseTimeout`` is a ``BaseException``: an ``except Exception``
+        in the code under test cannot spend the alarm and run on."""
+        outcomes = run_many(
+            sleep_swallowing_exceptions, [0.0, 3.0], workers=workers,
+            timeout_s=0.2, chunksize=1,
+        )
+        assert outcomes[0].ok
+        assert outcomes[1].error_type == "CaseTimeout"
+
+    @pytest.mark.usefixtures("plain_unraisablehook")
+    def test_discarded_alarm_is_followed_by_another(self):
+        """The timer repeats: an alarm spent where exceptions are
+        discarded does not leave the case running un-timed."""
+        (outcome,) = run_many(
+            sleep_after_a_slow_finalizer, [3.0], workers=1, timeout_s=0.2
+        )
+        assert outcome.error_type == "CaseTimeout"
+        assert outcome.elapsed_s < 2.0
+
+    def test_keyboard_interrupt_still_propagates(self):
+        """The engine turns a case's ``Exception`` and its own alarm into
+        outcomes; a ctrl-C is neither and ends the campaign, disarmed."""
+        before = signal.getsignal(signal.SIGALRM)
+        with pytest.raises(KeyboardInterrupt):
+            run_many(interrupt, [0, 1], workers=1, timeout_s=30.0)
+        assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+        assert signal.getsignal(signal.SIGALRM) == before
 
     def test_worker_crash_is_isolated(self):
         """A case that kills its process fails alone; the campaign and
@@ -365,6 +454,135 @@ class TestFuzzConformance:
         report = fuzz(runs=6, seed=3)
         for index, case in enumerate(report.cases):
             assert sample_case_at(3, index, registry) == case
+
+
+# ---------------------------------------------------------------------------
+# engine parity: serial is the engine with one worker
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.usefixtures("plain_unraisablehook")
+class TestEngineParity:
+    def test_harness_error_is_recorded_at_every_worker_count(self):
+        """An exception that is not a verdict is an ``ExecutionEngine``
+        failure of its case, not the end of the campaign -- the same
+        ones whether the case ran inline or in a pool."""
+        def lost(workers):
+            report = fuzz(
+                runs=6, seed=0, workers=workers, shrink=False,
+                registry_builder=raising_registry,
+            )
+            assert len(report.cases) == 6
+            return [
+                (report.cases.index(f.case), f.kind,
+                 f.message.splitlines()[0])
+                for f in report.failures
+            ]
+
+        serial = lost(1)
+        assert serial == lost(2)
+        assert serial
+        for _, kind, message in serial:
+            assert kind == "ExecutionEngine"
+            assert "builder exploded" in message
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("timeout_s", [0.0005, 0.01])
+    def test_fuzz_timeout_is_an_incident_never_a_verdict(
+        self, workers, timeout_s
+    ):
+        """Wherever the alarm lands -- the first kernel-table build, a
+        party's generator, a ballot check -- the case is a counted
+        ``CaseTimeout``, not a ``HonestPartyError`` naming it."""
+        report = fuzz(
+            runs=4, seed=0, workers=workers, case_timeout_s=timeout_s,
+            shrink=False,
+        )
+        assert {f.kind for f in report.failures} <= {"ExecutionEngine"}
+        assert all("CaseTimeout" in f.message for f in report.failures)
+        assert report.case_timeouts == len(report.failures)
+        assert report.retries >= report.case_timeouts
+        if timeout_s < 0.001:  # shorter than any case
+            assert report.failures
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_search_timeout_is_an_incident_never_a_verdict(self, workers):
+        report = run_search(
+            SearchConfig(seed=0, workers=workers, case_timeout_s=0.0005),
+            executions=4,
+        )
+        kinds = {entry["kind"] for entry in report.outliers}
+        assert "ExecutionEngine" in kinds
+        assert kinds <= {"ExecutionEngine", None}
+        assert not report.violations
+        assert report.retries >= 1
+
+    def test_one_worker_runs_through_the_engine(self, monkeypatch):
+        """``fuzz`` and the search reach ``run_many`` at ``workers=1``,
+        and a campaign samples each of its cases exactly once."""
+        dispatched, sampled = [], []
+
+        def spy_run_many(fn, payloads, **kwargs):
+            dispatched.append((len(payloads), kwargs["workers"]))
+            return run_many(fn, payloads, **kwargs)
+
+        def spy_sample_case_at(seed, index, *args, **kwargs):
+            sampled.append(index)
+            return sample_case_at(seed, index, *args, **kwargs)
+
+        monkeypatch.setattr(fuzz_module, "run_many", spy_run_many)
+        monkeypatch.setattr(fuzz_module, "sample_case_at", spy_sample_case_at)
+        assert fuzz(runs=3, seed=0, workers=1).clean
+        assert dispatched == [(3, 1)]
+        assert sampled == [0, 1, 2]
+        del dispatched[:]
+        run_search(SearchConfig(seed=0, workers=1, batch=2), executions=4)
+        assert dispatched == [(2, 1), (2, 1)]
+
+    def test_a_lost_case_is_archived_without_being_rerun(
+        self, tmp_path, monkeypatch
+    ):
+        """Recording counters replays the case in the parent, un-timed
+        and un-isolated: a case that hung or killed its worker would
+        take the campaign with it at archive time."""
+        replays = []
+        monkeypatch.setattr(
+            fuzz_module, "replay_counters",
+            lambda *args, **kwargs: replays.append(args) or {},
+        )
+        report = fuzz(
+            runs=2, seed=0, case_timeout_s=0.0005, shrink=False,
+            artifact_dir=str(tmp_path),
+        )
+        assert len(report.artifacts) == len(report.failures) == 2
+        assert not replays
+        for path in report.artifacts:
+            artifact = load_artifact(path)
+            assert artifact["violation"]["kind"] == "ExecutionEngine"
+            assert "counters" not in artifact
+
+    def test_sample_case_is_its_axes_then_sample_case_in(self):
+        """Pins the draw order campaigns and journals are keyed on: the
+        blind sampler draws ``(protocol, n, t, ell)`` and then exactly
+        what the search draws inside a cell."""
+        registry = standard_registry()
+        planes = list(itertools.product((False, True), repeat=3))
+        for index, (crash, partition, bombs) in itertools.product(
+            range(200), planes
+        ):
+            rng = random.Random(derive_seed(5, index))
+            twin = random.Random(derive_seed(5, index))
+            case = sample_case(rng, registry, crash, partition, bombs)
+            name = twin.choice(sorted(registry))
+            n = twin.choice((4, 5, 6, 7))
+            t = twin.randint(1, max(1, (n - 1) // 3))
+            ell = registry[name].ell_for(
+                n, twin.choice((8, 16, 32, 64, 128))
+            )
+            assert case == sample_case_in(
+                twin, name, n, t, ell, crash, partition, bombs
+            )
+            assert rng.getstate() == twin.getstate()
 
 
 # ---------------------------------------------------------------------------
