@@ -21,7 +21,7 @@ from repro.analysis import Measurement
 from repro.core.protocol_z import protocol_z
 from repro.sim import run_protocol
 
-from conftest import fan_out, record, run_measured
+from conftest import measurement, record
 
 N, T = 7, 2
 BOUND = 1 << 24
@@ -37,74 +37,49 @@ def run_aa(eps_exponent: int) -> Measurement:
     outputs = list(result.outputs.values())
     spread = max(outputs) - min(outputs)
     assert spread <= epsilon
-    return Measurement(
-        protocol=f"aa(eps=2^{eps_exponent})",
-        n=N,
-        t=T,
-        ell=BOUND.bit_length(),
-        kappa=128,
-        bits=result.stats.honest_bits,
-        rounds=result.stats.rounds,
-        messages=result.stats.honest_messages,
-        output=float(spread),
+    return record(
+        "F4", f"aa eps=2^{eps_exponent}",
+        measurement(
+            result, protocol=f"aa(eps=2^{eps_exponent})", n=N, t=T,
+            ell=BOUND.bit_length(), output=float(spread),
+        ),
     )
 
 
-def run_ca() -> Measurement:
+@pytest.fixture(scope="module")
+def aa():
+    """eps exponent -> the AA run at ``eps = 2^exponent``."""
+    return {exponent: run_aa(exponent) for exponent in (16, 8, 0, -8, -16)}
+
+
+@pytest.fixture(scope="module")
+def ca():
     result = run_protocol(
         lambda ctx, v: protocol_z(ctx, v), INPUTS, n=N, t=T, kappa=128
     )
     assert len(set(result.outputs.values())) == 1
-    return Measurement(
-        protocol="pi_z",
-        n=N,
-        t=T,
-        ell=BOUND.bit_length(),
-        kappa=128,
-        bits=result.stats.honest_bits,
-        rounds=result.stats.rounds,
-        messages=result.stats.honest_messages,
-        output=0,
+    return record(
+        "F4", "pi_z (exact)",
+        measurement(
+            result, protocol="pi_z", n=N, t=T, ell=BOUND.bit_length(),
+            output=0,
+        ),
     )
 
 
-@pytest.mark.parametrize("eps_exponent", [16, 8, 0, -8, -16])
-def test_aa_cost_vs_eps(benchmark, eps_exponent):
-    m = run_measured(
-        benchmark,
-        "F4",
-        f"aa eps=2^{eps_exponent}",
-        lambda: run_aa(eps_exponent),
-    )
-    assert m.bits > 0
+def test_ca_fixed_cost(ca):
+    assert ca.output == 0
 
 
-def test_ca_fixed_cost(benchmark):
-    m = run_measured(benchmark, "F4", "pi_z (exact)", run_ca)
-    assert m.output == 0
-
-
-def test_aa_cost_monotone_in_precision(benchmark):
-    def sweep():
-        return fan_out(run_aa, [(e,) for e in (16, 0, -16)])
-
-    coarse, mid, fine = benchmark.pedantic(sweep, rounds=1, iterations=1)
+def test_aa_cost_monotone_in_precision(aa):
+    coarse, mid, fine = aa[16], aa[0], aa[-16]
     assert coarse.bits < mid.bits < fine.bits
     # each halving of eps adds one full-exchange round:
     per_octave_coarse = (mid.bits - coarse.bits) / 16
     per_octave_fine = (fine.bits - mid.bits) / 16
-    benchmark.extra_info["bits_per_eps_halving"] = round(per_octave_fine)
     assert per_octave_fine > 0.5 * per_octave_coarse
 
 
-def test_curves_cross(benchmark):
+def test_curves_cross(aa, ca):
     """Coarse AA is cheaper than CA; sufficiently fine AA is costlier."""
-
-    def sweep():
-        coarse, fine = fan_out(run_aa, [(16,), (-320,)])
-        return run_ca(), coarse, fine
-
-    ca, coarse, fine = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    record("F4", "crossover coarse", coarse)
-    record("F4", "crossover fine", fine)
-    assert coarse.bits < ca.bits < fine.bits
+    assert aa[16].bits < ca.bits < run_aa(-320).bits

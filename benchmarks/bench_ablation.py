@@ -17,66 +17,52 @@ import pytest
 
 from repro.analysis import measure
 
-from conftest import measure_grid, record, run_measured
+from conftest import record
 
 N, T = 7, 2
 ELL = 12544  # multiple of n^2 = 49, comfortably "very long"
 
 
-def test_bit_vs_block_granularity(benchmark):
-    def sweep():
-        bits, blocks = measure_grid([
-            dict(protocol="fixed_length_ca", n=N, t=T, ell=ELL,
-                 seed=6, spread="clustered"),
-            dict(protocol="fixed_length_ca_blocks", n=N, t=T, ell=ELL,
-                 seed=6, spread="clustered"),
-        ])
-        return {"bits": bits, "blocks": blocks}
-
-    ms = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    record("F2", "granularity=bit", ms["bits"])
-    record("F2", "granularity=block", ms["blocks"])
+def test_bit_vs_block_granularity():
+    bits, blocks = (
+        record(
+            "F2", f"granularity={granularity}",
+            measure(protocol, N, T, ELL, seed=6, spread="clustered"),
+        )
+        for granularity, protocol in (
+            ("bit", "fixed_length_ca"), ("block", "fixed_length_ca_blocks"),
+        )
+    )
     # Section 4's point: fewer iterations -> fewer rounds for long inputs.
-    assert ms["blocks"].rounds < ms["bits"].rounds
-    benchmark.extra_info["rounds_bit"] = ms["bits"].rounds
-    benchmark.extra_info["rounds_block"] = ms["blocks"].rounds
+    assert blocks.rounds < bits.rounds
 
 
 @pytest.mark.parametrize("kappa", [64, 128, 256])
-def test_kappa_scaling(benchmark, kappa):
-    m = run_measured(
-        benchmark,
-        "F2",
-        f"kappa={kappa}",
-        lambda: measure(
-            "pi_z", N, T, 1024, kappa=kappa, seed=6, spread="clustered"
-        ),
+def test_kappa_scaling(kappa):
+    m = record(
+        "F2", f"kappa={kappa}",
+        measure("pi_z", N, T, 1024, kappa=kappa, seed=6, spread="clustered"),
     )
     assert m.bits > 0
 
 
-def test_kappa_hits_additive_term_only(benchmark):
+def test_kappa_hits_additive_term_only():
     """Quadrupling kappa must not quadruple the l-dependent cost."""
-
-    def sweep():
-        return measure_grid([
-            dict(protocol="pi_z", n=N, t=T, ell=32768, kappa=k,
-                 seed=6, spread="clustered")
-            for k in (64, 256)
-        ])
-
-    small, large = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    ratio = large.bits / small.bits
-    benchmark.extra_info["kappa_4x_bits_ratio"] = round(ratio, 2)
-    assert ratio < 3.0  # far below 4x: the l*n term is kappa-free
+    small, large = (
+        record(
+            "F2", f"kappa={kappa} ell=32768",
+            measure("pi_z", N, T, 32768, kappa=kappa, seed=6,
+                    spread="clustered"),
+        )
+        for kappa in (64, 256)
+    )
+    assert large.bits / small.bits < 3.0  # far below 4x: l*n is kappa-free
 
 
 @pytest.mark.parametrize("spread", ["identical", "clustered", "spread"])
-def test_workload_spread(benchmark, spread):
-    m = run_measured(
-        benchmark,
-        "F2",
-        f"spread={spread}",
-        lambda: measure("pi_z", N, T, 4096, seed=6, spread=spread),
+def test_workload_spread(spread):
+    m = record(
+        "F2", f"spread={spread}",
+        measure("pi_z", N, T, 4096, seed=6, spread=spread),
     )
     assert m.bits > 0

@@ -10,136 +10,40 @@ codewords, (c) constant-size votes.
 Checks: across the full adversary battery the honest communication of
 ``PI_Z`` stays within a constant factor of the passive-adversary run,
 and Convex Validity holds in every cell.
-
-Besides the end-of-session tables, this module writes every cell to
-``benchmarks/BENCH_adversarial.json`` so dashboards and regression
-scripts can consume the battery without scraping pytest output.
 """
 
 from __future__ import annotations
-
-import json
-import os
-
-import pytest
 
 from repro.analysis import Measurement
 from repro.core.protocol_z import protocol_z
 from repro.sim import run_protocol, standard_adversary_suite
 
-from conftest import record, run_measured
+from conftest import measurement, record
 
 N, T = 7, 2
 ELL = 4096
 
-JSON_PATH = os.path.join(os.path.dirname(__file__),
-                         "BENCH_adversarial.json")
-
-#: (label, Measurement) pairs emitted to BENCH_adversarial.json.
-_MEASURED: list[tuple[str, Measurement]] = []
-
-
-def _measurement_record(label: str, m: Measurement) -> dict:
-    return {
-        "label": label,
-        "protocol": m.protocol,
-        "n": m.n,
-        "t": m.t,
-        "ell": m.ell,
-        "kappa": m.kappa,
-        "honest_bits": m.bits,
-        "rounds": m.rounds,
-        "messages": m.messages,
-        "output": repr(m.output),
-    }
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _emit_json():
-    """Write the collected battery as machine-readable JSON on teardown."""
-    yield
-    if not _MEASURED:
-        return
-    passive = next(
-        (m for label, m in _MEASURED if label == "passive"), None
-    )
-    document = {
-        "schema": "repro.bench_adversarial/v1",
-        "experiment": "F3",
-        "config": {"n": N, "t": T, "ell": ELL, "kappa": 128},
-        "measurements": [
-            _measurement_record(label, m) for label, m in _MEASURED
-        ],
-        "worst_over_passive": (
-            None if passive is None else round(
-                max(m.bits for _, m in _MEASURED) / passive.bits, 3
-            )
-        ),
-    }
-    with open(JSON_PATH, "w") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def make_inputs() -> list[int]:
-    base = 1 << (ELL - 1)
-    return [base + 1000 * i for i in range(N)]
-
 
 def run_under(adversary) -> Measurement:
-    # Deliberately not routed through conftest's fan_out harness: each
-    # call appends to the module-global _MEASURED that the JSON emitter
-    # drains, and that side effect would be lost in a worker process.
-    inputs = make_inputs()
+    base = 1 << (ELL - 1)
+    inputs = [base + 1000 * i for i in range(N)]
     result = run_protocol(
         lambda ctx, v: protocol_z(ctx, v), inputs, n=N, t=T, kappa=128,
         adversary=adversary,
     )
-    out = result.assert_convex_valid(inputs)
-    measurement = Measurement(
-        protocol="pi_z",
-        n=N,
-        t=T,
-        ell=ELL,
-        kappa=128,
-        bits=result.stats.honest_bits,
-        rounds=result.stats.rounds,
-        messages=result.stats.honest_messages,
-        output=out,
+    return measurement(
+        result, protocol="pi_z", n=N, t=T, ell=ELL,
+        output=result.assert_convex_valid(inputs),
     )
-    label = "passive" if adversary is None else adversary.describe()
-    _MEASURED.append((label, measurement))
-    return measurement
 
 
-@pytest.mark.parametrize(
-    "adversary",
-    standard_adversary_suite(seed=31),
-    ids=lambda adv: adv.describe(),
-)
-def test_pi_z_under_adversary(benchmark, adversary):
-    m = run_measured(
-        benchmark, "F3", adversary.describe(), lambda: run_under(adversary)
-    )
-    assert m.bits > 0
-
-
-def test_adversary_cannot_inflate_honest_bits(benchmark):
+def test_adversary_cannot_inflate_honest_bits():
     """Worst adversary / passive baseline bit ratio stays constant."""
-
-    def battery():
-        baseline = run_under(None)
-        worst = max(
-            (run_under(adv) for adv in standard_adversary_suite(seed=31)),
-            key=lambda m: m.bits,
-        )
-        return baseline, worst
-
-    baseline, worst = benchmark.pedantic(battery, rounds=1, iterations=1)
-    ratio = worst.bits / baseline.bits
-    benchmark.extra_info["worst_over_passive"] = round(ratio, 2)
-    record("F3", "passive baseline", baseline)
-    record("F3", "worst adversary", worst)
+    baseline = record("F3", "passive", run_under(None))
+    worst = max(
+        record("F3", adversary.describe(), run_under(adversary)).bits
+        for adversary in standard_adversary_suite(seed=31)
+    )
     # Byzantine behaviour may change the FindPrefix path (bottom vs
     # agree), shifting cost by small constants -- never by factors of n.
-    assert ratio < 3.0
+    assert worst / baseline.bits < 3.0

@@ -25,7 +25,7 @@ from repro.asynchrony import (
     TargetedDelayScheduler,
 )
 
-from conftest import fan_out, record, run_measured
+from conftest import record
 
 N, T = 6, 1
 BOUND = 1 << 16
@@ -69,50 +69,39 @@ def run_async_aa(eps_exponent: int, scheduler_name: str) -> Measurement:
     )
 
 
-@pytest.mark.parametrize("scheduler_name", sorted(SCHEDULERS))
-def test_async_aa_schedulers(benchmark, scheduler_name):
-    m = run_measured(
-        benchmark,
-        "F6",
-        f"sched={scheduler_name}",
-        lambda: run_async_aa(0, scheduler_name),
-    )
-    assert m.bits > 0
+@pytest.fixture(scope="module")
+def by_scheduler():
+    """scheduler name -> the run at ``eps = 2^0`` under it."""
+    return {
+        name: record("F6", f"sched={name}", run_async_aa(0, name))
+        for name in sorted(SCHEDULERS)
+    }
 
 
-@pytest.mark.parametrize("eps_exponent", [8, 0, -8])
-def test_async_aa_vs_eps(benchmark, eps_exponent):
-    m = run_measured(
-        benchmark,
-        "F6",
-        f"eps=2^{eps_exponent}",
-        lambda: run_async_aa(eps_exponent, "random"),
-    )
-    assert m.bits > 0
+def test_schedule_independence_of_message_complexity(by_scheduler):
+    bits = [m.bits for m in by_scheduler.values()]
+    assert max(bits) <= 1.5 * min(bits)
 
 
-def test_cost_linear_in_iterations(benchmark):
-    def sweep():
-        return fan_out(run_async_aa, [(e, "fifo") for e in (8, 0, -8)])
+def eps_sweep(by_scheduler, name: str) -> list[Measurement]:
+    """``eps = 2^8, 2^0, 2^-8`` under one scheduler (2^0 is its
+    ``by_scheduler`` row)."""
+    return [
+        by_scheduler[name] if e == 0
+        else record("F6", f"{name} eps=2^{e}", run_async_aa(e, name))
+        for e in (8, 0, -8)
+    ]
 
-    coarse, mid, fine = benchmark.pedantic(sweep, rounds=1, iterations=1)
+
+def test_async_aa_vs_eps(by_scheduler):
+    assert all(m.bits > 0 for m in eps_sweep(by_scheduler, "random"))
+
+
+def test_cost_linear_in_iterations(by_scheduler):
+    coarse, mid, fine = eps_sweep(by_scheduler, "fifo")
     # each 256x precision gain adds 8 iterations at fixed per-iteration
     # cost (n RBC instances of O(n^2) kappa-free messages).
     step1 = mid.bits - coarse.bits
     step2 = fine.bits - mid.bits
-    benchmark.extra_info["bits_per_8_iterations"] = step2
     assert step1 > 0 and step2 > 0
     assert step2 < 2.5 * step1
-
-
-def test_schedule_independence_of_message_complexity(benchmark):
-    def sweep():
-        names = list(SCHEDULERS)
-        results = fan_out(run_async_aa, [(0, name) for name in names])
-        return dict(zip(names, results))
-
-    ms = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    for name, m in ms.items():
-        record("F6", f"msg-complexity {name}", m)
-    bits = [m.bits for m in ms.values()]
-    assert max(bits) <= 1.5 * min(bits)

@@ -15,7 +15,7 @@ from repro.analysis import Measurement, fit_power_law
 from repro.ba.ba_plus import ba_plus
 from repro.sim import run_protocol, standard_adversary_suite
 
-from conftest import fan_out, record, run_measured
+from conftest import measurement, record
 
 NS = [(4, 1), (7, 2), (10, 3), (13, 4)]
 KAPPAS = [64, 128, 256]
@@ -39,63 +39,37 @@ def run_ba_plus(n, t, kappa, adversary=None, pre_agree=True) -> Measurement:
     assert out is None or out in honest
     if pre_agree:
         assert out is not None
-    return Measurement(
-        protocol="ba_plus",
-        n=n,
-        t=t,
-        ell=kappa,
-        kappa=kappa,
-        bits=result.stats.honest_bits,
-        rounds=result.stats.rounds,
-        messages=result.stats.honest_messages,
+    return measurement(
+        result, protocol="ba_plus", n=n, t=t, ell=kappa, kappa=kappa,
         output=out,
     )
 
 
-@pytest.mark.parametrize("n,t", NS)
-def test_ba_plus_vs_n(benchmark, n, t):
-    m = run_measured(
-        benchmark, "T6", f"n={n}", lambda: run_ba_plus(n, t, 128)
-    )
-    assert m.bits > 0
-
-
-@pytest.mark.parametrize("kappa", KAPPAS)
-def test_ba_plus_vs_kappa(benchmark, kappa):
-    m = run_measured(
-        benchmark,
-        "T6",
-        f"kappa={kappa}",
-        lambda: run_ba_plus(7, 2, kappa),
-    )
-    assert m.bits > 0
-
-
-def test_ba_plus_growth_in_n(benchmark):
-    def sweep():
-        return fan_out(run_ba_plus, [(n, t, 128) for n, t in NS])
-
-    ms = benchmark.pedantic(sweep, rounds=1, iterations=1)
+def test_ba_plus_growth_in_n():
+    ms = [record("T6", f"n={n}", run_ba_plus(n, t, 128)) for n, t in NS]
     exponent, _ = fit_power_law([m.n for m in ms], [m.bits for m in ms])
-    benchmark.extra_info["exponent_n"] = round(exponent, 3)
     # O(kappa n^2) + phase-king O(kappa n^2 t): between n^2 and n^3.5
     assert 1.7 < exponent < 3.7
 
 
-def test_ba_plus_properties_under_attack(benchmark):
-    """Re-verify IT + BPA under the whole adversary battery, timed."""
+@pytest.mark.parametrize("kappa", KAPPAS)
+def test_ba_plus_vs_kappa(kappa):
+    m = record("T6", f"kappa={kappa}", run_ba_plus(7, 2, kappa))
+    assert m.bits > 0
 
-    def battery():
-        ms = []
-        for adversary in standard_adversary_suite(seed=23):
-            ms.append(run_ba_plus(7, 2, 128, adversary=adversary))
-            ms.append(
-                run_ba_plus(
-                    7, 2, 128, adversary=adversary, pre_agree=False
-                )
-            )
-        return ms
 
-    ms = benchmark.pedantic(battery, rounds=1, iterations=1)
-    record("T6", "adversary battery (last)", ms[-1])
+def test_ba_plus_properties_under_attack():
+    """Re-verify IT + BPA (asserted in ``run_ba_plus``) under the whole
+    adversary battery, with and without honest pre-agreement."""
+    ms = [
+        record(
+            "T6", f"{adversary.describe()} {inputs}",
+            run_ba_plus(
+                7, 2, 128, adversary=adversary,
+                pre_agree=inputs == "pre-agreement",
+            ),
+        )
+        for adversary in standard_adversary_suite(seed=23)
+        for inputs in ("pre-agreement", "spread")
+    ]
     assert len(ms) == 2 * len(standard_adversary_suite())

@@ -12,54 +12,33 @@ import pytest
 
 from repro.analysis import fit_power_law, measure
 
-from conftest import measure_grid, run_measured
+from conftest import record
 
 N, T = 7, 2
 # long inputs: all well above n^2 = 49 bits
 ELLS = [1960, 7840, 31360, 125440]  # multiples of n^2 = 49
 
 
-@pytest.mark.parametrize("ell", ELLS)
-def test_blocks_vs_ell(benchmark, ell):
-    m = run_measured(
-        benchmark,
-        "T4",
-        f"ell={ell}",
-        lambda: measure(
-            "fixed_length_ca_blocks", N, T, ell, seed=3, spread="clustered"
-        ),
-    )
-    assert m.bits > 0
+@pytest.fixture(scope="module")
+def by_ell():
+    return [
+        record(
+            "T4", f"ell={ell}",
+            measure("fixed_length_ca_blocks", N, T, ell, seed=3,
+                    spread="clustered"),
+        )
+        for ell in ELLS
+    ]
 
 
-def test_blocks_linear_in_ell(benchmark):
-    def sweep():
-        return measure_grid([
-            dict(protocol="fixed_length_ca_blocks", n=N, t=T, ell=ell,
-                 seed=3, spread="clustered")
-            for ell in ELLS
-        ])
-
-    ms = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    exponent, _ = fit_power_law(
-        [m.ell for m in ms[1:]], [m.bits for m in ms[1:]]
-    )
-    benchmark.extra_info["exponent"] = round(exponent, 3)
+def test_blocks_linear_in_ell(by_ell):
+    tail = by_ell[1:]
+    exponent, _ = fit_power_law([m.ell for m in tail], [m.bits for m in tail])
     assert exponent < 1.25
 
 
-def test_blocks_rounds_independent_of_ell(benchmark):
+def test_blocks_rounds_independent_of_ell(by_ell):
     """O(log n) iterations regardless of l: rounds flat across a 64x
     increase in input length."""
-
-    def sweep():
-        return measure_grid([
-            dict(protocol="fixed_length_ca_blocks", n=N, t=T, ell=ell,
-                 seed=3, spread="clustered")
-            for ell in (1960, 125440)
-        ])
-
-    small, large = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    benchmark.extra_info["rounds_small"] = small.rounds
-    benchmark.extra_info["rounds_large"] = large.rounds
+    small, large = by_ell[0], by_ell[-1]
     assert large.rounds <= 1.5 * small.rounds

@@ -19,65 +19,43 @@ import pytest
 
 from repro.analysis import marginal_slope, measure
 
-from conftest import measure_grid, record, run_measured
+from conftest import record
 
 N, T = 7, 2
 ELLS = [256, 1024, 4096, 16384]
 PROTOCOLS = ["pi_z", "broadcast_ca", "naive_broadcast_ca", "high_cost_ca"]
 
 
-@pytest.mark.parametrize("protocol", PROTOCOLS)
-@pytest.mark.parametrize("ell", ELLS)
-def test_comparison_point(benchmark, protocol, ell):
-    m = run_measured(
-        benchmark,
-        "F1",
-        f"{protocol}@{ell}",
-        lambda: measure(protocol, N, T, ell, seed=5, spread="spread"),
-    )
-    assert m.bits > 0
+@pytest.fixture(scope="module")
+def grid():
+    """``(protocol, ell) -> Measurement`` over the whole comparison."""
+    return {
+        (protocol, ell): record(
+            "F1", f"{protocol}@{ell}",
+            measure(protocol, N, T, ell, seed=5, spread="spread"),
+        )
+        for ell in ELLS
+        for protocol in PROTOCOLS
+    }
 
 
-def test_pi_z_wins_for_long_inputs(benchmark):
+def test_pi_z_wins_for_long_inputs(grid):
     """At the top of the sweep the paper's protocol must be cheapest."""
-
-    def sweep():
-        measurements = measure_grid([
-            dict(protocol=protocol, n=N, t=T, ell=ELLS[-1], seed=5)
-            for protocol in PROTOCOLS
-        ])
-        return dict(zip(PROTOCOLS, measurements))
-
-    ms = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    for protocol, m in ms.items():
-        record("F1", f"winner-check {protocol}", m)
-    pi_z = ms["pi_z"].bits
+    top = {protocol: grid[protocol, ELLS[-1]].bits for protocol in PROTOCOLS}
     assert all(
-        pi_z < m.bits for name, m in ms.items() if name != "pi_z"
-    ), {name: m.bits for name, m in ms.items()}
+        top["pi_z"] < bits for name, bits in top.items() if name != "pi_z"
+    ), top
 
 
-def test_marginal_slopes_ordering(benchmark):
+def test_marginal_slopes_ordering(grid):
     """Slopes (bits per extra input bit) must order as n < n^2 <= n^3."""
-
-    def sweep():
-        ells = (4096, 16384)
-        flat = measure_grid([
-            dict(protocol=protocol, n=N, t=T, ell=ell, seed=5)
-            for protocol in PROTOCOLS
-            for ell in ells
-        ])
-        out = {}
-        for index, protocol in enumerate(PROTOCOLS):
-            ms = flat[index * len(ells):(index + 1) * len(ells)]
-            out[protocol] = marginal_slope(
-                [m.ell for m in ms], [m.bits for m in ms]
-            )
-        return out
-
-    slopes = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    for protocol, slope in slopes.items():
-        benchmark.extra_info[f"slope_{protocol}"] = round(slope, 1)
+    ells = (4096, 16384)
+    slopes = {
+        protocol: marginal_slope(
+            ells, [grid[protocol, ell].bits for ell in ells]
+        )
+        for protocol in PROTOCOLS
+    }
     assert slopes["pi_z"] < slopes["broadcast_ca"]
     assert slopes["broadcast_ca"] < slopes["naive_broadcast_ca"]
     assert slopes["broadcast_ca"] < slopes["high_cost_ca"]

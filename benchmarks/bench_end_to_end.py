@@ -14,108 +14,47 @@ import math
 import pytest
 
 from repro.analysis import fit_power_law, marginal_slope, measure
-from repro.perf import config as perf_config
 
-from conftest import attach, measure_grid, record, run_measured
+from conftest import record
 
 N, T = 7, 2
 ELLS = [256, 1024, 4096, 16384, 65536]
 NS = [(4, 1), (7, 2), (10, 3), (13, 4)]
-#: long-value points for the hot-path cache A/B medians.
-HOTPATH_ELLS = [16384, 65536]
 
 
-@pytest.mark.parametrize("ell", ELLS)
-def test_pi_z_vs_ell(benchmark, ell):
-    m = run_measured(
-        benchmark,
-        "T5",
-        f"ell={ell}",
-        lambda: measure("pi_z", N, T, ell, seed=4, spread="clustered"),
-    )
-    assert m.bits > 0
+def run(protocol: str, n: int, t: int, ell: int):
+    return measure(protocol, n, t, ell, seed=4, spread="clustered")
 
 
-@pytest.mark.parametrize("n,t", NS)
-def test_pi_z_vs_n(benchmark, n, t):
-    m = run_measured(
-        benchmark,
-        "T5",
-        f"n={n}",
-        lambda: measure("pi_z", n, t, 4096, seed=4, spread="clustered"),
-    )
-    # Rounds O(n log n): generous constant, checked across the sweep.
-    assert m.rounds <= 60 * n * math.log2(max(2, n))
+@pytest.fixture(scope="module")
+def by_ell():
+    return [record("T5", f"ell={ell}", run("pi_z", N, T, ell)) for ell in ELLS]
 
 
-def test_pi_z_marginal_slope_is_order_n(benchmark):
+def test_pi_z_marginal_slope_is_order_n(by_ell):
     """The headline number: each extra input bit costs ~n bits total."""
-
-    def sweep():
-        return measure_grid([
-            dict(protocol="pi_z", n=N, t=T, ell=ell, seed=4,
-                 spread="clustered")
-            for ell in (16384, 65536)
-        ])
-
-    ms = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    slope = marginal_slope([m.ell for m in ms], [m.bits for m in ms])
-    benchmark.extra_info["bits_per_input_bit"] = round(slope, 2)
+    top = by_ell[-2:]  # ell = 16384, 65536
+    slope = marginal_slope([m.ell for m in top], [m.bits for m in top])
     # Theta(n): allow [n/2, 6n] for protocol constants (the value
     # traverses the network a small constant number of times).
     assert N / 2 <= slope <= 6 * N, slope
 
 
-def test_pi_z_near_linear_in_ell(benchmark):
-    def sweep():
-        return measure_grid([
-            dict(protocol="pi_z", n=N, t=T, ell=ell, seed=4,
-                 spread="clustered")
-            for ell in ELLS[1:]
-        ])
-
-    ms = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    exponent, r2 = fit_power_law([m.ell for m in ms], [m.bits for m in ms])
-    benchmark.extra_info["exponent"] = round(exponent, 3)
-    benchmark.extra_info["r_squared"] = round(r2, 4)
+def test_pi_z_near_linear_in_ell(by_ell):
+    tail = by_ell[1:]
+    exponent, _ = fit_power_law([m.ell for m in tail], [m.bits for m in tail])
     assert exponent < 1.25
 
 
-@pytest.mark.parametrize("caches", ["cached", "uncached"])
-@pytest.mark.parametrize("ell", HOTPATH_ELLS)
-def test_fixed_length_ca_hotpath_medians(benchmark, ell, caches):
-    """Long-``l`` FixedLengthCA with the hot-path caches on vs off.
-
-    pytest-benchmark's 5-round median puts a stable number on what the
-    execution-scoped RS/Merkle caches buy at the paper-scale lengths;
-    bits and rounds are identical either way (the caches are
-    byte-for-byte correctness-neutral -- see tests/test_perf.py).
-    """
-    enabled = caches == "cached"
-
-    def run():
-        with perf_config.caches(enabled):
-            return measure(
-                "fixed_length_ca", N, T, ell, seed=4, spread="clustered"
-            )
-
-    m = benchmark.pedantic(run, rounds=5, iterations=1)
-    attach(benchmark, m)
-    record("T5", f"hotpath ell={ell} {caches}", m)
-    assert m.bits > 0
-
-
-def test_pi_n_matches_pi_z_on_naturals(benchmark):
+def test_pi_n_matches_pi_z_on_naturals(by_ell):
     """PI_Z adds only one bit-BA on top of PI_N."""
+    pi_z = by_ell[ELLS.index(4096)]
+    pi_n = record("T5", "pi_n ell=4096", run("pi_n", N, T, 4096))
+    assert pi_z.bits - pi_n.bits < 0.05 * pi_n.bits
 
-    def sweep():
-        return measure_grid([
-            dict(protocol=name, n=N, t=T, ell=4096, seed=4,
-                 spread="clustered")
-            for name in ("pi_n", "pi_z")
-        ])
 
-    pi_n, pi_z = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    overhead = pi_z.bits - pi_n.bits
-    benchmark.extra_info["sign_ba_overhead_bits"] = overhead
-    assert overhead < 0.05 * pi_n.bits
+@pytest.mark.parametrize("n,t", NS)
+def test_pi_z_vs_n(n, t):
+    m = record("T5", f"n={n}", run("pi_z", n, t, 4096))
+    # Rounds O(n log n): generous constant, checked across the sweep.
+    assert m.rounds <= 60 * n * math.log2(max(2, n))

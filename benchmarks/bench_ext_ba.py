@@ -13,7 +13,7 @@ from repro.analysis import Measurement, fit_power_law
 from repro.ba.ext_ba_plus import ext_ba_plus
 from repro.sim import run_protocol
 
-from conftest import fan_out, record, run_measured
+from conftest import measurement, record
 
 KAPPA = 128
 N, T = 7, 2
@@ -30,51 +30,35 @@ def run_ext_ba(ell: int, agreeing: bool) -> Measurement:
     result = run_protocol(
         lambda ctx, v: ext_ba_plus(ctx, v), inputs, n=N, t=T, kappa=KAPPA
     )
-    return Measurement(
-        protocol="ext_ba_plus" + ("" if agreeing else "(bottom)"),
-        n=N,
-        t=T,
-        ell=ell,
-        kappa=KAPPA,
-        bits=result.stats.honest_bits,
-        rounds=result.stats.rounds,
-        messages=result.stats.honest_messages,
-        output=result.common_output(),
+    return measurement(
+        result, protocol="ext_ba_plus" + ("" if agreeing else "(bottom)"),
+        n=N, t=T, ell=ell, kappa=KAPPA, output=result.common_output(),
     )
 
 
-@pytest.mark.parametrize("ell", ELLS)
-def test_ext_ba_bits_vs_ell(benchmark, ell):
-    m = run_measured(
-        benchmark, "T1", f"ell={ell}", lambda: run_ext_ba(ell, True)
-    )
-    assert m.output is not None
+@pytest.fixture(scope="module")
+def agreeing():
+    return [record("T1", f"ell={ell}", run_ext_ba(ell, True)) for ell in ELLS]
 
 
-def test_ext_ba_linear_in_ell(benchmark):
+def test_ext_ba_agrees_on_the_payload(agreeing):
+    assert all(m.output is not None for m in agreeing)
+
+
+def test_ext_ba_linear_in_ell(agreeing):
     """The fitted bits-vs-ell exponent over the sweep tail is ~1."""
-
-    def sweep():
-        return fan_out(run_ext_ba, [(ell, True) for ell in ELLS])
-
-    ms = benchmark.pedantic(sweep, rounds=1, iterations=1)
     # drop the smallest point where the kappa*n^2 additive term dominates
-    exponent, _ = fit_power_law(
-        [m.ell for m in ms[1:]], [m.bits for m in ms[1:]]
-    )
-    benchmark.extra_info["exponent"] = round(exponent, 3)
+    tail = agreeing[1:]
+    exponent, _ = fit_power_law([m.ell for m in tail], [m.bits for m in tail])
     assert exponent < 1.3, f"super-linear growth in l: {exponent:.2f}"
 
 
-def test_ext_ba_bottom_flat_in_ell(benchmark):
+def test_ext_ba_bottom_flat_in_ell():
     """When PI_BA+ returns bottom no payload crosses the wire, so the
     cost must be (nearly) independent of l."""
-
-    def sweep():
-        return fan_out(run_ext_ba, [(ell, False) for ell in (512, 32768)])
-
-    small, large = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    record("T1", "bottom ell=512", small)
-    record("T1", "bottom ell=32768", large)
+    small, large = (
+        record("T1", f"bottom ell={ell}", run_ext_ba(ell, False))
+        for ell in (512, 32768)
+    )
     assert large.output is None
     assert large.bits < 1.2 * small.bits

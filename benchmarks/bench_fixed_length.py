@@ -11,67 +11,35 @@ import pytest
 
 from repro.analysis import fit_power_law, measure
 
-from conftest import measure_grid, run_measured
+from conftest import record
 
 N, T = 7, 2
 ELLS = [256, 1024, 4096, 16384]
 
 
-@pytest.mark.parametrize("ell", ELLS)
-def test_fixed_length_ca_vs_ell(benchmark, ell):
-    m = run_measured(
-        benchmark,
-        "T2",
-        f"ell={ell}",
-        lambda: measure(
-            "fixed_length_ca", N, T, ell, seed=1, spread="clustered"
-        ),
-    )
-    assert m.bits > 0
+def run(n: int, t: int, ell: int):
+    return measure("fixed_length_ca", n, t, ell, seed=1, spread="clustered")
 
 
-def test_fixed_length_ca_rounds_logarithmic(benchmark):
-    def sweep():
-        return measure_grid([
-            dict(protocol="fixed_length_ca", n=N, t=T, ell=ell,
-                 seed=1, spread="clustered")
-            for ell in (256, 16384)
-        ])
+@pytest.fixture(scope="module")
+def by_ell():
+    return [record("T2", f"ell={ell}", run(N, T, ell)) for ell in ELLS]
 
-    small, large = benchmark.pedantic(sweep, rounds=1, iterations=1)
+
+def test_fixed_length_ca_rounds_logarithmic(by_ell):
     # O(log l) iterations: 64x longer inputs -> rounds grow by at most
     # the iteration-count ratio log(16384)/log(256) = 14/8 (plus slack).
-    ratio = large.rounds / small.rounds
-    benchmark.extra_info["rounds_ratio_64x_ell"] = round(ratio, 2)
-    assert ratio < 2.5
+    small, large = by_ell[0], by_ell[-1]
+    assert large.rounds / small.rounds < 2.5
 
 
-def test_fixed_length_ca_bits_near_linear_tail(benchmark):
-    def sweep():
-        return measure_grid([
-            dict(protocol="fixed_length_ca", n=N, t=T, ell=ell,
-                 seed=1, spread="clustered")
-            for ell in ELLS
-        ])
-
-    ms = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    exponent, _ = fit_power_law(
-        [m.ell for m in ms[1:]], [m.bits for m in ms[1:]]
-    )
-    benchmark.extra_info["exponent"] = round(exponent, 3)
+def test_fixed_length_ca_bits_near_linear_tail(by_ell):
+    tail = by_ell[1:]
+    exponent, _ = fit_power_law([m.ell for m in tail], [m.bits for m in tail])
     # log-factor on the additive term allows mild super-linearity
     assert exponent < 1.4
 
 
 @pytest.mark.parametrize("n,t", [(4, 1), (7, 2), (10, 3)])
-def test_fixed_length_ca_vs_n(benchmark, n, t):
-    ell = 1024
-    m = run_measured(
-        benchmark,
-        "T2",
-        f"n={n}",
-        lambda: measure(
-            "fixed_length_ca", n, t, ell, seed=1, spread="clustered"
-        ),
-    )
-    assert m.rounds > 0
+def test_fixed_length_ca_vs_n(n, t):
+    assert record("T2", f"n={n}", run(n, t, 1024)).rounds > 0

@@ -10,58 +10,36 @@ import pytest
 
 from repro.analysis import fit_power_law, measure
 
-from conftest import measure_grid, run_measured
+from conftest import record
 
 ELLS = [256, 1024, 4096]
 NS = [(4, 1), (7, 2), (10, 3), (13, 4)]
 
 
-@pytest.mark.parametrize("ell", ELLS)
-def test_high_cost_vs_ell(benchmark, ell):
-    m = run_measured(
-        benchmark,
-        "T3",
-        f"ell={ell}",
-        lambda: measure("high_cost_ca", 7, 2, ell, seed=2),
-    )
-    assert m.bits > 0
+def test_high_cost_linear_in_ell():
+    ms = [
+        record("T3", f"ell={ell}", measure("high_cost_ca", 7, 2, ell, seed=2))
+        for ell in ELLS
+    ]
+    exponent, _ = fit_power_law([m.ell for m in ms], [m.bits for m in ms])
+    assert 0.8 < exponent < 1.2
 
 
 @pytest.mark.parametrize("n,t", NS)
-def test_high_cost_vs_n(benchmark, n, t):
-    ell = 1024
-    m = run_measured(
-        benchmark,
-        "T3",
-        f"n={n}",
-        lambda: measure("high_cost_ca", n, t, ell, seed=2),
-    )
+def test_high_cost_rounds_vs_n(n, t):
+    m = record("T3", f"n={n}", measure("high_cost_ca", n, t, 1024, seed=2))
     # Theorem 3 round complexity, exactly as implemented:
     assert m.rounds == 2 + 4 * (t + 1)
 
 
-def test_high_cost_linear_in_ell(benchmark):
-    def sweep():
-        return measure_grid([
-            dict(protocol="high_cost_ca", n=7, t=2, ell=ell, seed=2)
-            for ell in ELLS
-        ])
-
-    ms = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    exponent, _ = fit_power_law([m.ell for m in ms], [m.bits for m in ms])
-    benchmark.extra_info["exponent_ell"] = round(exponent, 3)
-    assert 0.8 < exponent < 1.2
-
-
-def test_high_cost_cubic_in_n(benchmark):
-    def sweep():
-        return measure_grid([
-            dict(protocol="high_cost_ca", n=n, t=t, ell=2048, seed=2)
-            for n, t in NS
-        ])
-
-    ms = benchmark.pedantic(sweep, rounds=1, iterations=1)
+def test_high_cost_cubic_in_n():
+    ms = [
+        record(
+            "T3", f"n={n} ell=2048",
+            measure("high_cost_ca", n, t, 2048, seed=2),
+        )
+        for n, t in NS
+    ]
     exponent, _ = fit_power_law([m.n for m in ms], [m.bits for m in ms])
-    benchmark.extra_info["exponent_n"] = round(exponent, 3)
     # O(l n^3) via t+1 ~ n/3 phases of n^2 value-exchanges
     assert 2.3 < exponent < 4.2

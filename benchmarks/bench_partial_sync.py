@@ -12,21 +12,19 @@ bits, swept against
 * the heal time of a partition isolating one party -- including the
   never-healing end point that descends the failover ladder.
 
-Besides the end-of-session tables, every sweep point lands in
-``benchmarks/BENCH_partition.json`` for dashboards and regression
-scripts.
+Besides its ``BENCH_experiments.json`` rows, every sweep point lands in
+``benchmarks/BENCH_partition.json`` with the latency and overhead
+ledger a ``Measurement`` does not carry.
 """
 
 from __future__ import annotations
 
-import json
 import os
 
 import pytest
 
-from repro.analysis import Measurement
 from repro.core.fixed_length import fixed_length_ca
-from repro.errors import SimulationError
+from repro.perf.profile import save_document
 from repro.sim import (
     PartialSyncTransport,
     TimeoutEscalation,
@@ -34,7 +32,7 @@ from repro.sim import (
     run_with_escalation,
 )
 
-from conftest import record, run_measured
+from conftest import measurement, record
 
 N, T = 7, 2
 ELL = 64
@@ -50,29 +48,6 @@ HEAL_POINTS = (64, 128, 256, 512, -1)
 
 JSON_PATH = os.path.join(os.path.dirname(__file__), "BENCH_partition.json")
 
-#: JSON-ready sweep points drained by the module teardown emitter.
-_POINTS: list[dict] = []
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _emit_json():
-    """Write the collected sweeps as machine-readable JSON on teardown."""
-    yield
-    if not _POINTS:
-        return
-    document = {
-        "schema": "repro.bench_partial_sync/v1",
-        "experiment": "F7",
-        "config": {
-            "n": N, "t": T, "ell": ELL, "kappa": KAPPA,
-            "pre_gst_drop": PRE_GST_DROP,
-        },
-        "points": _POINTS,
-    }
-    with open(JSON_PATH, "w") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
 
 def make_inputs(n: int = N) -> list[int]:
     base = 1 << (ELL - 1)
@@ -83,7 +58,15 @@ def _factory():
     return lambda ctx, v: fixed_length_ca(ctx, v, ELL)
 
 
-def _point(axis, value, result, transport) -> dict:
+def _point(axis, value, result, transport, t) -> dict:
+    """One sweep point as its ``BENCH_partition.json`` row (also
+    recorded for F7)."""
+    outputs = [result.outputs[p] for p in result.honest_parties]
+    label = "never" if value == -1 else value
+    record("F7", f"{axis}={label}", measurement(
+        result, protocol="fixed_length_ca", n=N, t=t, ell=ELL, kappa=KAPPA,
+        output=min(outputs),
+    ))
     stats = result.stats
     fallback = result.fallback
     return {
@@ -101,19 +84,7 @@ def _point(axis, value, result, transport) -> dict:
     }
 
 
-def _measure(result, n: int, t: int) -> Measurement:
-    outputs = [result.outputs[p] for p in result.honest_parties]
-    return Measurement(
-        protocol="fixed_length_ca",
-        n=n, t=t, ell=ELL, kappa=KAPPA,
-        bits=result.stats.honest_bits,
-        rounds=result.stats.rounds,
-        messages=result.stats.honest_messages,
-        output=min(outputs),
-    )
-
-
-def run_gst_point(gst: int) -> Measurement:
+def run_gst_point(gst: int) -> dict:
     inputs = make_inputs()
     transport = PartialSyncTransport(
         gst=gst, pre_gst_drop=PRE_GST_DROP, seed=13,
@@ -126,83 +97,60 @@ def run_gst_point(gst: int) -> Measurement:
     # ...and the paper's metric is untouched by the slow start.
     baseline = run_protocol(_factory(), inputs, n=N, t=T, kappa=KAPPA)
     assert result.stats.honest_bits == baseline.stats.honest_bits
-    _POINTS.append(_point("gst", gst, result, transport))
-    return _measure(result, N, T)
+    return _point("gst", gst, result, transport, T)
 
 
-def run_heal_point(heal: int) -> Measurement:
+def run_heal_point(heal: int) -> dict:
     # t=1 keeps the async rung feasible (5t < n) at the -1 end point.
-    n, t = N, 1
-    inputs = make_inputs(n)
     transport = PartialSyncTransport(
         partitions=((0, heal, (0,)),), seed=13,
         slot_budget=32, escalation=TimeoutEscalation(max_attempts=4),
     )
+    # the ladder must absorb the broken network: a SimulationError out
+    # of it (ladder exhaustion) fails the sweep.
     result = run_with_escalation(
-        _factory(), inputs, n=n, t=t, kappa=KAPPA, transport=transport,
-        epsilon=1,
+        _factory(), make_inputs(), n=N, t=1, kappa=KAPPA,
+        transport=transport, epsilon=1,
     )
     if heal == -1:
         assert result.fallback is not None
-    _POINTS.append(_point("heal", heal, result, transport))
-    return _measure(result, n, t)
+    return _point("heal", heal, result, transport, 1)
 
 
-@pytest.mark.parametrize("gst", GST_POINTS)
-def test_latency_and_overhead_vs_gst(benchmark, gst):
-    m = run_measured(benchmark, "F7", f"gst={gst}", lambda: run_gst_point(gst))
-    assert m.bits > 0
+@pytest.fixture(scope="module")
+def points():
+    """``(axis, value) -> point`` over both sweeps; emits the document."""
+    swept = [run_gst_point(gst) for gst in GST_POINTS] + [
+        run_heal_point(heal) for heal in HEAL_POINTS
+    ]
+    save_document({
+        "schema": "repro.bench_partial_sync/v1",
+        "experiment": "F7",
+        "config": {
+            "n": N, "t": T, "ell": ELL, "kappa": KAPPA,
+            "pre_gst_drop": PRE_GST_DROP,
+        },
+        "points": swept,
+    }, JSON_PATH)
+    return {(p["axis"], p["value"]): p for p in swept}
 
 
-@pytest.mark.parametrize("heal", HEAL_POINTS)
-def test_latency_and_overhead_vs_heal_time(benchmark, heal):
-    label = "never" if heal == -1 else str(heal)
-    m = run_measured(
-        benchmark, "F7", f"heal={label}", lambda: run_heal_point(heal)
-    )
-    assert m.bits > 0
+def test_every_point_decides(points):
+    assert all(p["honest_bits"] > 0 for p in points.values())
 
 
-def test_overhead_grows_with_gst(benchmark):
+def test_overhead_grows_with_gst(points):
     """Later stabilization costs more overhead bits and slots -- but
     the same honest bits (the paper's bound is GST-invariant here)."""
-
-    def sweep():
-        return [run_gst_point(gst) for gst in (0, 256)]
-
-    early, late = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    record("F7", "gst sweep endpoints", late)
-    assert early.bits == late.bits
-    early_point = next(
-        p for p in reversed(_POINTS)
-        if p["axis"] == "gst" and p["value"] == 0
-    )
-    late_point = next(
-        p for p in reversed(_POINTS)
-        if p["axis"] == "gst" and p["value"] == 256
-    )
-    assert late_point["overhead_bits"] > early_point["overhead_bits"]
-    assert (
-        late_point["decision_latency_slots"]
-        > early_point["decision_latency_slots"]
-    )
+    early, late = points["gst", 0], points["gst", 256]
+    assert early["honest_bits"] == late["honest_bits"]
+    assert late["overhead_bits"] > early["overhead_bits"]
+    assert late["decision_latency_slots"] > early["decision_latency_slots"]
 
 
-def test_never_healing_descends_the_ladder(benchmark):
+def test_never_healing_descends_the_ladder(points):
     """The -1 end point degrades instead of hanging: the recorded rung
     is a failover, never an unhandled exception."""
-
-    def run():
-        try:
-            return run_heal_point(-1)
-        except SimulationError:  # pragma: no cover - ladder exhaustion
-            pytest.fail("failover ladder must absorb the broken network")
-
-    m = benchmark.pedantic(run, rounds=1, iterations=1)
-    record("F7", "heal=never (failover)", m)
-    point = next(
-        p for p in reversed(_POINTS)
-        if p["axis"] == "heal" and p["value"] == -1
-    )
+    point = points["heal", -1]
     assert point["rung"] in ("high_cost_ca", "async_aa")
     assert point["resyncs"] > 0

@@ -1,139 +1,88 @@
-"""Shared helpers for the benchmark harness.
+"""The deterministic experiment suite: ``benchmarks/BENCH_experiments.json``.
 
-Every benchmark module regenerates one experiment from DESIGN.md's
-per-experiment index (T1-T6, F1-F3).  pytest-benchmark provides wall
--clock timing; the quantities the paper actually bounds -- honest bits
-and rounds -- are attached as ``extra_info`` on each benchmark record
-and printed as plain-text tables at the end of the session.
+Every module here regenerates one experiment of DESIGN.md's index
+(T1-T6, F1-F8) as plain pytest tests: it measures the quantities the
+paper bounds -- honest bits and rounds, pure functions of ``(n, t, ell,
+seed)`` -- asserts the paper's claim on them and hands every measured
+row to :func:`record`.  A sweep that several claims read is measured
+once, in a module-scoped fixture.  At the end of the session the rows
+are printed as tables and written, sorted and timing-free, to the
+committed ``BENCH_experiments.json`` that EXPERIMENTS.md quotes; a
+session that ran some modules replaces only their sections.
 
-Run with::
+    pytest benchmarks/ -q
 
-    pytest benchmarks/ --benchmark-only
-    BENCH_WORKERS=auto pytest benchmarks/ --benchmark-only   # parallel
-
-Multi-point sweeps inside a benchmark go through the shared
-:func:`measure_grid`/:func:`fan_out` harness, which dispatches grid
-points over the process-pool engine (:mod:`repro.sim.parallel`).  The
-``BENCH_WORKERS`` environment variable picks the worker count (default
-``1`` = serial; ``auto`` = all cpus); by the engine's determinism
-contract the recorded bits/rounds are identical either way -- only the
-wall clock changes.
-
-Scale note: parameters are chosen so the full suite completes in a few
-minutes on a laptop while still spanning enough of each sweep for the
-scaling exponents to be visible.  EXPERIMENTS.md records a reference
-run.
+No wall clock is taken here: that is ``perfbench/``'s.
 """
 
 from __future__ import annotations
 
-import importlib
-import os
-from collections import defaultdict
-from typing import Callable, Sequence
+import json
+from pathlib import Path
 
 import pytest
 
-from repro.analysis import Measurement, format_table
-from repro.analysis.experiments import measure_case
-from repro.sim.parallel import resolve_workers, run_many
+from repro.analysis import Measurement, format_table, grid_record
+from repro.analysis.experiments import output_digest
+from repro.perf.profile import save_document
 
-#: worker processes for in-benchmark sweeps (``BENCH_WORKERS`` env var).
-WORKERS = resolve_workers(os.environ.get("BENCH_WORKERS", "1"))
+DOCUMENT = Path(__file__).with_name("BENCH_experiments.json")
+SCHEMA = "repro.bench_experiments/v1"
 
-#: module-level registry: experiment id -> list of (label, Measurement)
-_RESULTS: dict[str, list[tuple[str, Measurement]]] = defaultdict(list)
-
-
-def _invoke_case(case: tuple) -> object:
-    """Engine entry point: resolve ``(module, fn, args)`` and call it."""
-    module_name, fn_name, args = case
-    fn = getattr(importlib.import_module(module_name), fn_name)
-    return fn(*args)
+#: experiment id -> label -> Measurement, in the order measured.
+_ROWS: dict[str, dict[str, Measurement]] = {}
 
 
-def _collect(outcomes):
-    bad = [o for o in outcomes if not o.ok]
-    if bad:
-        raise RuntimeError(
-            f"{len(bad)} sweep case(s) failed; first: {bad[0].error}"
-        )
-    return [o.value for o in outcomes]
-
-
-def measure_grid(
-    jobs: Sequence[dict], workers: int | str | None = None
-) -> list[Measurement]:
-    """Run :func:`repro.analysis.measure` grid points via the engine.
-
-    ``jobs`` are ``measure()`` keyword dicts; results come back in job
-    order and are identical to a serial loop (each point is a pure
-    function of its parameters).
-    """
-    outcomes = run_many(measure_case, list(jobs), workers=workers or WORKERS)
-    return _collect(outcomes)
-
-
-def fan_out(
-    fn: Callable,
-    calls: Sequence[tuple],
-    workers: int | str | None = None,
-) -> list:
-    """Run ``fn(*args)`` for every args-tuple in ``calls`` via the engine.
-
-    ``fn`` must be module-level (workers resolve it by module + name);
-    use this for the custom per-benchmark runners that are not plain
-    ``measure()`` calls.
-    """
-    payloads = [
-        (fn.__module__, fn.__name__, tuple(args)) for args in calls
-    ]
-    outcomes = run_many(_invoke_case, payloads, workers=workers or WORKERS)
-    return _collect(outcomes)
-
-
-def record(experiment: str, label: str, measurement: Measurement) -> None:
-    """Register a measurement for the end-of-session experiment tables."""
-    _RESULTS[experiment].append((label, measurement))
-
-
-def attach(benchmark, measurement: Measurement) -> None:
-    """Attach the paper's metrics to a pytest-benchmark record."""
-    benchmark.extra_info["protocol"] = measurement.protocol
-    benchmark.extra_info["n"] = measurement.n
-    benchmark.extra_info["t"] = measurement.t
-    benchmark.extra_info["ell"] = measurement.ell
-    benchmark.extra_info["honest_bits"] = measurement.bits
-    benchmark.extra_info["rounds"] = measurement.rounds
-
-
-def run_measured(benchmark, experiment: str, label: str, fn) -> Measurement:
-    """Benchmark ``fn`` once and register its measurement."""
-    measurement = benchmark.pedantic(fn, rounds=1, iterations=1)
-    attach(benchmark, measurement)
-    record(experiment, label, measurement)
+def record(experiment: str, label: str, measurement: Measurement) -> Measurement:
+    """Register one measured row of ``experiment``; returns it."""
+    rows = _ROWS.setdefault(experiment, {})
+    assert label not in rows, f"{experiment}: {label!r} measured twice"
+    rows[label] = measurement
     return measurement
+
+
+def measurement(
+    result, *, protocol: str, n: int, t: int, ell: int, output,
+    kappa: int = 128,
+) -> Measurement:
+    """The paper's metrics of one ``run_protocol``-style result."""
+    return Measurement(
+        protocol=protocol, n=n, t=t, ell=ell, kappa=kappa,
+        bits=result.stats.honest_bits,
+        rounds=result.stats.rounds,
+        messages=result.stats.honest_messages,
+        output=output,
+    )
+
+
+def pytest_sessionfinish(session):
+    """Replace the sections this session measured in the document."""
+    if not _ROWS:
+        return
+    document = json.loads(DOCUMENT.read_text()) if DOCUMENT.exists() else {}
+    document["schema"] = SCHEMA
+    for experiment, rows in _ROWS.items():
+        section = document[experiment] = {}
+        for label, m in rows.items():
+            row = section[label] = grid_record(m)
+            # a digest pins the agreed value without carrying ell bits.
+            del row["output"]
+            row["output_sha256"] = output_digest(m.output)
+    save_document(document, str(DOCUMENT))
 
 
 @pytest.hookimpl(trylast=True)
 def pytest_terminal_summary(terminalreporter):
-    """Print the per-experiment tables after the benchmark session."""
-    if not _RESULTS:
+    """Print the per-experiment tables after the session."""
+    if not _ROWS:
         return
     tr = terminalreporter
     tr.write_sep("=", "experiment tables (paper metrics: bits & rounds)")
-    for experiment in sorted(_RESULTS):
+    for experiment in sorted(_ROWS):
         rows = [
-            [
-                label,
-                m.protocol,
-                m.n,
-                m.ell,
-                m.bits,
-                round(m.bits_per_party),
-                m.rounds,
-            ]
-            for label, m in _RESULTS[experiment]
+            [label, m.protocol, m.n, m.ell, m.bits,
+             round(m.bits_per_party), m.rounds]
+            for label, m in _ROWS[experiment].items()
         ]
         tr.write_line("")
         tr.write_line(

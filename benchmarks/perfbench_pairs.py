@@ -4,26 +4,39 @@
         [--seed 0] [--pairs 10]          (or: make perfbench-pairs BASE=...)
 
 The method every performance claim here is made with (ROADMAP item 1):
-``REV`` is checked out into a temporary ``git worktree``; each pair runs
-that side's *own* unmodified ``perfbench/run.py`` in driver form (one
-workload, ``BENCHMARK.json``'s ``run_seconds``, ``--trace 0``) on the base
-and on this checkout, alternating which goes first.  Prints every run,
-then per end-to-end metric both medians, both quartile pairs and the
-pairs the change won.  The held-out seed is a second call, ``--seed 1``.
+``REV`` is extracted (``git archive``) into a temporary directory and
+both trees are byte-compiled; each pair runs that side's *own*
+unmodified ``perfbench/run.py`` in driver form (one workload,
+``BENCHMARK.json``'s ``run_seconds``, ``--trace 0``) on the base and on
+this checkout, alternating which goes first.  Every run, and per
+end-to-end metric both medians, both quartile pairs and the pairs the
+change won, are printed and written to
+``benchmarks/pairs/<base-short-sha>-<workload>-seed<k>.json``: the data
+an EXPERIMENTS.md P-section points at.  The held-out seed is a second
+call, ``--seed 1``.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 from statistics import median, quantiles
 
 ROOT = Path(__file__).resolve().parent.parent
 DECLARED = json.loads((ROOT / "BENCHMARK.json").read_text())
+SCHEMA = "repro.perfbench_pairs/v1"
+
+
+def git(*args: str) -> bytes:
+    return subprocess.run(
+        ["git", *args], cwd=ROOT, check=True, stdout=subprocess.PIPE
+    ).stdout
 
 
 def run_once(checkout: Path, workload: str, seed: int) -> dict:
@@ -39,6 +52,23 @@ def run_once(checkout: Path, workload: str, seed: int) -> dict:
     return {**row, "failed": doc["failed"], "attempted": doc["attempted"]}
 
 
+def summarise(runs: dict[str, list[dict]]) -> dict:
+    """Per end-to-end metric: medians, quartiles, ratio, pairs won."""
+    metrics = {}
+    for metric in DECLARED["end_to_end"]:
+        name, higher = metric["name"], metric["better"] == "higher"
+        sides = {side: [row[name] for row in rows] for side, rows in runs.items()}
+        metrics[name] = {"unit": metric["unit"]}
+        for side, values in sides.items():
+            low, _, high = quantiles(values, n=4)
+            metrics[name][side] = {"median": median(values), "quartiles": [low, high]}
+        metrics[name]["change_over_base"] = round(
+            median(sides["change"]) / median(sides["base"]), 4)
+        metrics[name]["pairs_won"] = sum(
+            c != b and (c > b) == higher for b, c in zip(sides["base"], sides["change"]))
+    return metrics
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="revision to compare against")
@@ -48,32 +78,45 @@ def main() -> None:
     parser.add_argument("--pairs", type=int, default=10, help="at least 2")
     args = parser.parse_args()
 
+    base = git("rev-parse", "--short", args.base).decode().strip()
     runs: dict[str, list[dict]] = {"base": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="perfbench-base-") as tmp:
-        checkouts = {"base": Path(tmp) / "base", "change": ROOT}
-        subprocess.run(["git", "worktree", "add", "--detach", str(checkouts["base"]), args.base],
-                       cwd=ROOT, check=True, stdout=subprocess.DEVNULL)
-        try:
-            for pair in range(args.pairs):
-                for side in ("base", "change")[:: 1 if pair % 2 == 0 else -1]:
-                    runs[side].append(run_once(checkouts[side], args.workload, args.seed))
-                    print(f"pair {pair} {side:6s} {json.dumps(runs[side][-1])}", flush=True)
-        finally:
-            subprocess.run(["git", "worktree", "remove", "--force", str(checkouts["base"])],
-                           cwd=ROOT, check=False)
+        checkouts = {"base": Path(tmp), "change": ROOT}
+        with tarfile.open(fileobj=io.BytesIO(git("archive", args.base))) as tar:
+            tar.extractall(tmp)
+        for checkout in checkouts.values():  # neither side pays compilation in setup_s
+            subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"],
+                           cwd=checkout, check=True)
+        for pair in range(args.pairs):
+            for side in ("base", "change")[:: 1 if pair % 2 == 0 else -1]:
+                runs[side].append(run_once(checkouts[side], args.workload, args.seed))
+                print(f"pair {pair} {side:6s} {json.dumps(runs[side][-1])}", flush=True)
 
-    print(f"\n{args.workload} seed {args.seed}: {args.base} -> this checkout, {args.pairs} pairs")
-    for metric in DECLARED["end_to_end"]:
-        name, higher = metric["name"], metric["better"] == "higher"
-        sides = {side: [row[name] for row in rows] for side, rows in runs.items()}
-        for side, values in sides.items():
-            low, _, high = quantiles(values, n=4)
-            print(f"{name:15s} {side:6s} median {median(values):9.3f} "
+    document = {
+        "schema": SCHEMA,
+        "base": base,
+        "head": git("describe", "--always", "--dirty").decode().strip(),
+        "workload": args.workload,
+        "seed": args.seed,
+        "run_seconds": DECLARED["run_seconds"],
+        "pairs": args.pairs,
+        "runs": runs,
+        "metrics": summarise(runs),
+        "failed": {side: sum(r["failed"] for r in rows) for side, rows in runs.items()},
+    }
+    print(f"\n{args.workload} seed {args.seed}: {base} -> this checkout, {args.pairs} pairs")
+    for name, metric in document["metrics"].items():
+        for side in runs:
+            low, high = metric[side]["quartiles"]
+            print(f"{name:15s} {side:6s} median {metric[side]['median']:9.3f} "
                   f"quartiles {low:9.3f} .. {high:9.3f} {metric['unit']}")
-        won = sum(c != b and (c > b) == higher for b, c in zip(sides["base"], sides["change"]))
-        print(f"{name:15s} change/base {median(sides['change']) / median(sides['base']):.3f}x,"
-              f" change better in {won} of {args.pairs} pairs")
-    print("failed ops:", {side: sum(r["failed"] for r in rows) for side, rows in runs.items()})
+        print(f"{name:15s} change/base {metric['change_over_base']:.3f}x,"
+              f" change better in {metric['pairs_won']} of {args.pairs} pairs")
+    print("failed ops:", document["failed"])
+    target = ROOT / "benchmarks" / "pairs" / f"{base}-{args.workload}-seed{args.seed}.json"
+    target.parent.mkdir(exist_ok=True)
+    target.write_text(json.dumps(document, indent=2) + "\n")
+    print(f"written to {target.relative_to(ROOT)}")
 
 
 if __name__ == "__main__":

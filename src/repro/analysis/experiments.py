@@ -1,8 +1,9 @@
 """Parameter-sweep harness behind the benchmarks and EXPERIMENTS.md.
 
 Each experiment in DESIGN.md's per-experiment index maps to one of the
-sweep functions here; the benchmark modules under ``benchmarks/`` wrap
-them with pytest-benchmark timing and print the resulting tables.
+sweep functions here; the modules under ``benchmarks/`` call them, assert
+the paper's claims on the measurements and record every row in
+``benchmarks/BENCH_experiments.json``.
 
 Workload generation: honest inputs are drawn as ``ell``-bit values with
 a configurable *spread* --
@@ -19,6 +20,7 @@ All generators are deterministic in ``seed``.
 
 from __future__ import annotations
 
+import hashlib
 import random
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -34,6 +36,8 @@ from ..sim.runner import run_protocol
 __all__ = [
     "Measurement",
     "PROTOCOLS",
+    "output_text",
+    "output_digest",
     "make_inputs",
     "measure",
     "measure_case",
@@ -67,6 +71,34 @@ class Measurement:
     def bits_per_party(self) -> float:
         """Honest bits divided by the number of honest parties."""
         return self.bits / max(1, self.n - self.t)
+
+
+#: ints up to this many bits are written in decimal, as every committed
+#: document holds them; longer ones in hex.
+DECIMAL_BITS = 4096
+
+
+def output_text(output: Any) -> str:
+    """An agreed output as JSON-safe text (``int(text, 0)`` reads an int back).
+
+    CPython refuses decimal conversion of ints past 4300 digits (about
+    14,284 bits), and long values are what the paper is about, so no
+    unbounded int is ever converted to decimal.
+    """
+    if type(output) is int and output.bit_length() > DECIMAL_BITS:
+        return hex(output)
+    return repr(output)
+
+
+def output_digest(output: Any) -> str:
+    """Short digest of an agreed output: ints by their two's-complement
+    bytes (decimal-free, see :func:`output_text`), anything else by repr."""
+    if isinstance(output, int):
+        width = (output.bit_length() + 8) // 8 + 1
+        data = b"int:" + output.to_bytes(width, "big", signed=True)
+    else:
+        data = repr(output).encode()
+    return hashlib.sha256(data).hexdigest()[:16]
 
 
 def _pi_z(ctx, v):

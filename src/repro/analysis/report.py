@@ -164,8 +164,8 @@ def generate_report(scale: Scale = QUICK) -> str:
     header = (
         f"Communication-Optimal Convex Agreement -- experiment report "
         f"({scale.name} scale: n={scale.n}, t={scale.t})\n"
-        "Full-size sweeps: pytest benchmarks/ --benchmark-only "
-        "(reference numbers in EXPERIMENTS.md)\n"
+        "Full-size sweeps: pytest benchmarks/ -q "
+        "(numbers in benchmarks/BENCH_experiments.json)\n"
     )
     sections = [builder(scale).render() for builder in _SECTIONS]
     return "\n\n".join([header] + sections)

@@ -13,29 +13,19 @@ from pathlib import Path
 from typing import Iterable
 
 from .experiments import Measurement
+from .sweeps import grid_record
 
 __all__ = ["save_measurements", "load_measurements", "SCHEMA"]
 
 SCHEMA = "repro.measurements/v1"
 
 
-def _to_record(measurement: Measurement) -> dict:
-    return {
-        "protocol": measurement.protocol,
-        "n": measurement.n,
-        "t": measurement.t,
-        "ell": measurement.ell,
-        "kappa": measurement.kappa,
-        "bits": measurement.bits,
-        "rounds": measurement.rounds,
-        "messages": measurement.messages,
-        # outputs may be huge ints; store as strings to stay portable.
-        "output": repr(measurement.output),
-        "channel_bits": dict(measurement.channel_bits),
-    }
-
-
 def _from_record(record: dict) -> Measurement:
+    output = record.get("output")
+    try:
+        output = int(output, 0)
+    except (TypeError, ValueError):
+        pass  # not an integer output: keep the text
     return Measurement(
         protocol=record["protocol"],
         n=record["n"],
@@ -45,7 +35,7 @@ def _from_record(record: dict) -> Measurement:
         bits=record["bits"],
         rounds=record["rounds"],
         messages=record["messages"],
-        output=record.get("output"),
+        output=output,
         channel_bits=dict(record.get("channel_bits", {})),
     )
 
@@ -56,7 +46,10 @@ def save_measurements(
     """Write measurements to ``path`` as a JSON document."""
     document = {
         "schema": SCHEMA,
-        "measurements": [_to_record(m) for m in measurements],
+        "measurements": [
+            {**grid_record(m), "channel_bits": dict(m.channel_bits)}
+            for m in measurements
+        ],
     }
     Path(path).write_text(json.dumps(document, indent=2, sort_keys=True))
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..sim.parallel import resolve_workers, run_many
-from .experiments import Measurement, PROTOCOLS, measure_case
+from .experiments import Measurement, PROTOCOLS, measure_case, output_text
 
 __all__ = [
     "SWEEP_FORMAT",
@@ -120,7 +120,11 @@ def run_grid(
 
 
 def grid_record(measurement: Measurement) -> dict:
-    """The deterministic (timing-free) JSON record of one grid point."""
+    """The deterministic (timing-free) JSON record of one measurement.
+
+    The one writer: sweep documents, saved runs and the ``benchmarks/``
+    documents all hold these fields.
+    """
     return {
         "protocol": measurement.protocol,
         "n": measurement.n,
@@ -131,7 +135,7 @@ def grid_record(measurement: Measurement) -> dict:
         "rounds": measurement.rounds,
         "messages": measurement.messages,
         # outputs may exceed JSON float precision; keep them as strings.
-        "output": repr(measurement.output),
+        "output": output_text(measurement.output),
     }
 
 

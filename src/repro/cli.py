@@ -13,9 +13,9 @@ Commands:
   failing cases shrunk to minimal JSON repro artifacts.
 * ``replay``  -- re-execute a fuzz artifact and check it still reproduces.
 * ``profile`` -- run the hot-path battery under deterministic operation
-  counters (plus cProfile hotspots) and emit ``BENCH_hotpath.json``;
-  ``--check`` diffs the counters against a committed baseline at zero
-  tolerance (the CI perf gate).
+  counters and emit ``BENCH_hotpath.json``; ``--check`` diffs the
+  counters against a committed baseline at zero tolerance (the CI perf
+  gate).  It takes no wall clock: that is ``perfbench/``'s.
 
 Examples::
 
@@ -281,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "violation")
 
     profile = sub.add_parser(
-        "profile", help="hot-path benchmark + deterministic counter gate"
+        "profile", help="hot-path battery + deterministic counter gate"
     )
     profile.add_argument("--quick", action="store_true",
                          help="CI-sized config battery (seconds, not "
@@ -291,17 +291,10 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--check", default=None,
                          help="diff deterministic counters against this "
                               "baseline document; exit 1 on any regression")
-    profile.add_argument("--no-cprofile", action="store_true",
-                         help="skip the cProfile hotspot pass")
-    profile.add_argument("--top", type=int, default=15,
-                         help="number of cProfile hotspots to record")
     profile.add_argument("--backend", choices=["python", "numpy"],
                          default=None,
                          help="pin the kernel backend for the battery "
                               "(default: REPRO_BACKEND or auto)")
-    profile.add_argument("--no-backend-compare", action="store_true",
-                         help="skip the backend A/B section (the long-ell "
-                              "comparison case run on every backend)")
 
     return parser
 
@@ -637,48 +630,20 @@ def _cmd_profile(args) -> int:
 
     try:
         document = perf_profile.hotpath_document(
-            quick=args.quick,
-            cprofile=not args.no_cprofile,
-            top=args.top,
-            backend=args.backend,
-            compare_backends=not args.no_backend_compare,
+            quick=args.quick, backend=args.backend
         )
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    wall = document["timing"]["wall_s"]
     print(f"hot-path battery ({'quick' if args.quick else 'full'}, "
-          f"backend={document['timing']['backend']}):")
+          f"backend={args.backend or perf_config.backend()}):")
     for key, entry in document["deterministic"].items():
         ops = entry["counters"]
         print(
-            f"  {key:<52} {wall[key]:>8.3f}s  "
+            f"  {key:<52} "
             f"{entry['bits']:>10,} bits {entry['rounds']:>6,} rounds  "
             f"sha256={ops.get('sha256', 0):,}"
         )
-    hotspots = document["timing"].get("hotspots")
-    if hotspots:
-        print(f"\ncProfile hotspots ({hotspots['config']}):")
-        for row in hotspots["top"]:
-            print(
-                f"  {row['cumtime_s']:>8.3f}s cum "
-                f"{row['tottime_s']:>8.3f}s tot  {row['function']}"
-            )
-    comparison = document.get("backend_comparison")
-    if comparison:
-        times = "  ".join(
-            f"{name}={comparison['wall_s'][name]:.3f}s"
-            for name in comparison["backends"]
-        )
-        speedup = comparison.get("speedup_numpy_over_python")
-        print(f"\nbackend comparison ({comparison['config']}): {times}"
-              + (f"  speedup {speedup}x" if speedup else ""))
-        if not comparison["identical"]:
-            print(
-                "BACKEND MISMATCH: deterministic entries differ across "
-                f"backends ({comparison.get('mismatching_backends')})",
-                file=sys.stderr,
-            )
     if args.output:
         path = perf_profile.save_document(document, args.output)
         print(f"\nbenchmark document written to {path}")
@@ -699,8 +664,6 @@ def _cmd_profile(args) -> int:
             f"\ncounter gate: {len(document['deterministic'])} config(s) "
             f"match the baseline ({args.check})"
         )
-    if comparison and not comparison["identical"]:
-        return 1
     return 0
 
 

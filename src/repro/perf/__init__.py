@@ -14,10 +14,9 @@ the reproduction's *computation* honest too.  Three pieces:
   the A/B tests that prove the caches are byte-for-byte
   correctness-neutral.
 * :mod:`repro.perf.profile` -- the ``repro profile`` harness: runs
-  representative end-to-end configs under the counters and cProfile and
-  emits ``benchmarks/BENCH_hotpath.json`` with a deterministic counter
-  section (``compare: true``) and a machine-local wall-time section
-  (``compare: false``).
+  representative end-to-end configs under the counters and emits
+  ``benchmarks/BENCH_hotpath.json``, one deterministic counter section
+  gated at zero tolerance.  Wall time is ``perfbench/``'s alone.
 
 Import note: :mod:`repro.perf.profile` pulls in the analysis harness,
 so it is deliberately *not* imported here -- the crypto/coding hot

@@ -110,10 +110,21 @@ SYNC_PROTOCOLS = {
 
 GRID = [(4, 1, 0), (7, 2, 4)]
 
+#: The long-value point, where the coding/crypto kernels dominate: the
+#: one cross-backend identity ``repro profile`` checked past ell = 1024
+#: before its backend A/B was removed.
+LONG_VALUE_ROW = ("fixed_length_ca", 524288, 7, 2, 4)
+
 
 @requires_numpy
-@pytest.mark.parametrize("n,t,seed", GRID, ids=lambda g: None)
-@pytest.mark.parametrize("protocol,ell", sorted(SYNC_PROTOCOLS.items()))
+@pytest.mark.parametrize(
+    "protocol,ell,n,t,seed",
+    [
+        (protocol, ell, *point)
+        for protocol, ell in sorted(SYNC_PROTOCOLS.items())
+        for point in GRID
+    ] + [LONG_VALUE_ROW],
+)
 def test_protocol_stack_byte_identical(protocol, ell, n, t, seed):
     if ell is None:
         ell = n * n * 20  # a multiple of the n*n block count

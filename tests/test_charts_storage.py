@@ -85,6 +85,18 @@ class TestStorage:
         assert loaded[0].channel_bits == {"a/b": 7}
         assert loaded[1].ell == 512
 
+    def test_roundtrip_keeps_every_output_kind(self, tmp_path):
+        """Int outputs load back as the same ints whatever their length
+        (decimal in the file up to 4096 bits, as every committed document
+        holds them, hex beyond); any other output comes back as text."""
+        path = tmp_path / "run.json"
+        outputs = [-7, (1 << 4096) - 1, 1 << 4096, -(1 << 70000), None, b"x"]
+        save_measurements(path, [make_measurement(output=o) for o in outputs])
+        loaded = [m.output for m in load_measurements(path)]
+        assert loaded == outputs[:4] + ["None", "b'x'"]
+        text = path.read_text()
+        assert str((1 << 4096) - 1) in text and hex(1 << 4096) in text
+
     def test_schema_checked(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"schema": "other", "measurements": []}')
@@ -115,6 +127,46 @@ class TestCliIntegration:
         assert code == 0
         loaded = load_measurements(target)
         assert [m.ell for m in loaded] == [64, 128]
+
+    def test_sweep_saves_values_past_the_decimal_limit(self, tmp_path, capsys):
+        """ell = 16384 and 65536 are the paper's regime and past CPython's
+        4300-digit int->str limit: ``--save`` and ``--bench-json`` write
+        them (in hex) and the saved run loads back to the same ints."""
+        import json
+
+        from repro.analysis import grid_record, measure
+        from repro.cli import main
+
+        saved, document = tmp_path / "run.json", tmp_path / "bench.json"
+        code = main([
+            "sweep", "--protocol", "pi_z", "--ns", "4",
+            "--ells", "16384,65536", "--save", str(saved),
+            "--bench-json", str(document),
+        ])
+        assert code == 0
+        measured = [
+            measure("pi_z", 4, None, ell, seed=0, spread="clustered")
+            for ell in (16384, 65536)
+        ]
+        assert measured[1].output.bit_length() > 4300 * 4
+        assert load_measurements(saved) == measured
+        grid = json.loads(document.read_text())["grid"]
+        assert grid == [grid_record(m) for m in measured]
+        assert [int(row["output"], 0) for row in grid] == [
+            m.output for m in measured
+        ]
+
+    def test_compare_save_past_the_decimal_limit(self, tmp_path, capsys):
+        from repro.cli import main
+
+        target = tmp_path / "compare.json"
+        code = main([
+            "compare", "--n", "4", "--ells", "16384",
+            "--protocols", "pi_z", "--save", str(target),
+        ])
+        assert code == 0
+        (loaded,) = load_measurements(target)
+        assert loaded.output.bit_length() > 14284
 
     def test_compare_chart(self, capsys):
         from repro.cli import main

@@ -6,6 +6,7 @@ per-experiment index, the traceability matrix, and the README honest.
 
 from __future__ import annotations
 
+import json
 import pathlib
 import re
 
@@ -61,6 +62,112 @@ class TestExperimentsDoc:
 
     def test_errata_section_present(self):
         assert "errata" in read("EXPERIMENTS.md").lower()
+
+
+def _ints(node) -> set[int]:
+    """Every integer anywhere inside a JSON document."""
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, list):
+        return set().union(*map(_ints, node)) if node else set()
+    return {node} if type(node) is int else set()
+
+
+class TestExperimentNumbers:
+    """EXPERIMENTS.md quotes ``benchmarks/BENCH_*.json``; it does not
+    carry numbers of its own."""
+
+    #: documents that hold fields a ``Measurement`` does not.
+    EXTRA = {"F7": "BENCH_partition.json", "F8": "BENCH_bombs.json"}
+
+    def sections(self):
+        """``(id, body)`` of each ``## T1``-``T6`` / ``## F1``-``F8``."""
+        parts = re.split(r"^## ", read("EXPERIMENTS.md"), flags=re.M)
+        return [
+            (part[:2], part) for part in parts
+            if re.match(r"(T[1-6]|F[1-8]) ", part)
+        ]
+
+    def test_every_table_integer_is_a_recorded_value(self):
+        """A thousands-separated integer in a table row of a T/F section
+        is a value of that experiment's recorded rows (a measurement, or
+        the ``ell`` it was taken at) -- never a rounded or stale one."""
+        bench = ROOT / "benchmarks"
+        document = json.loads((bench / "BENCH_experiments.json").read_text())
+        sections = self.sections()
+        assert len(sections) == 14
+        for experiment, body in sections:
+            recorded = _ints(document[experiment])
+            if experiment in self.EXTRA:
+                extra = (bench / self.EXTRA[experiment]).read_text()
+                recorded |= _ints(json.loads(extra))
+            for row in re.findall(r"^\|.*$", body, flags=re.M):
+                for quoted in re.findall(r"\d{1,3}(?:,\d{3})+", row):
+                    assert int(quoted.replace(",", "")) in recorded, (
+                        f"EXPERIMENTS.md {experiment} quotes {quoted}, which "
+                        f"no recorded {experiment} row holds: {row}"
+                    )
+
+    def test_pinned_rows(self):
+        """The numbers ROADMAP item 8 will move, held at zero tolerance."""
+        document = json.loads(
+            (ROOT / "benchmarks" / "BENCH_experiments.json").read_text()
+        )
+        pinned = {
+            ("T1", "ell=32768"): (451_782, 22),
+            ("T4", "ell=125440"): (2_748_084, 172),
+            ("T5", "ell=65536"): (1_590_882, 204),
+            ("T6", "n=13"): (184_212, 32),
+            ("F1", "pi_z@16384"): (169_434, 284),
+            ("F3", "passive"): (365_820, 204),
+            ("F3", "KingTargetingAdversary(lie=1099511627776)"):
+                (356_846, 204),
+            ("F4", "pi_z (exact)"): (144_876, 249),
+        }
+        for (experiment, label), expected in pinned.items():
+            row = document[experiment][label]
+            assert (row["bits"], row["rounds"]) == expected, (experiment, label)
+
+
+class TestOneWayToMeasure:
+    def test_removed_measuring_knobs_stay_undocumented(self):
+        """``repro profile`` is the counter gate only and ``benchmarks/``
+        the deterministic experiment suite only: no doc may send a reader
+        to the clocks, flags and env var that went with the rest."""
+        gone = re.compile(
+            r"--no-cprofile|--no-backend-compare|backend_comparison"
+            r"|BENCH_WORKERS|--benchmark-only|pytest-benchmark"
+        )
+        skill = ROOT / ".claude" / "skills" / "verify" / "SKILL.md"
+        for doc in DOCS + ([skill] if skill.exists() else []):
+            assert not gone.findall(doc.read_text()), doc.name
+
+    def test_p_sections_point_at_committed_pairs(self):
+        """A P-section's data is a ``benchmarks/pairs/`` document: every
+        base revision and every file EXPERIMENTS.md names there exists."""
+        text = read("EXPERIMENTS.md")
+        pairs = ROOT / "benchmarks" / "pairs"
+        bases = set(re.findall(r"benchmarks/pairs/([0-9a-f]{7})-", text))
+        assert len(bases) >= 7, bases
+        for base in bases:
+            assert list(pairs.glob(f"{base}-*-seed*.json")), base
+        for name in re.findall(r"`([0-9a-f]{7}-\w+-seed\d[\w-]*\.json)`", text):
+            assert (pairs / name).exists(), name
+
+    def test_every_ratio_names_its_document(self):
+        """A quoted ``N×`` sits in a paragraph that names the
+        EXPERIMENTS.md section or the committed ``benchmarks/`` JSON it
+        comes from (ROADMAP item 7: every ratio names a document)."""
+        ratio = re.compile(r"\d×")
+        section = re.compile(r"\b[TFP]\d\b")
+        for name in ("README.md", "DESIGN.md", "docs/performance.md"):
+            for paragraph in re.split(r"\n\s*\n", read(name)):
+                if not ratio.search(paragraph):
+                    continue
+                documents = re.findall(r"benchmarks/[\w./-]+\.json", paragraph)
+                assert section.search(paragraph) or any(
+                    (ROOT / path).exists() for path in documents
+                ), f"{name}: ratio without a source:\n{paragraph}"
 
 
 class TestReadme:

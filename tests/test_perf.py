@@ -659,7 +659,7 @@ def test_rs_decode_raises_on_malformed_share_sets():
 
 def test_hotpath_document_self_checks_clean():
     tiny = [dict(QUICK_CONFIGS[0])]
-    doc = hotpath_document(cprofile=False, configs=tiny)
+    doc = hotpath_document(configs=tiny)
     key = config_key(tiny[0])
     assert key in doc["deterministic"]
     assert doc["deterministic"][key]["counters"]["net_rounds"] > 0
@@ -669,7 +669,7 @@ def test_hotpath_document_self_checks_clean():
 
 def test_check_counters_flags_regressions_and_improvements():
     tiny = [dict(QUICK_CONFIGS[0])]
-    doc = hotpath_document(cprofile=False, configs=tiny)
+    doc = hotpath_document(configs=tiny)
     key = config_key(tiny[0])
     worse = {
         "deterministic": {
