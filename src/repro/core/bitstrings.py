@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from ..sim.sizing import WireSized
+from ..sim.sizing import Row, register
 
 __all__ = [
     "BitString",
@@ -43,7 +43,7 @@ _LENGTH_HEADER_BYTES = 4
 
 
 @dataclass(frozen=True, slots=True)
-class BitString(WireSized):
+class BitString:
     """An immutable bitstring: ``length`` bits whose integer value is ``value``.
 
     Bit 0 is the *leftmost* (most significant) bit, matching the paper's
@@ -214,6 +214,12 @@ class BitString(WireSized):
         if value.bit_length() > length:
             raise ValueError("bitstring wire payload has stray high bits")
         return cls(value, length)
+
+
+register(BitString, Row(
+    "bits", lambda parts: BitString(*parts), BitString.wire_bits,
+    children=lambda bits: (bits.value, bits.length),
+))
 
 
 # ---------------------------------------------------------------------------

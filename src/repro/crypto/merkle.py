@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from ..perf import config, counters
-from ..sim.sizing import WireSized, memoized_wire_bits
+from ..sim.sizing import Row, memoized_wire_bits, register
 from .hashing import digest_size_bytes, hash_leaves, hash_pair_level
 
 __all__ = ["MerkleWitness", "build", "verify", "well_formed", "witness_bits"]
@@ -37,7 +37,7 @@ _EMPTY_TAG = b"\x02"
 
 
 @dataclass(frozen=True, slots=True)
-class MerkleWitness(WireSized):
+class MerkleWitness:
     """Authentication path for one leaf: sibling hashes bottom-up."""
 
     index: int
@@ -53,6 +53,12 @@ class MerkleWitness(WireSized):
         """Wire cost: path hashes plus the leaf index (memoized)."""
         index_bits = max(1, self.index.bit_length())
         return index_bits + sum(8 * len(h) for h in self.siblings)
+
+
+register(MerkleWitness, Row(
+    "witness", lambda parts: MerkleWitness(*parts), MerkleWitness.wire_bits,
+    children=lambda witness: (witness.index, witness.siblings),
+))
 
 
 @lru_cache(maxsize=None)

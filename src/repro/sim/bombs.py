@@ -11,9 +11,9 @@ the honest receive path:
   codec, the garbler) is a stack-overflow target.  Defeated by the
   depth cap ("depth").
 * :class:`TypeConfusionAdversary` -- near-schema payloads holding
-  values the wire codec cannot price (floats, sets) in positions where
-  honest messages carry ints or tuples.  Defeated by the type
-  allowlist ("type").
+  values the wire schema carries but does not price (floats, sets) in
+  positions where honest messages carry ints or tuples.  Defeated by
+  the closed type table ("type").
 * :class:`NearValidMutantAdversary` -- the hard family: it takes the
   corrupted parties' *spec* messages and applies minimal semantic
   damage (one flipped byte inside a hash/witness field, one element
@@ -28,13 +28,16 @@ adversary, and are sampled by ``repro fuzz --bombs`` / mutated by the
 search engine via :data:`BOMB_CATALOG`.  The catalog is deliberately
 separate from ``fuzz.ADVERSARY_CATALOG``: sampling draws from the
 sorted catalog keys, so growing the base catalog would silently reseed
-every pinned campaign.
+every pinned campaign.  So would growing :data:`BOMB_CATALOG`: the
+string bomb (a ``str`` far past ``sizing.OPCODE_MAX_CHARS``) stays a
+direct canary in ``tests/test_bombs.py`` until ROADMAP item 9
+re-baselines the bombs goldens and perfbench's digest.
 
-Campaign defaults keep payloads modest (tens of KiB, depth ~64) so
-recorded scripts and JSON artifacts stay tractable; the 64 MiB /
-depth-1000 extremes live in the direct canary tests
-(``tests/test_bombs.py``), where no recording or artifact encoding is
-in the loop.
+Campaign defaults keep payloads modest (tens of KiB, depth 64) so
+recorded scripts and JSON artifacts stay tractable (the recursive
+artifact codec refuses nesting past ``sizing.CODEC_MAX_DEPTH``, 256);
+the 64 MiB / depth-1000 extremes live in the direct canary tests,
+where no recording or artifact encoding is in the loop.
 """
 
 from __future__ import annotations
@@ -56,8 +59,8 @@ __all__ = [
 #: campaign-scale blob: far over every derived per-message bound, far
 #: under anything that would bloat a recorded script.
 DEFAULT_BLOB_BYTES = 16 * 1024
-#: campaign-scale nesting: double the default wire depth cap, shallow
-#: enough for the (recursive) artifact codec to encode on failure.
+#: campaign-scale nesting: double the default wire depth cap, a quarter
+#: of what the artifact codec accepts (``sizing.CODEC_MAX_DEPTH``).
 DEFAULT_NEST_DEPTH = 64
 
 
@@ -114,8 +117,8 @@ class DeepNestAdversary(Adversary):
 class TypeConfusionAdversary(Adversary):
     """Sends schema-shaped payloads holding wire-unpriceable values.
 
-    Every maker stays within the artifact codec's encodable universe
-    (floats and sets got tags alongside the schema_version=3 bump) so a
+    Every maker stays within the wire schema's rows (``float`` and
+    ``set`` are rows the codec carries and no pricer accepts) so a
     recorded script containing these payloads still round-trips through
     JSON artifacts deterministically.
     """

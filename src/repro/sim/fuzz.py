@@ -11,7 +11,9 @@ monitors of :mod:`repro.sim.invariants`, and on failure
    to a minimal set that still triggers the same violation -- and
 2. dumps a JSON **repro artifact** that replays byte-identically via
    :class:`~repro.sim.faults.ReplayAdversary`, independent of the
-   strategies that originally produced the failure.
+   strategies that originally produced the failure.  Payloads and
+   inputs go through the wire schema's codec (:mod:`repro.sim.sizing`),
+   so an artifact holds whatever a party can send or an adversary forge.
 
 Surface: ``python -m repro fuzz`` / ``python -m repro replay``, or
 programmatically::
@@ -49,7 +51,6 @@ from typing import Any, Callable
 from ..perf import counters as perf_counters
 from ..perf.config import reset_process_caches
 
-from ..core.bitstrings import BitString
 from ..errors import HonestPartyError, ProtocolViolation, SimulationError
 from .adversary import (
     Adversary,
@@ -80,6 +81,7 @@ from .invariants import (
 )
 from .network import ProtocolFactory, SynchronousNetwork
 from .parallel import derive_seed, resolve_workers, run_many
+from .sizing import WIRE_SCHEMA, decode_payload, encode_payload
 from .supervisor import run_with_escalation
 from .wire import WireLimits
 
@@ -121,8 +123,10 @@ ARTIFACT_FORMAT = "repro-fuzz/1"
 #: History: 1 = implicit (pre-versioned artifacts, PR 1-7); 2 = adds the
 #: ``schema_version`` stamp itself and the optional ``counters`` block;
 #: 3 = adds ``FuzzCase.guards`` (the hostile-payload wire-guard plane)
-#: and the ``float``/``set`` payload tags the bomb adversaries need.
-ARTIFACT_SCHEMA_VERSION = 3
+#: and the ``float``/``set`` payload tags the bomb adversaries need;
+#: 4 = payloads are encoded from the wire schema (``sizing.WIRE_SCHEMA``):
+#: ``witness`` and ``frac`` tags, ints in hex; ``inputs`` in hex.
+ARTIFACT_SCHEMA_VERSION = 4
 
 #: Deterministic counters that are independent of process-level cache
 #: state: safe to record per-case without a cache reset, and therefore
@@ -135,79 +139,6 @@ NETWORK_COUNTERS = (
     "guard_checks",
     "guard_quarantined",
 )
-
-
-# ---------------------------------------------------------------------------
-# Payload <-> JSON codec (repro artifacts must round-trip protocol payloads)
-# ---------------------------------------------------------------------------
-
-
-def encode_payload(payload: Any) -> Any:
-    """Encode one wire payload as a JSON-safe tagged value."""
-    if payload is None:
-        return {"t": "none"}
-    if isinstance(payload, bool):
-        return {"t": "bool", "v": payload}
-    if isinstance(payload, int):
-        return {"t": "int", "v": str(payload)}
-    if isinstance(payload, float):
-        # repr round-trips every finite float (and inf/nan) exactly.
-        return {"t": "float", "v": repr(payload)}
-    if isinstance(payload, (bytes, bytearray)):
-        return {"t": "bytes", "v": bytes(payload).hex()}
-    if isinstance(payload, str):
-        return {"t": "str", "v": payload}
-    if isinstance(payload, BitString):
-        return {"t": "bits", "v": str(payload.value), "len": payload.length}
-    if isinstance(payload, tuple):
-        return {"t": "tuple", "v": [encode_payload(x) for x in payload]}
-    if isinstance(payload, list):
-        return {"t": "list", "v": [encode_payload(x) for x in payload]}
-    if isinstance(payload, frozenset):
-        encoded = [encode_payload(x) for x in payload]
-        return {"t": "fset", "v": sorted(encoded, key=json.dumps)}
-    if isinstance(payload, set):
-        encoded = [encode_payload(x) for x in payload]
-        return {"t": "set", "v": sorted(encoded, key=json.dumps)}
-    if isinstance(payload, dict):
-        return {
-            "t": "dict",
-            "v": [
-                [encode_payload(k), encode_payload(v)]
-                for k, v in payload.items()
-            ],
-        }
-    raise ValueError(f"cannot encode payload of type {type(payload)!r}")
-
-
-def decode_payload(data: Any) -> Any:
-    """Inverse of :func:`encode_payload`."""
-    tag = data["t"]
-    if tag == "none":
-        return None
-    if tag == "bool":
-        return bool(data["v"])
-    if tag == "int":
-        return int(data["v"])
-    if tag == "float":
-        return float(data["v"])
-    if tag == "bytes":
-        return bytes.fromhex(data["v"])
-    if tag == "str":
-        return data["v"]
-    if tag == "bits":
-        return BitString(int(data["v"]), data["len"])
-    if tag == "tuple":
-        return tuple(decode_payload(x) for x in data["v"])
-    if tag == "list":
-        return [decode_payload(x) for x in data["v"]]
-    if tag == "fset":
-        return frozenset(decode_payload(x) for x in data["v"])
-    if tag == "set":
-        return {decode_payload(x) for x in data["v"]}
-    if tag == "dict":
-        return {decode_payload(k): decode_payload(v) for k, v in data["v"]}
-    raise ValueError(f"unknown payload tag {tag!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -1188,7 +1119,8 @@ def failure_to_artifact(failure: FuzzFailure) -> dict:
         "schema_version": ARTIFACT_SCHEMA_VERSION,
         "case": failure.case.to_dict(),
         "violation": {"kind": failure.kind, "message": failure.message},
-        "inputs": [str(v) for v in failure.inputs],
+        # the same form as an int payload: no decimal conversion.
+        "inputs": [WIRE_SCHEMA[int].dump(v) for v in failure.inputs],
         "initial_corruptions": sorted(failure.initial_corruptions),
         "adapt_schedule": [[r, p] for r, p in failure.adapt_schedule],
         "crash_schedule": [
@@ -1334,7 +1266,7 @@ def replay_artifact(
     registry = registry or standard_registry()
     case = FuzzCase.from_dict(artifact["case"])
     spec = registry[case.protocol]
-    inputs = [int(v) for v in artifact["inputs"]]
+    inputs = [WIRE_SCHEMA[int].load(v) for v in artifact["inputs"]]
     adversary = ReplayAdversary(
         {
             (r, s, d): decode_payload(payload)

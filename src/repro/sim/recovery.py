@@ -7,7 +7,8 @@ chosen round and later rejoin **with its guarantees intact**:
 * every live party appends one :class:`WalEntry` per executed round to
   its :class:`WriteAheadLog` -- the delivered inbox (the only
   nondeterministic input a party ever consumes) plus a digest of the
-  outbox it emitted, chained into periodic checkpoints;
+  outbox it emitted (of its :func:`~repro.sim.sizing.canonical_text`),
+  chained into periodic checkpoints;
 * while a party is down, the round synchronizer keeps the messages
   addressed to it parked (senders retransmit until acknowledged), so
   nothing it missed is lost;
@@ -33,7 +34,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Any, Callable, Sequence
 
 from ..errors import ConfigurationError, ReproError
@@ -41,6 +41,7 @@ from .adversary import Adversary, RoundView
 from .lossy import ACK_BITS
 from .metrics import CommunicationStats
 from .party import Context, Outgoing
+from .sizing import bit_size, canonical_text
 
 __all__ = [
     "CrashEvent",
@@ -65,38 +66,6 @@ class RecoveryError(ReproError):
     """
 
 
-#: leaf types whose ``repr`` is canonical as it stands, at any size.
-_VERBATIM = frozenset({str, bytes, bool, float, type(None)})
-
-
-def _canonical(value: Any) -> str:
-    """``repr`` with ints in hex and dataclasses by their comparing fields.
-
-    CPython refuses decimal conversion of ints past 4300 digits, and
-    long values are what the paper is about.  Non-comparing fields (the
-    ``memoized_wire_bits`` slot) stay out: pricing never moves a digest.
-    """
-    kind = type(value)
-    if kind is int:
-        return hex(value)
-    if kind in _VERBATIM:
-        return repr(value)
-    if kind is tuple or kind is list or kind is set or kind is frozenset:
-        parts = [_canonical(item) for item in value]
-        if kind is set or kind is frozenset:
-            parts.sort()
-        return f"{kind.__name__}({','.join(parts)})"
-    if kind is dict:
-        return "dict" + _canonical(list(value.items()))
-    if kind is Fraction:
-        return "frac" + _canonical((value.numerator, value.denominator))
-    fields = getattr(kind, "__dataclass_fields__", None)
-    if fields is None:
-        return repr(value)
-    comparing = [getattr(value, n) for n, f in fields.items() if f.compare]
-    return kind.__name__ + _canonical(comparing)
-
-
 def outbox_digest(outgoing: Outgoing | None) -> str:
     """Stable digest of one round's emitted outbox (``None`` = no yield).
 
@@ -112,7 +81,7 @@ def outbox_digest(outgoing: Outgoing | None) -> str:
             payload = messages[dst]
             text = texts.get(id(payload))
             if text is None:
-                text = texts[id(payload)] = _canonical(payload)
+                text = texts[id(payload)] = canonical_text(payload)
             parts.append(f"|{dst}|{text}")
     return hashlib.sha256("".join(parts).encode()).hexdigest()[:32]
 
@@ -262,8 +231,6 @@ class RecoveryManager:
         which payloads will be accounted as retransmitted honest bits
         when the party rejoins and the buffered copies finally land.
         """
-        from .sizing import bit_size
-
         bits = sum(
             bit_size(payload)
             for src, payload in inbox.items()

@@ -1,4 +1,4 @@
-"""Defensive wire codecs and resource guards for hostile payloads.
+"""Resource guards for hostile payloads.
 
 The paper's adversary "deviates arbitrarily" -- including by sending
 payloads that are *not* well-shaped protocol messages: multi-mebibyte
@@ -12,13 +12,11 @@ attributing it to the sender.
 
 Design constraints, all load-bearing:
 
-* **Bounded work.** :func:`measure_payload` is iterative (explicit
-  stack, no recursion) and exits early the moment a bound is crossed.
-  A depth-1000 nest costs ``max_depth`` steps; a 64 MiB blob costs
-  O(1) (bytes are priced from ``len``); a billion-element list stops
-  after ~``max_bits`` visited atoms.  ``sizing.bit_size`` and
-  ``repr()`` both recurse and must never be applied to unvalidated
-  traffic.
+* **Bounded work, one price list.** The walk is
+  :func:`repro.sim.sizing.measure_payload`: iterative, early-exit, and
+  reading the same closed type table honest sends are priced from, so
+  this module names no payload type.  ``sizing.bit_size`` and
+  ``repr()`` recurse and must never see unvalidated traffic.
 * **Honest-conservative bounds.** :meth:`WireLimits.from_envelopes`
   derives per-message and per-sender/per-round ceilings with a wide
   margin above every honest message shape in the registry, so
@@ -42,8 +40,9 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Any, Iterable, Mapping
+
+from .sizing import DEFAULT_MAX_DEPTH, measure_payload
 
 __all__ = [
     "DEFAULT_MAX_DEPTH",
@@ -55,14 +54,8 @@ __all__ = [
     "measure_payload",
 ]
 
-# Honest payloads in the registry nest at most ~6 levels (tagged tuples
-# holding witness objects holding tuples of hashes); 32 leaves a wide
-# margin while still rejecting pathological nesting long before any
-# recursive consumer (codec, garbler, repr) could blow the stack.
-DEFAULT_MAX_DEPTH = 32
-
 # The closed set of verdicts a guard can return.  "type" = a value the
-# wire codec cannot price; "depth" = nesting beyond the cap;
+# wire schema has no price for; "depth" = nesting beyond the cap;
 # "oversize" = a single message over the per-message bit bound;
 # "ceiling" = a well-formed message that would push its sender over the
 # per-round inbound byte ceiling.
@@ -117,66 +110,6 @@ class WireLimits:
             max_depth=DEFAULT_MAX_DEPTH,
             max_round_bits=max(2, n) * per_message,
         )
-
-
-def measure_payload(
-    payload: Any, *, max_bits: int, max_depth: int = DEFAULT_MAX_DEPTH
-) -> tuple[str | None, int]:
-    """Price ``payload`` with bounded work; return ``(verdict, bits)``.
-
-    ``verdict`` is ``None`` when the payload conforms, otherwise one of
-    ``QUARANTINE_REASONS[:3]`` (the ceiling verdict is the guard's, not
-    the measurer's).  ``bits`` is the priced size at the point the walk
-    stopped -- a lower bound when a verdict fired (measurement exits
-    early), and compatible with ``sizing.bit_size`` on conforming
-    payloads of wire types.
-
-    Unlike ``sizing.bit_size`` this never recurses and never raises on
-    unknown types, so it is safe on arbitrary hostile input.
-    """
-    bits = 0
-    stack: list[tuple[Any, int]] = [(payload, 0)]
-    while stack:
-        value, depth = stack.pop()
-        if depth > max_depth:
-            return "depth", bits
-        # Exact types first, as ``sizing.bit_size`` does: ints, tuples
-        # and bytes are most of the wire.  A bool is an int that prices
-        # at 1 bit by the int formula, so it needs no branch of its own.
-        kind = type(value)
-        if kind is int or isinstance(value, int):
-            bits += (value.bit_length() or 1) + (value < 0)
-        elif kind is tuple or isinstance(value, (tuple, list, frozenset)):
-            next_depth = depth + 1
-            for item in value:
-                stack.append((item, next_depth))
-        elif kind is bytes or isinstance(value, (bytes, bytearray)):
-            bits += 8 * len(value)
-        elif value is None:
-            bits += 1
-        elif isinstance(value, Fraction):
-            stack.append((value.numerator, depth + 1))
-            stack.append((value.denominator, depth + 1))
-        elif isinstance(value, str):
-            bits += 8
-        elif isinstance(value, dict):
-            next_depth = depth + 1
-            for key, item in value.items():
-                stack.append((key, next_depth))
-                stack.append((item, next_depth))
-        else:
-            wire = getattr(value, "wire_bits", None)
-            if wire is None:
-                return "type", bits
-            try:
-                bits += int(wire())
-            except Exception:
-                # A hostile object whose wire_bits lies or raises is as
-                # unpriceable as one without the hook.
-                return "type", bits
-        if bits > max_bits:
-            return "oversize", bits
-    return None, bits
 
 
 class WireGuard:

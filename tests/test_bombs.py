@@ -24,7 +24,7 @@ import pytest
 
 from repro.errors import HonestPartyError
 from repro.perf import counters
-from repro.sim.adversary import Adversary, PassiveAdversary
+from repro.sim.adversary import DROP, Adversary, PassiveAdversary
 from repro.sim.bombs import (
     BOMB_CATALOG,
     DeepNestAdversary,
@@ -213,6 +213,67 @@ class TestFirehoseCanary:
         assert {reason for _, _, _, reason in result.quarantine_log} <= {
             "type", "depth", "oversize", "ceiling"
         }
+
+
+class _StringFirehose(Adversary):
+    """One corrupted party sends ``payload`` on every link, every round.
+
+    With ``payload=DROP`` it is the oracle: a quarantined message is a
+    missing message, so a guarded run under the bomb must equal the
+    unguarded run under silence.
+    """
+
+    def __init__(self, payload):
+        super().__init__(0)
+        self.payload = payload
+
+    def select_corruptions(self, n: int, t: int) -> set[int]:
+        return {n - 1}
+
+    def deliver(self, view):
+        return {
+            (src, dst): self.payload
+            for src in sorted(view.corrupted) for dst in range(view.n)
+        }
+
+
+class TestStringBombCanary:
+    """A ``str`` is an 8-bit opcode only up to ``OPCODE_MAX_CHARS``: ten
+    megabytes of it were 8 bits to the guard before the wire schema."""
+
+    @pytest.mark.parametrize(
+        "bomb", ["x" * 10**7, ("x" * 10**7,) * 100], ids=["str", "tuple"]
+    )
+    def test_quarantined_as_type_on_every_link(self, bomb):
+        n, t, ell = 7, 2, 8
+        spec = standard_registry()["pi_z"]
+        inputs = _grid_inputs(n)
+
+        def run(payload, guards):
+            return run_protocol(
+                spec.build(ell), inputs, n=n, t=t, kappa=KAPPA,
+                adversary=_StringFirehose(payload), guards=guards,
+                monitors=[AgreementMonitor(), ConvexValidityMonitor()],
+            )
+
+        bombed = run(bomb, WireLimits.from_envelopes(n, t, ell, KAPPA))
+        silent = run(DROP, None)
+        assert bombed.outputs == silent.outputs
+        assert bombed.stats.honest_bits == silent.stats.honest_bits
+        assert bombed.stats.rounds == silent.stats.rounds
+        # every link to an honest party, every round, attributed to the
+        # sender; a type verdict stops at the first atom, so it rejects
+        # the message without having priced any of it.
+        assert bombed.stats.quarantined_messages == (
+            (n - 1) * bombed.stats.rounds
+        )
+        assert bombed.stats.rejected_bits == 0
+        assert {(src, reason) for _, src, _, reason in bombed.quarantine_log} == {
+            (n - 1, "type")
+        }
+        assert {dst for _, _, dst, _ in bombed.quarantine_log} == set(
+            range(n - 1)
+        )
 
 
 # -- the no-crash meta-invariant --------------------------------------------

@@ -237,6 +237,29 @@ class TestCampaignSymbols:
             assert hasattr(target, name), f"{doc} quotes {module}.{name}"
 
 
+class TestWireSchemaTable:
+    def test_price_table_lists_exactly_the_schema_rows(self):
+        """``docs/model.md``'s price table is the wire schema's rows:
+        every row's tag appears, and no tag that is not a row.  The
+        removed self-pricing hook stays undocumented."""
+        import repro  # noqa: F401  (BitString / MerkleWitness register)
+        from repro.sim.sizing import OPCODE_MAX_CHARS, WIRE_SCHEMA
+
+        section = read("docs/model.md").split("## Communication accounting")[1]
+        section = section.split("\n## ")[0]
+        rows = [
+            line.split("|")[1] for line in section.splitlines()
+            if line.startswith("| `")
+        ]
+        documented = [tag for cell in rows for tag in re.findall(r"`(\w+)`", cell)]
+        assert sorted(documented) == sorted(
+            row.tag for row in WIRE_SCHEMA.values()
+        )
+        assert f"up to {OPCODE_MAX_CHARS} characters" in section
+        for doc in DOCS:
+            assert "WireSized" not in doc.read_text(), doc.name
+
+
 class TestDocsDirectory:
     @pytest.mark.parametrize(
         "name", ["model.md", "protocol-walkthrough.md", "api.md"]

@@ -6,6 +6,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -13,6 +14,7 @@ from repro.cli import main
 from repro.core.add_last import add_last_bit
 from repro.core.bitstrings import BitString
 from repro.core.find_prefix import find_prefix
+from repro.crypto.merkle import MerkleWitness
 from repro.errors import ReproError
 from repro.perf import counters as perf_counters
 from repro.sim.fuzz import (
@@ -20,11 +22,13 @@ from repro.sim.fuzz import (
     ARTIFACT_SCHEMA_VERSION,
     NETWORK_COUNTERS,
     FuzzCase,
+    FuzzFailure,
     FuzzReport,
     ProtocolSpec,
     case_inputs,
     decode_payload,
     encode_payload,
+    failure_to_artifact,
     fuzz,
     load_artifact,
     replay_artifact,
@@ -63,6 +67,11 @@ class TestPayloadCodec:
         {"k": 1, "nested": (True, b"x")},
         BitString(0b1011, 4),
         (BitString(1, 1), frozenset({0})),
+        Fraction(-3, 7),
+        ("SHARE", b"s", MerkleWitness(5, (b"\x01" * 8, b"\x02" * 8))),
+        # beyond CPython's 4300-digit str(int) limit (an id pytest
+        # does not have to print)
+        pytest.param(1 << 20000, id="int-20001-bits"),
     ])
     def test_round_trip(self, payload):
         data = encode_payload(payload)
@@ -268,6 +277,56 @@ class TestArtifacts:
         # default registry does not know weak_flca -> graceful exit 2.
         assert main(["replay", report.artifacts[0]]) == 2
         assert "not in the standard registry" in capsys.readouterr().out
+
+    def test_a_script_holding_witnesses_survives_the_round_trip(self):
+        # 31 of the first 80 default cases record a forged (share,
+        # witness); this is the first of them.  The case runs clean, so
+        # the failure is what it *would* archive: its recorded script.
+        case = sample_case_at(0, 4, standard_registry())
+        spec = standard_registry()[case.protocol]
+        inputs = _build_inputs(case, spec)
+        adversary = _build_adversary(case)
+        _execute(case, spec, inputs, adversary)
+        failure = FuzzFailure(
+            case=case, kind="AgreementMonitor", message="as if",
+            inputs=inputs,
+            initial_corruptions=set(adversary.initial_corruptions),
+            script=dict(adversary.script),
+            adapt_schedule=list(adversary.adapt_schedule),
+        )
+        witnesses = [
+            payload for payload in failure.script.values()
+            if type(payload) is tuple
+            and any(type(part) is MerkleWitness for part in payload)
+        ]
+        assert failure.case.protocol == "fixed_length_ca_blocks"
+        assert (len(failure.script), len(witnesses)) == (1180, 2)
+        artifact = json.loads(json.dumps(failure_to_artifact(failure)))
+        assert {
+            (r, s, d): decode_payload(payload)
+            for r, s, d, payload in artifact["script"]
+        } == failure.script
+        assert not replay_artifact(artifact).violated
+
+    def test_inputs_past_the_decimal_limit_survive_the_round_trip(
+        self, monkeypatch
+    ):
+        # 16,384-bit inputs have 4,933 decimal digits; the executor is
+        # stubbed because the agreement monitor still repr()s outputs.
+        inputs = [(1 << 16383) + i for i in range(4)]
+        failure = FuzzFailure(
+            case=sample_case_at(0, 0, standard_registry()),
+            kind="AgreementMonitor", message="as if", inputs=inputs,
+            initial_corruptions=set(), script={}, adapt_schedule=[],
+        )
+        artifact = json.loads(json.dumps(failure_to_artifact(failure)))
+        seen = []
+        monkeypatch.setattr(
+            "repro.sim.fuzz._execute",
+            lambda case, spec, inputs, adversary: seen.append(inputs),
+        )
+        assert not replay_artifact(artifact).violated
+        assert seen == [inputs]
 
 
 # ---------------------------------------------------------------------------

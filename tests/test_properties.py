@@ -7,12 +7,27 @@ invariants that the per-module suites check only pointwise.
 
 from __future__ import annotations
 
-from hypothesis import given, settings, strategies as st
+import json
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.coding.gf import GF256
 from repro.coding.reed_solomon import ReedSolomonCode
 from repro.core.bitstrings import BitString
+from repro.crypto.merkle import MerkleWitness
 from repro.sim import bit_size
+from repro.sim.bombs import deep_nest
+from repro.sim.sizing import (
+    OPCODE_MAX_CHARS,
+    WIRE_SCHEMA,
+    canonical_text,
+    decode_payload,
+    encode_payload,
+    measure_payload,
+)
 
 # ---------------------------------------------------------------------------
 # BitString vs a naive '0'/'1'-string reference model
@@ -227,3 +242,122 @@ class TestSizingTotality:
     @given(payloads)
     def test_sizing_deterministic(self, payload):
         assert bit_size(payload) == bit_size(payload)
+
+
+# ---------------------------------------------------------------------------
+# The wire schema: four readers of one table agree on every generated payload
+# ---------------------------------------------------------------------------
+
+_ints = st.integers(min_value=-(2**70), max_value=2**70) | st.integers(
+    min_value=0, max_value=3
+).map(lambda k: 1 << (5000 * k))  # past the 4300-digit decimal limit
+_hashes = st.binary(min_size=8, max_size=8)
+
+#: one strategy per atom row ...
+ATOMS = {
+    type(None): st.none(),
+    bool: st.booleans(),
+    int: _ints,
+    bytes: st.binary(max_size=16),
+    bytearray: st.binary(max_size=16).map(bytearray),
+    str: st.text(max_size=OPCODE_MAX_CHARS + 4),
+    float: st.floats(allow_nan=False),
+}
+#: ... and per fixed-shape row; the rest are built from generated
+#: children by the row's own ``load``.  A row added to the table without
+#: a strategy here fails ``test_every_row_is_generated``.
+FIXED = {
+    Fraction: st.fractions(),
+    BitString: st.integers(0, 255).map(lambda v: BitString(v, 8)),
+    MerkleWitness: st.builds(
+        MerkleWitness, st.integers(0, 2**20),
+        st.lists(_hashes, max_size=4).map(tuple),
+    ),
+}
+VARIADIC = (tuple, list, frozenset, set, dict)
+_hashable = st.one_of(
+    *(ATOMS[kind] for kind in ATOMS if kind is not bytearray), *FIXED.values()
+)
+
+
+def _built_from(children):
+    def parts_of(kind):
+        if kind is dict:
+            pairs = st.lists(st.tuples(_hashable, children), max_size=3)
+            return pairs.map(lambda kvs: [x for kv in kvs for x in kv])
+        if WIRE_SCHEMA[kind].unordered:
+            return st.lists(_hashable, max_size=3)
+        return st.lists(children, max_size=3)
+
+    return st.one_of(
+        *(parts_of(kind).map(WIRE_SCHEMA[kind].load) for kind in VARIADIC)
+    )
+
+
+schema_payloads = st.recursive(
+    st.one_of(*ATOMS.values(), *FIXED.values()), _built_from, max_leaves=12
+)
+UNBOUNDED = dict(max_bits=math.inf, max_depth=64)
+
+
+def _priced(payload) -> bool:
+    return measure_payload(payload, **UNBOUNDED)[0] is None
+
+
+class TestWireSchema:
+    def test_every_row_is_generated(self):
+        assert set(ATOMS) | set(FIXED) | set(VARIADIC) == set(WIRE_SCHEMA)
+        assert {
+            kind for kind, row in WIRE_SCHEMA.items() if row.children is None
+        } == set(ATOMS)
+
+    @given(schema_payloads)
+    def test_the_two_pricers_agree(self, payload):
+        verdict, bits = measure_payload(payload, **UNBOUNDED)
+        if verdict is None:
+            assert bit_size(payload) == bits
+        else:
+            assert verdict == "type"
+            with pytest.raises(TypeError):
+                bit_size(payload)
+
+    @given(schema_payloads)
+    def test_the_codec_carries_every_row(self, payload):
+        wire = json.loads(json.dumps(encode_payload(payload)))
+        assert decode_payload(wire) == payload
+        # ... and exactly: a bool stays a bool, a bytearray a bytearray.
+        assert canonical_text(decode_payload(wire)) == canonical_text(payload)
+
+    @given(schema_payloads, schema_payloads)
+    def test_canonical_text_is_injective(self, a, b):
+        if canonical_text(a) == canonical_text(b):
+            assert a == b
+
+    @given(schema_payloads)
+    def test_canonical_text_is_blind_to_the_pricing_memo(self, payload):
+        before = canonical_text(payload)
+        measure_payload(payload, **UNBOUNDED)  # fills _wire_bits_memo
+        assert canonical_text(payload) == before
+
+    @given(schema_payloads.filter(_priced), schema_payloads.filter(_priced))
+    def test_the_verdict_is_monotone(self, payload, more):
+        bits = bit_size(payload)
+        assume(bits > 0)  # an empty container has no atom to be over
+        fits = dict(max_bits=bits, max_depth=64)
+        tight = dict(max_bits=bits - 1, max_depth=64)
+        assert measure_payload(payload, **fits) == (None, bits)
+        for grown in (payload, (payload, more), [more, payload]):
+            assert measure_payload(grown, **tight)[0] == "oversize"
+        nest = deep_nest(65, leaf=payload)
+        for grown in (nest, (nest, more), [more, nest]):
+            assert measure_payload(grown, **UNBOUNDED)[0] == "depth"
+
+    def test_hostile_sizes_are_decided_without_walking_them(self):
+        # decided by a verdict on inputs a recursive walk, or one that
+        # reads the bytes, could not finish -- not by a clock.
+        bound = dict(max_bits=1 << 20)
+        assert measure_payload(deep_nest(100_000), **bound)[0] == "depth"
+        blob = bytes(64 << 20)
+        assert measure_payload(blob, **bound) == ("oversize", 8 * len(blob))
+        assert measure_payload("x" * 10**7, **bound) == ("type", 0)
+        assert measure_payload((blob,) * 10**5, **bound)[0] == "oversize"

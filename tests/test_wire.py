@@ -11,10 +11,14 @@ fuzz plane's error attribution relies on.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 
 import pytest
 
+from repro.core.bitstrings import BitString
+from repro.crypto.merkle import MerkleWitness
 from repro.sim.bombs import deep_nest
+from repro.sim.sizing import OPCODE_MAX_CHARS, bit_size
 from repro.sim.wire import (
     DEFAULT_MAX_DEPTH,
     QUARANTINE_REASONS,
@@ -75,17 +79,42 @@ class TestMeasurePayload:
             reason, _ = measure_payload(payload, max_bits=1 << 20)
             assert reason == "type", payload
 
-    def test_wire_bits_hook_is_honoured(self):
-        class Priced:
-            def wire_bits(self):
-                return 12
-
+    def test_no_object_prices_itself(self):
+        # the table is closed: a ``wire_bits`` method on a type without
+        # a row is never called, whatever it would answer.
         class Liar:
             def wire_bits(self):
                 raise RuntimeError("boom")
 
-        assert measure_payload(Priced(), max_bits=1 << 20) == (None, 12)
-        assert measure_payload(Liar(), max_bits=1 << 20)[0] == "type"
+        @dataclass(frozen=True)
+        class Claims:
+            bits: int
+
+            def wire_bits(self):
+                return self.bits
+
+        for hostile in (Liar(), Claims(12), ("VOTE", Claims(1))):
+            assert measure_payload(hostile, max_bits=1 << 20)[0] == "type"
+            with pytest.raises(TypeError):
+                bit_size(hostile)
+
+    def test_registered_types_with_hostile_fields_do_not_raise(self):
+        assert measure_payload(MerkleWitness("x", 5), max_bits=1 << 20) == (
+            "type", 0
+        )
+        assert measure_payload(BitString(5, 10**12), max_bits=1 << 20) == (
+            "oversize", 10**12
+        )
+
+    def test_a_str_is_an_opcode_only_up_to_the_cap(self):
+        assert measure_payload("x" * OPCODE_MAX_CHARS, max_bits=64) == (None, 8)
+        bomb = "x" * 10**7
+        for payload in (bomb, (bomb,) * 100, "x" * (OPCODE_MAX_CHARS + 1)):
+            assert measure_payload(payload, max_bits=1 << 20) == ("type", 0)
+        with pytest.raises(TypeError):
+            bit_size(bomb)
+        guard = WireGuard(WireLimits.from_envelopes(7, 2, 32, 128))
+        assert guard.check(0, 1, (bomb,) * 100) == ("type", 0)
 
     def test_verdicts_stay_in_the_closed_set(self):
         hostile = [bytes(1 << 16), deep_nest(1000), 2.5, {"k": {1}}]
