@@ -26,7 +26,7 @@ import pytest
 from repro.core.fixed_length import fixed_length_ca
 from repro.perf.profile import save_document
 from repro.sim import (
-    PartialSyncTransport,
+    LossyTransport,
     TimeoutEscalation,
     run_protocol,
     run_with_escalation,
@@ -86,7 +86,7 @@ def _point(axis, value, result, transport, t) -> dict:
 
 def run_gst_point(gst: int) -> dict:
     inputs = make_inputs()
-    transport = PartialSyncTransport(
+    transport = LossyTransport.partial_sync(
         gst=gst, pre_gst_drop=PRE_GST_DROP, seed=13,
     )
     result = run_with_escalation(
@@ -102,7 +102,7 @@ def run_gst_point(gst: int) -> dict:
 
 def run_heal_point(heal: int) -> dict:
     # t=1 keeps the async rung feasible (5t < n) at the -1 end point.
-    transport = PartialSyncTransport(
+    transport = LossyTransport.partial_sync(
         partitions=((0, heal, (0,)),), seed=13,
         slot_budget=32, escalation=TimeoutEscalation(max_attempts=4),
     )

@@ -28,6 +28,7 @@ from ..sim.metrics import CommunicationStats
 from ..sim.network import ExecutionResult
 from ..sim.party import Proto
 from ..sim.runner import run_protocol
+from ..sim.supervisor import run_with_escalation
 from .protocol_z import protocol_z
 
 __all__ = ["ConvexAgreementOutcome", "convex_agreement", "default_threshold"]
@@ -86,15 +87,22 @@ def convex_agreement(
         max_rounds: safety cap for the simulator.
         monitors: online invariant monitors
             (:mod:`repro.sim.invariants`) evaluated during the run.
-        degrade: supervise the execution and, if a monitor fires or the
-            simulation dies, fall back to the self-contained
-            ``HighCostCA`` path so the call still ends with a
-            convex-valid value; the fallback is recorded on
-            ``outcome.execution.fallback``.
-        transport: optional lossy / partial-synchrony transport
-            (:class:`repro.sim.LossyTransport` or
-            :class:`repro.sim.PartialSyncTransport`) the simulated
-            rounds synchronize over instead of the perfect network.
+        degrade: supervise the execution
+            (:func:`repro.sim.run_with_escalation`) and, if a monitor
+            fires or the simulation dies, fall back to the
+            self-contained ``HighCostCA`` path **over the same
+            transport**; the fallback is recorded on
+            ``outcome.execution.fallback``.  The returned value is
+            always an exact agreement inside the honest hull: the
+            call never settles for the ladder's epsilon-agreement
+            rung, and when the transport cannot carry ``HighCostCA``
+            either it raises :class:`~repro.errors.SimulationError`
+            ("escalation ladder exhausted", with the history of both
+            attempts) rather than return a value no network produced.
+        transport: optional :class:`repro.sim.LossyTransport` (plain,
+            or ``LossyTransport.partial_sync(...)`` for GST /
+            partitions / churn) the simulated rounds synchronize over
+            instead of the perfect network.
 
     Returns:
         A :class:`ConvexAgreementOutcome`; its ``value`` is the common
@@ -119,32 +127,20 @@ def convex_agreement(
     if t is None:
         t = default_threshold(n)
 
-    if degrade:
-        from ..sim.supervisor import run_with_fallback
-
-        execution = run_with_fallback(
-            lambda ctx, v: protocol_z(ctx, v, ba=ba),
-            values,
-            n=n,
-            t=t,
-            kappa=kappa,
-            adversary=adversary,
-            max_rounds=max_rounds,
-            monitors=monitors,
-            transport=transport,
-        )
-    else:
-        execution = run_protocol(
-            lambda ctx, v: protocol_z(ctx, v, ba=ba),
-            values,
-            n=n,
-            t=t,
-            kappa=kappa,
-            adversary=adversary,
-            max_rounds=max_rounds,
-            monitors=monitors,
-            transport=transport,
-        )
+    # degrade passes no epsilon: the contract is common_output(), so
+    # the ladder ends after HighCostCA.
+    run = run_with_escalation if degrade else run_protocol
+    execution = run(
+        lambda ctx, v: protocol_z(ctx, v, ba=ba),
+        values,
+        n=n,
+        t=t,
+        kappa=kappa,
+        adversary=adversary,
+        max_rounds=max_rounds,
+        monitors=monitors,
+        transport=transport,
+    )
     return ConvexAgreementOutcome(
         value=execution.common_output(), execution=execution
     )

@@ -11,12 +11,13 @@ execution engine that fans independent cases out over workers
 (:mod:`repro.sim.parallel`), and a resilience layer beneath the round
 abstraction: lossy links with an ack/retransmit round synchronizer
 (:mod:`repro.sim.lossy`), crash-recovery via per-party write-ahead logs
-(:mod:`repro.sim.recovery`), graceful degradation to the
-self-contained ``HighCostCA`` path (:mod:`repro.sim.supervisor`), and
-a partial-synchrony plane -- GST-style transports with healing
-partitions and link churn (:mod:`repro.sim.partial_sync`), PBFT-style
-timeout escalation in the round synchronizer, and an escalation ladder
-down to asynchronous Approximate Agreement.  On top of the chaos plane
+(:mod:`repro.sim.recovery`), and a partial-synchrony plane -- GST,
+healing partitions and link churn as a schedule the lossy transport is
+given (:mod:`repro.sim.partial_sync`), PBFT-style timeout escalation in
+the round synchronizer, and one supervised escalation ladder
+(:mod:`repro.sim.supervisor`): the self-contained ``HighCostCA`` over
+the same transport, then -- when the caller accepts an epsilon --
+asynchronous Approximate Agreement.  On top of the chaos plane
 sits the adversary-search engine (:mod:`repro.sim.search`): a
 coverage-guided bandit optimizer over the composed fault space, with
 crash-safe resumable campaign manifests (:mod:`repro.sim.manifest`).
@@ -89,7 +90,7 @@ from .search import (
 )
 from .network import ExecutionResult, SynchronousNetwork, default_round_budget
 from .parallel import CaseOutcome, derive_seed, resolve_workers, run_many
-from .partial_sync import PartialSyncTransport, stabilization_time_of
+from .partial_sync import LinkSchedule
 from .recovery import (
     CrashEvent,
     CrashRestartAdversary,
@@ -98,7 +99,7 @@ from .recovery import (
     RecoveryManager,
     WriteAheadLog,
 )
-from .supervisor import FallbackRecord, run_with_escalation, run_with_fallback
+from .supervisor import FallbackRecord, run_with_escalation
 from .combinators import run_parallel
 from .party import Context, Outgoing, Proto, broadcast_round, exchange
 from .runner import run_protocol
@@ -126,9 +127,9 @@ __all__ = [
     "CrashRestartAdversary",
     "DeepNestAdversary",
     "FallbackRecord",
+    "LinkSchedule",
     "LivenessMonitor",
     "LossyTransport",
-    "PartialSyncTransport",
     "RecoveryConfig",
     "RecoveryError",
     "RecoveryManager",
@@ -185,8 +186,6 @@ __all__ = [
     "run_protocol",
     "run_search",
     "run_with_escalation",
-    "run_with_fallback",
-    "stabilization_time_of",
     "summarize_trace",
     "standard_adversary_suite",
 ]

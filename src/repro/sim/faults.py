@@ -25,10 +25,12 @@ parties: the model's authenticated channels mean the adversary (and
 hence the fault plane, which is part of the adversary's power) can never
 forge honest traffic.  Two further fault planes ride on the same spec:
 
-* link faults (``link_drop`` / ``link_delay`` / ``link_reorder``) hit
-  *honest* links too, but only below the round abstraction -- they are
-  realised by a :class:`~repro.sim.lossy.LossyTransport` whose
-  synchronizer restores lockstep, so they cost overhead, not safety;
+* link faults (``link_drop`` / ``link_delay`` / ``link_reorder``, and
+  the partial-synchrony windows ``gst`` / ``partitions`` /
+  ``link_churn``) hit *honest* links too, but only below the round
+  abstraction -- they are realised by a
+  :class:`~repro.sim.lossy.LossyTransport` whose synchronizer restores
+  lockstep, so they cost overhead, not safety;
 * crash faults (``crashes``) power honest parties off for chosen round
   windows; the parties recover via
   :class:`~repro.sim.recovery.RecoveryManager` WAL replay.
@@ -38,9 +40,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Any
 
+from ..errors import ConfigurationError
 from .adversary import DROP, Adversary, RoundView, ScriptedAdversary
+from .partial_sync import LinkSchedule
 
 __all__ = [
     "FaultSpec",
@@ -124,13 +129,14 @@ class FaultSpec:
     #: crash plane: ``(party, down_round, up_round)`` windows, realised
     #: through the adversary's ``crash_restarts`` hook (down_round >= 1).
     crashes: tuple[tuple[int, int, int], ...] = ()
-    #: partial-synchrony plane (realised by a
-    #: :class:`~repro.sim.partial_sync.PartialSyncTransport`).  All
-    #: windows are keyed in *global transport slots* -- the monotone
-    #: physical clock the synchronizer advances across rounds and
-    #: escalation attempts -- never in round indices, because a
-    #: partitioned round does not advance its round index while it
-    #: waits for the network to heal.
+    #: partial-synchrony plane (the fields of
+    #: :class:`~repro.sim.partial_sync.LinkSchedule`, which
+    #: :attr:`schedule` builds and ``LossyTransport.from_spec`` hands to
+    #: the transport).  All windows are keyed in *global transport
+    #: slots* -- the monotone physical clock the synchronizer advances
+    #: across rounds and escalation attempts -- never in round indices,
+    #: because a partitioned round does not advance its round index
+    #: while it waits for the network to heal.
     #:
     #: ``gst``: the Global Stabilization Time; before it the adversary
     #: schedules delays (``pre_gst_drop``), after it only the baseline
@@ -174,51 +180,24 @@ class FaultSpec:
                 )
             if party < 0:
                 raise ValueError(f"crash {event}: party must be >= 0")
-        if self.gst is not None:
-            if isinstance(self.gst, bool) or not isinstance(self.gst, int):
-                raise ValueError(
-                    f"gst must be an integer slot count, got {self.gst!r}"
-                )
-            if self.gst < 0:
-                raise ValueError(f"gst must be >= 0, got {self.gst}")
-        if not 0.0 <= self.pre_gst_drop < 1.0:
-            raise ValueError(
-                f"pre_gst_drop rate {self.pre_gst_drop} outside [0, 1)"
-            )
-        if self.pre_gst_drop and self.gst is None:
-            raise ValueError(
-                "pre_gst_drop needs a gst -- without a stabilization "
-                "time the extra loss would never end"
-            )
-        for window in self.partitions:
-            start, heal, members = window
-            if start < 0:
-                raise ValueError(
-                    f"partition {window}: start_slot must be >= 0"
-                )
-            if heal != -1 and heal <= start:
-                raise ValueError(
-                    f"partition {window}: heal_slot must exceed "
-                    "start_slot (or be -1 for never)"
-                )
-            if not members:
-                raise ValueError(
-                    f"partition {window}: members must be non-empty"
-                )
-            if any(party < 0 for party in members):
-                raise ValueError(
-                    f"partition {window}: members must be >= 0"
-                )
-        for window in self.link_churn:
-            start, end, extra = window
-            if start < 0 or end <= start:
-                raise ValueError(
-                    f"churn {window}: need 0 <= start_slot < end_slot"
-                )
-            if not 0.0 <= extra < 1.0:
-                raise ValueError(
-                    f"churn {window}: extra_drop {extra} outside [0, 1)"
-                )
+        try:
+            self.schedule
+        except ConfigurationError as error:
+            # artifact loaders (cli.py) catch ValueError from a spec.
+            raise ValueError(str(error)) from None
+
+    @cached_property
+    def schedule(self) -> LinkSchedule | None:
+        """The partial-synchrony axes as the value a transport is given.
+
+        ``None`` without them.  Building it is also how the spec
+        validates its windows: the rules live in
+        :class:`~repro.sim.partial_sync.LinkSchedule` alone.
+        """
+        schedule = LinkSchedule(
+            self.gst, self.pre_gst_drop, self.partitions, self.link_churn
+        )
+        return schedule if self.has_partial_sync else None
 
     @property
     def is_noop(self) -> bool:

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, NoReturn
 
 from ..errors import ProtocolViolation
+from .sizing import brief_text
 from .trace import RoundRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -202,9 +203,9 @@ class AgreementMonitor(InvariantMonitor):
         }
         if not honest:
             self.fail("no honest party produced an output")
-        distinct = {repr(v) for v in honest.values()}
-        if len(distinct) > 1:
-            self.fail(f"honest parties disagree: {honest!r}")
+        values = list(honest.values())
+        if any(value != values[0] for value in values[1:]):
+            self.fail(f"honest parties disagree: {brief_text(honest)}")
 
 
 class ConvexValidityMonitor(InvariantMonitor):
@@ -247,13 +248,13 @@ class ConvexValidityMonitor(InvariantMonitor):
             value = result.outputs[party]
             if not isinstance(value, int) or isinstance(value, bool):
                 self.fail(
-                    f"party {party} output non-integer {value!r} for an "
-                    "integer CA instance"
+                    f"party {party} output non-integer "
+                    f"{brief_text(value)} for an integer CA instance"
                 )
             if not low <= value <= high:
                 self.fail(
-                    f"party {party} output {value} outside the honest "
-                    f"hull [{low}, {high}]"
+                    f"party {party} output {brief_text(value)} outside "
+                    f"the honest hull [{brief_text(low)}, {brief_text(high)}]"
                 )
 
 

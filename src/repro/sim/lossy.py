@@ -29,6 +29,14 @@ Beacon frames and retry attempts are accounted in the ``beacon_*`` /
 :class:`~repro.sim.metrics.CommunicationStats`, never in
 ``honest_bits``.
 
+Partial synchrony is not another transport: it is a
+:class:`~repro.sim.partial_sync.LinkSchedule` the transport is *given*
+(``schedule=``).  The synchronizer asks it, per slot with an event, for
+the loss rate and the partition sides in force; with no schedule the
+rate is ``drop`` and nothing is severed, and no question is asked.
+:meth:`LossyTransport.partial_sync` is the one constructor holding the
+partial-synchrony defaults (a 64-slot budget, escalation armed).
+
 Protocols run **unmodified** on top: the synchronizer guarantees that
 the logical inbox of every round is exactly what a perfect network
 would have delivered, so executions over a lossy transport are
@@ -51,11 +59,12 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterable
 
 from ..errors import ConfigurationError, ReproError
 from ..perf import counters
 from .metrics import CommunicationStats
+from .partial_sync import LinkSchedule
 
 __all__ = [
     "ACK_BITS",
@@ -94,7 +103,7 @@ class TimeoutEscalation:
     growth: int = 2
     budget_cap: int = 1 << 15
     #: simulated slots one beacon exchange takes (accounted on
-    #: ``transport_slots`` and the partial-sync clock).
+    #: ``transport_slots`` and the transport's global clock).
     beacon_slots: int = 1
 
     def __post_init__(self) -> None:
@@ -145,6 +154,10 @@ class LossyTransport:
         escalation: optional :class:`TimeoutEscalation`; ``None`` keeps
             the classic single-attempt behaviour (an exhausted budget
             raises :class:`TransportTimeout` immediately).
+        schedule: optional :class:`~repro.sim.partial_sync.LinkSchedule`
+            -- GST, partition and churn windows on the global slot
+            clock; ``None`` is a network that is lossy from slot 0 and
+            never partitioned.
     """
 
     def __init__(
@@ -157,6 +170,7 @@ class LossyTransport:
         max_backoff: int = 16,
         links: frozenset[tuple[int, int]] | None = None,
         escalation: TimeoutEscalation | None = None,
+        schedule: LinkSchedule | None = None,
     ) -> None:
         for name, rate in (("delay", delay), ("reorder", reorder)):
             if not 0.0 <= rate <= 1.0:
@@ -196,54 +210,103 @@ class LossyTransport:
         self.max_backoff = max_backoff
         self.links = links
         self.escalation = escalation
+        self.schedule = schedule
         #: exponent cap: once ``2^attempts`` provably reaches
         #: ``max_backoff`` the power is never computed again.
         self._backoff_exp_cap = max(1, max_backoff.bit_length())
-        #: global physical time in slots (monotone across rounds);
-        #: partial-synchrony subclasses key GST/partition windows on it.
+        #: global physical time in slots (monotone across rounds and
+        #: attempts); the schedule's windows are keyed on it.
         self._clock = 0
         #: escalated retries performed over the transport's lifetime.
         self.total_resyncs = 0
 
     # ------------------------------------------------------------------
     @classmethod
+    def partial_sync(
+        cls,
+        schedule: LinkSchedule | None = None,
+        *,
+        gst: int | None = None,
+        pre_gst_drop: float = 0.0,
+        partitions: tuple[tuple[int, int, Iterable[int]], ...] = (),
+        churn: tuple[tuple[int, int, float], ...] = (),
+        slot_budget: int = 64,
+        escalation: TimeoutEscalation | None = TimeoutEscalation(),
+        **link: Any,
+    ) -> "LossyTransport":
+        """A transport under partial synchrony, with that model's defaults.
+
+        Takes the fields of a
+        :class:`~repro.sim.partial_sync.LinkSchedule` as keywords, or --
+        what :meth:`from_spec` does -- one already built, never both;
+        ``link`` holds the constructor's remaining keywords.  A round
+        stalled behind a pre-GST partition has to outwait it, so the
+        per-attempt budget is short (64 slots) and the default
+        :class:`TimeoutEscalation` is armed: the round resyncs with
+        exponentially grown budgets instead of dying on the first
+        exhausted one.
+        """
+        fields = LinkSchedule(gst, pre_gst_drop, partitions, churn)
+        if schedule is not None and fields != LinkSchedule():
+            raise ConfigurationError(
+                "partial_sync takes a LinkSchedule or its fields, not both"
+            )
+        return cls(
+            schedule=fields if schedule is None else schedule,
+            slot_budget=slot_budget,
+            escalation=escalation,
+            **link,
+        )
+
+    @classmethod
     def from_spec(cls, spec: Any) -> "LossyTransport | None":
         """Build a transport from a :class:`~repro.sim.faults.FaultSpec`.
 
-        Returns ``None`` when the spec carries no link-fault axes; a
-        :class:`~repro.sim.partial_sync.PartialSyncTransport` when the
-        spec carries partial-synchrony axes (GST, partitions, churn).
-        The transport seed is derived from (not equal to) the spec seed
-        so the link schedule never correlates with the byzantine fault
-        injector's stream.
+        Returns ``None`` when the spec carries neither link-fault nor
+        partial-synchrony axes (GST, partitions, churn); with the
+        latter, the :meth:`partial_sync` transport over
+        ``spec.schedule``.  The transport seed is derived from (not
+        equal to) the spec seed so the link schedule never correlates
+        with the byzantine fault injector's stream, and the two
+        families draw from distinct labels so adding a GST axis to a
+        spec draws an independent schedule.
         """
-        if getattr(spec, "has_partial_sync", False):
-            from .partial_sync import PartialSyncTransport
-
-            return PartialSyncTransport.from_spec(spec)
-        if not getattr(spec, "has_link_faults", False):
+        rates = {
+            "drop": spec.link_drop,
+            "delay": spec.link_delay,
+            "reorder": spec.link_reorder,
+        }
+        if spec.schedule is not None:
+            return cls.partial_sync(
+                spec.schedule,
+                seed=_derive("psync-from-spec", spec.seed),
+                **rates,
+            )
+        if not spec.has_link_faults:
             return None
         return cls(
-            drop=spec.link_drop,
-            delay=spec.link_delay,
-            reorder=spec.link_reorder,
             seed=_derive("lossy-from-spec", spec.seed),
             links=spec.links,
+            **rates,
         )
 
     def describe(self) -> str:
-        active = [
-            f"{name}={value}"
-            for name, value in (
-                ("drop", self.drop),
-                ("delay", self.delay),
-                ("reorder", self.reorder),
-            )
-            if value
-        ]
-        return f"LossyTransport({', '.join(active) or 'perfect'})"
+        """The model and its active axes, as failure messages print them.
 
-    # -- hooks for partial-synchrony subclasses ------------------------
+        Campaign goldens and archived artifacts pin the text, the
+        ``PartialSyncTransport`` label of a scheduled transport
+        included: it names the model, not a class.
+        """
+        scheduled = self.schedule is not None
+        active = self.schedule.axes() if scheduled else []
+        active += [
+            f"{name}={getattr(self, name)}"
+            for name in ("drop", "delay", "reorder")
+            if getattr(self, name)
+        ]
+        label = "PartialSyncTransport" if scheduled else "LossyTransport"
+        return f"{label}({', '.join(active) or 'perfect'})"
+
     @property
     def clock(self) -> int:
         """Global physical slots elapsed on this transport."""
@@ -253,23 +316,13 @@ class LossyTransport:
     def stabilization_time(self) -> int | None:
         """First global slot with bounded delivery (``None`` = never).
 
-        A plain lossy transport is probabilistically bounded from slot
-        0; partial-synchrony subclasses override this with the latest
-        of GST, partition heals, and churn ends.
+        Without a schedule the transport is probabilistically bounded
+        from slot 0; with one, the schedule says (latest of GST,
+        partition heals and churn ends).
         """
-        return 0
-
-    def _drop_at(self, at: int) -> float:
-        """Per-copy loss probability of a lossy link at global slot ``at``."""
-        return self.drop
-
-    def _severed_at(self, at: int) -> tuple[frozenset[int], ...]:
-        """Partition sides in force at global slot ``at``.
-
-        A link whose endpoints fall on different sides of any returned
-        member set is deterministically severed for that slot.
-        """
-        return ()
+        if self.schedule is None:
+            return 0
+        return self.schedule.stabilization_time
 
     def _backoff(self, attempts: int) -> int:
         # Cap the exponent *before* exponentiation: at attempt 300 the
@@ -392,8 +445,13 @@ class LossyTransport:
         """
         rng = random.Random(self._attempt_seed(round_index, attempt))
         coin = rng.random
-        base_time = self._clock
         faulty, delay, reorder = self.links, self.delay, self.reorder
+        # without a schedule every slot has the same rate and no sides.
+        base_drop = drop = self.drop
+        sides: tuple[frozenset[int], ...] = ()
+        schedule, base_time = self.schedule, self._clock
+        if schedule is not None:
+            loss_at, severed_at = schedule.loss_at, schedule.severed_at
         #: slot -> links whose next copy is transmitted then.
         due: dict[int, list[tuple[int, int]]] = {0: list(pending)}
         #: slot -> links whose payload copy arrives then (ack pending).
@@ -413,10 +471,11 @@ class LossyTransport:
             sending = due.pop(slot, ())
             if not sending and slot not in arrivals:
                 continue
-            at = base_time + slot
-            drop = self._drop_at(at)
-            # a copy severed by a partition is lost without a coin.
-            sides = self._severed_at(at)
+            if schedule is not None:
+                at = base_time + slot
+                drop = max(base_drop, loss_at(at))
+                # a copy severed by a partition is lost without a coin.
+                sides = severed_at(at)
 
             # 1. transmissions due this slot (first copies and backoffs).
             for link in sorted(sending):

@@ -62,7 +62,7 @@ from .lossy import LossyTransport, TransportTimeout
 from .metrics import CommunicationStats
 from .party import Context, Outgoing, Proto
 from .recovery import CrashEvent, RecoveryConfig, RecoveryManager
-from .sizing import bit_size
+from .sizing import bit_size, brief_text
 from .trace import RoundRecord
 from .wire import WireGuard, WireLimits, inbox_digest
 
@@ -147,7 +147,9 @@ class ExecutionResult:
         iterator = iter(values.values())
         first = next(iterator)
         if any(value != first for value in iterator):
-            raise SimulationError(f"honest parties disagree: {values!r}")
+            raise SimulationError(
+                f"honest parties disagree: {brief_text(values)}"
+            )
         return first
 
     def assert_convex_valid(
@@ -172,7 +174,8 @@ class ExecutionResult:
         low, high = min(honest), max(honest)
         if not low <= value <= high:
             raise ProtocolViolation(
-                f"output {value} outside honest hull [{low}, {high}]",
+                f"output {brief_text(value)} outside honest hull "
+                f"[{brief_text(low)}, {brief_text(high)}]",
                 monitor="assert_convex_valid",
             )
         return value

@@ -1,4 +1,4 @@
-"""Partial-synchrony transport: GST, healing partitions, link churn.
+"""Partial synchrony as a value: GST, healing partitions, link churn.
 
 The paper's model is lockstep synchrony; its conclusions point at the
 asynchronous ``t < n/5`` setting as the frontier.  This module covers
@@ -8,26 +8,27 @@ of Dwork-Lynch-Stockmeyer: there exists a Global Stabilization Time
 message delays and partitions arbitrarily and after which delivery is
 bounded.
 
-:class:`PartialSyncTransport` realises the model as a subclass of the
-lossy-link plane:
+:class:`LinkSchedule` is that adversary's schedule and nothing else: a
+frozen value a :class:`~repro.sim.lossy.LossyTransport` is *given*
+(``schedule=``) and asks three questions of.  Every window is keyed on
+the transport's **global slot clock** -- physical slots counted
+monotonically across rounds *and* escalation attempts -- never on round
+indices, because a round stalled behind a partition does not advance
+its round index while it waits:
 
-* a **global slot clock** (inherited from
-  :class:`~repro.sim.lossy.LossyTransport`) counts physical slots
-  monotonically across rounds *and* escalation attempts -- GST,
-  partition windows, and churn windows are keyed on this clock, never
-  on round indices, because a round stalled behind a partition does
-  not advance its round index while it waits;
 * before ``gst``, every link additionally loses copies with rate
-  ``pre_gst_drop``; after ``gst`` only the baseline rates apply;
+  ``pre_gst_drop``; after ``gst`` only the transport's own rates apply;
 * **partition windows** ``(start, heal, members)`` deterministically
   sever every link crossing the ``members``-vs-rest boundary while the
   window is open (``heal == -1`` never heals);
 * **churn windows** ``(start, end, extra_drop)`` raise the loss rate
-  of every link inside the window -- link flap/slowdown schedules;
-* the PBFT-style :class:`~repro.sim.lossy.TimeoutEscalation` policy is
-  armed by default, so a round stalled behind a pre-GST partition
-  resyncs with exponentially grown budgets instead of dying on the
-  first exhausted budget.
+  of every link inside the window -- link flap/slowdown schedules.
+
+The window rules are written here once; a
+:class:`~repro.sim.faults.FaultSpec` and
+:meth:`LossyTransport.partial_sync
+<repro.sim.lossy.LossyTransport.partial_sync>` both validate by
+building this value.
 
 Because the synchronizer still delivers exactly the perfect-network
 inboxes (or raises), every execution that stabilizes inside the
@@ -37,45 +38,23 @@ accounted ``retrans_* / ack_* / beacon_*`` overhead.  A network that
 never stabilizes ends in :class:`~repro.sim.lossy.TransportTimeout`,
 which the supervisor's escalation ladder
 (:func:`~repro.sim.supervisor.run_with_escalation`) catches and
-degrades through ``HighCostCA`` down to asynchronous approximate
+degrades through ``HighCostCA`` over the same transport and, when the
+caller accepts an ``epsilon``, down to asynchronous approximate
 agreement.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from dataclasses import dataclass
 
 from ..errors import ConfigurationError
-from .lossy import LossyTransport, TimeoutEscalation, _derive
 
-__all__ = ["PartialSyncTransport", "stabilization_time_of"]
-
-
-def stabilization_time_of(
-    gst: int | None,
-    partitions: tuple[tuple[int, int, tuple[int, ...]], ...],
-    churn: tuple[tuple[int, int, float], ...],
-) -> int | None:
-    """First global slot after which the network behaves; ``None`` = never.
-
-    The model's GST is the latest of: the declared ``gst``, the heal
-    slot of every partition, and the end of every churn window.  A
-    partition with ``heal == -1`` never heals, so the network never
-    stabilizes and liveness is not guaranteed (only the failover
-    ladder is).
-    """
-    latest = gst or 0
-    for _, heal, _ in partitions:
-        if heal == -1:
-            return None
-        latest = max(latest, heal)
-    for _, end, _ in churn:
-        latest = max(latest, end)
-    return latest
+__all__ = ["LinkSchedule"]
 
 
-class PartialSyncTransport(LossyTransport):
-    """GST-style lossy transport with partitions, churn, and escalation.
+@dataclass(frozen=True)
+class LinkSchedule:
+    """When, on the global slot clock, the links misbehave.
 
     Args:
         gst: Global Stabilization Time in global slots (``None``
@@ -84,45 +63,24 @@ class PartialSyncTransport(LossyTransport):
             before ``gst``.
         partitions: ``(start_slot, heal_slot, members)`` windows; links
             crossing the boundary are severed while open; ``heal_slot``
-            of ``-1`` never heals.
+            of ``-1`` never heals.  ``members`` is stored as a
+            frozenset.
         churn: ``(start_slot, end_slot, extra_drop)`` windows raising
             the loss rate inside the window.
-        escalation: timeout-escalation policy; defaults to an armed
-            :class:`TimeoutEscalation` (pass one explicitly to tune,
-            or build a plain :class:`LossyTransport` for the classic
-            die-on-first-timeout behaviour).
 
-    Remaining arguments match :class:`LossyTransport`.  Partial
-    synchrony is a whole-network condition, so the per-link ``links``
-    restriction is not available here.
+    Raises:
+        ConfigurationError: a window is reversed, empty, negative or
+            names a negative party; a rate is outside ``[0, 1)``;
+            ``pre_gst_drop`` is set without a ``gst``.
     """
 
-    def __init__(
-        self,
-        gst: int | None = None,
-        pre_gst_drop: float = 0.0,
-        partitions: tuple[tuple[int, int, tuple[int, ...]], ...] = (),
-        churn: tuple[tuple[int, int, float], ...] = (),
-        drop: float = 0.0,
-        delay: float = 0.0,
-        reorder: float = 0.0,
-        seed: int = 0,
-        slot_budget: int = 64,
-        max_backoff: int = 16,
-        escalation: TimeoutEscalation | None = None,
-    ) -> None:
-        super().__init__(
-            drop=drop,
-            delay=delay,
-            reorder=reorder,
-            seed=seed,
-            slot_budget=slot_budget,
-            max_backoff=max_backoff,
-            links=None,
-            escalation=(
-                TimeoutEscalation() if escalation is None else escalation
-            ),
-        )
+    gst: int | None = None
+    pre_gst_drop: float = 0.0
+    partitions: tuple[tuple[int, int, frozenset[int]], ...] = ()
+    churn: tuple[tuple[int, int, float], ...] = ()
+
+    def __post_init__(self) -> None:
+        gst = self.gst
         if gst is not None:
             if isinstance(gst, bool) or not isinstance(gst, int):
                 raise ConfigurationError(
@@ -130,29 +88,28 @@ class PartialSyncTransport(LossyTransport):
                 )
             if gst < 0:
                 raise ConfigurationError(f"gst must be >= 0, got {gst}")
-        if not 0.0 <= pre_gst_drop < 1.0:
+        if not 0.0 <= self.pre_gst_drop < 1.0:
             raise ConfigurationError(
-                f"pre_gst_drop rate {pre_gst_drop} outside [0, 1)"
+                f"pre_gst_drop rate {self.pre_gst_drop} outside [0, 1)"
             )
-        if pre_gst_drop and gst is None:
+        if self.pre_gst_drop and gst is None:
             raise ConfigurationError(
                 "pre_gst_drop needs a gst -- without a stabilization "
                 "time the extra loss would never end"
             )
-        normalized: list[tuple[int, int, frozenset[int]]] = []
-        for window in partitions:
+        for window in self.partitions:
             start, heal, members = window
             if start < 0 or (heal != -1 and heal <= start):
                 raise ConfigurationError(
                     f"partition {window}: need 0 <= start_slot < "
                     "heal_slot (or heal_slot == -1 for never)"
                 )
-            if not members:
+            if not members or any(party < 0 for party in members):
                 raise ConfigurationError(
-                    f"partition {window}: members must be non-empty"
+                    f"partition {window}: members must be a non-empty "
+                    "set of parties >= 0"
                 )
-            normalized.append((start, heal, frozenset(members)))
-        for window in churn:
+        for window in self.churn:
             start, end, extra = window
             if start < 0 or end <= start:
                 raise ConfigurationError(
@@ -162,81 +119,69 @@ class PartialSyncTransport(LossyTransport):
                 raise ConfigurationError(
                     f"churn {window}: extra_drop {extra} outside [0, 1)"
                 )
-        self.gst = gst
-        self.pre_gst_drop = pre_gst_drop
-        self.partitions = tuple(normalized)
-        self.churn = tuple(
-            (start, end, extra) for start, end, extra in churn
+        object.__setattr__(
+            self,
+            "partitions",
+            tuple(
+                (start, heal, frozenset(members))
+                for start, heal, members in self.partitions
+            ),
         )
 
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_spec(cls, spec: Any) -> "PartialSyncTransport | None":
-        """Build from a :class:`~repro.sim.faults.FaultSpec`.
-
-        Returns ``None`` when the spec has neither partial-synchrony
-        nor link-fault axes.  The seed derivation is distinct from the
-        plain lossy one so adding a GST axis to a spec draws an
-        independent schedule family.
-        """
-        if not (
-            getattr(spec, "has_partial_sync", False)
-            or getattr(spec, "has_link_faults", False)
-        ):
-            return None
-        return cls(
-            gst=spec.gst,
-            pre_gst_drop=spec.pre_gst_drop,
-            partitions=spec.partitions,
-            churn=spec.link_churn,
-            drop=spec.link_drop,
-            delay=spec.link_delay,
-            reorder=spec.link_reorder,
-            seed=_derive("psync-from-spec", spec.seed),
-        )
-
-    def describe(self) -> str:
-        axes = []
-        if self.gst is not None:
-            axes.append(f"gst={self.gst}")
-            if self.pre_gst_drop:
-                axes.append(f"pre_gst_drop={self.pre_gst_drop}")
-        if self.partitions:
-            axes.append(f"partitions={len(self.partitions)}")
-        if self.churn:
-            axes.append(f"churn={len(self.churn)}")
-        for name in ("drop", "delay", "reorder"):
-            value = getattr(self, name)
-            if value:
-                axes.append(f"{name}={value}")
-        return f"PartialSyncTransport({', '.join(axes) or 'perfect'})"
-
-    # ------------------------------------------------------------------
     @property
     def stabilization_time(self) -> int | None:
-        """First slot from which delivery is bounded; ``None`` = never."""
-        return stabilization_time_of(self.gst, self.partitions, self.churn)
+        """First global slot after which the network behaves; ``None`` = never.
 
-    def stabilized(self, at: int | None = None) -> bool:
-        """Has the network stabilized by global slot ``at`` (now)?"""
-        if at is None:
-            at = self._clock
-        horizon = self.stabilization_time
-        return horizon is not None and at >= horizon
+        The model's GST is the latest of: the declared ``gst``, the heal
+        slot of every partition, and the end of every churn window.  A
+        partition with ``heal == -1`` never heals, so the network never
+        stabilizes and liveness is not guaranteed (only the failover
+        ladder is).
+        """
+        latest = self.gst or 0
+        for _, heal, _ in self.partitions:
+            if heal == -1:
+                return None
+            latest = max(latest, heal)
+        for _, end, _ in self.churn:
+            latest = max(latest, end)
+        return latest
 
-    # -- synchronizer hooks --------------------------------------------
-    def _severed_at(self, at: int) -> tuple[frozenset[int], ...]:
+    def loss_at(self, at: int) -> float:
+        """The schedule's per-copy loss rate at global slot ``at``.
+
+        ``0.0`` outside every window; the transport applies the larger
+        of this and its own ``drop``.
+        """
+        rate = 0.0
+        if self.gst is not None and at < self.gst:
+            rate = self.pre_gst_drop
+        for start, end, extra in self.churn:
+            if start <= at < end and extra > rate:
+                rate = extra
+        return rate
+
+    def severed_at(self, at: int) -> tuple[frozenset[int], ...]:
+        """Partition sides in force at global slot ``at``.
+
+        A link whose endpoints fall on different sides of any returned
+        member set is deterministically severed for that slot.
+        """
         return tuple(
             members
             for start, heal, members in self.partitions
             if at >= start and (heal == -1 or at < heal)
         )
 
-    def _drop_at(self, at: int) -> float:
-        rate = self.drop
-        if self.gst is not None and at < self.gst:
-            rate = max(rate, self.pre_gst_drop)
-        for start, end, extra in self.churn:
-            if start <= at < end:
-                rate = max(rate, extra)
-        return rate
+    def axes(self) -> list[str]:
+        """The active axes as ``name=value`` labels, for ``describe``."""
+        active = []
+        if self.gst is not None:
+            active.append(f"gst={self.gst}")
+            if self.pre_gst_drop:
+                active.append(f"pre_gst_drop={self.pre_gst_drop}")
+        if self.partitions:
+            active.append(f"partitions={len(self.partitions)}")
+        if self.churn:
+            active.append(f"churn={len(self.churn)}")
+        return active

@@ -10,7 +10,8 @@ inverse.  Nothing else knows a payload type; four functions read it:
 :func:`measure_payload` (the byzantine guard's walk under
 :mod:`repro.sim.wire`'s limits; iterative, bounded, never raises),
 :func:`encode_payload` / :func:`decode_payload` (repro artifacts) and
-:func:`canonical_text` (the WAL digest).
+:func:`canonical_text` (the WAL digest; :func:`brief_text` falls
+back on it where a verdict has to print a value ``repr`` refuses).
 
 The table is **closed**: a type is on the wire iff it has a row with a
 price, looked up by exact type, and no object prices itself by duck
@@ -264,3 +265,37 @@ def canonical_text(payload: Any) -> str:
     if row.unordered:
         parts.sort()
     return f"{row.tag}({','.join(parts)})"
+
+
+#: Characters of one value a verdict's message carries.
+_BRIEF = 120
+
+
+def brief_text(value: Any) -> str:
+    """``value`` for a verdict's message, bounded (a dict: per entry).
+
+    ``repr`` first, so short values read as they always did.  An int
+    past CPython's decimal-digit limit makes ``repr`` raise
+    ``ValueError`` -- a monitor that formats with it dies before it can
+    deliver its verdict -- and then the decimal-free
+    :func:`canonical_text` speaks (its ``TypeError`` for a value off
+    the wire leaves the type name).
+    """
+    if type(value) is dict:
+        entries = (
+            f"{brief_text(key)}: {brief_text(entry)}"
+            for key, entry in value.items()
+        )
+        return "{" + ", ".join(entries) + "}"
+    try:
+        text = repr(value)
+    except ValueError:
+        try:
+            text = canonical_text(value)
+        except TypeError:
+            text = f"<{type(value).__name__}>"
+    if len(text) > _BRIEF:
+        # both ends: long values that disagree often share a head.
+        half = _BRIEF // 2
+        text = f"{text[:half]}...[{len(text) - 2 * half} more]...{text[-half:]}"
+    return text

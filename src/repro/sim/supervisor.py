@@ -1,4 +1,4 @@
-"""Graceful degradation: supervised execution with a HighCostCA fallback.
+"""Graceful degradation: one supervised escalation ladder.
 
 The online invariant monitors (:mod:`repro.sim.invariants`) turn the
 paper's guarantees into hard faults: a detected ``PI_lBA+`` bit-budget
@@ -8,52 +8,49 @@ chaos harness that is the right default -- but a *deployment* wants the
 next-best thing: detect that the communication-optimal path has gone
 wrong and still end with a convex-valid output.
 
-:func:`run_with_fallback` provides exactly that.  It supervises a
-primary execution; if the primary dies with a
-:class:`~repro.errors.ProtocolViolation` (a monitor fired) or a
-:class:`~repro.errors.SimulationError` (lockstep break, round-budget
-exhaustion, transport timeout), it falls back to the self-contained
-``HighCostCA`` protocol (Appendix A.4) on the same inputs -- the
-``O(l n^3)``-bit workhorse whose guarantees rest on nothing but
-``t < n/3`` -- and returns that result with a :class:`FallbackRecord`
-attached to ``ExecutionResult.fallback``.
+:func:`run_with_escalation` is the supervisor.  It runs a primary
+execution; if that dies with a :class:`~repro.errors.ProtocolViolation`
+(a monitor fired) or a :class:`~repro.errors.SimulationError` (lockstep
+break, round-budget exhaustion, transport timeout), it descends::
+
+    optimal CA  ->  budget-escalated retry  ->  HighCostCA  ->  async AA
+    (primary)       (inside the transport's     (the caller's    (t < n/5,
+                     TimeoutEscalation)         transport)       only with
+                                                                 epsilon=)
+
+``HighCostCA`` (Appendix A.4) is the self-contained ``O(l n^3)``-bit
+workhorse whose guarantees rest on nothing but ``t < n/3``.  Its rung
+runs over the **same transport** as the primary: the supervisor has no
+perfect network to offer that the caller does not have, so a network
+that is actually broken (a never-healing partition) fails this rung
+too.  Asynchronous Approximate Agreement needs no synchrony at all,
+but its outputs agree only up to ``epsilon`` -- a weaker contract the
+ladder enters only when the caller names the ``epsilon`` it accepts.
+Each rung is tried at most once, the traversal is recorded in order on
+``FallbackRecord.history``, and a ladder that runs out of rungs raises
+a budgeted :class:`~repro.errors.SimulationError` carrying the whole
+history -- never an unhandled exception, never a value computed on a
+network that does not exist.
 
 ``HighCostCA`` operates on natural numbers; the supervisor embeds
 arbitrary integer inputs by shifting them into N (the harness knows all
 inputs) and un-shifting the agreed output, which preserves the convex
 hull exactly.
 
-The fallback run keeps the primary's corruption set but replaces the
+The lower rungs keep the primary's corruption set but replace the
 adversary's *strategy* with spec-following corrupted parties: byzantine
 strategies are protocol-shaped (they inspect channels and payloads of
 the protocol they were written against) and cannot be meaningfully
 re-driven against a different protocol.  ``HighCostCA``'s guarantees
 hold against arbitrary byzantine behaviour regardless, so this choice
 affects realism of the simulated attack, not soundness of the output.
-
-Under partial synchrony :func:`run_with_escalation` extends the single
-fallback into the full escalation ladder::
-
-    optimal CA  ->  budget-escalated retry  ->  HighCostCA  ->  async AA
-    (primary)       (inside the transport's     (same lossy      (t < n/5,
-                     TimeoutEscalation)         transport!)     eps-agreement)
-
-The ladder differs from :func:`run_with_fallback` in one crucial way:
-the ``HighCostCA`` rung runs over the *same* transport as the primary,
-so a network that is actually broken (a never-healing partition) fails
-it too and the supervisor keeps descending -- to asynchronous
-Approximate Agreement, whose liveness needs no synchrony at all.  Each
-rung is tried at most once, the traversal is recorded in order on
-``FallbackRecord.history``, and a ladder that runs out of rungs raises
-a budgeted :class:`~repro.errors.SimulationError` carrying the whole
-history -- never an unhandled exception.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 from ..errors import ConfigurationError, ProtocolViolation, SimulationError
 from .adversary import Adversary, PassiveAdversary
@@ -64,7 +61,10 @@ from .network import ExecutionResult, ProtocolFactory, SynchronousNetwork
 from .recovery import CrashEvent, RecoveryConfig
 from .wire import WireLimits
 
-__all__ = ["FallbackRecord", "run_with_fallback", "run_with_escalation"]
+__all__ = ["FallbackRecord", "run_with_escalation"]
+
+#: channel prefix of the ``HighCostCA`` rung's traffic.
+FALLBACK_CHANNEL = "fallback/hc"
 
 #: scalar CommunicationStats fields serialized into fallback artifacts.
 _STATS_FIELDS = (
@@ -163,110 +163,13 @@ class _StaticCorruptions(PassiveAdversary):
         return set(self._corrupted)
 
 
-def run_with_fallback(
-    protocol_factory: ProtocolFactory,
-    inputs: dict[int, Any] | list[Any],
-    n: int,
-    t: int,
-    kappa: int = 128,
-    adversary: Adversary | None = None,
-    max_rounds: int | None = None,
-    trace: bool = False,
-    monitors: Sequence[InvariantMonitor] = (),
-    transport: LossyTransport | None = None,
-    crashes: Sequence[CrashEvent | tuple[int, int, int]] | None = None,
-    recovery: RecoveryConfig | bool | None = None,
-    guards: WireLimits | bool | None = None,
-    fallback_channel: str = "fallback/hc",
-    fallback_factory: Callable[..., Any] | None = None,
-) -> ExecutionResult:
-    """Run the primary protocol; degrade to ``HighCostCA`` on failure.
-
-    The primary execution gets the full resilience stack (monitors,
-    transport, crash plane).  On :class:`ProtocolViolation` or
-    :class:`SimulationError` the supervisor reruns the *inputs* through
-    ``HighCostCA`` (or ``fallback_factory``) with the same corruption
-    set, and returns that result with ``ExecutionResult.fallback`` set.
-    Configuration errors and harness bugs still propagate -- only
-    detected protocol misbehaviour degrades.
-
-    Requires integer inputs (they are shifted into N for HighCostCA);
-    non-integer inputs make the primary failure propagate unchanged.
-    """
-    if isinstance(inputs, list):
-        inputs = dict(enumerate(inputs))
-    primary = SynchronousNetwork(
-        protocol_factory=protocol_factory,
-        inputs=inputs,
-        n=n,
-        t=t,
-        kappa=kappa,
-        adversary=adversary,
-        max_rounds=max_rounds,
-        trace=trace,
-        monitors=monitors,
-        transport=transport,
-        crashes=crashes,
-        recovery=recovery,
-        guards=guards,
-    )
-    try:
-        return primary.run()
-    except (ProtocolViolation, SimulationError) as failure:
-        try:
-            offset = _offset_into_naturals(inputs)
-        except ConfigurationError:
-            raise failure from None
-        record = FallbackRecord(
-            trigger=type(failure).__name__,
-            detail=str(failure),
-            monitor=getattr(failure, "monitor", None),
-            offset=offset,
-            primary_stats=primary.stats,
-        )
-
-    shifted = {party: value + offset for party, value in inputs.items()}
-    if fallback_factory is None:
-        from ..core.high_cost_ca import high_cost_ca
-
-        fallback_factory = high_cost_ca
-
-    fallback_net = SynchronousNetwork(
-        protocol_factory=lambda ctx, v: fallback_factory(
-            ctx, v, channel=fallback_channel
-        ),
-        inputs=shifted,
-        n=n,
-        t=t,
-        kappa=kappa,
-        adversary=_StaticCorruptions(frozenset(primary.corrupted)),
-        max_rounds=max_rounds,
-        trace=trace,
-        guards=guards,
-    )
-    result = fallback_net.run()
-    result.outputs = {
-        party: value - offset for party, value in result.outputs.items()
-    }
-    result.fallback = record
-    return result
-
-
-def _offset_into_naturals(inputs: dict[int, Any]) -> int:
-    """Shift embedding integer inputs into N (0 when already natural)."""
-    values = list(inputs.values())
-    if any(not isinstance(v, int) or isinstance(v, bool) for v in values):
-        raise ConfigurationError(
-            "the HighCostCA fallback needs integer inputs"
-        )
-    lowest = min(values)
-    return -lowest if lowest < 0 else 0
-
-
-def _clip(message: str, limit: int = 200) -> str:
-    """First line of ``message``, truncated for history entries."""
-    line = message.splitlines()[0] if message else message
-    return line if len(line) <= limit else line[: limit - 3] + "..."
+def _failed(rung: str, failure: Exception) -> str:
+    """One history entry: ``rung`` ended in ``failure``."""
+    # first line only, truncated: messages carry whole transport dumps.
+    line = (str(failure).splitlines() or [""])[0]
+    if len(line) > 200:
+        line = line[:197] + "..."
+    return f"{rung}: {type(failure).__name__}: {line}"
 
 
 def run_with_escalation(
@@ -283,12 +186,10 @@ def run_with_escalation(
     crashes: Sequence[CrashEvent | tuple[int, int, int]] | None = None,
     recovery: RecoveryConfig | bool | None = None,
     guards: WireLimits | bool | None = None,
-    epsilon: Fraction | int = 1,
-    fallback_channel: str = "fallback/hc",
-    max_deliveries: int | None = None,
+    epsilon: Fraction | int | None = None,
     escalate_on: tuple[type, ...] = (ProtocolViolation, SimulationError),
 ) -> ExecutionResult:
-    """Descend the partial-synchrony escalation ladder until decision.
+    """Run the primary protocol; on failure descend the ladder to a decision.
 
     Rungs, each tried at most once and recorded in order on
     ``FallbackRecord.history``:
@@ -301,22 +202,27 @@ def run_with_escalation(
        ``beacon_* / resync_*`` stats fields.
     2. **high_cost_ca** -- on :class:`ProtocolViolation` or
        :class:`SimulationError`, rerun the (shifted) inputs through
-       ``HighCostCA`` over the **same transport**: a genuinely broken
-       network fails this rung too, which is the point -- only an
-       actually-usable network lets the ladder stop here.
-    3. **async_aa** -- asynchronous Approximate Agreement with the
-       primary's corruption set pinned.  Needs ``5 * |corrupted| < n``;
-       outputs agree only up to ``epsilon`` (recorded stringified on
-       the fallback record).  Liveness needs no synchrony assumption.
+       ``HighCostCA`` over the **same transport**, whose clock keeps
+       running: a genuinely broken network fails this rung too, which
+       is the point -- only an actually-usable network lets the ladder
+       stop here.
+    3. **async_aa** -- only when ``epsilon`` is given: asynchronous
+       Approximate Agreement with the primary's corruption set pinned.
+       Needs ``5 * |corrupted| < n``; outputs agree only up to
+       ``epsilon`` (recorded stringified on the fallback record).
+       Liveness needs no synchrony assumption.  ``epsilon=None`` means
+       the caller requires exact agreement and the ladder ends after
+       ``HighCostCA``.
 
     A ladder that exhausts every rung raises a
     :class:`~repro.errors.SimulationError` carrying the full history --
     the budgeted, replayable failure the chaos plane expects; no
-    network schedule produces an unhandled exception.
+    network schedule produces an unhandled exception.  Configuration
+    errors and harness bugs propagate -- only detected protocol
+    misbehaviour degrades.
 
     Non-integer inputs cannot ride the lower rungs, so the primary
-    failure propagates unchanged for them (as in
-    :func:`run_with_fallback`).
+    failure propagates unchanged for them.
 
     ``escalate_on`` restricts which primary failures enter the ladder
     (default: both).  The chaos plane passes ``(SimulationError,)`` so
@@ -325,26 +231,27 @@ def run_with_escalation(
     """
     if isinstance(inputs, list):
         inputs = dict(enumerate(inputs))
-    if not isinstance(epsilon, (int, Fraction)) or epsilon <= 0:
+    if epsilon is not None and (
+        not isinstance(epsilon, (int, Fraction)) or epsilon <= 0
+    ):
         raise ConfigurationError(
-            f"epsilon must be a positive number, got {epsilon!r}"
+            f"epsilon must be a positive number or None, got {epsilon!r}"
         )
 
-    history: list[str] = []
-    primary = SynchronousNetwork(
-        protocol_factory=protocol_factory,
-        inputs=inputs,
-        n=n,
-        t=t,
-        kappa=kappa,
-        adversary=adversary,
-        max_rounds=max_rounds,
-        trace=trace,
-        monitors=monitors,
-        transport=transport,
-        crashes=crashes,
-        recovery=recovery,
-        guards=guards,
+    def network(
+        factory: ProtocolFactory, values: dict[int, Any], **stages: Any
+    ) -> SynchronousNetwork:
+        # every synchronous rung shares the caller's network: same
+        # transport (and its clock), same guards, same caps.
+        return SynchronousNetwork(
+            protocol_factory=factory, inputs=values, n=n, t=t, kappa=kappa,
+            max_rounds=max_rounds, trace=trace, transport=transport,
+            guards=guards, **stages,
+        )
+
+    primary = network(
+        protocol_factory, inputs, adversary=adversary, monitors=monitors,
+        crashes=crashes, recovery=recovery,
     )
     try:
         return primary.run()
@@ -352,26 +259,27 @@ def run_with_escalation(
         if not isinstance(failure, escalate_on):
             raise
         primary_failure = failure
+    if any(
+        not isinstance(v, int) or isinstance(v, bool) for v in inputs.values()
+    ):
+        # HighCostCA and AA need integers: nothing below can run.
+        raise primary_failure
+    offset = max(0, -min(inputs.values()))  # shift into N
+    shifted = {party: value + offset for party, value in inputs.items()}
+    corrupted = frozenset(primary.corrupted)
     resyncs = primary.stats.resync_attempts
-    history.append(
-        f"primary: {type(primary_failure).__name__}: "
-        f"{_clip(str(primary_failure))}"
-    )
+    history = [_failed("primary", primary_failure)]
     if resyncs:
         history.append(
             f"transport: {resyncs} escalated retr"
             f"{'y' if resyncs == 1 else 'ies'} before the failure"
         )
 
-    try:
-        offset = _offset_into_naturals(inputs)
-    except ConfigurationError:
-        raise primary_failure from None
-    shifted = {party: value + offset for party, value in inputs.items()}
-    corrupted = frozenset(primary.corrupted)
-
-    def _record(rung: str, eps: str | None = None) -> FallbackRecord:
-        return FallbackRecord(
+    def decided(rung: str, result: ExecutionResult) -> ExecutionResult:
+        result.outputs = {
+            party: value - offset for party, value in result.outputs.items()
+        }
+        result.fallback = FallbackRecord(
             trigger=type(primary_failure).__name__,
             detail=str(primary_failure),
             monitor=getattr(primary_failure, "monitor", None),
@@ -379,93 +287,67 @@ def run_with_escalation(
             primary_stats=primary.stats,
             rung=rung,
             history=tuple(history),
-            epsilon=eps,
+            epsilon=None if rung != "async_aa" else str(Fraction(epsilon)),
             resyncs=resyncs,
         )
-
-    # -- rung 2: HighCostCA over the SAME (possibly broken) transport --
-    from ..core.high_cost_ca import high_cost_ca
-
-    hc_net = SynchronousNetwork(
-        protocol_factory=lambda ctx, v: high_cost_ca(
-            ctx, v, channel=fallback_channel
-        ),
-        inputs=shifted,
-        n=n,
-        t=t,
-        kappa=kappa,
-        adversary=_StaticCorruptions(corrupted),
-        max_rounds=max_rounds,
-        trace=trace,
-        transport=transport,
-        guards=guards,
-    )
-    try:
-        result = hc_net.run()
-    except (ProtocolViolation, SimulationError) as hc_failure:
-        history.append(
-            f"high_cost_ca: {type(hc_failure).__name__}: "
-            f"{_clip(str(hc_failure))}"
-        )
-    else:
-        history.append("high_cost_ca: decided")
-        result.outputs = {
-            party: value - offset
-            for party, value in result.outputs.items()
-        }
-        result.fallback = _record("high_cost_ca")
         return result
 
-    # -- rung 3: asynchronous AA with the corruption set pinned --------
-    t_async = len(corrupted)
-    if 5 * t_async >= n:
-        history.append(
-            f"async_aa: skipped (needs 5t < n, t={t_async}, n={n})"
-        )
-        raise SimulationError(
-            "escalation ladder exhausted: " + " | ".join(history),
-            stats=primary.stats,
-        ) from primary_failure
+    # -- rung 2: HighCostCA over the caller's (possibly broken) transport
+    from ..core.high_cost_ca import high_cost_ca
 
-    from ..asynchrony.aa import AsyncApproximateAgreement
-    from ..asynchrony.network import AsyncNetwork
-
-    bound = max(1, max(shifted.values()))
-    async_net = AsyncNetwork(
-        party_factory=lambda ctx: AsyncApproximateAgreement(
-            ctx, shifted[ctx.party_id], epsilon, bound
-        ),
-        n=n,
-        t=t_async,
-        kappa=kappa,
-        adversary=_PinnedAsyncCorruptions(corrupted),
-        max_deliveries=max_deliveries,
-        guards=guards,
-    )
     try:
-        async_result = async_net.run()
-    except (ProtocolViolation, SimulationError) as aa_failure:
-        history.append(
-            f"async_aa: {type(aa_failure).__name__}: "
-            f"{_clip(str(aa_failure))}"
-        )
-        raise SimulationError(
-            "escalation ladder exhausted: " + " | ".join(history),
-            stats=primary.stats,
-        ) from primary_failure
+        result = network(
+            lambda ctx, v: high_cost_ca(ctx, v, channel=FALLBACK_CHANNEL),
+            shifted,
+            adversary=_StaticCorruptions(corrupted),
+        ).run()
+    except (ProtocolViolation, SimulationError) as hc_failure:
+        history.append(_failed("high_cost_ca", hc_failure))
+    else:
+        history.append("high_cost_ca: decided")
+        return decided("high_cost_ca", result)
 
-    history.append(f"async_aa: decided (eps={epsilon})")
-    return ExecutionResult(
-        n=n,
-        t=t,
-        outputs={
-            party: value - offset
-            for party, value in async_result.outputs.items()
-        },
-        corrupted=corrupted,
-        stats=async_result.stats,
-        fallback=_record("async_aa", eps=str(Fraction(epsilon))),
-    )
+    # -- rung 3: asynchronous AA, if the caller accepts eps-agreement --
+    if epsilon is None:
+        history.append("async_aa: not entered (no epsilon accepted)")
+    elif 5 * len(corrupted) >= n:
+        history.append(
+            f"async_aa: skipped (needs 5t < n, t={len(corrupted)}, n={n})"
+        )
+    else:
+        from ..asynchrony.aa import AsyncApproximateAgreement
+        from ..asynchrony.network import AsyncNetwork
+
+        bound = max(1, max(shifted.values()))
+        try:
+            async_result = AsyncNetwork(
+                party_factory=lambda ctx: AsyncApproximateAgreement(
+                    ctx, shifted[ctx.party_id], epsilon, bound
+                ),
+                n=n,
+                t=len(corrupted),
+                kappa=kappa,
+                adversary=_PinnedAsyncCorruptions(corrupted),
+                guards=guards,
+            ).run()
+        except (ProtocolViolation, SimulationError) as aa_failure:
+            history.append(_failed("async_aa", aa_failure))
+        else:
+            history.append(f"async_aa: decided (eps={epsilon})")
+            return decided(
+                "async_aa",
+                ExecutionResult(
+                    n=n,
+                    t=t,
+                    outputs=async_result.outputs,
+                    corrupted=corrupted,
+                    stats=async_result.stats,
+                ),
+            )
+    raise SimulationError(
+        "escalation ladder exhausted: " + " | ".join(history),
+        stats=primary.stats,
+    ) from primary_failure
 
 
 class _PinnedAsyncCorruptions:

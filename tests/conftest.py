@@ -94,7 +94,8 @@ def oracle_tally(domain, ballots):
 # with before its due-slot table, kept verbatim as a differential oracle
 # (tests/test_lossy.py).  It re-sorts and re-scans every pending flight
 # each slot and asks four per-message questions of the transport, here
-# answered from the transport's public configuration.
+# answered from the transport's public configuration (its rates and the
+# windows of its ``schedule``).
 # ---------------------------------------------------------------------------
 
 
@@ -116,7 +117,10 @@ def _oracle_lossy(transport, link):
 def _oracle_cut(transport, link, at):
     """Is ``link`` deterministically severed at global slot ``at``?"""
     src, dst = link
-    for start, heal, members in getattr(transport, "partitions", ()):
+    schedule = transport.schedule
+    if schedule is None:
+        return False
+    for start, heal, members in schedule.partitions:
         if at < start or (heal != -1 and at >= heal):
             continue
         if (src in members) != (dst in members):
@@ -127,10 +131,12 @@ def _oracle_cut(transport, link, at):
 def _oracle_drop_rate(transport, link, at):
     """Per-copy loss probability of ``link`` at global slot ``at``."""
     rate = transport.drop
-    gst = getattr(transport, "gst", None)
-    if gst is not None and at < gst:
-        rate = max(rate, transport.pre_gst_drop)
-    for start, end, extra in getattr(transport, "churn", ()):
+    schedule = transport.schedule
+    if schedule is None:
+        return rate
+    if schedule.gst is not None and at < schedule.gst:
+        rate = max(rate, schedule.pre_gst_drop)
+    for start, end, extra in schedule.churn:
         if start <= at < end:
             rate = max(rate, extra)
     return rate

@@ -129,18 +129,31 @@ class TestExperimentNumbers:
             assert (row["bits"], row["rounds"]) == expected, (experiment, label)
 
 
+def assert_undocumented(gone: str) -> None:
+    """No current prose (README, DESIGN, ``docs/*.md``, the verify skill)
+    matches ``gone``; CHANGES / EXPERIMENTS / ROADMAP are history."""
+    skill = ROOT / ".claude" / "skills" / "verify" / "SKILL.md"
+    for doc in DOCS + ([skill] if skill.exists() else []):
+        assert not re.findall(gone, doc.read_text()), doc.name
+
+
 class TestOneWayToMeasure:
     def test_removed_measuring_knobs_stay_undocumented(self):
         """``repro profile`` is the counter gate only and ``benchmarks/``
         the deterministic experiment suite only: no doc may send a reader
         to the clocks, flags and env var that went with the rest."""
-        gone = re.compile(
+        assert_undocumented(
             r"--no-cprofile|--no-backend-compare|backend_comparison"
             r"|BENCH_WORKERS|--benchmark-only|pytest-benchmark"
         )
-        skill = ROOT / ".claude" / "skills" / "verify" / "SKILL.md"
-        for doc in DOCS + ([skill] if skill.exists() else []):
-            assert not gone.findall(doc.read_text()), doc.name
+
+    def test_removed_transport_and_ladder_names_stay_undocumented(self):
+        """One transport class and one supervisor: no doc may send a
+        reader to the subclass, its hooks, or the second ladder."""
+        assert_undocumented(
+            r"run_with_fallback|PartialSyncTransport|stabilization_time_of"
+            r"|_drop_at|_severed_at|fallback_factory"
+        )
 
     def test_p_sections_point_at_committed_pairs(self):
         """A P-section's data is a ``benchmarks/pairs/`` document: every

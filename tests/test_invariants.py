@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro import convex_agreement
 from repro.core import protocol_z
-from repro.errors import ProtocolViolation
+from repro.errors import ProtocolViolation, SimulationError
 from repro.sim import (
     AgreementMonitor,
     BitBudgetMonitor,
@@ -114,6 +115,43 @@ class TestAgreementMonitor:
         result = run_monitored(echo_protocol, [9, 9, 9, 9], 4, 0,
                                [AgreementMonitor()])
         assert result.common_output() == 9
+
+
+#: 16,384-bit values: 4,933 decimal digits, past CPython's 4300-digit
+#: limit on int -> str, so repr() of one raises ValueError.
+LONG = [(1 << 16383) + i for i in range(4)]
+
+
+class TestVerdictsOnLongValues:
+    """A monitor that cannot print a value still has to judge it."""
+
+    def test_monitored_run_ends_in_a_value_inside_the_hull(self):
+        outcome = convex_agreement(
+            LONG, kappa=KAPPA, monitors=[AgreementMonitor()],
+        )
+        assert min(LONG) <= outcome.value <= max(LONG)
+
+    def test_disagreement_is_a_violation_not_a_value_error(self):
+        with pytest.raises(ProtocolViolation, match="disagree") as excinfo:
+            run_monitored(echo_protocol, [LONG[0]] * 3 + [LONG[1]], 4, 0,
+                          [AgreementMonitor()])
+        # bounded, and it shows the end where the two values differ.
+        message = str(excinfo.value)
+        assert len(message) < 1_000
+        assert "0000'" in message and "0001'" in message
+
+    def test_hull_escape_is_a_violation_not_a_value_error(self):
+        with pytest.raises(ProtocolViolation, match="outside the honest"):
+            run_monitored(constant_protocol(LONG[3] + 1), LONG, 4, 0,
+                          [ConvexValidityMonitor()])
+
+    def test_result_helpers_report_instead_of_crashing(self):
+        split = run_monitored(echo_protocol, LONG, 4, 0, [])
+        with pytest.raises(SimulationError, match="disagree"):
+            split.common_output()
+        agreed = run_monitored(constant_protocol(LONG[3] + 1), LONG, 4, 0, [])
+        with pytest.raises(ProtocolViolation, match="outside honest hull"):
+            agreed.assert_convex_valid(LONG)
 
 
 class TestConvexValidityMonitor:

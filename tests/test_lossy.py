@@ -16,7 +16,6 @@ from repro.sim import (
     CommunicationStats,
     FaultSpec,
     LossyTransport,
-    PartialSyncTransport,
     TimeoutEscalation,
     TransportTimeout,
     run_protocol,
@@ -221,7 +220,7 @@ def transport_configs(draw):
         (start, start + length, draw(RATES))
         for start, length in draw(st.lists(windows, max_size=2))
     )
-    return n, lambda: PartialSyncTransport(
+    return n, lambda: LossyTransport.partial_sync(
         gst=gst,
         pre_gst_drop=pre_gst_drop,
         partitions=partitions,

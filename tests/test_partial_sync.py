@@ -1,4 +1,4 @@
-"""Partial-synchrony resilience plane: GST transport, PBFT-style
+"""Partial-synchrony resilience plane: the link schedule, PBFT-style
 timeout escalation, the supervisor's failover ladder (optimal CA ->
 escalated retry -> HighCostCA -> async AA), the liveness envelope, and
 the partition/GST fuzz campaign with shrinking repro artifacts."""
@@ -25,13 +25,12 @@ from repro.sim import (
     BitBudgetMonitor,
     FallbackRecord,
     FaultSpec,
+    LinkSchedule,
     LivenessMonitor,
     LossyTransport,
-    PartialSyncTransport,
     TimeoutEscalation,
     run_protocol,
     run_with_escalation,
-    stabilization_time_of,
 )
 from repro.sim.fuzz import (
     FuzzCase,
@@ -82,34 +81,72 @@ class TestTimeoutEscalation:
         assert policy.next_budget(200) == 200
 
 
+#: windows no door may accept, as ``LinkSchedule`` keywords.
+BAD_SCHEDULES = {
+    "partition-reversed": {"partitions": ((10, 5, (0,)),)},
+    "partition-negative-start": {"partitions": ((-1, 5, (0,)),)},
+    "partition-no-members": {"partitions": ((0, 5, ()),)},
+    "partition-negative-member": {"partitions": ((0, 5, (-1,)),)},
+    "gst-negative": {"gst": -1},
+    "gst-bool": {"gst": True},
+    "pre-gst-drop-without-gst": {"pre_gst_drop": 0.5},
+    "pre-gst-drop-certain": {"gst": 10, "pre_gst_drop": 1.0},
+    "churn-zero-length": {"churn": ((5, 5, 0.3),)},
+    "churn-certain-drop": {"churn": ((0, 10, 1.0),)},
+}
+
+
 class TestTransportConstruction:
+    @pytest.mark.parametrize(
+        "axes", BAD_SCHEDULES.values(), ids=BAD_SCHEDULES
+    )
+    def test_bad_window_rejected_at_every_door(self, axes):
+        """One validator: the schedule, the transport constructor and
+        the fault spec refuse the same windows."""
+        with pytest.raises(ConfigurationError):
+            LinkSchedule(**axes)
+        with pytest.raises(ConfigurationError):
+            LossyTransport.partial_sync(**axes)
+        spec_axes = dict(axes)
+        if "churn" in spec_axes:
+            spec_axes["link_churn"] = spec_axes.pop("churn")
+        with pytest.raises(ValueError):
+            FaultSpec(**spec_axes)
+
     def test_partition_window_validation(self):
-        with pytest.raises(ConfigurationError):
-            PartialSyncTransport(partitions=((10, 5, (0,)),))
-        with pytest.raises(ConfigurationError):
-            PartialSyncTransport(partitions=((-1, 5, (0,)),))
-        with pytest.raises(ConfigurationError):
-            PartialSyncTransport(partitions=((0, 5, ()),))
+        # healing, never-healing and back-to-back windows are fine.
+        schedule = LinkSchedule(
+            partitions=((0, 5, (0,)), (5, -1, [1, 2])),
+        )
+        assert schedule.partitions == (
+            (0, 5, frozenset({0})), (5, -1, frozenset({1, 2})),
+        )
+        assert schedule.severed_at(4) == (frozenset({0}),)
+        assert schedule.severed_at(5) == (frozenset({1, 2}),)
 
     def test_gst_validation(self):
-        with pytest.raises(ConfigurationError):
-            PartialSyncTransport(gst=-1)
-        with pytest.raises(ConfigurationError):
-            PartialSyncTransport(gst=True)
-        with pytest.raises(ConfigurationError):
-            PartialSyncTransport(pre_gst_drop=0.5)  # needs a gst
-        with pytest.raises(ConfigurationError):
-            PartialSyncTransport(gst=10, pre_gst_drop=1.0)
+        schedule = LinkSchedule(gst=10, pre_gst_drop=0.5)
+        assert (schedule.loss_at(9), schedule.loss_at(10)) == (0.5, 0.0)
+        assert LinkSchedule(gst=0).loss_at(0) == 0.0
 
     def test_churn_window_validation(self):
-        with pytest.raises(ConfigurationError):
-            PartialSyncTransport(churn=((5, 5, 0.3),))
-        with pytest.raises(ConfigurationError):
-            PartialSyncTransport(churn=((0, 10, 1.0),))
+        schedule = LinkSchedule(churn=((5, 6, 0.3), (0, 10, 0.2)))
+        assert [schedule.loss_at(at) for at in (4, 5, 6, 10)] == [
+            0.2, 0.3, 0.2, 0.0,
+        ]
 
     def test_escalation_armed_by_default(self):
-        transport = PartialSyncTransport(gst=10)
+        transport = LossyTransport.partial_sync(gst=10)
         assert isinstance(transport.escalation, TimeoutEscalation)
+        assert transport.slot_budget == 64 and transport.links is None
+        # a plain transport keeps the classic die-on-first-timeout.
+        assert LossyTransport(schedule=transport.schedule).escalation is None
+
+    def test_ready_schedule_and_fields_do_not_mix(self):
+        schedule = LinkSchedule(gst=10)
+        assert LossyTransport.partial_sync(schedule).schedule is schedule
+        with pytest.raises(ConfigurationError, match="not both"):
+            LossyTransport.partial_sync(schedule, gst=10)
 
     def test_lossy_type_validation(self):
         with pytest.raises(ConfigurationError):
@@ -130,42 +167,51 @@ class TestTransportConstruction:
         assert transport._backoff(2) == 4
 
     def test_stabilization_time(self):
-        assert stabilization_time_of(None, (), ()) == 0
-        assert stabilization_time_of(100, (), ()) == 100
-        assert stabilization_time_of(100, ((0, 250, (0,)),), ()) == 250
-        assert stabilization_time_of(100, (), ((0, 300, 0.3),)) == 300
-        assert stabilization_time_of(100, ((0, -1, (0,)),), ()) is None
-        transport = PartialSyncTransport(gst=50)
-        assert transport.stabilization_time == 50
-        assert not transport.stabilized()
-        assert transport.stabilized(at=50)
+        assert LinkSchedule().stabilization_time == 0
+        assert LinkSchedule(gst=100).stabilization_time == 100
+        assert LinkSchedule(
+            gst=100, partitions=((0, 250, (0,)),)
+        ).stabilization_time == 250
+        assert LinkSchedule(
+            gst=100, churn=((0, 300, 0.3),)
+        ).stabilization_time == 300
+        assert LinkSchedule(
+            gst=100, partitions=((0, -1, (0,)),)
+        ).stabilization_time is None
+        # the transport answers with its schedule's, or 0 without one.
+        assert LossyTransport.partial_sync(gst=50).stabilization_time == 50
         assert LossyTransport().stabilization_time == 0
 
     def test_describe_names_the_axes(self):
-        transport = PartialSyncTransport(
-            gst=10, pre_gst_drop=0.3, partitions=((0, 5, (1,)),),
+        transport = LossyTransport.partial_sync(
+            gst=10, pre_gst_drop=0.3, partitions=((0, 5, (1,)),), drop=0.1,
         )
         text = transport.describe()
         assert "gst=10" in text and "partitions=1" in text
+        assert "drop=0.1" in text
 
 
 class TestFromSpec:
     def test_spec_with_partial_sync_builds_psync_transport(self):
         spec = FaultSpec(gst=100, pre_gst_drop=0.3, seed=9)
         transport = LossyTransport.from_spec(spec)
-        assert isinstance(transport, PartialSyncTransport)
-        assert transport.gst == 100
+        assert transport.schedule == spec.schedule
+        assert transport.schedule.gst == 100
+        assert isinstance(transport.escalation, TimeoutEscalation)
         assert transport.seed != spec.seed
 
     def test_partition_only_spec_builds_psync_transport(self):
         spec = FaultSpec(partitions=((0, 50, (1, 2)),))
         transport = LossyTransport.from_spec(spec)
-        assert isinstance(transport, PartialSyncTransport)
+        assert transport.schedule == spec.schedule
         assert transport.stabilization_time == 50
 
     def test_link_only_spec_still_builds_plain_lossy(self):
-        transport = LossyTransport.from_spec(FaultSpec(link_drop=0.2))
-        assert type(transport) is LossyTransport
+        spec = FaultSpec(link_drop=0.2)
+        transport = LossyTransport.from_spec(spec)
+        assert spec.schedule is None and transport.schedule is None
+        assert transport.escalation is None
+        assert LossyTransport.from_spec(FaultSpec()) is None
 
 
 # ---------------------------------------------------------------------------
@@ -194,14 +240,12 @@ class TestFaultSpecAxes:
         assert not FaultSpec(gst=5).is_noop
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            FaultSpec(gst=-1)
-        with pytest.raises(ValueError):
-            FaultSpec(pre_gst_drop=0.5)
-        with pytest.raises(ValueError):
+        """The spec's windows are the schedule's (table above); the error
+        stays the plain ``ValueError`` the artifact loaders catch."""
+        with pytest.raises(ValueError) as caught:
             FaultSpec(partitions=((5, 2, (0,)),))
-        with pytest.raises(ValueError):
-            FaultSpec(link_churn=((5, 5, 0.3),))
+        assert not isinstance(caught.value, ConfigurationError)
+        assert "partition" in str(caught.value)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +258,7 @@ class TestHealingPartition:
         baseline = run_protocol(
             flca_factory(), INPUTS7, n=7, t=2, kappa=KAPPA,
         )
-        transport = PartialSyncTransport(
+        transport = LossyTransport.partial_sync(
             partitions=((0, 400, (0,)),), seed=5,
         )
         resilient = run_with_escalation(
@@ -241,7 +285,7 @@ class TestHealingPartition:
         assert transport.clock >= 400  # waited past the heal
 
     def test_pre_gst_loss_with_liveness_monitor(self):
-        transport = PartialSyncTransport(gst=200, pre_gst_drop=0.6, seed=8)
+        transport = LossyTransport.partial_sync(gst=200, pre_gst_drop=0.6, seed=8)
         baseline = run_protocol(
             flca_factory(), INPUTS7, n=7, t=2, kappa=KAPPA,
         )
@@ -257,7 +301,7 @@ class TestHealingPartition:
         plain = convex_agreement(INPUTS7, t=2, kappa=KAPPA)
         resilient = convex_agreement(
             INPUTS7, t=2, kappa=KAPPA,
-            transport=PartialSyncTransport(gst=80, pre_gst_drop=0.3, seed=2),
+            transport=LossyTransport.partial_sync(gst=80, pre_gst_drop=0.3, seed=2),
         )
         assert resilient.value == plain.value
         assert resilient.stats.honest_bits == plain.stats.honest_bits
@@ -269,7 +313,7 @@ class TestHealingPartition:
 
 
 def _never_healing(seed=5, members=(0, 1)):
-    return PartialSyncTransport(
+    return LossyTransport.partial_sync(
         partitions=((0, -1, tuple(members)),), seed=seed,
         slot_budget=16, escalation=TimeoutEscalation(max_attempts=3),
     )
@@ -318,12 +362,26 @@ class TestFailoverLadder:
         with pytest.raises(SimulationError, match="escalation ladder exhausted") as exc:
             run_with_escalation(
                 flca_factory(), [1, 2, 3, 4], n=4, t=1, kappa=KAPPA,
-                transport=_never_healing(members=(0,)),
+                transport=_never_healing(members=(0,)), epsilon=1,
             )
         message = str(exc.value)
         assert "primary:" in message
         assert "high_cost_ca:" in message
         assert "async_aa: skipped" in message
+
+    def test_without_epsilon_the_ladder_ends_after_high_cost_ca(self):
+        # n=7, t=1 could run the async rung (5t < n), but the caller
+        # accepted no epsilon: exact agreement or the budgeted failure.
+        with pytest.raises(SimulationError, match="escalation ladder exhausted") as exc:
+            run_with_escalation(
+                flca_factory(), [3, 5, 7, 9, 11, 13, 15], n=7, t=1,
+                kappa=KAPPA, transport=_never_healing(),
+            )
+        message = str(exc.value)
+        assert "high_cost_ca: SimulationError" in message
+        assert "async_aa: not entered" in message
+        assert "decided" not in message
+        assert exc.value.stats.resync_attempts > 0
 
     def test_monitor_violation_stays_fatal_when_excluded(self):
         with pytest.raises(ProtocolViolation):
@@ -411,14 +469,14 @@ class TestLivenessMonitor:
             monitor.on_round(SimpleNamespace(round_index=2), None)
 
     def test_pre_stabilization_rounds_are_discounted(self):
-        transport = PartialSyncTransport(gst=1_000_000)
+        transport = LossyTransport.partial_sync(gst=1_000_000)
         monitor = LivenessMonitor(2, transport)
         # the clock never reaches the horizon: every round is pre-GST.
         for round_index in range(10):
             monitor.on_round(SimpleNamespace(round_index=round_index), None)
 
     def test_silent_on_never_stabilizing_network(self):
-        transport = PartialSyncTransport(partitions=((0, -1, (0,)),))
+        transport = LossyTransport.partial_sync(partitions=((0, -1, (0,)),))
         monitor = LivenessMonitor(1, transport)
         # liveness is not guaranteed without stabilization: no failure.
         monitor.on_round(SimpleNamespace(round_index=500), None)

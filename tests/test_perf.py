@@ -18,6 +18,7 @@ Two contracts under test:
 from __future__ import annotations
 
 import dataclasses
+import sys
 
 import pytest
 
@@ -43,7 +44,7 @@ from repro.perf.profile import (
     config_key,
     hotpath_document,
 )
-from repro.sim import BitBudgetMonitor, run_with_fallback
+from repro.sim import BitBudgetMonitor, run_with_escalation
 from repro.sim.adversary import (
     Adversary,
     RandomGarbageAdversary,
@@ -450,7 +451,7 @@ def test_garbled_payloads_cannot_poison_the_encode_cache():
     assert len(_memo_keys(ctx.cache, "rs+mt")) == 2
 
 
-def test_encode_cache_is_execution_scoped():
+def test_encode_cache_is_execution_scoped(monkeypatch):
     """One memo per execution: the ``n`` contexts of a network (and the
     context a crashed party is replayed under) hold the same dict; two
     networks, a supervisor's fallback network included, never do."""
@@ -476,10 +477,13 @@ def test_encode_cache_is_execution_scoped():
             fallen.append(ctx)
             return high_cost_ca(ctx, v, channel=channel)
 
+        # the supervisor imports its HighCostCA rung at call time.
+        monkeypatch.setattr(
+            sys.modules["repro.core.high_cost_ca"], "high_cost_ca", fallback
+        )
         primary = contexts_of(
-            run_with_fallback,
+            run_with_escalation,
             monitors=[BitBudgetMonitor(per_channel={"flca/fp": 1})],
-            fallback_factory=fallback,
         )
     for execution, size in (
         (first, 7), (second, 7), (replayed, 8), (primary, 7), (fallen, 7)

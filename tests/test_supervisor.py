@@ -1,7 +1,9 @@
 """Graceful degradation: the supervisor catches monitor violations and
-simulation failures and reruns the inputs through HighCostCA, so every
-supervised call ends with a convex-valid output -- and the fallback is
-recorded, never silent."""
+simulation failures and reruns the inputs through HighCostCA over the
+caller's own network, so a supervised call ends with a convex-valid
+output whenever that network can carry one -- and the fallback is
+recorded, never silent.  (The ladder's rung order and its asynchronous
+last rung are exercised in tests/test_partial_sync.py.)"""
 
 from __future__ import annotations
 
@@ -14,7 +16,8 @@ from repro.sim import (
     BitBudgetMonitor,
     FallbackRecord,
     LossyTransport,
-    run_with_fallback,
+    TimeoutEscalation,
+    run_with_escalation,
 )
 
 KAPPA = 64
@@ -27,7 +30,7 @@ def flca_factory(ell=8):
 class TestCleanRun:
     def test_no_fallback_on_healthy_execution(self):
         inputs = [3, 5, 7, 11, 13, 17, 19]
-        result = run_with_fallback(
+        result = run_with_escalation(
             flca_factory(), inputs, n=7, t=2, kappa=KAPPA,
         )
         result.assert_convex_valid(inputs)
@@ -44,7 +47,7 @@ class TestCanary:
         # "flca/fp"; a 1-bit budget is unsatisfiable, so the monitor
         # fires mid-execution.
         monitor = BitBudgetMonitor(per_channel={"flca/fp": 1})
-        result = run_with_fallback(
+        result = run_with_escalation(
             flca_factory(), inputs, n=7, t=2, kappa=KAPPA,
             monitors=[monitor],
         )
@@ -71,15 +74,69 @@ class TestCanary:
 class TestTransportFailure:
     def test_transport_timeout_degrades(self):
         inputs = [3, 5, 7, 11, 13, 17, 19]
-        # A 4-slot budget under drop=0.95 cannot synchronize any round.
+        # A 4-slot budget under drop=0.95 cannot synchronize any round
+        # -- of the primary or of HighCostCA, which gets no better
+        # network than the caller has: the ladder ends budgeted, with
+        # both attempts on record.
         transport = LossyTransport(drop=0.95, seed=3, slot_budget=4)
-        result = run_with_fallback(
-            flca_factory(), inputs, n=7, t=2, kappa=KAPPA,
-            transport=transport,
+        with pytest.raises(
+            SimulationError, match="escalation ladder exhausted"
+        ) as caught:
+            run_with_escalation(
+                flca_factory(), inputs, n=7, t=2, kappa=KAPPA,
+                transport=transport,
+            )
+        primary, high_cost, _ = str(caught.value).split(" | ")
+        assert "primary: SimulationError: round 0" in primary
+        assert high_cost.startswith("high_cost_ca: SimulationError: round 0")
+        assert caught.value.stats.transport_slots == 4
+        assert transport.clock == 8  # both rungs spent their budget
+
+
+def _partitioned(heal):
+    return LossyTransport.partial_sync(
+        partitions=((0, heal, (0, 1, 2)),), slot_budget=8,
+        escalation=TimeoutEscalation(max_attempts=2),
+    )
+
+
+class TestDegradeOverTheCallersTransport:
+    """``degrade=True`` has no perfect network to fall back onto."""
+
+    INPUTS = [3, 5, 7, 9, 11, 13, 15]
+
+    def test_never_healing_partition_raises_with_its_history(self):
+        with pytest.raises(
+            SimulationError, match="escalation ladder exhausted"
+        ) as caught:
+            convex_agreement(
+                self.INPUTS, t=2, kappa=KAPPA, degrade=True,
+                transport=_partitioned(heal=-1),
+            )
+        message = str(caught.value)
+        assert "primary:" in message and "high_cost_ca:" in message
+
+    def test_partition_healing_inside_the_rung_is_outwaited(self):
+        # the primary exhausts 8 + 1 + 16 slots at clock 25; the heal at
+        # slot 30 lands inside the HighCostCA rung, on the same clock.
+        outcome = convex_agreement(
+            self.INPUTS, t=2, kappa=KAPPA, degrade=True,
+            transport=_partitioned(heal=30),
         )
-        result.assert_convex_valid(inputs)
-        assert result.fallback is not None
-        assert result.fallback.trigger == "SimulationError"
+        assert outcome.value == 7
+        fallback = outcome.execution.fallback
+        assert fallback.rung == "high_cost_ca"
+        assert fallback.history[-1] == "high_cost_ca: decided"
+        assert outcome.execution.stats.transport_slots == 20
+
+    def test_degrade_never_returns_an_epsilon_agreement(self):
+        # n=7, t=1 satisfies the async rung's 5t < n, yet the API asked
+        # for common_output(): it raises instead of entering it.
+        with pytest.raises(SimulationError, match="async_aa: not entered"):
+            convex_agreement(
+                self.INPUTS, t=1, kappa=KAPPA, degrade=True,
+                transport=_partitioned(heal=-1),
+            )
 
 
 class TestOffsetEmbedding:
@@ -97,8 +154,8 @@ class TestOffsetEmbedding:
             raise SimulationError("boom")
             yield  # pragma: no cover
 
-        with pytest.raises(SimulationError):
-            run_with_fallback(
+        with pytest.raises(SimulationError, match="^boom$"):
+            run_with_escalation(
                 broken_factory, ["a", "b", "c", "d"], n=4, t=1, kappa=KAPPA,
             )
 
