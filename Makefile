@@ -16,7 +16,11 @@ bench:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m pytest benchmarks/ -q
 
 # The repository's benchmark (BENCHMARK.json): all four workloads, 20 s each.
+# Byte-compiled first, as perfbench_pairs.py does for both trees: with
+# PYTHONDONTWRITEBYTECODE set, an uncompiled tree pays compilation in
+# every child's setup_s.
 perfbench:
+	$(PYTHON) -m compileall -q src perfbench
 	$(PYTHON) perfbench/run.py
 
 # Its plumbing checks (--smoke runs, a few seconds).

@@ -1161,10 +1161,12 @@ def validate_artifact(artifact: dict) -> list[str]:
     Raises :class:`ValueError` when the artifact's wire ``format`` or
     ``schema_version`` does not match this toolchain -- a pre-versioned
     corpus file (PR 1-7) or one from a newer writer would otherwise
-    replay with silently-defaulted ``FaultSpec`` axes.  Unknown keys in
-    the top level, the ``case`` section, or the ``faults`` section are
-    *warnings* (emitted via :mod:`warnings` and returned), since extra
-    keys are how forward-compatible writers annotate artifacts.
+    replay with silently-defaulted ``FaultSpec`` axes -- or when its
+    case does not build (a reversed partition window, say).  Unknown
+    keys in the top level, the ``case`` section, or the ``faults``
+    section are *warnings* (emitted via :mod:`warnings` and returned),
+    since extra keys are how forward-compatible writers annotate
+    artifacts.
     """
     if artifact.get("format") != ARTIFACT_FORMAT:
         raise ValueError(
@@ -1182,6 +1184,7 @@ def validate_artifact(artifact: dict) -> list[str]:
             f"artifact schema_version {version} does not match this "
             f"toolchain's {ARTIFACT_SCHEMA_VERSION}"
         )
+    FuzzCase.from_dict(artifact["case"])
     messages: list[str] = []
     sections = [
         ("artifact", artifact, _ARTIFACT_KEYS),

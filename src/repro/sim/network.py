@@ -591,6 +591,9 @@ class SynchronousNetwork:
         observe           ``trace`` or monitors      what the stages made
         ================  =========================  =====================
 
+        Deliver reads a broadcast bundle's one ``payload``; only the
+        stages that read links build its ``messages`` view.
+
         A party that is neither finished nor down yields, so after the
         resume pass "some honest party is unfinished" is "some honest
         party yielded or is down" -- no second scan of the states.
@@ -656,28 +659,35 @@ class SynchronousNetwork:
         # links cost 0: a process does not use the network to talk to
         # itself.  Links to down parties are priced like any other.
         inboxes: dict[int, dict[int, Any]] = {party: {} for party in states}
+        consult = self._consult_adversary
         sender_bits: list[tuple[int, int]] = []
         round_bits = round_messages = 0
         #: ``id(payload) -> bits`` for the synchronizer's link table;
         #: payloads outlive the round in ``outgoings``, so ids are unique.
         prices: dict[int, int] | None = {} if transport is not None else None
-        # An all-broadcast round (every honest bundle marked by
-        # ``broadcast_round``, or empty like the non-kings' king round)
-        # delivers the same ``{sender: payload}`` dict to every party:
-        # build it once in party order, price each sender once, and
-        # ``update`` each private inbox from it.  The length check
-        # holds the mark to the network's own ``n``.
+        # An all-broadcast round (every honest bundle a ``to_all`` for
+        # this ``n``, or empty like the non-kings' king round) delivers
+        # the same ``{sender: payload}`` dict to every party: build it
+        # once in party order, price each sender once, and ``update``
+        # each private inbox from it.  With no adversary stage, the
+        # corrupted senders' spec broadcasts join it after the honest
+        # ones if all of them are broadcasts (else: per-message loop).
         shared: dict[int, Any] | None = {}
+        spec: dict[int, Any] | None = {} if corrupted and not consult else None
         for party, out in outgoings.items():
             if corrupted and party in corrupted:
+                if spec is not None:
+                    if out.n == n:
+                        spec[party] = out.payload
+                    elif out.n or out.messages:
+                        spec = None
                 continue
-            messages = out.messages
-            if not messages:
-                continue
-            if not out.broadcast or len(messages) != n:
+            if out.n == n:
+                shared[party] = out.payload
+            elif out.n or out.messages:
                 shared = None
                 break
-            shared[party] = messages[party]
+        byz_count = 0
         if shared is not None:
             fanout = n - 1
             if fanout:
@@ -688,6 +698,9 @@ class SynchronousNetwork:
                     sender_bits.append((party, bits * fanout))
                     round_bits += bits * fanout
                 round_messages = len(shared) * fanout
+            if spec:
+                shared.update(spec)
+                byz_count = len(spec) * n
             for inbox in inboxes.values():
                 inbox.update(shared)
         else:
@@ -726,7 +739,6 @@ class SynchronousNetwork:
         # them.  Loopback links stay in the synchronizer's table at 0
         # bits (their party joins resync beacons); links to down parties
         # stay off it (senders keep those copies until the restart).
-        consult = self._consult_adversary
         if consult or transport is not None:
             honest_outgoing: dict[tuple[int, int], Any] = {}
             spec_outgoing: dict[tuple[int, int], Any] = {}
@@ -769,8 +781,7 @@ class SynchronousNetwork:
 
         # Corrupted senders go in after the honest ones: what the
         # adversary returned, or -- nobody consulted -- the spec
-        # messages verbatim.
-        byz_count = 0
+        # messages verbatim (unless the shared dict already carried them).
         if consult:
             guard = self._guard
             for (src, dst), payload in byz_messages.items():
@@ -793,7 +804,7 @@ class SynchronousNetwork:
                             continue
                     inboxes[dst][src] = payload
                     byz_count += 1
-        elif corrupted:
+        elif corrupted and (shared is None or spec is None):
             for party, out in outgoings.items():
                 if party in corrupted:
                     for dst, payload in out.messages.items():

@@ -42,20 +42,42 @@ Proto = Generator["Outgoing", dict[int, Any], T]
 class Outgoing:
     """One party's outgoing traffic for one synchronous round.
 
-    ``slots=True``: one ``Outgoing`` is allocated per party per round,
-    so the per-instance ``__dict__`` was pure scheduler overhead.
-
-    ``broadcast`` is a promise that ``messages`` is one payload object
-    keyed by every party id ``0..n-1`` (only :func:`broadcast_round`
-    makes it).  It changes nothing observable: the network's deliver
-    stage uses it to build one ``{sender: payload}`` dict per
-    all-broadcast round and ``update`` each private inbox from it,
-    instead of storing ``n * n`` messages one by one.
+    ``slots=True``: one ``Outgoing`` is allocated per party per round.
+    A broadcast (:meth:`to_all`) holds one ``payload`` for parties
+    ``0..n-1`` (``n`` is 0 on every other bundle) and builds its
+    ``messages`` on first read, then keeps it: only the stages that
+    read links (adversary view, transport link table, WAL digest,
+    ``run_parallel``) build it; the deliver stage reads ``payload``.
     """
 
     channel: str
     messages: dict[int, Any] = field(default_factory=dict)
-    broadcast: bool = False
+    payload = None
+    n = 0
+
+    @staticmethod
+    def to_all(channel: str, payload: Any, n: int) -> "Outgoing":
+        """A broadcast of ``payload`` to parties ``0..n-1``."""
+        return _Broadcast(channel, payload, n)
+
+
+class _Broadcast(Outgoing):
+    """:meth:`Outgoing.to_all`'s bundle; ``messages`` is built once."""
+
+    __slots__ = ("payload", "n", "_view")
+
+    def __init__(self, channel: str, payload: Any, n: int) -> None:
+        self.channel, self.payload, self.n = channel, payload, n
+        self._view = None
+
+    @property
+    def messages(self) -> dict[int, Any]:  # type: ignore[override]
+        if self._view is None:
+            self._view = dict.fromkeys(range(self.n), self.payload)
+        return self._view
+
+    def __reduce__(self):  # copy / pickle rebuild, not the view
+        return _Broadcast, (self.channel, self.payload, self.n)
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,7 +165,5 @@ def broadcast_round(
     ctx: Context, channel: str, payload: Any
 ) -> Proto[dict[int, Any]]:
     """Send ``payload`` to all n parties (self included) for one round."""
-    # fromkeys builds the bundle at C speed; same keys, same order.
-    messages = dict.fromkeys(ctx.all_parties, payload)
-    inbox = yield Outgoing(channel, messages, broadcast=True)
+    inbox = yield Outgoing.to_all(channel, payload, ctx.n)
     return inbox

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import ADVERSARIES, build_parser, main
+from repro.sim.faults import FaultSpec
+from repro.sim.fuzz import ARTIFACT_FORMAT, ARTIFACT_SCHEMA_VERSION, FuzzCase
 
 
 class TestParser:
@@ -136,6 +140,25 @@ class TestReplayErrors:
         assert code == 2
         err = capsys.readouterr().err
         assert str(path) in err
+
+    def test_invalid_fault_spec_is_a_friendly_exit_2(self, tmp_path, capsys):
+        """A case that does not build is refused at load, not replayed."""
+        faults = FaultSpec(gst=4, partitions=((2, 6, (0,)),)).to_dict()
+        faults["partitions"] = [[6, 2, [0]]]  # heals before it starts
+        case = FuzzCase("pi_z", 4, 1, 32, 64, "spread", ("passive",),
+                        FaultSpec(), seed=0).to_dict()
+        path = tmp_path / "reversed.json"
+        path.write_text(json.dumps({
+            "format": ARTIFACT_FORMAT,
+            "schema_version": ARTIFACT_SCHEMA_VERSION,
+            "case": {**case, "faults": faults},
+            "violation": {"kind": "agreement", "message": "recorded"},
+        }))
+        code = main(["replay", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"cannot load artifact {path}" in err
+        assert "partition (6, 2, (0,))" in err
 
     def test_missing_artifact_is_exit_2(self, capsys):
         code = main(["replay", "/no/such/artifact.json"])

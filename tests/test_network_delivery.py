@@ -1,18 +1,23 @@
-"""Round delivery: the broadcast mark and the optional stages.
+"""Round delivery: broadcast bundles and the optional stages.
 
 ``SynchronousNetwork._run_round`` is one pipeline.  ``broadcast_round``
-marks its bundle so the deliver stage can build one ``{sender:
-payload}`` dict per round and ``update`` every inbox from it; a
-transport, a scripted adversary, a recovery plane, a trace or monitors
-arm further stages.  Neither the mark nor an armed stage may change what
-the protocol observes or what the ledger says.  Contracts:
+yields a *marked* bundle (``Outgoing.to_all``: one payload, no
+``{dst: payload}`` dict until a stage reads ``messages``) so the
+deliver stage can build one ``{sender: payload}`` dict per round and
+``update`` every inbox from it; a transport, a scripted adversary, a
+recovery plane, a trace or monitors arm further stages.  Neither the
+bundle's form nor an armed stage may change what the protocol observes
+or what the ledger says.  Contracts:
 
 1. **Parity**: a protocol yielding marked bundles and the same protocol
    yielding unmarked ``Outgoing``s with the equal dict give identical
    inbox key order, stats, channel trace, counters and round records --
-   on the bare run and under every plane (``PLANES``).
+   on the bare run and under every plane (``PLANES``); the ``t > 0``
+   rows hold corrupted spec broadcasts to the same contract.
 2. **Fallback**: a round in which one honest sender is not a broadcast
-   takes the per-message loop, with the same result.
+   for this ``n`` takes the per-message loop, with the same result.
+   The bare run never builds a broadcast's view; a stage that reads
+   links builds it at most once per bundle.
 3. **Non-aliasing**: every party still owns its inbox dict, under every
    plane (the shared dict is never handed out or logged).
 4. **Crash/restart** replays reproduce marked bundles identically.
@@ -33,6 +38,7 @@ import dataclasses
 
 import pytest
 
+from repro import convex_agreement
 from repro.analysis.experiments import make_inputs
 from repro.core.fixed_length import fixed_length_ca
 from repro.perf import config, counters
@@ -176,13 +182,13 @@ def test_broadcast_pricing_is_per_destination():
     assert alone.outputs[0][0] == ((0, (5, 0)),)
 
 
-def test_mark_for_another_n_falls_back():
-    """The mark is only honoured for a bundle covering exactly ``0..n-1``."""
+def test_broadcast_for_another_n_falls_back():
+    """A broadcast shares the deliver stage's dict only when it covers
+    exactly ``0..n-1``; one built for ``n - 1`` parties is delivered like
+    the equal point-to-point dict, corrupted senders included."""
 
     def short(ctx, value):
-        bundle = Outgoing("short", dict.fromkeys(range(ctx.n - 1), value),
-                          broadcast=True)
-        inbox = yield bundle
+        inbox = yield Outgoing.to_all("short", value, ctx.n - 1)
         return tuple(inbox.items())
 
     def plain(ctx, value):
@@ -190,6 +196,56 @@ def test_mark_for_another_n_falls_back():
         return tuple(inbox.items())
 
     assert observe(short, 4, 1) == observe(plain, 4, 1)
+
+
+def test_point_to_point_bundles_compare_and_print_by_their_messages():
+    bundle = Outgoing("ch", {0: "x", 1: "y"})
+    assert bundle == Outgoing(channel="ch", messages={1: "y", 0: "x"})
+    assert bundle != Outgoing("ch", {0: "x"})
+    assert bundle != Outgoing("other", {0: "x", 1: "y"})
+    assert repr(bundle) == "Outgoing(channel='ch', messages={0: 'x', 1: 'y'})"
+    assert Outgoing("ch").messages == {}
+    assert Outgoing.to_all("ch", "x", 2).messages == {0: "x", 1: "x"}
+
+
+def spy_on_views(monkeypatch):
+    """Record every read of a broadcast bundle's ``messages`` view.
+
+    Maps ``id(bundle)`` to the bundle and every dict its reads returned
+    (both kept alive, so no id is reused while the spy runs).
+    """
+    reads: dict[int, tuple[Outgoing, list[dict]]] = {}
+    kind = type(Outgoing.to_all("probe", None, 1))
+    build = kind.messages.fget
+
+    def spy(bundle):
+        view = build(bundle)
+        reads.setdefault(id(bundle), (bundle, []))[1].append(view)
+        return view
+
+    monkeypatch.setattr(kind, "messages", property(spy))
+    return reads
+
+
+def test_the_bare_run_never_builds_a_broadcast_view(monkeypatch):
+    """Phase-King's rounds, corrupted spec senders included, are
+    delivered from each bundle's one payload."""
+    reads = spy_on_views(monkeypatch)
+    outcome = convex_agreement(make_inputs(16, 256, seed=0), t=5)
+    assert len(outcome.execution.corrupted) == 5
+    assert outcome.execution.stats.honest_bits > 0
+    assert reads == {}
+
+
+@pytest.mark.parametrize("plane", ["wal", "transport", "scripted"])
+def test_link_readers_build_each_broadcast_view_once(monkeypatch, plane):
+    reads = spy_on_views(monkeypatch)
+    run_protocol(lambda ctx, v: fixed_length_ca(ctx, v, 32),
+                 make_inputs(7, 32, seed=1), n=7, t=2, **PLANES[plane]())
+    assert reads, "the plane reads links"
+    for bundle, views in reads.values():
+        assert all(view is views[0] for view in views)
+        assert views[0] == dict.fromkeys(range(7), bundle.payload)
 
 
 @pytest.mark.parametrize("n,t", [(2, 0), (4, 1), (7, 2)])
