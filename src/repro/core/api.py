@@ -93,12 +93,11 @@ def convex_agreement(
             self-contained ``HighCostCA`` path **over the same
             transport**; the fallback is recorded on
             ``outcome.execution.fallback``.  The returned value is
-            always an exact agreement inside the honest hull: the
-            call never settles for the ladder's epsilon-agreement
-            rung, and when the transport cannot carry ``HighCostCA``
-            either it raises :class:`~repro.errors.SimulationError`
-            ("escalation ladder exhausted", with the history of both
-            attempts) rather than return a value no network produced.
+            always an exact agreement inside the honest hull: when
+            the transport cannot carry ``HighCostCA`` either, the call
+            raises :class:`~repro.errors.SimulationError` ("escalation
+            ladder exhausted", with the history of both attempts)
+            rather than return a value no network produced.
         transport: optional :class:`repro.sim.LossyTransport` (plain,
             or ``LossyTransport.partial_sync(...)`` for GST /
             partitions / churn) the simulated rounds synchronize over
@@ -127,8 +126,6 @@ def convex_agreement(
     if t is None:
         t = default_threshold(n)
 
-    # degrade passes no epsilon: the contract is common_output(), so
-    # the ladder ends after HighCostCA.
     run = run_with_escalation if degrade else run_protocol
     execution = run(
         lambda ctx, v: protocol_z(ctx, v, ba=ba),

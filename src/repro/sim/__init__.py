@@ -15,9 +15,8 @@ abstraction: lossy links with an ack/retransmit round synchronizer
 healing partitions and link churn as a schedule the lossy transport is
 given (:mod:`repro.sim.partial_sync`), PBFT-style timeout escalation in
 the round synchronizer, and one supervised escalation ladder
-(:mod:`repro.sim.supervisor`): the self-contained ``HighCostCA`` over
-the same transport, then -- when the caller accepts an epsilon --
-asynchronous Approximate Agreement.  On top of the chaos plane
+(:mod:`repro.sim.supervisor`): the primary, then the self-contained
+``HighCostCA`` over the same transport.  On top of the chaos plane
 sits the adversary-search engine (:mod:`repro.sim.search`): a
 coverage-guided bandit optimizer over the composed fault space, with
 crash-safe resumable campaign manifests (:mod:`repro.sim.manifest`).

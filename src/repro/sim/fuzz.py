@@ -45,7 +45,6 @@ import random
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field, fields as dataclass_fields, replace
-from fractions import Fraction
 from typing import Any, Callable
 
 from ..perf import counters as perf_counters
@@ -607,23 +606,6 @@ class FuzzFailure:
     shrink_runs: int = 0
     original_script_size: int = 0
 
-    @property
-    def budgeted(self) -> bool:
-        """A spec-compliant terminal outcome, not a protocol bug.
-
-        An exhausted escalation ladder is the documented end state for
-        network schedules no rung can survive (e.g. a never-healing
-        partition with ``5t >= n``, where the async rung is
-        infeasible).  Such failures are still shrunk and archived --
-        they are replayable evidence of the schedule -- but a soak
-        campaign may tolerate them while staying fatal on everything
-        else.
-        """
-        return (
-            self.kind == "SimulationError"
-            and "escalation ladder exhausted" in self.message
-        )
-
 
 @dataclass
 class FuzzReport:
@@ -664,11 +646,6 @@ class FuzzReport:
     def clean(self) -> bool:
         return not self.failures
 
-    @property
-    def unbudgeted_failures(self) -> list[FuzzFailure]:
-        """Failures that are genuine bugs, not budgeted ladder ends."""
-        return [f for f in self.failures if not f.budgeted]
-
     def summary(self) -> str:
         crash_tag = ", crash plane" if self.crash else ""
         partition_tag = ", partition plane" if self.partition else ""
@@ -698,10 +675,7 @@ class FuzzReport:
             path = (
                 self.artifacts[index] if index < len(self.artifacts) else None
             )
-            tag = " (budgeted)" if failure.budgeted else ""
-            lines.append(
-                f"  [{failure.kind}]{tag} {failure.case.describe()}"
-            )
+            lines.append(f"  [{failure.kind}] {failure.case.describe()}")
             lines.append(f"    {failure.message}")
             if failure.shrunk:
                 lines.append(
@@ -714,26 +688,14 @@ class FuzzReport:
         return "\n".join(lines)
 
 
-def _case_epsilon(case: FuzzCase) -> int:
-    """Coarse async-AA epsilon for a case: a few convergence iterations.
-
-    The AA rung costs ``O(log(range/eps))`` iterations of ``n`` RBC
-    instances; a campaign-friendly epsilon keeps that logarithm small
-    while still exercising the rung.
-    """
-    return max(1, 1 << max(0, case.ell - 6))
-
-
 def _check_escalated(case: FuzzCase, inputs: list[int], result) -> None:
     """Post-hoc invariants for ladder-degraded outputs.
 
-    The primary's online monitors never saw the fallback execution, so
-    the campaign re-checks the paper's guarantees on the final outputs:
-    exact agreement and hull containment for the ``high_cost_ca`` rung,
-    epsilon-agreement and hull containment for ``async_aa``.
+    The primary's online monitors never saw the ``HighCostCA``
+    execution, so the campaign re-checks the paper's guarantees on the
+    final outputs: exact agreement and hull containment.
     """
-    record = result.fallback
-    if record is None:
+    if result.fallback is None:
         return
     honest_inputs = [
         inputs[party]
@@ -747,18 +709,15 @@ def _check_escalated(case: FuzzCase, inputs: list[int], result) -> None:
             "escalated execution produced no honest outputs",
             monitor="EscalationAgreement",
         )
-    epsilon = Fraction(record.epsilon) if record.epsilon else Fraction(0)
-    spread = max(values) - min(values)
-    if spread > epsilon:
+    if min(values) != max(values):
         raise ProtocolViolation(
-            f"escalated outputs disagree by {spread} > eps={epsilon} "
-            f"on rung {record.rung}: {values}",
+            f"escalated outputs disagree: {values}",
             monitor="EscalationAgreement",
         )
     if min(values) < low or max(values) > high:
         raise ProtocolViolation(
             f"escalated outputs {values} leave the honest hull "
-            f"[{low}, {high}] on rung {record.rung}",
+            f"[{low}, {high}]",
             monitor="EscalationValidity",
         )
 
@@ -802,7 +761,6 @@ def _execute(
             trace=True,
             monitors=monitors,
             transport=transport,
-            epsilon=_case_epsilon(case),
             escalate_on=(SimulationError,),
             guards=guard_limits,
         )
@@ -834,7 +792,9 @@ class CaseStats:
     resyncs: int = 0
     #: logical rounds that needed more than one synchronization attempt.
     escalated_rounds: int = 0
-    #: ladder rung that produced the outputs (``None`` = primary).
+    #: how the escalation ladder ended: ``None`` (the primary decided),
+    #: ``"high_cost_ca"``, or ``"exhausted"`` (both rungs failed on a
+    #: partition that never heals -- an out-of-model schedule).
     rung: str | None = None
     #: honest protocol bits the execution spent (0 on failures).
     bits: int = 0
@@ -892,7 +852,7 @@ def _violation_kind(error: Exception) -> str:
     if isinstance(error, HonestPartyError):
         # the no-crash meta-invariant: byzantine input must never crash
         # honest protocol code.  A first-class failure kind, shrinkable
-        # like any monitor violation and never budgeted.
+        # like any monitor violation.
         return "HonestPartyError"
     if isinstance(error, ProtocolViolation):
         return error.monitor or "ProtocolViolation"
@@ -915,17 +875,25 @@ def run_case_ex(
         try:
             result = _execute(case, spec, inputs, adversary)
         except (HonestPartyError, ProtocolViolation, SimulationError) as error:
-            return FuzzFailure(
-                case=case,
-                kind=_violation_kind(error),
-                message=str(error),
-                inputs=inputs,
-                initial_corruptions=set(adversary.initial_corruptions),
-                script=dict(adversary.script),
-                adapt_schedule=list(adversary.adapt_schedule),
-                crash_schedule=list(adversary.crash_schedule),
-                original_script_size=len(adversary.script),
-            ), stats
+            if not isinstance(error, SimulationError) or case.faults.heals:
+                return FuzzFailure(
+                    case=case,
+                    kind=_violation_kind(error),
+                    message=str(error),
+                    inputs=inputs,
+                    initial_corruptions=set(adversary.initial_corruptions),
+                    script=dict(adversary.script),
+                    adapt_schedule=list(adversary.adapt_schedule),
+                    crash_schedule=list(adversary.crash_schedule),
+                    original_script_size=len(adversary.script),
+                ), stats
+            # a partition that never heals is outside the model the
+            # ladder decides in (docs/fault-model.md): its exhaustion is
+            # the case's verdict.  The error carries the primary's stats.
+            result = None
+            stats.rung = "exhausted"
+            stats.resyncs = error.stats.resync_attempts
+            stats.escalated_rounds = error.stats.escalated_rounds
     # only the cache-state-independent subset is recorded: the full
     # block depends on what ran earlier in this process (decode-matrix
     # memo, frame-prefix caches) and would poison journal digests.
@@ -938,7 +906,7 @@ def run_case_ex(
         stats.resyncs = result.stats.resync_attempts
         stats.escalated_rounds = result.stats.escalated_rounds
         if result.fallback is not None:
-            stats.rung = result.fallback.rung
+            stats.rung = "high_cost_ca"
             # the returned stats belong to the fallback rung; fold the
             # primary's escalation effort back in.
             stats.resyncs += result.fallback.resyncs
@@ -1425,7 +1393,9 @@ def fuzz(
     axes (GST, pre-GST loss, healing/never-healing partitions, link
     churn); those cases run through the supervisor's escalation ladder,
     so a slow network shows up as escalation accounting in the report
-    while invariant violations stay hard failures.
+    (a ladder exhausted by a partition that never heals as
+    ``degradations["exhausted"]``) while invariant violations stay hard
+    failures.
 
     ``bombs=True`` appends payload-bomb adversaries (oversize blobs,
     deep nesting, type confusion, near-valid mutants) to every sampled

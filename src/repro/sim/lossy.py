@@ -293,9 +293,9 @@ class LossyTransport:
     def describe(self) -> str:
         """The model and its active axes, as failure messages print them.
 
-        Campaign goldens and archived artifacts pin the text, the
-        ``PartialSyncTransport`` label of a scheduled transport
-        included: it names the model, not a class.
+        ``partial-sync(gst=..., partitions=N, ...)`` with a schedule,
+        ``LossyTransport(...)`` without one.  Campaign goldens and
+        archived artifacts pin the text.
         """
         scheduled = self.schedule is not None
         active = self.schedule.axes() if scheduled else []
@@ -304,7 +304,7 @@ class LossyTransport:
             for name in ("drop", "delay", "reorder")
             if getattr(self, name)
         ]
-        label = "PartialSyncTransport" if scheduled else "LossyTransport"
+        label = "partial-sync" if scheduled else "LossyTransport"
         return f"{label}({', '.join(active) or 'perfect'})"
 
     @property

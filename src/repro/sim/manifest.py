@@ -26,7 +26,7 @@ uninterrupted ones:
 
 Format (one JSON object per line)::
 
-    {"kind": "header", "format": "repro-manifest/1", "config": {...}}
+    {"kind": "header", "format": "repro-manifest/2", "config": {...}}
     {"kind": "case", "index": 0, "case": {...}, "outcome": {...},
      "digest": "<sha256-hex-16>"}
     ...
@@ -47,7 +47,10 @@ __all__ = [
     "record_digest",
 ]
 
-MANIFEST_FORMAT = "repro-manifest/1"
+#: History: 1 = an exhausted escalation ladder is a failure outcome
+#: flagged as tolerable; 2 = one exhausted by a partition that never
+#: heals is the clean outcome ``rung: "exhausted"``, and the flag is gone.
+MANIFEST_FORMAT = "repro-manifest/2"
 
 
 class JournalCorrupt(ValueError):

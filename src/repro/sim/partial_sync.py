@@ -38,9 +38,8 @@ accounted ``retrans_* / ack_* / beacon_*`` overhead.  A network that
 never stabilizes ends in :class:`~repro.sim.lossy.TransportTimeout`,
 which the supervisor's escalation ladder
 (:func:`~repro.sim.supervisor.run_with_escalation`) catches and
-degrades through ``HighCostCA`` over the same transport and, when the
-caller accepts an ``epsilon``, down to asynchronous approximate
-agreement.
+retries as ``HighCostCA`` over the same transport -- which a partition
+that never heals fails too.
 """
 
 from __future__ import annotations

@@ -87,14 +87,11 @@ __all__ = [
 #: fitness assigned to a genuine invariant violation -- the summit of
 #: the search landscape, above any envelope-pressure score.
 VIOLATION_FITNESS = 1000.0
-#: fitness of a budgeted ladder-exhaustion (documented terminal state:
-#: interesting pressure, not a bug).
-BUDGETED_FITNESS = 3.0
 #: mutation landing sites for the byzantine message-fault rates --
 #: wider than the sampling grid so mutation can push past it.
 _MUTATION_RATES = (0.0, 0.05, 0.2, 0.5, 0.8)
-#: escalation rungs ordered by how far the ladder degraded.
-_RUNG_LEVEL = {"high_cost_ca": 1, "async_aa": 2}
+#: how far down the escalation ladder a case ended.
+_RUNG_LEVEL = {"high_cost_ca": 1, "exhausted": 2}
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +161,7 @@ def case_fitness(outcome: dict) -> float:
     if kind is not None:
         if kind == "ExecutionEngine":
             return 0.0
-        return BUDGETED_FITNESS if outcome.get("budgeted") else VIOLATION_FITNESS
+        return VIOLATION_FITNESS
     stats = outcome.get("stats", {})
     bit_budget = stats.get("bit_budget", 0) or 1
     round_budget = stats.get("round_budget", 0) or 1
@@ -585,11 +582,7 @@ class SearchEngine:
         self.outliers.sort(key=lambda e: (-e["fitness"], e["index"]))
         del self.outliers[10:]
         kind = outcome.get("kind")
-        if (
-            kind is not None
-            and kind != "ExecutionEngine"
-            and not outcome.get("budgeted")
-        ):
+        if kind is not None and kind != "ExecutionEngine":
             self.violations.append(
                 {
                     "index": index,
@@ -605,17 +598,9 @@ class SearchEngine:
     def _outcome_dict(
         self, failure: "FuzzFailure | None", stats: CaseStats
     ) -> dict:
-        if failure is None:
-            return {
-                "kind": None,
-                "message": None,
-                "budgeted": False,
-                "stats": stats.to_dict(),
-            }
         return {
-            "kind": failure.kind,
-            "message": failure.message,
-            "budgeted": failure.budgeted,
+            "kind": None if failure is None else failure.kind,
+            "message": None if failure is None else failure.message,
             "stats": stats.to_dict(),
         }
 
@@ -676,11 +661,7 @@ class SearchEngine:
                     outcome = self._outcome_dict(failure, stats)
                     if journal is not None:
                         journal.append(case_dict, outcome)
-                    if (
-                        failure is not None
-                        and failure.kind != "ExecutionEngine"
-                        and not failure.budgeted
-                    ):
+                    if failure and failure.kind != "ExecutionEngine":
                         self._archive(i, failure)
                 self._absorb(i, cell_index, case_dict, outcome)
             index = batch_end

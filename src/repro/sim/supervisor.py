@@ -13,31 +13,27 @@ execution; if that dies with a :class:`~repro.errors.ProtocolViolation`
 (a monitor fired) or a :class:`~repro.errors.SimulationError` (lockstep
 break, round-budget exhaustion, transport timeout), it descends::
 
-    optimal CA  ->  budget-escalated retry  ->  HighCostCA  ->  async AA
-    (primary)       (inside the transport's     (the caller's    (t < n/5,
-                     TimeoutEscalation)         transport)       only with
-                                                                 epsilon=)
+    optimal CA  ->  budget-escalated retry  ->  HighCostCA
+    (primary)       (inside the transport's     (the caller's
+                     TimeoutEscalation)         transport)
 
 ``HighCostCA`` (Appendix A.4) is the self-contained ``O(l n^3)``-bit
 workhorse whose guarantees rest on nothing but ``t < n/3``.  Its rung
 runs over the **same transport** as the primary: the supervisor has no
 perfect network to offer that the caller does not have, so a network
-that is actually broken (a never-healing partition) fails this rung
-too.  Asynchronous Approximate Agreement needs no synchrony at all,
-but its outputs agree only up to ``epsilon`` -- a weaker contract the
-ladder enters only when the caller names the ``epsilon`` it accepts.
-Each rung is tried at most once, the traversal is recorded in order on
-``FallbackRecord.history``, and a ladder that runs out of rungs raises
-a budgeted :class:`~repro.errors.SimulationError` carrying the whole
-history -- never an unhandled exception, never a value computed on a
-network that does not exist.
+that is actually broken (a partition that never heals) fails this rung
+too.  Each rung is tried at most once, the traversal is recorded in
+order on ``FallbackRecord.history``, and a ladder that runs out of
+rungs raises a :class:`~repro.errors.SimulationError` carrying the
+whole history -- never an unhandled exception, never a value computed
+on a network that does not exist.
 
 ``HighCostCA`` operates on natural numbers; the supervisor embeds
 arbitrary integer inputs by shifting them into N (the harness knows all
 inputs) and un-shifting the agreed output, which preserves the convex
 hull exactly.
 
-The lower rungs keep the primary's corruption set but replace the
+The fallback rung keeps the primary's corruption set but replaces the
 adversary's *strategy* with spec-following corrupted parties: byzantine
 strategies are protocol-shaped (they inspect channels and payloads of
 the protocol they were written against) and cannot be meaningfully
@@ -49,10 +45,9 @@ affects realism of the simulated attack, not soundness of the output.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Any, Sequence
 
-from ..errors import ConfigurationError, ProtocolViolation, SimulationError
+from ..errors import ProtocolViolation, SimulationError
 from .adversary import Adversary, PassiveAdversary
 from .invariants import InvariantMonitor
 from .lossy import LossyTransport
@@ -91,24 +86,17 @@ class FallbackRecord:
     offset: int
     #: communication stats of the aborted primary execution.
     primary_stats: CommunicationStats | None = None
-    #: the ladder rung that produced the returned outputs:
-    #: ``"high_cost_ca"`` or ``"async_aa"``.
-    rung: str = "high_cost_ca"
     #: the escalation traversal in order, one entry per rung tried.
     history: tuple[str, ...] = ()
-    #: eps of the async AA rung (stringified Fraction), else ``None`` --
-    #: the returned outputs then agree only up to ``epsilon``.
-    epsilon: str | None = None
     #: transport-level escalated retries the primary performed before
     #: failing (mirrors ``primary_stats.resync_attempts``).
     resyncs: int = 0
 
     def describe(self) -> str:
         via = f" via {self.monitor}" if self.monitor else ""
-        target = (
-            "asynchronous AA" if self.rung == "async_aa" else "HighCostCA"
+        return (
+            f"degraded to HighCostCA after {self.trigger}{via}: {self.detail}"
         )
-        return f"degraded to {target} after {self.trigger}{via}: {self.detail}"
 
     def to_dict(self) -> dict:
         """JSON-friendly representation (used by repro artifacts)."""
@@ -117,9 +105,7 @@ class FallbackRecord:
             "detail": self.detail,
             "monitor": self.monitor,
             "offset": self.offset,
-            "rung": self.rung,
             "history": list(self.history),
-            "epsilon": self.epsilon,
             "resyncs": self.resyncs,
             "primary_stats": (
                 None
@@ -133,6 +119,8 @@ class FallbackRecord:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FallbackRecord":
+        # records written while the ladder had an asynchronous rung also
+        # carry "rung" and "epsilon"; they are read past.
         stats_data = data.get("primary_stats")
         stats = None
         if stats_data is not None:
@@ -145,9 +133,7 @@ class FallbackRecord:
             monitor=data.get("monitor"),
             offset=data.get("offset", 0),
             primary_stats=stats,
-            rung=data.get("rung", "high_cost_ca"),
             history=tuple(data.get("history", ())),
-            epsilon=data.get("epsilon"),
             resyncs=data.get("resyncs", 0),
         )
 
@@ -186,7 +172,6 @@ def run_with_escalation(
     crashes: Sequence[CrashEvent | tuple[int, int, int]] | None = None,
     recovery: RecoveryConfig | bool | None = None,
     guards: WireLimits | bool | None = None,
-    epsilon: Fraction | int | None = None,
     escalate_on: tuple[type, ...] = (ProtocolViolation, SimulationError),
 ) -> ExecutionResult:
     """Run the primary protocol; on failure descend the ladder to a decision.
@@ -206,22 +191,14 @@ def run_with_escalation(
        running: a genuinely broken network fails this rung too, which
        is the point -- only an actually-usable network lets the ladder
        stop here.
-    3. **async_aa** -- only when ``epsilon`` is given: asynchronous
-       Approximate Agreement with the primary's corruption set pinned.
-       Needs ``5 * |corrupted| < n``; outputs agree only up to
-       ``epsilon`` (recorded stringified on the fallback record).
-       Liveness needs no synchrony assumption.  ``epsilon=None`` means
-       the caller requires exact agreement and the ladder ends after
-       ``HighCostCA``.
 
-    A ladder that exhausts every rung raises a
-    :class:`~repro.errors.SimulationError` carrying the full history --
-    the budgeted, replayable failure the chaos plane expects; no
-    network schedule produces an unhandled exception.  Configuration
-    errors and harness bugs propagate -- only detected protocol
-    misbehaviour degrades.
+    A ladder that exhausts both rungs raises a
+    :class:`~repro.errors.SimulationError` carrying the full history
+    and the primary's stats; no network schedule produces an unhandled
+    exception.  Configuration errors and harness bugs propagate -- only
+    detected protocol misbehaviour degrades.
 
-    Non-integer inputs cannot ride the lower rungs, so the primary
+    Non-integer inputs cannot ride the fallback rung, so the primary
     failure propagates unchanged for them.
 
     ``escalate_on`` restricts which primary failures enter the ladder
@@ -231,12 +208,6 @@ def run_with_escalation(
     """
     if isinstance(inputs, list):
         inputs = dict(enumerate(inputs))
-    if epsilon is not None and (
-        not isinstance(epsilon, (int, Fraction)) or epsilon <= 0
-    ):
-        raise ConfigurationError(
-            f"epsilon must be a positive number or None, got {epsilon!r}"
-        )
 
     def network(
         factory: ProtocolFactory, values: dict[int, Any], **stages: Any
@@ -262,11 +233,10 @@ def run_with_escalation(
     if any(
         not isinstance(v, int) or isinstance(v, bool) for v in inputs.values()
     ):
-        # HighCostCA and AA need integers: nothing below can run.
+        # HighCostCA needs integers: nothing below can run.
         raise primary_failure
     offset = max(0, -min(inputs.values()))  # shift into N
     shifted = {party: value + offset for party, value in inputs.items()}
-    corrupted = frozenset(primary.corrupted)
     resyncs = primary.stats.resync_attempts
     history = [_failed("primary", primary_failure)]
     if resyncs:
@@ -275,96 +245,32 @@ def run_with_escalation(
             f"{'y' if resyncs == 1 else 'ies'} before the failure"
         )
 
-    def decided(rung: str, result: ExecutionResult) -> ExecutionResult:
-        result.outputs = {
-            party: value - offset for party, value in result.outputs.items()
-        }
-        result.fallback = FallbackRecord(
-            trigger=type(primary_failure).__name__,
-            detail=str(primary_failure),
-            monitor=getattr(primary_failure, "monitor", None),
-            offset=offset,
-            primary_stats=primary.stats,
-            rung=rung,
-            history=tuple(history),
-            epsilon=None if rung != "async_aa" else str(Fraction(epsilon)),
-            resyncs=resyncs,
-        )
-        return result
-
-    # -- rung 2: HighCostCA over the caller's (possibly broken) transport
+    # -- HighCostCA over the caller's (possibly broken) transport --
     from ..core.high_cost_ca import high_cost_ca
 
     try:
         result = network(
             lambda ctx, v: high_cost_ca(ctx, v, channel=FALLBACK_CHANNEL),
             shifted,
-            adversary=_StaticCorruptions(corrupted),
+            adversary=_StaticCorruptions(frozenset(primary.corrupted)),
         ).run()
     except (ProtocolViolation, SimulationError) as hc_failure:
         history.append(_failed("high_cost_ca", hc_failure))
-    else:
-        history.append("high_cost_ca: decided")
-        return decided("high_cost_ca", result)
-
-    # -- rung 3: asynchronous AA, if the caller accepts eps-agreement --
-    if epsilon is None:
-        history.append("async_aa: not entered (no epsilon accepted)")
-    elif 5 * len(corrupted) >= n:
-        history.append(
-            f"async_aa: skipped (needs 5t < n, t={len(corrupted)}, n={n})"
-        )
-    else:
-        from ..asynchrony.aa import AsyncApproximateAgreement
-        from ..asynchrony.network import AsyncNetwork
-
-        bound = max(1, max(shifted.values()))
-        try:
-            async_result = AsyncNetwork(
-                party_factory=lambda ctx: AsyncApproximateAgreement(
-                    ctx, shifted[ctx.party_id], epsilon, bound
-                ),
-                n=n,
-                t=len(corrupted),
-                kappa=kappa,
-                adversary=_PinnedAsyncCorruptions(corrupted),
-                guards=guards,
-            ).run()
-        except (ProtocolViolation, SimulationError) as aa_failure:
-            history.append(_failed("async_aa", aa_failure))
-        else:
-            history.append(f"async_aa: decided (eps={epsilon})")
-            return decided(
-                "async_aa",
-                ExecutionResult(
-                    n=n,
-                    t=t,
-                    outputs=async_result.outputs,
-                    corrupted=corrupted,
-                    stats=async_result.stats,
-                ),
-            )
-    raise SimulationError(
-        "escalation ladder exhausted: " + " | ".join(history),
-        stats=primary.stats,
-    ) from primary_failure
-
-
-class _PinnedAsyncCorruptions:
-    """Silent async adversary with a pinned corruption set.
-
-    The async twin of :class:`_StaticCorruptions`: byzantine parties
-    exist (they count against the ``t < n/5`` bound and never help) but
-    inject nothing.
-    """
-
-    budget = 0
-
-    def __init__(self, corrupted: frozenset[int]) -> None:
-        self._corrupted = set(corrupted)
-
-    def select_corruptions(self, n: int, t: int) -> set[int]:
-        return set(self._corrupted)
-
-    def inject(self, step, corrupted, n, observed):
-        return []
+        raise SimulationError(
+            "escalation ladder exhausted: " + " | ".join(history),
+            stats=primary.stats,
+        ) from primary_failure
+    history.append("high_cost_ca: decided")
+    result.outputs = {
+        party: value - offset for party, value in result.outputs.items()
+    }
+    result.fallback = FallbackRecord(
+        trigger=type(primary_failure).__name__,
+        detail=str(primary_failure),
+        monitor=getattr(primary_failure, "monitor", None),
+        offset=offset,
+        primary_stats=primary.stats,
+        history=tuple(history),
+        resyncs=resyncs,
+    )
+    return result

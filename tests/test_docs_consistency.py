@@ -148,11 +148,14 @@ class TestOneWayToMeasure:
         )
 
     def test_removed_transport_and_ladder_names_stay_undocumented(self):
-        """One transport class and one supervisor: no doc may send a
-        reader to the subclass, its hooks, or the second ladder."""
+        """One transport class and one two-rung supervisor: no doc may
+        send a reader to the subclass, its hooks, the second ladder, or
+        the asynchronous rung and the tolerance it needed."""
         assert_undocumented(
             r"run_with_fallback|PartialSyncTransport|stabilization_time_of"
             r"|_drop_at|_severed_at|fallback_factory"
+            r"|allow-budgeted|BUDGETED_FITNESS|unbudgeted_failures"
+            r"|_PinnedAsyncCorruptions|_case_epsilon"
         )
 
     def test_p_sections_point_at_committed_pairs(self):

@@ -587,4 +587,4 @@ class TestCampaignGolden:
     def test_crash_partition_bombs_campaign_is_pinned(self):
         assert campaign_digest(
             4, 8, crash=True, partition=True, bombs=True
-        ) == "58267c4d3b66ef458fd87ec6ca7867e5ba7038eefce0b8a9e119b43d856416d9"
+        ) == "e8a5849c9c227298ef69e0777dcbaa5d315b5e80f4e75646119897b66e464619"

@@ -1,16 +1,18 @@
 """Partial-synchrony resilience plane: the link schedule, PBFT-style
 timeout escalation, the supervisor's failover ladder (optimal CA ->
-escalated retry -> HighCostCA -> async AA), the liveness envelope, and
-the partition/GST fuzz campaign with shrinking repro artifacts."""
+escalated retry -> HighCostCA, all over the caller's transport), the
+liveness envelope, and the partition/GST fuzz campaign whose verdicts
+follow the model: a ladder exhausted by a partition that never heals is
+tallied, one exhausted on a healing schedule is a failure."""
 
 from __future__ import annotations
 
 import json
 import random
-from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from test_fuzz import canary_registry
 
 from repro import convex_agreement
 from repro.cli import main
@@ -35,8 +37,7 @@ from repro.sim import (
 from repro.sim.fuzz import (
     FuzzCase,
     fuzz,
-    load_artifact,
-    replay_artifact,
+    run_case_ex,
     sample_case,
     sample_case_at,
     standard_registry,
@@ -308,7 +309,7 @@ class TestHealingPartition:
 
 
 # ---------------------------------------------------------------------------
-# canary (b): a never-healing partition descends the full ladder
+# canary (b): a never-healing partition exhausts the ladder
 # ---------------------------------------------------------------------------
 
 
@@ -320,68 +321,65 @@ def _never_healing(seed=5, members=(0, 1)):
 
 
 class TestFailoverLadder:
-    def test_never_healing_partition_lands_on_async_aa(self):
-        inputs = [3, 5, 7, 9, 11, 13, 15]
-        result = run_with_escalation(
-            flca_factory(), inputs, n=7, t=1, kappa=KAPPA,
-            transport=_never_healing(), epsilon=1,
-        )
-        record = result.fallback
-        assert isinstance(record, FallbackRecord)
-        assert record.rung == "async_aa"
-        assert record.epsilon == str(Fraction(1))
-        assert record.trigger == "SimulationError"
-        assert "asynchronous AA" in record.describe()
-        # every rung tried at most once, in ladder order.
-        rungs = [entry.split(":")[0] for entry in record.history]
-        assert rungs[0] == "primary"
-        for rung in ("primary", "high_cost_ca", "async_aa"):
-            assert rungs.count(rung) == 1
-        assert (
-            rungs.index("primary")
-            < rungs.index("high_cost_ca")
-            < rungs.index("async_aa")
-        )
-        # the HighCostCA rung ran over the SAME broken transport -- it
-        # must have failed, not been skipped.
-        hc_entry = next(e for e in record.history if e.startswith("high_cost_ca"))
-        assert "decided" not in hc_entry
-        # outputs: epsilon-agreement inside the honest hull.
-        values = [result.outputs[p] for p in result.honest_parties]
-        assert max(values) - min(values) <= 1
-        assert min(inputs) <= min(values)
-        assert max(values) <= max(inputs)
-        # the primary's escalation effort is preserved on the record.
-        assert record.resyncs > 0
-        assert record.primary_stats is not None
-        assert record.primary_stats.resync_attempts == record.resyncs
+    def test_never_healing_partition_exhausts_both_rungs(self):
+        # n=7, t=1: the ladder is primary -> HighCostCA whatever the
+        # resilience, and both ride the same severed links.
+        with pytest.raises(
+            SimulationError, match="escalation ladder exhausted"
+        ) as exc:
+            run_with_escalation(
+                flca_factory(), [3, 5, 7, 9, 11, 13, 15], n=7, t=1,
+                kappa=KAPPA, transport=_never_healing(),
+            )
+        entries = str(exc.value).split(": ", 1)[1].split(" | ")
+        assert [entry.split(":")[0] for entry in entries] == [
+            "primary", "transport", "high_cost_ca",
+        ]
+        assert entries[-1].startswith("high_cost_ca: SimulationError")
+        assert "partial-sync(partitions=1)" in entries[0]
+        assert exc.value.stats.resync_attempts > 0
 
     def test_exhausted_ladder_raises_budgeted_simulation_error(self):
-        # n=4, t=1: async AA needs 5t < n, so the last rung is skipped
-        # and the ladder ends in the recorded, budgeted failure.
-        with pytest.raises(SimulationError, match="escalation ladder exhausted") as exc:
+        # n=4, t=1 with one party cut off for good: both rungs spend
+        # their slot budget on the severed links, and the exhaustion is
+        # raised with the primary's effort on the error.
+        with pytest.raises(
+            SimulationError, match="escalation ladder exhausted"
+        ) as exc:
             run_with_escalation(
                 flca_factory(), [1, 2, 3, 4], n=4, t=1, kappa=KAPPA,
-                transport=_never_healing(members=(0,)), epsilon=1,
+                transport=_never_healing(members=(0,)),
             )
         message = str(exc.value)
         assert "primary:" in message
-        assert "high_cost_ca:" in message
-        assert "async_aa: skipped" in message
+        assert "high_cost_ca: SimulationError" in message
+        assert "decided" not in message
+        assert exc.value.stats.resync_attempts > 0
 
     def test_without_epsilon_the_ladder_ends_after_high_cost_ca(self):
-        # n=7, t=1 could run the async rung (5t < n), but the caller
-        # accepted no epsilon: exact agreement or the budgeted failure.
-        with pytest.raises(SimulationError, match="escalation ladder exhausted") as exc:
+        # n=7, t=1 meets 5t < n, yet no rung follows HighCostCA: the
+        # ladder ends in exact agreement or in the exhaustion.
+        with pytest.raises(
+            SimulationError, match="escalation ladder exhausted"
+        ) as exc:
             run_with_escalation(
                 flca_factory(), [3, 5, 7, 9, 11, 13, 15], n=7, t=1,
                 kappa=KAPPA, transport=_never_healing(),
             )
         message = str(exc.value)
-        assert "high_cost_ca: SimulationError" in message
-        assert "async_aa: not entered" in message
+        assert message.split(" | ")[-1].startswith(
+            "high_cost_ca: SimulationError"
+        )
+        assert "async_aa" not in message
         assert "decided" not in message
-        assert exc.value.stats.resync_attempts > 0
+
+    def test_invalid_epsilon_rejected(self):
+        # the ladder accepts no epsilon at all: asking for
+        # epsilon-agreement is refused at the call.
+        with pytest.raises(TypeError, match="epsilon"):
+            run_with_escalation(
+                flca_factory(), INPUTS7, n=7, t=2, kappa=KAPPA, epsilon=1,
+            )
 
     def test_monitor_violation_stays_fatal_when_excluded(self):
         with pytest.raises(ProtocolViolation):
@@ -397,8 +395,7 @@ class TestFailoverLadder:
             monitors=[BitBudgetMonitor(total=1)],
         )
         result.assert_convex_valid(INPUTS7)
-        assert result.fallback.rung == "high_cost_ca"
-        assert "high_cost_ca: decided" in result.fallback.history
+        assert result.fallback.history[-1] == "high_cost_ca: decided"
 
     def test_clean_run_has_no_fallback(self):
         result = run_with_escalation(
@@ -407,48 +404,36 @@ class TestFailoverLadder:
         assert result.fallback is None
         result.assert_convex_valid(INPUTS7)
 
-    def test_invalid_epsilon_rejected(self):
-        with pytest.raises(ConfigurationError):
-            run_with_escalation(
-                flca_factory(), INPUTS7, n=7, t=2, kappa=KAPPA, epsilon=0,
-            )
-
 
 class TestFallbackRecordSerialization:
     def _record(self):
         result = run_with_escalation(
-            flca_factory(), [3, 5, 7, 9, 11, 13, 15], n=7, t=1,
-            kappa=KAPPA, transport=_never_healing(), epsilon=1,
+            flca_factory(), INPUTS7, n=7, t=2, kappa=KAPPA,
+            monitors=[BitBudgetMonitor(total=1)],
         )
         return result.fallback
 
     def test_round_trips_through_json(self):
         record = self._record()
         data = json.loads(json.dumps(record.to_dict()))
-        again = FallbackRecord.from_dict(data)
-        assert again.trigger == record.trigger
-        assert again.rung == record.rung
-        assert again.history == record.history
-        assert again.epsilon == record.epsilon
-        assert again.resyncs == record.resyncs
-        assert again.offset == record.offset
-        assert (
-            again.primary_stats.resync_attempts
-            == record.primary_stats.resync_attempts
-        )
-        assert (
-            again.primary_stats.beacon_bits
-            == record.primary_stats.beacon_bits
-        )
+        assert FallbackRecord.from_dict(data).to_dict() == data
+        assert record.trigger == "ProtocolViolation"
+        assert record.primary_stats.honest_bits > 0
 
     def test_missing_optional_fields_default(self):
         record = FallbackRecord.from_dict({
             "trigger": "SimulationError", "detail": "x",
             "monitor": None, "offset": 0,
         })
-        assert record.rung == "high_cost_ca"
         assert record.history == ()
         assert record.primary_stats is None
+
+    def test_reads_records_of_the_three_rung_ladder(self):
+        # a record written while the ladder ended in asynchronous AA
+        # still loads; its rung and epsilon are read past.
+        old = dict(self._record().to_dict(), rung="async_aa", epsilon="1")
+        record = FallbackRecord.from_dict(old)
+        assert record.to_dict() == self._record().to_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -534,44 +519,71 @@ class TestPartitionSampling:
         assert a == b
 
 
-@pytest.fixture(scope="module")
-def campaign200(tmp_path_factory):
-    """The acceptance sweep, run once and shared across its checks."""
-    artifact_dir = tmp_path_factory.mktemp("psync-artifacts")
-    report = fuzz(
-        runs=200, seed=11, partition=True, artifact_dir=str(artifact_dir),
+def _partition_case(heal):
+    """One partitioned case the ladder cannot finish before ``heal``."""
+    return FuzzCase(
+        protocol="fixed_length_ca", n=4, t=1, ell=8, kappa=KAPPA,
+        spread="spread", adversaries=("passive",),
+        faults=FaultSpec(partitions=((0, heal, (0, 1)),), seed=3), seed=3,
     )
-    return report
+
+
+class TestPartitionVerdict:
+    """The verdict is read off the case: ``FaultSpec.heals``."""
+
+    def test_never_healing_exhaustion_is_a_verdict(self):
+        case = _partition_case(heal=-1)
+        assert not case.faults.heals
+        failure, stats = run_case_ex(case)
+        assert failure is None
+        assert stats.rung == "exhausted"
+        assert stats.resyncs > 0 and stats.bits == 0
+
+    def test_healing_exhaustion_stays_a_failure(self):
+        # the same links, healed long after every budget ran out: in the
+        # model, so an exhausted ladder is a reported failure.
+        case = _partition_case(heal=1_000_000)
+        assert case.faults.heals
+        failure, stats = run_case_ex(case)
+        assert failure.kind == "SimulationError"
+        assert "escalation ladder exhausted" in failure.message
+        assert stats.rung is None
+
+
+@pytest.fixture(scope="module")
+def campaign100():
+    """The seed-11 acceptance sweep, run once and shared."""
+    return fuzz(runs=100, seed=11, partition=True)
+
+
+@pytest.fixture(scope="module")
+def canary_campaign(tmp_path_factory):
+    """A protocol bug on the partition plane: ``weak_flca`` (GetOutput
+    skipped) caught once in 12 cases, shrunk and archived."""
+    artifact_dir = tmp_path_factory.mktemp("canary-artifacts")
+    return fuzz(
+        runs=12, seed=1, registry=canary_registry(), partition=True,
+        artifact_dir=str(artifact_dir),
+    )
 
 
 class TestPartitionCampaign:
-    def test_200_case_campaign_has_no_unhandled_exceptions(self, campaign200):
-        """The acceptance sweep: every sampled GST/partition schedule
-        ends in a decision, a recorded degradation, or a budgeted
-        SimulationError whose shrunk artifact replays -- never an
-        unhandled exception or an invariant violation."""
-        report = campaign200
+    def test_never_healing_partitions_are_tallied_not_failed(
+        self, campaign100
+    ):
+        """Every sampled GST/partition schedule ends in a decision or,
+        on a partition that never heals, in an exhausted ladder -- never
+        a failure, and never a decision off the caller's network."""
+        report = campaign100
         assert report.partition
-        assert len(report.cases) == 200
+        assert len(report.cases) == 100
+        assert report.failures == []
+        assert report.degradations == {"exhausted": 10}
+        assert sum(not case.faults.heals for case in report.cases) >= 10
         # the escalation plane actually exercised itself.
         assert report.resyncs > 0
         assert report.escalated_cases > 0
-        assert report.degradations.get("async_aa", 0) > 0
-        assert "escalation:" in report.summary()
-        # no monitor ever fired: the only acceptable failures are the
-        # budgeted ladder-exhausted SimulationErrors of never-healing
-        # partitions too small for the async rung.
-        assert {f.kind for f in report.failures} <= {"SimulationError"}
-        for failure in report.failures:
-            assert "escalation ladder exhausted" in failure.message
-            assert not failure.case.faults.heals
-        # every failure shrank and replays from its artifact.
-        assert len(report.artifacts) == len(report.failures)
-        for failure, path in zip(report.failures, report.artifacts):
-            assert failure.shrunk
-            artifact = load_artifact(path)
-            outcome = replay_artifact(artifact)
-            assert outcome.violated and outcome.matches(artifact)
+        assert "degraded -> exhausted: 10" in report.summary()
 
     def test_campaign_is_deterministic(self):
         a = fuzz(runs=8, seed=0, partition=True)
@@ -591,16 +603,18 @@ class TestPartitionCampaign:
         assert serial.resyncs == fanned.resyncs
         assert serial.degradations == fanned.degradations
 
-    def test_shrinking_keeps_the_load_bearing_window(self, campaign200):
-        """The 4th ddmin axis removes partition/churn windows that do
+    def test_shrinking_keeps_the_load_bearing_window(self, canary_campaign):
+        """The fourth ddmin axis removes partition/churn windows that do
         not matter -- but never the one the violation needs."""
-        report = campaign200
-        assert report.failures
-        for failure in report.failures:
-            # a ladder-exhausted failure needs its never-healing
-            # window; shrinking must keep at least that one.
-            assert failure.case.faults.partitions
-            assert not failure.case.faults.heals
+        [failure] = canary_campaign.failures
+        assert failure.kind == "ConvexValidityMonitor"
+        sampled = canary_campaign.cases[5]
+        assert sampled.seed == failure.case.seed
+
+        def windows(case):
+            return len(case.faults.partitions) + len(case.faults.link_churn)
+
+        assert (windows(sampled), windows(failure.case)) == (3, 1)
 
 
 class TestCliPartition:
@@ -615,30 +629,23 @@ class TestCliPartition:
         assert "partition plane" in out
         assert "escalation:" in out
 
-    def test_allow_budgeted_tolerates_ladder_exhaustion(self, capsys):
-        # seed 2 x 20 runs contains budgeted ladder exhaustions and
-        # nothing else: fatal by default, tolerated with the flag.
-        argv = ["fuzz", "--runs", "20", "--seed", "2", "--partition",
-                "--quiet"]
-        assert main(argv) == 1
+    def test_never_healing_partitions_exit_zero(self, capsys):
+        # seed 2 x 20 runs holds three never-healing partitions that
+        # exhaust the ladder: verdicts, so the campaign is green.
+        code = main([
+            "fuzz", "--runs", "20", "--seed", "2", "--partition", "--quiet",
+        ])
         out = capsys.readouterr().out
-        assert "(budgeted)" in out
-        assert main(argv + ["--allow-budgeted"]) == 0
-        out = capsys.readouterr().out
-        assert "tolerated (--allow-budgeted)" in out
+        assert code == 0, out
+        assert "0 failure(s)" in out and "exhausted: 3" in out
 
-    def test_budgeted_predicate_matches_only_ladder_exhaustion(self):
-        report = fuzz(runs=20, seed=2, partition=True)
-        assert report.failures
-        assert not report.unbudgeted_failures
-        for failure in report.failures:
-            assert failure.budgeted
-            assert failure.kind == "SimulationError"
-
-    def test_replay_prints_psync_line(self, campaign200, capsys):
-        report = campaign200
-        assert report.artifacts
-        assert main(["replay", report.artifacts[0]]) == 0
-        out = capsys.readouterr().out
-        assert "REPRODUCED" in out
-        assert "psync" in out
+    def test_replay_prints_psync_line(
+        self, canary_campaign, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(
+            "repro.sim.fuzz.standard_registry", canary_registry
+        )
+        assert main(["replay", canary_campaign.artifacts[0]]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "verdict  : REPRODUCED" in lines
+        assert "psync    : gst=251 partitions=0 churn=1" in lines

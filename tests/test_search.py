@@ -41,7 +41,6 @@ from repro.sim.manifest import (
 )
 from repro.sim.party import broadcast_round
 from repro.sim.search import (
-    BUDGETED_FITNESS,
     VIOLATION_FITNESS,
     SearchCell,
     SearchConfig,
@@ -243,22 +242,26 @@ def make_case(seed=7):
 
 class TestComponents:
     def test_fitness_ladder(self):
-        violation = {"kind": "ConvexValidityMonitor", "budgeted": False}
-        budgeted = {"kind": "LivenessMonitor", "budgeted": True}
-        lost = {"kind": "ExecutionEngine", "budgeted": False}
+        violation = {"kind": "ConvexValidityMonitor"}
+        lost = {"kind": "ExecutionEngine"}
+        budgets = {"bit_budget": 1000, "round_budget": 100}
+        exhausted = {
+            "kind": None,
+            "stats": {**budgets, "rung": "exhausted", "resyncs": 6},
+        }
         clean = {
             "kind": None,
-            "stats": {"bits": 600, "bit_budget": 1000,
-                      "rounds": 5, "round_budget": 100,
+            "stats": {**budgets, "bits": 600, "rounds": 5,
                       "rung": "high_cost_ca", "resyncs": 2},
         }
         assert case_fitness(violation) == VIOLATION_FITNESS
-        assert case_fitness(budgeted) == BUDGETED_FITNESS
         assert case_fitness(lost) == 0.0
         # 0.6 pressure + 0.25 rung + 0.04 resyncs
         assert case_fitness(clean) == pytest.approx(0.89)
-        assert case_fitness(violation) > case_fitness(budgeted) > \
-            case_fitness(clean) > case_fitness(lost)
+        # no bits decided; 0.5 for the ladder's end + 0.12 resyncs
+        assert case_fitness(exhausted) == pytest.approx(0.62)
+        assert case_fitness(violation) > case_fitness(clean) > \
+            case_fitness(exhausted) > case_fitness(lost)
 
     def test_mutation_is_deterministic_and_cell_preserving(self):
         parent = make_case()
@@ -439,6 +442,25 @@ class TestResume:
             run_search(
                 trap_config(6, True, cells=list(CHEAP_CELLS), batch=4),
                 executions=8, manifest=manifest, resume=True,
+            )
+
+    def test_format_1_journal_is_refused(self, tmp_path):
+        """A ``repro-manifest/1`` journal scored a ladder exhaustion as a
+        ``budgeted`` failure; read under today's scoring each such record
+        would be a 1,000-fitness violation, so resuming one is refused
+        by name instead."""
+        manifest = tmp_path / "campaign.jsonl"
+        run_search(self.config(), executions=4, manifest=str(manifest))
+        header, *records = manifest.read_text().splitlines()
+        old = json.loads(header)
+        old["format"] = "repro-manifest/1"
+        manifest.write_text(
+            "\n".join([json.dumps(old), *records]) + "\n"
+        )
+        with pytest.raises(JournalCorrupt, match="repro-manifest/2"):
+            run_search(
+                self.config(), executions=8, manifest=str(manifest),
+                resume=True,
             )
 
     def test_resume_detects_foreign_journal(self, tmp_path):

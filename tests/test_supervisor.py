@@ -2,8 +2,8 @@
 simulation failures and reruns the inputs through HighCostCA over the
 caller's own network, so a supervised call ends with a convex-valid
 output whenever that network can carry one -- and the fallback is
-recorded, never silent.  (The ladder's rung order and its asynchronous
-last rung are exercised in tests/test_partial_sync.py.)"""
+recorded, never silent.  (The ladder's rung order on a partition that
+never heals is exercised in tests/test_partial_sync.py.)"""
 
 from __future__ import annotations
 
@@ -76,7 +76,7 @@ class TestTransportFailure:
         inputs = [3, 5, 7, 11, 13, 17, 19]
         # A 4-slot budget under drop=0.95 cannot synchronize any round
         # -- of the primary or of HighCostCA, which gets no better
-        # network than the caller has: the ladder ends budgeted, with
+        # network than the caller has: the ladder is exhausted, with
         # both attempts on record.
         transport = LossyTransport(drop=0.95, seed=3, slot_budget=4)
         with pytest.raises(
@@ -86,7 +86,7 @@ class TestTransportFailure:
                 flca_factory(), inputs, n=7, t=2, kappa=KAPPA,
                 transport=transport,
             )
-        primary, high_cost, _ = str(caught.value).split(" | ")
+        primary, high_cost = str(caught.value).split(" | ")
         assert "primary: SimulationError: round 0" in primary
         assert high_cost.startswith("high_cost_ca: SimulationError: round 0")
         assert caught.value.stats.transport_slots == 4
@@ -116,6 +116,19 @@ class TestDegradeOverTheCallersTransport:
         message = str(caught.value)
         assert "primary:" in message and "high_cost_ca:" in message
 
+    def test_degrade_never_returns_an_epsilon_agreement(self):
+        # n=7, t=1 satisfies 5t < n, yet the API asked for
+        # common_output(): the ladder ends after HighCostCA and raises.
+        with pytest.raises(
+            SimulationError, match="escalation ladder exhausted"
+        ) as caught:
+            convex_agreement(
+                self.INPUTS, t=1, kappa=KAPPA, degrade=True,
+                transport=_partitioned(heal=-1),
+            )
+        last = str(caught.value).split(" | ")[-1]
+        assert last.startswith("high_cost_ca: SimulationError")
+
     def test_partition_healing_inside_the_rung_is_outwaited(self):
         # the primary exhausts 8 + 1 + 16 slots at clock 25; the heal at
         # slot 30 lands inside the HighCostCA rung, on the same clock.
@@ -125,18 +138,8 @@ class TestDegradeOverTheCallersTransport:
         )
         assert outcome.value == 7
         fallback = outcome.execution.fallback
-        assert fallback.rung == "high_cost_ca"
         assert fallback.history[-1] == "high_cost_ca: decided"
         assert outcome.execution.stats.transport_slots == 20
-
-    def test_degrade_never_returns_an_epsilon_agreement(self):
-        # n=7, t=1 satisfies the async rung's 5t < n, yet the API asked
-        # for common_output(): it raises instead of entering it.
-        with pytest.raises(SimulationError, match="async_aa: not entered"):
-            convex_agreement(
-                self.INPUTS, t=1, kappa=KAPPA, degrade=True,
-                transport=_partitioned(heal=-1),
-            )
 
 
 class TestOffsetEmbedding:
