@@ -35,10 +35,8 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from ..errors import ConfigurationError, SimulationError
-from ..perf import counters
 from ..sim.metrics import CommunicationStats
 from ..sim.sizing import bit_size
-from ..sim.wire import WireGuard, WireLimits
 
 __all__ = [
     "AsyncContext",
@@ -284,7 +282,6 @@ class AsyncNetwork:
         scheduler: Scheduler | None = None,
         adversary: AsyncAdversary | None = None,
         max_deliveries: int | None = None,
-        guards: WireLimits | bool | None = None,
     ) -> None:
         self.n = n
         self.t = t
@@ -300,18 +297,6 @@ class AsyncNetwork:
         self.corrupted = set(self.adversary.select_corruptions(n, t))
         if len(self.corrupted) > t:
             raise ConfigurationError("adversary over-corrupted")
-
-        #: Inbound wire guard on byzantine injections (hostile-payload
-        #: plane).  There are no rounds here, so the per-round ceiling
-        #: acts as a cumulative per-sender injection ceiling on top of
-        #: the adversary's count budget.  Honest sends are never
-        #: checked -- their accounting must stay byte-identical.
-        if guards is True:
-            guards = WireLimits.from_envelopes(n, t, ell=4096, kappa=kappa)
-        elif guards is False:
-            guards = None
-        self._guard = WireGuard(guards) if guards is not None else None
-        self.quarantine_log: list[tuple[int, int, int, str]] = []
 
         self.stats = CommunicationStats()
         self._pending: list[_Pending] = []
@@ -335,18 +320,6 @@ class AsyncNetwork:
     ) -> None:
         if not 0 <= dst < self.n:
             return
-        if not honest and self._guard is not None:
-            # Quarantine out-of-bounds byzantine injections before they
-            # enter the pending pool (discard + attribute; the count
-            # still burns the adversary's injection budget).
-            counters.bump("guard_checks")
-            reason, bits = self._guard.check(0, src, payload)
-            if reason is not None:
-                counters.bump("guard_quarantined")
-                self.stats.record_quarantine(bits)
-                if len(self.quarantine_log) < 256:
-                    self.quarantine_log.append((self._seq, src, dst, reason))
-                return
         self._pending.append(_Pending(self._seq, src, dst, payload))
         self._seq += 1
         if honest:

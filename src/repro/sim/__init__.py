@@ -102,7 +102,7 @@ from .supervisor import FallbackRecord, run_with_escalation
 from .combinators import run_parallel
 from .party import Context, Outgoing, Proto, broadcast_round, exchange
 from .runner import run_protocol
-from .trace import RoundRecord, summarize_trace
+from .trace import Event, RoundRecord, summarize_trace
 from .sizing import bit_size
 from .wire import WireGuard, WireLimits, inbox_digest, measure_payload
 
@@ -135,6 +135,7 @@ __all__ = [
     "TransportTimeout",
     "WriteAheadLog",
     "EquivocatingAdversary",
+    "Event",
     "ExecutionResult",
     "FaultInjector",
     "FaultSpec",

@@ -63,7 +63,7 @@ from .metrics import CommunicationStats
 from .party import Context, Outgoing, Proto
 from .recovery import CrashEvent, RecoveryConfig, RecoveryManager
 from .sizing import bit_size, brief_text
-from .trace import RoundRecord
+from .trace import Event, RoundRecord
 from .wire import WireGuard, WireLimits, inbox_digest
 
 __all__ = [
@@ -76,9 +76,20 @@ __all__ = [
 #: Builds one party's protocol generator from its context and input.
 ProtocolFactory = Callable[[Context, Any], Proto[Any]]
 
-#: Quarantine ledger entries kept per execution; the stats fields keep
-#: exact totals, the ledger keeps the first offenders for attribution.
-_QUARANTINE_LOG_CAP = 256
+#: ``quarantine`` events kept per execution; the stats fields keep
+#: exact totals, the events the first offenders for attribution.
+_QUARANTINE_CAP = 256
+
+#: The round record's party sets: ``(event kind, its round minus the
+#: record's) -> field``.  A crash declared for the round itself (offset
+#: 0) shows only in ``down_parties``.
+_RECORD_SETS = {
+    ("up", 0): "restarted_parties",
+    ("corrupt", 0): "new_corruptions",
+    ("corrupt_clipped", 0): "clipped_corruptions",
+    ("down", 1): "new_crashes",
+    ("crash_clipped", 1): "clipped_crashes",
+}
 
 #: Sentinel for the payload-sizing memo: distinct from every real
 #: payload (including ``None``, the protocols' bottom symbol).
@@ -110,29 +121,15 @@ class ExecutionResult:
     stats: CommunicationStats
     channel_trace: list[str] = field(default_factory=list)
     trace: list[RoundRecord] | None = None
-    #: ``(round_index, party)`` adaptive corruptions requested by the
-    #: adversary but clipped by the ``t`` budget (over-powered config).
-    clipped_corruptions: list[tuple[int, int]] = field(default_factory=list)
-    #: crash-plane event log: ``("down" | "up", round_index, party)`` in
-    #: the order the events took effect.
-    crash_log: list[tuple[str, int, int]] = field(default_factory=list)
-    #: ``(round_index, party)`` crash requests clipped by the shared
-    #: ``t`` budget (corrupted + down parties never exceed ``t``).
-    clipped_crashes: list[tuple[int, int]] = field(default_factory=list)
-    #: number of WAL replays performed by the recovery manager.
-    recoveries: int = 0
+    #: changes to the shared ``t`` budget and the first 256 quarantined
+    #: messages, in the order they took effect (kinds and fields:
+    #: ``docs/fault-model.md``).  Empty on a bare run.
+    events: list[Event] = field(default_factory=list)
     #: set by the degradation supervisor when this result was produced
     #: by the HighCostCA fallback path (a
     #: :class:`~repro.sim.supervisor.FallbackRecord`); ``None`` on the
     #: primary path.
     fallback: Any = None
-    #: quarantine ledger (wire guards): ``(round_index, src, dst,
-    #: reason)`` for byzantine messages discarded by the inbound guard,
-    #: capped at the first 256 entries (totals live on
-    #: ``stats.quarantined_messages`` / ``stats.rejected_bits``).
-    quarantine_log: list[tuple[int, int, int, str]] = field(
-        default_factory=list
-    )
 
     @property
     def honest_parties(self) -> list[int]:
@@ -294,18 +291,15 @@ class SynchronousNetwork:
         #: ``adapt``); the guard inspects what ``deliver`` returns, so it
         #: arms the stage too.
         self._consult_adversary = scripted or self._guard is not None
-        self.quarantine_log: list[tuple[int, int, int, str]] = []
         #: honest parties currently powered off (crash plane).
         self.down: set[int] = set()
         #: restart round -> parties whose WAL replays at its start.
         self._restart_at: dict[int, set[int]] = {}
-        self.crash_log: list[tuple[str, int, int]] = []
-        self.clipped_crashes: list[tuple[int, int]] = []
 
         self.stats = CommunicationStats()
         self.channel_trace: list[str] = []
         self.trace: list[RoundRecord] | None = [] if trace else None
-        self.clipped_corruptions: list[tuple[int, int]] = []
+        self.events: list[Event] = []
         self._states: dict[int, _PartyState] = {}
         for party in range(n):
             ctx = Context(party_id=party, n=n, t=t, kappa=kappa, cache=cache)
@@ -374,11 +368,7 @@ class SynchronousNetwork:
             stats=self.stats,
             channel_trace=self.channel_trace,
             trace=self.trace,
-            clipped_corruptions=list(self.clipped_corruptions),
-            crash_log=list(self.crash_log),
-            clipped_crashes=list(self.clipped_crashes),
-            recoveries=self._recovery.recoveries if self._recovery else 0,
-            quarantine_log=list(self.quarantine_log),
+            events=self.events,
         )
         for monitor in self.monitors:
             self._monitored(monitor.on_finish, result, self)
@@ -463,10 +453,9 @@ class SynchronousNetwork:
         return outgoing
 
     # -- crash plane ---------------------------------------------------
-    def _process_restarts(self, round_index: int) -> frozenset[int]:
+    def _process_restarts(self, round_index: int) -> None:
         """Replay the WAL of every party whose restart round arrived."""
-        due = sorted(self._restart_at.pop(round_index, ()))
-        for party in due:
+        for party in sorted(self._restart_at.pop(round_index, ())):
             replayed = self._recovery.recover(party, self.stats)
             state = self._states[party]
             state.generator = replayed.generator
@@ -475,21 +464,21 @@ class SynchronousNetwork:
             state.output = replayed.output
             state.inbox = replayed.inbox
             self.down.discard(party)
-            self.crash_log.append(("up", round_index, party))
-        return frozenset(due)
+            self.events.append(Event("up", round_index, party))
 
     def _accept_crashes(
         self,
         requests: dict[int, int],
         down_round: int,
         pending_corruptions: int = 0,
-    ) -> tuple[set[int], set[int]]:
+    ) -> None:
         """Clip crash requests to the shared ``t`` budget and apply them.
 
         ``requests`` maps party -> restart round; invalid targets
         (corrupted, already down, finished, out of range) are silently
         ignored, over-budget ones are clipped with a warning, exactly
-        like over-budget adaptive corruptions.
+        like over-budget adaptive corruptions; both are events at
+        ``down_round``.
         """
         valid = {
             party: up
@@ -507,44 +496,46 @@ class SynchronousNetwork:
             - pending_corruptions
             - len(self.down),
         )
-        accepted = set(sorted(valid)[:allowed])
-        clipped = set(valid) - accepted
+        ranked = sorted(valid)
+        accepted, clipped = ranked[:allowed], ranked[allowed:]
+        for party in clipped:
+            self.events.append(Event("crash_clipped", down_round, party))
         if clipped:
-            self.clipped_crashes.extend(
-                (down_round, party) for party in sorted(clipped)
-            )
             warnings.warn(
                 f"crash budget exhausted at round {down_round}: clipped "
-                f"parties {sorted(clipped)} (t={self.t}, corrupted "
+                f"parties {clipped} (t={self.t}, corrupted "
                 f"{len(self.corrupted)}, down {len(self.down)}) -- the "
                 "crash schedule is over-powered and was weakened",
                 RuntimeWarning,
                 stacklevel=2,
             )
-        for party in sorted(accepted):
+        for party in accepted:
             self.down.add(party)
             self._restart_at.setdefault(valid[party], set()).add(party)
-            self.crash_log.append(("down", down_round, party))
-        return accepted, clipped
+            self.events.append(Event("down", down_round, party))
 
     def _observe(
         self,
         round_index: int,
         honest_channels: set[str],
-        restarted: frozenset[int],
+        mark: int,
         channel: str = "",
         traffic: tuple[int, int, int] = (0, 0, 0),
-        boundary: tuple[Any, Any, Any, Any] = ((), (), (), ()),
-        down_parties: frozenset[int] | None = None,
     ) -> None:
         """Observe stage: the round's one record, traced and monitored.
 
         ``traffic`` is ``(honest messages, honest bits, byzantine
-        messages)``; ``boundary`` the new and clipped corruptions, then
-        the new and clipped crashes, and ``down_parties`` who was down
-        before those crashes (default: who is down now).  A round
-        stopped at the lockstep check has none of them.
+        messages)``.  The record's party sets are read off the events
+        the round appended, after index ``mark`` (``_RECORD_SETS``);
+        ``down_parties`` is who is down now, less the crashes granted
+        at the round's end.
         """
+        sets: dict[str, list[int]] = {}
+        if len(self.events) != mark:
+            for kind, at, party, _ in self.events[mark:]:
+                name = _RECORD_SETS.get((kind, at - round_index))
+                if name is not None:
+                    sets.setdefault(name, []).append(party)
         record = RoundRecord(
             round_index,
             channel,
@@ -554,14 +545,10 @@ class SynchronousNetwork:
                 p for p, s in self._states.items() if s.finished
             ),
             honest_channels=tuple(sorted(honest_channels)),
-            new_corruptions=frozenset(boundary[0]),
-            clipped_corruptions=frozenset(boundary[1]),
-            down_parties=(
-                frozenset(self.down) if down_parties is None else down_parties
+            down_parties=frozenset(self.down).difference(
+                sets.get("new_crashes", ())
             ),
-            restarted_parties=restarted,
-            new_crashes=frozenset(boundary[2]),
-            clipped_crashes=frozenset(boundary[3]),
+            **{name: frozenset(parties) for name, parties in sets.items()},
         )
         if self.trace is not None:
             self.trace.append(record)
@@ -605,12 +592,13 @@ class SynchronousNetwork:
         stats = self.stats
         recovery = self._recovery
         transport = self.transport
+        events = self.events
+        mark = len(events)
 
         # Crash plane: restarts due now, then declarative crashes whose
         # down round is now (both before any generator resumes).
-        restarted: frozenset[int] = frozenset()
         if recovery is not None:
-            restarted = self._process_restarts(round_index)
+            self._process_restarts(round_index)
             declared = self._declared_crashes.pop(round_index, None)
             if declared:
                 self._accept_crashes(declared, round_index)
@@ -644,7 +632,7 @@ class SynchronousNetwork:
         observed = self.trace is not None or bool(self.monitors)
         if len(honest_channels) > 1:
             if observed:
-                self._observe(round_index, honest_channels, restarted)
+                self._observe(round_index, honest_channels, mark)
             raise self._failure(
                 f"honest parties out of lockstep in round {round_index}: "
                 f"{sorted(honest_channels)}"
@@ -797,10 +785,11 @@ class SynchronousNetwork:
                         if reason is not None:
                             counters.bump("guard_quarantined")
                             stats.record_quarantine(bits)
-                            if len(self.quarantine_log) < _QUARANTINE_LOG_CAP:
-                                self.quarantine_log.append(
-                                    (round_index, src, dst, reason)
-                                )
+                            if stats.quarantined_messages <= _QUARANTINE_CAP:
+                                events.append(Event(
+                                    "quarantine", round_index, src,
+                                    (dst, reason),
+                                ))
                             continue
                     inboxes[dst][src] = payload
                     byz_count += 1
@@ -836,30 +825,29 @@ class SynchronousNetwork:
         counters.bump("net_messages", round_messages + byz_count)
 
         running = bool(honest_channels)
-        accepted = clipped = crashed = crash_clipped = ()
-        down_before = None
+        accepted = ()
         if consult:
             # Adaptive corruptions (effective next round).  An
             # over-budget ``adapt()`` is clipped deterministically, and
             # the clipped parties recorded and warned about.  Down
             # parties share the ``t`` budget and cannot be corrupted.
-            requested = {
+            requested = sorted({
                 party
                 for party in self.adversary.adapt(view)
                 if 0 <= party < n
                 and party not in corrupted
                 and party not in down
-            }
+            })
             allowed = max(0, self.t - len(corrupted) - len(down))
-            accepted = set(sorted(requested)[:allowed])
-            clipped = requested - accepted
+            accepted, clipped = requested[:allowed], requested[allowed:]
+            for party in accepted:
+                events.append(Event("corrupt", round_index, party))
+            for party in clipped:
+                events.append(Event("corrupt_clipped", round_index, party))
             if clipped:
-                self.clipped_corruptions.extend(
-                    (round_index, party) for party in sorted(clipped)
-                )
                 warnings.warn(
                     f"adaptive corruption budget exhausted in round "
-                    f"{round_index}: clipped parties {sorted(clipped)} "
+                    f"{round_index}: clipped parties {clipped} "
                     f"(t={self.t}, already corrupted "
                     f"{len(corrupted)}) -- the adversary configuration "
                     "is over-powered and was silently weakened",
@@ -869,18 +857,16 @@ class SynchronousNetwork:
             # Adversarial crashes (effective next round), clipped
             # against the combined corruption + down budget.
             if self._crash_plane:
-                down_before = frozenset(down)
                 requests = self.adversary.crash_restarts(view)
-                crashed, crash_clipped = self._accept_crashes(
+                self._accept_crashes(
                     {p: up for p, up in requests.items() if p not in accepted},
                     round_index + 1,
                     pending_corruptions=len(accepted),
                 )
         if observed:
             self._observe(
-                round_index, honest_channels, restarted, channel,
+                round_index, honest_channels, mark, channel,
                 (round_messages, round_bits, byz_count),
-                (accepted, clipped, crashed, crash_clipped), down_before,
             )
         if accepted:
             corrupted.update(accepted)

@@ -203,7 +203,6 @@ class RecoveryManager:
             for party in range(n)
         }
         self.parked: dict[int, list[_Parked]] = {}
-        self.recoveries = 0
 
     # -- logging (live parties) ----------------------------------------
     def log_round(
@@ -261,7 +260,6 @@ class RecoveryManager:
                 if entry.redelivery_messages:
                     stats.retrans_bits += entry.redelivery_bits
                     stats.retrans_messages += entry.redelivery_messages
-        self.recoveries += 1
 
         ctx = Context(
             party_id=party, n=self.n, t=self.t, kappa=self.kappa,

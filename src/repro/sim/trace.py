@@ -16,8 +16,21 @@ simulated round.  Traces power
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any, NamedTuple
 
-__all__ = ["RoundRecord", "summarize_trace"]
+__all__ = ["Event", "RoundRecord", "summarize_trace"]
+
+
+class Event(NamedTuple):
+    """One entry of ``ExecutionResult.events``, traced or not: a change
+    to the shared ``t`` budget or a quarantined message (the kinds, and
+    what ``round``, ``party`` and ``detail`` mean for each, are tabled
+    in ``docs/fault-model.md``)."""
+
+    kind: str
+    round: int
+    party: int
+    detail: Any = None
 
 
 @dataclass(frozen=True, slots=True)

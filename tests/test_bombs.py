@@ -100,7 +100,7 @@ class TestByteIdentity:
         assert on.stats.summary_dict() == off.stats.summary_dict()
         assert on.stats.quarantined_messages == 0
         assert on.stats.rejected_bits == 0
-        assert on.quarantine_log == []
+        assert on.events == []
 
     def test_bare_run_never_consults_the_guard(self):
         registry = standard_registry()
@@ -209,10 +209,11 @@ class TestFirehoseCanary:
         # overhead fields, never on the honest BITS_l measure.
         assert result.stats.quarantined_messages > 0
         assert result.stats.rejected_bits > result.stats.honest_bits
-        assert result.quarantine_log
-        assert {reason for _, _, _, reason in result.quarantine_log} <= {
-            "type", "depth", "oversize", "ceiling"
+        verdicts = {
+            e.detail[1] for e in result.events if e.kind == "quarantine"
         }
+        assert verdicts
+        assert verdicts <= {"type", "depth", "oversize", "ceiling"}
 
 
 class _StringFirehose(Adversary):
@@ -268,12 +269,16 @@ class TestStringBombCanary:
             (n - 1) * bombed.stats.rounds
         )
         assert bombed.stats.rejected_bits == 0
-        assert {(src, reason) for _, src, _, reason in bombed.quarantine_log} == {
+        quarantined = bombed.events
+        assert {e.kind for e in quarantined} == {"quarantine"}
+        assert {(e.party, e.detail[1]) for e in quarantined} == {
             (n - 1, "type")
         }
-        assert {dst for _, _, dst, _ in bombed.quarantine_log} == set(
-            range(n - 1)
-        )
+        assert {e.detail[0] for e in quarantined} == set(range(n - 1))
+        # only the first offenders are kept as events; the stats count
+        # every one.
+        assert len(quarantined) == 256
+        assert bombed.stats.quarantined_messages == 972
 
 
 # -- the no-crash meta-invariant --------------------------------------------

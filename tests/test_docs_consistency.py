@@ -206,23 +206,34 @@ class TestReadme:
 
 class TestNetworkSymbols:
     def test_quoted_network_attributes_exist(self):
-        """A deleted ``SynchronousNetwork`` method cannot stay documented:
-        every backticked ``SynchronousNetwork.<name>``, ``_finish_round*``
-        or ``_run_round`` in README, DESIGN and ``docs/*.md`` resolves."""
+        """A deleted ``SynchronousNetwork`` method or ``ExecutionResult``
+        field cannot stay documented: every backticked
+        ``SynchronousNetwork.<name>``, ``ExecutionResult.<name>``,
+        ``_finish_round*`` or ``_run_round`` in README, DESIGN and
+        ``docs/*.md`` resolves, and the per-plane logs that ``events``
+        replaced are named nowhere."""
         from repro.sim.network import SynchronousNetwork
 
         network = SynchronousNetwork(lambda ctx, v: iter(()), [0], n=1, t=0)
+        owners = {
+            "SynchronousNetwork": network, "ExecutionResult": network.run()
+        }
         pattern = re.compile(
-            r"`(?:SynchronousNetwork\.(\w+)|(_finish_round\w*|_run_round))\b"
+            r"`(?:(SynchronousNetwork|ExecutionResult)\.(\w+)"
+            r"|(_finish_round\w*|_run_round))\b"
         )
         quoted = {
-            (doc.name, qualified or bare)
+            (doc.name, owner or "SynchronousNetwork", name or bare)
             for doc in DOCS
-            for qualified, bare in pattern.findall(doc.read_text())
+            for owner, name, bare in pattern.findall(doc.read_text())
         }
-        assert ("performance.md", "_run_round") in quoted
-        for doc, name in sorted(quoted):
-            assert hasattr(network, name), f"{doc} quotes {name}"
+        assert ("performance.md", "SynchronousNetwork", "_run_round") in quoted
+        assert ("fault-model.md", "ExecutionResult", "events") in quoted
+        for doc, owner, name in sorted(quoted):
+            assert hasattr(owners[owner], name), f"{doc} quotes {owner}.{name}"
+        assert_undocumented(
+            r"crash_log|quarantine_log|clipped_crashes|\.recoveries"
+        )
 
 
 class TestCampaignSymbols:

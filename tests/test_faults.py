@@ -13,6 +13,7 @@ from repro.sim import (
     ComposedAdversary,
     CrashAdversary,
     EquivocatingAdversary,
+    Event,
     FaultInjector,
     FaultSpec,
     PassiveAdversary,
@@ -228,8 +229,7 @@ class TestRecordReplay:
         )
 
         assert replayed.outputs == original.outputs
-        assert replayed.crash_log == original.crash_log
-        assert replayed.recoveries == original.recoveries
+        assert replayed.events == original.events
         assert replayed.stats.honest_bits == original.stats.honest_bits
         assert replayed.stats.retrans_bits == original.stats.retrans_bits
         assert replayed.trace == original.trace
@@ -273,7 +273,7 @@ class TestDeterminism:
         assert a.stats.honest_messages == b.stats.honest_messages
         assert a.stats.rounds == b.stats.rounds
         assert dict(a.stats.bits_by_channel) == dict(b.stats.bits_by_channel)
-        assert a.clipped_corruptions == b.clipped_corruptions
+        assert a.events == b.events
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +301,11 @@ class TestClippedCorruptions:
             )
         # budget t=1: exactly one request accepted, the rest recorded.
         assert result.corrupted == {1}
-        assert result.clipped_corruptions == [(0, 2), (0, 3)]
+        assert result.events == [
+            Event("corrupt", 0, 1),
+            Event("corrupt_clipped", 0, 2),
+            Event("corrupt_clipped", 0, 3),
+        ]
         record = result.trace[0]
         assert record.new_corruptions == {1}
         assert record.clipped_corruptions == {2, 3}
@@ -313,4 +317,4 @@ class TestClippedCorruptions:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             result = run_pi_z([1, 2, 3, 4], 4, 1, adversary, trace=True)
-        assert result.clipped_corruptions == []
+        assert not any(e.kind == "corrupt_clipped" for e in result.events)

@@ -556,6 +556,9 @@ def campaign_digest(seeds: int, cases: int, **planes) -> str:
                     observed = (type(error).__name__, str(error))
                 else:
                     stats = result.stats
+                    events = result.events
+                    # ``events`` projected onto the per-plane logs it
+                    # replaced, so the pinned bytes did not move.
                     observed = (
                         result.outputs,
                         stats.summary_dict(),
@@ -566,9 +569,12 @@ def campaign_digest(seeds: int, cases: int, **planes) -> str:
                         list(stats.bits_by_party.items()),
                         result.channel_trace,
                         repr(result.trace),
-                        result.crash_log,
-                        result.quarantine_log,
-                        result.recoveries,
+                        [e[:3] for e in events if e.kind in ("down", "up")],
+                        [
+                            (e.round, e.party, *e.detail)
+                            for e in events if e.kind == "quarantine"
+                        ],
+                        sum(e.kind == "up" for e in events),
                         result.fallback and result.fallback.to_dict(),
                     )
             block = {name: captured.get(name) for name in NETWORK_COUNTERS}

@@ -42,7 +42,7 @@ from repro import convex_agreement
 from repro.analysis.experiments import make_inputs
 from repro.core.fixed_length import fixed_length_ca
 from repro.perf import config, counters
-from repro.sim import ACK_BITS, CommunicationStats, LossyTransport
+from repro.sim import ACK_BITS, CommunicationStats, Event, LossyTransport
 from repro.sim.adversary import PassiveAdversary
 from repro.sim.invariants import default_monitors
 from repro.sim.party import Outgoing, broadcast_round, exchange
@@ -119,8 +119,7 @@ def observe(protocol, n, t, **kwargs):
             name: count for name, count in ops.items()
             if name.startswith(("net_", "sched_"))
         },
-        "recoveries": result.recoveries,
-        "crash_log": result.crash_log,
+        "events": result.events,
     }
 
 
@@ -323,8 +322,7 @@ def test_crash_restart_replays_marked_bundles(backend):
                                    adversary=OneCorrupted(),
                                    crashes=[(1, 2, 4)])
     assert crashed == crashed_unmarked
-    assert crashed["recoveries"] == 1
-    assert crashed["crash_log"] == [("down", 2, 1), ("up", 4, 1)]
+    assert crashed["events"] == [Event("down", 2, 1), Event("up", 4, 1)]
     # The replayed party rejoined and finished all six rounds; while it
     # was down the others heard nothing from it.
     assert len(crashed["outputs"][1]) == 6

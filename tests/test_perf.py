@@ -80,8 +80,7 @@ def _comparable(result):
         result.channel_trace,
         result.trace,
         dataclasses.replace(result.stats, wall_s=0.0),
-        result.recoveries,
-        result.crash_log,
+        result.events,
     )
 
 

@@ -21,6 +21,7 @@ from repro.sim import (
     CrashEvent,
     CrashRestartAdversary,
     EquivocatingAdversary,
+    Event,
     LossyTransport,
     PassiveAdversary,
     RecoveryConfig,
@@ -41,6 +42,11 @@ def run_flca(inputs, n, t, ell=8, **kwargs):
         lambda ctx, v: fixed_length_ca(ctx, v, ell), inputs, n=n, t=t,
         kappa=KAPPA, **kwargs,
     )
+
+
+def restarts(events) -> int:
+    """WAL replays: one ``up`` event each."""
+    return sum(event.kind == "up" for event in events)
 
 
 class HonestObserver(PassiveAdversary):
@@ -118,9 +124,7 @@ class TestDeclarativeCrashes:
         result = run_flca(inputs, 7, 2, crashes=[(2, 3, 6)],
                           adversary=HonestObserver())
         result.assert_convex_valid(inputs)
-        assert ("down", 3, 2) in result.crash_log
-        assert ("up", 6, 2) in result.crash_log
-        assert result.recoveries == 1
+        assert result.events == [Event("down", 3, 2), Event("up", 6, 2)]
         assert result.stats.retrans_bits > 0  # parked re-deliveries
 
     def test_double_crash_same_party(self):
@@ -128,14 +132,14 @@ class TestDeclarativeCrashes:
         result = run_flca(inputs, 7, 2, crashes=[(2, 2, 5), (2, 8, 11)],
                           adversary=HonestObserver())
         result.assert_convex_valid(inputs)
-        assert result.recoveries == 2
+        assert restarts(result.events) == 2
 
     def test_crash_from_round_zero(self):
         inputs = [3, 5, 7, 11, 13, 17, 19]
         result = run_flca(inputs, 7, 2, crashes=[CrashEvent(1, 0, 4)],
                           adversary=HonestObserver())
         result.assert_convex_valid(inputs)
-        assert result.recoveries == 1
+        assert restarts(result.events) == 1
 
     def test_over_budget_crashes_are_clipped_with_warning(self):
         inputs = [3, 5, 7, 11, 13, 17, 19]
@@ -147,10 +151,10 @@ class TestDeclarativeCrashes:
                 inputs, 7, 2, crashes=[(0, 2, 5), (1, 2, 5), (2, 2, 5)],
             )
         result.assert_convex_valid(inputs)
-        assert result.clipped_crashes
+        assert any(e.kind == "crash_clipped" for e in result.events)
         assert any("clip" in str(w.message).lower() for w in caught)
         # Down + corrupted never exceeded t in any executed round.
-        assert result.recoveries <= 2
+        assert restarts(result.events) <= 2
 
     def test_crash_schedule_is_deterministic(self):
         inputs = [3, 5, 7, 11, 13, 17, 19]
@@ -159,7 +163,7 @@ class TestDeclarativeCrashes:
         b = run_flca(inputs, 7, 2, crashes=[(2, 3, 7)], trace=True,
                      adversary=HonestObserver())
         assert a.outputs == b.outputs
-        assert a.crash_log == b.crash_log
+        assert a.events == b.events
         assert a.trace == b.trace
 
     def test_recovery_config_tunes_checkpoints(self):
@@ -184,7 +188,7 @@ class TestCrashRestartAdversary:
         result = run_flca(inputs, 7, 2, adversary=adversary)
         assert result.corrupted == frozenset()
         result.assert_convex_valid(inputs)
-        assert ("down", 3, 2) in result.crash_log
+        assert Event("down", 3, 2) in result.events
 
     def test_composes_with_byzantine_inner(self):
         inputs = [3, 5, 7, 11, 13, 17, 19]
@@ -200,7 +204,7 @@ class TestCrashRestartAdversary:
         result = run_flca(inputs, 7, 2, adversary=adversary)
         result.assert_convex_valid(inputs)
         assert result.corrupted == frozenset({6})
-        assert ("down", 3, 2) in result.crash_log
+        assert Event("down", 3, 2) in result.events
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +238,7 @@ class TestReplayVerification:
             high_cost_ca, inputs, n=4, t=1,
             adversary=CrashRestartAdversary([(2, 1, 3)]),
         )
-        assert result.recoveries == 1
-        assert result.crash_log == [("down", 1, 2), ("up", 3, 2)]
+        assert result.events == [Event("down", 1, 2), Event("up", 3, 2)]
         assert len(result.outputs) == 4
         result.assert_convex_valid(inputs)
 
@@ -278,8 +281,7 @@ def crash_lossy_canary(seed: int) -> dict:
         "retrans_bits": result.stats.retrans_bits,
         "ack_bits": result.stats.ack_bits,
         "transport_slots": result.stats.transport_slots,
-        "crash_log": result.crash_log,
-        "recoveries": result.recoveries,
+        "events": result.events,
         "rounds": result.stats.rounds,
         "trace_digest": hashlib.sha256(
             "\n".join(str(sorted(r.to_dict().items())) for r in result.trace)
@@ -291,9 +293,9 @@ def crash_lossy_canary(seed: int) -> dict:
 class TestCanary:
     def test_crashes_on_lossy_links_keep_guarantees(self):
         outcome = crash_lossy_canary(seed=0)
-        assert outcome["recoveries"] == 2
-        assert ("down", 3, 1) in outcome["crash_log"]
-        assert ("down", 5, 2) in outcome["crash_log"]
+        assert restarts(outcome["events"]) == 2
+        assert Event("down", 3, 1) in outcome["events"]
+        assert Event("down", 5, 2) in outcome["events"]
         assert outcome["retrans_bits"] > 0
 
     def test_byte_identical_across_worker_counts(self):

@@ -19,6 +19,7 @@ from repro.sim import (
     Adversary,
     Context,
     CrashAdversary,
+    Event,
     Outgoing,
     PassiveAdversary,
     ScriptedAdversary,
@@ -281,7 +282,7 @@ class TestScheduler:
                 steps += 1
             result = network.finish()
         assert sorted(result.outputs) == [0, 1, 2, 3]
-        assert result.crash_log == [("down", 2, 0), ("up", 4, 0)]
+        assert result.events == [Event("down", 2, 0), Event("up", 4, 0)]
         assert result.stats.rounds == 6
         assert steps == 9
         # Only generators actually touched are counted: all four in
@@ -316,7 +317,7 @@ def _everything(network, drive):
         "stats": dataclasses.replace(result.stats, wall_s=0.0),
         "channel_trace": result.channel_trace,
         "trace": result.trace,
-        "crash_log": result.crash_log,
+        "events": result.events,
         "counters": ops,
     }
 
@@ -361,7 +362,7 @@ class TestSteppingAPI:
         assert stepped == ran
         assert ran["counters"]["sched_resumes"] > 0
         if plane == "crash-plane":
-            assert ran["crash_log"] == [("down", 2, 0), ("up", 4, 0)]
+            assert ran["events"] == [Event("down", 2, 0), Event("up", 4, 0)]
 
     def test_step_past_the_round_budget_raises_like_run(self):
         def forever(ctx, v):
