@@ -25,7 +25,7 @@ from repro.asynchrony import (
     TargetedDelayScheduler,
 )
 
-from conftest import record
+from conftest import measurement, record
 
 N, T = 6, 1
 BOUND = 1 << 16
@@ -56,15 +56,12 @@ def run_async_aa(eps_exponent: int, scheduler_name: str) -> Measurement:
     hi = max(inputs[p] for p in honest)
     assert all(lo <= out <= hi for out in outputs)
     assert max(outputs) - min(outputs) <= epsilon
-    return Measurement(
+    return measurement(
+        result,
         protocol=f"async_aa[{scheduler_name}]",
         n=N,
         t=T,
         ell=BOUND.bit_length(),
-        kappa=128,
-        bits=result.stats.honest_bits,
-        rounds=result.deliveries,
-        messages=result.stats.honest_messages,
         output=float(max(outputs) - min(outputs)),
     )
 

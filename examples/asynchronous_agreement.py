@@ -49,7 +49,7 @@ def run(scheduler) -> None:
     assert all(lo <= out <= hi for out in outputs)
     assert spread <= EPSILON
     print(
-        f"{scheduler.describe():<38} deliveries={result.deliveries:>6,} "
+        f"{scheduler.describe():<38} deliveries={result.stats.rounds:>6,} "
         f"bits={result.stats.honest_bits:>8,} spread={str(spread):>8}"
     )
 

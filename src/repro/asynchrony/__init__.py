@@ -11,10 +11,8 @@ classic circumvention (Section 1.1).
 from .aa import AsyncApproximateAgreement
 from .network import (
     AsyncAdversary,
-    AsyncContext,
     AsyncNetwork,
     AsyncParty,
-    AsyncResult,
     FifoScheduler,
     RandomScheduler,
     Scheduler,
@@ -26,10 +24,8 @@ from .rbc import BrachaRBC, parse_rbc, rbc_message
 __all__ = [
     "AsyncAdversary",
     "AsyncApproximateAgreement",
-    "AsyncContext",
     "AsyncNetwork",
     "AsyncParty",
-    "AsyncResult",
     "BrachaRBC",
     "FifoScheduler",
     "RandomScheduler",

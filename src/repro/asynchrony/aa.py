@@ -42,7 +42,8 @@ from typing import Any, Union
 
 from ..errors import ConfigurationError
 from ..aa.sync_aa import iterations_for, trimmed_midpoint
-from .network import AsyncContext, AsyncParty
+from ..sim.party import Context
+from .network import AsyncParty
 from .rbc import BrachaRBC, parse_rbc
 
 __all__ = ["AsyncApproximateAgreement"]
@@ -84,7 +85,7 @@ class AsyncApproximateAgreement(AsyncParty):
 
     def __init__(
         self,
-        ctx: AsyncContext,
+        ctx: Context,
         v_in: Number,
         epsilon: Number,
         value_bound: int,
@@ -164,7 +165,7 @@ class AsyncApproximateAgreement(AsyncParty):
         """Advance through every iteration whose quorum is already in."""
         while not self.decided:
             bucket = self._collected.get(self.iteration, {})
-            if len(bucket) < self.ctx.n - self.ctx.t:
+            if len(bucket) < self.ctx.quorum:
                 return
             # Use everything delivered so far (>= n - t values, <= t of
             # them byzantine); trimming t per side keeps the survivors

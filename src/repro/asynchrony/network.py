@@ -36,13 +36,13 @@ from typing import Any, Callable
 
 from ..errors import ConfigurationError, SimulationError
 from ..sim.metrics import CommunicationStats
+from ..sim.network import ExecutionResult
+from ..sim.party import Context
 from ..sim.sizing import bit_size
 
 __all__ = [
-    "AsyncContext",
     "AsyncParty",
     "AsyncNetwork",
-    "AsyncResult",
     "Scheduler",
     "FifoScheduler",
     "RandomScheduler",
@@ -66,37 +66,6 @@ def default_delivery_budget(n: int, t: int) -> int:
     return max(500_000, 2_000 * n * n * (t + 2))
 
 
-@dataclass(frozen=True)
-class AsyncContext:
-    """Per-party parameters (the async twin of ``sim.party.Context``)."""
-
-    party_id: int
-    n: int
-    t: int
-    kappa: int = 128
-
-    def __post_init__(self) -> None:
-        if self.n <= 0 or not 0 <= self.t < self.n:
-            raise ConfigurationError(
-                f"need n > 0 and 0 <= t < n, got n={self.n}, t={self.t}"
-            )
-        if not 0 <= self.party_id < self.n:
-            raise ConfigurationError("party_id out of range")
-
-    @property
-    def all_parties(self) -> range:
-        """All party ids, ``0..n-1``."""
-        return range(self.n)
-
-    def require_resilience(self, denominator: int) -> None:
-        """Assert this protocol's ``t < n/denominator`` bound."""
-        if denominator * self.t >= self.n:
-            raise ConfigurationError(
-                f"protocol requires t < n/{denominator}, "
-                f"got n={self.n}, t={self.t}"
-            )
-
-
 class AsyncParty:
     """Base class for honest asynchronous protocol logic.
 
@@ -107,7 +76,7 @@ class AsyncParty:
     peers after deciding).
     """
 
-    def __init__(self, ctx: AsyncContext) -> None:
+    def __init__(self, ctx: Context) -> None:
         self.ctx = ctx
         self.api: "_PartyAPI" = None  # injected by the network
 
@@ -119,16 +88,24 @@ class AsyncParty:
         raise NotImplementedError
 
 
-@dataclass
+@dataclass(eq=False, slots=True)
 class _Pending:
-    seq: int
+    """One queued message.  Equality is identity: the pool may hold
+    equal messages, and removing the chosen one compares no payloads."""
+
     src: int
     dst: int
     payload: Any
 
 
 class Scheduler:
-    """Delivery policy: picks which pending message is delivered next."""
+    """Delivery policy: picks which pending message is delivered next.
+
+    ``pending`` is the network's pool itself: every undelivered message
+    to an honest party, in send order (index 0 was sent first).  It is
+    never empty; ``choose`` returns one of its elements and must not
+    modify it.
+    """
 
     def choose(self, pending: list[_Pending]) -> _Pending:
         raise NotImplementedError
@@ -141,7 +118,7 @@ class FifoScheduler(Scheduler):
     """Deliver in send order (the friendliest schedule)."""
 
     def choose(self, pending: list[_Pending]) -> _Pending:
-        return min(pending, key=lambda m: m.seq)
+        return pending[0]
 
 
 class RandomScheduler(Scheduler):
@@ -152,9 +129,6 @@ class RandomScheduler(Scheduler):
 
     def choose(self, pending: list[_Pending]) -> _Pending:
         return self.rng.choice(pending)
-
-    def describe(self) -> str:
-        return "RandomScheduler"
 
 
 class TargetedDelayScheduler(Scheduler):
@@ -232,23 +206,6 @@ class GarbageAsyncAdversary(AsyncAdversary):
         return out
 
 
-@dataclass
-class AsyncResult:
-    """Outcome of an asynchronous execution."""
-
-    n: int
-    t: int
-    outputs: dict[int, Any]
-    corrupted: frozenset[int]
-    stats: CommunicationStats
-    deliveries: int
-
-    @property
-    def honest_parties(self) -> list[int]:
-        """Ids of the parties that stayed honest."""
-        return [p for p in range(self.n) if p not in self.corrupted]
-
-
 class _PartyAPI:
     """Capability object handed to each honest party."""
 
@@ -271,36 +228,37 @@ class _PartyAPI:
 
 
 class AsyncNetwork:
-    """Drives one asynchronous execution to quiescence."""
+    """Drives one asynchronous execution to quiescence.
+
+    ``run()`` returns an :class:`~repro.sim.network.ExecutionResult`
+    whose ``stats.rounds`` counts deliveries (one per scheduler step);
+    its ``channel_trace`` and ``events`` stay empty.
+    """
 
     def __init__(
         self,
-        party_factory: Callable[[AsyncContext], AsyncParty],
+        party_factory: Callable[[Context], AsyncParty],
         n: int,
         t: int,
         kappa: int = 128,
         scheduler: Scheduler | None = None,
         adversary: AsyncAdversary | None = None,
-        max_deliveries: int | None = None,
     ) -> None:
         self.n = n
         self.t = t
         self.kappa = kappa
         self.scheduler = scheduler or FifoScheduler()
         self.adversary = adversary or AsyncAdversary()
-        self.max_deliveries = (
-            default_delivery_budget(n, t)
-            if max_deliveries is None
-            else max_deliveries
-        )
 
         self.corrupted = set(self.adversary.select_corruptions(n, t))
         if len(self.corrupted) > t:
             raise ConfigurationError("adversary over-corrupted")
+        if any(not 0 <= p < n for p in self.corrupted):
+            raise ConfigurationError("corruption set out of range")
 
         self.stats = CommunicationStats()
+        #: deliverable messages (honest destination), in send order.
         self._pending: list[_Pending] = []
-        self._seq = 0
         self._outputs: dict[int, Any] = {}
         self._observed: list[tuple[int, int, Any]] = []
         self._injection_budget = self.adversary.budget
@@ -309,7 +267,7 @@ class AsyncNetwork:
         for party in range(n):
             if party in self.corrupted:
                 continue
-            ctx = AsyncContext(party_id=party, n=n, t=t, kappa=kappa)
+            ctx = Context(party_id=party, n=n, t=t, kappa=kappa)
             instance = party_factory(ctx)
             instance.api = _PartyAPI(self, party)
             self._parties[party] = instance
@@ -320,25 +278,26 @@ class AsyncNetwork:
     ) -> None:
         if not 0 <= dst < self.n:
             return
-        self._pending.append(_Pending(self._seq, src, dst, payload))
-        self._seq += 1
         if honest:
             self.stats.record_send(src, "async", bit_size(payload))
             self._observed.append((src, dst, payload))
+        # a corrupted destination is priced and observed, never delivered.
+        if dst not in self.corrupted:
+            self._pending.append(_Pending(src, dst, payload))
 
     def _decide(self, party: int, output: Any) -> None:
         self._outputs.setdefault(party, output)
 
     # -- execution -------------------------------------------------------
-    def run(self) -> AsyncResult:
+    def run(self) -> ExecutionResult:
         """Execute until all honest parties decided and quiescent."""
         for party in self._parties.values():
             party.start()
 
-        deliveries = 0
+        budget = default_delivery_budget(self.n, self.t)
         step = 0
         while True:
-            if self._all_decided() and not self._pending_for_honest():
+            if self._all_decided() and not self._pending:
                 break
             # byzantine injection (budget-bounded).
             if self._injection_budget > 0:
@@ -351,8 +310,7 @@ class AsyncNetwork:
                         self._injection_budget -= 1
             step += 1
 
-            deliverable = self._pending_for_honest()
-            if not deliverable:
+            if not self._pending:
                 if self._all_decided():
                     break
                 undecided = sorted(
@@ -361,38 +319,31 @@ class AsyncNetwork:
                 raise SimulationError(
                     "asynchronous deadlock: honest parties "
                     f"{undecided} undecided but no pending messages "
-                    f"after {deliveries} deliveries",
+                    f"after {self.stats.rounds} deliveries",
                     stats=self.stats,
                     outputs=dict(self._outputs),
                 )
-            message = self.scheduler.choose(deliverable)
-            self._pending.remove(message)
-            deliveries += 1
-            if deliveries > self.max_deliveries:
+            if self.stats.rounds == budget:
                 raise SimulationError(
-                    f"delivery budget {self.max_deliveries:,} exceeded "
+                    f"delivery budget {budget:,} exceeded "
                     f"(n={self.n}, t={self.t}, "
                     f"scheduler={self.scheduler.describe()}): "
                     "likely non-termination",
                     stats=self.stats,
                     outputs=dict(self._outputs),
                 )
-            receiver = self._parties.get(message.dst)
-            if receiver is not None:
-                receiver.on_message(message.src, message.payload)
-            self.stats.record_round()  # one scheduler step
+            message = self.scheduler.choose(self._pending)
+            self._pending.remove(message)
+            self._parties[message.dst].on_message(message.src, message.payload)
+            self.stats.record_round()  # one delivery
 
-        return AsyncResult(
+        return ExecutionResult(
             n=self.n,
             t=self.t,
             outputs=dict(self._outputs),
             corrupted=frozenset(self.corrupted),
             stats=self.stats,
-            deliveries=deliveries,
         )
-
-    def _pending_for_honest(self) -> list[_Pending]:
-        return [m for m in self._pending if m.dst not in self.corrupted]
 
     def _all_decided(self) -> bool:
         return all(party in self._outputs for party in self._parties)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from .network import AsyncContext
+from ..sim.party import Context
 
 __all__ = ["BrachaRBC", "rbc_message"]
 
@@ -56,7 +56,7 @@ class BrachaRBC:
     """One reliable-broadcast instance.
 
     Args:
-        ctx: the party's async context (``t < n/3`` enforced).
+        ctx: the party's context (``t < n/3`` enforced).
         tag: unique instance identifier (conventionally includes the
             sender id, e.g. ``"aa/it3/s5"``).
         sender: the broadcasting party's id.
@@ -70,7 +70,7 @@ class BrachaRBC:
 
     def __init__(
         self,
-        ctx: AsyncContext,
+        ctx: Context,
         tag: str,
         sender: int,
         send: Callable[[int, Any], None],
@@ -121,10 +121,7 @@ class BrachaRBC:
         elif kind == _ECHO:
             supporters = self._echoes.setdefault(key, set())
             supporters.add(src)
-            if (
-                len(supporters) >= self.ctx.n - self.ctx.t
-                and not self._readied
-            ):
+            if len(supporters) >= self.ctx.quorum and not self._readied:
                 self._readied = True
                 self._send_all(_READY, value)
         elif kind == _READY:

@@ -30,10 +30,8 @@ Design constraints, all load-bearing:
 
 The guard is only consulted for byzantine-origin traffic (what the
 adversary's ``deliver`` returned in
-:class:`~repro.sim.network.SynchronousNetwork`, byzantine injections in
-:class:`~repro.asynchrony.network.AsyncNetwork`); a bare synchronous
-run -- no scripted adversary, transport or recovery plane -- never
-touches it.
+:class:`~repro.sim.network.SynchronousNetwork`); a bare run -- no
+scripted adversary, transport or recovery plane -- never touches it.
 """
 
 from __future__ import annotations

@@ -9,7 +9,6 @@ import pytest
 from repro.asynchrony import (
     AsyncAdversary,
     AsyncApproximateAgreement,
-    AsyncContext,
     AsyncNetwork,
     AsyncParty,
     BrachaRBC,
@@ -19,7 +18,8 @@ from repro.asynchrony import (
     rbc_message,
 )
 from repro.asynchrony.network import GarbageAsyncAdversary
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
+from repro.sim import Context
 
 
 # ---------------------------------------------------------------------------
@@ -75,8 +75,6 @@ class TestAsyncNetwork:
             def on_message(self, src, payload):
                 pass
 
-        from repro.errors import SimulationError
-
         with pytest.raises(SimulationError):
             AsyncNetwork(lambda ctx: Mute(ctx), n=4, t=1).run()
 
@@ -92,13 +90,31 @@ class TestAsyncNetwork:
         result = net.run()
         assert set(result.outputs) == {0, 1, 2}
 
-    def test_context_validation(self):
-        with pytest.raises(ConfigurationError):
-            AsyncContext(party_id=0, n=4, t=4)
-        ctx = AsyncContext(party_id=0, n=6, t=1)
-        ctx.require_resilience(5)
-        with pytest.raises(ConfigurationError):
-            AsyncContext(party_id=0, n=5, t=1).require_resilience(5)
+    def test_corruption_set_out_of_range(self):
+        class Phantom(AsyncAdversary):
+            def select_corruptions(self, n, t):
+                return {99}
+
+        with pytest.raises(ConfigurationError, match="out of range"):
+            AsyncNetwork(lambda ctx: EchoOnce(ctx, 1), n=4, t=1,
+                         adversary=Phantom())
+
+    def test_delivery_budget_exhausted(self, monkeypatch):
+        class PingPong(AsyncParty):
+            def start(self):
+                if self.ctx.party_id == 0:
+                    self.api.send(1, "ping")
+
+            def on_message(self, src, payload):
+                self.api.send(src, payload)
+
+        monkeypatch.setattr(
+            "repro.asynchrony.network.default_delivery_budget",
+            lambda n, t: 50,
+        )
+        with pytest.raises(SimulationError, match="delivery budget 50 ") as e:
+            AsyncNetwork(lambda ctx: PingPong(ctx), n=2, t=0).run()
+        assert e.value.stats.rounds == 50
 
 
 # ---------------------------------------------------------------------------
@@ -205,13 +221,13 @@ class TestBrachaRBC:
         assert all(v == 777 for v in result.outputs.values())
 
     def test_only_sender_may_broadcast(self):
-        ctx = AsyncContext(party_id=1, n=4, t=1)
+        ctx = Context(party_id=1, n=4, t=1)
         rbc = BrachaRBC(ctx, "x", 0, lambda d, p: None, lambda v: None)
         with pytest.raises(ValueError):
             rbc.broadcast("value")
 
     def test_requires_one_third(self):
-        ctx = AsyncContext(party_id=0, n=3, t=1)
+        ctx = Context(party_id=0, n=3, t=1)
         with pytest.raises(ConfigurationError):
             BrachaRBC(ctx, "x", 0, lambda d, p: None, lambda v: None)
 
@@ -263,6 +279,9 @@ class TestAsyncAA:
         )
         result = net.run()
         check_async_aa(inputs, result, 2)
+        assert result.stats.rounds == 24_624
+        assert result.stats.honest_bits == 991_287
+        assert [result.outputs[p] for p in result.honest_parties] == [148] * 9
 
     def test_fine_epsilon(self):
         inputs = [0, 64, 128, 192, 256, 320]
@@ -319,12 +338,12 @@ class TestAsyncAA:
         check_async_aa(inputs, result, 1)
 
     def test_requires_one_fifth(self):
-        ctx = AsyncContext(party_id=0, n=5, t=1)
+        ctx = Context(party_id=0, n=5, t=1)
         with pytest.raises(ConfigurationError):
             AsyncApproximateAgreement(ctx, 0, 1, BOUND)
 
     def test_input_bound_enforced(self):
-        ctx = AsyncContext(party_id=0, n=6, t=1)
+        ctx = Context(party_id=0, n=6, t=1)
         with pytest.raises(ConfigurationError):
             AsyncApproximateAgreement(ctx, BOUND + 1, 1, BOUND)
 

@@ -210,8 +210,9 @@ class TestNetworkSymbols:
         field cannot stay documented: every backticked
         ``SynchronousNetwork.<name>``, ``ExecutionResult.<name>``,
         ``_finish_round*`` or ``_run_round`` in README, DESIGN and
-        ``docs/*.md`` resolves, and the per-plane logs that ``events``
-        replaced are named nowhere."""
+        ``docs/*.md`` resolves; the per-plane logs that ``events``
+        replaced, and the asynchronous twins of ``Context`` and
+        ``ExecutionResult`` with their delivery knob, are named nowhere."""
         from repro.sim.network import SynchronousNetwork
 
         network = SynchronousNetwork(lambda ctx, v: iter(()), [0], n=1, t=0)
@@ -233,6 +234,7 @@ class TestNetworkSymbols:
             assert hasattr(owners[owner], name), f"{doc} quotes {owner}.{name}"
         assert_undocumented(
             r"crash_log|quarantine_log|clipped_crashes|\.recoveries"
+            r"|AsyncContext|AsyncResult|max_deliveries"
         )
 
 
