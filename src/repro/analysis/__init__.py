@@ -31,7 +31,6 @@ from .predictions import (
     pi_z_bits_model,
 )
 from .charts import ascii_chart, series_chart
-from .outliers import save_search_document, search_document
 from .report import generate_report
 from .storage import load_measurements, save_measurements
 from .tables import format_measurements, format_table
@@ -63,9 +62,7 @@ __all__ = [
     "grid_record",
     "run_grid",
     "save_measurements",
-    "save_search_document",
     "save_sweep_document",
-    "search_document",
     "series_chart",
     "sweep_document",
     "sweep_ell",

@@ -210,72 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "counter block against the one recorded in "
                              "the artifact; exit 1 on any drift")
 
-    search = sub.add_parser(
-        "search",
-        help="coverage-guided adversary search with a resumable manifest",
-    )
-    search.add_argument("--runs", type=int, default=200,
-                        help="total campaign executions (including any "
-                             "already journaled when resuming)")
-    search.add_argument("--seed", type=int, default=0,
-                        help="campaign seed (content-determining)")
-    search.add_argument("--manifest", default=None,
-                        help="campaign journal path (JSON lines); "
-                             "required for --resume")
-    search.add_argument("--resume", action="store_true",
-                        help="continue an interrupted campaign from its "
-                             "manifest (byte-identical to an "
-                             "uninterrupted run)")
-    search.add_argument("--random", action="store_true",
-                        help="uniform-random baseline instead of the "
-                             "guided engine (same cells, same evaluator)")
-    search.add_argument("--batch", type=int, default=8,
-                        help="planning batch size (campaign identity: a "
-                             "resume must use the same value)")
-    search.add_argument("--protocols", type=_str_list, default=None,
-                        help="restrict the cell grid to these protocols")
-    search.add_argument("--no-crash-plane", action="store_true",
-                        help="exclude the lossy-link/crash axes from "
-                             "sampling and mutation")
-    search.add_argument("--partition", action="store_true",
-                        help="include the partial-synchrony axes (GST, "
-                             "partitions, churn)")
-    search.add_argument("--bombs", action="store_true",
-                        help="include the payload-bomb adversaries in "
-                             "sampling and mutation (honest wire guards "
-                             "armed on bomb cases)")
-    search.add_argument("--corpus-size", type=int, default=64,
-                        help="novelty corpus capacity")
-    search.add_argument("--seed-corpus", default=None,
-                        help="directory of fuzz/ddmin repro artifacts to "
-                             "pre-seed the mutation corpus from")
-    search.add_argument("--artifact-dir", default=None,
-                        help="archive violating cases as repro artifacts "
-                             "here")
-    search.add_argument("--shrink-artifacts", action="store_true",
-                        help="ddmin-shrink violating cases before "
-                             "archiving (slow)")
-    search.add_argument("--workers", default="1",
-                        help="worker processes (or 'auto'); one executor "
-                             "at any count, and campaign content is "
-                             "byte-identical across counts when no engine "
-                             "incident -- timeout, lost worker -- fired")
-    search.add_argument("--case-timeout", type=float, default=None,
-                        help="per-case wall-clock budget in seconds, at "
-                             "any worker count; an over-budget case is "
-                             "retried once, then journaled as an "
-                             "ExecutionEngine incident (fitness 0, never "
-                             "a violation)")
-    search.add_argument("--stop-on-violation", action="store_true",
-                        help="end the campaign at the first batch with a "
-                             "genuine violation")
-    search.add_argument("--bench-out", default=None,
-                        help="write the BENCH_search.json outlier "
-                             "document to this path")
-    search.add_argument("--fail-on-violation", action="store_true",
-                        help="exit 1 if the campaign found any genuine "
-                             "violation")
-
     profile = sub.add_parser(
         "profile", help="hot-path battery + deterministic counter gate"
     )
@@ -558,60 +492,6 @@ def _cmd_replay(args) -> int:
     return 0
 
 
-def _cmd_search(args) -> int:
-    from .analysis.outliers import save_search_document
-    from .sim.search import (
-        SearchConfig,
-        run_search,
-        seed_corpus_from_artifacts,
-    )
-
-    seeds: list[dict] = []
-    if args.seed_corpus:
-        import glob
-
-        paths = sorted(glob.glob(os.path.join(args.seed_corpus, "*.json")))
-        try:
-            seeds = seed_corpus_from_artifacts(paths)
-        except ValueError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        print(f"seed corpus: {len(seeds)} case(s) from {args.seed_corpus}")
-    config = SearchConfig(
-        seed=args.seed,
-        guided=not args.random,
-        batch=args.batch,
-        protocols=args.protocols,
-        crash=not args.no_crash_plane,
-        partition=args.partition,
-        bombs=args.bombs,
-        corpus_size=args.corpus_size,
-        seed_corpus=seeds,
-        workers=args.workers,
-        case_timeout_s=args.case_timeout,
-        artifact_dir=args.artifact_dir,
-        shrink_artifacts=args.shrink_artifacts,
-    )
-    try:
-        report = run_search(
-            config,
-            executions=args.runs,
-            manifest=args.manifest,
-            resume=args.resume,
-            stop_on_violation=args.stop_on_violation,
-        )
-    except (ValueError, FileExistsError, FileNotFoundError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    print(report.summary())
-    if args.bench_out:
-        save_search_document(args.bench_out, report)
-        print(f"outlier document: {args.bench_out}")
-    if args.fail_on_violation and report.violations:
-        return 1
-    return 0
-
-
 def _cmd_profile(args) -> int:
     from .perf import config as perf_config
     from .perf import profile as perf_profile
@@ -680,7 +560,6 @@ _COMMANDS = {
     "report": _cmd_report,
     "fuzz": _cmd_fuzz,
     "replay": _cmd_replay,
-    "search": _cmd_search,
     "profile": _cmd_profile,
 }
 

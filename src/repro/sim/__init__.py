@@ -16,11 +16,7 @@ healing partitions and link churn as a schedule the lossy transport is
 given (:mod:`repro.sim.partial_sync`), PBFT-style timeout escalation in
 the round synchronizer, and one supervised escalation ladder
 (:mod:`repro.sim.supervisor`): the primary, then the self-contained
-``HighCostCA`` over the same transport.  On top of the chaos plane
-sits the adversary-search engine (:mod:`repro.sim.search`): a
-coverage-guided bandit optimizer over the composed fault space, with
-crash-safe resumable campaign manifests (:mod:`repro.sim.manifest`).
-Hostile-payload hardening rounds the plane out: typed wire limits with
+``HighCostCA`` over the same transport.  Hostile-payload hardening rounds the plane out: typed wire limits with
 deterministic quarantine of ill-formed byzantine traffic
 (:mod:`repro.sim.wire`) and a payload-bomb adversary family that
 attacks them (:mod:`repro.sim.bombs`).
@@ -78,15 +74,7 @@ from .lossy import (
     TimeoutEscalation,
     TransportTimeout,
 )
-from .manifest import CampaignJournal, JournalCorrupt
 from .metrics import CommunicationStats
-from .search import (
-    SearchCell,
-    SearchConfig,
-    SearchEngine,
-    SearchReport,
-    run_search,
-)
 from .network import ExecutionResult, SynchronousNetwork, default_round_budget
 from .parallel import CaseOutcome, derive_seed, resolve_workers, run_many
 from .partial_sync import LinkSchedule
@@ -115,7 +103,6 @@ __all__ = [
     "AgreementMonitor",
     "BOMB_CATALOG",
     "BitBudgetMonitor",
-    "CampaignJournal",
     "CommunicationStats",
     "ComposedAdversary",
     "Context",
@@ -140,7 +127,6 @@ __all__ = [
     "FaultInjector",
     "FaultSpec",
     "InvariantMonitor",
-    "JournalCorrupt",
     "KingTargetingAdversary",
     "LockstepMonitor",
     "NearValidMutantAdversary",
@@ -157,10 +143,6 @@ __all__ = [
     "RoundView",
     "ScriptedAdversary",
     "SplitVoteAdversary",
-    "SearchCell",
-    "SearchConfig",
-    "SearchEngine",
-    "SearchReport",
     "RoundRecord",
     "SynchronousNetwork",
     "TimeoutEscalation",
@@ -184,7 +166,6 @@ __all__ = [
     "paper_round_budget",
     "run_parallel",
     "run_protocol",
-    "run_search",
     "run_with_escalation",
     "summarize_trace",
     "standard_adversary_suite",

@@ -24,14 +24,14 @@ the honest receive path:
 
 All four are deterministic in their seed, compose through
 :class:`~repro.sim.faults.ComposedAdversary` like every catalog
-adversary, and are sampled by ``repro fuzz --bombs`` / mutated by the
-search engine via :data:`BOMB_CATALOG`.  The catalog is deliberately
+adversary, and are sampled by ``repro fuzz --bombs`` via
+:data:`BOMB_CATALOG`.  The catalog is deliberately
 separate from ``fuzz.ADVERSARY_CATALOG``: sampling draws from the
 sorted catalog keys, so growing the base catalog would silently reseed
 every pinned campaign.  So would growing :data:`BOMB_CATALOG`: the
 string bomb (a ``str`` far past ``sizing.OPCODE_MAX_CHARS``) stays a
-direct canary in ``tests/test_bombs.py`` until ROADMAP item 9
-re-baselines the bombs goldens and perfbench's digest.
+direct canary in ``tests/test_bombs.py``, because adding it would
+re-seed every bombs campaign and perfbench's ``chaos_campaign`` cases.
 
 Campaign defaults keep payloads modest (tens of KiB, depth 64) so
 recorded scripts and JSON artifacts stay tractable (the recursive

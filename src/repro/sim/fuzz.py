@@ -27,9 +27,8 @@ Every step is deterministic in the top-level seed: the same seed yields
 the same campaign, the same failures, and the same shrunk artifacts.
 Case ``i`` is seeded with ``H(campaign_seed, i)``
 (:func:`repro.sim.parallel.derive_seed`), never with a position in a
-shared RNG stream, and every campaign -- :func:`fuzz` here, the search
-of :mod:`repro.sim.search` -- samples its cases in the parent and runs
-them through one executor, :func:`execute_cases`, which is
+shared RNG stream, and :func:`fuzz` samples its cases in the parent and
+runs them through one executor, :func:`execute_cases`, which is
 :func:`repro.sim.parallel.run_many` at every worker count.  Serial is
 that engine with one worker, so reports and repro artifacts are
 **byte-identical** across worker counts by construction; a timeout or a
@@ -95,7 +94,6 @@ __all__ = [
     "FuzzReport",
     "standard_registry",
     "sample_faults",
-    "sample_case_in",
     "sample_case",
     "sample_case_at",
     "run_case",
@@ -126,19 +124,6 @@ ARTIFACT_FORMAT = "repro-fuzz/1"
 #: 4 = payloads are encoded from the wire schema (``sizing.WIRE_SCHEMA``):
 #: ``witness`` and ``frac`` tags, ints in hex; ``inputs`` in hex.
 ARTIFACT_SCHEMA_VERSION = 4
-
-#: Deterministic counters that are independent of process-level cache
-#: state: safe to record per-case without a cache reset, and therefore
-#: safe to journal (identical on any worker, any backend, any host).
-NETWORK_COUNTERS = (
-    "net_rounds",
-    "net_messages",
-    "transport_resyncs",
-    "transport_beacons",
-    "guard_checks",
-    "guard_quarantined",
-)
-
 
 # ---------------------------------------------------------------------------
 # Protocol registry: factory + theory-derived budget envelopes per protocol
@@ -337,7 +322,7 @@ def sample_faults(
 ) -> FaultSpec:
     """Draw one :class:`FaultSpec` from the campaign distribution.
 
-    Called by :func:`sample_case_in`; the draw order is part of the
+    Called by :func:`sample_case`; the draw order is part of the
     campaign determinism contract and must not change.
     """
     drop = rng.choice(_FAULT_RATES)
@@ -403,21 +388,18 @@ def sample_faults(
     )
 
 
-def sample_case_in(
+def sample_case(
     rng: random.Random,
-    protocol: str,
-    n: int,
-    t: int,
-    ell: int,
+    registry: dict[str, ProtocolSpec],
     crash: bool = False,
     partition: bool = False,
     bombs: bool = False,
 ) -> FuzzCase:
-    """Draw one chaos configuration at fixed ``(protocol, n, t, ell)``.
+    """Draw one chaos configuration from the campaign distribution.
 
-    Everything below the axes, for :func:`sample_case` (which draws
-    them first) and the adversary search (whose bandit picks them).
-    The order of the draws is a wire format: journals are keyed on it.
+    Picks ``(protocol, n, t, ell)``, then everything below them.  The
+    order of the draws is part of the campaign determinism contract:
+    every pinned campaign and artifact is keyed on it.
 
     ``crash=True`` additionally samples the resilience-plane axes:
     honest-link drop/delay/reorder rates (realised by a
@@ -436,6 +418,10 @@ def sample_case_in(
     bomb draws come *after* every pre-existing draw -- including the
     case seed -- so ``bombs=False`` campaigns are untouched.
     """
+    name = rng.choice(sorted(registry))
+    n = rng.choice((4, 5, 6, 7))
+    t = rng.randint(1, max(1, (n - 1) // 3))
+    ell = registry[name].ell_for(n, rng.choice((8, 16, 32, 64, 128)))
     count = rng.randint(1, 3)
     adversaries = tuple(
         rng.choice(sorted(ADVERSARY_CATALOG)) for _ in range(count)
@@ -449,7 +435,7 @@ def sample_case_in(
             rng.choice(sorted(BOMB_CATALOG)) for _ in range(extra)
         )
     return FuzzCase(
-        protocol=protocol,
+        protocol=name,
         n=n,
         t=t,
         ell=ell,
@@ -460,25 +446,6 @@ def sample_case_in(
         seed=case_seed,
         guards=bombs,
     )
-
-
-def sample_case(
-    rng: random.Random,
-    registry: dict[str, ProtocolSpec],
-    crash: bool = False,
-    partition: bool = False,
-    bombs: bool = False,
-) -> FuzzCase:
-    """Draw one chaos configuration from the campaign distribution.
-
-    Picks ``(protocol, n, t, ell)`` and leaves the rest -- and the
-    meaning of the plane flags -- to :func:`sample_case_in`.
-    """
-    name = rng.choice(sorted(registry))
-    n = rng.choice((4, 5, 6, 7))
-    t = rng.randint(1, max(1, (n - 1) // 3))
-    ell = registry[name].ell_for(n, rng.choice((8, 16, 32, 64, 128)))
-    return sample_case_in(rng, name, n, t, ell, crash, partition, bombs)
 
 
 def sample_case_at(
@@ -800,50 +767,9 @@ class CaseStats:
     bits: int = 0
     #: logical rounds the execution took (0 on failures).
     rounds: int = 0
-    #: the case's theory-derived envelopes (filled even on failures, so
-    #: the search engine can normalise a violating case's fitness).
+    #: the case's theory-derived envelopes (filled even on failures).
     bit_budget: int = 0
     round_budget: int = 0
-    #: cache-state-independent deterministic counters of the execution
-    #: (the :data:`NETWORK_COUNTERS` subset -- safe to journal).
-    counters: dict[str, int] = field(default_factory=dict)
-
-    def margins(self) -> "EnvelopeMargins":
-        """Envelope margins of the completed execution."""
-        from .invariants import EnvelopeMargins
-
-        return EnvelopeMargins(
-            bits_used=self.bits,
-            bit_budget=self.bit_budget,
-            rounds_used=self.rounds,
-            round_budget=self.round_budget,
-        )
-
-    def to_dict(self) -> dict:
-        """JSON-safe representation (campaign-journal outcome block)."""
-        return {
-            "resyncs": self.resyncs,
-            "escalated_rounds": self.escalated_rounds,
-            "rung": self.rung,
-            "bits": self.bits,
-            "rounds": self.rounds,
-            "bit_budget": self.bit_budget,
-            "round_budget": self.round_budget,
-            "counters": dict(sorted(self.counters.items())),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CaseStats":
-        return cls(
-            resyncs=data.get("resyncs", 0),
-            escalated_rounds=data.get("escalated_rounds", 0),
-            rung=data.get("rung"),
-            bits=data.get("bits", 0),
-            rounds=data.get("rounds", 0),
-            bit_budget=data.get("bit_budget", 0),
-            round_budget=data.get("round_budget", 0),
-            counters=dict(data.get("counters", {})),
-        )
 
 
 def _violation_kind(error: Exception) -> str:
@@ -871,35 +797,28 @@ def run_case_ex(
         bit_budget=spec.bit_budget(case.n, case.t, case.ell, case.kappa),
         round_budget=spec.round_budget(case.n, case.t, case.ell),
     )
-    with perf_counters.capture() as captured:
-        try:
-            result = _execute(case, spec, inputs, adversary)
-        except (HonestPartyError, ProtocolViolation, SimulationError) as error:
-            if not isinstance(error, SimulationError) or case.faults.heals:
-                return FuzzFailure(
-                    case=case,
-                    kind=_violation_kind(error),
-                    message=str(error),
-                    inputs=inputs,
-                    initial_corruptions=set(adversary.initial_corruptions),
-                    script=dict(adversary.script),
-                    adapt_schedule=list(adversary.adapt_schedule),
-                    crash_schedule=list(adversary.crash_schedule),
-                    original_script_size=len(adversary.script),
-                ), stats
-            # a partition that never heals is outside the model the
-            # ladder decides in (docs/fault-model.md): its exhaustion is
-            # the case's verdict.  The error carries the primary's stats.
-            result = None
-            stats.rung = "exhausted"
-            stats.resyncs = error.stats.resync_attempts
-            stats.escalated_rounds = error.stats.escalated_rounds
-    # only the cache-state-independent subset is recorded: the full
-    # block depends on what ran earlier in this process (decode-matrix
-    # memo, frame-prefix caches) and would poison journal digests.
-    stats.counters = {
-        name: captured[name] for name in NETWORK_COUNTERS if name in captured
-    }
+    try:
+        result = _execute(case, spec, inputs, adversary)
+    except (HonestPartyError, ProtocolViolation, SimulationError) as error:
+        if not isinstance(error, SimulationError) or case.faults.heals:
+            return FuzzFailure(
+                case=case,
+                kind=_violation_kind(error),
+                message=str(error),
+                inputs=inputs,
+                initial_corruptions=set(adversary.initial_corruptions),
+                script=dict(adversary.script),
+                adapt_schedule=list(adversary.adapt_schedule),
+                crash_schedule=list(adversary.crash_schedule),
+                original_script_size=len(adversary.script),
+            ), stats
+        # a partition that never heals is outside the model the ladder
+        # decides in (docs/fault-model.md): its exhaustion is the case's
+        # verdict.  The error carries the primary's stats.
+        result = None
+        stats.rung = "exhausted"
+        stats.resyncs = error.stats.resync_attempts
+        stats.escalated_rounds = error.stats.escalated_rounds
     if result is not None:
         stats.bits = result.stats.honest_bits
         stats.rounds = result.stats.rounds
@@ -1321,8 +1240,7 @@ def execute_cases(
 ) -> tuple[list[tuple[FuzzFailure | None, CaseStats]], Counter]:
     """Run sampled cases through the engine; one outcome per case, in order.
 
-    The executor of every campaign (:func:`fuzz`, the adversary search)
-    at every worker count: :func:`~repro.sim.parallel.run_many` runs
+    The executor of :func:`fuzz` at every worker count: :func:`~repro.sim.parallel.run_many` runs
     one worker inline under the per-case guard a pool worker uses, so a
     verdict cannot depend on where the case ran.  ``registry`` is
     ``builder()`` filtered to ``protocols``; only the builder crosses a

@@ -32,7 +32,6 @@ over-powered configuration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, NoReturn
 
 from ..errors import ProtocolViolation
@@ -40,7 +39,6 @@ from .sizing import brief_text
 from .trace import RoundRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .metrics import CommunicationStats
     from .network import ExecutionResult, SynchronousNetwork
 
 __all__ = [
@@ -48,7 +46,6 @@ __all__ = [
     "AgreementMonitor",
     "ConvexValidityMonitor",
     "CrashBudgetMonitor",
-    "EnvelopeMargins",
     "LivenessMonitor",
     "LockstepMonitor",
     "BitBudgetMonitor",
@@ -89,72 +86,6 @@ def paper_round_budget(n: int, t: int, ell: int, constant: int = 24) -> int:
     log_n = max(1, math.ceil(math.log2(max(2, n))))
     log_ell = max(1, math.ceil(math.log2(max(2, ell))))
     return constant * (3 * (t + 1)) * (log_ell + log_n + 4) + 8 * n + 64
-
-
-@dataclass(frozen=True)
-class EnvelopeMargins:
-    """How far one execution stayed inside its theory-derived envelopes.
-
-    The *margin* of an invariant is the distance between what the
-    execution actually spent and what the paper's bound allows:
-    ``bit_margin = bit_budget - bits_used`` and ``round_margin =
-    round_budget - rounds_used``.  A clean execution under the model's
-    assumptions always has non-negative margins (the budget monitors
-    fire otherwise), and the slack grows with ``ell`` because the
-    envelopes grow faster than the protocols' true cost.
-
-    Margins are the fitness signal of the adversary-search engine
-    (:mod:`repro.sim.search`): an adversary that *shrinks* a margin is
-    pressing the stack toward the paper's envelope, and an adversary
-    that drives a margin negative has found a budget-envelope outlier.
-    """
-
-    bits_used: int
-    bit_budget: int
-    rounds_used: int
-    round_budget: int
-
-    @property
-    def bit_margin(self) -> int:
-        """Unspent honest bits under the envelope (negative = outlier)."""
-        return self.bit_budget - self.bits_used
-
-    @property
-    def round_margin(self) -> int:
-        """Unspent rounds under the envelope (negative = outlier)."""
-        return self.round_budget - self.rounds_used
-
-    @property
-    def bit_fraction(self) -> float:
-        """Envelope utilisation ``bits_used / bit_budget`` (>1 = outlier)."""
-        return self.bits_used / self.bit_budget if self.bit_budget else 0.0
-
-    @property
-    def round_fraction(self) -> float:
-        """Envelope utilisation ``rounds_used / round_budget``."""
-        return (
-            self.rounds_used / self.round_budget if self.round_budget else 0.0
-        )
-
-    @property
-    def nonnegative(self) -> bool:
-        """True when the execution stayed inside both envelopes."""
-        return self.bit_margin >= 0 and self.round_margin >= 0
-
-    @classmethod
-    def from_stats(
-        cls,
-        stats: "CommunicationStats",
-        bit_budget: int,
-        round_budget: int,
-    ) -> "EnvelopeMargins":
-        """Margins of one completed execution's communication stats."""
-        return cls(
-            bits_used=stats.honest_bits,
-            bit_budget=bit_budget,
-            rounds_used=stats.rounds,
-            round_budget=round_budget,
-        )
 
 
 class InvariantMonitor:

@@ -152,10 +152,9 @@ class CommunicationStats:
     def summary_dict(self) -> dict[str, int]:
         """Deterministic scalar summary of one execution's accounting.
 
-        Used by the campaign journal (:mod:`repro.sim.manifest`) and the
-        adversary-search engine: only machine-independent integers, so a
-        record's digest is identical on every host and worker count.
-        ``wall_s`` is deliberately excluded (machine-local noise).
+        Only machine-independent integers, so a digest over it is
+        identical on every host and worker count; ``wall_s`` is
+        deliberately excluded (machine-local noise).
         """
         return {
             "honest_bits": self.honest_bits,

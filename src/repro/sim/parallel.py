@@ -1,7 +1,7 @@
 """Process-pool execution engine for sweeps, fuzz campaigns, benchmarks.
 
 Every driver that fans out *independent* protocol executions -- fuzz
-and search cases, benchmark grid points, exhaustive small-n strategy
+cases, benchmark grid points, exhaustive small-n strategy
 enumerations -- funnels through :func:`run_many` at every worker count
 (one worker runs the per-case guard inline, more run it in a chunked
 :class:`~concurrent.futures.ProcessPoolExecutor`), so results are, by

@@ -171,10 +171,6 @@ class TestBombFlags:
         args = build_parser().parse_args(["fuzz", "--runs", "3", "--bombs"])
         assert args.bombs is True
 
-    def test_search_bombs_flag_parses(self):
-        args = build_parser().parse_args(["search", "--bombs"])
-        assert args.bombs is True
-
     def test_bomb_campaign_runs_clean(self, capsys):
         code = main(["fuzz", "--runs", "2", "--seed", "0", "--bombs",
                      "--quiet"])

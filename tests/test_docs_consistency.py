@@ -249,12 +249,21 @@ class TestCampaignSymbols:
         for doc in DOCS:
             assert not gone.findall(doc.read_text()), doc.name
 
+    def test_adversary_search_stays_undocumented(self):
+        """The guided search, its journal and its margins are gone
+        (uniform fuzz killed the mutant catalogue first): no doc may
+        send a reader to them."""
+        assert_undocumented(
+            r"repro search|run_search|SearchConfig|CampaignJournal"
+            r"|EnvelopeMargins|BENCH_search"
+        )
+
     def test_quoted_campaign_names_resolve(self):
-        """Every backticked ``repro.sim.{fuzz,parallel,search}.<name>``
-        in README, DESIGN and ``docs/*.md`` is a real attribute."""
+        """Every backticked ``repro.sim.{fuzz,parallel}.<name>`` in
+        README, DESIGN and ``docs/*.md`` is a real attribute."""
         import importlib
 
-        pattern = re.compile(r"`repro\.sim\.(fuzz|parallel|search)\.(\w+)")
+        pattern = re.compile(r"`repro\.sim\.(fuzz|parallel)\.(\w+)")
         quoted = {
             (doc.name, module, name)
             for doc in DOCS

@@ -21,7 +21,6 @@ from repro.perf import counters as perf_counters
 from repro.sim.fuzz import (
     ARTIFACT_FORMAT,
     ARTIFACT_SCHEMA_VERSION,
-    NETWORK_COUNTERS,
     FuzzCase,
     FuzzFailure,
     FuzzReport,
@@ -413,7 +412,6 @@ class TestRecordedCounters:
         block = artifact["counters"]
         # only counters the replay actually touched appear; the network
         # pair is unconditional for any protocol that ran.
-        assert "net_rounds" in NETWORK_COUNTERS
         assert block["net_rounds"] > 0
         assert block["net_messages"] > 0
         # the recorded block is exactly one fresh replay's block:
@@ -529,6 +527,18 @@ class TestCliFuzz:
 # ---------------------------------------------------------------------------
 # campaign goldens: every observable of every case, pinned across refactors
 # ---------------------------------------------------------------------------
+
+
+#: counters independent of process-level cache state: safe to digest
+#: per case without a cache reset.
+NETWORK_COUNTERS = (
+    "net_rounds",
+    "net_messages",
+    "transport_resyncs",
+    "transport_beacons",
+    "guard_checks",
+    "guard_quarantined",
+)
 
 
 def campaign_digest(seeds: int, cases: int, **planes) -> str:

@@ -17,10 +17,8 @@ Three layers:
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
-import random
 import signal
 import subprocess
 import sys
@@ -34,9 +32,7 @@ from repro.sim import fuzz as fuzz_module
 from repro.sim.fuzz import (
     fuzz,
     load_artifact,
-    sample_case,
     sample_case_at,
-    sample_case_in,
     standard_registry,
 )
 from repro.sim import parallel
@@ -47,7 +43,6 @@ from repro.sim.parallel import (
     run_many,
 )
 
-from repro.sim.search import SearchConfig, run_search
 
 from test_fuzz import canary_registry
 
@@ -505,21 +500,9 @@ class TestEngineParity:
         if timeout_s < 0.001:  # shorter than any case
             assert report.failures
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_search_timeout_is_an_incident_never_a_verdict(self, workers):
-        report = run_search(
-            SearchConfig(seed=0, workers=workers, case_timeout_s=0.0005),
-            executions=4,
-        )
-        kinds = {entry["kind"] for entry in report.outliers}
-        assert "ExecutionEngine" in kinds
-        assert kinds <= {"ExecutionEngine", None}
-        assert not report.violations
-        assert report.retries >= 1
-
     def test_one_worker_runs_through_the_engine(self, monkeypatch):
-        """``fuzz`` and the search reach ``run_many`` at ``workers=1``,
-        and a campaign samples each of its cases exactly once."""
+        """``fuzz`` reaches ``run_many`` at ``workers=1``, and a
+        campaign samples each of its cases exactly once."""
         dispatched, sampled = [], []
 
         def spy_run_many(fn, payloads, **kwargs):
@@ -535,9 +518,6 @@ class TestEngineParity:
         assert fuzz(runs=3, seed=0, workers=1).clean
         assert dispatched == [(3, 1)]
         assert sampled == [0, 1, 2]
-        del dispatched[:]
-        run_search(SearchConfig(seed=0, workers=1, batch=2), executions=4)
-        assert dispatched == [(2, 1), (2, 1)]
 
     def test_a_lost_case_is_archived_without_being_rerun(
         self, tmp_path, monkeypatch
@@ -560,29 +540,6 @@ class TestEngineParity:
             artifact = load_artifact(path)
             assert artifact["violation"]["kind"] == "ExecutionEngine"
             assert "counters" not in artifact
-
-    def test_sample_case_is_its_axes_then_sample_case_in(self):
-        """Pins the draw order campaigns and journals are keyed on: the
-        blind sampler draws ``(protocol, n, t, ell)`` and then exactly
-        what the search draws inside a cell."""
-        registry = standard_registry()
-        planes = list(itertools.product((False, True), repeat=3))
-        for index, (crash, partition, bombs) in itertools.product(
-            range(200), planes
-        ):
-            rng = random.Random(derive_seed(5, index))
-            twin = random.Random(derive_seed(5, index))
-            case = sample_case(rng, registry, crash, partition, bombs)
-            name = twin.choice(sorted(registry))
-            n = twin.choice((4, 5, 6, 7))
-            t = twin.randint(1, max(1, (n - 1) // 3))
-            ell = registry[name].ell_for(
-                n, twin.choice((8, 16, 32, 64, 128))
-            )
-            assert case == sample_case_in(
-                twin, name, n, t, ell, crash, partition, bombs
-            )
-            assert rng.getstate() == twin.getstate()
 
 
 # ---------------------------------------------------------------------------

@@ -480,7 +480,7 @@ class TestAdversaryFramework:
 
         # honest crashes surface attributed, with the original
         # exception preserved as the cause (see docs/fault-model.md,
-        # plane 6: the no-crash meta-invariant).
+        # plane 5: the no-crash meta-invariant).
         with pytest.raises(HonestPartyError) as excinfo:
             run_protocol(fragile, [0] * 4, 4, 1)
         assert excinfo.value.party == 0
