@@ -495,10 +495,14 @@ def _build_inputs(
     values = case_inputs(case)
     if spec.signed:
         rng = random.Random(repr(("signs", case.seed)))
-        sign = -1 if rng.random() < 0.5 else 1
-        # one common sign keeps the clustered/identical regimes intact
-        # while still exercising PI_Z's sign agreement.
-        values = [sign * v for v in values]
+        if case.spread == "spread":
+            # a sign per party: honest inputs on both sides of zero are
+            # what makes PI_Z's line 2 (reset to 0) fire.
+            values = [(-1 if rng.random() < 0.5 else 1) * v for v in values]
+        else:
+            # one common sign keeps the clustered/identical regimes intact.
+            sign = -1 if rng.random() < 0.5 else 1
+            values = [sign * v for v in values]
     return values
 
 

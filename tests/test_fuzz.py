@@ -597,7 +597,7 @@ def campaign_digest(seeds: int, cases: int, **planes) -> str:
 class TestCampaignGolden:
     def test_crash_bombs_campaign_is_pinned(self):
         assert campaign_digest(10, 8, crash=True, bombs=True) == (
-            "f386d6de60da45861453c6f6756a0d15aa5470519ac5495eed5b760599f5263f"
+            "87c10a6bd00c2cbd5853efc13d75d5fb80b991ded82e51545af87639ce2e517b"
         )
 
     def test_crash_partition_bombs_campaign_is_pinned(self):
