@@ -26,17 +26,40 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from ..sim.party import Context, Proto, broadcast_round
+from ..sim.party import Context, Proto, broadcast_round, parse_once
 from .domains import (
     BIT_DOMAIN,
+    Domain,
     digest_domain,
     optional_digest_domain,
+    tally_inbox,
 )
 from .phase_king import phase_king
 
 __all__ = ["ba_plus"]
 
 _VOTE = "VOTE"
+
+
+def _votes(inbox: dict[int, Any], domain: Domain) -> tuple:
+    """Line 3's ``(value, votes)`` pairs, in first-voted order."""
+    vote_counts: dict[bytes, int] = {}
+    for received in inbox.values():
+        if not (
+            isinstance(received, tuple)
+            and 1 <= len(received) <= 3
+            and received[0] == _VOTE
+        ):
+            continue
+        voted = [v for v in received[1:] if domain.validate(v)]
+        # A well-formed vote names at most two *distinct* values.
+        distinct: list[bytes] = []
+        for v in voted:
+            if v not in distinct:
+                distinct.append(v)
+        for v in distinct[:2]:
+            vote_counts[v] = vote_counts.get(v, 0) + 1
+    return tuple(vote_counts.items())
 
 
 def ba_plus(
@@ -66,7 +89,7 @@ def ba_plus(
     # kappa-bit ``bytes``, whose canonical order IS the bytes order, so
     # the tie-breaking below keys on the values directly.
     inbox = yield from broadcast_round(ctx, f"{channel}/input", v_in)
-    counts = value_domain.tally(inbox.values())
+    counts = parse_once(inbox, tally_inbox, value_domain)
 
     # Line 2: vote for every value seen n - 2t times (at most two exist
     # when t < n/3; if byzantine equivocation somehow produced more we
@@ -81,27 +104,11 @@ def ba_plus(
     )
 
     # Line 3: find the (at most two) values with n - t votes.
-    vote_counts: dict[bytes, int] = {}
-    for received in inbox.values():
-        if not (
-            isinstance(received, tuple)
-            and 1 <= len(received) <= 3
-            and received[0] == _VOTE
-        ):
-            continue
-        voted = [v for v in received[1:] if value_domain.validate(v)]
-        # A well-formed vote names at most two *distinct* values.
-        distinct: list[bytes] = []
-        for v in voted:
-            if v not in distinct:
-                distinct.append(v)
-        for v in distinct[:2]:
-            vote_counts[v] = vote_counts.get(v, 0) + 1
-
+    vote_counts = parse_once(inbox, _votes, value_domain)
     popular = sorted(
         (
             item
-            for item in vote_counts.items()
+            for item in vote_counts
             if item[1] >= ctx.quorum
         ),
         key=lambda item: (-item[1], item[0]),

@@ -33,6 +33,7 @@ __all__ = [
     "nat_domain",
     "bitstring_domain",
     "BIT_DOMAIN",
+    "tally_inbox",
 ]
 
 
@@ -110,6 +111,15 @@ class Domain:
             if self.validate(ballot):
                 merged.setdefault(canonical_key(ballot), [ballot, 0])[1] += 1
         return [(value, count) for value, count in merged.values()]
+
+
+def tally_inbox(inbox: dict[int, Any], domain: Domain) -> tuple:
+    """:meth:`Domain.tally` of every ballot in ``inbox``, as a tuple.
+
+    A :func:`repro.sim.party.parse_once` parse: pure in the inbox and
+    the domain, so every party reading one shared inbox shares it.
+    """
+    return tuple(domain.tally(inbox.values()))
 
 
 BIT_DOMAIN = Domain(

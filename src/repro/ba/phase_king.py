@@ -37,8 +37,14 @@ from __future__ import annotations
 
 from typing import Any
 
-from ..sim.party import Context, Proto, broadcast_round, exchange
-from .domains import Domain, canonical_key
+from ..sim.party import (
+    Context,
+    Proto,
+    broadcast_round,
+    exchange,
+    parse_once,
+)
+from .domains import Domain, canonical_key, tally_inbox
 
 __all__ = ["phase_king", "phase_king_rounds"]
 
@@ -46,7 +52,7 @@ _PROPOSE = "PROPOSE"
 _NO_PROPOSE = "NOPROP"
 
 
-def _plurality(tallied: list[tuple[Any, int]]) -> tuple[Any, int]:
+def _plurality(tallied: tuple[tuple[Any, int], ...]) -> tuple[Any, int]:
     """Most frequent tallied value, ties broken by canonical order."""
     if len(tallied) == 1:
         return tallied[0]
@@ -55,6 +61,17 @@ def _plurality(tallied: list[tuple[Any, int]]) -> tuple[Any, int]:
         key=lambda pair: (pair[1], canonical_key(pair[0])),
         default=(None, 0),
     )
+
+
+def _proposals(inbox: dict[int, Any], domain: Domain) -> tuple:
+    """The propose round's tally of well-formed ``PROPOSE`` messages."""
+    return tuple(domain.tally([
+        msg[1]
+        for msg in inbox.values()
+        if isinstance(msg, tuple)
+        and len(msg) == 2
+        and msg[0] == _PROPOSE
+    ]))
 
 
 def phase_king(
@@ -73,7 +90,7 @@ def phase_king(
 
         # Round 1: universal exchange of estimates.
         inbox = yield from broadcast_round(ctx, f"{tag}/exch", est)
-        maj, cnt = _plurality(domain.tally(inbox.values()))
+        maj, cnt = _plurality(parse_once(inbox, tally_inbox, domain))
 
         # Round 2: propose the majority value if it had a strong quorum.
         if cnt >= ctx.quorum:
@@ -81,14 +98,7 @@ def phase_king(
         else:
             message = (_NO_PROPOSE,)
         inbox = yield from broadcast_round(ctx, f"{tag}/prop", message)
-        proposals = [
-            msg[1]
-            for msg in inbox.values()
-            if isinstance(msg, tuple)
-            and len(msg) == 2
-            and msg[0] == _PROPOSE
-        ]
-        prop, pcnt = _plurality(domain.tally(proposals))
+        prop, pcnt = _plurality(parse_once(inbox, _proposals, domain))
 
         # Round 3: the king arbitrates (everyone else stays silent).
         if ctx.party_id == king:

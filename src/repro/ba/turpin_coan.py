@@ -25,14 +25,25 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from ..sim.party import Context, Proto, broadcast_round
-from .domains import BIT_DOMAIN, Domain, canonical_key
+from ..sim.party import Context, Proto, broadcast_round, parse_once
+from .domains import BIT_DOMAIN, Domain, canonical_key, tally_inbox
 from .phase_king import phase_king
 
 __all__ = ["turpin_coan"]
 
 _CANDIDATE = "CAND"
 _NO_CANDIDATE = "NOCAND"
+
+
+def _candidates(inbox: dict[int, Any], domain: Domain) -> tuple:
+    """Round 2's tally of well-formed candidate messages."""
+    return tuple(domain.tally(
+        received[1]
+        for received in inbox.values()
+        if isinstance(received, tuple)
+        and len(received) == 2
+        and received[0] == _CANDIDATE
+    ))
 
 
 def turpin_coan(
@@ -54,7 +65,7 @@ def turpin_coan(
     inbox = yield from broadcast_round(ctx, f"{channel}/input", value)
     candidate: Any = None
     have_candidate = False
-    for received, count in domain.tally(inbox.values()):
+    for received, count in parse_once(inbox, tally_inbox, domain):
         if count >= ctx.quorum:
             candidate = received
             have_candidate = True
@@ -65,13 +76,7 @@ def turpin_coan(
         (_CANDIDATE, candidate) if have_candidate else (_NO_CANDIDATE,)
     )
     inbox = yield from broadcast_round(ctx, f"{channel}/candidate", message)
-    candidate_counts = domain.tally(
-        received[1]
-        for received in inbox.values()
-        if isinstance(received, tuple)
-        and len(received) == 2
-        and received[0] == _CANDIDATE
-    )
+    candidate_counts = parse_once(inbox, _candidates, domain)
 
     strong = any(count >= ctx.quorum for _, count in candidate_counts)
     decision = yield from binary_ba(

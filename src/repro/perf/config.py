@@ -17,6 +17,10 @@ so benchmarks can quantify what each layer buys.
   ``decode_with_check`` verdict keyed by ``(n, k, kappa, z*, shares)``
   -- each distinct input is computed once per execution, not once per
   party;
+* the parse memo of :func:`repro.sim.party.parse_once` on a round's
+  :class:`~repro.sim.party.SharedInbox`: Phase-King, ``PI_BA+`` and
+  Turpin-Coan count a shared inbox's ballots once per round, not once
+  per party (off: each party parses its own copy of the same inbox);
 * the inverted-Vandermonde decode-matrix reuse in
   :meth:`repro.coding.reed_solomon.ReedSolomonCode.decode`, a
   process-wide memo keyed by the *full* code parameters

@@ -60,7 +60,7 @@ from .adversary import Adversary, PassiveAdversary, RoundView
 from .invariants import InvariantMonitor
 from .lossy import LossyTransport, TransportTimeout
 from .metrics import CommunicationStats
-from .party import Context, Outgoing, Proto
+from .party import Context, Outgoing, Proto, SharedInbox
 from .recovery import CrashEvent, RecoveryConfig, RecoveryManager
 from .sizing import bit_size, brief_text
 from .trace import Event, RoundRecord
@@ -579,7 +579,10 @@ class SynchronousNetwork:
         ================  =========================  =====================
 
         Deliver reads a broadcast bundle's one ``payload``; only the
-        stages that read links build its ``messages`` view.
+        stages that read links build its ``messages`` view.  An
+        all-broadcast round with no adversary stage hands every party
+        one read-only :class:`~repro.sim.party.SharedInbox`; any other
+        round gives each party its own dict.
 
         A party that is neither finished nor down yields, so after the
         resume pass "some honest party is unfinished" is "some honest
@@ -641,12 +644,12 @@ class SynchronousNetwork:
         if honest_channels:
             self.channel_trace.append(channel)
 
-        # Price and deliver honest traffic.  Every party gets a fresh
-        # private inbox (a protocol or a tracing consumer may keep the
-        # ones it was handed), honest senders in party order.  Loopback
-        # links cost 0: a process does not use the network to talk to
-        # itself.  Links to down parties are priced like any other.
-        inboxes: dict[int, dict[int, Any]] = {party: {} for party in states}
+        # Price and deliver honest traffic, honest senders in party
+        # order.  Every inbox is new this round (a protocol or a tracing
+        # consumer may keep the ones it was handed).  Loopback links
+        # cost 0: a process does not use the network to talk to itself.
+        # Links to down parties are priced like any other.
+        inboxes: dict[int, dict[int, Any]]
         consult = self._consult_adversary
         sender_bits: list[tuple[int, int]] = []
         round_bits = round_messages = 0
@@ -656,10 +659,13 @@ class SynchronousNetwork:
         # An all-broadcast round (every honest bundle a ``to_all`` for
         # this ``n``, or empty like the non-kings' king round) delivers
         # the same ``{sender: payload}`` dict to every party: build it
-        # once in party order, price each sender once, and ``update``
-        # each private inbox from it.  With no adversary stage, the
-        # corrupted senders' spec broadcasts join it after the honest
-        # ones if all of them are broadcasts (else: per-message loop).
+        # once in party order and price each sender once.  With no
+        # adversary stage, the corrupted senders' spec broadcasts join
+        # it after the honest ones if all of them are broadcasts (else:
+        # per-message loop).  When nothing is then inserted per
+        # destination, every party is handed the same read-only
+        # ``SharedInbox``, which ``parse_once`` parses once for all n;
+        # otherwise each party gets its own copy to insert into.
         shared: dict[int, Any] | None = {}
         spec: dict[int, Any] | None = {} if corrupted and not consult else None
         for party, out in outgoings.items():
@@ -689,9 +695,12 @@ class SynchronousNetwork:
             if spec:
                 shared.update(spec)
                 byz_count = len(spec) * n
-            for inbox in inboxes.values():
-                inbox.update(shared)
+            if consult or (corrupted and spec is None):
+                inboxes = {party: dict(shared) for party in states}
+            else:
+                inboxes = dict.fromkeys(states, SharedInbox(shared))
         else:
+            inboxes = {party: {} for party in states}
             # List-indexed view of the inbox dicts: party ids are dense
             # 0..n-1, and a C-level list index beats a dict hash on the
             # innermost (per-message) loop.

@@ -8,7 +8,9 @@ model is one ``yield`` of an :class:`Outgoing` bundle:
   (``{destination_id: payload}``), and
 * the ``yield`` expression *evaluates to* the party's inbox for the round
   (``{sender_id: payload}``), once the simulator has delivered everything
-  (honest traffic plus whatever the adversary injected).
+  (honest traffic plus whatever the adversary injected).  An inbox is
+  read, never written: in a round where every party received the same
+  dict, all of them are handed one read-only :class:`SharedInbox`.
 
 Subprotocols compose with ``yield from``, and their return value is the
 subprotocol output -- exactly the structure of the paper's pseudocode,
@@ -25,11 +27,20 @@ lockstep).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Generator, TypeVar
+from typing import Any, Callable, Generator, TypeVar
 
 from ..errors import ConfigurationError
+from ..perf.config import caches_enabled
 
-__all__ = ["Outgoing", "Context", "Proto", "exchange", "broadcast_round"]
+__all__ = [
+    "Outgoing",
+    "Context",
+    "Proto",
+    "SharedInbox",
+    "parse_once",
+    "exchange",
+    "broadcast_round",
+]
 
 T = TypeVar("T")
 
@@ -80,6 +91,61 @@ class _Broadcast(Outgoing):
         return _Broadcast, (self.channel, self.payload, self.n)
 
 
+class SharedInbox(dict):
+    """The one inbox every party is handed in an all-broadcast round.
+
+    When every party of a round receives the same ``{sender: payload}``
+    dict (every bundle a broadcast, nothing inserted per destination),
+    the network builds one ``SharedInbox`` and gives that same object to
+    all ``n`` parties.  Reads are plain ``dict`` reads; every mutator
+    raises ``TypeError``, so no party can change what another reads.
+    ``memo`` holds what :func:`parse_once` computed from it; the object
+    is new every round, so a kept inbox still holds its own round.
+    Pickling and copying rebuild it from its items with an empty memo.
+    """
+
+    __slots__ = ("memo",)
+
+    def __init__(self, items: Any) -> None:
+        dict.__init__(self, items)
+        self.memo: dict = {}
+
+    def _read_only(self, *args: Any, **kwargs: Any) -> Any:
+        raise TypeError("an inbox is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        return SharedInbox, (dict(self),)
+
+
+def parse_once(
+    inbox: dict[int, Any],
+    parse: Callable[[dict[int, Any], Any], T],
+    domain: Any,
+) -> T:
+    """``parse(inbox, domain)``, computed once per shared inbox.
+
+    ``parse`` is a module-level function, pure in the inbox and the
+    domain, so it names what is computed.  On a :class:`SharedInbox` the
+    first party to ask runs it and the others get the remembered result,
+    keyed by ``parse`` and ``domain.name`` (a domain's name fixes what
+    it accepts) -- never by party -- so ``parse`` returns an immutable
+    result.  Any other
+    inbox, or the caches switched off (:func:`repro.perf.config.caches`),
+    is parsed by its own party.
+    """
+    if type(inbox) is SharedInbox and caches_enabled():
+        memo = inbox.memo
+        key = (parse, domain.name)
+        if key in memo:
+            return memo[key]
+        result = memo[key] = parse(inbox, domain)
+        return result
+    return parse(inbox, domain)
+
+
 @dataclass(frozen=True, slots=True)
 class Context:
     """Immutable per-party view of the protocol parameters.
@@ -97,7 +163,9 @@ class Context:
             parties included, so what one party computed the others
             reuse; a context built on its own gets a fresh dict.
             Entries never cross executions or worker processes.
-            Excluded from equality and repr.
+            Excluded from equality and repr.  (What one round's shared
+            inbox parses to lives on that :class:`SharedInbox`, not
+            here: see :func:`parse_once`.)
     """
 
     party_id: int

@@ -8,17 +8,21 @@ paths, plus the claimed complexity shape.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.ba.ba_plus import ba_plus
+from repro.ba.ba_plus import _votes, ba_plus
 from repro.ba.turpin_coan import turpin_coan
 from repro.ba.domains import digest_domain
+from repro.perf import config
 from repro.sim import (
     Adversary,
+    Context,
     DROP,
     ScriptedAdversary,
     SplitVoteAdversary,
     run_protocol,
 )
+from repro.sim.party import SharedInbox, parse_once
 
 from conftest import CONFIGS, adversary_params
 
@@ -202,3 +206,96 @@ class TestComplexity:
         )
         # 2 exchange rounds + at most 4 PI_BA invocations.
         assert result.stats.rounds <= 2 + 4 * phase_king_rounds(t)
+
+
+# -- one parse per shared inbox ---------------------------------------------
+
+#: Digests next to their near-misses and junk (``KAPPA``-bit values).
+DIGESTS = [value(1), value(2), bytearray(value(1)), b"x", None, [value(1)]]
+
+#: Vote-round messages of every (mal)formed shape.
+VOTE_SHAPES = [
+    lambda a, b: ("VOTE",),
+    lambda a, b: ("VOTE", a),
+    lambda a, b: ("VOTE", a, b),
+    lambda a, b: ("VOTE", a, a),
+    lambda a, b: ("VOTE", a, b, a),
+    lambda a, b: ["VOTE", a],
+    lambda a, b: ("vote", a),
+    lambda a, b: a,
+]
+
+
+def draw_inboxes(data, n):
+    """A line-1 inbox of digest ballots and a line-3 inbox of votes."""
+    digest = st.sampled_from(DIGESTS)
+    inputs = data.draw(st.lists(digest, min_size=n, max_size=n))
+    votes = [
+        VOTE_SHAPES[shape](a, b)
+        for shape, a, b in data.draw(st.lists(
+            st.tuples(st.integers(0, len(VOTE_SHAPES) - 1), digest, digest),
+            min_size=n, max_size=n,
+        ))
+    ]
+    return dict(enumerate(inputs)), dict(enumerate(votes))
+
+
+def drive(party, v_in, inputs, votes, n=4, t=1):
+    """One party's bundles through lines 1-3 and into the first BA."""
+    gen = ba_plus(Context(party_id=party, n=n, t=t, kappa=KAPPA), v_in)
+    bundles = [next(gen), gen.send(inputs), gen.send(votes)]
+    return [bundle.messages[party] for bundle in bundles]
+
+
+class TestSharedParse:
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_shared_inboxes_match_the_per_party_parse(self, data):
+        """Malformed votes, ``bytearray`` twins and unhashable junk:
+        parties reading one ``SharedInbox`` per round send what each
+        sends parsing its own inbox, and the memoised vote counts are
+        each party's own."""
+        inputs, votes = draw_inboxes(data, 4)
+        domain = digest_domain(KAPPA)
+        shared = SharedInbox(inputs), SharedInbox(votes)
+        for party in range(4):
+            with config.caches(False):
+                own = drive(party, value(party), inputs, votes)
+            assert drive(party, value(party), *shared) == own
+        memo = shared[1].memo
+        assert len(shared[0].memo) == len(memo) == 1
+        assert parse_once(shared[1], _votes, domain) == _votes(votes, domain)
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_turpin_coan_shared_inboxes_match_the_per_party_parse(self, data):
+        digest = st.sampled_from(DIGESTS)
+        shapes = [
+            lambda v: ("CAND", v),
+            lambda v: ("NOCAND",),
+            lambda v: ["CAND", v],
+            lambda v: ("CAND", v, v),
+            lambda v: v,
+        ]
+        inputs = dict(enumerate(data.draw(st.lists(
+            digest, min_size=4, max_size=4))))
+        candidates = dict(enumerate(
+            shapes[shape](v) for shape, v in data.draw(st.lists(
+                st.tuples(st.integers(0, len(shapes) - 1), digest),
+                min_size=4, max_size=4,
+            ))
+        ))
+        shared = SharedInbox(inputs), SharedInbox(candidates)
+        domain = digest_domain(KAPPA)
+
+        def bundles(party, first, second):
+            ctx = Context(party_id=party, n=4, t=1, kappa=KAPPA)
+            gen = turpin_coan(ctx, value(party), domain)
+            out = [next(gen), gen.send(first), gen.send(second)]
+            return [bundle.messages[party] for bundle in out]
+
+        for party in range(4):
+            with config.caches(False):
+                own = bundles(party, inputs, candidates)
+            assert bundles(party, *shared) == own
+        assert len(shared[0].memo) == len(shared[1].memo) == 1

@@ -17,8 +17,10 @@ from repro.ba.domains import (
     digest_domain,
     nat_domain,
     optional_digest_domain,
+    tally_inbox,
 )
 from repro.core.bitstrings import BitString
+from repro.sim.party import SharedInbox, parse_once
 
 from conftest import oracle_tally
 
@@ -209,6 +211,18 @@ class TestTally:
         assert typed(domain.tally(inbox.values())) == typed(
             domain.tally(iter(ballots))
         )
+
+    @pytest.mark.parametrize("domain", TALLY_DOMAINS, ids=lambda d: d.name)
+    @given(ballots=INBOXES)
+    @settings(max_examples=50, deadline=None)
+    def test_shared_inbox_parse_matches_oracle(self, domain, ballots):
+        """Every party reading a shared inbox gets the first one's parse,
+        and it is the validate-each count."""
+        box = SharedInbox(enumerate(ballots))
+        expected = typed(oracle_tally(domain, ballots))
+        for _ in range(3):
+            assert typed(parse_once(box, tally_inbox, domain)) == expected
+        assert len(box.memo) == 1
 
     def test_unanimous(self):
         assert BIT_DOMAIN.tally([1] * 7) == [(1, 7)]

@@ -18,8 +18,10 @@ or what the ledger says.  Contracts:
    for this ``n`` takes the per-message loop, with the same result.
    The bare run never builds a broadcast's view; a stage that reads
    links builds it at most once per bundle.
-3. **Non-aliasing**: every party still owns its inbox dict, under every
-   plane (the shared dict is never handed out or logged).
+3. **Read-only inboxes**: no party can change what another reads.  A
+   round with nothing inserted per destination hands every party one
+   read-only ``SharedInbox`` (new each round); any other round gives
+   each party its own dict.  The WAL and ``park`` copy what they keep.
 4. **Crash/restart** replays reproduce marked bundles identically.
 5. **One ledger**: arming the WAL or a perfect ``LossyTransport`` fills
    ``CommunicationStats`` exactly as the bare run does, field by field
@@ -34,7 +36,9 @@ or what the ledger says.  Contracts:
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import pickle
 
 import pytest
 
@@ -45,7 +49,7 @@ from repro.perf import config, counters
 from repro.sim import ACK_BITS, CommunicationStats, Event, LossyTransport
 from repro.sim.adversary import PassiveAdversary
 from repro.sim.invariants import default_monitors
-from repro.sim.party import Outgoing, broadcast_round, exchange
+from repro.sim.party import Outgoing, SharedInbox, broadcast_round, exchange
 from repro.sim.runner import run_protocol
 
 GRID = [(1, 0), (2, 0), (4, 1), (7, 2), (10, 3)]
@@ -247,19 +251,36 @@ def test_link_readers_build_each_broadcast_view_once(monkeypatch, plane):
         assert views[0] == dict.fromkeys(range(7), bundle.payload)
 
 
+#: the planes without an adversary stage: their all-broadcast rounds
+#: hand every party one ``SharedInbox``.
+SHARED_PLANES = {"bare", "wal", "transport"}
+
+
 @pytest.mark.parametrize("n,t", [(2, 0), (4, 1), (7, 2)])
 def test_inboxes_are_private(n, t):
-    """Party 0 vandalises its inbox before anyone else reads theirs,
-    under every plane and backend; a WAL-replayed party (``crashed``)
-    still reads every round intact."""
+    """Party 0 tries to vandalise its inbox before anyone else reads
+    theirs, under every plane and backend.  A shared inbox refuses with
+    ``TypeError``; a private one (adversary stage armed) takes the
+    damage alone.  Either way the others, a WAL-replayed party
+    (``crashed``) included, read every round intact."""
 
     def protocol(ctx, value):
         seen = []
         for round_index in range(3):
             inbox = yield from broadcast_round(ctx, "r", (value, round_index))
             if ctx.party_id == 0:
-                inbox.clear()
-                inbox[99] = "vandal"
+                refused = []
+                for vandalise in (
+                    inbox.clear,
+                    lambda: inbox.__setitem__(99, "vandal"),
+                ):
+                    try:
+                        vandalise()
+                    except TypeError:
+                        refused.append(True)
+                    else:
+                        refused.append(False)
+                seen.append(tuple(refused))
             else:
                 seen.append(tuple(inbox.items()))
         return tuple(seen)
@@ -271,6 +292,10 @@ def test_inboxes_are_private(n, t):
                 result = run_protocol(
                     protocol, inputs, n=n, t=t, **PLANES[plane]()
                 )
+            shared = plane in SHARED_PLANES
+            assert result.outputs[0] == ((shared, shared),) * 3, (
+                backend, plane
+            )
             # ``crashed``: party 1 is down in round 2, unheard then.
             silent = {2: 1} if plane == "crashed" else {}
             expected = tuple(
@@ -466,6 +491,51 @@ def test_a_kept_inbox_holds_its_own_rounds_payloads(n, t):
     ):
         result = run_protocol(_hoarder, inputs, n=n, t=t, **observed)
         assert set(result.outputs.values()) == {expected}, observed
+
+
+def _keeper(ctx, value):
+    """Returns the inbox objects it was handed, one per round."""
+    kept = []
+    for round_index in range(2):
+        kept.append((yield from broadcast_round(ctx, "k", round_index)))
+    return tuple(kept)
+
+
+@pytest.mark.parametrize("plane", sorted(PLANES))
+def test_a_shared_round_hands_out_one_inbox_object(plane):
+    """The planes without an adversary stage hand every party the same
+    ``SharedInbox``, a new one each round; an armed adversary stage
+    hands out private dicts."""
+    result = run_protocol(
+        _keeper, list(range(7)), n=7, t=2, **PLANES[plane]()
+    )
+    readers = [party for party in result.outputs if party != 1]
+    for round_index in range(2):
+        boxes = [result.outputs[party][round_index] for party in readers]
+        distinct = {id(box) for box in boxes}
+        if plane in SHARED_PLANES:
+            assert type(boxes[0]) is SharedInbox and len(distinct) == 1
+        else:
+            assert {type(box) for box in boxes} == {dict}
+            assert len(distinct) == len(boxes)
+    first, second = result.outputs[0]
+    assert first is not second
+
+
+def test_a_shared_inbox_survives_pickle_and_deepcopy():
+    """Rebuilt from its items, still read-only, with an empty memo."""
+    result = run_protocol(_keeper, list(range(4)), n=4, t=1)
+    box = result.outputs[0][0]
+    assert type(box) is SharedInbox
+    box.memo["parsed"] = 1
+    for clone in (pickle.loads(pickle.dumps(box)), copy.deepcopy(box),
+                  copy.copy(box)):
+        assert type(clone) is SharedInbox and clone is not box
+        assert list(clone.items()) == list(box.items())
+        assert clone.memo == {}
+        with pytest.raises(TypeError):
+            clone[0] = "vandal"
+    assert box.memo == {"parsed": 1}
 
 
 def test_sched_resumes_counts_generator_touches():

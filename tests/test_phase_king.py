@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
 from collections import namedtuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import convex_agreement
+from repro.analysis.experiments import make_inputs
 from repro.ba import (
     BIT_DOMAIN,
+    Domain,
     bitstring_domain,
     canonical_key,
     digest_domain,
@@ -17,7 +21,9 @@ from repro.ba import (
 )
 from repro.ba.phase_king import phase_king, phase_king_rounds
 from repro.core.bitstrings import BitString
+from repro.perf import config
 from repro.sim import Context
+from repro.sim.party import SharedInbox
 from repro.sim import (
     Adversary,
     CrashAdversary,
@@ -244,6 +250,46 @@ def wrap_proposals(values, shapes):
     }
 
 
+def draw_phase(data, pool, n):
+    """One phase's inboxes: exchange, propose (every message shape) and
+    the king's (present or not)."""
+    ballot = st.sampled_from(pool)
+    ballots = st.lists(ballot, min_size=n, max_size=n)
+    exch = dict(enumerate(data.draw(ballots)))
+    # Half the messages are well-formed PROPOSEs (shape 0).
+    shapes = data.draw(
+        st.lists(st.sampled_from([0] * 7 + list(range(1, 8))),
+                 min_size=n, max_size=n)
+    )
+    prop_inbox = wrap_proposals(data.draw(ballots), shapes)
+    king_inbox = {0: data.draw(ballot)} if data.draw(st.booleans()) else {}
+    return exch, prop_inbox, king_inbox
+
+
+def check_phase(domain, party, est, exch, prop_inbox, king_inbox):
+    """Drive one party's phase through the three inboxes and hold every
+    bundle it yields to :func:`oracle_phase`."""
+    ctx = Context(party_id=party, n=4, t=1)
+    gen = phase_king(ctx, est, domain)
+    first = next(gen)
+    start = est if domain.validate(est) else domain.default
+    assert exact(first.messages[party]) == exact(start)
+    prop_out = gen.send(exch)
+    king_out = gen.send(prop_inbox)
+    next_exch = gen.send(king_inbox)
+
+    message, sent, next_est = oracle_phase(
+        domain, start, ctx.quorum, party == 0, exch, prop_inbox,
+        king_inbox,
+    )
+    assert exact(prop_out.messages[party]) == exact(message)
+    if party == 0:
+        assert exact(king_out.messages[party]) == exact(sent)
+    else:
+        assert king_out.messages == {}
+    assert exact(next_exch.messages[party]) == exact(next_est)
+
+
 class TestPhaseDifferential:
     @pytest.mark.parametrize("name", PHASE_DOMAINS)
     @pytest.mark.parametrize("party", [0, 1])
@@ -251,38 +297,23 @@ class TestPhaseDifferential:
     @settings(max_examples=120, deadline=None)
     def test_phase_matches_written_out_rules(self, name, party, data):
         domain, pool = PHASE_DOMAINS[name]
-        n, t = 4, 1
-        ballot = st.sampled_from(pool)
-        ballots = st.lists(ballot, min_size=n, max_size=n)
-        est = data.draw(ballot)
-        exch = dict(enumerate(data.draw(ballots)))
-        # Half the messages are well-formed PROPOSEs (shape 0).
-        shapes = data.draw(
-            st.lists(st.sampled_from([0] * 7 + list(range(1, 8))),
-                     min_size=n, max_size=n)
-        )
-        prop_inbox = wrap_proposals(data.draw(ballots), shapes)
-        king_inbox = {0: data.draw(ballot)} if data.draw(st.booleans()) else {}
+        est = data.draw(st.sampled_from(pool))
+        check_phase(domain, party, est, *draw_phase(data, pool, 4))
 
-        ctx = Context(party_id=party, n=n, t=t)
-        gen = phase_king(ctx, est, domain)
-        first = next(gen)
-        start = est if domain.validate(est) else domain.default
-        assert exact(first.messages[party]) == exact(start)
-        prop_out = gen.send(exch)
-        king_out = gen.send(prop_inbox)
-        next_exch = gen.send(king_inbox)
-
-        message, sent, next_est = oracle_phase(
-            domain, start, ctx.quorum, party == 0, exch, prop_inbox,
-            king_inbox,
-        )
-        assert exact(prop_out.messages[party]) == exact(message)
-        if party == 0:
-            assert exact(king_out.messages[party]) == exact(sent)
-        else:
-            assert king_out.messages == {}
-        assert exact(next_exch.messages[party]) == exact(next_est)
+    @pytest.mark.parametrize("name", PHASE_DOMAINS)
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_shared_inboxes_match_written_out_rules(self, name, data):
+        """Parties 0 and 1 read the same ``SharedInbox`` objects, so the
+        second one's counts are the first one's parse."""
+        domain, pool = PHASE_DOMAINS[name]
+        ests = data.draw(st.lists(st.sampled_from(pool), min_size=2,
+                                  max_size=2))
+        boxes = [SharedInbox(box) for box in draw_phase(data, pool, 4)]
+        for party, est in enumerate(ests):
+            check_phase(domain, party, est, *boxes)
+        exch_box, prop_box, _ = boxes
+        assert len(exch_box.memo) == len(prop_box.memo) == 1
 
     def test_proposed_bool_is_not_counted_for_int_under_nat(self):
         # ("PROPOSE", True) == ("PROPOSE", 1) and hashes alike; only the
@@ -297,6 +328,22 @@ class TestPhaseDifferential:
         nxt = gen.send({0: 7})
         assert exact(nxt.messages[1]) == exact(7)
 
+    def test_shared_proposed_bool_is_not_counted_for_int_under_nat(self):
+        # The same inboxes as above, read by parties 1 and 2 as one
+        # shared object each: the memoised count is still 2.
+        exch = SharedInbox({p: 9 for p in range(4)})
+        prop = SharedInbox({0: ("PROPOSE", True), 1: ("PROPOSE", 1),
+                            2: ("PROPOSE", True), 3: ("PROPOSE", 1)})
+        king = SharedInbox({0: 7})
+        for party in (1, 2):
+            gen = phase_king(Context(party_id=party, n=4, t=1), 9,
+                             nat_domain())
+            next(gen)
+            gen.send(exch)
+            gen.send(prop)
+            assert exact(gen.send(king).messages[party]) == exact(7)
+        assert len(prop.memo) == 1
+
     def test_unanimous_junk_free_phase(self):
         ctx = Context(party_id=0, n=4, t=1)
         gen = phase_king(ctx, 1, BIT_DOMAIN)
@@ -305,3 +352,40 @@ class TestPhaseDifferential:
         assert prop.messages[0] == ("PROPOSE", 1)
         king = gen.send({p: ("PROPOSE", 1) for p in range(4)})
         assert king.messages == {p: 1 for p in range(4)}
+
+
+# -- one parse per shared inbox ---------------------------------------------
+
+
+def test_a_shared_round_is_tallied_once(monkeypatch):
+    """One ``convex_agreement`` op at n = 16: with the caches on,
+    ``Domain.tally`` runs once per Phase-King exchange / propose round
+    and ``PI_BA+`` input round (every one of them shared); with them
+    off, once per party per round.  Nothing observable moves."""
+    calls = []
+    tally = Domain.tally
+
+    def spy(domain, ballots):
+        calls.append(domain.name)
+        return tally(domain, ballots)
+
+    monkeypatch.setattr(Domain, "tally", spy)
+    inputs = make_inputs(16, 256, seed=0, spread="spread")
+    runs = {}
+    for on in (True, False):
+        calls.clear()
+        with config.caches(on):
+            execution = convex_agreement(inputs, t=5).execution
+        runs[on] = (len(calls), execution)
+    (shared_calls, shared), (own_calls, own) = runs[True], runs[False]
+    parsed = sum(
+        channel.endswith(("/exch", "/prop", "/input"))
+        for channel in shared.channel_trace
+    )
+    assert parsed > 500
+    assert shared_calls == parsed
+    assert own_calls == 16 * parsed
+    assert shared.outputs == own.outputs
+    assert shared.channel_trace == own.channel_trace
+    assert dataclasses.replace(shared.stats, wall_s=0.0) == \
+        dataclasses.replace(own.stats, wall_s=0.0)
