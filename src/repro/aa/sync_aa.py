@@ -127,7 +127,7 @@ def approximate_agreement(
     rounds = iterations_for(value_bound, epsilon)
 
     for iteration in range(rounds):
-        inbox = yield from broadcast_round(
+        inbox = yield broadcast_round(
             ctx, f"{channel}/it{iteration}", estimate
         )
         received = [

@@ -95,7 +95,7 @@ def dolev_strong_broadcast(
         outgoing = {dest: [message] for dest in ctx.all_parties}
     else:
         outgoing = {}
-    inbox = yield from exchange(f"{channel}/r1", outgoing)
+    inbox = yield exchange(f"{channel}/r1", outgoing)
     _ingest(ctx, scheme, sender, channel, inbox, 1, accepted, to_forward)
 
     # Rounds 2 .. t+1: forward newly accepted values.
@@ -106,7 +106,7 @@ def dolev_strong_broadcast(
             else {}
         )
         to_forward = []
-        inbox = yield from exchange(f"{channel}/r{round_index}", outgoing)
+        inbox = yield exchange(f"{channel}/r{round_index}", outgoing)
         _ingest(
             ctx, scheme, sender, channel, inbox, round_index, accepted,
             to_forward,

@@ -88,7 +88,7 @@ def ba_plus(
     # Line 1: send the input to all parties.  Validated values are raw
     # kappa-bit ``bytes``, whose canonical order IS the bytes order, so
     # the tie-breaking below keys on the values directly.
-    inbox = yield from broadcast_round(ctx, f"{channel}/input", v_in)
+    inbox = yield broadcast_round(ctx, f"{channel}/input", v_in)
     counts = parse_once(inbox, tally_inbox, value_domain)
 
     # Line 2: vote for every value seen n - 2t times (at most two exist
@@ -99,7 +99,7 @@ def ba_plus(
         key=lambda item: (-item[1], item[0]),
     )[:2]
     vote_values = sorted(value for value, _ in seen)
-    inbox = yield from broadcast_round(
+    inbox = yield broadcast_round(
         ctx, f"{channel}/vote", (_VOTE, *vote_values)
     )
 

@@ -38,32 +38,17 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from ..sim.party import Context, Proto, broadcast_round, exchange
+from ..sim.party import Context, Proto, broadcast_round, exchange, parse_once
 from .distribution import (
     decode_with_check,
     encode_and_accumulate,
     valid_share_tuple,
+    verified_shares,
 )
 from .domains import BIT_DOMAIN, optional_digest_domain
 from .phase_king import phase_king
 
 __all__ = ["byzantine_broadcast"]
-
-
-def _collect_tuples(
-    ctx: Context, z_star: bytes, inbox: dict[int, Any]
-) -> dict[int, bytes]:
-    """Extract all Merkle-verified ``(i, s_i, w_i)`` tuples from an inbox."""
-    collected: dict[int, bytes] = {}
-    for message in inbox.values():
-        if not (isinstance(message, tuple) and len(message) == 3):
-            continue
-        index = message[0]
-        if not isinstance(index, int) or not 0 <= index < ctx.n:
-            continue
-        if valid_share_tuple(ctx, z_star, index, message):
-            collected.setdefault(index, message[1])
-    return collected
 
 
 def _forward_own_tuple(
@@ -74,10 +59,10 @@ def _forward_own_tuple(
 ) -> Proto[dict[int, bytes]]:
     """One round: broadcast own verified tuple; return verified tuples."""
     if my_tuple is not None:
-        inbox = yield from broadcast_round(ctx, channel, my_tuple)
+        inbox = yield broadcast_round(ctx, channel, my_tuple)
     else:
-        inbox = yield from exchange(channel, {})
-    collected = _collect_tuples(ctx, z_star, inbox)
+        inbox = yield exchange(channel, {})
+    collected = dict(parse_once(inbox, verified_shares, z_star, ctx))
     if my_tuple is not None:
         collected.setdefault(ctx.party_id, my_tuple[1])
     return collected
@@ -107,9 +92,9 @@ def byzantine_broadcast(
         outgoing = {
             j: (root, j, shares[j], witnesses[j]) for j in ctx.all_parties
         }
-        inbox = yield from exchange(f"{channel}/disperse", outgoing)
+        inbox = yield exchange(f"{channel}/disperse", outgoing)
     else:
-        inbox = yield from exchange(f"{channel}/disperse", {})
+        inbox = yield exchange(f"{channel}/disperse", {})
 
     received_root: bytes | None = None
     my_tuple: tuple | None = None
@@ -157,9 +142,9 @@ def byzantine_broadcast(
         outgoing = {
             j: (j, shares[j], witnesses[j]) for j in ctx.all_parties
         }
-        inbox = yield from exchange(f"{channel}/redisperse", outgoing)
+        inbox = yield exchange(f"{channel}/redisperse", outgoing)
     else:
-        inbox = yield from exchange(f"{channel}/redisperse", {})
+        inbox = yield exchange(f"{channel}/redisperse", {})
     if my_tuple is None:
         for message in inbox.values():
             if valid_share_tuple(ctx, z_star, ctx.party_id, message):

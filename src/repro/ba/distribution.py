@@ -26,12 +26,13 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..crypto import merkle
-from ..sim.party import Context, Proto, broadcast_round, exchange
+from ..sim.party import Context, Proto, broadcast_round, exchange, parse_once
 
 __all__ = [
     "distribute",
     "encode_and_accumulate",
     "valid_share_tuple",
+    "verified_shares",
     "decode_with_check",
     "dispersal_bits_estimate",
 ]
@@ -72,7 +73,7 @@ def _memo(ctx: Context, key: tuple, compute, counter: str | None = None):
 
 def _encode_and_build(
     ctx: Context, payload: bytes
-) -> tuple[tuple[bytes, ...], bytes, tuple[merkle.MerkleWitness, ...]]:
+) -> tuple[tuple[bytes, ...], bytes, merkle.Witnesses]:
     """Memoized ``RS.ENCODE`` + ``MT.BUILD`` of ``payload``.
 
     The encoding is a pure function of ``(n, k, kappa, payload)``, and the
@@ -87,7 +88,7 @@ def _encode_and_build(
     def compute():
         shares = rs_code(ctx.n, ctx.quorum).encode(payload)
         root, witnesses = merkle.build(ctx.kappa, shares)
-        return tuple(shares), root, tuple(witnesses)
+        return tuple(shares), root, witnesses
 
     key = ("rs+mt", ctx.n, ctx.quorum, ctx.kappa, payload)
     return _memo(ctx, key, compute, counter="encode_cache")
@@ -99,7 +100,7 @@ def encode_and_accumulate(
     ReedSolomonCode,
     tuple[bytes, ...],
     bytes,
-    tuple[merkle.MerkleWitness, ...],
+    merkle.Witnesses,
 ]:
     """``RS.ENCODE`` + ``MT.BUILD`` for this party's input payload."""
     code = rs_code(ctx.n, ctx.quorum)
@@ -188,6 +189,29 @@ def decode_with_check(
     return _memo(ctx, key, compute)[0]
 
 
+def verified_shares(
+    inbox: dict[int, object], z_star: bytes, ctx: Context
+) -> tuple[tuple[int, bytes], ...]:
+    """Every verified ``(i, s_i)`` of an inbox, the first one per index.
+
+    Lines 6-7 of the distributing step (and the forward rounds of
+    :func:`repro.ba.broadcast.byzantine_broadcast`).  A
+    :func:`~repro.sim.party.parse_once` parse keyed by ``z*``: it reads
+    ``ctx`` only for what every party of the execution shares (``n``,
+    ``kappa``, ``cache``), never its ``party_id``.
+    """
+    collected: dict[int, bytes] = {}
+    for message in inbox.values():
+        if not (isinstance(message, tuple) and len(message) == 3):
+            continue
+        i = message[0]
+        if not isinstance(i, int) or not 0 <= i < ctx.n:
+            continue
+        if valid_share_tuple(ctx, z_star, i, message):
+            collected.setdefault(i, message[1])
+    return tuple(collected.items())
+
+
 def distribute(
     ctx: Context,
     z_star: bytes,
@@ -219,7 +243,7 @@ def distribute(
         }
     else:
         outgoing = {}
-    inbox = yield from exchange(f"{channel}/r1", outgoing)
+    inbox = yield exchange(f"{channel}/r1", outgoing)
 
     my_tuple = None
     for message in inbox.values():
@@ -229,20 +253,12 @@ def distribute(
 
     # Round 2 (lines 4-5): forward the verified own-index tuple to all.
     if my_tuple is not None:
-        inbox = yield from broadcast_round(ctx, f"{channel}/r2", my_tuple)
+        inbox = yield broadcast_round(ctx, f"{channel}/r2", my_tuple)
     else:
-        inbox = yield from exchange(f"{channel}/r2", {})
+        inbox = yield exchange(f"{channel}/r2", {})
 
     # Lines 6-7: keep verified tuples, decode.
-    collected: dict[int, bytes] = {}
-    for message in inbox.values():
-        if not (isinstance(message, tuple) and len(message) == 3):
-            continue
-        i = message[0]
-        if not isinstance(i, int) or not 0 <= i < ctx.n:
-            continue
-        if valid_share_tuple(ctx, z_star, i, message):
-            collected.setdefault(i, message[1])
+    collected = dict(parse_once(inbox, verified_shares, z_star, ctx))
     if my_tuple is not None:
         collected.setdefault(ctx.party_id, my_tuple[1])
 

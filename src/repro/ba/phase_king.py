@@ -35,6 +35,7 @@ separately (see EXPERIMENTS.md).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Any
 
 from ..sim.party import (
@@ -74,6 +75,26 @@ def _proposals(inbox: dict[int, Any], domain: Domain) -> tuple:
     ]))
 
 
+def _exchanged(inbox: dict[int, Any], domain: Domain) -> tuple[Any, int]:
+    """The exchange round's ``(maj, cnt)``: a :func:`parse_once` parse."""
+    return _plurality(tally_inbox(inbox, domain))
+
+
+def _proposed(inbox: dict[int, Any], domain: Domain) -> tuple[Any, int]:
+    """The propose round's ``(prop, pcnt)``: a :func:`parse_once` parse."""
+    return _plurality(_proposals(inbox, domain))
+
+
+@lru_cache(maxsize=1024)
+def _round_labels(channel: str, t: int) -> tuple[tuple[str, str, str], ...]:
+    """Each phase's ``(exch, prop, king)`` channel labels, made once for
+    all ``n`` parties of an instance rather than by each of them."""
+    return tuple(
+        (f"{tag}/exch", f"{tag}/prop", f"{tag}/king")
+        for tag in (f"{channel}/ph{phase}" for phase in range(t + 1))
+    )
+
+
 def phase_king(
     ctx: Context,
     v_in: Any,
@@ -84,30 +105,29 @@ def phase_king(
     ctx.require_resilience(3)
     est = v_in if domain.validate(v_in) else domain.default
 
-    for phase in range(ctx.t + 1):
+    for phase, (exch, propose, arbitrate) in enumerate(
+        _round_labels(channel, ctx.t)
+    ):
         king = phase
-        tag = f"{channel}/ph{phase}"
 
         # Round 1: universal exchange of estimates.
-        inbox = yield from broadcast_round(ctx, f"{tag}/exch", est)
-        maj, cnt = _plurality(parse_once(inbox, tally_inbox, domain))
+        inbox = yield broadcast_round(ctx, exch, est)
+        maj, cnt = parse_once(inbox, _exchanged, domain)
 
         # Round 2: propose the majority value if it had a strong quorum.
         if cnt >= ctx.quorum:
             message: Any = (_PROPOSE, maj)
         else:
             message = (_NO_PROPOSE,)
-        inbox = yield from broadcast_round(ctx, f"{tag}/prop", message)
-        prop, pcnt = _plurality(parse_once(inbox, _proposals, domain))
+        inbox = yield broadcast_round(ctx, propose, message)
+        prop, pcnt = parse_once(inbox, _proposed, domain)
 
         # Round 3: the king arbitrates (everyone else stays silent).
         if ctx.party_id == king:
             king_value = prop if pcnt > 0 else est
-            inbox = yield from broadcast_round(
-                ctx, f"{tag}/king", king_value
-            )
+            inbox = yield broadcast_round(ctx, arbitrate, king_value)
         else:
-            inbox = yield from exchange(f"{tag}/king", {})
+            inbox = yield exchange(arbitrate, {})
         king_value = inbox.get(king)
         if not domain.validate(king_value):
             king_value = domain.default

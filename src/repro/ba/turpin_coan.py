@@ -62,7 +62,7 @@ def turpin_coan(
     value = v_in if domain.validate(v_in) else domain.default
 
     # Round 1: exchange inputs.
-    inbox = yield from broadcast_round(ctx, f"{channel}/input", value)
+    inbox = yield broadcast_round(ctx, f"{channel}/input", value)
     candidate: Any = None
     have_candidate = False
     for received, count in parse_once(inbox, tally_inbox, domain):
@@ -75,7 +75,7 @@ def turpin_coan(
     message: Any = (
         (_CANDIDATE, candidate) if have_candidate else (_NO_CANDIDATE,)
     )
-    inbox = yield from broadcast_round(ctx, f"{channel}/candidate", message)
+    inbox = yield broadcast_round(ctx, f"{channel}/candidate", message)
     candidate_counts = parse_once(inbox, _candidates, domain)
 
     strong = any(count >= ctx.quorum for _, count in candidate_counts)

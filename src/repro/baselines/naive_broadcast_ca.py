@@ -58,11 +58,11 @@ def naive_broadcast_ca(
     for sender in range(ctx.n):
         # The sender ships its raw value; everyone else stays silent.
         if ctx.party_id == sender:
-            inbox = yield from broadcast_round(
+            inbox = yield broadcast_round(
                 ctx, f"{channel}/send{sender}", payload
             )
         else:
-            inbox = yield from exchange(f"{channel}/send{sender}", {})
+            inbox = yield exchange(f"{channel}/send{sender}", {})
         received = inbox.get(sender)
         if not domain.validate(received):
             received = domain.default

@@ -50,9 +50,9 @@ def get_output(
     head = bits_fixed(v_bot, ell).prefix(prefix.length)
     if head != prefix:
         my_bit = 0 if head.value < prefix.value else 1
-        inbox = yield from broadcast_round(ctx, f"{channel}/announce", my_bit)
+        inbox = yield broadcast_round(ctx, f"{channel}/announce", my_bit)
     else:
-        inbox = yield from exchange(f"{channel}/announce", {})
+        inbox = yield exchange(f"{channel}/announce", {})
 
     # Line 4: CHOICE := a bit received from ceil(m / 2) parties.
     received = [

@@ -84,14 +84,14 @@ def high_cost_ca(
         raise ValueError(f"HighCostCA input must be in N, got {v_in!r}")
 
     # ---- Setup stage -------------------------------------------------
-    inbox = yield from broadcast_round(ctx, f"{channel}/input", v_in)
+    inbox = yield broadcast_round(ctx, f"{channel}/input", v_in)
     values = sorted(v for v in inbox.values() if _is_nat(v))
     # n - t honest values always arrive; k counts the byzantine extras.
     k = max(0, len(values) - ctx.quorum)
     interval_min = values[k]
     interval_max = values[-(k + 1)]
 
-    inbox = yield from broadcast_round(
+    inbox = yield broadcast_round(
         ctx, f"{channel}/interval", (interval_min, interval_max)
     )
     intervals = [
@@ -124,7 +124,7 @@ def high_cost_ca(
         tag = f"{channel}/p{phase}"
 
         # Line 10: exchange CURRENT.
-        inbox = yield from broadcast_round(ctx, f"{tag}/cur", current)
+        inbox = yield broadcast_round(ctx, f"{tag}/cur", current)
         value_counts = _count_nat_values(inbox)
         quorum_value, quorum_count = _best(value_counts)
 
@@ -135,7 +135,7 @@ def high_cost_ca(
             outgoing = {dest: message for dest in ctx.all_parties}
         else:
             outgoing = {}
-        inbox = yield from exchange(f"{tag}/prop", outgoing)
+        inbox = yield exchange(f"{tag}/prop", outgoing)
         proposal_counts = _count_tagged(inbox, _PROPOSE)
         proposed, proposal_count = _best(proposal_counts)
         strong_proposal = proposal_count >= ctx.quorum
@@ -151,9 +151,9 @@ def high_cost_ca(
                 king_value = proposed
             else:
                 king_value = suggestion
-            inbox = yield from broadcast_round(ctx, f"{tag}/king", king_value)
+            inbox = yield broadcast_round(ctx, f"{tag}/king", king_value)
         else:
-            inbox = yield from exchange(f"{tag}/king", {})
+            inbox = yield exchange(f"{tag}/king", {})
         king_value = inbox.get(king)
         if not _is_nat(king_value):
             king_value = None
@@ -167,7 +167,7 @@ def high_cost_ca(
             outgoing = {dest: vote for dest in ctx.all_parties}
         else:
             outgoing = {}
-        inbox = yield from exchange(f"{tag}/vote", outgoing)
+        inbox = yield exchange(f"{tag}/vote", outgoing)
 
         # Lines 19-21: without a strong proposal, adopt a t+1-supported
         # king value.

@@ -15,6 +15,9 @@ Implementation notes:
   leaf/node confusion attacks,
 * the tree is padded to a power of two with a distinguished empty-leaf
   hash, so witnesses always have ``ceil(log2 n)`` siblings,
+* :func:`build` hashes every level but makes a witness only when it is
+  read (:class:`Witnesses`): only a party that sends codewords reads
+  any,
 * :func:`verify` is fully defensive: malformed byzantine witnesses make
   it return ``False`` instead of raising.
 """
@@ -22,6 +25,7 @@ Implementation notes:
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -29,7 +33,14 @@ from ..perf import config, counters
 from ..sim.sizing import Row, memoized_wire_bits, register
 from .hashing import digest_size_bytes, hash_leaves, hash_pair_level
 
-__all__ = ["MerkleWitness", "build", "verify", "well_formed", "witness_bits"]
+__all__ = [
+    "MerkleWitness",
+    "Witnesses",
+    "build",
+    "verify",
+    "well_formed",
+    "witness_bits",
+]
 
 _LEAF_TAG = b"\x00"
 _NODE_TAG = b"\x01"
@@ -59,6 +70,45 @@ register(MerkleWitness, Row(
     "witness", lambda parts: MerkleWitness(*parts), MerkleWitness.wire_bits,
     children=lambda witness: (witness.index, witness.siblings),
 ))
+
+
+class Witnesses(Sequence):
+    """:func:`build`'s witnesses, one per leaf, each made when first read.
+
+    Holds the tree's hashed levels; ``witnesses[i]`` makes
+    ``MerkleWitness(i, siblings)`` the first time ``i`` is read and
+    keeps it, so a sequence nobody reads costs no witness at all.
+    Read-only; two sequences over the same levels are equal.
+    """
+
+    __slots__ = ("_levels", "_made")
+
+    def __init__(self, levels: list[list[bytes]], count: int) -> None:
+        self._levels = levels
+        self._made: list[MerkleWitness | None] = [None] * count
+
+    def __len__(self) -> int:
+        return len(self._made)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(len(self._made))[index])
+        witness = self._made[index]
+        if witness is None:
+            position = range(len(self._made))[index]
+            witness = self._made[index] = MerkleWitness(
+                position,
+                tuple(
+                    level[(position >> depth) ^ 1]
+                    for depth, level in enumerate(self._levels[:-1])
+                ),
+            )
+        return witness
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Witnesses):
+            return NotImplemented
+        return len(self) == len(other) and self._levels == other._levels
 
 
 @lru_cache(maxsize=None)
@@ -139,10 +189,12 @@ def _build_levels_reference(
     return levels
 
 
-def build(
-    kappa: int, leaves: list[bytes]
-) -> tuple[bytes, list[MerkleWitness]]:
-    """``MT.BUILD``: return the root and one witness per leaf."""
+def build(kappa: int, leaves: list[bytes]) -> tuple[bytes, Witnesses]:
+    """``MT.BUILD``: return the root and one witness per leaf.
+
+    Every level is hashed here; the witnesses are made on read
+    (:class:`Witnesses`).
+    """
     if not leaves:
         raise ValueError("cannot build a Merkle tree over zero leaves")
     counters.bump("merkle_build")
@@ -157,16 +209,7 @@ def build(
     else:
         levels = _build_levels_reference(kappa, leaves, width)
 
-    witnesses = []
-    for index in range(count):
-        siblings = []
-        position = index
-        for depth in range(len(levels) - 1):
-            sibling = levels[depth][position ^ 1]
-            siblings.append(sibling)
-            position //= 2
-        witnesses.append(MerkleWitness(index=index, siblings=tuple(siblings)))
-    return levels[-1][0], witnesses
+    return levels[-1][0], Witnesses(levels, count)
 
 
 def well_formed(

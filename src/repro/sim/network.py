@@ -400,57 +400,49 @@ class SynchronousNetwork:
                 violation.trace = self.trace
             raise
 
-    def _resume(
-        self, party: int, state: _PartyState, round_index: int
-    ) -> Outgoing | None:
-        """Advance one party's generator by one round; None if finished."""
-        if state.finished:
-            return None
-        try:
-            if not state.started:
-                state.started = True
-                outgoing = next(state.generator)
-            else:
-                outgoing = state.generator.send(state.inbox)
-        except StopIteration as stop:
+    def _stopped(
+        self, party: int, state: _PartyState, round_index: int,
+        error: Exception,
+    ) -> None:
+        """A resume that raised: the party finished, or the run fails.
+
+        ``StopIteration`` is the protocol's return; the repo's own
+        :class:`~repro.errors.ReproError` taxonomy propagates; any other
+        exception finishes a corrupted party and fails the run for an
+        honest one.
+        """
+        if isinstance(error, StopIteration):
             state.finished = True
-            state.output = stop.value
-            return None
-        except ReproError:
-            # The repo's own taxonomy (ConfigurationError, monitor
-            # violations, ...) is deliberate signalling, not a party
-            # crashed by hostile input -- let it propagate untouched.
-            raise
-        except Exception as error:
-            if party in self.corrupted:
-                # A corrupted party's spec code may crash on adversarial
-                # inboxes; the adversary simply loses its spec hint.
-                state.finished = True
-                return None
-            # The model forbids byzantine input from crashing honest
-            # code: attribute the exception to the party, the round,
-            # and a bounded digest of the inbox it was consuming, so
-            # fuzz reports separate input-validation bugs from harness
-            # bugs and budget errors.  repr()-free on purpose -- the
-            # offending payload may be arbitrarily hostile.
-            digest = inbox_digest(state.inbox)
-            summary = str(error)
-            if len(summary) > 200:
-                summary = summary[:200] + "..."
-            raise HonestPartyError(
-                f"honest party {party} raised "
-                f"{type(error).__name__} in round {round_index}: "
-                f"{summary} (inbox digest {digest})",
-                party=party,
-                round_index=round_index,
-                inbox_digest=digest,
-            ) from error
-        if not isinstance(outgoing, Outgoing):
-            raise self._failure(
-                f"party {party} yielded {type(outgoing).__name__}, "
-                "expected Outgoing"
-            )
-        return outgoing
+            state.output = error.value
+            return
+        if isinstance(error, ReproError):
+            # Deliberate signalling (ConfigurationError, monitor
+            # violations, ...), not a party crashed by hostile input --
+            # let it propagate untouched.
+            raise error
+        if party in self.corrupted:
+            # A corrupted party's spec code may crash on adversarial
+            # inboxes; the adversary simply loses its spec hint.
+            state.finished = True
+            return
+        # The model forbids byzantine input from crashing honest code:
+        # attribute the exception to the party, the round, and a bounded
+        # digest of the inbox it was consuming, so fuzz reports separate
+        # input-validation bugs from harness bugs and budget errors.
+        # repr()-free on purpose -- the offending payload may be
+        # arbitrarily hostile.
+        digest = inbox_digest(state.inbox)
+        summary = str(error)
+        if len(summary) > 200:
+            summary = summary[:200] + "..."
+        raise HonestPartyError(
+            f"honest party {party} raised "
+            f"{type(error).__name__} in round {round_index}: "
+            f"{summary} (inbox digest {digest})",
+            party=party,
+            round_index=round_index,
+            inbox_digest=digest,
+        ) from error
 
     # -- crash plane ---------------------------------------------------
     def _process_restarts(self, round_index: int) -> None:
@@ -606,19 +598,60 @@ class SynchronousNetwork:
             if declared:
                 self._accept_crashes(declared, round_index)
 
-        # Resume every running generator (down parties stay frozen).
-        # The finished/down guards are hoisted out of ``_resume`` so a
-        # long-finished party costs one attribute read, not a call;
-        # ``sched_resumes`` counts actual generator touches only.
+        # Resume every running generator (down parties stay frozen), and
+        # read each bundle as it arrives: the honest channel set for the
+        # lockstep check, and the all-broadcast shared dict.  A
+        # long-finished party costs one attribute read; ``sched_resumes``
+        # counts actual generator touches only.
+        #
+        # An all-broadcast round (every honest bundle a ``to_all`` for
+        # this ``n``, or empty like the non-kings' king round) delivers
+        # the same ``{sender: payload}`` dict to every party: build it
+        # once in party order and price each sender once.  With no
+        # adversary stage, the corrupted senders' spec broadcasts join
+        # it after the honest ones if all of them are broadcasts (else:
+        # per-message loop).  When nothing is then inserted per
+        # destination, every party is handed the same read-only
+        # ``SharedInbox``, which ``parse_once`` parses once for all n;
+        # otherwise each party gets its own copy to insert into.
+        consult = self._consult_adversary
         outgoings: dict[int, Outgoing] = {}
+        honest_channels: set[str] = set()
+        shared: dict[int, Any] | None = {}
+        spec: dict[int, Any] | None = {} if corrupted and not consult else None
         resumes = 0
         for party, state in states.items():
             if state.finished or (down and party in down):
                 continue
             resumes += 1
-            outgoing = self._resume(party, state, round_index)
-            if outgoing is not None:
-                outgoings[party] = outgoing
+            try:
+                if state.started:
+                    out = state.generator.send(state.inbox)
+                else:
+                    state.started = True
+                    out = next(state.generator)
+            except Exception as error:
+                self._stopped(party, state, round_index, error)
+                continue
+            if not isinstance(out, Outgoing):
+                raise self._failure(
+                    f"party {party} yielded {type(out).__name__}, "
+                    "expected Outgoing"
+                )
+            outgoings[party] = out
+            if corrupted and party in corrupted:
+                if spec is not None:
+                    if out.n == n:
+                        spec[party] = out.payload
+                    elif out.n or out.messages:
+                        spec = None
+                continue
+            honest_channels.add(out.channel)
+            if shared is not None:
+                if out.n == n:
+                    shared[party] = out.payload
+                elif out.n or out.messages:
+                    shared = None
         if resumes:
             counters.bump("sched_resumes", resumes)
         if not outgoings:
@@ -627,11 +660,6 @@ class SynchronousNetwork:
             return bool(down)
 
         # Lockstep sanity check: running honest parties share one channel.
-        honest_channels = {
-            out.channel
-            for party, out in outgoings.items()
-            if party not in corrupted
-        }
         observed = self.trace is not None or bool(self.monitors)
         if len(honest_channels) > 1:
             if observed:
@@ -650,37 +678,11 @@ class SynchronousNetwork:
         # cost 0: a process does not use the network to talk to itself.
         # Links to down parties are priced like any other.
         inboxes: dict[int, dict[int, Any]]
-        consult = self._consult_adversary
         sender_bits: list[tuple[int, int]] = []
         round_bits = round_messages = 0
         #: ``id(payload) -> bits`` for the synchronizer's link table;
         #: payloads outlive the round in ``outgoings``, so ids are unique.
         prices: dict[int, int] | None = {} if transport is not None else None
-        # An all-broadcast round (every honest bundle a ``to_all`` for
-        # this ``n``, or empty like the non-kings' king round) delivers
-        # the same ``{sender: payload}`` dict to every party: build it
-        # once in party order and price each sender once.  With no
-        # adversary stage, the corrupted senders' spec broadcasts join
-        # it after the honest ones if all of them are broadcasts (else:
-        # per-message loop).  When nothing is then inserted per
-        # destination, every party is handed the same read-only
-        # ``SharedInbox``, which ``parse_once`` parses once for all n;
-        # otherwise each party gets its own copy to insert into.
-        shared: dict[int, Any] | None = {}
-        spec: dict[int, Any] | None = {} if corrupted and not consult else None
-        for party, out in outgoings.items():
-            if corrupted and party in corrupted:
-                if spec is not None:
-                    if out.n == n:
-                        spec[party] = out.payload
-                    elif out.n or out.messages:
-                        spec = None
-                continue
-            if out.n == n:
-                shared[party] = out.payload
-            elif out.n or out.messages:
-                shared = None
-                break
         byz_count = 0
         if shared is not None:
             fanout = n - 1

@@ -4,7 +4,8 @@ A protocol is written as a Python generator function taking a
 :class:`Context` plus its inputs.  Each synchronous round of the paper's
 model is one ``yield`` of an :class:`Outgoing` bundle:
 
-* the protocol *yields* the messages it wants to send this round
+* the protocol *yields* the messages it wants to send this round, built
+  by :func:`broadcast_round` (one payload to all) or :func:`exchange`
   (``{destination_id: payload}``), and
 * the ``yield`` expression *evaluates to* the party's inbox for the round
   (``{sender_id: payload}``), once the simulator has delivered everything
@@ -12,10 +13,17 @@ model is one ``yield`` of an :class:`Outgoing` bundle:
   read, never written: in a round where every party received the same
   dict, all of them are handed one read-only :class:`SharedInbox`.
 
-Subprotocols compose with ``yield from``, and their return value is the
-subprotocol output -- exactly the structure of the paper's pseudocode,
-where e.g. ``FixedLengthCA`` "joins" ``FindPrefix`` and then uses its
-return values.
+``yield`` is a round, ``yield from`` a sub-protocol::
+
+    inbox = yield broadcast_round(ctx, "tag/exch", est)   # one round
+    z = yield from phase_king(ctx, v, domain)             # a sub-protocol
+
+:func:`broadcast_round` and :func:`exchange` are plain functions that
+return the bundle, so ``yield from`` on them is a ``TypeError`` at the
+party's first round.  A sub-protocol's return value is its output --
+exactly the structure of the paper's pseudocode, where e.g.
+``FixedLengthCA`` "joins" ``FindPrefix`` and then uses its return
+values.
 
 The ``channel`` label attached to each round is pure metadata: it names
 the (sub)protocol step for communication accounting and gives scripted
@@ -122,28 +130,38 @@ class SharedInbox(dict):
 
 def parse_once(
     inbox: dict[int, Any],
-    parse: Callable[[dict[int, Any], Any], T],
-    domain: Any,
+    parse: Callable[..., T],
+    reads: Any,
+    *shared: Any,
 ) -> T:
-    """``parse(inbox, domain)``, computed once per shared inbox.
+    """``parse(inbox, reads, *shared)``, computed once per shared inbox.
 
-    ``parse`` is a module-level function, pure in the inbox and the
-    domain, so it names what is computed.  On a :class:`SharedInbox` the
-    first party to ask runs it and the others get the remembered result,
-    keyed by ``parse`` and ``domain.name`` (a domain's name fixes what
-    it accepts) -- never by party -- so ``parse`` returns an immutable
-    result.  Any other
-    inbox, or the caches switched off (:func:`repro.perf.config.caches`),
-    is parsed by its own party.
+    ``parse`` is a module-level function, pure in its arguments, so it
+    names what is computed; ``reads`` is what it reads besides the
+    inbox: a :class:`~repro.ba.domains.Domain` (keyed by its name, which
+    fixes what it accepts) or an agreed root ``z*`` (keyed by itself when
+    of exact type ``bytes``).  ``shared`` is passed through unkeyed and
+    may only carry what every party of the execution holds alike (its
+    ``n``, ``kappa``, ``cache``).  On a :class:`SharedInbox` the first
+    party to ask runs ``parse`` and the others get the remembered
+    result, keyed by ``parse`` and ``reads`` -- never by party -- so
+    ``parse`` returns an immutable result.  Any other inbox, a ``reads``
+    that is a ``bytes`` subclass, or the caches switched off
+    (:func:`repro.perf.config.caches`), is parsed by its own party.
     """
     if type(inbox) is SharedInbox and caches_enabled():
+        if type(reads) is bytes:
+            key = (parse, reads)
+        elif isinstance(reads, bytes):
+            return parse(inbox, reads, *shared)
+        else:
+            key = (parse, reads.name)
         memo = inbox.memo
-        key = (parse, domain.name)
         if key in memo:
             return memo[key]
-        result = memo[key] = parse(inbox, domain)
+        result = memo[key] = parse(inbox, reads, *shared)
         return result
-    return parse(inbox, domain)
+    return parse(inbox, reads, *shared)
 
 
 @dataclass(frozen=True, slots=True)
@@ -221,17 +239,11 @@ class Context:
         return self.n - 2 * self.t
 
 
-def exchange(
-    channel: str, messages: dict[int, Any]
-) -> Proto[dict[int, Any]]:
-    """Run one round: send ``messages`` and return the received inbox."""
-    inbox = yield Outgoing(channel=channel, messages=dict(messages))
-    return inbox
+def exchange(channel: str, messages: dict[int, Any]) -> Outgoing:
+    """One round's bundle: ``messages``, ``{destination: payload}``."""
+    return Outgoing(channel=channel, messages=dict(messages))
 
 
-def broadcast_round(
-    ctx: Context, channel: str, payload: Any
-) -> Proto[dict[int, Any]]:
-    """Send ``payload`` to all n parties (self included) for one round."""
-    inbox = yield Outgoing.to_all(channel, payload, ctx.n)
-    return inbox
+def broadcast_round(ctx: Context, channel: str, payload: Any) -> Outgoing:
+    """One round's bundle: ``payload`` to all n parties, self included."""
+    return _Broadcast(channel, payload, ctx.n)

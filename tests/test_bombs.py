@@ -286,7 +286,7 @@ class TestStringBombCanary:
 
 def _fragile_protocol(ctx, value):
     """Trusts its inbox: crashes on any non-int payload."""
-    inbox = yield from broadcast_round(ctx, "vals", value)
+    inbox = yield broadcast_round(ctx, "vals", value)
     for payloadload in [inbox[k] for k in sorted(inbox)]:
         if not isinstance(payloadload, int):
             raise TypeError(

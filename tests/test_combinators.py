@@ -47,7 +47,7 @@ class TestRunParallel:
         from repro.sim.party import broadcast_round
 
         def short(ctx, v):
-            inbox = yield from broadcast_round(ctx, "s", v)
+            inbox = yield broadcast_round(ctx, "s", v)
             return sorted(
                 x for x in inbox.values() if isinstance(x, int)
             )[0]
@@ -55,7 +55,7 @@ class TestRunParallel:
         def long(ctx, v):
             total = v
             for _ in range(3):
-                inbox = yield from broadcast_round(ctx, "l", total)
+                inbox = yield broadcast_round(ctx, "l", total)
                 total = max(
                     (x for x in inbox.values() if isinstance(x, int)),
                     default=total,

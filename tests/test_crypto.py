@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.coding.reed_solomon import rs_code
+from repro.crypto import merkle
 from repro.crypto.hashing import digest_size_bytes, hash_bytes, hash_parts
 from repro.crypto.merkle import MerkleWitness, build, verify, witness_bits
+from repro.perf import config, counters
+from repro.sim.sizing import bit_size
 
 
 class TestHashing:
@@ -143,3 +150,94 @@ class TestWitnessSize:
             _, witnesses = build(128, leaves)
             bound = witness_bits(128, count)
             assert all(w.wire_bits() <= bound for w in witnesses)
+
+
+def _eager(kappa, leaves):
+    """Root and witnesses as an eager ``MT.BUILD`` makes them: every
+    path walked at build time, over the scalar reference levels."""
+    width = 1
+    while width < len(leaves):
+        width *= 2
+    levels = merkle._build_levels_reference(kappa, list(leaves), width)
+    witnesses = []
+    for index in range(len(leaves)):
+        siblings, position = [], index
+        for depth in range(len(levels) - 1):
+            siblings.append(levels[depth][position ^ 1])
+            position //= 2
+        witnesses.append(MerkleWitness(index=index, siblings=tuple(siblings)))
+    return levels[-1][0], witnesses
+
+
+class TestWitnessesOnRead:
+    """``build`` hashes every level and makes a witness when it is read."""
+
+    @pytest.mark.parametrize("backend", config.available_backends())
+    @pytest.mark.parametrize("count", [1, 2, 3, 7, 16, 31])
+    def test_every_witness_is_the_eager_one(self, backend, count):
+        leaves = [bytes([i, 7]) * 3 for i in range(count)]
+        with config.use_backend(backend), counters.capture() as built:
+            root, witnesses = build(64, leaves)
+        eager_root, eager = _eager(64, leaves)
+        assert root == eager_root
+        assert type(witnesses) is merkle.Witnesses and len(witnesses) == count
+        assert built["merkle_build"] == 1
+        with counters.capture() as read:
+            backwards = [witnesses[i] for i in reversed(range(count))]
+        assert backwards == eager[::-1]
+        assert not read  # reading hashes nothing
+        assert list(witnesses) == eager
+        assert witnesses[-1] == eager[-1] and witnesses[-count] == eager[0]
+        assert witnesses[1:3] == tuple(eager[1:3])
+        for i, leaf in enumerate(leaves):
+            assert verify(64, root, i, leaf, witnesses[i])
+        for bad in (count, -count - 1):
+            with pytest.raises(IndexError):
+                witnesses[bad]
+
+    def test_sha256_count_is_the_eager_builds(self):
+        leaves = [bytes([i]) * 5 for i in range(13)]
+        counts = []
+        for backend in config.available_backends():
+            with config.use_backend(backend), counters.capture() as ops:
+                build(128, leaves)
+            counts.append(ops["sha256"])
+        with counters.capture() as ops:
+            _eager(128, leaves)
+        assert set(counts) == {ops["sha256"]}
+
+    def test_a_witness_is_made_once_and_only_when_read(self, monkeypatch):
+        made = []
+        init = MerkleWitness.__init__
+
+        def spy(self, *args, **kwargs):
+            made.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(MerkleWitness, "__init__", spy)
+        _, witnesses = build(128, [bytes([i]) for i in range(16)])
+        assert made == []
+        assert witnesses[5] is witnesses[5]
+        assert len(made) == 1
+
+    def test_pickle_deepcopy_and_equality(self):
+        leaves = [bytes([i]) * 9 for i in range(7)]
+        _, witnesses = build(128, leaves)
+        _, again = build(128, leaves)
+        witnesses[2]  # a read-before-copy entry must not matter
+        for copied in (
+            pickle.loads(pickle.dumps(witnesses)), copy.deepcopy(witnesses)
+        ):
+            assert copied == witnesses and list(copied) == list(witnesses)
+        assert witnesses == again
+        assert witnesses != build(128, leaves[::-1])[1]
+        assert witnesses != list(witnesses)  # a sequence, not a list
+        with pytest.raises(TypeError):
+            witnesses[0] = witnesses[1]
+
+    def test_a_share_tuple_prices_as_before(self):
+        shares = rs_code(16, 11).encode(b"the agreed value " * 16)
+        _, witnesses = build(128, shares)
+        _, eager = _eager(128, shares)
+        priced = bit_size((0, shares[0], witnesses[0]))
+        assert priced == bit_size((0, shares[0], eager[0])) == 722

@@ -329,3 +329,19 @@ class TestDocsDirectory:
                     )
                 )
             assert found, f"docs/api.md references unknown symbol {symbol}"
+
+
+class TestRoundIdiom:
+    def test_no_round_helper_is_delegated_to(self):
+        """A round is one ``yield``: ``broadcast_round`` and ``exchange``
+        return the bundle, so ``yield from`` on one is a ``TypeError`` at
+        the party's first round.  No code, example or current prose
+        shows that idiom."""
+        old = re.compile(r"yield from (?:broadcast_round|exchange)\(")
+        code = [
+            path
+            for folder in ("src", "tests", "examples")
+            for path in sorted((ROOT / folder).rglob("*.py"))
+        ]
+        for path in code + DOCS:
+            assert not old.search(path.read_text()), path

@@ -33,13 +33,13 @@ KAPPA = 64
 def echo_protocol(ctx, v):
     """One broadcast round; output the own input (convex, agreeing iff
     all inputs agree)."""
-    yield from broadcast_round(ctx, "echo", v)
+    yield broadcast_round(ctx, "echo", v)
     return v
 
 
 def constant_protocol(value):
     def proto(ctx, v):
-        yield from broadcast_round(ctx, "const", v)
+        yield broadcast_round(ctx, "const", v)
         return value
 
     return proto
@@ -48,7 +48,7 @@ def constant_protocol(value):
 def chatty_protocol(rounds):
     def proto(ctx, v):
         for index in range(rounds):
-            yield from broadcast_round(ctx, f"chat/{index}", v)
+            yield broadcast_round(ctx, f"chat/{index}", v)
         return v
 
     return proto
@@ -177,7 +177,7 @@ class TestConvexValidityMonitor:
         """A protocol over non-integer inputs has no hull to check."""
 
         def proto(ctx, v):
-            yield from broadcast_round(ctx, "s", v)
+            yield broadcast_round(ctx, "s", v)
             return v
 
         run_monitored(proto, ["a", "a", "a", "a"], 4, 0,
@@ -195,7 +195,7 @@ class TestLockstepMonitor:
     def test_catches_diverging_channels(self):
         def skewed(ctx, v):
             channel = "left" if ctx.party_id % 2 == 0 else "right"
-            yield from broadcast_round(ctx, channel, v)
+            yield broadcast_round(ctx, channel, v)
             return v
 
         with pytest.raises(ProtocolViolation) as excinfo:
@@ -317,7 +317,7 @@ class TestGracefulDegradation:
 
         def forever(ctx, v):
             while True:
-                yield from broadcast_round(ctx, "spin", v)
+                yield broadcast_round(ctx, "spin", v)
 
         network = SynchronousNetwork(
             forever, [1, 1, 1, 1], n=4, t=0, kappa=KAPPA,

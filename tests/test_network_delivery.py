@@ -1,10 +1,10 @@
 """Round delivery: broadcast bundles and the optional stages.
 
 ``SynchronousNetwork._run_round`` is one pipeline.  ``broadcast_round``
-yields a *marked* bundle (``Outgoing.to_all``: one payload, no
+returns a *marked* bundle (``Outgoing.to_all``: one payload, no
 ``{dst: payload}`` dict until a stage reads ``messages``) so the
 deliver stage can build one ``{sender: payload}`` dict per round and
-``update`` every inbox from it; a transport, a scripted adversary, a
+hand it to every party as one ``SharedInbox``; a transport, a scripted adversary, a
 recovery plane, a trace or monitors arm further stages.  Neither the
 bundle's form nor an armed stage may change what the protocol observes
 or what the ledger says.  Contracts:
@@ -56,7 +56,8 @@ GRID = [(1, 0), (2, 0), (4, 1), (7, 2), (10, 3)]
 
 
 def marked(ctx, channel, payload):
-    return broadcast_round(ctx, channel, payload)
+    inbox = yield broadcast_round(ctx, channel, payload)
+    return inbox
 
 
 def unmarked(ctx, channel, payload):
@@ -86,7 +87,7 @@ def probe(send):
         if me == 0:
             inbox = yield from send(ctx, "king", ("K", value))
         else:
-            inbox = yield from exchange("king", {})
+            inbox = yield exchange("king", {})
         seen.append(tuple(inbox.items()))
         # Early finishers: every third party is done here.
         if me % 3 == 2:
@@ -94,7 +95,7 @@ def probe(send):
         # A mixed round: party 0 sends one payload per destination
         # (``distribute`` style), the rest broadcast.
         if me == 0:
-            inbox = yield from exchange(
+            inbox = yield exchange(
                 "mixed", {dst: ("share", dst) for dst in ctx.all_parties}
             )
         else:
@@ -267,7 +268,7 @@ def test_inboxes_are_private(n, t):
     def protocol(ctx, value):
         seen = []
         for round_index in range(3):
-            inbox = yield from broadcast_round(ctx, "r", (value, round_index))
+            inbox = yield broadcast_round(ctx, "r", (value, round_index))
             if ctx.party_id == 0:
                 refused = []
                 for vandalise in (
@@ -428,7 +429,7 @@ def _order_probe(ctx, v):
     """Record the exact inbox key order for a few rounds."""
     orders = []
     for _ in range(4):
-        inbox = yield from broadcast_round(ctx, "probe", (v, ctx.party_id))
+        inbox = yield broadcast_round(ctx, "probe", (v, ctx.party_id))
         orders.append(tuple(inbox))
     return tuple(orders)
 
@@ -468,7 +469,7 @@ def _hoarder(ctx, value):
     """Keeps every inbox it is handed and reads them only at the end."""
     kept = []
     for round_index in range(5):
-        inbox = yield from broadcast_round(ctx, "keep", (value, round_index))
+        inbox = yield broadcast_round(ctx, "keep", (value, round_index))
         kept.append(inbox)
     return tuple(tuple(inbox.items()) for inbox in kept)
 
@@ -497,7 +498,7 @@ def _keeper(ctx, value):
     """Returns the inbox objects it was handed, one per round."""
     kept = []
     for round_index in range(2):
-        kept.append((yield from broadcast_round(ctx, "k", round_index)))
+        kept.append((yield broadcast_round(ctx, "k", round_index)))
     return tuple(kept)
 
 

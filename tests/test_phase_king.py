@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
-from collections import namedtuple
+import sys
+from collections import Counter, namedtuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +22,7 @@ from repro.ba import (
 )
 from repro.ba.phase_king import phase_king, phase_king_rounds
 from repro.core.bitstrings import BitString
+from repro.crypto.merkle import MerkleWitness
 from repro.perf import config
 from repro.sim import Context
 from repro.sim.party import SharedInbox
@@ -361,30 +363,51 @@ def test_a_shared_round_is_tallied_once(monkeypatch):
     """One ``convex_agreement`` op at n = 16: with the caches on,
     ``Domain.tally`` runs once per Phase-King exchange / propose round
     and ``PI_BA+`` input round (every one of them shared); with them
-    off, once per party per round.  Nothing observable moves."""
-    calls = []
-    tally = Domain.tally
+    off, once per party per round.  So do Phase-King's pluralities, and
+    the distributing step's share checks run once for the shared
+    ``dist/r2`` inbox (plus each party's own ``dist/r1`` check).
+    Merkle witnesses are made only for the 16 the holders send, caches
+    on or off.  Nothing observable moves."""
+    calls = Counter()
 
-    def spy(domain, ballots):
-        calls.append(domain.name)
-        return tally(domain, ballots)
+    def spy(owner, name, key):
+        original = getattr(owner, name)
 
-    monkeypatch.setattr(Domain, "tally", spy)
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    spy(Domain, "tally", "tally")
+    spy(sys.modules["repro.ba.phase_king"], "_plurality", "plurality")
+    spy(sys.modules["repro.ba.distribution"], "valid_share_tuple", "share")
+    spy(MerkleWitness, "__init__", "witness")
     inputs = make_inputs(16, 256, seed=0, spread="spread")
     runs = {}
     for on in (True, False):
         calls.clear()
         with config.caches(on):
             execution = convex_agreement(inputs, t=5).execution
-        runs[on] = (len(calls), execution)
+        runs[on] = (dict(calls), execution)
     (shared_calls, shared), (own_calls, own) = runs[True], runs[False]
     parsed = sum(
         channel.endswith(("/exch", "/prop", "/input"))
         for channel in shared.channel_trace
     )
-    assert parsed > 500
-    assert shared_calls == parsed
-    assert own_calls == 16 * parsed
+    pluralities = sum(
+        channel.endswith(("/exch", "/prop"))
+        for channel in shared.channel_trace
+    )
+    assert parsed == 524 and pluralities == 516
+    assert shared_calls == {
+        "tally": parsed, "plurality": pluralities, "share": 16 + 16,
+        "witness": 16,
+    }
+    assert own_calls == {
+        "tally": 16 * parsed, "plurality": 16 * pluralities,
+        "share": 16 + 16 * 16, "witness": 6 * 16,
+    }
     assert shared.outputs == own.outputs
     assert shared.channel_trace == own.channel_trace
     assert dataclasses.replace(shared.stats, wall_s=0.0) == \

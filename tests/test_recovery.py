@@ -217,7 +217,7 @@ _TICKET = itertools.count()
 def _nondeterministic_protocol(ctx, v_in):
     """Broadcasts a fresh global counter value -- unrecoverable."""
     for _ in range(6):
-        yield from broadcast_round(ctx, "bad", v_in + next(_TICKET))
+        yield broadcast_round(ctx, "bad", v_in + next(_TICKET))
     return v_in
 
 

@@ -143,23 +143,23 @@ class TestContext:
 
 def echo_protocol(ctx, v):
     """Broadcast the input, return the sorted list of received values."""
-    inbox = yield from broadcast_round(ctx, "echo", v)
+    inbox = yield broadcast_round(ctx, "echo", v)
     return sorted(
         x for x in inbox.values() if isinstance(x, int)
     )
 
 
 def two_round_protocol(ctx, v):
-    inbox = yield from broadcast_round(ctx, "r1", v)
+    inbox = yield broadcast_round(ctx, "r1", v)
     total = sum(x for x in inbox.values() if isinstance(x, int))
-    inbox = yield from broadcast_round(ctx, "r2", total)
+    inbox = yield broadcast_round(ctx, "r2", total)
     return max(x for x in inbox.values() if isinstance(x, int))
 
 
 def straggler_protocol(ctx, v):
     """Party 0 runs six rounds, everyone else one."""
     for round_index in range(6 if ctx.party_id == 0 else 1):
-        yield from broadcast_round(ctx, f"r{round_index}", v)
+        yield broadcast_round(ctx, f"r{round_index}", v)
     return v
 
 
@@ -198,14 +198,14 @@ class TestScheduler:
     def test_round_limit(self):
         def forever(ctx, v):
             while True:
-                yield from broadcast_round(ctx, "loop", 0)
+                yield broadcast_round(ctx, "loop", 0)
 
         with pytest.raises(SimulationError):
             run_protocol(forever, [0] * 4, 4, 1, max_rounds=10)
 
     def test_disagreement_detected(self):
         def disagree(ctx, v):
-            yield from exchange("one", {})
+            yield exchange("one", {})
             return ctx.party_id
 
         result = run_protocol(disagree, [0] * 4, 4, 1)
@@ -215,9 +215,9 @@ class TestScheduler:
     def test_lockstep_violation_detected(self):
         def skewed(ctx, v):
             if ctx.party_id == 0:
-                yield from exchange("channel_a", {})
+                yield exchange("channel_a", {})
             else:
-                yield from exchange("channel_b", {})
+                yield exchange("channel_b", {})
             return 0
 
         with pytest.raises(SimulationError):
@@ -367,7 +367,7 @@ class TestSteppingAPI:
     def test_step_past_the_round_budget_raises_like_run(self):
         def forever(ctx, v):
             while True:
-                yield from broadcast_round(ctx, "loop", 0)
+                yield broadcast_round(ctx, "loop", 0)
 
         with pytest.raises(SimulationError) as ran:
             SynchronousNetwork(forever, [0] * 4, 4, 1, max_rounds=3).run()
@@ -462,10 +462,10 @@ class TestAdversaryFramework:
         # A corrupted party's spec generator that raises must not kill
         # the simulation.
         def fragile(ctx, v):
-            inbox = yield from broadcast_round(ctx, "r", v)
+            inbox = yield broadcast_round(ctx, "r", v)
             if ctx.party_id == 3:
                 raise RuntimeError("corrupted spec blew up")
-            inbox = yield from broadcast_round(ctx, "r2", 1)
+            inbox = yield broadcast_round(ctx, "r2", 1)
             return sorted(x for x in inbox.values() if isinstance(x, int))
 
         result = run_protocol(fragile, [1, 2, 3, 4], 4, 1)
@@ -473,7 +473,7 @@ class TestAdversaryFramework:
 
     def test_honest_crash_propagates(self):
         def fragile(ctx, v):
-            yield from broadcast_round(ctx, "r", v)
+            yield broadcast_round(ctx, "r", v)
             if ctx.party_id == 0:
                 raise RuntimeError("honest bug")
             return 0
@@ -485,3 +485,116 @@ class TestAdversaryFramework:
             run_protocol(fragile, [0] * 4, 4, 1)
         assert excinfo.value.party == 0
         assert isinstance(excinfo.value.__cause__, RuntimeError)
+
+
+class TestResumeStage:
+    """What the resume stage does with a party that raises, returns, or
+    yields something other than an ``Outgoing`` -- at its first resume
+    (round 0) and at a later one.  The bundles are built with
+    ``Outgoing`` itself, so every case reads the same on any version of
+    the round helpers."""
+
+    @staticmethod
+    def rounds(misbehave):
+        """Two broadcast rounds; ``misbehave(ctx, round_index)`` runs
+        before each yield and may raise or return a bundle to yield."""
+
+        def protocol(ctx, v):
+            seen = []
+            for round_index in range(2):
+                bundle = misbehave(ctx, round_index)
+                if bundle is None:
+                    bundle = Outgoing.to_all(f"r{round_index}", v, ctx.n)
+                inbox = yield bundle
+                seen.append(tuple(inbox.items()))
+            return tuple(seen)
+
+        return protocol
+
+    @pytest.mark.parametrize("at", [0, 1])
+    def test_a_bare_dict_is_a_simulation_error(self, at):
+        # The shape old documentation described: ``yield {dst: payload}``.
+        def misbehave(ctx, round_index):
+            if round_index == at and ctx.party_id == 2:
+                return dict.fromkeys(ctx.all_parties, "x")
+            return None
+
+        with pytest.raises(SimulationError) as excinfo:
+            run_protocol(self.rounds(misbehave), [10, 11, 12, 13], 4, 1)
+        error = excinfo.value
+        assert type(error) is SimulationError
+        assert str(error) == "party 2 yielded dict, expected Outgoing"
+        assert error.stats.rounds == at
+        assert error.outputs == {}
+
+    @pytest.mark.parametrize("at, digest", [
+        (0, "e3b0c44298fc1c14"),
+        (1, "643b9795a6b07bbd"),
+    ])
+    def test_an_honest_crash_is_attributed(self, at, digest):
+        def misbehave(ctx, round_index):
+            if round_index == at and ctx.party_id == 1:
+                raise ValueError("boom")
+            return None
+
+        with pytest.raises(HonestPartyError) as excinfo:
+            run_protocol(self.rounds(misbehave), [10, 11, 12, 13], 4, 1)
+        error = excinfo.value
+        assert str(error) == (
+            f"honest party 1 raised ValueError in round {at}: boom "
+            f"(inbox digest {digest})"
+        )
+        assert (error.party, error.round_index, error.inbox_digest) == \
+            (1, at, digest)
+        assert type(error.__cause__) is ValueError
+
+    def test_a_long_crash_message_is_cut_at_200_characters(self):
+        def misbehave(ctx, round_index):
+            if ctx.party_id == 0:
+                raise ValueError("y" * 300)
+            return None
+
+        with pytest.raises(HonestPartyError) as excinfo:
+            run_protocol(self.rounds(misbehave), [10, 11, 12, 13], 4, 1)
+        assert str(excinfo.value) == (
+            "honest party 0 raised ValueError in round 0: "
+            + "y" * 200 + "... (inbox digest e3b0c44298fc1c14)"
+        )
+
+    @pytest.mark.parametrize("at", [0, 1])
+    def test_a_corrupted_crash_drops_its_spec(self, at):
+        def misbehave(ctx, round_index):
+            if round_index == at and ctx.party_id == 3:
+                raise ValueError("spec blew up")
+            return None
+
+        result = run_protocol(self.rounds(misbehave), [10, 11, 12, 13], 4, 1)
+        assert result.corrupted == frozenset({3})
+        everyone = ((0, 10), (1, 11), (2, 12), (3, 13))
+        expected = (everyone, everyone[:3]) if at else (everyone[:3],) * 2
+        assert result.outputs == dict.fromkeys((0, 1, 2), expected)
+        assert result.stats.rounds == 2
+
+    def test_the_repro_taxonomy_propagates_unwrapped(self):
+        def misbehave(ctx, round_index):
+            if round_index == 1 and ctx.party_id == 0:
+                raise ConfigurationError("deliberate")
+            return None
+
+        with pytest.raises(ConfigurationError, match="^deliberate$"):
+            run_protocol(self.rounds(misbehave), [10, 11, 12, 13], 4, 1)
+
+    def test_yield_from_a_round_helper_fails_at_the_first_round(self):
+        # A round is one ``yield``: the helpers return the bundle, so
+        # delegating to one is a TypeError inside the party.
+        def delegating(ctx, v):
+            bundle = broadcast_round(ctx, "r", v)
+            inbox = yield from bundle
+            return inbox
+
+        with pytest.raises(HonestPartyError) as excinfo:
+            run_protocol(delegating, [10, 11, 12, 13], 4, 1)
+        error = excinfo.value
+        assert (error.party, error.round_index) == (0, 0)
+        assert type(error.__cause__) is TypeError
+        assert "not iterable" in str(error)

@@ -8,8 +8,8 @@ from repro.sim.trace import summarize_trace
 
 
 def two_phase(ctx, v):
-    yield from broadcast_round(ctx, "phase_a", v)
-    yield from broadcast_round(ctx, "phase_b", v * 2)
+    yield broadcast_round(ctx, "phase_a", v)
+    yield broadcast_round(ctx, "phase_b", v * 2)
     return v
 
 
