@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench perfbench perfbench-test perfbench-pairs examples report quick-report clean
+.PHONY: install test bench perfbench perfbench-test perfbench-pairs examples report clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -42,11 +42,9 @@ examples:
 		echo; \
 	done
 
+# The committed experiment document (what `make bench` re-emits), as tables.
 report:
-	$(PYTHON) -m repro report --scale full
-
-quick-report:
-	$(PYTHON) -m repro report --scale quick
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro report
 
 clean:
 	rm -rf .pytest_cache build *.egg-info src/*.egg-info

@@ -6,9 +6,10 @@ paper bounds -- honest bits and rounds, pure functions of ``(n, t, ell,
 seed)`` -- asserts the paper's claim on them and hands every measured
 row to :func:`record`.  A sweep that several claims read is measured
 once, in a module-scoped fixture.  At the end of the session the rows
-are printed as tables and written, sorted and timing-free, to the
-committed ``BENCH_experiments.json`` that EXPERIMENTS.md quotes; a
-session that ran some modules replaces only their sections.
+are written, sorted and timing-free, to the committed
+``BENCH_experiments.json`` that EXPERIMENTS.md quotes (a session that
+ran some modules replaces only their sections) and printed through the
+renderer ``repro report`` reads that document with.
 
     pytest benchmarks/ -q
 
@@ -22,12 +23,16 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import Measurement, format_table, grid_record
+from repro.analysis import (
+    EXPERIMENTS_SCHEMA,
+    Measurement,
+    format_experiments,
+    grid_record,
+)
 from repro.analysis.experiments import output_digest
 from repro.perf.profile import save_document
 
 DOCUMENT = Path(__file__).with_name("BENCH_experiments.json")
-SCHEMA = "repro.bench_experiments/v1"
 
 #: experiment id -> label -> Measurement, in the order measured.
 _ROWS: dict[str, dict[str, Measurement]] = {}
@@ -55,19 +60,26 @@ def measurement(
     )
 
 
-def pytest_sessionfinish(session):
-    """Replace the sections this session measured in the document."""
-    if not _ROWS:
-        return
-    document = json.loads(DOCUMENT.read_text()) if DOCUMENT.exists() else {}
-    document["schema"] = SCHEMA
+def _records() -> dict[str, dict[str, dict]]:
+    """This session's rows as the document's records, in measured order."""
+    sections = {}
     for experiment, rows in _ROWS.items():
-        section = document[experiment] = {}
+        section = sections[experiment] = {}
         for label, m in rows.items():
             row = section[label] = grid_record(m)
             # a digest pins the agreed value without carrying ell bits.
             del row["output"]
             row["output_sha256"] = output_digest(m.output)
+    return sections
+
+
+def pytest_sessionfinish(session):
+    """Replace the sections this session measured in the document."""
+    if not _ROWS:
+        return
+    document = json.loads(DOCUMENT.read_text()) if DOCUMENT.exists() else {}
+    document["schema"] = EXPERIMENTS_SCHEMA
+    document.update(_records())
     save_document(document, str(DOCUMENT))
 
 
@@ -78,18 +90,5 @@ def pytest_terminal_summary(terminalreporter):
         return
     tr = terminalreporter
     tr.write_sep("=", "experiment tables (paper metrics: bits & rounds)")
-    for experiment in sorted(_ROWS):
-        rows = [
-            [label, m.protocol, m.n, m.ell, m.bits,
-             round(m.bits_per_party), m.rounds]
-            for label, m in _ROWS[experiment].items()
-        ]
-        tr.write_line("")
-        tr.write_line(
-            format_table(
-                ["case", "protocol", "n", "ell", "bits", "bits/party",
-                 "rounds"],
-                rows,
-                title=f"[{experiment}]",
-            )
-        )
+    tr.write_line("")
+    tr.write_line(format_experiments(_records()))

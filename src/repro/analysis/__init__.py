@@ -8,7 +8,6 @@ from .experiments import (
     measure,
     measure_case,
     sweep_ell,
-    sweep_n,
 )
 from .sweeps import (
     GridSpec,
@@ -30,16 +29,18 @@ from .predictions import (
     phase_king_bits_model,
     pi_z_bits_model,
 )
-from .charts import ascii_chart, series_chart
-from .report import generate_report
-from .storage import load_measurements, save_measurements
-from .tables import format_measurements, format_table
+from .tables import (
+    EXPERIMENTS_SCHEMA,
+    format_experiments,
+    format_measurements,
+    format_table,
+)
 
 __all__ = [
+    "EXPERIMENTS_SCHEMA",
     "GridSpec",
     "PROTOCOLS",
     "Measurement",
-    "ascii_chart",
     "ba_plus_bits_model",
     "broadcast_ca_bits_model",
     "comparison_series",
@@ -47,10 +48,9 @@ __all__ = [
     "fit_power_law",
     "fixed_length_ca_bits_model",
     "fixed_length_ca_blocks_bits_model",
+    "format_experiments",
     "format_measurements",
     "format_table",
-    "generate_report",
-    "load_measurements",
     "high_cost_ca_bits_model",
     "make_inputs",
     "marginal_slope",
@@ -61,10 +61,7 @@ __all__ = [
     "pi_z_bits_model",
     "grid_record",
     "run_grid",
-    "save_measurements",
     "save_sweep_document",
-    "series_chart",
     "sweep_document",
     "sweep_ell",
-    "sweep_n",
 ]

@@ -42,7 +42,6 @@ __all__ = [
     "measure",
     "measure_case",
     "sweep_ell",
-    "sweep_n",
     "comparison_series",
 ]
 
@@ -61,11 +60,6 @@ class Measurement:
     messages: int
     output: Any
     channel_bits: dict[str, int] = field(default_factory=dict)
-    #: wall-clock seconds the simulated execution took.  Excluded from
-    #: equality: two runs of the same grid point are *the same
-    #: measurement* (that is the determinism contract the parallel
-    #: engine is tested against) even though their timings differ.
-    wall_s: float = field(default=0.0, compare=False)
 
     @property
     def bits_per_party(self) -> float:
@@ -208,7 +202,6 @@ def measure(
         messages=result.stats.honest_messages,
         output=result.common_output(),
         channel_bits=dict(result.stats.bits_by_channel),
-        wall_s=result.stats.wall_s,
     )
 
 
@@ -245,31 +238,6 @@ def sweep_ell(
             adversary=adversary,
         )
         for ell in ells
-    ]
-
-
-def sweep_n(
-    protocol: str,
-    ns: list[int],
-    ell: int,
-    kappa: int = 128,
-    seed: int = 0,
-    spread: str = "spread",
-    adversary: Adversary | None = None,
-) -> list[Measurement]:
-    """Fix ``ell``, sweep the number of parties ``n``."""
-    return [
-        measure(
-            protocol,
-            n,
-            None,
-            ell,
-            kappa=kappa,
-            seed=seed,
-            spread=spread,
-            adversary=adversary,
-        )
-        for n in ns
     ]
 
 

@@ -5,15 +5,12 @@ The paper's headline claim -- ``O(ln + kappa n^2 log^2 n)`` bits for
 of ``n`` and ``ell``.  This module turns a declarative :class:`GridSpec`
 into measurements via the process-pool engine
 (:mod:`repro.sim.parallel`) and serialises the result as a
-machine-readable sweep document with two strictly separated sections:
-
-* ``grid``   -- the deterministic protocol costs (bits, rounds,
-  messages, outputs).  Byte-identical for the same spec regardless of
-  worker count, host, or scheduling -- the determinism-conformance
-  tests in ``tests/test_parallel.py`` assert exactly this.
-* ``timing`` -- wall-clock data (per-point and total, plus the serial
-  reference and speedup when measured).  Machine-dependent by nature
-  and therefore *never* part of the determinism contract.
+machine-readable sweep document: the ``sweep`` spec and the ``grid`` of
+deterministic protocol costs (bits, rounds, messages, outputs).  It is
+byte-identical for the same spec regardless of worker count, host, or
+scheduling -- ``tests/test_parallel.py`` asserts exactly this, and CI
+diffs a pooled run against the committed reference.  No wall clock is
+taken: that is ``perfbench/``'s.
 
 ``python -m repro sweep --bench-json BENCH_sweep.json`` is the CLI
 surface; ``benchmarks/BENCH_sweep.json`` records a reference run.
@@ -22,11 +19,10 @@ surface; ``benchmarks/BENCH_sweep.json`` records a reference run.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..sim.parallel import resolve_workers, run_many
+from ..sim.parallel import run_many
 from .experiments import Measurement, PROTOCOLS, measure_case, output_text
 
 __all__ = [
@@ -94,8 +90,8 @@ def run_grid(
     spec: GridSpec,
     workers: int | str | None = 1,
     timeout_s: float | None = None,
-) -> tuple[list[Measurement], float]:
-    """Execute every grid point; returns ``(measurements, wall_s)``.
+) -> list[Measurement]:
+    """Execute every grid point; returns the measurements.
 
     Measurements come back in the spec's row-major job order.  A grid
     point that fails (crash, timeout, protocol exception) aborts the
@@ -103,11 +99,9 @@ def run_grid(
     holes would silently skew fitted exponents.
     """
     jobs = spec.jobs()
-    start = time.perf_counter()
     outcomes = run_many(
         measure_case, jobs, workers=workers, timeout_s=timeout_s
     )
-    wall_s = time.perf_counter() - start
     failed = [o for o in outcomes if not o.ok]
     if failed:
         worst = failed[0]
@@ -116,14 +110,14 @@ def run_grid(
             f"sweep failed at grid point n={point['n']} "
             f"ell={point['ell']} ({len(failed)} failure(s)): {worst.error}"
         )
-    return [outcome.value for outcome in outcomes], wall_s
+    return [outcome.value for outcome in outcomes]
 
 
 def grid_record(measurement: Measurement) -> dict:
-    """The deterministic (timing-free) JSON record of one measurement.
+    """The deterministic JSON record of one measurement.
 
-    The one writer: sweep documents, saved runs and the ``benchmarks/``
-    documents all hold these fields.
+    The one writer: sweep documents and the ``benchmarks/`` documents
+    all hold these fields.
     """
     return {
         "protocol": measurement.protocol,
@@ -139,33 +133,12 @@ def grid_record(measurement: Measurement) -> dict:
     }
 
 
-def sweep_document(
-    spec: GridSpec,
-    measurements: list[Measurement],
-    *,
-    workers: int | str | None,
-    wall_s: float,
-    serial_wall_s: float | None = None,
-) -> dict:
+def sweep_document(spec: GridSpec, measurements: list[Measurement]) -> dict:
     """Assemble the ``BENCH_sweep.json`` document for one executed sweep."""
-    speedup = (
-        round(serial_wall_s / wall_s, 3)
-        if serial_wall_s is not None and wall_s > 0
-        else None
-    )
     return {
         "format": SWEEP_FORMAT,
         "sweep": spec.to_dict(),
-        "workers": resolve_workers(workers),
         "grid": [grid_record(m) for m in measurements],
-        "timing": {
-            "wall_s": round(wall_s, 4),
-            "per_point_s": [round(m.wall_s, 4) for m in measurements],
-            "serial_wall_s": (
-                round(serial_wall_s, 4) if serial_wall_s is not None else None
-            ),
-            "speedup_vs_serial": speedup,
-        },
     }
 
 

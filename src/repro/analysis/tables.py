@@ -1,10 +1,18 @@
-"""Plain-text table rendering for benches, examples and EXPERIMENTS.md."""
+"""Plain-text table rendering for benches, examples and ``repro report``."""
 
 from __future__ import annotations
 
 from typing import Any, Iterable
 
-__all__ = ["format_table", "format_measurements"]
+__all__ = [
+    "EXPERIMENTS_SCHEMA",
+    "format_table",
+    "format_measurements",
+    "format_experiments",
+]
+
+#: the ``schema`` tag of ``benchmarks/BENCH_experiments.json``.
+EXPERIMENTS_SCHEMA = "repro.bench_experiments/v1"
 
 
 def format_table(
@@ -57,3 +65,27 @@ def format_measurements(measurements, title: str = "") -> str:
         for m in measurements
     ]
     return format_table(headers, rows, title=title)
+
+
+def format_experiments(sections: dict[str, dict[str, dict]]) -> str:
+    """Render ``BENCH_experiments.json`` records, one table per section.
+
+    ``sections`` maps an experiment id to its ``{case: record}`` rows as
+    the document holds them; sections print in id order, rows in the
+    order given.  ``repro report`` and the ``pytest benchmarks/``
+    terminal summary both print through here.
+    """
+    tables = []
+    for experiment in sorted(sections):
+        rows = [
+            [case, r["protocol"], r["n"], r["ell"], r["bits"],
+             round(r["bits"] / max(1, r["n"] - r["t"])), r["rounds"]]
+            for case, r in sections[experiment].items()
+        ]
+        tables.append(format_table(
+            ["case", "protocol", "n", "ell", "bits", "bits/party",
+             "rounds"],
+            rows,
+            title=f"[{experiment}]",
+        ))
+    return "\n\n".join(tables)

@@ -13,7 +13,6 @@ from ..core.high_cost_ca import high_cost_ca
 from .broadcast_ca import broadcast_ca
 from .common import decode_int, encode_int, trimmed_median
 from .naive_broadcast_ca import naive_broadcast_ca
-from .parallel_broadcast_ca import parallel_broadcast_ca
 
 __all__ = [
     "broadcast_ca",
@@ -21,6 +20,5 @@ __all__ = [
     "encode_int",
     "high_cost_ca",
     "naive_broadcast_ca",
-    "parallel_broadcast_ca",
     "trimmed_median",
 ]

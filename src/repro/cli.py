@@ -8,7 +8,8 @@ Commands:
   on a worker pool) and print the measurement table; ``--bench-json``
   emits the machine-readable ``BENCH_sweep.json`` document.
 * ``compare`` -- the F1 comparison (PI_Z vs baselines) at chosen sizes.
-* ``report``  -- regenerate the quick experiment report (T/F battery).
+* ``report``  -- print the committed experiment document
+  (``benchmarks/BENCH_experiments.json``) as one table per experiment.
 * ``fuzz``    -- chaos campaign: random configs under invariant monitors,
   failing cases shrunk to minimal JSON repro artifacts.
 * ``replay``  -- re-execute a fuzz artifact and check it still reproduces.
@@ -23,10 +24,9 @@ Examples::
     python -m repro profile --quick --check benchmarks/BENCH_hotpath.json
     python -m repro sweep --protocol pi_z --n 7 --ells 256,1024,4096
     python -m repro sweep --protocol fixed_length_ca --ns 4,7,10 \
-        --ells 256,4096 --workers auto --compare-serial \
-        --bench-json BENCH_sweep.json
+        --ells 256,4096 --workers auto --bench-json BENCH_sweep.json
     python -m repro compare --n 7 --ells 1024,16384
-    python -m repro report --scale quick
+    python -m repro report
     python -m repro fuzz --runs 50 --seed 0 --artifact-dir artifacts
     python -m repro replay artifacts/repro-0-0012.json
 """
@@ -40,14 +40,13 @@ import sys
 
 from .errors import ReproError
 from .analysis import (
+    EXPERIMENTS_SCHEMA,
     PROTOCOLS,
     comparison_series,
+    format_experiments,
     format_measurements,
     marginal_slope,
-    save_measurements,
-    series_chart,
 )
-from .analysis.report import FULL, QUICK, generate_report
 from .core.api import convex_agreement
 from .sim.adversary import (
     Adversary,
@@ -118,14 +117,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "cpus (results are identical regardless)")
     sweep.add_argument("--timeout", type=float, default=None,
                        help="per-grid-point wall-clock budget in seconds")
-    sweep.add_argument("--save", default=None,
-                       help="write the measurements to a JSON file")
     sweep.add_argument("--bench-json", default=None,
                        help="write the machine-readable sweep document "
-                            "(grid + timing) to this path")
-    sweep.add_argument("--compare-serial", action="store_true",
-                       help="also run the grid serially and record the "
-                            "speedup in the sweep document")
+                            "(spec + grid) to this path")
 
     compare = sub.add_parser("compare", help="PI_Z vs the baselines (F1)")
     compare.add_argument("--n", type=int, default=7)
@@ -135,16 +129,14 @@ def build_parser() -> argparse.ArgumentParser:
         default=["pi_z", "broadcast_ca", "high_cost_ca"],
     )
     compare.add_argument("--seed", type=int, default=0)
-    compare.add_argument("--chart", action="store_true",
-                         help="render an ASCII log-log chart")
-    compare.add_argument("--save", default=None,
-                         help="write the measurements to a JSON file")
 
-    report = sub.add_parser("report", help="regenerate the experiment report")
-    report.add_argument("--scale", choices=["quick", "full"],
-                        default="quick")
-    report.add_argument("--output", default=None,
-                        help="write the report to a file instead of stdout")
+    report = sub.add_parser(
+        "report", help="print the committed experiment document"
+    )
+    report.add_argument("document", nargs="?",
+                        default="benchmarks/BENCH_experiments.json",
+                        help="a BENCH_experiments.json document "
+                             "(default: %(default)s)")
 
     fuzz = sub.add_parser(
         "fuzz", help="chaos campaign under invariant monitors"
@@ -281,10 +273,10 @@ def _cmd_sweep(args) -> int:
         seed=args.seed,
         spread=args.spread,
     )
-    workers = resolve_workers(args.workers)
     try:
-        measurements, wall_s = run_grid(
-            spec, workers=workers, timeout_s=args.timeout
+        measurements = run_grid(
+            spec, workers=resolve_workers(args.workers),
+            timeout_s=args.timeout,
         )
     except RuntimeError as error:
         print(f"error: {error}", file=sys.stderr)
@@ -303,37 +295,10 @@ def _cmd_sweep(args) -> int:
             [m.ell for m in measurements], [m.bits for m in measurements]
         )
         print(f"\nmarginal cost: {slope:.1f} bits per extra input bit")
-    print(f"\nwall time: {wall_s:.2f}s on {workers} worker(s)")
-
-    serial_wall_s = None
-    if args.compare_serial and workers > 1:
-        serial_measurements, serial_wall_s = run_grid(
-            spec, workers=1, timeout_s=args.timeout
-        )
-        if serial_measurements != measurements:
-            print(
-                "error: serial and parallel sweeps disagree -- "
-                "determinism contract violated",
-                file=sys.stderr,
-            )
-            return 1
-        print(
-            f"serial reference: {serial_wall_s:.2f}s "
-            f"(speedup {serial_wall_s / max(wall_s, 1e-9):.2f}x, "
-            "results identical)"
-        )
-    if args.save:
-        save_measurements(args.save, measurements)
-        print(f"measurements saved to {args.save}")
     if args.bench_json:
-        document = sweep_document(
-            spec,
-            measurements,
-            workers=workers,
-            wall_s=wall_s,
-            serial_wall_s=serial_wall_s,
+        path = save_sweep_document(
+            sweep_document(spec, measurements), args.bench_json
         )
-        path = save_sweep_document(document, args.bench_json)
         print(f"sweep document written to {path}")
     return 0
 
@@ -354,25 +319,32 @@ def _cmd_compare(args) -> int:
         f"paper's prediction: ~n={args.n}, ~n^2={args.n ** 2}, "
         f"~n^3={args.n ** 3}"
     )
-    if args.chart and len(args.ells) >= 2:
-        print()
-        print(series_chart(series))
-    if args.save:
-        flat = [m for ms in series.values() for m in ms]
-        save_measurements(args.save, flat)
-        print(f"measurements saved to {args.save}")
     return 0
 
 
 def _cmd_report(args) -> int:
-    scale = QUICK if args.scale == "quick" else FULL
-    text = generate_report(scale)
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text + "\n")
-        print(f"report written to {args.output}")
-    else:
-        print(text)
+    try:
+        with open(args.document) as handle:
+            document = json.load(handle)
+        schema = (
+            document.get("schema") if isinstance(document, dict) else None
+        )
+        if schema != EXPERIMENTS_SCHEMA:
+            raise ValueError(
+                f"schema {schema!r}, expected {EXPERIMENTS_SCHEMA!r}"
+            )
+        text = format_experiments(
+            {key: rows for key, rows in document.items() if key != "schema"}
+        )
+    except (OSError, ValueError, LookupError, TypeError,
+            AttributeError) as error:
+        # a missing file, invalid JSON, another schema or a malformed
+        # record: path + reason, exit 2, no traceback.
+        print(f"error: cannot read experiment document {args.document}: "
+              f"{error}", file=sys.stderr)
+        return 2
+    print(f"{args.document} (re-measured by: pytest benchmarks/ -q)\n")
+    print(text)
     return 0
 
 

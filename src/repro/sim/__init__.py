@@ -87,7 +87,6 @@ from .recovery import (
     WriteAheadLog,
 )
 from .supervisor import FallbackRecord, run_with_escalation
-from .combinators import run_parallel
 from .party import Context, Outgoing, Proto, broadcast_round, exchange
 from .runner import run_protocol
 from .trace import Event, RoundRecord, summarize_trace
@@ -164,7 +163,6 @@ __all__ = [
     "run_many",
     "paper_bit_budget",
     "paper_round_budget",
-    "run_parallel",
     "run_protocol",
     "run_with_escalation",
     "summarize_trace",

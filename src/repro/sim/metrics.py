@@ -29,10 +29,6 @@ class CommunicationStats:
     honest_bits: int = 0
     honest_messages: int = 0
     rounds: int = 0
-    #: wall-clock seconds the simulated execution took (set by the
-    #: simulator; excluded from equality so that determinism checks can
-    #: compare stats across runs and machines).
-    wall_s: float = field(default=0.0, compare=False)
     bits_by_channel: dict[str, int] = field(
         default_factory=lambda: defaultdict(int)
     )
@@ -153,8 +149,7 @@ class CommunicationStats:
         """Deterministic scalar summary of one execution's accounting.
 
         Only machine-independent integers, so a digest over it is
-        identical on every host and worker count; ``wall_s`` is
-        deliberately excluded (machine-local noise).
+        identical on every host and worker count.
         """
         return {
             "honest_bits": self.honest_bits,

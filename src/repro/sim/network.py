@@ -43,7 +43,6 @@ Resilience planes (both optional, zero-cost when absent):
 from __future__ import annotations
 
 import math
-import time
 import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
@@ -314,17 +313,10 @@ class SynchronousNetwork:
     # ------------------------------------------------------------------
     def run(self) -> ExecutionResult:
         """Execute until every honest party has terminated."""
-        started = time.perf_counter()
-        try:
-            self.begin()
-            while self.step():
-                pass
-            return self.finish()
-        finally:
-            # Wall time rides on the stats object so every exit path --
-            # normal completion, SimulationError with partial state,
-            # monitor violations -- carries its timing.
-            self.stats.wall_s = time.perf_counter() - started
+        self.begin()
+        while self.step():
+            pass
+        return self.finish()
 
     # -- stepping API ---------------------------------------------------
     # ``run()`` is ``begin(); while step(): pass; finish()``.  The

@@ -65,8 +65,8 @@ class Outgoing:
     A broadcast (:meth:`to_all`) holds one ``payload`` for parties
     ``0..n-1`` (``n`` is 0 on every other bundle) and builds its
     ``messages`` on first read, then keeps it: only the stages that
-    read links (adversary view, transport link table, WAL digest,
-    ``run_parallel``) build it; the deliver stage reads ``payload``.
+    read links (adversary view, transport link table, WAL digest)
+    build it; the deliver stage reads ``payload``.
     """
 
     channel: str

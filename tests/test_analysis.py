@@ -15,8 +15,8 @@ from repro.analysis import (
     measure,
     pi_z_bits_model,
     sweep_ell,
-    sweep_n,
 )
+from repro.analysis.experiments import output_text
 from repro.analysis.predictions import (
     broadcast_ca_bits_model,
     ext_ba_plus_bits_model,
@@ -128,11 +128,6 @@ class TestSweeps:
         assert [m.ell for m in rows] == [32, 64]
         assert rows[1].bits > rows[0].bits
 
-    def test_sweep_n(self):
-        rows = sweep_n("high_cost_ca", [4, 7], 32, kappa=64)
-        assert [m.n for m in rows] == [4, 7]
-        assert rows[1].bits > rows[0].bits
-
     def test_comparison_series(self):
         series = comparison_series(
             ["pi_z", "high_cost_ca"], n=4, ells=[32], kappa=64
@@ -145,6 +140,18 @@ class TestSweeps:
 
 
 class TestTables:
+    def test_output_text_reads_back_every_int(self):
+        """Int outputs are written decimal up to 4096 bits, as every
+        committed document holds them, and hex beyond (CPython refuses
+        decimal past 4300 digits); ``int(text, 0)`` reads both back.
+        Any other output is its repr."""
+        ints = [-7, (1 << 4096) - 1, 1 << 4096, -(1 << 70000)]
+        texts = [output_text(value) for value in ints]
+        assert [int(text, 0) for text in texts] == ints
+        assert texts[1] == str((1 << 4096) - 1)
+        assert texts[2] == hex(1 << 4096)
+        assert [output_text(None), output_text(b"x")] == ["None", "b'x'"]
+
     def test_format_table_alignment(self):
         out = format_table(["a", "bb"], [[1, 22], [333, 4]], title="T")
         lines = out.splitlines()

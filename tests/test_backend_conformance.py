@@ -81,13 +81,13 @@ def assert_identical(fn, normalise=lambda value: value):
 
 
 def comparable(result):
-    """Everything observable about an execution except wall time."""
+    """Everything observable about an execution."""
     return (
         result.outputs,
         result.corrupted,
         result.channel_trace,
         result.trace,
-        dataclasses.replace(result.stats, wall_s=0.0),
+        result.stats,
     )
 
 
@@ -131,8 +131,7 @@ def test_protocol_stack_byte_identical(protocol, ell, n, t, seed):
     assert_identical(
         lambda: measure(
             protocol, n, t, ell, kappa=KAPPA, seed=seed, spread="clustered"
-        ),
-        normalise=lambda m: dataclasses.replace(m, wall_s=0.0),
+        )
     )
 
 

@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
+import pathlib
 
 import pytest
 
+from repro.analysis import grid_record, measure
 from repro.cli import ADVERSARIES, build_parser, main
 from repro.sim.faults import FaultSpec
 from repro.sim.fuzz import ARTIFACT_FORMAT, ARTIFACT_SCHEMA_VERSION, FuzzCase
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DOCUMENT = ROOT / "benchmarks" / "BENCH_experiments.json"
 
 
 class TestParser:
@@ -94,12 +100,93 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "paper's prediction" in out
 
-    def test_report_to_file(self, tmp_path, capsys):
+    def test_sweep_saves_values_past_the_decimal_limit(self, tmp_path, capsys):
+        """ell = 16384 and 65536 are the paper's regime and past CPython's
+        4300-digit int->str limit: ``--bench-json`` writes them (in hex)
+        and they read back to the same ints."""
+        document = tmp_path / "bench.json"
+        code = main([
+            "sweep", "--protocol", "pi_z", "--ns", "4",
+            "--ells", "16384,65536", "--bench-json", str(document),
+        ])
+        assert code == 0
+        measured = [
+            measure("pi_z", 4, None, ell, seed=0, spread="clustered")
+            for ell in (16384, 65536)
+        ]
+        assert measured[1].output.bit_length() > 4300 * 4
+        grid = json.loads(document.read_text())["grid"]
+        assert grid == [grid_record(m) for m in measured]
+        assert [int(row["output"], 0) for row in grid] == [
+            m.output for m in measured
+        ]
+
+    def test_report_to_file(self, tmp_path, monkeypatch):
+        """Redirecting stdout is how the report lands in a file; with no
+        argument it reads the committed document from the checkout."""
+        monkeypatch.chdir(ROOT)
         target = tmp_path / "report.txt"
-        code = main(["report", "--scale", "quick", "--output", str(target)])
+        with open(target, "w") as handle, contextlib.redirect_stdout(handle):
+            code = main(["report"])
         assert code == 0
         text = target.read_text()
-        assert "T5" in text and "F1" in text
+        assert "[T5]" in text and "[F1]" in text
+
+
+def _printed_tables(out: str) -> dict[str, dict[str, dict[str, str]]]:
+    """``repro report``'s tables read back: id -> case -> column -> cell."""
+    tables = {}
+    for block in out.strip().split("\n\n")[1:]:
+        title, header, _rule, *lines = block.splitlines()
+        columns = [cell.strip() for cell in header.split("|")]
+        rows = tables[title.strip("[]")] = {}
+        for line in lines:
+            cells = dict(zip(columns, (c.strip() for c in line.split(" | "))))
+            rows[cells["case"]] = cells
+    return tables
+
+
+class TestReport:
+    def test_renders_every_row_of_the_committed_document(self, capsys):
+        """Every section in id order, every case, and each printed bits
+        and rounds value equal to the document's: the report cannot drift
+        from ``benchmarks/``."""
+        document = json.loads(DOCUMENT.read_text())
+        sections = {k: v for k, v in document.items() if k != "schema"}
+        assert main(["report", str(DOCUMENT)]) == 0
+        printed = _printed_tables(capsys.readouterr().out)
+        assert list(printed) == sorted(sections)
+        assert len(printed) == 14
+        assert sum(map(len, printed.values())) == 140
+        for experiment, records in sections.items():
+            rows = printed[experiment]
+            assert sorted(rows) == sorted(records), experiment
+            for case, record in records.items():
+                cells = rows[case]
+                assert int(cells["bits"].replace(",", "")) == record["bits"]
+                assert (
+                    int(cells["rounds"].replace(",", "")) == record["rounds"]
+                )
+
+    @pytest.mark.parametrize("content, reason", [
+        (None, "No such file or directory"),
+        ('{"schema": "repro.bench_experiments/v1", "T1": ', "Expecting"),
+        ('{"schema": "repro-sweep/1"}', "schema 'repro-sweep/1', expected"),
+        ('{"schema": "repro.bench_experiments/v1", "T1": {"case": {}}}',
+         "'protocol'"),
+    ], ids=["missing", "invalid-json", "other-schema", "malformed-record"])
+    def test_unreadable_document_is_a_friendly_exit_2(
+        self, tmp_path, capsys, content, reason
+    ):
+        path = tmp_path / "experiments.json"
+        if content is not None:
+            path.write_text(content)
+        assert main(["report", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"cannot read experiment document {path}: " in captured.err
+        assert reason in captured.err
+        assert "Traceback" not in captured.err
 
 
 class TestAuthenticatedSetting:

@@ -158,6 +158,17 @@ class TestOneWayToMeasure:
             r"|_PinnedAsyncCorruptions|_case_epsilon"
         )
 
+    def test_removed_report_paths_and_modules_stay_undocumented(self):
+        """``repro report`` renders the committed document and a sweep
+        takes no wall clock: no doc may send a reader to the recompute
+        path and its scales, the serial speedup, or the modules that had
+        no reader outside their own tests."""
+        assert_undocumented(
+            r"generate_report|--scale|compare-serial|speedup_vs_serial"
+            r"|series_chart|ascii_chart|save_measurements|load_measurements"
+            r"|run_parallel|parallel_broadcast_ca|fixed_point_ca"
+        )
+
     def test_p_sections_point_at_committed_pairs(self):
         """A P-section's data is a ``benchmarks/pairs/`` document: every
         base revision and every file EXPERIMENTS.md names there exists."""

@@ -109,14 +109,14 @@ def probe(send):
 
 
 def observe(protocol, n, t, **kwargs):
-    """Everything an execution exposes, wall time aside."""
+    """Everything an execution exposes."""
     config.reset_process_caches()
     with counters.capture() as ops:
         result = run_protocol(protocol, list(range(100, 100 + n)), n=n, t=t,
                               **kwargs)
     return {
         "outputs": result.outputs,
-        "stats": dataclasses.replace(result.stats, wall_s=0.0),
+        "stats": result.stats,
         "bits_by_party_order": list(result.stats.bits_by_party),
         "channel_trace": result.channel_trace,
         "trace": result.trace,
@@ -362,7 +362,7 @@ TRANSPORT_FIELDS = {"ack_bits", "ack_messages", "transport_slots"}
 
 
 def ledger(observed):
-    """Every comparing stats field; dict fields as ordered item lists."""
+    """Every stats field; dict fields as ordered item lists."""
     stats = observed["stats"]
     return {
         f.name: (
@@ -371,7 +371,6 @@ def ledger(observed):
             else getattr(stats, f.name)
         )
         for f in dataclasses.fields(CommunicationStats)
-        if f.compare
     }
 
 
@@ -421,10 +420,6 @@ def test_links_to_a_down_party_are_priced_but_not_synchronized():
 PATH_GRID = [(4, 1), (7, 2), (10, 3)]
 
 
-def _stats(result):
-    return dataclasses.replace(result.stats, wall_s=0.0)
-
-
 def _order_probe(ctx, v):
     """Record the exact inbox key order for a few rounds."""
     orders = []
@@ -443,7 +438,7 @@ def test_inbox_order_is_the_same_with_the_wal_armed(backend, n, t):
         armed = run_protocol(_order_probe, inputs, n=n, t=t, recovery=True)
     # The outputs ARE the observed insertion orders, per party per round.
     assert bare.outputs == armed.outputs
-    assert _stats(bare) == _stats(armed)
+    assert bare.stats == armed.stats
 
 
 @pytest.mark.parametrize("n,t", PATH_GRID)
@@ -462,7 +457,7 @@ def test_full_protocol_is_the_same_with_the_wal_armed(backend, n, t):
     assert bare.outputs == armed.outputs
     assert bare.channel_trace == armed.channel_trace
     assert bare.trace == armed.trace
-    assert _stats(bare) == _stats(armed)
+    assert bare.stats == armed.stats
 
 
 def _hoarder(ctx, value):
