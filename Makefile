@@ -10,8 +10,9 @@ install:
 test:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m pytest -x -q
 
-# The paper-claim experiments T1-F8: deterministic, re-emits
-# benchmarks/BENCH_{experiments,bombs,partition}.json (CI diffs them).
+# The paper-claim experiments T1-F9 (F9 is the mutant kill matrix):
+# deterministic, re-emits
+# benchmarks/BENCH_{experiments,bombs,partition,mutants}.json (CI diffs them).
 bench:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m pytest benchmarks/ -q
 

@@ -23,19 +23,13 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
-from ..baselines import broadcast_ca, naive_broadcast_ca
-from ..core.fixed_length import fixed_length_ca, fixed_length_ca_blocks
-from ..core.high_cost_ca import high_cost_ca
-from ..core.protocol_n import protocol_n
-from ..core.protocol_z import protocol_z
 from ..sim.adversary import Adversary
 from ..sim.runner import run_protocol
 
 __all__ = [
     "Measurement",
-    "PROTOCOLS",
     "output_text",
     "output_digest",
     "make_inputs",
@@ -95,53 +89,6 @@ def output_digest(output: Any) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
-def _pi_z(ctx, v):
-    return protocol_z(ctx, v)
-
-
-def _pi_n(ctx, v):
-    return protocol_n(ctx, v)
-
-
-def _fixed(ell: int) -> Callable:
-    def factory(ctx, v):
-        return fixed_length_ca(ctx, v, ell)
-
-    return factory
-
-
-def _fixed_blocks(ell: int) -> Callable:
-    def factory(ctx, v):
-        return fixed_length_ca_blocks(ctx, v, ell)
-
-    return factory
-
-
-def _high_cost(ctx, v):
-    return high_cost_ca(ctx, v)
-
-
-def _broadcast(ctx, v):
-    return broadcast_ca(ctx, v)
-
-
-def _naive_broadcast(ctx, v):
-    return naive_broadcast_ca(ctx, v)
-
-
-#: name -> factory-builder(ell) -> protocol factory.  ``ell`` is only
-#: needed by the fixed-length protocols; the others ignore it.
-PROTOCOLS: dict[str, Callable[[int], Callable]] = {
-    "pi_z": lambda ell: _pi_z,
-    "pi_n": lambda ell: _pi_n,
-    "fixed_length_ca": _fixed,
-    "fixed_length_ca_blocks": _fixed_blocks,
-    "high_cost_ca": lambda ell: _high_cost,
-    "broadcast_ca": lambda ell: _broadcast,
-    "naive_broadcast_ca": lambda ell: _naive_broadcast,
-}
-
-
 def make_inputs(
     n: int, ell: int, seed: int = 0, spread: str = "spread"
 ) -> list[int]:
@@ -175,15 +122,16 @@ def measure(
     adversary: Adversary | None = None,
     inputs: list[int] | None = None,
 ) -> Measurement:
-    """Run one execution and collect its communication metrics."""
+    """Run one execution of a :func:`~repro.sim.fuzz.standard_registry`
+    protocol and collect its communication metrics."""
+    from ..sim.fuzz import standard_registry
+
     if t is None:
         t = (n - 1) // 3
     if inputs is None:
         inputs = make_inputs(n, ell, seed=seed, spread=spread)
-    factory_builder = PROTOCOLS[protocol]
-    factory = factory_builder(ell)
     result = run_protocol(
-        lambda ctx, v: factory(ctx, v),
+        standard_registry()[protocol].build(ell),
         inputs,
         n=n,
         t=t,

@@ -1,100 +1,17 @@
-"""Closed-form complexity models from the paper's theorems.
+"""Fitting utilities that turn measured sweeps into checkable shapes.
 
-The paper proves asymptotic bounds; a reproduction cannot check hidden
+The paper proves asymptotic bounds (their leading terms are written
+down once, in :mod:`repro.costs`); a reproduction cannot check hidden
 constants, but it *can* check shapes: scaling exponents, marginal
-slopes, and who-beats-whom orderings.  This module provides
-
-* the leading-term models of every theorem (used as reference curves in
-  EXPERIMENTS.md -- note these are *shapes*, with unit constants), and
-* small fitting utilities (log-log power-law fits, marginal slopes) the
-  benchmarks use to turn measured sweeps into checkable exponents.
+slopes, and who-beats-whom orderings.  These two helpers are what the
+benchmarks use to turn measured sweeps into checkable exponents.
 """
 
 from __future__ import annotations
 
 import math
 
-__all__ = [
-    "ba_plus_bits_model",
-    "ext_ba_plus_bits_model",
-    "fixed_length_ca_bits_model",
-    "fixed_length_ca_blocks_bits_model",
-    "pi_z_bits_model",
-    "high_cost_ca_bits_model",
-    "broadcast_ca_bits_model",
-    "naive_broadcast_ca_bits_model",
-    "phase_king_bits_model",
-    "fit_power_law",
-    "marginal_slope",
-]
-
-
-def _log2(x: float) -> float:
-    return math.log2(max(2.0, x))
-
-
-def phase_king_bits_model(n: int, t: int, value_bits: int) -> float:
-    """Phase-King: ``O(value_bits * n^2)`` per phase, ``t + 1`` phases."""
-    return value_bits * n * n * (t + 1)
-
-
-def ba_plus_bits_model(n: int, t: int, kappa: int) -> float:
-    """Theorem 6: ``O(kappa n^2) + BITS_kappa(PI_BA)``."""
-    return kappa * n * n + 2 * phase_king_bits_model(n, t, kappa)
-
-
-def ext_ba_plus_bits_model(n: int, t: int, kappa: int, ell: int) -> float:
-    """Theorem 1: ``O(l n + kappa n^2 log n) + BITS_kappa(PI_BA)``."""
-    return (
-        ell * n
-        + kappa * n * n * _log2(n)
-        + ba_plus_bits_model(n, t, kappa)
-    )
-
-
-def fixed_length_ca_bits_model(
-    n: int, t: int, kappa: int, ell: int
-) -> float:
-    """Theorem 2: ``O(l n + kappa n^2 log n log l)`` plus BA terms."""
-    iterations = _log2(ell) + 1
-    return (
-        2 * ell * n
-        + kappa * n * n * _log2(n) * iterations
-        + iterations * ba_plus_bits_model(n, t, kappa)
-    )
-
-
-def fixed_length_ca_blocks_bits_model(
-    n: int, t: int, kappa: int, ell: int
-) -> float:
-    """Theorem 4: ``O(l n + kappa n^2 log^2 n)`` plus BA terms."""
-    iterations = 2 * _log2(n) + 1
-    return (
-        2 * ell * n
-        + kappa * n * n * _log2(n) * iterations
-        + iterations * ba_plus_bits_model(n, t, kappa)
-        + high_cost_ca_bits_model(n, max(1, ell // (n * n)))
-    )
-
-
-def pi_z_bits_model(n: int, t: int, kappa: int, ell: int) -> float:
-    """Theorem 5 / Corollaries 1-2: ``O(l n + kappa n^2 log^2 n)``."""
-    return fixed_length_ca_blocks_bits_model(n, t, kappa, ell)
-
-
-def high_cost_ca_bits_model(n: int, ell: int) -> float:
-    """Theorem 3: ``O(l n^3)``."""
-    return ell * n ** 3
-
-
-def broadcast_ca_bits_model(n: int, t: int, kappa: int, ell: int) -> float:
-    """Baseline: n broadcast-extension instances, ``O(l n^2 + ...)``."""
-    return n * ext_ba_plus_bits_model(n, t, kappa, ell)
-
-
-def naive_broadcast_ca_bits_model(n: int, t: int, ell: int) -> float:
-    """Strawman: n Turpin-Coan broadcasts, ``O(l n^3)``."""
-    return ell * n ** 3
+__all__ = ["fit_power_law", "marginal_slope"]
 
 
 def fit_power_law(xs: list[float], ys: list[float]) -> tuple[float, float]:

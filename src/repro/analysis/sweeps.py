@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..sim.parallel import run_many
-from .experiments import Measurement, PROTOCOLS, measure_case, output_text
+from .experiments import Measurement, measure_case, output_text
 
 __all__ = [
     "SWEEP_FORMAT",
@@ -50,10 +50,13 @@ class GridSpec:
     spread: str = "clustered"
 
     def __post_init__(self) -> None:
-        if self.protocol not in PROTOCOLS:
+        from ..sim.fuzz import standard_registry
+
+        protocols = standard_registry()
+        if self.protocol not in protocols:
             raise ValueError(
                 f"unknown protocol {self.protocol!r}; "
-                f"choose from {sorted(PROTOCOLS)}"
+                f"choose from {sorted(protocols)}"
             )
         if not self.ns or not self.ells:
             raise ValueError("grid needs at least one n and one ell")

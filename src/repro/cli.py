@@ -41,7 +41,6 @@ import sys
 from .errors import ReproError
 from .analysis import (
     EXPERIMENTS_SCHEMA,
-    PROTOCOLS,
     comparison_series,
     format_experiments,
     format_measurements,
@@ -72,6 +71,8 @@ ADVERSARIES: dict[str, type[Adversary]] = {
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser for all subcommands."""
+    from .sim.fuzz import standard_registry
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
@@ -100,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser(
         "sweep", help="sweep a protocol over an ns x ells grid"
     )
-    sweep.add_argument("--protocol", choices=sorted(PROTOCOLS),
+    sweep.add_argument("--protocol", choices=sorted(standard_registry()),
                        default="pi_z")
     sweep.add_argument("--n", type=int, default=7)
     sweep.add_argument("--ns", type=_int_list, default=None,

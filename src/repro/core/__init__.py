@@ -13,7 +13,7 @@ from .bitstrings import (
     min_fill,
     val_of,
 )
-from .find_prefix import PrefixResult, find_prefix, find_prefix_blocks
+from .find_prefix import PrefixResult, find_prefix
 from .fixed_length import fixed_length_ca, fixed_length_ca_blocks
 from .get_output import get_output
 from .high_cost_ca import high_cost_ca
@@ -32,7 +32,6 @@ __all__ = [
     "convex_agreement",
     "default_threshold",
     "find_prefix",
-    "find_prefix_blocks",
     "fixed_length_ca",
     "fixed_length_ca_blocks",
     "get_output",

@@ -33,7 +33,7 @@ from ..errors import ProtocolViolation
 from ..sim.party import Context, Proto
 from .bitstrings import BitString, bits_fixed
 
-__all__ = ["PrefixResult", "find_prefix", "find_prefix_blocks"]
+__all__ = ["PrefixResult", "find_prefix"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -144,34 +144,3 @@ def find_prefix(
 
     prefix = bits_fixed(v, ell).prefix(prefix_len)
     return PrefixResult(prefix=prefix, v=v, v_bot=v_bot)
-
-
-def find_prefix_blocks(
-    ctx: Context,
-    v_in: int,
-    ell: int,
-    num_blocks: int | None = None,
-    channel: str = "fpb",
-    ba: Callable[..., Proto[Any]] = phase_king,
-) -> Proto[PrefixResult]:
-    """``FindPrefixBlocks``: block-granularity search (Section 4).
-
-    The paper splits the value into ``n^2`` blocks of ``ell / n^2`` bits;
-    ``num_blocks`` defaults accordingly and must divide ``ell``.
-    """
-    if num_blocks is None:
-        num_blocks = ctx.n * ctx.n
-    if ell % num_blocks:
-        raise ValueError(
-            f"ell={ell} must be a multiple of num_blocks={num_blocks}"
-        )
-    return (
-        yield from find_prefix(
-            ctx,
-            v_in,
-            ell,
-            unit_bits=ell // num_blocks,
-            channel=channel,
-            ba=ba,
-        )
-    )

@@ -64,8 +64,6 @@ from .invariants import (
     LockstepMonitor,
     RoundBudgetMonitor,
     default_monitors,
-    paper_bit_budget,
-    paper_round_budget,
 )
 from .lossy import (
     ACK_BITS,
@@ -81,7 +79,6 @@ from .partial_sync import LinkSchedule
 from .recovery import (
     CrashEvent,
     CrashRestartAdversary,
-    RecoveryConfig,
     RecoveryError,
     RecoveryManager,
     WriteAheadLog,
@@ -115,7 +112,6 @@ __all__ = [
     "LinkSchedule",
     "LivenessMonitor",
     "LossyTransport",
-    "RecoveryConfig",
     "RecoveryError",
     "RecoveryManager",
     "TransportTimeout",
@@ -161,8 +157,6 @@ __all__ = [
     "measure_payload",
     "resolve_workers",
     "run_many",
-    "paper_bit_budget",
-    "paper_round_budget",
     "run_protocol",
     "run_with_escalation",
     "summarize_trace",

@@ -46,6 +46,7 @@ from collections import Counter
 from dataclasses import dataclass, field, fields as dataclass_fields, replace
 from typing import Any, Callable
 
+from .. import costs
 from ..perf import counters as perf_counters
 from ..perf.config import reset_process_caches
 
@@ -74,8 +75,6 @@ from .invariants import (
     LivenessMonitor,
     LockstepMonitor,
     RoundBudgetMonitor,
-    paper_bit_budget,
-    paper_round_budget,
 )
 from .network import ProtocolFactory, SynchronousNetwork
 from .parallel import derive_seed, resolve_workers, run_many
@@ -126,7 +125,7 @@ ARTIFACT_FORMAT = "repro-fuzz/1"
 ARTIFACT_SCHEMA_VERSION = 4
 
 # ---------------------------------------------------------------------------
-# Protocol registry: factory + theory-derived budget envelopes per protocol
+# Protocol registry: factory + the cost model's envelopes per protocol
 # ---------------------------------------------------------------------------
 
 
@@ -138,28 +137,15 @@ class ProtocolSpec:
     #: ``(ell) -> (ctx, v) -> generator``; ``ell`` is the nominal input
     #: bit-length of the campaign case.
     build: Callable[[int], ProtocolFactory]
-    #: honest-bit envelope, derived from the protocol's complexity bound.
+    #: honest-bit envelope ``(n, t, ell, kappa) -> bits``: a
+    #: :class:`~repro.costs.BitEnvelope` over the protocol's term.
     bit_budget: Callable[[int, int, int, int], int]
-    #: round envelope, derived from the protocol's round complexity.
+    #: round envelope ``(n, t, ell) -> rounds`` from :mod:`repro.costs`.
     round_budget: Callable[[int, int, int], int]
     #: inputs are signed integers (PI_Z) or naturals (everything else).
     signed: bool = False
     #: constraint on ell (e.g. blocks needs a multiple of n^2).
     ell_for: Callable[[int, int], int] = lambda n, ell: ell
-
-
-def _baseline_bit_budget(n: int, t: int, ell: int, kappa: int) -> int:
-    # broadcast baselines cost up to O(l n^3): stay loose but bounded.
-    return 96 * (ell + kappa) * n * n * n * (t + 2) + (1 << 18)
-
-
-def _high_cost_bit_budget(n: int, t: int, ell: int, kappa: int) -> int:
-    # HighCostCA sends whole values n^2 times per phase, t + 1 phases.
-    return 96 * (ell + kappa) * n * n * (t + 2) + (1 << 18)
-
-
-def _high_cost_round_budget(n: int, t: int, ell: int) -> int:
-    return 8 * (2 + 4 * (t + 1)) + 32
 
 
 def standard_registry() -> dict[str, ProtocolSpec]:
@@ -179,50 +165,50 @@ def standard_registry() -> dict[str, ProtocolSpec]:
         "pi_z": ProtocolSpec(
             name="pi_z",
             build=lambda ell: (lambda ctx, v: protocol_z(ctx, v)),
-            bit_budget=paper_bit_budget,
-            round_budget=paper_round_budget,
+            bit_budget=costs.BitEnvelope(costs.pi_z),
+            round_budget=costs.round_envelope,
             signed=True,
         ),
         "pi_n": ProtocolSpec(
             name="pi_n",
             build=lambda ell: (lambda ctx, v: protocol_n(ctx, v)),
-            bit_budget=paper_bit_budget,
-            round_budget=paper_round_budget,
+            bit_budget=costs.BitEnvelope(costs.pi_z),
+            round_budget=costs.round_envelope,
         ),
         "fixed_length_ca": ProtocolSpec(
             name="fixed_length_ca",
             build=lambda ell: (
                 lambda ctx, v: fixed_length_ca(ctx, v, ell)
             ),
-            bit_budget=paper_bit_budget,
-            round_budget=paper_round_budget,
+            bit_budget=costs.BitEnvelope(costs.fixed_length_ca),
+            round_budget=costs.round_envelope,
         ),
         "fixed_length_ca_blocks": ProtocolSpec(
             name="fixed_length_ca_blocks",
             build=lambda ell: (
                 lambda ctx, v: fixed_length_ca_blocks(ctx, v, ell)
             ),
-            bit_budget=paper_bit_budget,
-            round_budget=paper_round_budget,
+            bit_budget=costs.BitEnvelope(costs.fixed_length_ca_blocks),
+            round_budget=costs.round_envelope,
             ell_for=blocks_ell,
         ),
         "high_cost_ca": ProtocolSpec(
             name="high_cost_ca",
             build=lambda ell: (lambda ctx, v: high_cost_ca(ctx, v)),
-            bit_budget=_high_cost_bit_budget,
-            round_budget=_high_cost_round_budget,
+            bit_budget=costs.BitEnvelope(costs.high_cost_ca),
+            round_budget=costs.high_cost_round_envelope,
         ),
         "broadcast_ca": ProtocolSpec(
             name="broadcast_ca",
             build=lambda ell: (lambda ctx, v: broadcast_ca(ctx, v)),
-            bit_budget=_baseline_bit_budget,
-            round_budget=paper_round_budget,
+            bit_budget=costs.BitEnvelope(costs.broadcast_ca),
+            round_budget=costs.round_envelope,
         ),
         "naive_broadcast_ca": ProtocolSpec(
             name="naive_broadcast_ca",
             build=lambda ell: (lambda ctx, v: naive_broadcast_ca(ctx, v)),
-            bit_budget=_baseline_bit_budget,
-            round_budget=paper_round_budget,
+            bit_budget=costs.BitEnvelope(costs.naive_broadcast_ca),
+            round_budget=costs.round_envelope,
         ),
     }
 

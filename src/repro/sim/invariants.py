@@ -7,7 +7,8 @@ contract any CA implementation must hold under *arbitrary* deviation.
 This module turns each of them into a pluggable
 :class:`InvariantMonitor` that a :class:`~repro.sim.network.
 SynchronousNetwork` evaluates online (per round and at termination)
-instead of post-hoc in scattered test assertions.
+instead of post-hoc in scattered test assertions.  The budgets a
+campaign gives the two budget monitors come from :mod:`repro.costs`.
 
 A monitor that detects a violation raises
 :class:`~repro.errors.ProtocolViolation` carrying its own name, the
@@ -31,7 +32,6 @@ over-powered configuration.
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING, Iterable, NoReturn
 
 from ..errors import ProtocolViolation
@@ -51,41 +51,7 @@ __all__ = [
     "BitBudgetMonitor",
     "RoundBudgetMonitor",
     "default_monitors",
-    "paper_bit_budget",
-    "paper_round_budget",
 ]
-
-
-def paper_bit_budget(
-    n: int, t: int, ell: int, kappa: int, constant: int = 96
-) -> int:
-    """A generous envelope of the paper's ``O(ln + kappa n^2 log^2 n)``.
-
-    ``constant`` absorbs the constants hidden by the O-notation plus the
-    instantiated Phase-King ``PI_BA`` term (``O(kappa n^2 t)`` per
-    invocation, ``O(log l)`` invocations); it is deliberately loose --
-    the monitor exists to catch *asymptotic* blow-ups (forwarded
-    byzantine blobs, accidental O(n) extra factors), not to re-measure
-    the constants the benchmarks track.
-    """
-    log_n = max(1, math.ceil(math.log2(max(2, n))))
-    log_ell = max(1, math.ceil(math.log2(max(2, ell))))
-    core = ell * n + kappa * n * n * log_n * log_n
-    ba_term = kappa * n * n * (t + 1) * (log_ell + log_n)
-    return constant * (core + ba_term) + (1 << 16)
-
-
-def paper_round_budget(n: int, t: int, ell: int, constant: int = 24) -> int:
-    """A generous envelope of ``O(n) + O(log l) * ROUNDS(PI_BA)``.
-
-    With Phase-King, ``ROUNDS(PI_BA) = 3(t + 1)``; ``FixedLengthCA``
-    makes ``O(log l)`` BA-heavy iterations and ``PI_N`` adds ``O(log n)``
-    length-estimation BAs, so the true count is
-    ``Theta((log l + log n) * t)`` -- ``constant`` gives slack on top.
-    """
-    log_n = max(1, math.ceil(math.log2(max(2, n))))
-    log_ell = max(1, math.ceil(math.log2(max(2, ell))))
-    return constant * (3 * (t + 1)) * (log_ell + log_n + 4) + 8 * n + 64
 
 
 class InvariantMonitor:

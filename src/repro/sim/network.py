@@ -60,7 +60,7 @@ from .invariants import InvariantMonitor
 from .lossy import LossyTransport, TransportTimeout
 from .metrics import CommunicationStats
 from .party import Context, Outgoing, Proto, SharedInbox
-from .recovery import CrashEvent, RecoveryConfig, RecoveryManager
+from .recovery import CrashEvent, RecoveryManager
 from .sizing import bit_size, brief_text
 from .trace import Event, RoundRecord
 from .wire import WireGuard, WireLimits, inbox_digest
@@ -202,8 +202,8 @@ class SynchronousNetwork:
         monitors: Sequence[InvariantMonitor] = (),
         transport: LossyTransport | None = None,
         crashes: Sequence[CrashEvent | tuple[int, int, int]] | None = None,
-        recovery: RecoveryConfig | bool | None = None,
-        guards: WireLimits | bool | None = None,
+        recovery: bool = False,
+        guards: WireLimits | None = None,
     ) -> None:
         if isinstance(inputs, list):
             inputs = dict(enumerate(inputs))
@@ -258,7 +258,6 @@ class SynchronousNetwork:
                 n,
                 t,
                 kappa,
-                recovery if isinstance(recovery, RecoveryConfig) else None,
                 cache,
             )
             if recovery or declared or crash_plane
@@ -272,16 +271,13 @@ class SynchronousNetwork:
         # The exact PassiveAdversary relays corrupted parties' spec
         # messages verbatim, never adapts and never crashes anyone.
         scripted = type(self.adversary) is not PassiveAdversary
-        #: Inbound wire guard (hostile-payload plane).  ``True`` derives
-        #: limits from the bit envelopes at a default payload length;
-        #: pass an explicit :class:`WireLimits` (e.g. from
-        #: ``WireLimits.from_envelopes(n, t, ell, kappa)``) for
-        #: protocol-accurate bounds.  Armed only beside a plane that can
-        #: carry hostile or re-delivered traffic; the bare run never
-        #: consults it.  Only byzantine-origin traffic is ever checked,
-        #: so arming guards cannot perturb honest accounting.
-        if guards is True:
-            guards = WireLimits.from_envelopes(n, t, ell=4096, kappa=kappa)
+        #: Inbound wire guard (hostile-payload plane), from the caller's
+        #: :class:`WireLimits` (e.g.
+        #: ``WireLimits.from_envelopes(n, t, ell, kappa)``).  Armed only
+        #: beside a plane that can carry hostile or re-delivered traffic;
+        #: the bare run never consults it.  Only byzantine-origin traffic
+        #: is ever checked, so arming guards cannot perturb honest
+        #: accounting.
         planes = (
             scripted or transport is not None or self._recovery is not None
         )

@@ -46,7 +46,6 @@ from .sizing import bit_size, canonical_text
 __all__ = [
     "CrashEvent",
     "CrashRestartAdversary",
-    "RecoveryConfig",
     "RecoveryError",
     "RecoveryManager",
     "ReplayedParty",
@@ -54,6 +53,10 @@ __all__ = [
     "WriteAheadLog",
     "outbox_digest",
 ]
+
+
+#: a chained checkpoint digest is recorded every this many rounds.
+CHECKPOINT_INTERVAL = 8
 
 
 class RecoveryError(ReproError):
@@ -107,21 +110,6 @@ class CrashEvent:
 
 
 @dataclass(frozen=True)
-class RecoveryConfig:
-    """Durability parameters of the per-party write-ahead logs."""
-
-    #: a chained checkpoint digest is recorded every this many rounds.
-    checkpoint_interval: int = 8
-    #: verify recorded outbox digests and checkpoints during replay
-    #: (cheap; disable only in micro-benchmarks).
-    verify_replay: bool = True
-
-    def __post_init__(self) -> None:
-        if self.checkpoint_interval < 1:
-            raise ConfigurationError("checkpoint_interval must be >= 1")
-
-
-@dataclass(frozen=True)
 class WalEntry:
     """One durable round record: the inbox consumed, the outbox emitted."""
 
@@ -144,7 +132,7 @@ class _Parked:
 class WriteAheadLog:
     """Append-only per-party log with chained periodic checkpoints."""
 
-    def __init__(self, checkpoint_interval: int = 8) -> None:
+    def __init__(self, checkpoint_interval: int = CHECKPOINT_INTERVAL) -> None:
         self.checkpoint_interval = checkpoint_interval
         self.entries: list[WalEntry] = []
         #: ``(round_index, chained_digest)`` snapshots, one per interval.
@@ -187,7 +175,6 @@ class RecoveryManager:
         n: int,
         t: int,
         kappa: int,
-        config: RecoveryConfig | None = None,
         cache: dict | None = None,
     ) -> None:
         self.protocol_factory = protocol_factory
@@ -195,12 +182,10 @@ class RecoveryManager:
         self.n = n
         self.t = t
         self.kappa = kappa
-        self.config = config or RecoveryConfig()
         #: the execution's :attr:`Context.cache`, handed to replays.
         self.cache: dict = {} if cache is None else cache
         self.wals: dict[int, WriteAheadLog] = {
-            party: WriteAheadLog(self.config.checkpoint_interval)
-            for party in range(n)
+            party: WriteAheadLog() for party in range(n)
         }
         self.parked: dict[int, list[_Parked]] = {}
 
@@ -282,7 +267,6 @@ class RecoveryManager:
                 rounds_replayed=0,
             )
 
-        verify = self.config.verify_replay
         chain = hashlib.sha256(b"repro-wal").hexdigest()[:32]
         checkpoints = dict(wal.checkpoints)
         logged = len(wal.entries)
@@ -296,7 +280,7 @@ class RecoveryManager:
                     outgoing = generator.send(feed[step - 1][0])
                 digest = outbox_digest(outgoing)
                 if expected is not None:
-                    if verify and digest != expected:
+                    if digest != expected:
                         raise RecoveryError(
                             f"party {party}: replayed outbox of logged "
                             f"round {step} diverged from the WAL "
@@ -304,7 +288,7 @@ class RecoveryManager:
                         )
                     chain = WriteAheadLog._extend(chain, digest)
                     round_index = wal.entries[step].round_index
-                    if verify and round_index in checkpoints \
+                    if round_index in checkpoints \
                             and checkpoints[round_index] != chain:
                         raise RecoveryError(
                             f"party {party}: checkpoint at round "

@@ -8,7 +8,7 @@ from .adversary import Adversary
 from .invariants import InvariantMonitor
 from .lossy import LossyTransport
 from .network import ExecutionResult, ProtocolFactory, SynchronousNetwork
-from .recovery import CrashEvent, RecoveryConfig
+from .recovery import CrashEvent
 from .wire import WireLimits
 
 __all__ = ["run_protocol"]
@@ -26,8 +26,8 @@ def run_protocol(
     monitors: Sequence[InvariantMonitor] = (),
     transport: LossyTransport | None = None,
     crashes: Sequence[CrashEvent | tuple[int, int, int]] | None = None,
-    recovery: RecoveryConfig | bool | None = None,
-    guards: WireLimits | bool | None = None,
+    recovery: bool = False,
+    guards: WireLimits | None = None,
 ) -> ExecutionResult:
     """Simulate one execution of ``protocol_factory`` and return the result.
 
@@ -54,11 +54,10 @@ def run_protocol(
         crashes: declarative honest crash windows
             (``(party, down_round, up_round)``), replayed via per-party
             write-ahead logs at the restart round.
-        recovery: enable (or configure) the crash-recovery plane even
-            without a declarative schedule.
+        recovery: enable the crash-recovery plane even without a
+            declarative schedule.
         guards: wire limits for byzantine-origin traffic
-            (:class:`~repro.sim.wire.WireLimits`, or ``True`` for
-            envelope-derived defaults); quarantined payloads are
+            (:class:`~repro.sim.wire.WireLimits`); quarantined payloads are
             accounted on the stats instead of delivered.
 
     Returns:

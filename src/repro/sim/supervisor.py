@@ -53,7 +53,7 @@ from .invariants import InvariantMonitor
 from .lossy import LossyTransport
 from .metrics import CommunicationStats
 from .network import ExecutionResult, ProtocolFactory, SynchronousNetwork
-from .recovery import CrashEvent, RecoveryConfig
+from .recovery import CrashEvent
 from .wire import WireLimits
 
 __all__ = ["FallbackRecord", "run_with_escalation"]
@@ -61,7 +61,7 @@ __all__ = ["FallbackRecord", "run_with_escalation"]
 #: channel prefix of the ``HighCostCA`` rung's traffic.
 FALLBACK_CHANNEL = "fallback/hc"
 
-#: scalar CommunicationStats fields serialized into fallback artifacts.
+#: scalar CommunicationStats fields a serialized record carries.
 _STATS_FIELDS = (
     "honest_bits", "honest_messages", "rounds",
     "retrans_bits", "retrans_messages", "ack_bits", "ack_messages",
@@ -99,7 +99,7 @@ class FallbackRecord:
         )
 
     def to_dict(self) -> dict:
-        """JSON-friendly representation (used by repro artifacts)."""
+        """JSON-friendly representation of the record."""
         return {
             "trigger": self.trigger,
             "detail": self.detail,
@@ -116,26 +116,6 @@ class FallbackRecord:
                 }
             ),
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FallbackRecord":
-        # records written while the ladder had an asynchronous rung also
-        # carry "rung" and "epsilon"; they are read past.
-        stats_data = data.get("primary_stats")
-        stats = None
-        if stats_data is not None:
-            stats = CommunicationStats()
-            for name in _STATS_FIELDS:
-                setattr(stats, name, stats_data.get(name, 0))
-        return cls(
-            trigger=data["trigger"],
-            detail=data["detail"],
-            monitor=data.get("monitor"),
-            offset=data.get("offset", 0),
-            primary_stats=stats,
-            history=tuple(data.get("history", ())),
-            resyncs=data.get("resyncs", 0),
-        )
 
 
 class _StaticCorruptions(PassiveAdversary):
@@ -170,8 +150,8 @@ def run_with_escalation(
     monitors: Sequence[InvariantMonitor] = (),
     transport: LossyTransport | None = None,
     crashes: Sequence[CrashEvent | tuple[int, int, int]] | None = None,
-    recovery: RecoveryConfig | bool | None = None,
-    guards: WireLimits | bool | None = None,
+    recovery: bool = False,
+    guards: WireLimits | None = None,
     escalate_on: tuple[type, ...] = (ProtocolViolation, SimulationError),
 ) -> ExecutionResult:
     """Run the primary protocol; on failure descend the ladder to a decision.

@@ -40,6 +40,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
+from ..costs import message_bits
 from .sizing import DEFAULT_MAX_DEPTH, measure_payload
 
 __all__ = [
@@ -92,17 +93,11 @@ class WireLimits:
 
     @classmethod
     def from_envelopes(cls, n: int, t: int, ell: int, kappa: int) -> "WireLimits":
-        """Derive bounds from the paper's bit envelopes.
-
-        The largest honest message in the registry is O(ell + kappa *
-        log n) bits (a whole value plus a Merkle witness; the
-        high-cost baselines send whole ell-bit values); a 64x margin on
-        ``ell + kappa * n`` plus a constant floor dominates every
-        honest shape at every registry grid point while still sitting
-        orders of magnitude below a payload bomb.
-        """
+        """Derive bounds from the paper's bit envelopes: one message is
+        at most :func:`repro.costs.message_bits`, one sender's round at
+        most ``n`` of them."""
         del t  # resilience does not change the per-message envelope
-        per_message = 64 * (max(1, ell) + max(1, kappa) * max(2, n)) + 4096
+        per_message = message_bits(n, ell, kappa)
         return cls(
             max_message_bits=per_message,
             max_depth=DEFAULT_MAX_DEPTH,

@@ -1,11 +1,11 @@
-"""Analysis-harness tests: models, fitting, sweeps, tables."""
+"""Analysis-harness tests: cost terms, fitting, sweeps, tables."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro import costs
 from repro.analysis import (
-    PROTOCOLS,
     comparison_series,
     fit_power_law,
     format_measurements,
@@ -13,15 +13,10 @@ from repro.analysis import (
     make_inputs,
     marginal_slope,
     measure,
-    pi_z_bits_model,
     sweep_ell,
 )
 from repro.analysis.experiments import output_text
-from repro.analysis.predictions import (
-    broadcast_ca_bits_model,
-    ext_ba_plus_bits_model,
-    high_cost_ca_bits_model,
-)
+from repro.sim.fuzz import standard_registry
 
 
 class TestFitting:
@@ -55,10 +50,10 @@ class TestFitting:
 class TestModels:
     def test_models_positive_and_monotone_in_ell(self):
         for model in (
-            lambda ell: pi_z_bits_model(7, 2, 128, ell),
-            lambda ell: ext_ba_plus_bits_model(7, 2, 128, ell),
-            lambda ell: broadcast_ca_bits_model(7, 2, 128, ell),
-            lambda ell: high_cost_ca_bits_model(7, ell),
+            lambda ell: costs.pi_z(7, 2, ell, 128),
+            lambda ell: costs.ext_ba_plus(7, 2, ell, 128),
+            lambda ell: costs.broadcast_ca(7, 2, ell, 128),
+            lambda ell: costs.high_cost_ca(7, 2, ell, 128),
         ):
             small, large = model(100), model(100000)
             assert 0 < small < large
@@ -68,15 +63,15 @@ class TestModels:
         PI_Z < broadcast < high-cost."""
         ell = 10**7
         assert (
-            pi_z_bits_model(7, 2, 128, ell)
-            < broadcast_ca_bits_model(7, 2, 128, ell)
-            < high_cost_ca_bits_model(7, ell)
+            costs.pi_z(7, 2, ell, 128)
+            < costs.broadcast_ca(7, 2, ell, 128)
+            < costs.high_cost_ca(7, 2, ell, 128)
         )
 
     def test_pi_z_model_slope_is_order_n(self):
         n = 9
-        lo = pi_z_bits_model(n, 2, 128, 10**6)
-        hi = pi_z_bits_model(n, 2, 128, 2 * 10**6)
+        lo = costs.pi_z(n, 2, 10**6, 128)
+        hi = costs.pi_z(n, 2, 2 * 10**6, 128)
         slope = (hi - lo) / 10**6
         # leading terms: 2*l*n (prefix search) + l*n (AddLastBlock) = 3n
         assert n <= slope <= 4 * n
@@ -119,7 +114,7 @@ class TestSweeps:
         assert min(inputs) <= m.output <= max(inputs)
 
     def test_measure_all_protocols_run(self):
-        for name in PROTOCOLS:
+        for name in standard_registry():
             m = measure(name, 4, None, 32, kappa=64, spread="clustered")
             assert m.bits > 0, name
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import costs
 from repro.errors import HonestPartyError
 from repro.perf import counters
 from repro.sim.adversary import DROP, Adversary, PassiveAdversary
@@ -48,8 +49,6 @@ from repro.sim.fuzz import (
 from repro.sim.invariants import (
     AgreementMonitor,
     ConvexValidityMonitor,
-    paper_bit_budget,
-    paper_round_budget,
 )
 from repro.sim.party import broadcast_round
 from repro.sim.runner import run_protocol
@@ -300,8 +299,8 @@ def _fragile_registry():
         "fragile": ProtocolSpec(
             name="fragile",
             build=lambda ell: (lambda ctx, v: _fragile_protocol(ctx, v)),
-            bit_budget=paper_bit_budget,
-            round_budget=paper_round_budget,
+            bit_budget=costs.BitEnvelope(costs.pi_z),
+            round_budget=costs.round_envelope,
         )
     }
 

@@ -169,6 +169,15 @@ class TestOneWayToMeasure:
             r"|run_parallel|parallel_broadcast_ca|fixed_point_ca"
         )
 
+    def test_retired_cost_formulas_and_options_stay_undocumented(self):
+        """The paper's bit terms live once, in ``repro.costs``: no doc may
+        send a reader to the formulas it replaced, or to the wrapper,
+        config class and reader that went with them."""
+        assert_undocumented(
+            r"paper_bit_budget|paper_round_budget|pi_z_bits_model"
+            r"|find_prefix_blocks|RecoveryConfig|FallbackRecord\.from_dict"
+        )
+
     def test_p_sections_point_at_committed_pairs(self):
         """A P-section's data is a ``benchmarks/pairs/`` document: every
         base revision and every file EXPERIMENTS.md names there exists."""

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis.experiments import make_inputs
 from repro.core.bitstrings import BitString, bits_fixed, longest_common_prefix
-from repro.core.find_prefix import find_prefix, find_prefix_blocks
+from repro.core.find_prefix import find_prefix
+from repro.core.fixed_length import fixed_length_ca_blocks
 from repro.errors import ProtocolViolation
 from repro.sim import Context, RandomGarbageAdversary, run_protocol
 
@@ -99,7 +100,9 @@ class TestLemma4Blocks:
         ell = n * n * 4  # 16 blocks of 4 bits
         inputs = [0, 2**ell - 1, 2**(ell // 2), 5]
         result = run_protocol(
-            lambda ctx, v: find_prefix_blocks(ctx, v, ell),
+            lambda ctx, v: find_prefix(
+                ctx, v, ell, unit_bits=ell // (n * n)
+            ),
             inputs, n, t, kappa=KAPPA,
         )
         prefix, _ = check_lemma1(inputs, result, ell)
@@ -111,7 +114,9 @@ class TestLemma4Blocks:
         ell = n * n * 2
         inputs = [(1 << ell) - 3] * n
         result = run_protocol(
-            lambda ctx, v: find_prefix_blocks(ctx, v, ell),
+            lambda ctx, v: find_prefix(
+                ctx, v, ell, unit_bits=ell // (n * n)
+            ),
             inputs, n, t, kappa=KAPPA,
         )
         prefix, outputs = check_lemma1(inputs, result, ell)
@@ -122,7 +127,7 @@ class TestLemma4Blocks:
         ell = 24
         inputs = [1, 2, 3, 4]
         result = run_protocol(
-            lambda ctx, v: find_prefix_blocks(ctx, v, ell, num_blocks=8),
+            lambda ctx, v: find_prefix(ctx, v, ell, unit_bits=ell // 8),
             inputs, n, t, kappa=KAPPA,
         )
         check_lemma1(inputs, result, ell)
@@ -155,7 +160,7 @@ class TestValidation:
 
         ctx = Context(party_id=0, n=4, t=1, kappa=KAPPA)
         with pytest.raises(ValueError):
-            next(find_prefix_blocks(ctx, 0, 17))
+            next(fixed_length_ca_blocks(ctx, 0, 17))
 
 
 class TestIterationCount:
@@ -242,7 +247,9 @@ class TestMatchesOracle:
         n, ell = 7, 49 * 1337
         inputs = shaped_inputs(shape, n, ell, seed=5)
         new = run_protocol(
-            lambda ctx, v: find_prefix_blocks(ctx, v, ell),
+            lambda ctx, v: find_prefix(
+                ctx, v, ell, unit_bits=ell // (n * n), channel="fpb"
+            ),
             inputs, n, 2, kappa=KAPPA,
         )
         old = run_protocol(

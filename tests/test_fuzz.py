@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from repro import costs
 from repro.cli import main
 from repro.core.add_last import add_last_bit
 from repro.core.bitstrings import BitString
@@ -42,7 +43,6 @@ from repro.sim.fuzz import (
     _build_inputs,
     _execute,
 )
-from repro.sim.invariants import paper_bit_budget, paper_round_budget
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +194,8 @@ def canary_registry():
             build=lambda ell: (
                 lambda ctx, v: weak_fixed_length_ca(ctx, v, ell)
             ),
-            bit_budget=paper_bit_budget,
-            round_budget=paper_round_budget,
+            bit_budget=costs.BitEnvelope(costs.fixed_length_ca),
+            round_budget=costs.round_envelope,
         )
     }
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import convex_agreement
+from repro import convex_agreement, costs
 from repro.core import protocol_z
 from repro.errors import ProtocolViolation, SimulationError
 from repro.sim import (
@@ -17,12 +17,11 @@ from repro.sim import (
     broadcast_round,
     default_monitors,
     default_round_budget,
-    paper_bit_budget,
-    paper_round_budget,
     run_protocol,
 )
 
 KAPPA = 64
+PI_Z_BITS = costs.BitEnvelope(costs.pi_z)
 
 
 # ---------------------------------------------------------------------------
@@ -68,17 +67,17 @@ def run_monitored(factory, inputs, n, t, monitors):
 
 class TestBudgets:
     def test_bit_budget_positive_and_monotone(self):
-        base = paper_bit_budget(4, 1, 64, 64)
+        base = PI_Z_BITS(4, 1, 64, 64)
         assert base > 0
-        assert paper_bit_budget(8, 2, 64, 64) > base
-        assert paper_bit_budget(4, 1, 1 << 12, 64) > base
-        assert paper_bit_budget(4, 1, 64, 128) > base
+        assert PI_Z_BITS(8, 2, 64, 64) > base
+        assert PI_Z_BITS(4, 1, 1 << 12, 64) > base
+        assert PI_Z_BITS(4, 1, 64, 128) > base
 
     def test_round_budget_positive_and_monotone(self):
-        base = paper_round_budget(4, 1, 64)
+        base = costs.round_envelope(4, 1, 64)
         assert base > 0
-        assert paper_round_budget(7, 2, 64) > base
-        assert paper_round_budget(4, 1, 1 << 12) > base
+        assert costs.round_envelope(7, 2, 64) > base
+        assert costs.round_envelope(4, 1, 1 << 12) > base
 
     def test_default_round_budget_floor(self):
         assert default_round_budget(4, 1) >= 10_000
@@ -91,8 +90,8 @@ class TestBudgets:
         result = run_monitored(
             lambda ctx, v: protocol_z(ctx, v), inputs, n, t,
             default_monitors(
-                bit_budget=paper_bit_budget(n, t, ell, KAPPA),
-                round_budget=paper_round_budget(n, t, ell),
+                bit_budget=PI_Z_BITS(n, t, ell, KAPPA),
+                round_budget=costs.round_envelope(n, t, ell),
             ),
         )
         result.assert_convex_valid(inputs)
@@ -268,8 +267,8 @@ class TestDefaultMonitors:
         result = run_monitored(
             lambda ctx, v: protocol_z(ctx, v), inputs, 4, 1,
             default_monitors(
-                bit_budget=paper_bit_budget(4, 1, 4, KAPPA),
-                round_budget=paper_round_budget(4, 1, 4),
+                bit_budget=PI_Z_BITS(4, 1, 4, KAPPA),
+                round_budget=costs.round_envelope(4, 1, 4),
             ),
         )
         result.assert_convex_valid(inputs)
@@ -370,3 +369,24 @@ class TestEnvelopes:
                 label = (name, n, t)
                 assert bit_slack == sorted(bit_slack), label
                 assert round_slack == sorted(round_slack), label
+
+    def test_bit_slack_is_four_times_the_largest_ratio(self):
+        """``BIT_SLACK`` is at least 4x the largest honest-bits/term
+        ratio of a campaign (seed 0, 40 cases on the plain and crash
+        planes), the rule ``repro.costs`` fixes it by."""
+        from repro.sim.fuzz import run_case_ex, sample_case_at, \
+            standard_registry
+
+        registry = standard_registry()
+        ratios = []
+        for crash in (False, True):
+            for index in range(40):
+                case = sample_case_at(0, index, registry, crash=crash)
+                failure, stats = run_case_ex(case, registry)
+                assert failure is None, (case, failure.kind)
+                term = registry[case.protocol].bit_budget.term
+                ratios.append(
+                    stats.bits / term(case.n, case.t, case.ell, case.kappa)
+                )
+        assert min(ratios) > 0
+        assert 4 * max(ratios) <= costs.BIT_SLACK, max(ratios)

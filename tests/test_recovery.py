@@ -24,7 +24,6 @@ from repro.sim import (
     Event,
     LossyTransport,
     PassiveAdversary,
-    RecoveryConfig,
     RecoveryError,
     broadcast_round,
     run_many,
@@ -165,15 +164,6 @@ class TestDeclarativeCrashes:
         assert a.outputs == b.outputs
         assert a.events == b.events
         assert a.trace == b.trace
-
-    def test_recovery_config_tunes_checkpoints(self):
-        inputs = [3, 5, 7, 11, 13, 17, 19]
-        result = run_flca(
-            inputs, 7, 2, crashes=[(2, 3, 9)],
-            adversary=HonestObserver(),
-            recovery=RecoveryConfig(checkpoint_interval=2),
-        )
-        result.assert_convex_valid(inputs)
 
 
 # ---------------------------------------------------------------------------
