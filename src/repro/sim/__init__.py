@@ -76,13 +76,7 @@ from .metrics import CommunicationStats
 from .network import ExecutionResult, SynchronousNetwork, default_round_budget
 from .parallel import CaseOutcome, derive_seed, resolve_workers, run_many
 from .partial_sync import LinkSchedule
-from .recovery import (
-    CrashEvent,
-    CrashRestartAdversary,
-    RecoveryError,
-    RecoveryManager,
-    WriteAheadLog,
-)
+from .recovery import RecoveryError, RecoveryManager, WriteAheadLog
 from .supervisor import FallbackRecord, run_with_escalation
 from .party import Context, Outgoing, Proto, broadcast_round, exchange
 from .runner import run_protocol
@@ -105,8 +99,6 @@ __all__ = [
     "ConvexValidityMonitor",
     "CrashAdversary",
     "CrashBudgetMonitor",
-    "CrashEvent",
-    "CrashRestartAdversary",
     "DeepNestAdversary",
     "FallbackRecord",
     "LinkSchedule",

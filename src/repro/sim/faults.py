@@ -39,7 +39,7 @@ forge honest traffic.  Two further fault planes ride on the same spec:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Any
 
@@ -127,7 +127,10 @@ class FaultSpec:
     link_delay: float = 0.0
     link_reorder: float = 0.0
     #: crash plane: ``(party, down_round, up_round)`` windows, realised
-    #: through the adversary's ``crash_restarts`` hook (down_round >= 1).
+    #: through :class:`ComposedAdversary`'s ``crash_restarts`` hook
+    #: (down_round >= 1): the only way a declared crash reaches an
+    #: execution.  A party outside ``0..n-1`` is refused by
+    #: ``ComposedAdversary.select_corruptions``, where ``n`` is known.
     crashes: tuple[tuple[int, int, int], ...] = ()
     #: partial-synchrony plane (the fields of
     #: :class:`~repro.sim.partial_sync.LinkSchedule`, which
@@ -317,10 +320,6 @@ class FaultSpec:
             ),
         )
 
-    def reseeded(self, seed: int) -> "FaultSpec":
-        """Copy of this spec with a different deterministic seed."""
-        return replace(self, seed=seed)
-
 
 class FaultInjector:
     """Stateful applier of a :class:`FaultSpec` to byzantine traffic."""
@@ -384,7 +383,9 @@ class ComposedAdversary(Adversary):
       (the network clips to budget and records any clipping).
     * Crashes: the union of the parts' ``crash_restarts`` requests plus
       the spec's declarative ``crashes`` windows (the network clips to
-      the shared ``t`` budget and records any clipping).
+      the shared ``t`` budget and records any clipping); a window naming
+      a party outside ``0..n-1`` is a :class:`ConfigurationError` from
+      :meth:`select_corruptions`.
     """
 
     def __init__(
@@ -405,10 +406,17 @@ class ComposedAdversary(Adversary):
             else FaultInjector(faults)
         )
         self.has_crash_plane = any(
-            getattr(part, "has_crash_plane", False) for part in parts
+            part.has_crash_plane for part in parts
         ) or bool(faults is not None and faults.has_crashes)
 
     def select_corruptions(self, n: int, t: int) -> set[int]:
+        # where the spec's crash windows first meet n.
+        for party, down, up in self.faults.crashes if self.faults else ():
+            if party >= n:
+                raise ConfigurationError(
+                    f"crash {(party, down, up)} names party {party}, "
+                    f"outside 0..{n - 1}"
+                )
         if self.initial is not None:
             return set(self.initial)
         union: set[int] = set()
@@ -466,7 +474,7 @@ class RecordingAdversary(Adversary):
         self.initial_corruptions: set[int] = set()
         #: ``(party, down_round, up_round)`` crash requests observed.
         self.crash_schedule: list[tuple[int, int, int]] = []
-        self.has_crash_plane = getattr(inner, "has_crash_plane", False)
+        self.has_crash_plane = inner.has_crash_plane
 
     def select_corruptions(self, n: int, t: int) -> set[int]:
         self.initial_corruptions = set(self.inner.select_corruptions(n, t))

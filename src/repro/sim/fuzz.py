@@ -67,16 +67,8 @@ from .bombs import BOMB_CATALOG
 from .faults import ComposedAdversary, FaultSpec, RecordingAdversary, \
     ReplayAdversary
 from .lossy import LossyTransport
-from .invariants import (
-    AgreementMonitor,
-    BitBudgetMonitor,
-    ConvexValidityMonitor,
-    InvariantMonitor,
-    LivenessMonitor,
-    LockstepMonitor,
-    RoundBudgetMonitor,
-)
-from .network import ProtocolFactory, SynchronousNetwork
+from .invariants import InvariantMonitor, LivenessMonitor, default_monitors
+from .network import ProtocolFactory
 from .parallel import derive_seed, resolve_workers, run_many
 from .sizing import WIRE_SCHEMA, decode_payload, encode_payload
 from .supervisor import run_with_escalation
@@ -95,7 +87,6 @@ __all__ = [
     "sample_faults",
     "sample_case",
     "sample_case_at",
-    "run_case",
     "run_case_ex",
     "execute_cases",
     "shrink_failure",
@@ -250,6 +241,14 @@ class FuzzCase:
     #: -- set on every bomb-plane case, off elsewhere so pre-existing
     #: campaigns replay byte-identically.
     guards: bool = False
+
+    def __post_init__(self) -> None:
+        # an artifact's case is outside input: an unknown spread would
+        # otherwise replay silently as uniform inputs.
+        if self.spread not in _SPREADS:
+            raise ValueError(
+                f"spread {self.spread!r} is not one of {_SPREADS}"
+            )
 
     def describe(self) -> str:
         adv = "+".join(self.adversaries)
@@ -493,18 +492,12 @@ def _build_inputs(
 
 
 def case_monitors(case: FuzzCase, spec: ProtocolSpec) -> list[InvariantMonitor]:
-    """The monitor stack for one case, with per-protocol envelopes."""
-    return [
-        LockstepMonitor(),
-        AgreementMonitor(),
-        ConvexValidityMonitor(),
-        BitBudgetMonitor(
-            total=spec.bit_budget(case.n, case.t, case.ell, case.kappa)
-        ),
-        RoundBudgetMonitor(
-            limit=spec.round_budget(case.n, case.t, case.ell)
-        ),
-    ]
+    """The standard monitor stack for one case, with per-protocol
+    envelopes."""
+    return default_monitors(
+        bit_budget=spec.bit_budget(case.n, case.t, case.ell, case.kappa),
+        round_budget=spec.round_budget(case.n, case.t, case.ell),
+    )
 
 
 def _max_concurrent_crashes(
@@ -687,58 +680,45 @@ def _execute(
 ):
     """Run one monitored execution; raises on any invariant violation.
 
-    Partial-synchrony cases run through the supervisor's escalation
-    ladder (:func:`~repro.sim.supervisor.run_with_escalation`), with
-    monitor violations kept fatal (``escalate_on=(SimulationError,)``):
-    a slow/partitioned network may degrade, a protocol bug may not hide
-    behind the ladder.  Returns the :class:`ExecutionResult` (``None``
-    only on legacy non-returning paths).
+    Every case runs through the supervisor
+    (:func:`~repro.sim.supervisor.run_with_escalation`).  Only a
+    partial-synchrony case may descend its ladder, with monitor
+    violations kept fatal (``escalate_on=(SimulationError,)``): a
+    slow/partitioned network may degrade, a protocol bug may not hide
+    behind the ladder.  Any other case escalates on nothing, which is
+    the primary run alone.  Returns the :class:`ExecutionResult`.
     """
     transport = LossyTransport.from_spec(case.faults)
     round_budget = spec.round_budget(case.n, case.t, case.ell)
     monitors = case_monitors(case, spec)
-    guard_limits = (
-        WireLimits.from_envelopes(case.n, case.t, case.ell, case.kappa)
-        if case.guards
-        else None
-    )
-    # leave headroom above the monitor so RoundBudgetMonitor fires
-    # with a record attached before the hard simulator cap.
-    max_rounds = 2 * round_budget + 64
-    if case.faults.has_partial_sync:
+    partial_sync = case.faults.has_partial_sync
+    if partial_sync:
         monitors.append(LivenessMonitor(round_budget, transport))
-        result = run_with_escalation(
-            spec.build(case.ell),
-            inputs,
-            n=case.n,
-            t=case.t,
-            kappa=case.kappa,
-            adversary=adversary,
-            max_rounds=max_rounds,
-            trace=True,
-            monitors=monitors,
-            transport=transport,
-            escalate_on=(SimulationError,),
-            guards=guard_limits,
-        )
-        _check_escalated(case, inputs, result)
-        return result
-    network = SynchronousNetwork(
+    result = run_with_escalation(
         spec.build(case.ell),
         inputs,
         n=case.n,
         t=case.t,
-        kappa=case.kappa,
         adversary=adversary,
-        max_rounds=max_rounds,
-        trace=True,
         monitors=monitors,
+        # only a partial-synchrony case may descend the ladder.
+        escalate_on=(SimulationError,) if partial_sync else (),
+        kappa=case.kappa,
+        # leave headroom above the monitor so RoundBudgetMonitor fires
+        # with a record attached before the hard simulator cap.
+        max_rounds=2 * round_budget + 64,
+        trace=True,
         # link faults ride below the round abstraction; None on specs
         # without link axes, so non-crash campaigns are untouched.
         transport=transport,
-        guards=guard_limits,
+        guards=(
+            WireLimits.from_envelopes(case.n, case.t, case.ell, case.kappa)
+            if case.guards
+            else None
+        ),
     )
-    return network.run()
+    _check_escalated(case, inputs, result)
+    return result
 
 
 @dataclass
@@ -778,7 +758,8 @@ def _violation_kind(error: Exception) -> str:
 def run_case_ex(
     case: FuzzCase, registry: dict[str, ProtocolSpec] | None = None
 ) -> tuple["FuzzFailure | None", CaseStats]:
-    """Like :func:`run_case`, plus the case's deterministic accounting."""
+    """Run one case under monitors: a failure (or ``None`` if clean),
+    and the case's deterministic accounting."""
     registry = registry or standard_registry()
     spec = registry[case.protocol]
     inputs = _build_inputs(case, spec)
@@ -822,14 +803,6 @@ def run_case_ex(
     return None, stats
 
 
-def run_case(
-    case: FuzzCase, registry: dict[str, ProtocolSpec] | None = None
-) -> "FuzzFailure | None":
-    """Run one case under monitors; return a failure or None if clean."""
-    failure, _ = run_case_ex(case, registry)
-    return failure
-
-
 # ---------------------------------------------------------------------------
 # Shrinking (delta debugging over the recorded byzantine script)
 # ---------------------------------------------------------------------------
@@ -840,27 +813,18 @@ def _replays_same(
     spec: ProtocolSpec,
     script_keys: list[tuple[int, int, int]],
     schedule: list[tuple[int, int]],
-    crash_schedule: list[tuple[int, int, int]] | None = None,
-    case: FuzzCase | None = None,
+    crash_schedule: list[tuple[int, int, int]],
+    case: FuzzCase,
 ) -> bool:
     """Does the reduced script still trigger the same violation kind?"""
     adversary = ReplayAdversary(
         {key: failure.script[key] for key in script_keys},
         failure.initial_corruptions,
         schedule,
-        crash_schedule=(
-            failure.crash_schedule
-            if crash_schedule is None
-            else crash_schedule
-        ),
+        crash_schedule=crash_schedule,
     )
     try:
-        _execute(
-            failure.case if case is None else case,
-            spec,
-            failure.inputs,
-            adversary,
-        )
+        _execute(case, spec, failure.inputs, adversary)
     except (HonestPartyError, ProtocolViolation, SimulationError) as error:
         return _violation_kind(error) == failure.kind
     return False

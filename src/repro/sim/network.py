@@ -31,13 +31,16 @@ Resilience planes (both optional, zero-cost when absent):
   drop/delay/reorder on honest links plus the ack/retransmit round
   synchronizer that restores lockstep; its overhead lands in the
   ``retrans_*``/``ack_*`` stats fields, never in ``honest_bits``.
-* crash/recovery -- a declarative ``crashes`` schedule and/or an
-  adversary with a crash plane powers honest parties off for chosen
-  round windows; a :class:`~repro.sim.recovery.RecoveryManager` logs
-  every delivered inbox to per-party write-ahead logs, parks traffic
-  addressed to down parties, and deterministically replays a restarting
-  party back to the current round.  Down parties count against the same
-  ``t`` budget as byzantine corruptions while down.
+* crash/recovery -- an adversary with a crash plane
+  (``has_crash_plane``; e.g. a
+  :class:`~repro.sim.faults.ComposedAdversary` carrying
+  ``FaultSpec.crashes``) powers honest parties off for chosen round
+  windows through its ``crash_restarts`` hook; a
+  :class:`~repro.sim.recovery.RecoveryManager` logs every delivered
+  inbox to per-party write-ahead logs, parks traffic addressed to down
+  parties, and deterministically replays a restarting party back to
+  the current round.  Down parties count against the same ``t`` budget
+  as byzantine corruptions while down.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ from .invariants import InvariantMonitor
 from .lossy import LossyTransport, TransportTimeout
 from .metrics import CommunicationStats
 from .party import Context, Outgoing, Proto, SharedInbox
-from .recovery import CrashEvent, RecoveryManager
+from .recovery import RecoveryManager
 from .sizing import bit_size, brief_text
 from .trace import Event, RoundRecord
 from .wire import WireGuard, WireLimits, inbox_digest
@@ -80,8 +83,7 @@ ProtocolFactory = Callable[[Context, Any], Proto[Any]]
 _QUARANTINE_CAP = 256
 
 #: The round record's party sets: ``(event kind, its round minus the
-#: record's) -> field``.  A crash declared for the round itself (offset
-#: 0) shows only in ``down_parties``.
+#: record's) -> field``.
 _RECORD_SETS = {
     ("up", 0): "restarted_parties",
     ("corrupt", 0): "new_corruptions",
@@ -187,7 +189,34 @@ class _PartyState:
 
 
 class SynchronousNetwork:
-    """Drives one protocol execution under a byzantine adversary."""
+    """Drives one protocol execution under a byzantine adversary.
+
+    Args:
+        protocol_factory: ``(ctx, input) -> generator`` building each
+            party's protocol instance.
+        inputs: per-party protocol inputs (list indexed by party id, or a
+            dict covering every party; corrupted parties' inputs are handed
+            to the adversary as its "spec" inputs).
+        n: number of parties.
+        t: corruption bound, ``t < n/3``.
+        kappa: security parameter in bits.
+        adversary: byzantine strategy; defaults to spec-following corrupted
+            parties.  An adversary with ``has_crash_plane`` also powers
+            honest parties off and on (``crash_restarts``), which arms the
+            write-ahead-log recovery plane.
+        max_rounds: safety cap on the number of simulated rounds; defaults
+            to a budget derived from the theoretical round complexity
+            (:func:`default_round_budget`).
+        trace: collect a per-round :class:`~repro.sim.trace.RoundRecord`
+            trace on the result.
+        monitors: online invariant monitors
+            (:mod:`repro.sim.invariants`) evaluated during the run.
+        transport: optional lossy transport; protocols run unmodified on
+            top of its ack/retransmit round synchronizer.
+        guards: wire limits for byzantine-origin traffic
+            (:class:`~repro.sim.wire.WireLimits`); quarantined payloads are
+            accounted on the stats instead of delivered.
+    """
 
     def __init__(
         self,
@@ -201,8 +230,6 @@ class SynchronousNetwork:
         trace: bool = False,
         monitors: Sequence[InvariantMonitor] = (),
         transport: LossyTransport | None = None,
-        crashes: Sequence[CrashEvent | tuple[int, int, int]] | None = None,
-        recovery: bool = False,
         guards: WireLimits | None = None,
     ) -> None:
         if isinstance(inputs, list):
@@ -233,24 +260,13 @@ class SynchronousNetwork:
             raise ConfigurationError("corruption set out of range")
 
         self.transport = transport
-        declared = [
-            event if isinstance(event, CrashEvent) else CrashEvent(*event)
-            for event in (crashes or ())
-        ]
-        #: declarative crash windows keyed by their down round.
-        self._declared_crashes: dict[int, dict[int, int]] = {}
-        for event in declared:
-            if not 0 <= event.party < n:
-                raise ConfigurationError(
-                    f"crash schedule names party {event.party}, "
-                    f"outside 0..{n - 1}"
-                )
-            windows = self._declared_crashes.setdefault(event.down, {})
-            windows[event.party] = event.up
-        crash_plane = getattr(self.adversary, "has_crash_plane", False)
         # This execution's ``Context.cache``: one dict for the n parties
         # and any WAL-replayed incarnation of them.
         cache: dict = {}
+        # Stage arming, decided once from what the caller passed (stage
+        # table on :meth:`_run_round`); ``transport`` and ``_recovery``
+        # arm their own stages by being present.  The recovery plane
+        # exists iff the adversary asks for crashes at round boundaries.
         self._recovery = (
             RecoveryManager(
                 protocol_factory,
@@ -260,14 +276,9 @@ class SynchronousNetwork:
                 kappa,
                 cache,
             )
-            if recovery or declared or crash_plane
+            if self.adversary.has_crash_plane
             else None
         )
-        # Stage arming, decided once from what the caller passed (stage
-        # table on :meth:`_run_round`); ``transport`` and ``_recovery``
-        # arm their own stages by being present.
-        #: whether the adversary asks for crashes at round boundaries.
-        self._crash_plane = bool(crash_plane)
         # The exact PassiveAdversary relays corrupted parties' spec
         # messages verbatim, never adapts and never crashes anyone.
         scripted = type(self.adversary) is not PassiveAdversary
@@ -439,7 +450,7 @@ class SynchronousNetwork:
             replayed = self._recovery.recover(party, self.stats)
             state = self._states[party]
             state.generator = replayed.generator
-            state.started = replayed.started
+            state.started = True
             state.finished = replayed.finished
             state.output = replayed.output
             state.inbox = replayed.inbox
@@ -450,7 +461,7 @@ class SynchronousNetwork:
         self,
         requests: dict[int, int],
         down_round: int,
-        pending_corruptions: int = 0,
+        pending_corruptions: int,
     ) -> None:
         """Clip crash requests to the shared ``t`` budget and apply them.
 
@@ -545,7 +556,7 @@ class SynchronousNetwork:
         ================  =========================  =====================
         stage             armed when                 reads
         ================  =========================  =====================
-        crash / restart   a recovery plane           WALs, crash schedule
+        crash / restart   a recovery plane           WALs, restart rounds
         resume            always                     last round's inboxes
         lockstep check    always                     honest channel labels
         price + deliver   always                     the yielded bundles
@@ -578,13 +589,9 @@ class SynchronousNetwork:
         events = self.events
         mark = len(events)
 
-        # Crash plane: restarts due now, then declarative crashes whose
-        # down round is now (both before any generator resumes).
+        # Crash plane: restarts due now, before any generator resumes.
         if recovery is not None:
             self._process_restarts(round_index)
-            declared = self._declared_crashes.pop(round_index, None)
-            if declared:
-                self._accept_crashes(declared, round_index)
 
         # Resume every running generator (down parties stay frozen), and
         # read each bundle as it arrives: the honest channel set for the
@@ -855,7 +862,7 @@ class SynchronousNetwork:
                 )
             # Adversarial crashes (effective next round), clipped
             # against the combined corruption + down budget.
-            if self._crash_plane:
+            if recovery is not None:
                 requests = self.adversary.crash_restarts(view)
                 self._accept_crashes(
                     {p: up for p, up in requests.items() if p not in accepted},

@@ -34,18 +34,15 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
-from ..errors import ConfigurationError, ReproError
-from .adversary import Adversary, RoundView
+from ..errors import ReproError
 from .lossy import ACK_BITS
 from .metrics import CommunicationStats
 from .party import Context, Outgoing
 from .sizing import bit_size, canonical_text
 
 __all__ = [
-    "CrashEvent",
-    "CrashRestartAdversary",
     "RecoveryError",
     "RecoveryManager",
     "ReplayedParty",
@@ -87,26 +84,6 @@ def outbox_digest(outgoing: Outgoing | None) -> str:
                 text = texts[id(payload)] = canonical_text(payload)
             parts.append(f"|{dst}|{text}")
     return hashlib.sha256("".join(parts).encode()).hexdigest()[:32]
-
-
-@dataclass(frozen=True)
-class CrashEvent:
-    """One declarative crash: ``party`` is down in rounds [down, up)."""
-
-    party: int
-    down: int
-    up: int
-
-    def __post_init__(self) -> None:
-        if self.down < 0:
-            raise ConfigurationError(
-                f"crash round {self.down} must be non-negative"
-            )
-        if self.up <= self.down:
-            raise ConfigurationError(
-                f"restart round {self.up} must come after crash round "
-                f"{self.down}"
-            )
 
 
 @dataclass(frozen=True)
@@ -158,11 +135,9 @@ class ReplayedParty:
     """Outcome of one WAL replay: a party caught up to the present."""
 
     generator: Any
-    started: bool
     finished: bool
     output: Any
     inbox: dict[int, Any]
-    rounds_replayed: int
 
 
 class RecoveryManager:
@@ -252,20 +227,12 @@ class RecoveryManager:
         )
         generator = self.protocol_factory(ctx, self.inputs[party])
 
+        # Never empty: the network grants a crash only at the end of a
+        # round the party executed, and that round is in its WAL.
         feed: list[tuple[dict[int, Any], str | None]] = [
             (entry.inbox, entry.outbox_digest) for entry in wal.entries
         ]
         feed.extend((entry.inbox, None) for entry in parked)
-        if not feed:
-            # Nothing was ever executed: the party restarts fresh.
-            return ReplayedParty(
-                generator=generator,
-                started=False,
-                finished=False,
-                output=None,
-                inbox={},
-                rounds_replayed=0,
-            )
 
         chain = hashlib.sha256(b"repro-wal").hexdigest()[:32]
         checkpoints = dict(wal.checkpoints)
@@ -309,73 +276,7 @@ class RecoveryManager:
 
         return ReplayedParty(
             generator=generator,
-            started=True,
             finished=finished,
             output=output,
             inbox=dict(feed[-1][0]),
-            rounds_replayed=len(feed),
         )
-
-
-class CrashRestartAdversary(Adversary):
-    """Kills up to ``f`` honest parties at chosen rounds; they recover.
-
-    ``schedule`` entries are ``(party, down_round, up_round)``: the
-    party is powered off for rounds ``[down_round, up_round)`` and
-    replays its WAL at the start of ``up_round``.  Crash decisions ride
-    on the adaptive-adversary hook, so ``down_round >= 1``.  Message
-    behaviour (and byzantine corruptions, if any) delegate to ``inner``;
-    with no inner strategy the adversary corrupts nobody -- it is a pure
-    crash/restart fault plane, composable with any byzantine strategy
-    through :class:`~repro.sim.faults.ComposedAdversary`.
-    """
-
-    has_crash_plane = True
-
-    def __init__(
-        self,
-        schedule: Sequence[tuple[int, int, int]] | Sequence[CrashEvent],
-        inner: Adversary | None = None,
-        seed: int = 0,
-    ) -> None:
-        super().__init__(seed)
-        self.schedule = [
-            event if isinstance(event, CrashEvent) else CrashEvent(*event)
-            for event in schedule
-        ]
-        for event in self.schedule:
-            if event.down < 1:
-                raise ConfigurationError(
-                    "adversarial crashes take effect at the next round "
-                    f"boundary: down_round must be >= 1, got {event.down}"
-                )
-        self.inner = inner
-
-    def select_corruptions(self, n: int, t: int) -> set[int]:
-        if self.inner is None:
-            return set()
-        return self.inner.select_corruptions(n, t)
-
-    def adapt(self, view: RoundView) -> set[int]:
-        if self.inner is None:
-            return set()
-        return self.inner.adapt(view)
-
-    def deliver(self, view: RoundView) -> dict[tuple[int, int], Any]:
-        if self.inner is None:
-            return {}
-        return self.inner.deliver(view)
-
-    def crash_restarts(self, view: RoundView) -> dict[int, int]:
-        due = {
-            event.party: event.up
-            for event in self.schedule
-            if event.down == view.round_index + 1
-        }
-        if self.inner is not None:
-            due.update(self.inner.crash_restarts(view))
-        return due
-
-    def describe(self) -> str:
-        inner = f", inner={self.inner.describe()}" if self.inner else ""
-        return f"CrashRestartAdversary({len(self.schedule)} events{inner})"

@@ -50,11 +50,8 @@ from typing import Any, Sequence
 from ..errors import ProtocolViolation, SimulationError
 from .adversary import Adversary, PassiveAdversary
 from .invariants import InvariantMonitor
-from .lossy import LossyTransport
 from .metrics import CommunicationStats
 from .network import ExecutionResult, ProtocolFactory, SynchronousNetwork
-from .recovery import CrashEvent
-from .wire import WireLimits
 
 __all__ = ["FallbackRecord", "run_with_escalation"]
 
@@ -143,16 +140,10 @@ def run_with_escalation(
     inputs: dict[int, Any] | list[Any],
     n: int,
     t: int,
-    kappa: int = 128,
     adversary: Adversary | None = None,
-    max_rounds: int | None = None,
-    trace: bool = False,
     monitors: Sequence[InvariantMonitor] = (),
-    transport: LossyTransport | None = None,
-    crashes: Sequence[CrashEvent | tuple[int, int, int]] | None = None,
-    recovery: bool = False,
-    guards: WireLimits | None = None,
     escalate_on: tuple[type, ...] = (ProtocolViolation, SimulationError),
+    **network: Any,
 ) -> ExecutionResult:
     """Run the primary protocol; on failure descend the ladder to a decision.
 
@@ -181,6 +172,12 @@ def run_with_escalation(
     Non-integer inputs cannot ride the fallback rung, so the primary
     failure propagates unchanged for them.
 
+    ``adversary`` and ``monitors`` are the primary rung's; every other
+    keyword (``kappa``, ``max_rounds``, ``trace``, ``transport``,
+    ``guards``: :class:`~repro.sim.network.SynchronousNetwork`'s
+    options) goes to every rung alike, so the fallback shares the
+    caller's transport (and its clock), guards and caps.
+
     ``escalate_on`` restricts which primary failures enter the ladder
     (default: both).  The chaos plane passes ``(SimulationError,)`` so
     a fired invariant monitor stays a reported protocol bug instead of
@@ -189,20 +186,9 @@ def run_with_escalation(
     if isinstance(inputs, list):
         inputs = dict(enumerate(inputs))
 
-    def network(
-        factory: ProtocolFactory, values: dict[int, Any], **stages: Any
-    ) -> SynchronousNetwork:
-        # every synchronous rung shares the caller's network: same
-        # transport (and its clock), same guards, same caps.
-        return SynchronousNetwork(
-            protocol_factory=factory, inputs=values, n=n, t=t, kappa=kappa,
-            max_rounds=max_rounds, trace=trace, transport=transport,
-            guards=guards, **stages,
-        )
-
-    primary = network(
-        protocol_factory, inputs, adversary=adversary, monitors=monitors,
-        crashes=crashes, recovery=recovery,
+    primary = SynchronousNetwork(
+        protocol_factory, inputs, n, t, adversary=adversary,
+        monitors=monitors, **network,
     )
     try:
         return primary.run()
@@ -229,10 +215,11 @@ def run_with_escalation(
     from ..core.high_cost_ca import high_cost_ca
 
     try:
-        result = network(
+        result = SynchronousNetwork(
             lambda ctx, v: high_cost_ca(ctx, v, channel=FALLBACK_CHANNEL),
-            shifted,
+            shifted, n, t,
             adversary=_StaticCorruptions(frozenset(primary.corrupted)),
+            **network,
         ).run()
     except (ProtocolViolation, SimulationError) as hc_failure:
         history.append(_failed("high_cost_ca", hc_failure))

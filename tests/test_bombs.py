@@ -40,7 +40,6 @@ from repro.sim.fuzz import (
     ProtocolSpec,
     decode_payload,
     encode_payload,
-    run_case,
     run_case_ex,
     sample_case_at,
     shrink_failure,
@@ -146,7 +145,7 @@ class TestBombGridCanary:
                 seed=1000 * n + index,
                 guards=True,
             )
-            failure = run_case(case, registry)
+            failure = run_case_ex(case, registry)[0]
             assert failure is None, (
                 f"{name} vs {bomb} at (n={n}, t={t}): "
                 f"{failure and failure.kind}: {failure and failure.message}"
@@ -353,12 +352,14 @@ class TestNoCrashMetaInvariant:
         assert failure.script  # the hostile payloads were recorded
 
     def test_guards_prevent_the_same_crash(self):
-        failure = run_case(_fragile_case(guards=True), _fragile_registry())
+        failure = run_case_ex(
+            _fragile_case(guards=True), _fragile_registry()
+        )[0]
         assert failure is None
 
     def test_honest_party_failures_shrink(self):
         registry = _fragile_registry()
-        failure = run_case(_fragile_case(guards=False), registry)
+        failure = run_case_ex(_fragile_case(guards=False), registry)[0]
         shrunk = shrink_failure(failure, registry, max_runs=120)
         assert shrunk.kind == "HonestPartyError"
         assert shrunk.shrunk

@@ -11,7 +11,12 @@ import pytest
 from repro.analysis import grid_record, measure
 from repro.cli import ADVERSARIES, build_parser, main
 from repro.sim.faults import FaultSpec
-from repro.sim.fuzz import ARTIFACT_FORMAT, ARTIFACT_SCHEMA_VERSION, FuzzCase
+from repro.sim.fuzz import (
+    ARTIFACT_FORMAT,
+    ARTIFACT_SCHEMA_VERSION,
+    FuzzCase,
+    validate_artifact,
+)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DOCUMENT = ROOT / "benchmarks" / "BENCH_experiments.json"
@@ -246,6 +251,27 @@ class TestReplayErrors:
         err = capsys.readouterr().err
         assert f"cannot load artifact {path}" in err
         assert "partition (6, 2, (0,))" in err
+
+    def test_unknown_spread_is_a_friendly_exit_2(self, tmp_path, capsys):
+        """A spread outside the campaign's three would replay as uniform
+        inputs: the artifact is refused at load instead."""
+        case = FuzzCase("pi_z", 4, 1, 32, 64, "spread", ("passive",),
+                        FaultSpec(), seed=0).to_dict()
+        artifact = {
+            "format": ARTIFACT_FORMAT,
+            "schema_version": ARTIFACT_SCHEMA_VERSION,
+            "case": {**case, "spread": 8},
+            "violation": {"kind": "agreement", "message": "recorded"},
+        }
+        with pytest.raises(ValueError, match="spread 8"):
+            validate_artifact(artifact)
+        path = tmp_path / "spread.json"
+        path.write_text(json.dumps(artifact))
+        code = main(["replay", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"cannot load artifact {path}" in err
+        assert "spread 8" in err
 
     def test_missing_artifact_is_exit_2(self, capsys):
         code = main(["replay", "/no/such/artifact.json"])

@@ -257,6 +257,14 @@ class TestNetworkSymbols:
             r"|AsyncContext|AsyncResult|max_deliveries"
         )
 
+    def test_removed_crash_paths_stay_undocumented(self):
+        """A crash window reaches an execution only through the
+        adversary: no doc may send a reader to the network's own crash
+        schedule, its recovery switch or the adversary that wrapped it."""
+        assert_undocumented(r"CrashEvent|CrashRestartAdversary")
+        assert_undocumented(r"recovery=True")
+        assert_undocumented(r"crashes=\[")
+
 
 class TestCampaignSymbols:
     def test_deleted_campaign_paths_stay_undocumented(self):

@@ -8,6 +8,7 @@ import random
 import pytest
 
 from repro.core import protocol_z
+from repro.errors import ConfigurationError
 from repro.sim import (
     Adversary,
     ComposedAdversary,
@@ -57,10 +58,24 @@ class TestFaultSpec:
         )
         assert FaultSpec.from_dict(spec.to_dict()) == spec
 
-    def test_reseeded(self):
-        spec = FaultSpec(drop=0.25, seed=1)
-        other = spec.reseeded(2)
-        assert other.seed == 2 and other.drop == 0.25
+    def test_crash_window_validation(self):
+        """``FaultSpec`` is the one check on a crash window: a window
+        that is reversed or empty, one that starts at round 0 (the crash
+        hook fires at round boundaries) and a negative party are
+        refused."""
+        for window in ((0, 5, 5), (0, 6, 2), (0, 0, 4), (-1, 2, 4)):
+            with pytest.raises(ValueError):
+                FaultSpec(crashes=(window,))
+
+    def test_crash_party_outside_n_is_refused(self):
+        """The spec cannot know ``n``; the adversary that carries it
+        refuses a party outside ``0..n-1`` when the run starts."""
+        adversary = ComposedAdversary(
+            [PassiveAdversary()], faults=FaultSpec(crashes=((7, 2, 4),)),
+            initial=set(),
+        )
+        with pytest.raises(ConfigurationError, match=r"outside 0\.\.6"):
+            run_pi_z(list(range(7)), 7, 2, adversary)
 
     def test_describe(self):
         assert "drop=1.0" in FaultSpec(drop=1.0).describe()

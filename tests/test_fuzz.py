@@ -34,7 +34,7 @@ from repro.sim.fuzz import (
     load_artifact,
     replay_artifact,
     replay_counters,
-    run_case,
+    run_case_ex,
     sample_case,
     sample_case_at,
     standard_registry,
@@ -248,7 +248,7 @@ class TestCanary:
         failures = 0
         for _ in range(12):
             case = sample_case(rng, registry)
-            if run_case(case, registry) is not None:
+            if run_case_ex(case, registry)[0] is not None:
                 failures += 1
         assert failures > 0
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro import convex_agreement, costs
@@ -338,7 +340,7 @@ class TestGracefulDegradation:
 class TestEnvelopes:
     def test_registry_grid_stays_inside_envelopes(self):
         """Every registry protocol, on a small (n, t) x ell grid under a
-        passive adversary: honest bits and rounds stay inside the
+        passive adversary and every input spread: honest bits and rounds stay inside the
         registry's envelopes (the budgets are sound), and the slack is
         monotone non-decreasing in ell (the envelopes grow at least as
         fast as the protocols' true cost, so a long-value run is never
@@ -349,24 +351,27 @@ class TestEnvelopes:
         from repro.sim.fuzz import FuzzCase, run_case_ex, standard_registry
 
         registry = standard_registry()
-        for name in sorted(registry):
+        for name, spread in itertools.product(
+            sorted(registry), ("spread", "clustered", "identical")
+        ):
             spec = registry[name]
             for n, t in ((4, 1), (7, 2)):
                 bit_slack, round_slack = [], []
                 for ell in (16, 64, 256):
+                    label = (name, spread, n, t, ell)
                     case = FuzzCase(
                         protocol=name, n=n, t=t,
-                        ell=spec.ell_for(n, ell), kappa=KAPPA, spread=8,
+                        ell=spec.ell_for(n, ell), kappa=KAPPA, spread=spread,
                         adversaries=("passive",), faults=FaultSpec(),
                         seed=11,
                     )
                     failure, stats = run_case_ex(case, registry)
-                    assert failure is None, (name, n, t, ell, failure.kind)
-                    assert 0 < stats.bits < stats.bit_budget, (name, n, t, ell)
-                    assert stats.rounds <= stats.round_budget, (name, n, t, ell)
+                    assert failure is None, (label, failure.kind)
+                    assert 0 < stats.bits < stats.bit_budget, label
+                    assert stats.rounds <= stats.round_budget, label
                     bit_slack.append(stats.bit_budget - stats.bits)
                     round_slack.append(stats.round_budget - stats.rounds)
-                label = (name, n, t)
+                label = (name, spread, n, t)
                 assert bit_slack == sorted(bit_slack), label
                 assert round_slack == sorted(round_slack), label
 

@@ -46,7 +46,14 @@ from repro import convex_agreement
 from repro.analysis.experiments import make_inputs
 from repro.core.fixed_length import fixed_length_ca
 from repro.perf import config, counters
-from repro.sim import ACK_BITS, CommunicationStats, Event, LossyTransport
+from repro.sim import (
+    ACK_BITS,
+    CommunicationStats,
+    ComposedAdversary,
+    Event,
+    FaultSpec,
+    LossyTransport,
+)
 from repro.sim.adversary import PassiveAdversary
 from repro.sim.invariants import default_monitors
 from repro.sim.party import Outgoing, SharedInbox, broadcast_round, exchange
@@ -133,6 +140,13 @@ class SpecFollowing(PassiveAdversary):
     adversary stage (``RoundView``, ``deliver``, ``adapt``)."""
 
 
+class Logged(PassiveAdversary):
+    """Spec-following with a crash plane that never crashes anyone:
+    arms the write-ahead log (and with it the adversary stage)."""
+
+    has_crash_plane = True
+
+
 class OneCorrupted(PassiveAdversary):
     """Leaves one unit of the shared ``t`` budget for a crash."""
 
@@ -140,14 +154,21 @@ class OneCorrupted(PassiveAdversary):
         return {n - 1}
 
 
+def crash_1_over_2_3():
+    """Party 1 is down over rounds 2-3 and replays its WAL at round 4."""
+    return ComposedAdversary(
+        [OneCorrupted()], faults=FaultSpec(crashes=((1, 2, 4),))
+    )
+
+
 #: one column per optional stage set; built fresh per run (a transport
 #: and an adversary carry state).  ``crashed`` needs ``t >= 2``.
 PLANES = {
     "bare": lambda: {},
-    "wal": lambda: {"recovery": True},
+    "wal": lambda: {"adversary": Logged()},
     "transport": lambda: {"transport": LossyTransport()},
     "scripted": lambda: {"adversary": SpecFollowing()},
-    "crashed": lambda: {"adversary": OneCorrupted(), "crashes": [(1, 2, 4)]},
+    "crashed": lambda: {"adversary": crash_1_over_2_3()},
 }
 
 
@@ -253,8 +274,9 @@ def test_link_readers_build_each_broadcast_view_once(monkeypatch, plane):
 
 
 #: the planes without an adversary stage: their all-broadcast rounds
-#: hand every party one ``SharedInbox``.
-SHARED_PLANES = {"bare", "wal", "transport"}
+#: hand every party one ``SharedInbox``.  (The WAL is armed only by an
+#: adversary with a crash plane, which arms the adversary stage too.)
+SHARED_PLANES = {"bare", "transport"}
 
 
 @pytest.mark.parametrize("n,t", [(2, 0), (4, 1), (7, 2)])
@@ -342,11 +364,9 @@ def test_crash_restart_replays_marked_bundles(backend):
     """Party 1 is down over rounds 2-3 and replays its WAL at round 4."""
     n, t = 7, 2
     with config.use_backend(backend):
-        crashed = observe(probe(marked), n, t, adversary=OneCorrupted(),
-                          crashes=[(1, 2, 4)])
+        crashed = observe(probe(marked), n, t, adversary=crash_1_over_2_3())
         crashed_unmarked = observe(probe(unmarked), n, t,
-                                   adversary=OneCorrupted(),
-                                   crashes=[(1, 2, 4)])
+                                   adversary=crash_1_over_2_3())
     assert crashed == crashed_unmarked
     assert crashed["events"] == [Event("down", 2, 1), Event("up", 4, 1)]
     # The replayed party rejoined and finished all six rounds; while it
@@ -379,7 +399,7 @@ def test_armed_planes_fill_the_bare_runs_ledger(n, t):
     """Broadcast, bottom, king, ``distribute``-style and early-finisher
     rounds: the WAL and a perfect transport leave the ledger alone."""
     bare = ledger(observe(probe(marked), n, t))
-    assert ledger(observe(probe(marked), n, t, recovery=True)) == bare
+    assert ledger(observe(probe(marked), n, t, adversary=Logged())) == bare
     wired = ledger(observe(probe(marked), n, t, transport=LossyTransport()))
     for name, value in bare.items():
         if name not in TRANSPORT_FIELDS:
@@ -395,10 +415,12 @@ def test_links_to_a_down_party_are_priced_but_not_synchronized():
     reach the transport, and are re-delivered (one retransmitted copy
     and one ack each) when it restarts."""
     n, t = 7, 2
-    plane = dict(adversary=OneCorrupted(), crashes=[(1, 2, 4)])
-    parked = ledger(observe(probe(marked), n, t, **plane))
+    parked = ledger(
+        observe(probe(marked), n, t, adversary=crash_1_over_2_3())
+    )
     wired = ledger(
-        observe(probe(marked), n, t, transport=LossyTransport(), **plane)
+        observe(probe(marked), n, t, transport=LossyTransport(),
+                adversary=crash_1_over_2_3())
     )
     for name, value in parked.items():
         if name not in TRANSPORT_FIELDS:
@@ -435,7 +457,8 @@ def test_inbox_order_is_the_same_with_the_wal_armed(backend, n, t):
     with config.use_backend(backend):
         inputs = list(range(n))
         bare = run_protocol(_order_probe, inputs, n=n, t=t)
-        armed = run_protocol(_order_probe, inputs, n=n, t=t, recovery=True)
+        armed = run_protocol(_order_probe, inputs, n=n, t=t,
+                             adversary=Logged())
     # The outputs ARE the observed insertion orders, per party per round.
     assert bare.outputs == armed.outputs
     assert bare.stats == armed.stats
@@ -452,7 +475,7 @@ def test_full_protocol_is_the_same_with_the_wal_armed(backend, n, t):
 
         bare = run_protocol(factory, inputs, n=n, t=t, trace=True)
         armed = run_protocol(
-            factory, inputs, n=n, t=t, trace=True, recovery=True
+            factory, inputs, n=n, t=t, trace=True, adversary=Logged()
         )
     assert bare.outputs == armed.outputs
     assert bare.channel_trace == armed.channel_trace
@@ -483,7 +506,7 @@ def test_a_kept_inbox_holds_its_own_rounds_payloads(n, t):
         {},
         {"trace": True},
         {"monitors": default_monitors()},
-        {"recovery": True},
+        {"adversary": Logged()},
     ):
         result = run_protocol(_hoarder, inputs, n=n, t=t, **observed)
         assert set(result.outputs.values()) == {expected}, observed

@@ -43,7 +43,7 @@ from repro.perf.profile import (
     config_key,
     hotpath_document,
 )
-from repro.sim import BitBudgetMonitor, run_with_escalation
+from repro.sim import BitBudgetMonitor, ComposedAdversary, run_with_escalation
 from repro.sim.adversary import (
     Adversary,
     RandomGarbageAdversary,
@@ -121,11 +121,24 @@ class OneGarbler(RandomGarbageAdversary):
         return {n - 1}
 
 
+class LoggedGarbler(RandomGarbageAdversary):
+    """Garbage with the write-ahead log armed."""
+
+    has_crash_plane = True
+
+
 def test_caches_neutral_under_byzantine_garbage():
-    def run(**plane):
-        garbler = OneGarbler if "crashes" in plane else RandomGarbageAdversary
-        plane["adversary"] = garbler(seed=11)
-        return _run_fixed(**plane)
+    def run(adversary=None, **plane):
+        # garbage is the strategy; a plane's WAL or crash windows stay.
+        if adversary is None or not adversary.has_crash_plane:
+            garbler = RandomGarbageAdversary(seed=11)
+        elif isinstance(adversary, ComposedAdversary):
+            garbler = ComposedAdversary(
+                [OneGarbler(seed=11)], faults=adversary.faults
+            )
+        else:
+            garbler = LoggedGarbler(seed=11)
+        return _run_fixed(adversary=garbler, **plane)
 
     # a garbage adversary is the ``scripted`` plane.
     _assert_caches_invisible(run, set(PLANES) - {"scripted"})

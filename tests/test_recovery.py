@@ -16,12 +16,11 @@ from repro.core.bitstrings import BitString
 from repro.core.fixed_length import fixed_length_ca
 from repro.core.high_cost_ca import high_cost_ca
 from repro.crypto.merkle import MerkleWitness
-from repro.errors import ConfigurationError
 from repro.sim import (
-    CrashEvent,
-    CrashRestartAdversary,
+    ComposedAdversary,
     EquivocatingAdversary,
     Event,
+    FaultSpec,
     LossyTransport,
     PassiveAdversary,
     RecoveryError,
@@ -48,13 +47,17 @@ def restarts(events) -> int:
     return sum(event.kind == "up" for event in events)
 
 
-class HonestObserver(PassiveAdversary):
-    """Corrupts nobody: leaves the whole ``t`` budget to the crash plane
-    (the default adversary corrupts ``t`` parties, which would clip
-    every declarative crash)."""
-
-    def select_corruptions(self, n, t):
-        return set()
+def crashing(windows, inner=None, initial=None):
+    """An adversary carrying ``(party, down_round, up_round)`` windows:
+    ``inner`` (spec-following by default) plus the spec's crash plane.
+    ``initial=set()`` corrupts nobody and leaves the whole ``t`` budget
+    to the crashes (the default adversary corrupts ``t`` parties, which
+    would clip every one of them)."""
+    return ComposedAdversary(
+        [inner or PassiveAdversary()],
+        faults=FaultSpec(crashes=tuple(windows)),
+        initial=initial,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -103,42 +106,29 @@ class TestWal:
             other.append(r, {0: r}, f"digest-{r}")
         assert wal.checkpoints == other.checkpoints
 
-    def test_crash_event_validation(self):
-        with pytest.raises(ConfigurationError):
-            CrashEvent(0, down=5, up=5)
-        with pytest.raises(ConfigurationError):
-            CrashEvent(0, down=-1, up=2)
-        with pytest.raises(ConfigurationError):
-            CrashRestartAdversary([(1, 0, 3)])
-
 
 # ---------------------------------------------------------------------------
-# declarative crash windows
+# declared crash windows (``FaultSpec.crashes``)
 # ---------------------------------------------------------------------------
 
 
 class TestDeclarativeCrashes:
     def test_single_crash_recovers_with_guarantees(self):
         inputs = [3, 5, 7, 11, 13, 17, 19]
-        result = run_flca(inputs, 7, 2, crashes=[(2, 3, 6)],
-                          adversary=HonestObserver())
+        result = run_flca(inputs, 7, 2,
+                          adversary=crashing([(2, 3, 6)], initial=set()))
         result.assert_convex_valid(inputs)
         assert result.events == [Event("down", 3, 2), Event("up", 6, 2)]
         assert result.stats.retrans_bits > 0  # parked re-deliveries
 
     def test_double_crash_same_party(self):
         inputs = [3, 5, 7, 11, 13, 17, 19]
-        result = run_flca(inputs, 7, 2, crashes=[(2, 2, 5), (2, 8, 11)],
-                          adversary=HonestObserver())
+        result = run_flca(
+            inputs, 7, 2,
+            adversary=crashing([(2, 2, 5), (2, 8, 11)], initial=set()),
+        )
         result.assert_convex_valid(inputs)
         assert restarts(result.events) == 2
-
-    def test_crash_from_round_zero(self):
-        inputs = [3, 5, 7, 11, 13, 17, 19]
-        result = run_flca(inputs, 7, 2, crashes=[CrashEvent(1, 0, 4)],
-                          adversary=HonestObserver())
-        result.assert_convex_valid(inputs)
-        assert restarts(result.events) == 1
 
     def test_over_budget_crashes_are_clipped_with_warning(self):
         inputs = [3, 5, 7, 11, 13, 17, 19]
@@ -147,7 +137,8 @@ class TestDeclarativeCrashes:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             result = run_flca(
-                inputs, 7, 2, crashes=[(0, 2, 5), (1, 2, 5), (2, 2, 5)],
+                inputs, 7, 2,
+                adversary=crashing([(0, 2, 5), (1, 2, 5), (2, 2, 5)]),
             )
         result.assert_convex_valid(inputs)
         assert any(e.kind == "crash_clipped" for e in result.events)
@@ -157,10 +148,10 @@ class TestDeclarativeCrashes:
 
     def test_crash_schedule_is_deterministic(self):
         inputs = [3, 5, 7, 11, 13, 17, 19]
-        a = run_flca(inputs, 7, 2, crashes=[(2, 3, 7)], trace=True,
-                     adversary=HonestObserver())
-        b = run_flca(inputs, 7, 2, crashes=[(2, 3, 7)], trace=True,
-                     adversary=HonestObserver())
+        a = run_flca(inputs, 7, 2, trace=True,
+                     adversary=crashing([(2, 3, 7)], initial=set()))
+        b = run_flca(inputs, 7, 2, trace=True,
+                     adversary=crashing([(2, 3, 7)], initial=set()))
         assert a.outputs == b.outputs
         assert a.events == b.events
         assert a.trace == b.trace
@@ -172,9 +163,12 @@ class TestDeclarativeCrashes:
 
 
 class TestCrashRestartAdversary:
+    """Crash/restart windows carried by a composed adversary, alone and
+    beside a byzantine strategy."""
+
     def test_pure_crash_plane(self):
         inputs = [3, 5, 7, 11, 13, 17, 19]
-        adversary = CrashRestartAdversary([(2, 3, 6)])
+        adversary = crashing([(2, 3, 6)], initial=set())
         result = run_flca(inputs, 7, 2, adversary=adversary)
         assert result.corrupted == frozenset()
         result.assert_convex_valid(inputs)
@@ -187,9 +181,7 @@ class TestCrashRestartAdversary:
             def select_corruptions(self, n, t):
                 return {n - 1}
 
-        adversary = CrashRestartAdversary(
-            [(2, 3, 6)], inner=OneCorruption(seed=5),
-        )
+        adversary = crashing([(2, 3, 6)], inner=OneCorruption(seed=5))
         # One byzantine corruption + one concurrent crash <= t = 2.
         result = run_flca(inputs, 7, 2, adversary=adversary)
         result.assert_convex_valid(inputs)
@@ -216,8 +208,7 @@ class TestReplayVerification:
         with pytest.raises(RecoveryError):
             run_protocol(
                 _nondeterministic_protocol, [1, 2, 3, 4], n=4, t=1,
-                kappa=KAPPA, crashes=[(1, 2, 4)],
-                adversary=HonestObserver(),
+                kappa=KAPPA, adversary=crashing([(1, 2, 4)], initial=set()),
             )
 
     def test_long_values_recover(self):
@@ -226,7 +217,7 @@ class TestReplayVerification:
         inputs = [2**19999 + i for i in range(4)]
         result = run_protocol(
             high_cost_ca, inputs, n=4, t=1,
-            adversary=CrashRestartAdversary([(2, 1, 3)]),
+            adversary=crashing([(2, 1, 3)], initial=set()),
         )
         assert result.events == [Event("down", 1, 2), Event("up", 3, 2)]
         assert len(result.outputs) == 4
@@ -238,8 +229,7 @@ class TestReplayVerification:
         with pytest.raises(RecoveryError):
             run_protocol(
                 _nondeterministic_protocol, [1 << 20000] * 4, n=4, t=1,
-                kappa=KAPPA, crashes=[(1, 2, 4)],
-                adversary=HonestObserver(),
+                kappa=KAPPA, adversary=crashing([(1, 2, 4)], initial=set()),
             )
 
 
@@ -259,7 +249,7 @@ def crash_lossy_canary(seed: int) -> dict:
     """
     result = run_flca(
         _CANARY_INPUTS, 7, 2,
-        adversary=CrashRestartAdversary([(1, 3, 6), (2, 5, 8)]),
+        adversary=crashing([(1, 3, 6), (2, 5, 8)], initial=set()),
         transport=LossyTransport(drop=0.25, delay=0.1, seed=seed),
         trace=True,
     )

@@ -15,9 +15,11 @@ from repro.errors import (
 )
 from repro.sim import (
     Adversary,
+    ComposedAdversary,
     Context,
     CrashAdversary,
     Event,
+    FaultSpec,
     Outgoing,
     PassiveAdversary,
     ScriptedAdversary,
@@ -268,11 +270,12 @@ class TestScheduler:
     def test_a_down_straggler_keeps_the_scheduler_stepping(self):
         # Party 0 is the only unfinished party while it is down (rounds
         # 2-3): the scheduler idles through them, then replays it.
-        nobody = AdaptiveCorruptionAdversary(
-            schedule=[], inner=PassiveAdversary()
+        nobody = ComposedAdversary(
+            [PassiveAdversary()], faults=FaultSpec(crashes=((0, 2, 4),)),
+            initial=set(),
         )
         network = SynchronousNetwork(straggler_protocol, [1, 2, 3, 4], 4, 1,
-                                     adversary=nobody, crashes=[(0, 2, 4)])
+                                     adversary=nobody)
         steps = 0
         with counters.capture() as ops:
             network.begin()
@@ -335,10 +338,12 @@ class TestSteppingAPI:
         "fast-path": lambda: {},
         "monitored": lambda: {"monitors": default_monitors(), "trace": True},
         "crash-plane": lambda: {
-            "adversary": AdaptiveCorruptionAdversary(
-                schedule=[], inner=PassiveAdversary()
+            "adversary": ComposedAdversary(
+                [AdaptiveCorruptionAdversary(
+                    schedule=[], inner=PassiveAdversary()
+                )],
+                faults=FaultSpec(crashes=((0, 2, 4),)),
             ),
-            "crashes": [(0, 2, 4)],
             "trace": True,
         },
     }
