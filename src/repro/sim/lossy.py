@@ -365,15 +365,7 @@ class LossyTransport:
                 payloads still unacknowledged.
         """
         #: link -> copies sent so far, in sorted link order.
-        pending: dict[tuple[int, int], int] = {}
-        parties: set[int] = set()
-        for link in sorted(link_bits):
-            parties.update(link)
-            if link[0] != link[1]:
-                pending[link] = 0
-        if not pending:
-            return 0
-
+        pending = {link: 0 for link in sorted(link_bits) if link[0] != link[1]}
         attempts = (
             1 if self.escalation is None else self.escalation.max_attempts
         )
@@ -390,6 +382,7 @@ class LossyTransport:
                 return total_slots
             if attempt + 1 >= attempts:
                 break
+            parties = {party for link in link_bits for party in link}
             self._resync(round_index, attempt, parties, stats)
             total_slots += self.escalation.beacon_slots
             budget = self.escalation.next_budget(budget)
@@ -437,12 +430,24 @@ class LossyTransport:
     ) -> int:
         """One bounded synchronization attempt; prunes acked links.
 
-        Returns the slots simulated; links still in ``pending`` were not
-        acknowledged within ``budget`` slots.  An unacked link sits in
-        exactly one slot-keyed table -- due for (re)transmission, or in
-        the air awaiting its ack -- so a slot touches only the links
-        with an event in it, in sorted order, transmissions first.
+        Returns the slots simulated; links still in ``pending`` (sorted)
+        were not acknowledged within ``budget`` slots.  An unacked link
+        is due for (re)transmission or in the air awaiting its ack, in
+        one slot-keyed table, so the attempt jumps from event slot to
+        event slot, in sorted link order, transmissions first.  With no
+        loss, no delay and no schedule every copy and ack lands in slot
+        0 whatever the coins say, so none are drawn.
         """
+        if not pending:
+            return 0
+        if not (self.drop or self.delay) and self.schedule is None:
+            resent = [link for link, sent in pending.items() if sent]
+            stats.retrans_bits += sum(link_bits[link] for link in resent)
+            stats.retrans_messages += len(resent)
+            stats.ack_bits += len(pending) * ACK_BITS
+            stats.ack_messages += len(pending)
+            pending.clear()
+            return 1
         rng = random.Random(self._attempt_seed(round_index, attempt))
         coin = rng.random
         faulty, delay, reorder = self.links, self.delay, self.reorder
@@ -452,25 +457,17 @@ class LossyTransport:
         schedule, base_time = self.schedule, self._clock
         if schedule is not None:
             loss_at, severed_at = schedule.loss_at, schedule.severed_at
-        #: slot -> links whose next copy is transmitted then.
-        due: dict[int, list[tuple[int, int]]] = {0: list(pending)}
-        #: slot -> links whose payload copy arrives then (ack pending).
-        arrivals: dict[int, list[tuple[int, int]]] = {}
+        #: slot -> (links whose next copy is transmitted then, links
+        #: whose payload copy arrives then and awaits its ack).
+        events: dict[int, tuple[list, list]] = {0: (list(pending), [])}
         retrans_bits = retrans_messages = acks = 0
-        slots_used = 0
 
-        def back_off(link: tuple[int, int]) -> None:
-            # a lost copy or ack: the sender retransmits after a backoff.
-            resend = slot + self._backoff(pending[link])
-            due.setdefault(resend, []).append(link)
-
-        for slot in range(budget):
-            if not pending:
+        while pending:
+            slot = min(events)
+            if slot >= budget:
+                slot = budget - 1
                 break
-            slots_used = slot + 1
-            sending = due.pop(slot, ())
-            if not sending and slot not in arrivals:
-                continue
+            sending, landing = events.pop(slot)
             if schedule is not None:
                 at = base_time + slot
                 drop = max(base_drop, loss_at(at))
@@ -478,37 +475,42 @@ class LossyTransport:
                 sides = severed_at(at)
 
             # 1. transmissions due this slot (first copies and backoffs).
-            for link in sorted(sending):
-                pending[link] += 1
-                if pending[link] > 1:
+            # Slot 0's lists are filled in sorted order (``pending``'s,
+            # then its own pass); a later one collects several slots'.
+            for link in sorted(sending) if slot else sending:
+                sent = pending[link] = pending[link] + 1
+                if sent > 1:
                     retrans_messages += 1
                     retrans_bits += link_bits[link]
                 lossy = faulty is None or link in faulty
                 cut = sides and _severed(link, sides)
                 if cut or (lossy and coin() < drop):
-                    back_off(link)
-                    continue
-                arrival = slot
-                if lossy and delay and coin() < delay:
-                    arrival += 1
+                    # lost: the sender retransmits after a backoff.
+                    resend = slot + self._backoff(sent)
+                    events.setdefault(resend, ([], []))[0].append(link)
+                elif lossy and delay and coin() < delay:
+                    arrival = slot + 1
                     if reorder and coin() < reorder:
                         arrival += rng.randrange(1, 4)
-                arrivals.setdefault(arrival, []).append(link)
+                    events.setdefault(arrival, ([], []))[1].append(link)
+                else:
+                    landing.append(link)
 
             # 2. arrivals: the receiver acks; the ack crosses the same link.
-            for link in sorted(arrivals.pop(slot, ())):
+            for link in sorted(landing) if slot else landing:
                 acks += 1
                 lossy = faulty is None or link in faulty
                 cut = sides and _severed(link, sides)
                 if cut or (lossy and coin() < drop):
-                    back_off(link)
+                    resend = slot + self._backoff(pending[link])
+                    events.setdefault(resend, ([], []))[0].append(link)
                 else:
                     del pending[link]
         stats.retrans_bits += retrans_bits
         stats.retrans_messages += retrans_messages
         stats.ack_bits += acks * ACK_BITS
         stats.ack_messages += acks
-        return slots_used
+        return slot + 1
 
 
 def _severed(link: tuple[int, int], sides: tuple[frozenset[int], ...]) -> bool:

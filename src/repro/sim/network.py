@@ -736,17 +736,16 @@ class SynchronousNetwork:
         if consult or transport is not None:
             honest_outgoing: dict[tuple[int, int], Any] = {}
             spec_outgoing: dict[tuple[int, int], Any] = {}
+            link_bits: dict[tuple[int, int], int] = {}
             for party, out in outgoings.items():
-                into = spec_outgoing if party in corrupted else honest_outgoing
+                honest = party not in corrupted
+                into = honest_outgoing if honest else spec_outgoing
                 for dst, payload in out.messages.items():
                     if 0 <= dst < n:
                         into[party, dst] = payload
-        if transport is not None:
-            link_bits = {
-                link: 0 if link[0] == link[1] else prices[id(payload)]
-                for link, payload in honest_outgoing.items()
-                if link[1] not in down
-            }
+                        if honest and prices is not None and dst not in down:
+                            price = 0 if dst == party else prices[id(payload)]
+                            link_bits[party, dst] = price
 
         # The rushing adversary acts on the full round view.
         if consult:

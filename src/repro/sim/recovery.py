@@ -6,16 +6,16 @@ chosen round and later rejoin **with its guarantees intact**:
 
 * every live party appends one :class:`WalEntry` per executed round to
   its :class:`WriteAheadLog` -- the delivered inbox (the only
-  nondeterministic input a party ever consumes) plus a digest of the
-  outbox it emitted (of its :func:`~repro.sim.sizing.canonical_text`),
-  chained into periodic checkpoints;
+  nondeterministic input a party ever consumes) plus the outbox it
+  emitted, kept as yielded: nothing is digested while the party runs;
 * while a party is down, the round synchronizer keeps the messages
   addressed to it parked (senders retransmit until acknowledged), so
   nothing it missed is lost;
 * on restart, :meth:`RecoveryManager.recover` rebuilds the party from
-  its protocol factory and *replays*: first the WAL (verifying every
-  recorded outbox digest and checkpoint -- a divergence means the
-  protocol is nondeterministic and recovery would be unsound), then the
+  its protocol factory and *replays*: first the WAL (digesting each
+  logged outbox beside the replayed one and chaining them into
+  checkpoints -- a divergence means the protocol is nondeterministic
+  and recovery would be unsound), then the
   parked inboxes of the rounds it missed.  The party lands exactly at
   the current round boundary, in lockstep, with the state it would have
   had as an omission-faulted-but-listening participant.
@@ -92,7 +92,7 @@ class WalEntry:
 
     round_index: int
     inbox: dict[int, Any]
-    outbox_digest: str
+    bundle: Outgoing | None
 
 
 @dataclass
@@ -107,27 +107,38 @@ class _Parked:
 
 
 class WriteAheadLog:
-    """Append-only per-party log with chained periodic checkpoints."""
+    """Append-only per-party log, checkpointed when it is replayed."""
 
     def __init__(self, checkpoint_interval: int = CHECKPOINT_INTERVAL) -> None:
         self.checkpoint_interval = checkpoint_interval
         self.entries: list[WalEntry] = []
-        #: ``(round_index, chained_digest)`` snapshots, one per interval.
-        self.checkpoints: list[tuple[int, str]] = []
-        self._chain = hashlib.sha256(b"repro-wal").hexdigest()[:32]
 
     def append(
-        self, round_index: int, inbox: dict[int, Any], digest: str
+        self, round_index: int, inbox: dict[int, Any], bundle: Outgoing | None
     ) -> None:
         """Durably record one executed round (write-ahead: before ack)."""
-        self.entries.append(WalEntry(round_index, dict(inbox), digest))
-        self._chain = self._extend(self._chain, digest)
-        if len(self.entries) % self.checkpoint_interval == 0:
-            self.checkpoints.append((round_index, self._chain))
+        self.entries.append(WalEntry(round_index, dict(inbox), bundle))
 
-    @staticmethod
-    def _extend(chain: str, digest: str) -> str:
-        return hashlib.sha256(f"{chain}/{digest}".encode()).hexdigest()[:32]
+    @property
+    def checkpoints(self) -> list[tuple[int, str]]:
+        """``(round_index, chained digest)`` snapshots, one per interval."""
+        return self._chain([outbox_digest(e.bundle) for e in self.entries])
+
+    def _chain(self, digests: list[str]) -> list[tuple[int, str]]:
+        """The chain over ``digests`` (one per entry), every interval."""
+        chain, snapshots = _CHAIN_ROOT, []
+        for count, (entry, digest) in enumerate(zip(self.entries, digests), 1):
+            chain = _extend(chain, digest)
+            if count % self.checkpoint_interval == 0:
+                snapshots.append((entry.round_index, chain))
+        return snapshots
+
+
+def _extend(chain: str, digest: str) -> str:
+    return hashlib.sha256(f"{chain}/{digest}".encode()).hexdigest()[:32]
+
+
+_CHAIN_ROOT = hashlib.sha256(b"repro-wal").hexdigest()[:32]
 
 
 @dataclass
@@ -173,7 +184,7 @@ class RecoveryManager:
         outgoing: Outgoing | None,
     ) -> None:
         """WAL-append one executed round for a live party."""
-        self.wals[party].append(round_index, inbox, outbox_digest(outgoing))
+        self.wals[party].append(round_index, inbox, outgoing)
 
     # -- parking (down parties) ----------------------------------------
     def park(
@@ -229,31 +240,28 @@ class RecoveryManager:
 
         # Never empty: the network grants a crash only at the end of a
         # round the party executed, and that round is in its WAL.
-        feed: list[tuple[dict[int, Any], str | None]] = [
-            (entry.inbox, entry.outbox_digest) for entry in wal.entries
-        ]
-        feed.extend((entry.inbox, None) for entry in parked)
-
-        chain = hashlib.sha256(b"repro-wal").hexdigest()[:32]
-        checkpoints = dict(wal.checkpoints)
         logged = len(wal.entries)
+        feed = [entry.inbox for entry in (*wal.entries, *parked)]
+        expected = [outbox_digest(entry.bundle) for entry in wal.entries]
+        checkpoints = dict(wal._chain(expected))
+        chain = _CHAIN_ROOT
         finished = False
         output = None
         try:
-            for step, (_, expected) in enumerate(feed):
+            for step in range(len(feed)):
                 if step == 0:
                     outgoing = next(generator)
                 else:
-                    outgoing = generator.send(feed[step - 1][0])
-                digest = outbox_digest(outgoing)
-                if expected is not None:
-                    if digest != expected:
+                    outgoing = generator.send(feed[step - 1])
+                if step < logged:
+                    digest = outbox_digest(outgoing)
+                    if digest != expected[step]:
                         raise RecoveryError(
                             f"party {party}: replayed outbox of logged "
                             f"round {step} diverged from the WAL "
                             f"(protocol is nondeterministic?)"
                         )
-                    chain = WriteAheadLog._extend(chain, digest)
+                    chain = _extend(chain, digest)
                     round_index = wal.entries[step].round_index
                     if round_index in checkpoints \
                             and checkpoints[round_index] != chain:
@@ -268,7 +276,7 @@ class RecoveryManager:
                     # replays one contiguous history.
                     parked_entry = parked[step - logged]
                     wal.append(
-                        parked_entry.round_index, parked_entry.inbox, digest
+                        parked_entry.round_index, parked_entry.inbox, outgoing
                     )
         except StopIteration as stop:
             finished = True
@@ -278,5 +286,5 @@ class RecoveryManager:
             generator=generator,
             finished=finished,
             output=output,
-            inbox=dict(feed[-1][0]),
+            inbox=dict(feed[-1]),
         )

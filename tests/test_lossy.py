@@ -4,13 +4,17 @@ protocols run unmodified and see exactly the perfect-network inboxes."""
 
 from __future__ import annotations
 
+import random
+from collections import Counter
+
 import pytest
 from conftest import _Flight, oracle_attempt_round, oracle_synchronize
-from hypothesis import given, settings, strategies as st
+from hypothesis import find, given, settings, strategies as st
 
 from repro.core import protocol_z
 from repro.core.fixed_length import fixed_length_ca
 from repro.errors import ConfigurationError, SimulationError
+from repro.sim import lossy
 from repro.sim import (
     ACK_BITS,
     CommunicationStats,
@@ -292,3 +296,74 @@ class TestSynchronizerMatchesOracle:
             assert new_stats == old_stats
             new._clock += slots
             old._clock += slots
+
+
+def lossless(transport) -> bool:
+    """No loss, no delay, no schedule: every copy lands in slot 0."""
+    quiet = not (transport.drop or transport.delay)
+    return quiet and transport.schedule is None
+
+
+class TestLosslessAttempt:
+    """An attempt that cannot lose or delay a copy settles in slot 0
+    without drawing a coin, and matches the oracle doing so."""
+
+    MESH = {(src, dst): 8 * (src + 1) for src in range(4) for dst in range(4)}
+
+    def test_configs_draw_lossless_transports(self):
+        """The differential above runs this branch too."""
+        _, build = find(transport_configs(), lambda cfg: lossless(cfg[1]()))
+        assert lossless(build())
+
+    def test_no_seed_is_derived_and_no_rng_built(self, monkeypatch):
+        calls = Counter()
+
+        def spy(owner, name):
+            original = getattr(owner, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        spy(lossy, "_derive")
+        spy(random, "Random")
+        stats = CommunicationStats()
+        transport = LossyTransport(reorder=0.5, seed=3)
+        slots = transport.synchronize(0, self.MESH, stats)
+        assert (slots, calls) == (1, Counter())
+        assert stats.ack_messages == 12 and stats.retrans_messages == 0
+        # the spies are live: a lossy attempt derives a seed, seeds an rng.
+        LossyTransport(drop=0.1, seed=3).synchronize(0, self.MESH, stats)
+        assert calls == Counter({"_derive": 1, "Random": 1})
+
+    @pytest.mark.parametrize("sent", [0, 1, 3])
+    def test_a_retry_attempt_counts_retransmits(self, sent):
+        wire = [link for link in sorted(self.MESH) if link[0] != link[1]]
+        transport, oracle = LossyTransport(), LossyTransport()
+        new_stats, old_stats = CommunicationStats(), CommunicationStats()
+        pending = dict.fromkeys(wire, sent)
+        flights = {link: _Flight(self.MESH[link]) for link in wire}
+        for flight in flights.values():
+            flight.attempts = sent
+        slots = transport._attempt_round(
+            3, 1, pending, self.MESH, new_stats, 5
+        )
+        assert slots == oracle_attempt_round(
+            oracle, 3, 1, flights, old_stats, 5
+        )
+        assert slots == 1 and not pending and not flights
+        assert new_stats == old_stats
+        assert new_stats.retrans_messages == (12 if sent else 0)
+        assert new_stats.retrans_bits == (
+            sum(self.MESH[link] for link in wire) if sent else 0
+        )
+
+    @pytest.mark.parametrize("drop", [0.0, 0.5])
+    def test_an_empty_attempt_uses_no_slot(self, drop):
+        stats = CommunicationStats()
+        transport, oracle = LossyTransport(drop=drop), LossyTransport(drop=drop)
+        assert transport._attempt_round(0, 0, {}, {}, stats, 4) == 0
+        assert oracle_attempt_round(oracle, 0, 0, {}, stats, 4) == 0
+        assert stats == CommunicationStats()

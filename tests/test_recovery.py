@@ -24,10 +24,12 @@ from repro.sim import (
     LossyTransport,
     PassiveAdversary,
     RecoveryError,
+    SynchronousNetwork,
     broadcast_round,
     run_many,
     run_protocol,
 )
+from repro.sim import recovery
 from repro.sim.recovery import WriteAheadLog, outbox_digest
 from repro.sim.party import Outgoing
 from repro.sim.sizing import bit_size
@@ -98,13 +100,60 @@ class TestWal:
     def test_checkpoints_chain(self):
         wal = WriteAheadLog(checkpoint_interval=2)
         for r in range(4):
-            wal.append(r, {0: r}, f"digest-{r}")
+            wal.append(r, {0: r}, Outgoing("ch", {0: f"payload-{r}"}))
         assert [r for r, _ in wal.checkpoints] == [1, 3]
-        # The chain is cumulative: replaying the same digests rebuilds it.
+        # The chain is cumulative: logging the same bundles rebuilds it.
         other = WriteAheadLog(checkpoint_interval=2)
         for r in range(4):
-            other.append(r, {0: r}, f"digest-{r}")
+            other.append(r, {0: r}, Outgoing("ch", {0: f"payload-{r}"}))
         assert wal.checkpoints == other.checkpoints
+
+
+class TestDigestOnReplay:
+    """The WAL keeps each round's bundle and digests only on replay."""
+
+    @staticmethod
+    def run_spied(monkeypatch, adversary, inputs=(3, 5, 7, 11)):
+        digested = []
+        original = recovery.outbox_digest
+
+        def counted(outgoing):
+            digested.append(outgoing)
+            return original(outgoing)
+
+        monkeypatch.setattr(recovery, "outbox_digest", counted)
+        network = SynchronousNetwork(
+            lambda ctx, v: fixed_length_ca(ctx, v, 8), list(inputs), n=4,
+            t=1, kappa=KAPPA, adversary=adversary,
+        )
+        result = network.run()
+        result.assert_convex_valid(list(inputs))
+        return digested, network._recovery.wals, result
+
+    def test_a_run_without_crashes_digests_nothing(self, monkeypatch):
+        class Logged(PassiveAdversary):
+            has_crash_plane = True  # arms the WAL, crashes nobody
+
+            def select_corruptions(self, n, t):
+                return set()
+
+        digested, wals, _ = self.run_spied(monkeypatch, Logged())
+        assert digested == []
+        assert all(len(wals[party].entries) > 10 for party in range(4))
+
+    def test_a_restart_digests_only_its_logged_rounds(self, monkeypatch):
+        digested, wals, result = self.run_spied(
+            monkeypatch, crashing([(1, 2, 4)], initial=set())
+        )
+        assert restarts(result.events) == 1
+        # rounds 0 and 1 were logged before the crash: each logged
+        # bundle is digested once, beside its replayed twin; the parked
+        # rounds 2 and 3 are folded into the WAL undigested.
+        logged = [entry.bundle for entry in wals[1].entries[:2]]
+        assert len(digested) == 4
+        assert all(a is b for a, b in zip(digested[:2], logged))
+        assert all(a is not b for a, b in zip(digested[2:], logged))
+        assert [e.round_index for e in wals[1].entries[:4]] == [0, 1, 2, 3]
 
 
 # ---------------------------------------------------------------------------
