@@ -469,7 +469,8 @@ class SynchronousNetwork:
         (corrupted, already down, finished, out of range) are silently
         ignored, over-budget ones are clipped with a warning, exactly
         like over-budget adaptive corruptions; both are events at
-        ``down_round``.
+        ``down_round``.  A party whose restart is due at ``down_round``
+        is up by then and leaves the budget.
         """
         valid = {
             party: up
@@ -480,12 +481,9 @@ class SynchronousNetwork:
             and not self._states[party].finished
             and up > down_round
         }
+        staying = len(self.down) - len(self._restart_at.get(down_round, ()))
         allowed = max(
-            0,
-            self.t
-            - len(self.corrupted)
-            - pending_corruptions
-            - len(self.down),
+            0, self.t - len(self.corrupted) - pending_corruptions - staying
         )
         ranked = sorted(valid)
         accepted, clipped = ranked[:allowed], ranked[allowed:]
@@ -495,7 +493,7 @@ class SynchronousNetwork:
             warnings.warn(
                 f"crash budget exhausted at round {down_round}: clipped "
                 f"parties {clipped} (t={self.t}, corrupted "
-                f"{len(self.corrupted)}, down {len(self.down)}) -- the "
+                f"{len(self.corrupted)}, down {staying}) -- the "
                 "crash schedule is over-powered and was weakened",
                 RuntimeWarning,
                 stacklevel=2,

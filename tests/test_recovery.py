@@ -30,6 +30,7 @@ from repro.sim import (
     run_protocol,
 )
 from repro.sim import recovery
+from repro.sim.invariants import default_monitors
 from repro.sim.recovery import WriteAheadLog, outbox_digest
 from repro.sim.party import Outgoing
 from repro.sim.sizing import bit_size
@@ -194,6 +195,27 @@ class TestDeclarativeCrashes:
         assert any("clip" in str(w.message).lower() for w in caught)
         # Down + corrupted never exceeded t in any executed round.
         assert restarts(result.events) <= 2
+
+    def test_back_to_back_windows_are_both_granted(self):
+        """A restart due at round 4 frees its share of ``t`` for a crash
+        starting at round 4: the windows do not overlap (as
+        ``fuzz._max_concurrent_crashes`` already counts them)."""
+        inputs = [3, 5, 7, 11]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a clip would warn
+            result = run_protocol(
+                high_cost_ca, inputs, n=4, t=1, trace=True,
+                monitors=default_monitors(),
+                adversary=crashing([(1, 2, 4), (2, 4, 6)], initial=set()),
+            )
+        result.assert_convex_valid(inputs)
+        assert result.events == [
+            Event("down", 2, 1), Event("down", 4, 2),
+            Event("up", 4, 1), Event("up", 6, 2),
+        ]
+        assert [sorted(r.down_parties) for r in result.trace[:7]] == [
+            [], [], [1], [1], [2], [2], [],
+        ]
 
     def test_crash_schedule_is_deterministic(self):
         inputs = [3, 5, 7, 11, 13, 17, 19]
