@@ -88,7 +88,8 @@ def outbox_digest(outgoing: Outgoing | None) -> str:
 
 @dataclass(frozen=True)
 class WalEntry:
-    """One durable round record: the inbox consumed, the outbox emitted."""
+    """One durable round record: the inbox consumed, the outbox emitted
+    (the bundle the party yielded, which it never changes afterwards)."""
 
     round_index: int
     inbox: dict[int, Any]
