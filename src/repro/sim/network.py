@@ -841,7 +841,9 @@ class SynchronousNetwork:
                 and party not in corrupted
                 and party not in down
             })
-            allowed = max(0, self.t - len(corrupted) - len(down))
+            # A party whose restart is due next round is up by then.
+            staying = len(down) - len(self._restart_at.get(round_index + 1, ()))
+            allowed = max(0, self.t - len(corrupted) - staying)
             accepted, clipped = requested[:allowed], requested[allowed:]
             for party in accepted:
                 events.append(Event("corrupt", round_index, party))

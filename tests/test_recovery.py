@@ -17,6 +17,7 @@ from repro.core.fixed_length import fixed_length_ca
 from repro.core.high_cost_ca import high_cost_ca
 from repro.crypto.merkle import MerkleWitness
 from repro.sim import (
+    AdaptiveCorruptionAdversary,
     ComposedAdversary,
     EquivocatingAdversary,
     Event,
@@ -216,6 +217,26 @@ class TestDeclarativeCrashes:
         assert [sorted(r.down_parties) for r in result.trace[:7]] == [
             [], [], [1], [1], [2], [2], [],
         ]
+
+    def test_corruption_at_a_restart_boundary_is_granted(self):
+        """A restart due at round 4 frees its share of ``t`` for a
+        corruption requested at the end of round 3 (effective at round
+        4), as it does for a crash starting at round 4."""
+        inputs = [3, 5, 7, 11]
+        adversary = ComposedAdversary(
+            [AdaptiveCorruptionAdversary([(3, 2)])],
+            faults=FaultSpec(crashes=((1, 2, 4),)),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a clip would warn
+            result = run_protocol(
+                high_cost_ca, inputs, n=4, t=1, adversary=adversary,
+            )
+        result.assert_convex_valid(inputs)
+        assert result.events == [
+            Event("down", 2, 1), Event("corrupt", 3, 2), Event("up", 4, 1),
+        ]
+        assert result.corrupted == frozenset({2})
 
     def test_crash_schedule_is_deterministic(self):
         inputs = [3, 5, 7, 11, 13, 17, 19]
