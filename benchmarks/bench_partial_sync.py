@@ -32,7 +32,6 @@ from repro.errors import SimulationError
 from repro.perf.profile import save_document
 from repro.sim import (
     LossyTransport,
-    TimeoutEscalation,
     run_protocol,
     run_with_escalation,
 )
@@ -113,7 +112,7 @@ def heal_transport(heal: int) -> LossyTransport:
     """A partition isolating party 0 from slot 0 until ``heal``."""
     return LossyTransport.partial_sync(
         partitions=((0, heal, (0,)),), seed=13,
-        slot_budget=32, escalation=TimeoutEscalation(max_attempts=4),
+        slot_budget=32, max_attempts=4,
     )
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..sim.adversary import Adversary
-from ..sim.runner import run_protocol
+from ..sim.network import run_protocol
 
 __all__ = [
     "Measurement",

@@ -512,7 +512,7 @@ def _run_authenticated(args, adversary):
     from .authenticated import authenticated_ca
     from .core.api import ConvexAgreementOutcome
     from .crypto.signatures import SignatureScheme
-    from .sim.runner import run_protocol
+    from .sim.network import run_protocol
 
     n = len(args.inputs)
     t = args.t if args.t is not None else (n - 1) // 2

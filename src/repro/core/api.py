@@ -27,7 +27,7 @@ from ..sim.adversary import Adversary
 from ..sim.metrics import CommunicationStats
 from ..sim.network import ExecutionResult
 from ..sim.party import Proto
-from ..sim.runner import run_protocol
+from ..sim.network import run_protocol
 from ..sim.supervisor import run_with_escalation
 from .protocol_z import protocol_z
 

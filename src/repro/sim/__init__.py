@@ -69,17 +69,20 @@ from .lossy import (
     ACK_BITS,
     BEACON_BITS,
     LossyTransport,
-    TimeoutEscalation,
     TransportTimeout,
 )
 from .metrics import CommunicationStats
-from .network import ExecutionResult, SynchronousNetwork, default_round_budget
+from .network import (
+    ExecutionResult,
+    SynchronousNetwork,
+    default_round_budget,
+    run_protocol,
+)
 from .parallel import CaseOutcome, derive_seed, resolve_workers, run_many
 from .partial_sync import LinkSchedule
-from .recovery import RecoveryError, RecoveryManager, WriteAheadLog
+from .recovery import RecoveryError, RecoveryManager
 from .supervisor import FallbackRecord, run_with_escalation
 from .party import Context, Outgoing, Proto, broadcast_round, exchange
-from .runner import run_protocol
 from .trace import Event, RoundRecord, summarize_trace
 from .sizing import bit_size
 from .wire import WireGuard, WireLimits, inbox_digest, measure_payload
@@ -107,7 +110,6 @@ __all__ = [
     "RecoveryError",
     "RecoveryManager",
     "TransportTimeout",
-    "WriteAheadLog",
     "EquivocatingAdversary",
     "Event",
     "ExecutionResult",
@@ -132,7 +134,6 @@ __all__ = [
     "SplitVoteAdversary",
     "RoundRecord",
     "SynchronousNetwork",
-    "TimeoutEscalation",
     "TypeConfusionAdversary",
     "WireGuard",
     "WireLimits",

@@ -10,7 +10,7 @@ top of it --
 * every payload carries an implicit ``(round, sender)`` sequence tag and
   is acknowledged by the receiver (acks traverse the same lossy link);
 * unacknowledged copies are retransmitted with exponential backoff
-  (attempt ``k`` waits ``min(2^k, max_backoff)`` slots, with the
+  (attempt ``k`` waits ``min(2^k, MAX_BACKOFF)`` slots, with the
   exponent capped *before* exponentiation so retransmit storms can
   never build huge intermediate integers);
 * a per-round slot budget bounds how long the synchronizer waits; an
@@ -18,12 +18,12 @@ top of it --
   surfaces as a :class:`~repro.errors.SimulationError` with partial
   state.
 
-With a :class:`TimeoutEscalation` policy attached, an exhausted budget
-does not immediately die: the parties of the round exchange
-*round-resync beacons* (tiny frames announcing "I am still in round r,
-re-arm your timers"), the slot budget grows exponentially (PBFT-style
-timeout escalation), and the round is re-attempted -- up to
-``max_attempts`` times before :class:`TransportTimeout` finally fires.
+With ``max_attempts > 1``, an exhausted budget does not immediately
+die: the parties of the round exchange *round-resync beacons* (tiny
+frames announcing "I am still in round r, re-arm your timers"), the
+slot budget doubles up to ``BUDGET_CAP`` (PBFT-style timeout
+escalation), and the round is re-attempted -- up to ``max_attempts``
+attempts in all before :class:`TransportTimeout` finally fires.
 Beacon frames and retry attempts are accounted in the ``beacon_*`` /
 ``resync_attempts`` / ``escalated_rounds`` fields of
 :class:`~repro.sim.metrics.CommunicationStats`, never in
@@ -35,7 +35,7 @@ Partial synchrony is not another transport: it is a
 the loss rate and the partition sides in force; with no schedule the
 rate is ``drop`` and nothing is severed, and no question is asked.
 :meth:`LossyTransport.partial_sync` is the one constructor holding the
-partial-synchrony defaults (a 64-slot budget, escalation armed).
+partial-synchrony defaults (a 64-slot budget, six attempts).
 
 Protocols run **unmodified** on top: the synchronizer guarantees that
 the logical inbox of every round is exactly what a perfect network
@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
 from typing import Any, Iterable
 
 from ..errors import ConfigurationError, ReproError
@@ -70,7 +69,6 @@ __all__ = [
     "ACK_BITS",
     "BEACON_BITS",
     "LossyTransport",
-    "TimeoutEscalation",
     "TransportTimeout",
 ]
 
@@ -82,53 +80,25 @@ ACK_BITS = 40
 #: counter, and the re-armed budget -- the PBFT view-change analogue.
 BEACON_BITS = 48
 
+#: Simulated slots one resync beacon exchange takes (accounted on
+#: ``transport_slots`` and the transport's global clock).
+BEACON_SLOTS = 1
+
+#: Cap on the exponential retransmission backoff, in slots.
+MAX_BACKOFF = 16
+
+#: Backoff exponents from which ``2^k`` would reach the cap: the power
+#: is never computed for them.
+_BACKOFF_EXP_CAP = MAX_BACKOFF.bit_length()
+
+#: An escalated retry's slot budget: the exhausted one times
+#: ``BUDGET_GROWTH``, capped at ``BUDGET_CAP`` (never shrunk below it).
+BUDGET_GROWTH = 2
+BUDGET_CAP = 1 << 15
+
 
 class TransportTimeout(ReproError):
     """The synchronizer exhausted its slot budget for one round."""
-
-
-@dataclass(frozen=True)
-class TimeoutEscalation:
-    """PBFT-style timeout escalation policy for the round synchronizer.
-
-    On an exhausted slot budget the synchronizer does not die
-    immediately: the round's parties exchange resync beacons, the
-    budget is multiplied by ``growth`` (capped at ``budget_cap``), and
-    the round is re-attempted -- up to ``max_attempts`` total attempts.
-    A budget that is exhausted on the last attempt raises
-    :class:`TransportTimeout` exactly like the non-escalating path.
-    """
-
-    max_attempts: int = 6
-    growth: int = 2
-    budget_cap: int = 1 << 15
-    #: simulated slots one beacon exchange takes (accounted on
-    #: ``transport_slots`` and the transport's global clock).
-    beacon_slots: int = 1
-
-    def __post_init__(self) -> None:
-        for name in ("max_attempts", "growth", "budget_cap", "beacon_slots"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigurationError(
-                    f"TimeoutEscalation.{name} must be an integer, "
-                    f"got {value!r}"
-                )
-        if self.max_attempts < 1:
-            raise ConfigurationError("max_attempts must be positive")
-        if self.growth < 2:
-            raise ConfigurationError(
-                "growth must be >= 2 -- a non-growing budget cannot "
-                "outwait a slow network"
-            )
-        if self.budget_cap < 1:
-            raise ConfigurationError("budget_cap must be positive")
-        if self.beacon_slots < 0:
-            raise ConfigurationError("beacon_slots must be >= 0")
-
-    def next_budget(self, budget: int) -> int:
-        """The re-armed slot budget after one exhausted attempt."""
-        return min(budget * self.growth, max(budget, self.budget_cap))
 
 
 class LossyTransport:
@@ -145,15 +115,15 @@ class LossyTransport:
             can then arrive in an order unrelated to their send order.
         seed: deterministic schedule seed.
         slot_budget: maximum physical slots simulated per logical
-            round (per attempt when escalation is armed) before the
-            synchronizer gives up on the attempt.
-        max_backoff: cap on the exponential retransmission backoff.
+            round attempt before the synchronizer gives up on the
+            attempt.
         links: restrict faults to these ``(src, dst)`` links
             (``None`` = every link); non-listed links still pay ack
             accounting but never drop or delay.
-        escalation: optional :class:`TimeoutEscalation`; ``None`` keeps
-            the classic single-attempt behaviour (an exhausted budget
-            raises :class:`TransportTimeout` immediately).
+        max_attempts: synchronization attempts per round; each retry
+            follows a resync beacon exchange and a grown slot budget.
+            ``1`` (the default) raises :class:`TransportTimeout` on the
+            first exhausted budget.
         schedule: optional :class:`~repro.sim.partial_sync.LinkSchedule`
             -- GST, partition and churn windows on the global slot
             clock; ``None`` is a network that is lossy from slot 0 and
@@ -167,9 +137,8 @@ class LossyTransport:
         reorder: float = 0.0,
         seed: int = 0,
         slot_budget: int = 256,
-        max_backoff: int = 16,
         links: frozenset[tuple[int, int]] | None = None,
-        escalation: TimeoutEscalation | None = None,
+        max_attempts: int = 1,
         schedule: LinkSchedule | None = None,
     ) -> None:
         for name, rate in (("delay", delay), ("reorder", reorder)):
@@ -184,36 +153,25 @@ class LossyTransport:
             )
         for name, value in (
             ("slot_budget", slot_budget),
-            ("max_backoff", max_backoff),
+            ("max_attempts", max_attempts),
         ):
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigurationError(
-                    f"{name} must be an integer number of slots, "
+                    f"{name} must be an integer, "
                     f"got {value!r} ({type(value).__name__})"
                 )
             if value < 1:
                 raise ConfigurationError(
                     f"{name} must be positive, got {value}"
                 )
-        if escalation is not None and not isinstance(
-            escalation, TimeoutEscalation
-        ):
-            raise ConfigurationError(
-                f"escalation must be a TimeoutEscalation or None, "
-                f"got {escalation!r}"
-            )
         self.drop = drop
         self.delay = delay
         self.reorder = reorder
         self.seed = seed
         self.slot_budget = slot_budget
-        self.max_backoff = max_backoff
         self.links = links
-        self.escalation = escalation
+        self.max_attempts = max_attempts
         self.schedule = schedule
-        #: exponent cap: once ``2^attempts`` provably reaches
-        #: ``max_backoff`` the power is never computed again.
-        self._backoff_exp_cap = max(1, max_backoff.bit_length())
         #: global physical time in slots (monotone across rounds and
         #: attempts); the schedule's windows are keyed on it.
         self._clock = 0
@@ -231,7 +189,7 @@ class LossyTransport:
         partitions: tuple[tuple[int, int, Iterable[int]], ...] = (),
         churn: tuple[tuple[int, int, float], ...] = (),
         slot_budget: int = 64,
-        escalation: TimeoutEscalation | None = TimeoutEscalation(),
+        max_attempts: int = 6,
         **link: Any,
     ) -> "LossyTransport":
         """A transport under partial synchrony, with that model's defaults.
@@ -241,10 +199,9 @@ class LossyTransport:
         what :meth:`from_spec` does -- one already built, never both;
         ``link`` holds the constructor's remaining keywords.  A round
         stalled behind a pre-GST partition has to outwait it, so the
-        per-attempt budget is short (64 slots) and the default
-        :class:`TimeoutEscalation` is armed: the round resyncs with
-        exponentially grown budgets instead of dying on the first
-        exhausted one.
+        per-attempt budget is short (64 slots) and a round has six
+        attempts: it resyncs with exponentially grown budgets instead
+        of dying on the first exhausted one.
         """
         fields = LinkSchedule(gst, pre_gst_drop, partitions, churn)
         if schedule is not None and fields != LinkSchedule():
@@ -254,7 +211,7 @@ class LossyTransport:
         return cls(
             schedule=fields if schedule is None else schedule,
             slot_budget=slot_budget,
-            escalation=escalation,
+            max_attempts=max_attempts,
             **link,
         )
 
@@ -327,9 +284,9 @@ class LossyTransport:
     def _backoff(self, attempts: int) -> int:
         # Cap the exponent *before* exponentiation: at attempt 300 the
         # old min(2**300, cap) built a 90-digit integer per retransmit.
-        if attempts >= self._backoff_exp_cap:
-            return self.max_backoff
-        return min(2 ** attempts, self.max_backoff)
+        if attempts >= _BACKOFF_EXP_CAP:
+            return MAX_BACKOFF
+        return min(2 ** attempts, MAX_BACKOFF)
 
     def _attempt_seed(self, round_index: int, attempt: int) -> int:
         """Schedule seed for one synchronization attempt.
@@ -356,19 +313,17 @@ class LossyTransport:
         never the payload.  Loopback links (``src == dst``) stay off the
         wire; they are listed so their party joins resync beacons.
         Returns the number of physical slots simulated and accounts
-        every retransmitted copy, ack frame, and (under escalation)
-        resync beacon on ``stats``.
+        every retransmitted copy, ack frame, and resync beacon on
+        ``stats``.
 
         Raises:
-            TransportTimeout: the slot budget (including every escalated
-                retry, when an escalation policy is armed) ran out with
-                payloads still unacknowledged.
+            TransportTimeout: the slot budget of the last of
+                ``max_attempts`` attempts ran out with payloads still
+                unacknowledged.
         """
         #: link -> copies sent so far, in sorted link order.
         pending = {link: 0 for link in sorted(link_bits) if link[0] != link[1]}
-        attempts = (
-            1 if self.escalation is None else self.escalation.max_attempts
-        )
+        attempts = self.max_attempts
         budget = self.slot_budget
         total_slots = 0
         for attempt in range(attempts):
@@ -384,8 +339,8 @@ class LossyTransport:
                 break
             parties = {party for link in link_bits for party in link}
             self._resync(round_index, attempt, parties, stats)
-            total_slots += self.escalation.beacon_slots
-            budget = self.escalation.next_budget(budget)
+            total_slots += BEACON_SLOTS
+            budget = min(budget * BUDGET_GROWTH, max(budget, BUDGET_CAP))
 
         raise TransportTimeout(
             f"round {round_index}: {len(pending)} payload(s) still "
@@ -408,13 +363,13 @@ class LossyTransport:
         the all-to-all "I am still in round r" exchange that lets the
         retry start from a common slot origin.  Overhead lands on the
         beacon fields of ``stats``; the simulated exchange itself costs
-        ``beacon_slots`` physical slots.
+        ``BEACON_SLOTS`` physical slots.
         """
         frames = len(parties) * max(0, len(parties) - 1)
         stats.record_beacons(frames, BEACON_BITS)
         stats.record_resync(escalated_round=(attempt == 0))
-        stats.record_slots(self.escalation.beacon_slots)
-        self._clock += self.escalation.beacon_slots
+        stats.record_slots(BEACON_SLOTS)
+        self._clock += BEACON_SLOTS
         self.total_resyncs += 1
         counters.bump("transport_resyncs")
         counters.bump("transport_beacons", frames)

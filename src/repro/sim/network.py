@@ -48,7 +48,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from ..errors import (
     ConfigurationError,
@@ -73,6 +73,7 @@ __all__ = [
     "SynchronousNetwork",
     "ProtocolFactory",
     "default_round_budget",
+    "run_protocol",
 ]
 
 #: Builds one party's protocol generator from its context and input.
@@ -457,51 +458,40 @@ class SynchronousNetwork:
             self.down.discard(party)
             self.events.append(Event("up", round_index, party))
 
-    def _accept_crashes(
+    def _admit(
         self,
-        requests: dict[int, int],
-        down_round: int,
-        pending_corruptions: int,
-    ) -> None:
-        """Clip crash requests to the shared ``t`` budget and apply them.
+        requested: Iterable[int],
+        round_index: int,
+        pending: int,
+        order: tuple[str, str],
+        at: int,
+    ) -> list[int]:
+        """Clip ``requested`` to the shared ``t`` budget; the granted ones.
 
-        ``requests`` maps party -> restart round; invalid targets
-        (corrupted, already down, finished, out of range) are silently
-        ignored, over-budget ones are clipped with a warning, exactly
-        like over-budget adaptive corruptions; both are events at
-        ``down_round``.  A party whose restart is due at ``down_round``
-        is up by then and leaves the budget.
+        The budget is what corruptions (``pending`` of them granted this
+        round) and parties still down at round ``round_index + 1`` leave
+        of ``t``; a party whose restart is due then is up by then.  The
+        lowest ids are granted.  Both lists are logged as events at
+        ``at``, in ``order`` (two kinds; the ``*_clipped`` one names
+        the clipped parties), and a clip warns.
         """
-        valid = {
-            party: up
-            for party, up in requests.items()
-            if 0 <= party < self.n
-            and party not in self.corrupted
-            and party not in self.down
-            and not self._states[party].finished
-            and up > down_round
-        }
-        staying = len(self.down) - len(self._restart_at.get(down_round, ()))
-        allowed = max(
-            0, self.t - len(self.corrupted) - pending_corruptions - staying
-        )
-        ranked = sorted(valid)
+        staying = len(self.down) - len(self._restart_at.get(round_index + 1, ()))
+        allowed = max(0, self.t - len(self.corrupted) - pending - staying)
+        ranked = sorted(requested)
         accepted, clipped = ranked[:allowed], ranked[allowed:]
-        for party in clipped:
-            self.events.append(Event("crash_clipped", down_round, party))
+        for kind in order:
+            for party in clipped if kind.endswith("_clipped") else accepted:
+                self.events.append(Event(kind, at, party))
         if clipped:
             warnings.warn(
-                f"crash budget exhausted at round {down_round}: clipped "
-                f"parties {clipped} (t={self.t}, corrupted "
-                f"{len(self.corrupted)}, down {staying}) -- the "
-                "crash schedule is over-powered and was weakened",
+                f"fault budget exhausted at round {at}: clipped parties "
+                f"{clipped} (events {'/'.join(order)}; t={self.t}, "
+                f"corrupted {len(self.corrupted)}, down {staying}) -- the "
+                "adversary is over-powered and was weakened",
                 RuntimeWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
-        for party in accepted:
-            self.down.add(party)
-            self._restart_at.setdefault(valid[party], set()).add(party)
-            self.events.append(Event("down", down_round, party))
+        return accepted
 
     def _observe(
         self,
@@ -830,44 +820,43 @@ class SynchronousNetwork:
         running = bool(honest_channels)
         accepted = ()
         if consult:
-            # Adaptive corruptions (effective next round).  An
-            # over-budget ``adapt()`` is clipped deterministically, and
-            # the clipped parties recorded and warned about.  Down
-            # parties share the ``t`` budget and cannot be corrupted.
-            requested = sorted({
+            # Adaptive corruptions and crashes (both effective next
+            # round) share the ``t`` budget with the parties still down;
+            # down parties cannot be corrupted.
+            requested = {
                 party
                 for party in self.adversary.adapt(view)
                 if 0 <= party < n
                 and party not in corrupted
                 and party not in down
-            })
-            # A party whose restart is due next round is up by then.
-            staying = len(down) - len(self._restart_at.get(round_index + 1, ()))
-            allowed = max(0, self.t - len(corrupted) - staying)
-            accepted, clipped = requested[:allowed], requested[allowed:]
-            for party in accepted:
-                events.append(Event("corrupt", round_index, party))
-            for party in clipped:
-                events.append(Event("corrupt_clipped", round_index, party))
-            if clipped:
-                warnings.warn(
-                    f"adaptive corruption budget exhausted in round "
-                    f"{round_index}: clipped parties {clipped} "
-                    f"(t={self.t}, already corrupted "
-                    f"{len(corrupted)}) -- the adversary configuration "
-                    "is over-powered and was silently weakened",
-                    RuntimeWarning,
-                    stacklevel=2,
+            }
+            if requested:
+                accepted = self._admit(
+                    requested, round_index, 0,
+                    ("corrupt", "corrupt_clipped"), round_index,
                 )
-            # Adversarial crashes (effective next round), clipped
-            # against the combined corruption + down budget.
             if recovery is not None:
-                requests = self.adversary.crash_restarts(view)
-                self._accept_crashes(
-                    {p: up for p, up in requests.items() if p not in accepted},
-                    round_index + 1,
-                    pending_corruptions=len(accepted),
-                )
+                # Invalid targets (corrupted, down, finished, restarting
+                # no later than they would go down) are ignored.
+                restart = {
+                    party: up
+                    for party, up in self.adversary.crash_restarts(view).items()
+                    if 0 <= party < n
+                    and party not in corrupted
+                    and party not in down
+                    and party not in accepted
+                    and not states[party].finished
+                    and up > round_index + 1
+                }
+                if restart:
+                    for party in self._admit(
+                        restart, round_index, len(accepted),
+                        ("crash_clipped", "down"), round_index + 1,
+                    ):
+                        down.add(party)
+                        self._restart_at.setdefault(
+                            restart[party], set()
+                        ).add(party)
         if observed:
             self._observe(
                 round_index, honest_channels, mark, channel,
@@ -877,3 +866,21 @@ class SynchronousNetwork:
             corrupted.update(accepted)
             running = any(party not in corrupted for party in outgoings)
         return running or bool(down)
+
+
+def run_protocol(
+    protocol_factory: ProtocolFactory,
+    inputs: dict[int, Any] | list[Any],
+    n: int,
+    t: int,
+    **options: Any,
+) -> ExecutionResult:
+    """Simulate one execution of ``protocol_factory`` and return the result.
+
+    ``options`` are :class:`SynchronousNetwork`'s (``kappa``,
+    ``adversary``, ``max_rounds``, ``trace``, ``monitors``,
+    ``transport``, ``guards``), documented there.  Returns the
+    :class:`ExecutionResult` with per-party outputs and communication
+    statistics.
+    """
+    return SynchronousNetwork(protocol_factory, inputs, n, t, **options).run()

@@ -233,10 +233,7 @@ def run_many(
     *,
     workers: int | str | None = 1,
     timeout_s: float | None = None,
-    chunksize: int | None = None,
-    progress: Callable[[CaseOutcome], None] | None = None,
     retries: int = 0,
-    retry_backoff_s: float = 0.5,
 ) -> list[CaseOutcome]:
     """Run ``fn(payload)`` for every payload; outcomes in payload order.
 
@@ -250,20 +247,17 @@ def run_many(
             cpus.
         timeout_s: per-case wall-clock budget; an over-budget case is
             recorded as a failed outcome (``error_type="CaseTimeout"``).
-        chunksize: cases dispatched per worker task; defaults to
-            ``ceil(len(payloads) / (4 * workers))``.
-        progress: called with each :class:`CaseOutcome` as it is
-            *collected* (always in index order).
         retries: in-place retry passes for *transient* failures
             (``WorkerCrash`` / ``CaseTimeout``).  Each pass re-runs the
-            surviving transient cases in a fresh pool with the exact
-            same payload (hence the same derived seed), with
-            exponential backoff between passes, so a one-off OOM kill
-            or a loaded host does not poison a long soak.  A case that
-            still fails after every pass keeps its failure, with
-            :attr:`CaseOutcome.retries` recording the attempts spent.
-        retry_backoff_s: base sleep before the first retry pass; pass
-            ``k`` sleeps ``retry_backoff_s * 2**(k-1)``, capped at 30s.
+            surviving transient cases at once, in a fresh pool, with the
+            exact same payload (hence the same derived seed), so a
+            one-off OOM kill or a loaded host does not poison a long
+            soak.  A case that still fails after every pass keeps its
+            failure, with :attr:`CaseOutcome.retries` recording the
+            attempts spent.
+
+    Cases go to the pool in chunks of ``ceil(len(payloads) / (4 *
+    workers))``.
 
     Returns:
         One :class:`CaseOutcome` per payload, index-aligned.  A case
@@ -279,18 +273,14 @@ def run_many(
     if worker_count == 1 or len(cases) == 1:
         outcomes = _run_chunk(fn, cases, timeout_s)
     else:
-        size = chunksize or _default_chunksize(len(cases), worker_count)
+        size = _default_chunksize(len(cases), worker_count)
         chunks = [cases[i:i + size] for i in range(0, len(cases), size)]
         outcomes = _dispatch(fn, chunks, worker_count, timeout_s)
     outcomes.sort(key=lambda outcome: outcome.index)
     if retries > 0:
         outcomes = _retry_transients(
-            fn, dict(cases), outcomes, worker_count, timeout_s,
-            retries, retry_backoff_s,
+            fn, dict(cases), outcomes, worker_count, timeout_s, retries,
         )
-    if progress is not None:
-        for outcome in outcomes:
-            progress(outcome)
     return outcomes
 
 
@@ -301,7 +291,6 @@ def _retry_transients(
     workers: int,
     timeout_s: float | None,
     retries: int,
-    retry_backoff_s: float,
 ) -> list[CaseOutcome]:
     """Re-run transient failures in place; outcomes stay index-aligned.
 
@@ -314,15 +303,13 @@ def _retry_transients(
     from dataclasses import replace
 
     by_index = {outcome.index: outcome for outcome in outcomes}
-    for attempt in range(1, retries + 1):
+    for _ in range(retries):
         pending = sorted(
             index for index, outcome in by_index.items()
             if outcome.transient
         )
         if not pending:
             break
-        if retry_backoff_s > 0:
-            time.sleep(min(retry_backoff_s * 2 ** (attempt - 1), 30.0))
         if workers == 1:
             fresh = [
                 _run_one(fn, index, payloads[index], timeout_s)

@@ -5,7 +5,7 @@ module lets a simulated honest party be powered off at an adversarially
 chosen round and later rejoin **with its guarantees intact**:
 
 * every live party appends one :class:`WalEntry` per executed round to
-  its :class:`WriteAheadLog` -- the delivered inbox (the only
+  its write-ahead log -- the delivered inbox (the only
   nondeterministic input a party ever consumes) plus the outbox it
   emitted, kept as yielded: nothing is digested while the party runs;
 * while a party is down, the round synchronizer keeps the messages
@@ -13,9 +13,8 @@ chosen round and later rejoin **with its guarantees intact**:
   nothing it missed is lost;
 * on restart, :meth:`RecoveryManager.recover` rebuilds the party from
   its protocol factory and *replays*: first the WAL (digesting each
-  logged outbox beside the replayed one and chaining them into
-  checkpoints -- a divergence means the protocol is nondeterministic
-  and recovery would be unsound), then the
+  logged outbox beside the replayed one -- a divergence means the
+  protocol is nondeterministic and recovery would be unsound), then the
   parked inboxes of the rounds it missed.  The party lands exactly at
   the current round boundary, in lockstep, with the state it would have
   had as an omission-faulted-but-listening participant.
@@ -33,7 +32,7 @@ resilience cost of the rejoin, kept out of the paper's ``honest_bits``.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from ..errors import ReproError
@@ -47,13 +46,8 @@ __all__ = [
     "RecoveryManager",
     "ReplayedParty",
     "WalEntry",
-    "WriteAheadLog",
     "outbox_digest",
 ]
-
-
-#: a chained checkpoint digest is recorded every this many rounds.
-CHECKPOINT_INTERVAL = 8
 
 
 class RecoveryError(ReproError):
@@ -107,41 +101,6 @@ class _Parked:
     redelivery_messages: int
 
 
-class WriteAheadLog:
-    """Append-only per-party log, checkpointed when it is replayed."""
-
-    def __init__(self, checkpoint_interval: int = CHECKPOINT_INTERVAL) -> None:
-        self.checkpoint_interval = checkpoint_interval
-        self.entries: list[WalEntry] = []
-
-    def append(
-        self, round_index: int, inbox: dict[int, Any], bundle: Outgoing | None
-    ) -> None:
-        """Durably record one executed round (write-ahead: before ack)."""
-        self.entries.append(WalEntry(round_index, dict(inbox), bundle))
-
-    @property
-    def checkpoints(self) -> list[tuple[int, str]]:
-        """``(round_index, chained digest)`` snapshots, one per interval."""
-        return self._chain([outbox_digest(e.bundle) for e in self.entries])
-
-    def _chain(self, digests: list[str]) -> list[tuple[int, str]]:
-        """The chain over ``digests`` (one per entry), every interval."""
-        chain, snapshots = _CHAIN_ROOT, []
-        for count, (entry, digest) in enumerate(zip(self.entries, digests), 1):
-            chain = _extend(chain, digest)
-            if count % self.checkpoint_interval == 0:
-                snapshots.append((entry.round_index, chain))
-        return snapshots
-
-
-def _extend(chain: str, digest: str) -> str:
-    return hashlib.sha256(f"{chain}/{digest}".encode()).hexdigest()[:32]
-
-
-_CHAIN_ROOT = hashlib.sha256(b"repro-wal").hexdigest()[:32]
-
-
 @dataclass
 class ReplayedParty:
     """Outcome of one WAL replay: a party caught up to the present."""
@@ -171,9 +130,8 @@ class RecoveryManager:
         self.kappa = kappa
         #: the execution's :attr:`Context.cache`, handed to replays.
         self.cache: dict = {} if cache is None else cache
-        self.wals: dict[int, WriteAheadLog] = {
-            party: WriteAheadLog() for party in range(n)
-        }
+        #: per-party write-ahead logs, append-only.
+        self.wals: dict[int, list[WalEntry]] = {party: [] for party in range(n)}
         self.parked: dict[int, list[_Parked]] = {}
 
     # -- logging (live parties) ----------------------------------------
@@ -185,7 +143,7 @@ class RecoveryManager:
         outgoing: Outgoing | None,
     ) -> None:
         """WAL-append one executed round for a live party."""
-        self.wals[party].append(round_index, inbox, outgoing)
+        self.wals[party].append(WalEntry(round_index, dict(inbox), outgoing))
 
     # -- parking (down parties) ----------------------------------------
     def park(
@@ -241,11 +199,9 @@ class RecoveryManager:
 
         # Never empty: the network grants a crash only at the end of a
         # round the party executed, and that round is in its WAL.
-        logged = len(wal.entries)
-        feed = [entry.inbox for entry in (*wal.entries, *parked)]
-        expected = [outbox_digest(entry.bundle) for entry in wal.entries]
-        checkpoints = dict(wal._chain(expected))
-        chain = _CHAIN_ROOT
+        logged = len(wal)
+        feed = [entry.inbox for entry in (*wal, *parked)]
+        expected = [outbox_digest(entry.bundle) for entry in wal]
         finished = False
         output = None
         try:
@@ -255,30 +211,21 @@ class RecoveryManager:
                 else:
                     outgoing = generator.send(feed[step - 1])
                 if step < logged:
-                    digest = outbox_digest(outgoing)
-                    if digest != expected[step]:
+                    if outbox_digest(outgoing) != expected[step]:
                         raise RecoveryError(
                             f"party {party}: replayed outbox of logged "
                             f"round {step} diverged from the WAL "
                             f"(protocol is nondeterministic?)"
-                        )
-                    chain = _extend(chain, digest)
-                    round_index = wal.entries[step].round_index
-                    if round_index in checkpoints \
-                            and checkpoints[round_index] != chain:
-                        raise RecoveryError(
-                            f"party {party}: checkpoint at round "
-                            f"{round_index} does not match the replayed "
-                            "chain"
                         )
                 else:
                     # A parked round is durably received the moment it is
                     # replayed: fold it into the WAL so a *second* crash
                     # replays one contiguous history.
                     parked_entry = parked[step - logged]
-                    wal.append(
-                        parked_entry.round_index, parked_entry.inbox, outgoing
-                    )
+                    wal.append(WalEntry(
+                        parked_entry.round_index, dict(parked_entry.inbox),
+                        outgoing,
+                    ))
         except StopIteration as stop:
             finished = True
             output = stop.value

@@ -11,11 +11,17 @@ wrong and still end with a convex-valid output.
 :func:`run_with_escalation` is the supervisor.  It runs a primary
 execution; if that dies with a :class:`~repro.errors.ProtocolViolation`
 (a monitor fired) or a :class:`~repro.errors.SimulationError` (lockstep
-break, round-budget exhaustion, transport timeout), it descends::
+break, round-budget exhaustion, transport timeout), it descends one
+rung::
 
-    optimal CA  ->  budget-escalated retry  ->  HighCostCA
-    (primary)       (inside the transport's     (the caller's
-                     TimeoutEscalation)         transport)
+    optimal CA  ->  HighCostCA
+    (primary)       (over the caller's transport)
+
+A transport built with ``max_attempts > 1`` retries an exhausted round
+inside whichever rung is running (resync beacons, then a grown slot
+budget); that is the transport's synchronizer at work, not a rung, and
+a round that exhausts every attempt is the rung's
+:class:`~repro.sim.lossy.TransportTimeout`.
 
 ``HighCostCA`` (Appendix A.4) is the self-contained ``O(l n^3)``-bit
 workhorse whose guarantees rest on nothing but ``t < n/3``.  Its rung
@@ -151,11 +157,11 @@ def run_with_escalation(
     ``FallbackRecord.history``:
 
     1. **primary** -- the optimal protocol with the full resilience
-       stack.  Budget-escalated retries happen *inside* the transport's
-       :class:`~repro.sim.lossy.TimeoutEscalation`, so a network that
-       stabilizes late still yields a clean, byte-identical result with
-       ``fallback is None`` and the retry cost visible only in the
-       ``beacon_* / resync_*`` stats fields.
+       stack.  A transport with ``max_attempts > 1`` retries a stalled
+       round itself, so a network that stabilizes late still yields a
+       clean, byte-identical result with ``fallback is None`` and the
+       retry cost visible only in the ``beacon_* / resync_*`` stats
+       fields.
     2. **high_cost_ca** -- on :class:`ProtocolViolation` or
        :class:`SimulationError`, rerun the (shifted) inputs through
        ``HighCostCA`` over the **same transport**, whose clock keeps

@@ -15,6 +15,7 @@ from repro.core.find_prefix import PrefixResult
 from repro.errors import ProtocolViolation
 from repro.sim import ACK_BITS, TransportTimeout, run_protocol
 from repro.sim.adversary import standard_adversary_suite
+from repro.sim.lossy import BEACON_SLOTS, BUDGET_CAP, BUDGET_GROWTH
 
 # Small (n, t) configurations exercising both t = (n-1)/3 tightness and
 # slack; all satisfy t < n/3.
@@ -222,8 +223,7 @@ def oracle_synchronize(transport, round_index, link_bits, stats):
     if not pending:
         return 0, pending
 
-    escalation = transport.escalation
-    attempts = 1 if escalation is None else escalation.max_attempts
+    attempts = transport.max_attempts
     budget = transport.slot_budget
     total_slots = 0
     for attempt in range(attempts):
@@ -238,8 +238,8 @@ def oracle_synchronize(transport, round_index, link_bits, stats):
         if attempt + 1 >= attempts:
             break
         transport._resync(round_index, attempt, parties, stats)
-        total_slots += escalation.beacon_slots
-        budget = escalation.next_budget(budget)
+        total_slots += BEACON_SLOTS
+        budget = min(budget * BUDGET_GROWTH, max(budget, BUDGET_CAP))
 
     timeout = TransportTimeout(
         f"round {round_index}: {len(pending)} payload(s) still "

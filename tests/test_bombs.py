@@ -50,7 +50,7 @@ from repro.sim.invariants import (
     ConvexValidityMonitor,
 )
 from repro.sim.party import broadcast_round
-from repro.sim.runner import run_protocol
+from repro.sim.network import run_protocol
 from repro.sim.wire import WireLimits
 
 KAPPA = 64

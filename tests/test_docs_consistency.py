@@ -178,6 +178,16 @@ class TestOneWayToMeasure:
             r"|find_prefix_blocks|RecoveryConfig|FallbackRecord\.from_dict"
         )
 
+    def test_test_only_options_stay_undocumented(self):
+        """Options that only tests set are constants now: no doc may
+        send a reader to the escalation policy class, the WAL class and
+        its checkpoint interval, the backoff cap, or the engine's retry
+        sleep and chunk size."""
+        assert_undocumented(
+            r"TimeoutEscalation|WriteAheadLog|checkpoint_interval"
+            r"|max_backoff|retry_backoff_s|chunksize"
+        )
+
     def test_p_sections_point_at_committed_pairs(self):
         """A P-section's data is a ``benchmarks/pairs/`` document: every
         base revision and every file EXPERIMENTS.md names there exists."""

@@ -20,7 +20,6 @@ from repro.sim import (
     CommunicationStats,
     FaultSpec,
     LossyTransport,
-    TimeoutEscalation,
     TransportTimeout,
     run_protocol,
 )
@@ -158,8 +157,7 @@ class TestTimeout:
         result = run_flca(
             inputs, 4, 1,
             transport=LossyTransport(
-                drop=0.4, seed=3, slot_budget=6,
-                escalation=TimeoutEscalation(),
+                drop=0.4, seed=3, slot_budget=6, max_attempts=6,
             ),
         )
         baseline = run_flca(inputs, 4, 1)
@@ -178,13 +176,6 @@ class TestTimeout:
 # ---------------------------------------------------------------------------
 
 RATES = st.sampled_from([0.0, 0.15, 0.5, 0.85])
-ESCALATIONS = st.builds(
-    TimeoutEscalation,
-    max_attempts=st.integers(1, 3),
-    growth=st.integers(2, 3),
-    budget_cap=st.sampled_from([4, 64]),
-    beacon_slots=st.integers(0, 2),
-)
 
 
 @st.composite
@@ -199,8 +190,7 @@ def transport_configs(draw):
         seed=draw(st.integers(0, 1 << 32)),
         # small enough to exhaust under loss or a partition.
         slot_budget=draw(st.integers(1, 10)),
-        max_backoff=draw(st.sampled_from([1, 3, 16])),
-        escalation=draw(st.none() | ESCALATIONS),
+        max_attempts=draw(st.integers(1, 3)),
     )
     party = st.integers(0, n - 1)
     if draw(st.booleans()):

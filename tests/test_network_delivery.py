@@ -57,7 +57,7 @@ from repro.sim import (
 from repro.sim.adversary import PassiveAdversary
 from repro.sim.invariants import default_monitors
 from repro.sim.party import Outgoing, SharedInbox, broadcast_round, exchange
-from repro.sim.runner import run_protocol
+from repro.sim.network import run_protocol
 
 GRID = [(1, 0), (2, 0), (4, 1), (7, 2), (10, 3)]
 

@@ -3,7 +3,7 @@
 Three layers:
 
 1. ``run_many`` mechanics -- ordering, error capture, per-case
-   timeouts, crash isolation, progress callbacks.
+   timeouts, crash isolation, transient retries.
 2. Seed derivation -- pinned ``derive_seed`` values (the fuzz corpus
    is keyed on these; changing the scheme silently invalidates every
    archived artifact) plus independence properties.
@@ -197,8 +197,7 @@ class TestRunMany:
         assert serial == parallel  # elapsed_s is excluded from equality
 
     def test_errors_are_outcomes_not_exceptions(self):
-        outcomes = run_many(fail_on_odd, [0, 1, 2, 3], workers=2,
-                            chunksize=1)
+        outcomes = run_many(fail_on_odd, [0, 1, 2, 3], workers=2)
         assert [o.ok for o in outcomes] == [True, False, True, False]
         failed = outcomes[1]
         assert failed.error_type == "ValueError"
@@ -209,7 +208,6 @@ class TestRunMany:
     def test_timeout_is_recorded(self, workers):
         outcomes = run_many(
             sleep_for, [0.0, 5.0], workers=workers, timeout_s=0.2,
-            chunksize=1,
         )
         assert outcomes[0].ok
         assert not outcomes[1].ok
@@ -221,7 +219,7 @@ class TestRunMany:
         in the code under test cannot spend the alarm and run on."""
         outcomes = run_many(
             sleep_swallowing_exceptions, [0.0, 3.0], workers=workers,
-            timeout_s=0.2, chunksize=1,
+            timeout_s=0.2,
         )
         assert outcomes[0].ok
         assert outcomes[1].error_type == "CaseTimeout"
@@ -249,7 +247,7 @@ class TestRunMany:
         """A case that kills its process fails alone; the campaign and
         every other case survive."""
         outcomes = run_many(
-            die_on_negative, [1, -1, 2, 3], workers=2, chunksize=1
+            die_on_negative, [1, -1, 2, 3], workers=2
         )
         assert [o.ok for o in outcomes] == [True, False, True, True]
         assert outcomes[1].error_type == "WorkerCrash"
@@ -275,7 +273,7 @@ class TestRunMany:
         monkeypatch.setattr(parallel, "_pool_pass", lossy_pool_pass)
         payloads = [1, 2, -1, 3, 4, 5, -2, 6]
         outcomes = run_many(
-            die_on_negative, payloads, workers=2, chunksize=2
+            die_on_negative, payloads, workers=2
         )
         assert [o.index for o in outcomes] == list(range(len(payloads)))
         assert [o.error_type for o in outcomes] == [
@@ -297,7 +295,7 @@ class TestRunMany:
         try:
             for _ in range(5):
                 outcomes = run_many(
-                    die_on_negative, [1, -1, 2, 3], workers=2, chunksize=1
+                    die_on_negative, [1, -1, 2, 3], workers=2
                 )
                 assert [o.error_type for o in outcomes] == [
                     None, "WorkerCrash", None, None
@@ -331,14 +329,6 @@ class TestRunMany:
         assert "error" not in collected, collected.get("error")
         assert [o.value for o in collected["outcomes"]] == [4, 9]
 
-    def test_progress_in_index_order(self):
-        seen = []
-        run_many(
-            square, [5, 6, 7, 8], workers=2, chunksize=1,
-            progress=lambda o: seen.append(o.index),
-        )
-        assert seen == [0, 1, 2, 3]
-
     def test_elapsed_excluded_from_equality(self):
         a = CaseOutcome(index=0, value=1, elapsed_s=0.5)
         b = CaseOutcome(index=0, value=1, elapsed_s=123.0)
@@ -365,7 +355,7 @@ class TestRetries:
         flag = str(tmp_path / "flag")
         outcomes = run_many(
             sleep_until_flagged, [(flag, 3)], workers=1,
-            timeout_s=0.3, retries=1, retry_backoff_s=0.0,
+            timeout_s=0.3, retries=1,
         )
         assert outcomes[0].ok
         assert outcomes[0].value == 30
@@ -375,8 +365,7 @@ class TestRetries:
         """A case that reliably kills its worker stays a WorkerCrash
         after the retry budget, with the attempts spent on record."""
         outcomes = run_many(
-            die_on_negative, [1, -1], workers=2, chunksize=1,
-            retries=2, retry_backoff_s=0.0,
+            die_on_negative, [1, -1], workers=2, retries=2,
         )
         assert outcomes[0].ok and outcomes[0].retries == 0
         crash = outcomes[1]
@@ -390,7 +379,6 @@ class TestRetries:
         identically."""
         outcomes = run_many(
             fail_on_odd, [1, 2], workers=1, retries=3,
-            retry_backoff_s=0.0,
         )
         assert not outcomes[0].ok
         assert outcomes[0].error_type == "ValueError"

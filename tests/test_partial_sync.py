@@ -1,6 +1,6 @@
 """Partial-synchrony resilience plane: the link schedule, PBFT-style
-timeout escalation, the supervisor's failover ladder (optimal CA ->
-escalated retry -> HighCostCA, all over the caller's transport), the
+timeout escalation in the synchronizer, the supervisor's failover
+ladder (optimal CA -> HighCostCA, both over the caller's transport), the
 liveness envelope, and the partition/GST fuzz campaign whose verdicts
 follow the model: a ladder exhausted by a partition that never heals is
 tallied, one exhausted on a healing schedule is a failure."""
@@ -28,8 +28,10 @@ from repro.sim import (
     FaultSpec,
     LinkSchedule,
     LivenessMonitor,
+    CommunicationStats,
     LossyTransport,
-    TimeoutEscalation,
+    TransportTimeout,
+    lossy,
     run_protocol,
     run_with_escalation,
 )
@@ -57,28 +59,36 @@ def flca_factory(ell=8):
 
 class TestTimeoutEscalation:
     def test_defaults_are_valid(self):
-        policy = TimeoutEscalation()
-        assert policy.max_attempts >= 2
-        assert policy.growth >= 2
+        assert LossyTransport().max_attempts == 1
+        assert LossyTransport.partial_sync().max_attempts >= 2
+        assert lossy.BUDGET_GROWTH >= 2
 
-    @pytest.mark.parametrize("kwargs", [
-        {"max_attempts": 0},
-        {"growth": 1},
-        {"budget_cap": 0},
-        {"beacon_slots": -1},
-        {"max_attempts": True},
-        {"growth": 2.5},
-    ])
-    def test_invalid_policy_rejected(self, kwargs):
+    @pytest.mark.parametrize("max_attempts", [0, True, 2.5])
+    def test_invalid_max_attempts_rejected(self, max_attempts):
         with pytest.raises(ConfigurationError):
-            TimeoutEscalation(**kwargs)
+            LossyTransport(max_attempts=max_attempts)
 
     def test_budget_grows_exponentially_up_to_cap(self):
-        policy = TimeoutEscalation(growth=2, budget_cap=100)
-        assert policy.next_budget(16) == 32
-        assert policy.next_budget(64) == 100
-        # a budget already above the cap never shrinks.
-        assert policy.next_budget(200) == 200
+        """A never-healing partition spends every attempt's whole
+        budget and one beacon slot between attempts."""
+        for slot_budget, attempts, slots in (
+            (16, 3, 16 + 1 + 32 + 1 + 64),
+            # the cap is 1 << 15 ...
+            (20_000, 2, 20_000 + 1 + (1 << 15)),
+            # ... and a budget already above it never shrinks.
+            (40_000, 2, 40_000 + 1 + 40_000),
+        ):
+            transport = LossyTransport.partial_sync(
+                partitions=((0, -1, (0,)),), slot_budget=slot_budget,
+                max_attempts=attempts,
+            )
+            with pytest.raises(TransportTimeout, match=(
+                f"after {slots} slots across {attempts} attempt"
+            )):
+                transport.synchronize(
+                    0, {(0, 1): 8, (1, 0): 8}, CommunicationStats()
+                )
+            assert transport.clock == slots
 
 
 #: windows no door may accept, as ``LinkSchedule`` keywords.
@@ -137,10 +147,10 @@ class TestTransportConstruction:
 
     def test_escalation_armed_by_default(self):
         transport = LossyTransport.partial_sync(gst=10)
-        assert isinstance(transport.escalation, TimeoutEscalation)
+        assert transport.max_attempts == 6
         assert transport.slot_budget == 64 and transport.links is None
         # a plain transport keeps the classic die-on-first-timeout.
-        assert LossyTransport(schedule=transport.schedule).escalation is None
+        assert LossyTransport(schedule=transport.schedule).max_attempts == 1
 
     def test_ready_schedule_and_fields_do_not_mix(self):
         schedule = LinkSchedule(gst=10)
@@ -152,15 +162,13 @@ class TestTransportConstruction:
         with pytest.raises(ConfigurationError):
             LossyTransport(slot_budget="many")
         with pytest.raises(ConfigurationError):
-            LossyTransport(max_backoff=2.5)
-        with pytest.raises(ConfigurationError):
             LossyTransport(slot_budget=True)
         with pytest.raises(ConfigurationError):
-            LossyTransport(escalation=42)
+            LossyTransport(max_attempts="many")
 
     def test_backoff_exponent_is_capped_before_exponentiation(self):
-        transport = LossyTransport(max_backoff=16)
-        # attempt counts far beyond the cap return the cap directly --
+        transport = LossyTransport()
+        # attempt counts far beyond the cap (16) return it directly --
         # the old code built a 2**300 intermediate first.
         assert transport._backoff(300) == 16
         assert transport._backoff(4) == 16
@@ -197,7 +205,7 @@ class TestFromSpec:
         transport = LossyTransport.from_spec(spec)
         assert transport.schedule == spec.schedule
         assert transport.schedule.gst == 100
-        assert isinstance(transport.escalation, TimeoutEscalation)
+        assert transport.max_attempts == 6
         assert transport.seed != spec.seed
 
     def test_partition_only_spec_builds_psync_transport(self):
@@ -210,7 +218,7 @@ class TestFromSpec:
         spec = FaultSpec(link_drop=0.2)
         transport = LossyTransport.from_spec(spec)
         assert spec.schedule is None and transport.schedule is None
-        assert transport.escalation is None
+        assert transport.max_attempts == 1
         assert LossyTransport.from_spec(FaultSpec()) is None
 
 
@@ -315,7 +323,7 @@ class TestHealingPartition:
 def _never_healing(seed=5, members=(0, 1)):
     return LossyTransport.partial_sync(
         partitions=((0, -1, tuple(members)),), seed=seed,
-        slot_budget=16, escalation=TimeoutEscalation(max_attempts=3),
+        slot_budget=16, max_attempts=3,
     )
 
 

@@ -52,7 +52,7 @@ from repro.sim.adversary import (
 )
 from repro.sim.bombs import BOMB_CATALOG, deep_nest
 from repro.sim.party import Context
-from repro.sim.runner import run_protocol
+from repro.sim.network import run_protocol
 
 from test_network_delivery import PLANES
 

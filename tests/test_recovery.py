@@ -32,7 +32,7 @@ from repro.sim import (
 )
 from repro.sim import recovery
 from repro.sim.invariants import default_monitors
-from repro.sim.recovery import WriteAheadLog, outbox_digest
+from repro.sim.recovery import outbox_digest
 from repro.sim.party import Outgoing
 from repro.sim.sizing import bit_size
 
@@ -99,17 +99,6 @@ class TestWal:
             outbox_digest(Outgoing("ch", {0: (huge, b"x"), 1: (huge, b"x")}))
         )
 
-    def test_checkpoints_chain(self):
-        wal = WriteAheadLog(checkpoint_interval=2)
-        for r in range(4):
-            wal.append(r, {0: r}, Outgoing("ch", {0: f"payload-{r}"}))
-        assert [r for r, _ in wal.checkpoints] == [1, 3]
-        # The chain is cumulative: logging the same bundles rebuilds it.
-        other = WriteAheadLog(checkpoint_interval=2)
-        for r in range(4):
-            other.append(r, {0: r}, Outgoing("ch", {0: f"payload-{r}"}))
-        assert wal.checkpoints == other.checkpoints
-
 
 class TestDigestOnReplay:
     """The WAL keeps each round's bundle and digests only on replay."""
@@ -141,7 +130,7 @@ class TestDigestOnReplay:
 
         digested, wals, _ = self.run_spied(monkeypatch, Logged())
         assert digested == []
-        assert all(len(wals[party].entries) > 10 for party in range(4))
+        assert all(len(wals[party]) > 10 for party in range(4))
 
     def test_a_restart_digests_only_its_logged_rounds(self, monkeypatch):
         digested, wals, result = self.run_spied(
@@ -151,11 +140,11 @@ class TestDigestOnReplay:
         # rounds 0 and 1 were logged before the crash: each logged
         # bundle is digested once, beside its replayed twin; the parked
         # rounds 2 and 3 are folded into the WAL undigested.
-        logged = [entry.bundle for entry in wals[1].entries[:2]]
+        logged = [entry.bundle for entry in wals[1][:2]]
         assert len(digested) == 4
         assert all(a is b for a, b in zip(digested[:2], logged))
         assert all(a is not b for a, b in zip(digested[2:], logged))
-        assert [e.round_index for e in wals[1].entries[:4]] == [0, 1, 2, 3]
+        assert [e.round_index for e in wals[1][:4]] == [0, 1, 2, 3]
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from repro.sim import (
     BitBudgetMonitor,
     FallbackRecord,
     LossyTransport,
-    TimeoutEscalation,
     run_with_escalation,
 )
 
@@ -95,8 +94,7 @@ class TestTransportFailure:
 
 def _partitioned(heal):
     return LossyTransport.partial_sync(
-        partitions=((0, heal, (0, 1, 2)),), slot_budget=8,
-        escalation=TimeoutEscalation(max_attempts=2),
+        partitions=((0, heal, (0, 1, 2)),), slot_budget=8, max_attempts=2,
     )
 
 
