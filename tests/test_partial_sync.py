@@ -25,10 +25,10 @@ from repro.errors import (
 from repro.sim import (
     BEACON_BITS,
     BitBudgetMonitor,
+    CommunicationStats,
     FaultSpec,
     LinkSchedule,
     LivenessMonitor,
-    CommunicationStats,
     LossyTransport,
     TransportTimeout,
     lossy,
