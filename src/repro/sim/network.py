@@ -459,39 +459,29 @@ class SynchronousNetwork:
             self.events.append(Event("up", round_index, party))
 
     def _admit(
-        self,
-        requested: Iterable[int],
-        round_index: int,
-        pending: int,
-        order: tuple[str, str],
-        at: int,
-    ) -> list[int]:
-        """Clip ``requested`` to the shared ``t`` budget; the granted ones.
+        self, requested: Iterable[int], round_index: int, pending: int
+    ) -> tuple[list[int], list[int]]:
+        """Clip ``requested`` to the shared ``t`` budget: (granted, clipped).
 
         The budget is what corruptions (``pending`` of them granted this
         round) and parties still down at round ``round_index + 1`` leave
         of ``t``; a party whose restart is due then is up by then.  The
-        lowest ids are granted.  Both lists are logged as events at
-        ``at``, in ``order`` (two kinds; the ``*_clipped`` one names
-        the clipped parties), and a clip warns.
+        lowest ids are granted, and a clip warns.
         """
         staying = len(self.down) - len(self._restart_at.get(round_index + 1, ()))
         allowed = max(0, self.t - len(self.corrupted) - pending - staying)
         ranked = sorted(requested)
         accepted, clipped = ranked[:allowed], ranked[allowed:]
-        for kind in order:
-            for party in clipped if kind.endswith("_clipped") else accepted:
-                self.events.append(Event(kind, at, party))
         if clipped:
             warnings.warn(
-                f"fault budget exhausted at round {at}: clipped parties "
-                f"{clipped} (events {'/'.join(order)}; t={self.t}, "
-                f"corrupted {len(self.corrupted)}, down {staying}) -- the "
+                f"fault budget exhausted in round {round_index}: clipped "
+                f"parties {clipped} (t={self.t}, corrupted "
+                f"{len(self.corrupted) + pending}, down {staying}) -- the "
                 "adversary is over-powered and was weakened",
                 RuntimeWarning,
                 stacklevel=3,
             )
-        return accepted
+        return accepted, clipped
 
     def _observe(
         self,
@@ -831,10 +821,13 @@ class SynchronousNetwork:
                 and party not in down
             }
             if requested:
-                accepted = self._admit(
-                    requested, round_index, 0,
-                    ("corrupt", "corrupt_clipped"), round_index,
-                )
+                accepted, clipped = self._admit(requested, round_index, 0)
+                for party in accepted:
+                    self.events.append(Event("corrupt", round_index, party))
+                for party in clipped:
+                    self.events.append(
+                        Event("corrupt_clipped", round_index, party)
+                    )
             if recovery is not None:
                 # Invalid targets (corrupted, down, finished, restarting
                 # no later than they would go down) are ignored.
@@ -849,10 +842,17 @@ class SynchronousNetwork:
                     and up > round_index + 1
                 }
                 if restart:
-                    for party in self._admit(
-                        restart, round_index, len(accepted),
-                        ("crash_clipped", "down"), round_index + 1,
-                    ):
+                    granted, clipped = self._admit(
+                        restart, round_index, len(accepted)
+                    )
+                    for party in clipped:
+                        self.events.append(
+                            Event("crash_clipped", round_index + 1, party)
+                        )
+                    for party in granted:
+                        self.events.append(
+                            Event("down", round_index + 1, party)
+                        )
                         down.add(party)
                         self._restart_at.setdefault(
                             restart[party], set()

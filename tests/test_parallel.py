@@ -257,11 +257,16 @@ class TestRunMany:
         """Regression (ROADMAP "fix first"): the worst case a loaded
         host can produce, made deterministic -- every pool that holds
         the poison case loses *all* its chunks.  Only a case that died
-        alone in its pool may be called ``WorkerCrash``."""
+        alone in its pool may be called ``WorkerCrash``.  Chunks of two
+        put each poison case in a chunk with a healthy one (3 and 7),
+        as a real campaign's chunks do: the lost chunks must be split
+        before the salvage passes."""
         pools = []
+        chunk_sizes = []
 
         def lossy_pool_pass(fn, chunks, workers, timeout_s, outcomes):
             pools.append([index for chunk in chunks for index, _ in chunk])
+            chunk_sizes.append([len(chunk) for chunk in chunks])
             if any(x < 0 for chunk in chunks for _, x in chunk):
                 return list(chunks)
             outcomes.extend(
@@ -271,6 +276,9 @@ class TestRunMany:
             return []
 
         monkeypatch.setattr(parallel, "_pool_pass", lossy_pool_pass)
+        monkeypatch.setattr(
+            parallel, "_default_chunksize", lambda cases, workers: 2
+        )
         payloads = [1, 2, -1, 3, 4, 5, -2, 6]
         outcomes = run_many(
             die_on_negative, payloads, workers=2
@@ -280,6 +288,10 @@ class TestRunMany:
             "WorkerCrash" if x < 0 else None for x in payloads
         ]
         assert [o.value for o in outcomes if o.ok] == [1, 2, 3, 4, 5, 6]
+        # The first pass ran chunks of two, so 3 and 7 were lost with
+        # the poison cases; both still settled as healthy outcomes.
+        assert chunk_sizes[0] == [2, 2, 2, 2]
+        assert outcomes[3].value == 3 and outcomes[7].value == 6
         # Both verdicts came from a pool the suspect had to itself.
         assert [2] in pools and [6] in pools
 
