@@ -360,10 +360,6 @@ def _cmd_fuzz(args) -> int:
             print(f"error: {error}", file=sys.stderr)
             return 2
 
-    progress = None if args.quiet else (
-        lambda index, case: print(f"[{index + 1}/{args.runs}] "
-                                  f"{case.describe()}")
-    )
     try:
         report = fuzz(
             runs=args.runs,
@@ -372,7 +368,6 @@ def _cmd_fuzz(args) -> int:
             artifact_dir=args.artifact_dir,
             shrink=not args.no_shrink,
             max_shrink_runs=args.max_shrink_runs,
-            progress=progress,
             workers=args.workers,
             case_timeout_s=args.case_timeout,
             crash=args.crash,
@@ -382,12 +377,10 @@ def _cmd_fuzz(args) -> int:
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    if not args.quiet:
+        for index, case in enumerate(report.cases):
+            print(f"[{index + 1}/{args.runs}] {case.describe()}")
     print(report.summary())
-    if report.worker_crashes or report.case_timeouts:
-        print(
-            f"engine incidents: {report.worker_crashes} worker "
-            f"crash(es), {report.case_timeouts} case timeout(s)"
-        )
     return 0 if report.clean else 1
 
 

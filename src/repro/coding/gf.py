@@ -45,13 +45,6 @@ def _as_rows(data) -> list[list[int]]:
     return [list(row) for row in data]
 
 
-def _as_flat(vec) -> list[int]:
-    """Normalise vector-shaped input to a list of ints."""
-    if np is not None and isinstance(vec, np.ndarray):
-        return vec.tolist()
-    return list(vec)
-
-
 class LogMatrix(list):
     """Coefficient rows that remember their log-domain form.
 
@@ -145,10 +138,6 @@ class BinaryField:
             raise ZeroDivisionError("no inverse of 0 in a field")
         return self._exp_list[self.mul_group_order - self._log_list[a]]
 
-    def div(self, a: int, b: int) -> int:
-        """GF quotient ``a / b``."""
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, exponent: int) -> int:
         """GF exponentiation via the log table."""
         if exponent == 0:
@@ -158,25 +147,7 @@ class BinaryField:
         idx = (self._log_list[a] * exponent) % self.mul_group_order
         return self._exp_list[idx]
 
-    # -- vectorised ops ---------------------------------------------------
-    def mul_vec(self, a, b):
-        """Element-wise GF product of two same-length int sequences.
-
-        Returns a ``uint16`` array on the numpy backend, a list on the
-        python backend; the element values are identical either way.
-        """
-        if config.backend() == "numpy":
-            exp, log = self._numpy_tables()
-            return exp.take(log.take(a) + log.take(b))
-        return [self.mul(x, y) for x, y in zip(_as_flat(a), _as_flat(b))]
-
-    def scalar_mul_vec(self, scalar: int, vec):
-        """GF product of one scalar with an int sequence."""
-        if config.backend() == "numpy":
-            exp, log = self._numpy_tables()
-            return exp.take(log.take(vec) + log[scalar])
-        return [self.mul(scalar, x) for x in _as_flat(vec)]
-
+    # -- matrix product ---------------------------------------------------
     def matmul(self, matrix: Sequence[Sequence[int]], data):
         """GF matrix product ``matrix (r x k) @ data (k x c) -> (r x c)``.
 

@@ -36,7 +36,6 @@ decode from identical index tuples (the regression suite pins this).
 
 from __future__ import annotations
 
-import os
 import struct
 from collections import OrderedDict
 from functools import lru_cache
@@ -67,26 +66,7 @@ _LENGTH_HEADER_BYTES = 4
 #: campaigns rotating through many ``(n, k)`` shapes) keep their hot
 #: working set instead of the old clear-everything overflow behaviour.
 _DECODE_MATRIX_CACHE: OrderedDict[tuple, LogMatrix] = OrderedDict()
-
-
-def _cache_cap() -> int:
-    """The cache capacity: ``REPRO_DECODE_MATRIX_CACHE_MAX`` or 512.
-
-    Read once at import (the simulator's hot loop should not pay a
-    ``getenv`` per decode); a non-positive or unparsable setting
-    disables memoization entirely, which is the memory-floor escape
-    hatch for embedded runs.
-    """
-    raw = os.environ.get("REPRO_DECODE_MATRIX_CACHE_MAX")
-    if raw is None:
-        return 512
-    try:
-        return int(raw)
-    except ValueError:
-        return 0
-
-
-_DECODE_MATRIX_CACHE_MAX = _cache_cap()
+_DECODE_MATRIX_CACHE_MAX = 512
 
 
 def clear_decode_matrix_cache() -> None:
@@ -133,13 +113,10 @@ class ReedSolomonCode:
             self.k,
             indices,
         )
-        cap = _DECODE_MATRIX_CACHE_MAX
-        if cap <= 0:
-            return self._invert_submatrix(indices)
         hit = _DECODE_MATRIX_CACHE.get(key)
         if hit is None:
             hit = self._invert_submatrix(indices)
-            if len(_DECODE_MATRIX_CACHE) >= cap:
+            if len(_DECODE_MATRIX_CACHE) >= _DECODE_MATRIX_CACHE_MAX:
                 _DECODE_MATRIX_CACHE.popitem(last=False)
             _DECODE_MATRIX_CACHE[key] = hit
         else:

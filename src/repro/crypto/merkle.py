@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import hashlib
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from ..perf import config, counters
-from ..sim.sizing import Row, memoized_wire_bits, register
+from ..sim.sizing import Row, register
 from .hashing import digest_size_bytes, hash_leaves, hash_pair_level
 
 __all__ = [
@@ -53,15 +53,9 @@ class MerkleWitness:
 
     index: int
     siblings: tuple[bytes, ...]
-    #: instance slot for :func:`memoized_wire_bits`; excluded from
-    #: equality/hash so the memo never perturbs witness identity.
-    _wire_bits_memo: int | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
-    @memoized_wire_bits
     def wire_bits(self) -> int:
-        """Wire cost: path hashes plus the leaf index (memoized)."""
+        """Wire cost: path hashes plus the leaf index."""
         index_bits = max(1, self.index.bit_length())
         return index_bits + sum(8 * len(h) for h in self.siblings)
 

@@ -57,10 +57,6 @@ class SignatureScheme:
             return False
         return signature == self.sign(signer, message)
 
-    def signature_bits(self) -> int:
-        """Signature length on the wire, in bits."""
-        return self.kappa
-
     def for_adversary(self, corrupted: set[int]) -> "RestrictedSigner":
         """A signing handle restricted to corrupted identities.
 

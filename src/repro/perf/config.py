@@ -45,10 +45,9 @@ resolved choice is process-local; :func:`reset_backend` drops any
 explicit selection so the next :func:`backend` call re-reads the
 environment (the "per-process reset" used by worker pools and tests).
 
-Not gated (pure code paths, not state): the memoized ``wire_bits`` on
-frozen message dataclasses and the network's unarmed round stages --
-those compute the same values through cheaper code, so there is nothing
-to switch off.
+Not gated (pure code paths, not state): the network's unarmed round
+stages compute the same values through cheaper code, so there is
+nothing to switch off.
 """
 
 from __future__ import annotations

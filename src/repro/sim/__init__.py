@@ -60,7 +60,6 @@ from .invariants import (
     ConvexValidityMonitor,
     CrashBudgetMonitor,
     InvariantMonitor,
-    LivenessMonitor,
     LockstepMonitor,
     RoundBudgetMonitor,
     default_monitors,
@@ -105,7 +104,6 @@ __all__ = [
     "DeepNestAdversary",
     "FallbackRecord",
     "LinkSchedule",
-    "LivenessMonitor",
     "LossyTransport",
     "RecoveryError",
     "RecoveryManager",

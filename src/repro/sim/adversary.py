@@ -141,8 +141,6 @@ class Adversary:
             mutated = self.mutate(view, src, dst, payload)
             if mutated is not DROP:
                 out[(src, dst)] = mutated
-        extra = self.inject(view)
-        out.update(extra)
         return out
 
     def mutate(
@@ -150,10 +148,6 @@ class Adversary:
     ) -> Any:
         """Transform one spec message; return ``DROP`` to suppress it."""
         return payload
-
-    def inject(self, view: RoundView) -> dict[tuple[int, int], Any]:
-        """Messages to add beyond (mutated) spec traffic."""
-        return {}
 
     def describe(self) -> str:
         return type(self).__name__

@@ -67,7 +67,7 @@ from .bombs import BOMB_CATALOG
 from .faults import ComposedAdversary, FaultSpec, RecordingAdversary, \
     ReplayAdversary
 from .lossy import LossyTransport
-from .invariants import InvariantMonitor, LivenessMonitor, default_monitors
+from .invariants import InvariantMonitor, default_monitors
 from .network import ProtocolFactory
 from .parallel import derive_seed, resolve_workers, run_many
 from .sizing import WIRE_SCHEMA, decode_payload, encode_payload
@@ -690,17 +690,14 @@ def _execute(
     """
     transport = LossyTransport.from_spec(case.faults)
     round_budget = spec.round_budget(case.n, case.t, case.ell)
-    monitors = case_monitors(case, spec)
     partial_sync = case.faults.has_partial_sync
-    if partial_sync:
-        monitors.append(LivenessMonitor(round_budget, transport))
     result = run_with_escalation(
         spec.build(case.ell),
         inputs,
         n=case.n,
         t=case.t,
         adversary=adversary,
-        monitors=monitors,
+        monitors=case_monitors(case, spec),
         # only a partial-synchrony case may descend the ladder.
         escalate_on=(SimulationError,) if partial_sync else (),
         kappa=case.kappa,
@@ -1213,7 +1210,6 @@ def execute_cases(
         [(case, source, protocols, shrink, max_shrink_runs) for case in cases],
         workers=workers,
         timeout_s=case_timeout_s,
-        retries=1,
     )
     incidents = Counter(
         outcome.error_type for outcome in collected if not outcome.ok
@@ -1240,12 +1236,10 @@ def execute_cases(
 def fuzz(
     runs: int = 50,
     seed: int = 0,
-    registry: dict[str, ProtocolSpec] | None = None,
     protocols: list[str] | None = None,
     artifact_dir: str | None = None,
     shrink: bool = True,
     max_shrink_runs: int = 400,
-    progress: Callable[[int, FuzzCase], None] | None = None,
     workers: int | str | None = 1,
     registry_builder: Callable[[], dict[str, ProtocolSpec]] | None = None,
     case_timeout_s: float | None = None,
@@ -1289,22 +1283,13 @@ def fuzz(
     from the main thread) or whose harness raises is a recorded
     ``ExecutionEngine`` failure instead of the end of the campaign.
 
-    A custom registry travels to workers through ``registry_builder``
-    (a module-level callable returning the registry -- the specs
-    themselves hold closures and do not pickle).  Passing a bare
-    ``registry`` object without a builder forces one worker.
+    A custom registry reaches the campaign, and its workers, as
+    ``registry_builder``: a module-level callable returning the
+    registry (the specs themselves hold closures and do not pickle).
     """
-    if registry is None:
-        builder = registry_builder or standard_registry
-        parent_registry = _filtered_registry(builder(), protocols)
-    else:
-        builder = registry_builder
-        parent_registry = _filtered_registry(registry, protocols)
+    builder = registry_builder or standard_registry
+    parent_registry = _filtered_registry(builder(), protocols)
     worker_count = resolve_workers(workers)
-    if builder is None:
-        # Unpicklable ad-hoc registry: the campaign itself stays
-        # deterministic either way, it just cannot leave this process.
-        worker_count = 1
 
     report = FuzzReport(
         runs=runs, seed=seed, workers=worker_count, crash=crash,
@@ -1326,8 +1311,6 @@ def fuzz(
     report.case_timeouts = incidents["CaseTimeout"]
 
     for index, (failure, case_stats) in enumerate(outcomes):
-        if progress is not None:
-            progress(index, report.cases[index])
         if case_stats.resyncs:
             report.resyncs += case_stats.resyncs
             report.escalated_cases += 1

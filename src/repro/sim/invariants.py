@@ -46,7 +46,6 @@ __all__ = [
     "AgreementMonitor",
     "ConvexValidityMonitor",
     "CrashBudgetMonitor",
-    "LivenessMonitor",
     "LockstepMonitor",
     "BitBudgetMonitor",
     "RoundBudgetMonitor",
@@ -226,57 +225,6 @@ class BitBudgetMonitor(InvariantMonitor):
                     f"budget {budget:,} (round {record.round_index})",
                     record=record,
                 )
-
-
-class LivenessMonitor(InvariantMonitor):
-    """Decision within the round envelope, counted from stabilization.
-
-    Under partial synchrony the paper's round bound only holds once the
-    network stabilizes (GST passed, partitions healed, churn over): the
-    monitor discounts every round completed while the transport's
-    global clock was still before its ``stabilization_time`` and
-    requires the execution to decide within ``round_envelope`` logical
-    rounds after that.  On a transport that never stabilizes (a
-    never-healing partition) liveness is not guaranteed -- only the
-    supervisor's failover ladder is -- so the monitor stays silent.
-
-    Pass ``transport`` explicitly or let the monitor pick it up from
-    the network; with no transport at all (perfect network) the
-    envelope counts from round 0, degenerating to a
-    :class:`RoundBudgetMonitor`.
-    """
-
-    def __init__(self, round_envelope: int, transport=None) -> None:
-        if round_envelope <= 0:
-            raise ValueError("round envelope must be positive")
-        self.limit = round_envelope
-        self._transport = transport
-        self._pre_stable_rounds = 0
-
-    def describe(self) -> str:
-        return f"LivenessMonitor(limit={self.limit})"
-
-    def on_round(self, record, network) -> None:
-        transport = self._transport
-        if transport is None:
-            transport = getattr(network, "transport", None)
-        horizon = (
-            0 if transport is None else transport.stabilization_time
-        )
-        if horizon is None:
-            return  # network never stabilizes: no liveness guarantee
-        if transport is not None and transport.clock < horizon:
-            self._pre_stable_rounds = record.round_index + 1
-            return
-        elapsed = record.round_index + 1 - self._pre_stable_rounds
-        if elapsed > self.limit:
-            self.fail(
-                f"no decision within {self.limit} rounds of "
-                f"stabilization (round {record.round_index}, "
-                f"{self._pre_stable_rounds} pre-stabilization rounds "
-                "discounted)",
-                record=record,
-            )
 
 
 class RoundBudgetMonitor(InvariantMonitor):

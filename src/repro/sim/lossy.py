@@ -269,18 +269,6 @@ class LossyTransport:
         """Global physical slots elapsed on this transport."""
         return self._clock
 
-    @property
-    def stabilization_time(self) -> int | None:
-        """First global slot with bounded delivery (``None`` = never).
-
-        Without a schedule the transport is probabilistically bounded
-        from slot 0; with one, the schedule says (latest of GST,
-        partition heals and churn ends).
-        """
-        if self.schedule is None:
-            return 0
-        return self.schedule.stabilization_time
-
     def _backoff(self, attempts: int) -> int:
         # Cap the exponent *before* exponentiation: at attempt 300 the
         # old min(2**300, cap) built a 90-digit integer per retransmit.

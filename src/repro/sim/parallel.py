@@ -46,7 +46,7 @@ import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Sequence
 
 __all__ = [
@@ -233,7 +233,6 @@ def run_many(
     *,
     workers: int | str | None = 1,
     timeout_s: float | None = None,
-    retries: int = 0,
 ) -> list[CaseOutcome]:
     """Run ``fn(payload)`` for every payload; outcomes in payload order.
 
@@ -247,17 +246,13 @@ def run_many(
             cpus.
         timeout_s: per-case wall-clock budget; an over-budget case is
             recorded as a failed outcome (``error_type="CaseTimeout"``).
-        retries: in-place retry passes for *transient* failures
-            (``WorkerCrash`` / ``CaseTimeout``).  Each pass re-runs the
-            surviving transient cases at once, in a fresh pool, with the
-            exact same payload (hence the same derived seed), so a
-            one-off OOM kill or a loaded host does not poison a long
-            soak.  A case that still fails after every pass keeps its
-            failure, with :attr:`CaseOutcome.retries` recording the
-            attempts spent.
 
     Cases go to the pool in chunks of ``ceil(len(payloads) / (4 *
-    workers))``.
+    workers))``.  A *transient* failure (``WorkerCrash`` /
+    ``CaseTimeout``) is re-run once, in place, with the exact same
+    payload (hence the same derived seed), so a one-off OOM kill or a
+    loaded host does not poison a long soak; a case that fails again
+    keeps its failure, with :attr:`CaseOutcome.retries` at 1.
 
     Returns:
         One :class:`CaseOutcome` per payload, index-aligned.  A case
@@ -277,53 +272,37 @@ def run_many(
         chunks = [cases[i:i + size] for i in range(0, len(cases), size)]
         outcomes = _dispatch(fn, chunks, worker_count, timeout_s)
     outcomes.sort(key=lambda outcome: outcome.index)
-    if retries > 0:
-        outcomes = _retry_transients(
-            fn, dict(cases), outcomes, worker_count, timeout_s, retries,
-        )
-    return outcomes
+    return _retry_transients(fn, cases, outcomes, worker_count, timeout_s)
 
 
 def _retry_transients(
     fn: Callable[[Any], Any],
-    payloads: dict[int, Any],
+    cases: list[tuple[int, Any]],
     outcomes: list[CaseOutcome],
     workers: int,
     timeout_s: float | None,
-    retries: int,
 ) -> list[CaseOutcome]:
-    """Re-run transient failures in place; outcomes stay index-aligned.
+    """Re-run transient failures once; outcomes stay index-aligned.
 
     Only ``WorkerCrash`` / ``CaseTimeout`` outcomes are retried --
     ordinary exceptions are deterministic properties of the case and
-    would fail identically.  Each pass dispatches the survivors as
-    single-case chunks in a fresh pool (serial when ``workers == 1``),
-    so one poisonous case cannot take healthy retries down with it.
+    would fail identically.  The pass dispatches them as single-case
+    chunks in a fresh pool (serial when ``workers == 1``), so one
+    poisonous case cannot take healthy retries down with it.
     """
-    from dataclasses import replace
-
-    by_index = {outcome.index: outcome for outcome in outcomes}
-    for _ in range(retries):
-        pending = sorted(
-            index for index, outcome in by_index.items()
-            if outcome.transient
-        )
-        if not pending:
-            break
-        if workers == 1:
-            fresh = [
-                _run_one(fn, index, payloads[index], timeout_s)
-                for index in pending
-            ]
-        else:
-            chunks = [[(index, payloads[index])] for index in pending]
-            fresh = _dispatch(fn, chunks, workers, timeout_s)
-        for outcome in fresh:
-            previous = by_index[outcome.index]
-            by_index[outcome.index] = replace(
-                outcome, retries=previous.retries + 1
-            )
-    return [by_index[index] for index in sorted(by_index)]
+    pending = [cases[o.index] for o in outcomes if o.transient]
+    if not pending:
+        return outcomes
+    if workers == 1:
+        fresh = [
+            _run_one(fn, index, payload, timeout_s)
+            for index, payload in pending
+        ]
+    else:
+        fresh = _dispatch(fn, [[case] for case in pending], workers, timeout_s)
+    for outcome in fresh:
+        outcomes[outcome.index] = replace(outcome, retries=1)
+    return outcomes
 
 
 def _pool_pass(

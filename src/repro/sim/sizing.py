@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import wraps
 from itertools import chain
 from typing import Any, Callable, Iterable
 
@@ -42,7 +41,6 @@ __all__ = [
     "decode_payload",
     "encode_payload",
     "measure_payload",
-    "memoized_wire_bits",
     "register",
 ]
 
@@ -59,38 +57,6 @@ DEFAULT_MAX_DEPTH = 32
 #: Nesting the recursive codec accepts: two frames a level, well inside
 #: the interpreter's default 1000-frame stack.
 CODEC_MAX_DEPTH = 256
-
-
-def memoized_wire_bits(compute: Callable[[Any], int]) -> Callable[[Any], int]:
-    """Cache a frozen dataclass's ``wire_bits`` on the instance.
-
-    Message objects are immutable, but the simulator prices them on
-    every send -- and the lossy transport on every retransmit, the
-    recovery plane on every WAL re-delivery.  The memo turns that into
-    one computation per object; being instance-scoped it is inherently
-    execution-scoped (messages are built fresh per party per run) and
-    cannot change the value, only how often it is recomputed.
-
-    Works on both ``__dict__``-backed and ``slots=True`` dataclasses;
-    a slotted message type must declare the memo slot itself::
-
-        _wire_bits_memo: int | None = field(
-            default=None, init=False, repr=False, compare=False
-        )
-
-    (``compare=False`` keeps equality and hashing on the payload
-    fields only, so the memo never perturbs message identity.)
-    """
-
-    @wraps(compute)
-    def wire_bits(self) -> int:
-        cached = getattr(self, "_wire_bits_memo", None)
-        if cached is None:
-            cached = compute(self)
-            object.__setattr__(self, "_wire_bits_memo", cached)
-        return cached
-
-    return wire_bits
 
 
 @dataclass(frozen=True, slots=True)
@@ -252,9 +218,8 @@ def decode_payload(data: dict) -> Any:
 def canonical_text(payload: Any) -> str:
     """Injective, decimal-free text of an honest ``payload``, for digests.
 
-    A registered dataclass appears by the fields its row lists, so a
-    non-comparing field (the ``memoized_wire_bits`` slot) stays out:
-    pricing never moves a digest.  Recursive, like :func:`bit_size`.
+    A registered dataclass appears by the fields its row lists.
+    Recursive, like :func:`bit_size`.
     """
     row = WIRE_SCHEMA.get(type(payload))
     if row is None:

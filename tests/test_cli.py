@@ -15,6 +15,7 @@ from repro.sim.fuzz import (
     ARTIFACT_FORMAT,
     ARTIFACT_SCHEMA_VERSION,
     FuzzCase,
+    fuzz,
     validate_artifact,
 )
 
@@ -303,3 +304,17 @@ class TestCaseTimeout:
         out = capsys.readouterr().out
         assert "3 case timeout(s)" in out
         assert "HonestPartyError" not in out
+
+
+class TestFuzzOutput:
+    def test_lists_every_case_before_the_summary(self, capsys):
+        """Without ``--quiet``, one ``[i/N] <case>`` line per sampled
+        case, in index order, then the report's summary."""
+        report = fuzz(runs=3, seed=0, shrink=False)
+        code = main(["fuzz", "--runs", "3", "--seed", "0", "--no-shrink"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out == "".join(
+            f"[{index + 1}/3] {case.describe()}\n"
+            for index, case in enumerate(report.cases)
+        ) + report.summary() + "\n"

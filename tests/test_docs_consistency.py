@@ -188,6 +188,16 @@ class TestOneWayToMeasure:
             r"|max_backoff|retry_backoff_s|chunksize"
         )
 
+    def test_unreached_mechanisms_stay_undocumented(self):
+        """The liveness monitor, the ``wire_bits`` memo, the decode-cache
+        environment variable and the unused GF vector kernels had no
+        caller: no doc may send a reader to them."""
+        assert_undocumented(
+            r"LivenessMonitor|memoized_wire_bits|_wire_bits_memo"
+            r"|REPRO_DECODE_MATRIX_CACHE_MAX|_cache_cap"
+            r"|mul_vec|signature_bits"
+        )
+
     def test_p_sections_point_at_committed_pairs(self):
         """A P-section's data is a ``benchmarks/pairs/`` document: every
         base revision and every file EXPERIMENTS.md names there exists."""

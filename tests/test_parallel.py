@@ -366,8 +366,7 @@ class TestRetries:
         outcome is the one an undisturbed run would have produced."""
         flag = str(tmp_path / "flag")
         outcomes = run_many(
-            sleep_until_flagged, [(flag, 3)], workers=1,
-            timeout_s=0.3, retries=1,
+            sleep_until_flagged, [(flag, 3)], workers=1, timeout_s=0.3,
         )
         assert outcomes[0].ok
         assert outcomes[0].value == 30
@@ -375,23 +374,19 @@ class TestRetries:
 
     def test_worker_crash_retry_exhausted_keeps_failure(self):
         """A case that reliably kills its worker stays a WorkerCrash
-        after the retry budget, with the attempts spent on record."""
-        outcomes = run_many(
-            die_on_negative, [1, -1], workers=2, retries=2,
-        )
+        after its one retry, with the retry on record."""
+        outcomes = run_many(die_on_negative, [1, -1], workers=2)
         assert outcomes[0].ok and outcomes[0].retries == 0
         crash = outcomes[1]
         assert not crash.ok
         assert crash.error_type == "WorkerCrash"
-        assert crash.retries == 2
+        assert crash.retries == 1
 
     def test_deterministic_errors_are_not_retried(self):
         """Ordinary exceptions are properties of the case, not the
         environment: retrying them would waste the budget failing
         identically."""
-        outcomes = run_many(
-            fail_on_odd, [1, 2], workers=1, retries=3,
-        )
+        outcomes = run_many(fail_on_odd, [1, 2], workers=1)
         assert not outcomes[0].ok
         assert outcomes[0].error_type == "ValueError"
         assert outcomes[0].retries == 0

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import random
-from types import SimpleNamespace
 
 import pytest
 from test_fuzz import canary_registry
@@ -28,7 +27,6 @@ from repro.sim import (
     CommunicationStats,
     FaultSpec,
     LinkSchedule,
-    LivenessMonitor,
     LossyTransport,
     TransportTimeout,
     lossy,
@@ -186,9 +184,6 @@ class TestTransportConstruction:
         assert LinkSchedule(
             gst=100, partitions=((0, -1, (0,)),)
         ).stabilization_time is None
-        # the transport answers with its schedule's, or 0 without one.
-        assert LossyTransport.partial_sync(gst=50).stabilization_time == 50
-        assert LossyTransport().stabilization_time == 0
 
     def test_describe_names_the_axes(self):
         transport = LossyTransport.partial_sync(
@@ -212,7 +207,7 @@ class TestFromSpec:
         spec = FaultSpec(partitions=((0, 50, (1, 2)),))
         transport = LossyTransport.from_spec(spec)
         assert transport.schedule == spec.schedule
-        assert transport.stabilization_time == 50
+        assert transport.schedule.stabilization_time == 50
 
     def test_link_only_spec_still_builds_plain_lossy(self):
         spec = FaultSpec(link_drop=0.2)
@@ -292,7 +287,10 @@ class TestHealingPartition:
         assert transport.total_resyncs == stats.resync_attempts
         assert transport.clock >= 400  # waited past the heal
 
-    def test_pre_gst_loss_with_liveness_monitor(self):
+    def test_pre_gst_loss_takes_the_perfect_network_rounds(self):
+        """The synchronizer spends slots, never rounds: pre-GST loss
+        leaves the logical round count, and so every round budget,
+        where the perfect network has it."""
         transport = LossyTransport.partial_sync(gst=200, pre_gst_drop=0.6, seed=8)
         baseline = run_protocol(
             flca_factory(), INPUTS7, n=7, t=2, kappa=KAPPA,
@@ -300,8 +298,9 @@ class TestHealingPartition:
         result = run_protocol(
             flca_factory(), INPUTS7, n=7, t=2, kappa=KAPPA,
             transport=transport,
-            monitors=[LivenessMonitor(500, transport)],
         )
+        assert transport.clock > baseline.stats.rounds
+        assert result.stats.rounds == baseline.stats.rounds
         assert result.outputs == baseline.outputs
         assert result.stats.honest_bits == baseline.stats.honest_bits
 
@@ -433,37 +432,6 @@ class TestFallbackRecordSerialization:
 
 
 # ---------------------------------------------------------------------------
-# liveness envelope
-# ---------------------------------------------------------------------------
-
-
-class TestLivenessMonitor:
-    def test_envelope_must_be_positive(self):
-        with pytest.raises(ValueError):
-            LivenessMonitor(0)
-
-    def test_counts_from_stabilization(self):
-        # horizon 0 (plain lossy transport): behaves like a round budget.
-        monitor = LivenessMonitor(2, LossyTransport())
-        monitor.on_round(SimpleNamespace(round_index=1), None)
-        with pytest.raises(ProtocolViolation):
-            monitor.on_round(SimpleNamespace(round_index=2), None)
-
-    def test_pre_stabilization_rounds_are_discounted(self):
-        transport = LossyTransport.partial_sync(gst=1_000_000)
-        monitor = LivenessMonitor(2, transport)
-        # the clock never reaches the horizon: every round is pre-GST.
-        for round_index in range(10):
-            monitor.on_round(SimpleNamespace(round_index=round_index), None)
-
-    def test_silent_on_never_stabilizing_network(self):
-        transport = LossyTransport.partial_sync(partitions=((0, -1, (0,)),))
-        monitor = LivenessMonitor(1, transport)
-        # liveness is not guaranteed without stabilization: no failure.
-        monitor.on_round(SimpleNamespace(round_index=500), None)
-
-
-# ---------------------------------------------------------------------------
 # partition-plane fuzzing
 # ---------------------------------------------------------------------------
 
@@ -558,7 +526,7 @@ def canary_campaign(tmp_path_factory):
     skipped) caught once in 12 cases, shrunk and archived."""
     artifact_dir = tmp_path_factory.mktemp("canary-artifacts")
     return fuzz(
-        runs=12, seed=1, registry=canary_registry(), partition=True,
+        runs=12, seed=1, registry_builder=canary_registry, partition=True,
         artifact_dir=str(artifact_dir),
     )
 

@@ -582,51 +582,6 @@ def test_decode_matrix_cache_lru_eviction(monkeypatch):
     assert len(rs._DECODE_MATRIX_CACHE) == 0
 
 
-def test_decode_matrix_cache_cap_from_environment(monkeypatch):
-    from repro.coding import reed_solomon as rs
-
-    monkeypatch.delenv("REPRO_DECODE_MATRIX_CACHE_MAX", raising=False)
-    assert rs._cache_cap() == 512
-    monkeypatch.setenv("REPRO_DECODE_MATRIX_CACHE_MAX", "7")
-    assert rs._cache_cap() == 7
-    # Unparsable settings disable memoization instead of crashing.
-    monkeypatch.setenv("REPRO_DECODE_MATRIX_CACHE_MAX", "lots")
-    assert rs._cache_cap() == 0
-
-
-def test_decode_matrix_cache_disabled_by_nonpositive_cap(monkeypatch):
-    from repro.coding import reed_solomon as rs
-
-    config.reset_process_caches()
-    monkeypatch.setattr(rs, "_DECODE_MATRIX_CACHE_MAX", 0)
-    code = ReedSolomonCode(5, 3)
-    shares = code.encode(b"xyz")
-    subset = {0: shares[0], 1: shares[1], 2: shares[2]}
-    with config.caches(True):
-        for _ in range(2):
-            with counters.capture() as counts:
-                assert code.decode(subset) == b"xyz"
-            assert counts.get("gf_matrix_invert", 0) == 1
-    assert len(rs._DECODE_MATRIX_CACHE) == 0
-
-
-# -- memoized wire_bits ----------------------------------------------------
-
-
-def test_merkle_witness_wire_bits_memoized():
-    _, witnesses = merkle.build(128, [b"a", b"b", b"c"])
-    witness = witnesses[0]
-    assert witness._wire_bits_memo is None
-    first = witness.wire_bits()
-    assert witness._wire_bits_memo == first
-    assert witness.wire_bits() == first
-    # slots=True: the memo lives in a declared slot, not a __dict__.
-    assert not hasattr(witness, "__dict__")
-    assert witness == type(witness)(
-        index=witness.index, siblings=witness.siblings
-    )
-
-
 def test_merkle_roundtrip_and_defensive_verify():
     root, witnesses = merkle.build(128, [b"x", b"y", b"z"])
     assert merkle.verify(128, root, 1, b"y", witnesses[1])

@@ -336,7 +336,7 @@ class TestWireSchema:
     @given(schema_payloads)
     def test_canonical_text_is_blind_to_the_pricing_memo(self, payload):
         before = canonical_text(payload)
-        measure_payload(payload, **UNBOUNDED)  # fills _wire_bits_memo
+        measure_payload(payload, **UNBOUNDED)  # prices every witness
         assert canonical_text(payload) == before
 
     @given(schema_payloads.filter(_priced), schema_payloads.filter(_priced))

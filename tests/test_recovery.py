@@ -80,7 +80,7 @@ class TestWal:
         witness = MerkleWitness(3, (b"\x01" * 8, b"\x02" * 8))
         outbox = Outgoing("ch", {0: ("share", witness), 1: BitString(5, 3)})
         before = outbox_digest(outbox)
-        assert bit_size(witness) == witness._wire_bits_memo
+        assert bit_size(witness) == witness.wire_bits()
         assert outbox_digest(outbox) == before
 
     def test_outbox_digest_tells_payloads_apart(self):
