@@ -19,75 +19,36 @@ Quick start::
     print(outcome.stats.honest_bits) # the paper's BITS_l metric
 """
 
-from .aa import approximate_agreement
-from .authenticated import authenticated_ca, dolev_strong_broadcast
-from .core import (
-    BitString,
-    ConvexAgreementOutcome,
-    convex_agreement,
-    default_threshold,
-    fixed_length_ca,
-    fixed_length_ca_blocks,
-    high_cost_ca,
-    protocol_n,
-    protocol_z,
-)
-from .core.vector import vector_convex_agreement
-from .errors import (
-    CodingError,
-    ConfigurationError,
-    ProtocolViolation,
-    ReproError,
-    SimulationError,
-)
-from .sim import (
-    AdaptiveCorruptionAdversary,
-    Adversary,
-    Context,
-    CrashAdversary,
-    EquivocatingAdversary,
-    ExecutionResult,
-    OutlierAdversary,
-    PassiveAdversary,
-    RandomGarbageAdversary,
-    ScriptedAdversary,
-    SplitVoteAdversary,
-    run_protocol,
-    standard_adversary_suite,
-)
+from ._lazy import lazy_exports
+
+# Eager on purpose: ``repro.core`` loads ``repro.ba`` in the one order
+# that resolves the ``ba.domains -> core.bitstrings`` /
+# ``core.add_last -> ba.domains`` cycle, and it registers the
+# ``BitString`` / ``MerkleWitness`` wire rows.  Everything else loads on
+# first use (PEP 562), so one ``convex_agreement`` call never imports
+# the chaos harness, the baselines or the other settings.
+from . import core, errors  # noqa: F401
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AdaptiveCorruptionAdversary",
-    "Adversary",
-    "BitString",
-    "CodingError",
-    "ConfigurationError",
-    "Context",
-    "ConvexAgreementOutcome",
-    "CrashAdversary",
-    "EquivocatingAdversary",
-    "ExecutionResult",
-    "OutlierAdversary",
-    "PassiveAdversary",
-    "ProtocolViolation",
-    "RandomGarbageAdversary",
-    "ReproError",
-    "ScriptedAdversary",
-    "SimulationError",
-    "SplitVoteAdversary",
-    "approximate_agreement",
-    "authenticated_ca",
-    "convex_agreement",
-    "default_threshold",
-    "dolev_strong_broadcast",
-    "fixed_length_ca",
-    "fixed_length_ca_blocks",
-    "high_cost_ca",
-    "protocol_n",
-    "protocol_z",
-    "run_protocol",
-    "standard_adversary_suite",
-    "vector_convex_agreement",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".core": (
+        "BitString", "ConvexAgreementOutcome", "convex_agreement",
+        "default_threshold", "fixed_length_ca", "fixed_length_ca_blocks",
+        "high_cost_ca", "protocol_n", "protocol_z",
+    ),
+    ".core.vector": ("vector_convex_agreement",),
+    ".errors": (
+        "CodingError", "ConfigurationError", "ProtocolViolation",
+        "ReproError", "SimulationError",
+    ),
+    ".aa": ("approximate_agreement",),
+    ".authenticated": ("authenticated_ca", "dolev_strong_broadcast"),
+    ".sim": (
+        "AdaptiveCorruptionAdversary", "Adversary", "Context",
+        "CrashAdversary", "EquivocatingAdversary", "ExecutionResult",
+        "OutlierAdversary", "PassiveAdversary", "RandomGarbageAdversary",
+        "ScriptedAdversary", "SplitVoteAdversary", "run_protocol",
+        "standard_adversary_suite",
+    ),
+})

@@ -122,9 +122,9 @@ def measure(
     adversary: Adversary | None = None,
     inputs: list[int] | None = None,
 ) -> Measurement:
-    """Run one execution of a :func:`~repro.sim.fuzz.standard_registry`
+    """Run one execution of a :func:`~repro.sim.registry.standard_registry`
     protocol and collect its communication metrics."""
-    from ..sim.fuzz import standard_registry
+    from ..sim.registry import standard_registry
 
     if t is None:
         t = (n - 1) // 3

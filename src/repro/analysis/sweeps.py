@@ -50,7 +50,7 @@ class GridSpec:
     spread: str = "clustered"
 
     def __post_init__(self) -> None:
-        from ..sim.fuzz import standard_registry
+        from ..sim.registry import standard_registry
 
         protocols = standard_registry()
         if self.protocol not in protocols:

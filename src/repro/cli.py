@@ -39,14 +39,9 @@ import os
 import sys
 
 from .errors import ReproError
-from .analysis import (
-    EXPERIMENTS_SCHEMA,
-    comparison_series,
-    format_experiments,
-    format_measurements,
-    marginal_slope,
-)
-from .core.api import convex_agreement
+# The adversary classes load with ``import repro`` (the protocol stack
+# needs them); every other import sits in the command that uses it, so
+# ``repro --help`` loads no harness.
 from .sim.adversary import (
     Adversary,
     CrashAdversary,
@@ -71,7 +66,7 @@ ADVERSARIES: dict[str, type[Adversary]] = {
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser for all subcommands."""
-    from .sim.fuzz import standard_registry
+    from .sim.registry import standard_registry
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -231,6 +226,8 @@ def _str_list(text: str) -> list[str]:
 
 
 def _cmd_run(args) -> int:
+    from .core.api import convex_agreement
+
     adversary = ADVERSARIES[args.adversary](seed=args.seed)
     if args.setting == "authenticated":
         outcome = _run_authenticated(args, adversary)
@@ -256,8 +253,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    from .analysis.sweeps import (
+    from .analysis import (
         GridSpec,
+        format_measurements,
+        marginal_slope,
         run_grid,
         save_sweep_document,
         sweep_document,
@@ -305,6 +304,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from .analysis import comparison_series, format_measurements, marginal_slope
+
     series = comparison_series(
         args.protocols, n=args.n, ells=args.ells, seed=args.seed
     )
@@ -324,6 +325,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from .analysis import EXPERIMENTS_SCHEMA, format_experiments
+
     try:
         with open(args.document) as handle:
             document = json.load(handle)

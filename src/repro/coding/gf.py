@@ -26,6 +26,7 @@ Two standard instantiations are exported:
 
 from __future__ import annotations
 
+from array import array
 from typing import Sequence
 
 try:  # numpy is an optional extra; the python backend needs none of it.
@@ -113,10 +114,15 @@ class BinaryField:
         leave the field unbuilt, not half-built for the process's life.
         """
         if self._tables is None:
-            sentinel = 2 * self.mul_group_order
+            period = self.mul_group_order
+            sentinel = 2 * period
+            # one period through a C buffer, not the doubled list of
+            # Python ints; the logs are its inverse permutation.
+            powers = np.frombuffer(array("H", self._exp_list[:period]), np.uint16)
             exp = np.zeros(2 * sentinel + 1, dtype=np.uint16)
-            exp[:sentinel] = self._exp_list
-            log = np.array(self._log_list, dtype=np.intp)
+            exp[:period] = exp[period:sentinel] = powers
+            log = np.empty(self.order, dtype=np.intp)
+            log[powers] = np.arange(period, dtype=np.intp)
             log[0] = sentinel
             self._tables = exp, log
         return self._tables
@@ -199,6 +205,9 @@ class BinaryField:
         the gather itself; byte-identical to the scalar oracle.
         """
         exp, log = self._numpy_tables()
+        if not len(data):
+            # k = 0: an empty sum in every cell, the oracle's r x 0.
+            return np.zeros((len(matrix), 0), dtype=np.uint16)
         log_data = log.take(data)
         cols = log_data.shape[1]
         out = np.empty((len(matrix), cols), dtype=np.uint16)

@@ -25,10 +25,8 @@ from ..ba.phase_king import phase_king
 from ..errors import ConfigurationError
 from ..sim.adversary import Adversary
 from ..sim.metrics import CommunicationStats
-from ..sim.network import ExecutionResult
+from ..sim.network import ExecutionResult, run_protocol
 from ..sim.party import Proto
-from ..sim.network import run_protocol
-from ..sim.supervisor import run_with_escalation
 from .protocol_z import protocol_z
 
 __all__ = ["ConvexAgreementOutcome", "convex_agreement", "default_threshold"]
@@ -126,7 +124,10 @@ def convex_agreement(
     if t is None:
         t = default_threshold(n)
 
-    run = run_with_escalation if degrade else run_protocol
+    if degrade:
+        from ..sim.supervisor import run_with_escalation as run
+    else:
+        run = run_protocol
     execution = run(
         lambda ctx, v: protocol_z(ctx, v, ba=ba),
         values,

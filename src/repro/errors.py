@@ -113,5 +113,11 @@ class HonestPartyError(ReproError):
         self.inbox_digest = inbox_digest
 
 
+class TransportTimeout(ReproError):
+    """The lossy transport's synchronizer exhausted its slot budget for
+    one round (:mod:`repro.sim.lossy`); the network re-raises it as a
+    :class:`SimulationError` carrying the partial execution."""
+
+
 class CodingError(ReproError):
     """Reed-Solomon encoding/decoding failed (bad share set, bad framing)."""

@@ -22,134 +22,41 @@ deterministic quarantine of ill-formed byzantine traffic
 attacks them (:mod:`repro.sim.bombs`).
 """
 
-from .adversary import (
-    DROP,
-    AdaptiveCorruptionAdversary,
-    Adversary,
-    CrashAdversary,
-    EquivocatingAdversary,
-    KingTargetingAdversary,
-    OutlierAdversary,
-    PassiveAdversary,
-    PrefixPoisonAdversary,
-    RandomGarbageAdversary,
-    RoundView,
-    ScriptedAdversary,
-    SplitVoteAdversary,
-    WitnessSuppressionAdversary,
-    standard_adversary_suite,
-)
-from .bombs import (
-    BOMB_CATALOG,
-    DeepNestAdversary,
-    NearValidMutantAdversary,
-    OversizeBlobAdversary,
-    TypeConfusionAdversary,
-    deep_nest,
-)
-from .faults import (
-    ComposedAdversary,
-    FaultInjector,
-    FaultSpec,
-    RecordingAdversary,
-    ReplayAdversary,
-)
-from .invariants import (
-    AgreementMonitor,
-    BitBudgetMonitor,
-    ConvexValidityMonitor,
-    CrashBudgetMonitor,
-    InvariantMonitor,
-    LockstepMonitor,
-    RoundBudgetMonitor,
-    default_monitors,
-)
-from .lossy import (
-    ACK_BITS,
-    BEACON_BITS,
-    LossyTransport,
-    TransportTimeout,
-)
-from .metrics import CommunicationStats
-from .network import (
-    ExecutionResult,
-    SynchronousNetwork,
-    default_round_budget,
-    run_protocol,
-)
-from .parallel import CaseOutcome, derive_seed, resolve_workers, run_many
-from .partial_sync import LinkSchedule
-from .recovery import RecoveryError, RecoveryManager
-from .supervisor import FallbackRecord, run_with_escalation
-from .party import Context, Outgoing, Proto, broadcast_round, exchange
-from .trace import Event, RoundRecord, summarize_trace
-from .sizing import bit_size
-from .wire import WireGuard, WireLimits, inbox_digest, measure_payload
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ACK_BITS",
-    "BEACON_BITS",
-    "DROP",
-    "AdaptiveCorruptionAdversary",
-    "Adversary",
-    "AgreementMonitor",
-    "BOMB_CATALOG",
-    "BitBudgetMonitor",
-    "CommunicationStats",
-    "ComposedAdversary",
-    "Context",
-    "ConvexValidityMonitor",
-    "CrashAdversary",
-    "CrashBudgetMonitor",
-    "DeepNestAdversary",
-    "FallbackRecord",
-    "LinkSchedule",
-    "LossyTransport",
-    "RecoveryError",
-    "RecoveryManager",
-    "TransportTimeout",
-    "EquivocatingAdversary",
-    "Event",
-    "ExecutionResult",
-    "FaultInjector",
-    "FaultSpec",
-    "InvariantMonitor",
-    "KingTargetingAdversary",
-    "LockstepMonitor",
-    "NearValidMutantAdversary",
-    "Outgoing",
-    "OutlierAdversary",
-    "OversizeBlobAdversary",
-    "PassiveAdversary",
-    "PrefixPoisonAdversary",
-    "Proto",
-    "RandomGarbageAdversary",
-    "RecordingAdversary",
-    "ReplayAdversary",
-    "RoundBudgetMonitor",
-    "RoundView",
-    "ScriptedAdversary",
-    "SplitVoteAdversary",
-    "RoundRecord",
-    "SynchronousNetwork",
-    "TypeConfusionAdversary",
-    "WireGuard",
-    "WireLimits",
-    "WitnessSuppressionAdversary",
-    "CaseOutcome",
-    "bit_size",
-    "broadcast_round",
-    "deep_nest",
-    "default_monitors",
-    "default_round_budget",
-    "derive_seed",
-    "exchange",
-    "inbox_digest",
-    "measure_payload",
-    "resolve_workers",
-    "run_many",
-    "run_protocol",
-    "run_with_escalation",
-    "summarize_trace",
-    "standard_adversary_suite",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".adversary": (
+        "DROP", "AdaptiveCorruptionAdversary", "Adversary", "CrashAdversary",
+        "EquivocatingAdversary", "KingTargetingAdversary", "OutlierAdversary",
+        "PassiveAdversary", "PrefixPoisonAdversary", "RandomGarbageAdversary",
+        "RoundView", "ScriptedAdversary", "SplitVoteAdversary",
+        "WitnessSuppressionAdversary", "standard_adversary_suite",
+    ),
+    ".bombs": (
+        "BOMB_CATALOG", "DeepNestAdversary", "NearValidMutantAdversary",
+        "OversizeBlobAdversary", "TypeConfusionAdversary", "deep_nest",
+    ),
+    ".faults": (
+        "ComposedAdversary", "FaultInjector", "FaultSpec",
+        "RecordingAdversary", "ReplayAdversary",
+    ),
+    ".invariants": (
+        "AgreementMonitor", "BitBudgetMonitor", "ConvexValidityMonitor",
+        "CrashBudgetMonitor", "InvariantMonitor", "LockstepMonitor",
+        "RoundBudgetMonitor", "default_monitors",
+    ),
+    ".lossy": ("ACK_BITS", "BEACON_BITS", "LossyTransport", "TransportTimeout"),
+    ".metrics": ("CommunicationStats",),
+    ".network": (
+        "ExecutionResult", "SynchronousNetwork", "default_round_budget",
+        "run_protocol",
+    ),
+    ".parallel": ("CaseOutcome", "derive_seed", "resolve_workers", "run_many"),
+    ".partial_sync": ("LinkSchedule",),
+    ".recovery": ("RecoveryError", "RecoveryManager"),
+    ".supervisor": ("FallbackRecord", "run_with_escalation"),
+    ".party": ("Context", "Outgoing", "Proto", "broadcast_round", "exchange"),
+    ".trace": ("Event", "RoundRecord", "summarize_trace"),
+    ".sizing": ("bit_size",),
+    ".wire": ("WireGuard", "WireLimits", "inbox_digest", "measure_payload"),
+})

@@ -42,7 +42,6 @@ __all__ = [
     "KingTargetingAdversary",
     "PrefixPoisonAdversary",
     "WitnessSuppressionAdversary",
-    "STANDARD_ADVERSARIES",
     "standard_adversary_suite",
 ]
 
@@ -481,7 +480,3 @@ def standard_adversary_suite(seed: int = 0) -> list[Adversary]:
         PrefixPoisonAdversary(seed=seed),
         WitnessSuppressionAdversary(seed=seed),
     ]
-
-
-#: Names for parametrised tests.
-STANDARD_ADVERSARIES = [adv.describe() for adv in standard_adversary_suite()]

@@ -60,7 +60,7 @@ import hashlib
 import random
 from typing import Any, Iterable
 
-from ..errors import ConfigurationError, ReproError
+from ..errors import ConfigurationError, TransportTimeout
 from ..perf import counters
 from .metrics import CommunicationStats
 from .partial_sync import LinkSchedule
@@ -95,10 +95,6 @@ _BACKOFF_EXP_CAP = MAX_BACKOFF.bit_length()
 #: ``BUDGET_GROWTH``, capped at ``BUDGET_CAP`` (never shrunk below it).
 BUDGET_GROWTH = 2
 BUDGET_CAP = 1 << 15
-
-
-class TransportTimeout(ReproError):
-    """The synchronizer exhausted its slot budget for one round."""
 
 
 class LossyTransport:

@@ -48,7 +48,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from ..errors import (
     ConfigurationError,
@@ -56,17 +56,20 @@ from ..errors import (
     ProtocolViolation,
     ReproError,
     SimulationError,
+    TransportTimeout,
 )
 from ..perf import counters
 from .adversary import Adversary, PassiveAdversary, RoundView
-from .invariants import InvariantMonitor
-from .lossy import LossyTransport, TransportTimeout
 from .metrics import CommunicationStats
 from .party import Context, Outgoing, Proto, SharedInbox
-from .recovery import RecoveryManager
 from .sizing import bit_size, brief_text
 from .trace import Event, RoundRecord
-from .wire import WireGuard, WireLimits, inbox_digest
+
+if TYPE_CHECKING:
+    # The planes' modules load only where a run arms them.
+    from .invariants import InvariantMonitor
+    from .lossy import LossyTransport
+    from .wire import WireLimits
 
 __all__ = [
     "ExecutionResult",
@@ -268,18 +271,13 @@ class SynchronousNetwork:
         # table on :meth:`_run_round`); ``transport`` and ``_recovery``
         # arm their own stages by being present.  The recovery plane
         # exists iff the adversary asks for crashes at round boundaries.
-        self._recovery = (
-            RecoveryManager(
-                protocol_factory,
-                self.inputs,
-                n,
-                t,
-                kappa,
-                cache,
+        self._recovery = None
+        if self.adversary.has_crash_plane:
+            from .recovery import RecoveryManager
+
+            self._recovery = RecoveryManager(
+                protocol_factory, self.inputs, n, t, kappa, cache
             )
-            if self.adversary.has_crash_plane
-            else None
-        )
         # The exact PassiveAdversary relays corrupted parties' spec
         # messages verbatim, never adapts and never crashes anyone.
         scripted = type(self.adversary) is not PassiveAdversary
@@ -293,7 +291,11 @@ class SynchronousNetwork:
         planes = (
             scripted or transport is not None or self._recovery is not None
         )
-        self._guard = WireGuard(guards) if guards and planes else None
+        self._guard = None
+        if guards and planes:
+            from .wire import WireGuard
+
+            self._guard = WireGuard(guards)
         #: whether the adversary stage runs (``RoundView``, ``deliver``,
         #: ``adapt``); the guard inspects what ``deliver`` returns, so it
         #: arms the stage too.
@@ -431,6 +433,8 @@ class SynchronousNetwork:
         # input-validation bugs from harness bugs and budget errors.
         # repr()-free on purpose -- the offending payload may be
         # arbitrarily hostile.
+        from .wire import inbox_digest
+
         digest = inbox_digest(state.inbox)
         summary = str(error)
         if len(summary) > 200:

@@ -83,19 +83,19 @@ def resolve_workers(workers: int | str | None) -> int:
 
 
 def warm_worker(backend: str | None = None) -> None:
-    """Pool initializer: pre-build hot tables before the first case.
+    """Pool initializer: pin the worker's kernel backend.
 
-    Importing :mod:`repro.coding.gf` constructs the ``GF256``/``GF65536``
-    exp/log tables at module scope, which is the only expensive one-off
-    state the protocol stack needs.  ``backend`` pins the worker's
-    kernel backend to the parent's resolved choice, so a campaign run
-    under ``repro fuzz --backend ...`` (or a programmatic
+    There is nothing left to warm by then: the worker imported
+    :mod:`repro` to reach this function, and that import builds the
+    ``GF256``/``GF65536`` exp/log lists (module scope of
+    :mod:`repro.coding.gf`); their numpy views are built by the first
+    batched kernel call.  ``backend`` pins the worker's kernel backend
+    to the parent's resolved choice, so a campaign run under
+    ``repro fuzz --backend ...`` (or a programmatic
     :func:`repro.perf.config.set_backend`) uses the same kernels in
     every process.  Results are byte-identical across backends either
     way -- the pinning keeps *timings* and conformance runs honest.
     """
-    import repro.coding.gf  # noqa: F401  (import is the warm-up)
-
     if backend is not None:
         from repro.perf import config
 

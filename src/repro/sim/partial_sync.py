@@ -127,25 +127,6 @@ class LinkSchedule:
             ),
         )
 
-    @property
-    def stabilization_time(self) -> int | None:
-        """First global slot after which the network behaves; ``None`` = never.
-
-        The model's GST is the latest of: the declared ``gst``, the heal
-        slot of every partition, and the end of every churn window.  A
-        partition with ``heal == -1`` never heals, so the network never
-        stabilizes and liveness is not guaranteed (only the failover
-        ladder is).
-        """
-        latest = self.gst or 0
-        for _, heal, _ in self.partitions:
-            if heal == -1:
-                return None
-            latest = max(latest, heal)
-        for _, end, _ in self.churn:
-            latest = max(latest, end)
-        return latest
-
     def loss_at(self, at: int) -> float:
         """The schedule's per-copy loss rate at global slot ``at``.
 

@@ -365,6 +365,18 @@ def test_matmul_zero_row_and_zero_column_explicit():
     assert expected[0] == [0, 0, 0]
 
 
+@requires_numpy
+@pytest.mark.parametrize("field", FIELDS, ids=["GF256", "GF65536"])
+def test_matmul_with_no_data_rows(field):
+    """k = 0: every cell is an empty sum, so ``r x k @ k x c`` is
+    ``r x 0`` under both kernels (the numpy one raised ``IndexError``)."""
+    for matrix, expected in (([], []), ([[]], [[]]), ([[], []], [[], []])):
+        for backend in BACKENDS:
+            with config.use_backend(backend):
+                got = field.matmul(matrix, [])
+                assert [list(row) for row in got] == expected
+
+
 # -- Reed-Solomon round-trips ----------------------------------------------
 
 

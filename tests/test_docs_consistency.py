@@ -190,12 +190,14 @@ class TestOneWayToMeasure:
 
     def test_unreached_mechanisms_stay_undocumented(self):
         """The liveness monitor, the ``wire_bits`` memo, the decode-cache
-        environment variable and the unused GF vector kernels had no
+        environment variable, the unused GF vector kernels, the
+        schedule's stabilization time and the adversary-name list had no
         caller: no doc may send a reader to them."""
         assert_undocumented(
             r"LivenessMonitor|memoized_wire_bits|_wire_bits_memo"
             r"|REPRO_DECODE_MATRIX_CACHE_MAX|_cache_cap"
-            r"|mul_vec|signature_bits"
+            r"|mul_vec|signature_bits|stabilization_time"
+            r"|STANDARD_ADVERSARIES"
         )
 
     def test_p_sections_point_at_committed_pairs(self):

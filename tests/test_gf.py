@@ -322,6 +322,9 @@ class TestSentinelKernel:
         # ... and a zero operand always does, at both of its ends.
         assert log[0] + log[1:].min() == log[0]
         assert exp[log[0] + log[0]] == 0
+        # The views hold the lists' values: the doubled powers, their logs.
+        assert exp[: log[0]].tolist() == field._exp_list
+        assert log[1:].tolist() == field._log_list[1:]
 
     @pytest.mark.parametrize("field", [GF256, GF65536], ids=["2^8", "2^16"])
     def test_extreme_indices_through_every_kernel(self, field):
@@ -429,15 +432,16 @@ def test_numpy_tables_survive_an_interrupted_build(monkeypatch):
     ``BaseException`` landing mid-build (the engine's alarm) must leave
     the lazily built tables unbuilt, never half-built."""
     field = BinaryField(8, 0x11D)
-    real_array, interrupted = np.array, []
+    # ``arange`` numbers the logs, after the antilog table is filled
+    real_arange, interrupted = np.arange, []
 
-    def array_interrupted_once(*args, **kwargs):
+    def arange_interrupted_once(*args, **kwargs):
         if not interrupted:
             interrupted.append(True)
             raise KeyboardInterrupt
-        return real_array(*args, **kwargs)
+        return real_arange(*args, **kwargs)
 
-    monkeypatch.setattr(np, "array", array_interrupted_once)
+    monkeypatch.setattr(np, "arange", arange_interrupted_once)
     matrix, data = [[1, 2], [3, 255]], [[5, 0, 7], [11, 13, 254]]
     with config.use_backend("numpy"):
         with pytest.raises(KeyboardInterrupt):

@@ -172,19 +172,6 @@ class TestTransportConstruction:
         assert transport._backoff(4) == 16
         assert transport._backoff(2) == 4
 
-    def test_stabilization_time(self):
-        assert LinkSchedule().stabilization_time == 0
-        assert LinkSchedule(gst=100).stabilization_time == 100
-        assert LinkSchedule(
-            gst=100, partitions=((0, 250, (0,)),)
-        ).stabilization_time == 250
-        assert LinkSchedule(
-            gst=100, churn=((0, 300, 0.3),)
-        ).stabilization_time == 300
-        assert LinkSchedule(
-            gst=100, partitions=((0, -1, (0,)),)
-        ).stabilization_time is None
-
     def test_describe_names_the_axes(self):
         transport = LossyTransport.partial_sync(
             gst=10, pre_gst_drop=0.3, partitions=((0, 5, (1,)),), drop=0.1,
@@ -207,7 +194,7 @@ class TestFromSpec:
         spec = FaultSpec(partitions=((0, 50, (1, 2)),))
         transport = LossyTransport.from_spec(spec)
         assert transport.schedule == spec.schedule
-        assert transport.schedule.stabilization_time == 50
+        assert transport.schedule.partitions == ((0, 50, frozenset({1, 2})),)
 
     def test_link_only_spec_still_builds_plain_lossy(self):
         spec = FaultSpec(link_drop=0.2)
