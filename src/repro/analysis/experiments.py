@@ -197,7 +197,13 @@ def comparison_series(
     seed: int = 0,
     spread: str = "spread",
 ) -> dict[str, list[Measurement]]:
-    """The F1 figure: several protocols over the same ``ell`` sweep."""
+    """The F1 figure: several protocols over the same ``ell`` sweep;
+    ``ValueError`` names the unknown protocols before anything runs."""
+    from ..sim.registry import standard_registry
+
+    unknown = set(protocols) - set(standard_registry())
+    if unknown:
+        raise ValueError(f"unknown protocols: {sorted(unknown)}")
     return {
         protocol: sweep_ell(
             protocol, n, ells, kappa=kappa, seed=seed, spread=spread

@@ -181,11 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "honest wire guards armed; an honest-party "
                            "crash on hostile input is a shrinkable "
                            "HonestPartyError failure")
-    fuzz.add_argument("--backend", choices=["python", "numpy"],
-                      default=None,
-                      help="pin the GF/RS/Merkle kernel backend for the "
-                           "campaign (workers inherit it); results are "
-                           "byte-identical either way")
     fuzz.add_argument("--quiet", action="store_true",
                       help="only print the final summary")
 
@@ -209,10 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--check", default=None,
                          help="diff deterministic counters against this "
                               "baseline document; exit 1 on any regression")
-    profile.add_argument("--backend", choices=["python", "numpy"],
-                         default=None,
-                         help="pin the kernel backend for the battery "
-                              "(default: REPRO_BACKEND or auto)")
 
     return parser
 
@@ -306,9 +297,13 @@ def _cmd_sweep(args) -> int:
 def _cmd_compare(args) -> int:
     from .analysis import comparison_series, format_measurements, marginal_slope
 
-    series = comparison_series(
-        args.protocols, n=args.n, ells=args.ells, seed=args.seed
-    )
+    try:
+        series = comparison_series(
+            args.protocols, n=args.n, ells=args.ells, seed=args.seed
+        )
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     for protocol in args.protocols:
         print(format_measurements(series[protocol], title=protocol))
         ms = series[protocol]
@@ -353,15 +348,7 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
-    from .perf import config as perf_config
     from .sim.fuzz import fuzz
-
-    if args.backend is not None:
-        try:
-            perf_config.set_backend(args.backend)
-        except ValueError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
 
     try:
         report = fuzz(
@@ -462,18 +449,10 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    from .perf import config as perf_config
     from .perf import profile as perf_profile
 
-    try:
-        document = perf_profile.hotpath_document(
-            quick=args.quick, backend=args.backend
-        )
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    print(f"hot-path battery ({'quick' if args.quick else 'full'}, "
-          f"backend={args.backend or perf_config.backend()}):")
+    document = perf_profile.hotpath_document(quick=args.quick)
+    print(f"hot-path battery ({'quick' if args.quick else 'full'}):")
     for key, entry in document["deterministic"].items():
         ops = entry["counters"]
         print(

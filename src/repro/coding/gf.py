@@ -2,20 +2,17 @@
 
 Section 7 of the paper requires Reed-Solomon codewords to be elements of
 a Galois field ``GF(2^a)`` with ``n <= 2^a - 1``.  We provide a generic
-:class:`BinaryField` with log/antilog tables whose bulk operations come
-in two byte-identical kernel implementations, selected at runtime by
-:func:`repro.perf.config.backend`:
+:class:`BinaryField` with log/antilog tables.  Its scalar ops walk plain
+lists; its matrix product is table-batched: one fused log-gather +
+exp-gather + XOR reduction over zero-sentinel numpy tables with
+``uint16`` products (the long-message benchmarks encode hundreds of
+kilobits, so the per-symbol hot path must be array-based, not
+per-element Python).  numpy is imported at the first product, not with
+this module, so ``import repro`` loads none of it.
 
-* ``"python"`` -- pure-python scalar reference: per-element log/exp
-  table lookups over plain lists.  No third-party dependencies.
-* ``"numpy"`` -- table-batched: one fused log-gather + exp-gather + XOR
-  reduction over zero-sentinel tables with ``uint16`` products (the
-  long-message benchmarks encode hundreds of kilobits, so the
-  per-symbol hot path must be array-based, not per-element Python).
-
-Both kernels are exact GF arithmetic over the same tables, so outputs
-are bit-identical by construction; ``tests/test_backend_conformance.py``
-proves it differentially across the whole protocol stack.
+The test suite keeps the pure-python triple loop as the oracle the
+batched kernel is checked against, element by element and across the
+whole protocol stack (``tests/test_backend_conformance.py``).
 
 Two standard instantiations are exported:
 
@@ -29,31 +26,19 @@ from __future__ import annotations
 from array import array
 from typing import Sequence
 
-try:  # numpy is an optional extra; the python backend needs none of it.
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised in no-numpy installs
-    np = None  # type: ignore[assignment]
-
-from ..perf import config, counters
+from ..perf import counters
 
 __all__ = ["BinaryField", "LogMatrix", "GF256", "GF65536"]
-
-
-def _as_rows(data) -> list[list[int]]:
-    """Normalise matrix-shaped input to a list of int lists."""
-    if np is not None and isinstance(data, np.ndarray):
-        return data.tolist()
-    return [list(row) for row in data]
 
 
 class LogMatrix(list):
     """Coefficient rows that remember their log-domain form.
 
-    A plain list of rows to every consumer (the scalar oracle, matrix
-    inversion, tests).  The numpy kernel parks the discrete logs of the
-    coefficients on it at first use, so a matrix applied many times (an
-    RS generator, a memoized decode matrix) is converted once.  It
-    belongs to the one field it is multiplied in and is never mutated.
+    A plain list of rows to every consumer (matrix inversion, tests).
+    The batched kernel parks the discrete logs of the coefficients on it
+    at first use, so a matrix applied many times (an RS generator, a
+    memoized decode matrix) is converted once.  It belongs to the one
+    field it is multiplied in and is never mutated.
     """
 
     __slots__ = ("logs",)
@@ -75,9 +60,9 @@ class BinaryField:
         self.mul_group_order = self.order - 1
 
         # exp table doubled so exp[log a + log b] never needs a modulo.
-        # Built as plain lists (the python backend's native format and
-        # the fastest container for the scalar ops); the numpy views are
-        # materialised lazily on first batched-kernel use.
+        # Built as plain lists (the fastest container for the scalar
+        # ops); the numpy views are materialised lazily on first
+        # batched-kernel use.
         exp = [0] * (2 * self.mul_group_order)
         log = [0] * self.order
         x = 1
@@ -101,7 +86,7 @@ class BinaryField:
         self._tables = None  # numpy (exp, log) views, built on demand
 
     def _numpy_tables(self):
-        """Zero-sentinel ``(exp, log)`` tables (numpy backend only).
+        """Zero-sentinel ``(exp, log)`` numpy tables of the batched kernel.
 
         ``log[0]`` is ``2(q-1)``, past every sum of two real logs, and
         the ``uint16`` antilog table is zero from there up to
@@ -114,6 +99,8 @@ class BinaryField:
         leave the field unbuilt, not half-built for the process's life.
         """
         if self._tables is None:
+            import numpy as np
+
             period = self.mul_group_order
             sentinel = 2 * period
             # one period through a C buffer, not the doubled list of
@@ -155,40 +142,16 @@ class BinaryField:
 
     # -- matrix product ---------------------------------------------------
     def matmul(self, matrix: Sequence[Sequence[int]], data):
-        """GF matrix product ``matrix (r x k) @ data (k x c) -> (r x c)``.
+        """GF matrix product ``matrix (r x k) @ data (k x c) -> (r x c)``,
+        a ``uint16`` array.
 
-        The single entry point both backends share, so the
-        ``gf_matmul`` counter is bumped identically no matter which
-        kernel runs.  ``k`` is small (<= n parties); everything over the
-        chunk dimension ``c`` (message length / k) is the hot axis.
+        The counter is bumped here, above the kernel, so the scalar
+        oracle the tests swap in for :meth:`_matmul_numpy` counts the
+        same.  ``k`` is small (<= n parties); everything over the chunk
+        dimension ``c`` (message length / k) is the hot axis.
         """
         counters.bump("gf_matmul")
-        if config.backend() == "numpy":
-            return self._matmul_numpy(matrix, data)
-        return self._matmul_python(matrix, data)
-
-    def _matmul_python(self, matrix, data) -> list[list[int]]:
-        """Scalar reference kernel: the textbook triple loop.
-
-        Deliberately written element by element through the public
-        :meth:`mul`/:meth:`add` scalar API -- this kernel is the
-        conformance *oracle* the batched backend is differentially
-        tested against, so it favours line-by-line obviousness over
-        throughput.
-        """
-        rows = _as_rows(matrix)
-        data = _as_rows(data)
-        cols = len(data[0]) if data else 0
-        out = []
-        for row in rows:
-            acc = [0] * cols
-            for coeff, src in zip(row, data):
-                if not coeff:
-                    continue
-                for j in range(cols):
-                    acc[j] = self.add(acc[j], self.mul(coeff, src[j]))
-            out.append(acc)
-        return out
+        return self._matmul_numpy(matrix, data)
 
     #: products gathered per step.  Wider calls walk the columns in
     #: blocks of this many ``(row, k, column)`` elements, so the
@@ -204,6 +167,8 @@ class BinaryField:
         shared ``k`` axis.  The sentinel tables make zeros fall out of
         the gather itself; byte-identical to the scalar oracle.
         """
+        import numpy as np
+
         exp, log = self._numpy_tables()
         if not len(data):
             # k = 0: an empty sum in every cell, the oracle's r x 0.

@@ -19,14 +19,13 @@ Construction (classic polynomial-evaluation RS over ``GF(2^a)``):
   with one matrix product.
 
 The codec precomputes the generator matrix once per ``(n, k)`` pair.
-The symbol plumbing and the Vandermonde application come in two
-byte-identical kernels selected by :func:`repro.perf.config.backend`:
-the ``"numpy"`` backend frames via ``frombuffer``/``reshape`` (wire
-symbols stay 16-bit views, used only as gather indices) and evaluates
-with batched exp/log gathers over log-domain matrices (keeping the
-very-long-input experiments at hundreds of kilobits fast), the
-``"python"`` backend is the dependency-free ``struct``-based scalar
-reference.
+Its kernels frame via numpy ``frombuffer``/``reshape`` (wire symbols
+stay 16-bit views, used only as gather indices) and evaluate with
+batched exp/log gathers over log-domain matrices, keeping the
+very-long-input experiments at hundreds of kilobits fast.  numpy is
+imported at the first encode or decode, not with this module.  The
+test suite keeps a ``struct``-based scalar codec as the oracle these
+kernels are checked against.
 
 Inverted decode submatrices are memoized **process-wide**, keyed by the
 full code parameters ``(field degree, field modulus, n, k, indices)``
@@ -36,14 +35,8 @@ decode from identical index tuples (the regression suite pins this).
 
 from __future__ import annotations
 
-import struct
 from collections import OrderedDict
 from functools import lru_cache
-
-try:  # numpy is an optional extra; the python backend needs none of it.
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised in no-numpy installs
-    np = None  # type: ignore[assignment]
 
 from ..errors import CodingError
 from ..perf import config, counters
@@ -131,21 +124,6 @@ class ReedSolomonCode:
         padding = (-len(framed)) % stride
         return framed + b"\x00" * padding
 
-    def _frame_numpy(self, data: bytes):
-        """View the framed payload as ``(k, chunks)`` wire symbols."""
-        symbols = np.frombuffer(self._framed(data), dtype=self._wire_dtype)
-        return symbols.reshape(-1, self.k).T
-
-    def _frame_python(self, data: bytes) -> list[list[int]]:
-        """Read the framed payload as ``k`` rows of chunk symbols."""
-        framed = self._framed(data)
-        if self.symbol_bytes == 2:
-            symbols = struct.unpack(f">{len(framed) // 2}H", framed)
-        else:
-            symbols = framed  # bytes already iterate as ints
-        # Row j of reshape(-1, k).T is every k-th symbol starting at j.
-        return [list(symbols[j::self.k]) for j in range(self.k)]
-
     def _unframe_bytes(self, framed: bytes) -> bytes:
         """Strip framing; raises :class:`CodingError` on junk."""
         if len(framed) < _LENGTH_HEADER_BYTES:
@@ -160,27 +138,24 @@ class ReedSolomonCode:
             raise CodingError("non-zero padding in decoded payload")
         return body[:length]
 
-    def _symbols_to_bytes(self, row: list[int]) -> bytes:
-        """One row of symbols back to wire bytes (python backend)."""
-        if self.symbol_bytes == 2:
-            return struct.pack(f">{len(row)}H", *row)
-        return bytes(row)
-
     # -- public API ---------------------------------------------------------
     def encode(self, data: bytes) -> list[bytes]:
         """``RS.ENCODE``: return the ``n`` codewords of ``data``."""
         counters.bump("rs_encode")
-        if config.backend() == "numpy":
-            evaluations = self.field.matmul(
-                self.generator, self._frame_numpy(data)     # (k, c)
-            )                                                # (n, c)
-            # One byte-swap for the whole matrix, then a copy per row.
-            wire = evaluations.astype(self._wire_dtype)
-            return [row.tobytes() for row in wire]
+        return self._encode_numpy(data)
+
+    def _encode_numpy(self, data: bytes) -> list[bytes]:
+        """The kernel under :meth:`encode`'s counter: the framed payload
+        as ``(k, chunks)`` wire symbols, evaluated at every point."""
+        import numpy as np
+
+        symbols = np.frombuffer(self._framed(data), dtype=self._wire_dtype)
         evaluations = self.field.matmul(
-            self.generator, self._frame_python(data)
-        )
-        return [self._symbols_to_bytes(row) for row in evaluations]
+            self.generator, symbols.reshape(-1, self.k).T   # (k, c)
+        )                                                   # (n, c)
+        # One byte-swap for the whole matrix, then a copy per row.
+        wire = evaluations.astype(self._wire_dtype)
+        return [row.tobytes() for row in wire]
 
     def share_length(self, data_len: int) -> int:
         """Byte length every codeword of a ``data_len``-byte value has."""
@@ -216,26 +191,22 @@ class ReedSolomonCode:
         else:
             decode_matrix = self._invert_submatrix(indices)
 
-        if config.backend() == "numpy":
-            # The k shares back to back are the (k, c) symbol matrix.
-            received = np.frombuffer(
-                b"".join(shares[i] for i in indices), dtype=self._wire_dtype
-            ).reshape(self.k, -1)
-            chunks = self.field.matmul(decode_matrix, received)  # (k, c)
-            flat = chunks.T.astype(self._wire_dtype, order="C")
-            return self._unframe_bytes(flat.tobytes())
+        return self._decode_numpy(decode_matrix, [shares[i] for i in indices])
 
-        if self.symbol_bytes == 2:
-            received = [
-                list(struct.unpack(f">{length // 2}H", shares[i]))
-                for i in indices
-            ]
-        else:
-            received = [list(shares[i]) for i in indices]
-        chunks = self.field.matmul(decode_matrix, received)  # (k, c)
-        cols = len(chunks[0]) if chunks else 0
-        flat = [chunks[j][c] for c in range(cols) for j in range(self.k)]
-        return self._unframe_bytes(self._symbols_to_bytes(flat))
+    def _decode_numpy(
+        self, decode_matrix: LogMatrix, received: list[bytes]
+    ) -> bytes:
+        """The kernel under :meth:`decode`'s counter: ``k`` validated,
+        equal-length shares in index order back to the payload."""
+        import numpy as np
+
+        # The k shares back to back are the (k, c) symbol matrix.
+        symbols = np.frombuffer(
+            b"".join(received), dtype=self._wire_dtype
+        ).reshape(self.k, -1)
+        chunks = self.field.matmul(decode_matrix, symbols)  # (k, c)
+        flat = chunks.T.astype(self._wire_dtype, order="C")
+        return self._unframe_bytes(flat.tobytes())
 
 
 @lru_cache(maxsize=64)

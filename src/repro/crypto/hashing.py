@@ -64,12 +64,11 @@ def hash_leaves(
 ) -> list[bytes]:
     """Batched ``H(prefix || frame(leaf))`` over a whole leaf list.
 
-    The batched-backend building block for Merkle levels: each digest
-    is one ``hashlib`` invocation over a single pre-packed contiguous
-    buffer (no per-part ``update()`` churn), byte-identical to
-    ``hash_parts`` with the prefix's tag as the first part.  Bumps the
-    ``sha256`` counter once per leaf, exactly like the per-call
-    reference path.
+    The building block for Merkle levels: each digest is one
+    ``hashlib`` invocation over a single pre-packed contiguous buffer
+    (no per-part ``update()`` churn), byte-identical to ``hash_parts``
+    with the prefix's tag as the first part.  Bumps the ``sha256``
+    counter once per leaf, exactly like one ``hash_parts`` call each.
     """
     counters.bump("sha256", len(leaves))
     size = digest_size_bytes(kappa)

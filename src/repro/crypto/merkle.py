@@ -29,7 +29,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
-from ..perf import config, counters
+from ..perf import counters
 from ..sim.sizing import Row, register
 from .hashing import digest_size_bytes, hash_leaves, hash_pair_level
 
@@ -146,11 +146,11 @@ def _empty_hash(kappa: int) -> bytes:
     ).digest()[: digest_size_bytes(kappa)]
 
 
-def _build_levels_batched(
+def _build_levels(
     kappa: int, leaves: list[bytes], width: int
 ) -> list[list[bytes]]:
-    """Batched tree construction: one hashlib call per node over a
-    pre-packed contiguous buffer (:func:`~repro.crypto.hashing.
+    """Every level of the tree, leaves first: one hashlib call per node
+    over a pre-packed contiguous buffer (:func:`~repro.crypto.hashing.
     hash_leaves` / :func:`~repro.crypto.hashing.hash_pair_level`)
     instead of per-part ``update()`` churn."""
     level = hash_leaves(kappa, _frame_prefix(_LEAF_TAG), leaves)
@@ -160,25 +160,6 @@ def _build_levels_batched(
     levels = [level]
     while len(level) > 1:
         level = hash_pair_level(kappa, node_prefix, level)
-        levels.append(level)
-    return levels
-
-
-def _build_levels_reference(
-    kappa: int, leaves: list[bytes], width: int
-) -> list[list[bytes]]:
-    """Scalar reference construction: one :func:`_leaf_hash` /
-    :func:`_node_hash` call per node.  Byte-identical to the batched
-    path (same framing, same domain separation) with identical
-    ``sha256`` counter totals -- one bump per computed node."""
-    level = [_leaf_hash(kappa, leaf) for leaf in leaves]
-    level.extend([_empty_hash(kappa)] * (width - len(leaves)))
-    levels = [level]
-    while len(level) > 1:
-        level = [
-            _node_hash(kappa, level[i], level[i + 1])
-            for i in range(0, len(level), 2)
-        ]
         levels.append(level)
     return levels
 
@@ -198,11 +179,7 @@ def build(kappa: int, leaves: list[bytes]) -> tuple[bytes, Witnesses]:
         width *= 2
 
     # levels[0] = leaf hashes, levels[-1] = [root]
-    if config.backend() == "numpy":
-        levels = _build_levels_batched(kappa, leaves, width)
-    else:
-        levels = _build_levels_reference(kappa, leaves, width)
-
+    levels = _build_levels(kappa, leaves, width)
     return levels[-1][0], Witnesses(levels, count)
 
 

@@ -4,7 +4,7 @@ Runs a representative set of end-to-end configs and emits a one-section
 benchmark document, ``deterministic``: per config the operation counters
 (:mod:`repro.perf.counters`), the communication totals and an output
 digest.  These are pure functions of the config: identical across runs,
-machines, backends and worker counts, so CI can diff them against a
+machines and worker counts, so CI can diff them against a
 committed baseline at **zero tolerance** without flakes
 (:func:`check_counters`).  Wall time is not measured here; its one home
 is ``perfbench/``.
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import os
-from contextlib import nullcontext as _nullcontext
 from typing import Any, Sequence
 
 from . import config, counters
@@ -52,7 +51,7 @@ QUICK_CONFIGS: tuple[dict[str, Any], ...] = (
 
 #: The full set adds the long-value configs the paper's bounds are
 #: about, including the ``ell = 65536`` and ``ell = 262144`` long-value
-#: benchmark points the vectorized backend is aimed at.
+#: benchmark points the batched kernels are aimed at.
 FULL_CONFIGS: tuple[dict[str, Any], ...] = QUICK_CONFIGS + (
     dict(protocol="fixed_length_ca", n=10, t=3, ell=4096,
          seed=0, spread="spread"),
@@ -92,19 +91,13 @@ def _run_config(cfg: dict[str, Any]) -> dict[str, Any]:
 def hotpath_document(
     quick: bool = False,
     configs: Sequence[dict[str, Any]] | None = None,
-    backend: str | None = None,
 ) -> dict[str, Any]:
-    """Run the profile battery and build the benchmark document.
-
-    ``backend`` pins the kernel backend for the battery (default: the
-    process' resolved backend); the document is identical either way.
-    """
+    """Run the profile battery and build the benchmark document."""
     chosen = (
         configs if configs is not None
         else (QUICK_CONFIGS if quick else FULL_CONFIGS)
     )
-    with config.use_backend(backend) if backend else _nullcontext():
-        deterministic = {config_key(cfg): _run_config(cfg) for cfg in chosen}
+    deterministic = {config_key(cfg): _run_config(cfg) for cfg in chosen}
     return {
         "schema": SCHEMA,
         "quick": bool(quick) if configs is None else None,

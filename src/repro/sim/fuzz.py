@@ -1044,7 +1044,7 @@ def replay_counters(
 
     Process-level caches (decode-matrix memo, hash-prefix LRUs) are
     reset first so the block is a pure function of the artifact -- the
-    same dict on every host, backend, and process history.  This is the
+    same dict on every host and process history.  This is the
     block ``save_artifact`` embeds and ``repro replay --verify-counters``
     diffs.
     """

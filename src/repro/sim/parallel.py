@@ -20,9 +20,6 @@ construction, **byte-identical across worker counts**:
   the pool is rebuilt and the campaign continues.  Both are *engine
   incidents*, never verdicts about the case: :class:`CaseTimeout` is a
   ``BaseException``, so no ``except Exception`` under test can file it.
-* **Worker warm-up.**  Workers pre-build the ``GF(2^8)``/``GF(2^16)``
-  exp/log tables on start-up so per-case latencies do not include
-  one-off table construction.
 
 The engine deliberately accepts only *module-level* callables and
 picklable payloads: that restriction is what makes a case a pure
@@ -55,7 +52,6 @@ __all__ = [
     "derive_seed",
     "resolve_workers",
     "run_many",
-    "warm_worker",
 ]
 
 
@@ -80,26 +76,6 @@ def resolve_workers(workers: int | str | None) -> int:
     if count < 1:
         raise ValueError(f"workers must be >= 1 or 'auto', got {workers!r}")
     return count
-
-
-def warm_worker(backend: str | None = None) -> None:
-    """Pool initializer: pin the worker's kernel backend.
-
-    There is nothing left to warm by then: the worker imported
-    :mod:`repro` to reach this function, and that import builds the
-    ``GF256``/``GF65536`` exp/log lists (module scope of
-    :mod:`repro.coding.gf`); their numpy views are built by the first
-    batched kernel call.  ``backend`` pins the worker's kernel backend
-    to the parent's resolved choice, so a campaign run under
-    ``repro fuzz --backend ...`` (or a programmatic
-    :func:`repro.perf.config.set_backend`) uses the same kernels in
-    every process.  Results are byte-identical across backends either
-    way -- the pinning keeps *timings* and conformance runs honest.
-    """
-    if backend is not None:
-        from repro.perf import config
-
-        config.set_backend(backend)
 
 
 class CaseTimeout(BaseException):
@@ -264,6 +240,13 @@ def run_many(
     cases = list(enumerate(payloads))
     if not cases:
         return []
+    if timeout_s is not None:
+        # The kernels import numpy at their first call.  An alarm that
+        # lands inside that import leaves numpy unloadable for the rest
+        # of the process ("cannot load module more than once per
+        # process"), so a timed run imports it before arming any alarm;
+        # forked workers inherit it.
+        import numpy  # noqa: F401
 
     if worker_count == 1 or len(cases) == 1:
         outcomes = _run_chunk(fn, cases, timeout_s)
@@ -313,16 +296,10 @@ def _pool_pass(
     outcomes: list[CaseOutcome],
 ) -> list[list[tuple[int, Any]]]:
     """One executor pass; returns the chunks lost to a pool breakage."""
-    from ..perf import config
-
     failed: list[list[tuple[int, Any]]] = []
     if not chunks:
         return failed
-    executor = ProcessPoolExecutor(
-        max_workers=min(workers, len(chunks)),
-        initializer=warm_worker,
-        initargs=(config.backend(),),
-    )
+    executor = ProcessPoolExecutor(max_workers=min(workers, len(chunks)))
     try:
         futures = []
         for chunk in chunks:

@@ -1,19 +1,21 @@
-"""Differential conformance: the numpy backend vs the python oracle.
+"""Differential conformance: the shipped kernels vs the scalar oracle.
 
-The vectorized (``"numpy"``) kernels in :mod:`repro.coding.gf`,
-:mod:`repro.coding.reed_solomon` and :mod:`repro.crypto.merkle` promise
-to be **byte-identical** to the pure-python scalar reference -- same
+The numpy-batched kernels in :mod:`repro.coding.gf` and
+:mod:`repro.coding.reed_solomon`, and the packed-buffer Merkle levels of
+:mod:`repro.crypto.merkle`, promise to be **byte-identical** to the
+pure-python scalar kernels of ``tests/kernel_oracle.py`` -- same
 outputs, same wire bits, same deterministic counter deltas.  This suite
-proves it differentially:
+proves it differentially, swapping the oracle in below the counter
+bumps:
 
 * every protocol of the analysis registry (``PI_Z`` through the
   broadcast baselines), plus ``PI_BA+``/``PI_lBA+`` and the
-  asynchronous AA layer, executed under both backends on an
+  asynchronous AA layer, executed on both kernel sets on an
   ``(n, t, ell, seed)`` grid;
 * sampled resilience-plane cases (lossy links + crash/restart, and the
   partial-synchrony axes) through the fuzz executor;
-* a parallel ``run_many`` fuzz campaign, checking that pool workers are
-  pinned to the parent's backend;
+* a parallel ``run_many`` fuzz campaign, whose forked pool workers
+  inherit the parent's kernels;
 * seeded property tests for the GF kernels against the scalar
   reference -- including the all-zero rows/columns the log/exp tables
   cannot represent directly -- and RS encode -> erase -> decode
@@ -28,6 +30,7 @@ import dataclasses
 import random
 
 import pytest
+from kernel_oracle import KERNELS, use_kernels
 
 from repro.analysis.experiments import measure
 from repro.asynchrony import AsyncApproximateAgreement, AsyncNetwork
@@ -42,23 +45,17 @@ from repro.perf import config, counters
 from repro.sim import run_protocol
 from repro.sim.fuzz import run_case_ex, sample_case, standard_registry
 
-requires_numpy = pytest.mark.skipif(
-    not config.numpy_available(),
-    reason="numpy backend not installed; nothing to compare against",
-)
-
-BACKENDS = ("python", "numpy")
 FIELDS = (GF256, GF65536)
 KAPPA = 64
 
 
-def run_on(backend, fn):
-    """Run ``fn`` cold under one backend: fresh caches, zeroed counters.
+def run_on(kernels, fn):
+    """Run ``fn`` cold on one kernel set: fresh caches, zeroed counters.
 
     Returns ``(value, counter_snapshot)`` -- the pair the differential
-    assertions compare across backends.
+    assertions compare across kernel sets.
     """
-    with config.use_backend(backend):
+    with use_kernels(kernels):
         config.reset_process_caches()
         counters.reset()
         value = fn()
@@ -66,17 +63,16 @@ def run_on(backend, fn):
 
 
 def assert_identical(fn, normalise=lambda value: value):
-    """Assert ``fn`` is observable-identical under every backend.
+    """Assert ``fn`` is observable-identical on both kernel sets.
 
-    The python backend is the oracle; every other backend must produce
-    the same normalised value *and* the same counter snapshot.
+    The shipped kernels must produce the oracle's normalised value *and*
+    its counter snapshot.
     """
-    reference, ref_counts = run_on(BACKENDS[0], fn)
+    reference, ref_counts = run_on("python", fn)
     reference = normalise(reference)
-    for backend in BACKENDS[1:]:
-        value, counts = run_on(backend, fn)
-        assert normalise(value) == reference, f"{backend} output diverged"
-        assert counts == ref_counts, f"{backend} counters diverged"
+    value, counts = run_on("numpy", fn)
+    assert normalise(value) == reference, "shipped kernels diverged"
+    assert counts == ref_counts, "shipped kernels' counters diverged"
     return reference
 
 
@@ -94,7 +90,7 @@ def comparable(result):
 # -- the full protocol stack, differentially --------------------------------
 
 #: Per-protocol message lengths: long enough to hit the batched kernels
-#: (multi-chunk RS frames), short enough that the 2-backend x 2-grid
+#: (multi-chunk RS frames), short enough that the 2-kernel x 2-grid
 #: product stays CI-sized.  The broadcast baselines are O(n * ell)
 #: rounds, so they get small values.
 SYNC_PROTOCOLS = {
@@ -110,13 +106,10 @@ SYNC_PROTOCOLS = {
 
 GRID = [(4, 1, 0), (7, 2, 4)]
 
-#: The long-value point, where the coding/crypto kernels dominate: the
-#: one cross-backend identity ``repro profile`` checked past ell = 1024
-#: before its backend A/B was removed.
+#: The long-value point, where the coding/crypto kernels dominate.
 LONG_VALUE_ROW = ("fixed_length_ca", 524288, 7, 2, 4)
 
 
-@requires_numpy
 @pytest.mark.parametrize(
     "protocol,ell,n,t,seed",
     [
@@ -135,7 +128,6 @@ def test_protocol_stack_byte_identical(protocol, ell, n, t, seed):
     )
 
 
-@requires_numpy
 @pytest.mark.parametrize("n,t", [(4, 1), (7, 2)])
 def test_ba_plus_byte_identical(n, t):
     inputs = [bytes([17 * (i % 3 + 1)]) * (KAPPA // 8) for i in range(n)]
@@ -147,7 +139,6 @@ def test_ba_plus_byte_identical(n, t):
     )
 
 
-@requires_numpy
 def test_ext_ba_plus_byte_identical():
     inputs = [
         b"agree on this long payload " * 40,
@@ -167,7 +158,6 @@ def test_ext_ba_plus_byte_identical():
     )
 
 
-@requires_numpy
 def test_async_aa_byte_identical():
     inputs = [0, 100, 200, 300, 400, 500]
 
@@ -205,7 +195,6 @@ def _case_outcome_key(outcome):
     return failure_key, dataclasses.asdict(stats)
 
 
-@requires_numpy
 @pytest.mark.parametrize(
     "crash,partition,seed",
     [(True, False, 7), (True, True, 11)],
@@ -220,7 +209,7 @@ def test_resilience_planes_byte_identical(crash, partition, seed):
         )
 
 
-# -- parallel campaigns: workers inherit the parent's backend ---------------
+# -- parallel campaigns: workers inherit the parent's kernels ---------------
 
 
 def _report_key(report):
@@ -237,9 +226,8 @@ def _report_key(report):
     )
 
 
-@requires_numpy
 def test_parallel_campaign_identical_across_backends():
-    """A 2-worker campaign is report-identical under either backend.
+    """A 2-worker campaign is report-identical on either kernel set.
 
     Worker counters live in the worker processes, so only the report is
     compared here; the per-case counter parity is covered by
@@ -287,7 +275,6 @@ def _scaled(field, scalar, vec):
     return [int(x) for x in field.matmul([[scalar]], [vec])[0]]
 
 
-@requires_numpy
 @pytest.mark.parametrize("field", FIELDS, ids=["GF256", "GF65536"])
 def test_mul_vec_matches_scalar_reference(field):
     rng = random.Random(101)
@@ -296,12 +283,11 @@ def test_mul_vec_matches_scalar_reference(field):
         a = _zero_heavy_elements(rng, field, length)
         b = _zero_heavy_elements(rng, field, length)
         expected = [field.mul(x, y) for x, y in zip(a, b)]
-        for backend in BACKENDS:
-            with config.use_backend(backend):
+        for kernels in KERNELS:
+            with use_kernels(kernels):
                 assert _elementwise(field, a, b) == expected
 
 
-@requires_numpy
 @pytest.mark.parametrize("field", FIELDS, ids=["GF256", "GF65536"])
 def test_scalar_mul_vec_matches_scalar_reference(field):
     rng = random.Random(202)
@@ -310,13 +296,13 @@ def test_scalar_mul_vec_matches_scalar_reference(field):
         scalar = 0 if rng.random() < 1 / 4 else rng.randrange(1, field.order)
         vec = _zero_heavy_elements(rng, field, length)
         expected = [field.mul(scalar, x) for x in vec]
-        for backend in BACKENDS:
-            with config.use_backend(backend):
+        for kernels in KERNELS:
+            with use_kernels(kernels):
                 assert _scaled(field, scalar, vec) == expected
 
 
 def _reference_matmul(field, matrix, data):
-    """Independent textbook product (not either production kernel)."""
+    """Independent textbook product (neither kernel set's)."""
     cols = len(data[0]) if data else 0
     out = []
     for row in matrix:
@@ -328,7 +314,6 @@ def _reference_matmul(field, matrix, data):
     return out
 
 
-@requires_numpy
 @pytest.mark.parametrize("field", FIELDS, ids=["GF256", "GF65536"])
 def test_matmul_matches_scalar_reference(field):
     rng = random.Random(303)
@@ -345,34 +330,32 @@ def test_matmul_matches_scalar_reference(field):
             for row in data:
                 row[j] = 0  # all-zero data column
         expected = _reference_matmul(field, matrix, data)
-        for backend in BACKENDS:
-            with config.use_backend(backend):
+        for kernels in KERNELS:
+            with use_kernels(kernels):
                 got = field.matmul(matrix, data)
                 assert [list(row) for row in got] == expected
 
 
-@requires_numpy
 def test_matmul_zero_row_and_zero_column_explicit():
     """The deterministic distillation of the zero-handling property."""
     field = GF256
     matrix = [[0, 0, 0], [1, 2, 3], [0, 7, 0]]
     data = [[0, 5, 0], [0, 7, 0], [0, 9, 1]]  # columns 0 and 2 nearly zero
     expected = _reference_matmul(field, matrix, data)
-    for backend in BACKENDS:
-        with config.use_backend(backend):
+    for kernels in KERNELS:
+        with use_kernels(kernels):
             got = field.matmul(matrix, data)
             assert [list(row) for row in got] == expected
     assert expected[0] == [0, 0, 0]
 
 
-@requires_numpy
 @pytest.mark.parametrize("field", FIELDS, ids=["GF256", "GF65536"])
 def test_matmul_with_no_data_rows(field):
     """k = 0: every cell is an empty sum, so ``r x k @ k x c`` is
-    ``r x 0`` under both kernels (the numpy one raised ``IndexError``)."""
+    ``r x 0`` on both kernel sets (the numpy one raised ``IndexError``)."""
     for matrix, expected in (([], []), ([[]], [[]]), ([[], []], [[], []])):
-        for backend in BACKENDS:
-            with config.use_backend(backend):
+        for kernels in KERNELS:
+            with use_kernels(kernels):
                 got = field.matmul(matrix, [])
                 assert [list(row) for row in got] == expected
 
@@ -380,11 +363,10 @@ def test_matmul_with_no_data_rows(field):
 # -- Reed-Solomon round-trips ----------------------------------------------
 
 
-@requires_numpy
 @pytest.mark.parametrize("field", FIELDS, ids=["GF256", "GF65536"])
 def test_rs_encode_erase_decode_roundtrip(field):
-    """encode -> erase any n-k shares -> decode recovers, both backends,
-    with byte-identical shares across backends."""
+    """encode -> erase any n-k shares -> decode recovers on both kernel
+    sets, with byte-identical shares across them."""
     rng = random.Random(404)
     for _ in range(25):
         n = rng.randrange(2, 11)
@@ -400,13 +382,13 @@ def test_rs_encode_erase_decode_roundtrip(field):
             subset = {i: shares[i] for i in keep}
             return shares, code.decode(subset)
 
-        shares_by_backend = {}
-        for backend in BACKENDS:
-            with config.use_backend(backend):
+        shares_by_kernels = {}
+        for kernels in KERNELS:
+            with use_kernels(kernels):
                 shares, decoded = roundtrip()
-                assert decoded == payload, (backend, n, k, keep)
-                shares_by_backend[backend] = shares
-        assert shares_by_backend["python"] == shares_by_backend["numpy"]
+                assert decoded == payload, (kernels, n, k, keep)
+                shares_by_kernels[kernels] = shares
+        assert shares_by_kernels["python"] == shares_by_kernels["numpy"]
 
 
 # -- decode-matrix cache: keyed on the full code parameters -----------------

@@ -106,6 +106,16 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "paper's prediction" in out
 
+    def test_compare_unknown_protocol_is_a_friendly_exit_2(self, capsys):
+        code = main(
+            ["compare", "--n", "4", "--ells", "128",
+             "--protocols", "pi_z,bogus,nope"]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: unknown protocols: ['bogus', 'nope']\n"
+        assert captured.out == ""  # nothing ran before the check
+
     def test_sweep_saves_values_past_the_decimal_limit(self, tmp_path, capsys):
         """ell = 16384 and 65536 are the paper's regime and past CPython's
         4300-digit int->str limit: ``--bench-json`` writes them (in hex)

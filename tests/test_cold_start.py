@@ -12,6 +12,10 @@ interpreter checks, in this order, that
    none of the harness modules in :data:`HARNESS`;
 3. every name in each lazy package's ``__all__`` resolves and is listed
    by ``dir()``.
+
+A second child checks that ``import repro``, ``repro --help`` and
+``repro report`` load no numpy (the kernels import it at their first
+call), and that a timed ``run_many`` case finds it loaded.
 """
 
 from __future__ import annotations
@@ -86,6 +90,47 @@ print(json.dumps({
 """
 
 
+CLI_CHILD = r"""
+import contextlib, io, json, sys
+
+document = sys.stdin.read()
+import repro
+
+numpy_loaded = {"import repro": "numpy" in sys.modules}
+from repro.cli import main
+
+codes = {}
+for argv in (["--help"], ["report", document]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            codes[argv[0]] = main(argv)
+        except SystemExit as exit:
+            codes[argv[0]] = exit.code
+    numpy_loaded["repro " + argv[0]] = "numpy" in sys.modules
+
+from repro.sim.parallel import run_many
+
+(timed,) = run_many(lambda _: "numpy" in sys.modules, [None], timeout_s=60)
+numpy_loaded["a timed case"] = timed.value
+print(json.dumps({"numpy_loaded": numpy_loaded, "codes": codes}))
+"""
+
+
+def _child(script: str, stdin: str) -> dict:
+    """Run ``script`` in a fresh interpreter; its stdout as JSON."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        part for part in (src, env.get("PYTHONPATH")) if part
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", script], input=stdin,
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    return json.loads(child.stdout)
+
+
 def test_cold_start(tmp_path):
     case = sample_case_at(0, 0, standard_registry())
     payload = (BitString(5, 11), MerkleWitness(3, (b"\x01" * 8, b"\x02" * 8)))
@@ -94,18 +139,7 @@ def test_cold_start(tmp_path):
         inputs=[0] * case.n, initial_corruptions=set(),
         script={(0, 1, 2): payload}, adapt_schedule=[],
     )
-    src = str(Path(repro.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        part for part in (src, env.get("PYTHONPATH")) if part
-    )
-    child = subprocess.run(
-        [sys.executable, "-c", CHILD],
-        input=json.dumps(failure_to_artifact(failure)),
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert child.returncode == 0, child.stderr
-    seen = json.loads(child.stdout)
+    seen = _child(CHILD, json.dumps(failure_to_artifact(failure)))
 
     assert seen["rows"] == ["BitString", "MerkleWitness"]
     assert len(seen["loaded"]) <= MODULE_BUDGET, seen["loaded"]
@@ -113,4 +147,22 @@ def test_cold_start(tmp_path):
     assert isinstance(seen["value"], int)
     assert seen["unresolved"] == {
         "repro": [], "repro.sim": [], "repro.analysis": []
+    }
+
+
+def test_no_numpy_before_the_first_kernel_call():
+    """A timed ``run_many`` case is the exception: an alarm inside
+    numpy's import would leave it unloadable, so the engine imports it
+    before arming one."""
+    document = (
+        Path(repro.__file__).resolve().parents[2]
+        / "benchmarks" / "BENCH_experiments.json"
+    )
+    seen = _child(CLI_CHILD, str(document))
+    assert seen["codes"] == {"--help": 0, "report": 0}
+    assert seen["numpy_loaded"] == {
+        "import repro": False,
+        "repro --help": False,
+        "repro report": False,
+        "a timed case": True,
     }

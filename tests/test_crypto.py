@@ -7,12 +7,13 @@ import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from kernel_oracle import KERNELS, build_levels_reference, use_kernels
 
 from repro.coding.reed_solomon import rs_code
 from repro.crypto import merkle
 from repro.crypto.hashing import digest_size_bytes, hash_bytes, hash_parts
 from repro.crypto.merkle import MerkleWitness, build, verify, witness_bits
-from repro.perf import config, counters
+from repro.perf import counters
 from repro.sim.sizing import bit_size
 
 
@@ -154,11 +155,11 @@ class TestWitnessSize:
 
 def _eager(kappa, leaves):
     """Root and witnesses as an eager ``MT.BUILD`` makes them: every
-    path walked at build time, over the scalar reference levels."""
+    path walked at build time, over the oracle's levels."""
     width = 1
     while width < len(leaves):
         width *= 2
-    levels = merkle._build_levels_reference(kappa, list(leaves), width)
+    levels = build_levels_reference(kappa, list(leaves), width)
     witnesses = []
     for index in range(len(leaves)):
         siblings, position = [], index
@@ -172,11 +173,11 @@ def _eager(kappa, leaves):
 class TestWitnessesOnRead:
     """``build`` hashes every level and makes a witness when it is read."""
 
-    @pytest.mark.parametrize("backend", config.available_backends())
+    @pytest.mark.parametrize("kernels", KERNELS)
     @pytest.mark.parametrize("count", [1, 2, 3, 7, 16, 31])
-    def test_every_witness_is_the_eager_one(self, backend, count):
+    def test_every_witness_is_the_eager_one(self, kernels, count):
         leaves = [bytes([i, 7]) * 3 for i in range(count)]
-        with config.use_backend(backend), counters.capture() as built:
+        with use_kernels(kernels), counters.capture() as built:
             root, witnesses = build(64, leaves)
         eager_root, eager = _eager(64, leaves)
         assert root == eager_root
@@ -198,8 +199,8 @@ class TestWitnessesOnRead:
     def test_sha256_count_is_the_eager_builds(self):
         leaves = [bytes([i]) * 5 for i in range(13)]
         counts = []
-        for backend in config.available_backends():
-            with config.use_backend(backend), counters.capture() as ops:
+        for kernels in KERNELS:
+            with use_kernels(kernels), counters.capture() as ops:
                 build(128, leaves)
             counts.append(ops["sha256"])
         with counters.capture() as ops:

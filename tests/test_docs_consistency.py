@@ -200,6 +200,18 @@ class TestOneWayToMeasure:
             r"|STANDARD_ADVERSARIES"
         )
 
+    def test_removed_backend_selection_stays_undocumented(self):
+        """The kernels have one implementation and numpy is a
+        dependency: no doc may send a reader to the environment
+        variable, the selection functions, the pool initializer, the
+        ``--backend`` flag or the ``numpy`` extra that chose between
+        two."""
+        assert_undocumented(
+            r"REPRO_BACKEND|set_backend|use_backend|reset_backend"
+            r"|available_backends|numpy_available|warm_worker|--backend"
+            r"|repro\[numpy\]"
+        )
+
     def test_p_sections_point_at_committed_pairs(self):
         """A P-section's data is a ``benchmarks/pairs/`` document: every
         base revision and every file EXPERIMENTS.md names there exists."""

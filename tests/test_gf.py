@@ -7,9 +7,9 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from kernel_oracle import matmul_python, use_kernels
 
 from repro.coding.gf import GF256, GF65536, BinaryField, LogMatrix
-from repro.perf import config
 
 elements256 = st.integers(min_value=0, max_value=255)
 nonzero256 = st.integers(min_value=1, max_value=255)
@@ -18,7 +18,7 @@ nonzero64k = st.integers(min_value=1, max_value=65535)
 
 
 def rows(out):
-    """Backend-agnostic matrix view: rows as plain int lists."""
+    """Kernel-agnostic matrix view: rows as plain int lists."""
     if hasattr(out, "tolist"):
         return out.tolist()
     return [list(row) for row in out]
@@ -271,8 +271,8 @@ def kernel_cases(draw):
 
 
 class TestSentinelKernel:
-    """The numpy kernel against the scalar oracle, called directly (no
-    backend switch in between): zeros must fall out of the padded
+    """The numpy kernel against the scalar oracle, both called
+    directly: zeros must fall out of the padded
     tables, whatever the shape, layout or dtype of the operands."""
 
     @settings(max_examples=300, deadline=None)
@@ -283,7 +283,7 @@ class TestSentinelKernel:
     )
     def test_matmul_matches_scalar_oracle(self, case, matrix_form, data_form):
         field, matrix, data, block = case
-        expected = field._matmul_python(matrix, data)
+        expected = matmul_python(field, matrix, data)
         with mock.patch.object(BinaryField, "_MATMUL_BLOCK", block):
             out = field._matmul_numpy(
                 MATRIX_FORMS[matrix_form](matrix), DATA_FORMS[data_form](data)
@@ -303,7 +303,7 @@ class TestSentinelKernel:
                 for i in range(k)]
         out = field._matmul_numpy(matrix, data)
         assert out.shape == (r, c)
-        assert out.tolist() == field._matmul_python(matrix, data)
+        assert out.tolist() == matmul_python(field, matrix, data)
 
     @pytest.mark.parametrize("field", [GF256, GF65536], ids=["2^8", "2^16"])
     def test_table_layout(self, field):
@@ -335,13 +335,12 @@ class TestSentinelKernel:
         xs = [0, 0, 1, big, big]
         ys = [0, 1, 0, big, 0]
         expected = [field.mul(x, y) for x, y in zip(xs, ys)]
-        with config.use_backend("numpy"):
-            assert mul_vec(field, xs, ys) == expected
-            for scalar in (0, 1, big):
-                assert scalar_mul_vec(field, scalar, xs) == [
-                    field.mul(scalar, x) for x in xs
-                ]
-            out = field.matmul([xs], [[y] for y in ys])
+        assert mul_vec(field, xs, ys) == expected
+        for scalar in (0, 1, big):
+            assert scalar_mul_vec(field, scalar, xs) == [
+                field.mul(scalar, x) for x in xs
+            ]
+        out = field.matmul([xs], [[y] for y in ys])
         assert out.tolist() == [[field.mul(big, big)]]
 
     @settings(max_examples=100, deadline=None)
@@ -357,9 +356,8 @@ class TestSentinelKernel:
         as_form = DATA_FORMS[
             data.draw(st.sampled_from(["list", "int64", "uint16", "wire"]))
         ]
-        with config.use_backend("numpy"):
-            product = mul_vec(field, as_form(xs), as_form(ys))
-            scaled = scalar_mul_vec(field, scalar, as_form(xs))
+        product = mul_vec(field, as_form(xs), as_form(ys))
+        scaled = scalar_mul_vec(field, scalar, as_form(xs))
         assert product == [field.mul(x, y) for x, y in zip(xs, ys)]
         assert scaled == [field.mul(scalar, x) for x in xs]
 
@@ -370,13 +368,12 @@ class TestSentinelKernel:
         matrix = LogMatrix(rows_)
         data = [[1, 0], [0, 9], [7, 7]]
         assert matrix == rows_ and matrix.logs is None
-        with config.use_backend("python"):
+        with use_kernels("python"):
             expected = GF256.matmul(matrix, data)
         assert matrix.logs is None
-        with config.use_backend("numpy"):
-            first = GF256.matmul(matrix, data)
-            logs = matrix.logs
-            second = GF256.matmul(matrix, data)
+        first = GF256.matmul(matrix, data)
+        logs = matrix.logs
+        second = GF256.matmul(matrix, data)
         assert logs is not None and matrix.logs is logs
         assert first.tolist() == second.tolist() == expected
         assert first.tolist() == GF256._matmul_numpy(rows_, data).tolist()
@@ -443,10 +440,9 @@ def test_numpy_tables_survive_an_interrupted_build(monkeypatch):
 
     monkeypatch.setattr(np, "arange", arange_interrupted_once)
     matrix, data = [[1, 2], [3, 255]], [[5, 0, 7], [11, 13, 254]]
-    with config.use_backend("numpy"):
-        with pytest.raises(KeyboardInterrupt):
-            field.matmul(matrix, data)
-        assert interrupted
-        assert field.matmul(matrix, data).tolist() == field._matmul_python(
-            matrix, data
-        )
+    with pytest.raises(KeyboardInterrupt):
+        field.matmul(matrix, data)
+    assert interrupted
+    assert field.matmul(matrix, data).tolist() == matmul_python(
+        field, matrix, data
+    )

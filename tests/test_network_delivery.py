@@ -29,7 +29,7 @@ or what the ledger says.  Contracts:
    handed to the transport.
 6. **Arming a plane changes nothing**: the bare run and the WAL-armed
    run agree on inbox insertion order, outputs, stats, channel trace and
-   round records, on an ``(n, t)`` grid under every backend.
+   round records, on an ``(n, t)`` grid on both kernel sets.
 7. **Inboxes are the protocol's to keep**: an inbox held across rounds
    still holds its own round's payloads, whatever observes the run.
 """
@@ -41,6 +41,7 @@ import dataclasses
 import pickle
 
 import pytest
+from kernel_oracle import KERNELS, use_kernels
 
 from repro import convex_agreement
 from repro.analysis.experiments import make_inputs
@@ -282,7 +283,7 @@ SHARED_PLANES = {"bare", "transport"}
 @pytest.mark.parametrize("n,t", [(2, 0), (4, 1), (7, 2)])
 def test_inboxes_are_private(n, t):
     """Party 0 tries to vandalise its inbox before anyone else reads
-    theirs, under every plane and backend.  A shared inbox refuses with
+    theirs, under every plane and kernel set.  A shared inbox refuses with
     ``TypeError``; a private one (adversary stage armed) takes the
     damage alone.  Either way the others, a WAL-replayed party
     (``crashed``) included, read every round intact."""
@@ -309,15 +310,15 @@ def test_inboxes_are_private(n, t):
         return tuple(seen)
 
     inputs = list(range(n))
-    for backend in config.available_backends():
+    for kernels in KERNELS:
         for plane in planes_for(t):
-            with config.use_backend(backend):
+            with use_kernels(kernels):
                 result = run_protocol(
                     protocol, inputs, n=n, t=t, **PLANES[plane]()
                 )
             shared = plane in SHARED_PLANES
             assert result.outputs[0] == ((shared, shared),) * 3, (
-                backend, plane
+                kernels, plane
             )
             # ``crashed``: party 1 is down in round 2, unheard then.
             silent = {2: 1} if plane == "crashed" else {}
@@ -330,20 +331,20 @@ def test_inboxes_are_private(n, t):
                 for round_index in range(3)
             )
             readers = set(result.outputs) - {0}
-            assert readers, (backend, plane)
+            assert readers, (kernels, plane)
             for party in readers:
-                assert result.outputs[party] == expected, (backend, plane)
+                assert result.outputs[party] == expected, (kernels, plane)
 
 
 @pytest.mark.parametrize(
     "n,t,plane", [(n, t, plane) for n, t in GRID for plane in planes_for(t)]
 )
-@pytest.mark.parametrize("backend", config.available_backends())
-def test_marked_equals_unmarked_under_every_plane(backend, n, t, plane):
+@pytest.mark.parametrize("kernels", KERNELS)
+def test_marked_equals_unmarked_under_every_plane(kernels, n, t, plane):
     """Shared-broadcast delivery is a deliver-stage variant every
     configuration takes; the bare run is the reference for the planes
     that leave the execution alone."""
-    with config.use_backend(backend):
+    with use_kernels(kernels):
         bare = observe(probe(marked), n, t)
         armed = observe(probe(marked), n, t, trace=True, **PLANES[plane]())
         armed_unmarked = observe(
@@ -359,11 +360,11 @@ def test_marked_equals_unmarked_under_every_plane(backend, n, t, plane):
         assert bare[key] == armed[key], key
 
 
-@pytest.mark.parametrize("backend", config.available_backends())
-def test_crash_restart_replays_marked_bundles(backend):
+@pytest.mark.parametrize("kernels", KERNELS)
+def test_crash_restart_replays_marked_bundles(kernels):
     """Party 1 is down over rounds 2-3 and replays its WAL at round 4."""
     n, t = 7, 2
-    with config.use_backend(backend):
+    with use_kernels(kernels):
         crashed = observe(probe(marked), n, t, adversary=crash_1_over_2_3())
         crashed_unmarked = observe(probe(unmarked), n, t,
                                    adversary=crash_1_over_2_3())
@@ -452,9 +453,9 @@ def _order_probe(ctx, v):
 
 
 @pytest.mark.parametrize("n,t", PATH_GRID)
-@pytest.mark.parametrize("backend", config.available_backends())
-def test_inbox_order_is_the_same_with_the_wal_armed(backend, n, t):
-    with config.use_backend(backend):
+@pytest.mark.parametrize("kernels", KERNELS)
+def test_inbox_order_is_the_same_with_the_wal_armed(kernels, n, t):
+    with use_kernels(kernels):
         inputs = list(range(n))
         bare = run_protocol(_order_probe, inputs, n=n, t=t)
         armed = run_protocol(_order_probe, inputs, n=n, t=t,
@@ -465,9 +466,9 @@ def test_inbox_order_is_the_same_with_the_wal_armed(backend, n, t):
 
 
 @pytest.mark.parametrize("n,t", PATH_GRID)
-@pytest.mark.parametrize("backend", config.available_backends())
-def test_full_protocol_is_the_same_with_the_wal_armed(backend, n, t):
-    with config.use_backend(backend):
+@pytest.mark.parametrize("kernels", KERNELS)
+def test_full_protocol_is_the_same_with_the_wal_armed(kernels, n, t):
+    with use_kernels(kernels):
         inputs = make_inputs(n, 96, seed=3, spread="spread")
 
         def factory(ctx, v):

@@ -54,9 +54,8 @@ from repro.sim.bombs import BOMB_CATALOG, deep_nest
 from repro.sim.party import Context
 from repro.sim.network import run_protocol
 
+from kernel_oracle import KERNELS, use_kernels
 from test_network_delivery import PLANES
-
-BACKENDS = config.available_backends()
 
 
 def _run_fixed(ell=2048, *, seed=4, **plane):
@@ -99,15 +98,15 @@ def _on_and_off(run):
 
 def _assert_caches_invisible(run, planes):
     """``run(**plane)`` is byte-identical with the caches on and off, on
-    every backend and under every plane of ``planes``.  (A loop, so the
-    two tests below keep their unparametrised ids.)"""
-    for backend in BACKENDS:
+    both kernel sets and under every plane of ``planes``.  (A loop, so
+    the two tests below keep their unparametrised ids.)"""
+    for kernels in KERNELS:
         for plane in sorted(planes):
-            with config.use_backend(backend):
+            with use_kernels(kernels):
                 (warm, _), (cold, _) = _on_and_off(
                     lambda: run(**PLANES[plane]())
                 )
-            assert _comparable(warm) == _comparable(cold), (backend, plane)
+            assert _comparable(warm) == _comparable(cold), (kernels, plane)
 
 
 def test_caches_do_not_change_any_observable_byte():
@@ -211,8 +210,8 @@ def _committed(n, t, value, damage=None):
     return root, shares, witnesses
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_rejected_share_tuples_are_never_remembered(backend):
+@pytest.mark.parametrize("kernels", KERNELS)
+def test_rejected_share_tuples_are_never_remembered(kernels):
     """Two corrupted parties send every destination its *own* well-formed
     but invalid tuple in ``dist/r1`` and ``dist/r2``.  Every one a party
     looks at is rejected and costs one ``merkle_verify`` -- caches on or
@@ -249,7 +248,7 @@ def test_rejected_share_tuples_are_never_remembered(backend):
             adversary=ScriptedAdversary(forge), trace=True,
         )
 
-    with config.use_backend(backend):
+    with use_kernels(kernels):
         (warm, ops), (cold, cold_ops) = _on_and_off(run)
     cache, unused = contexts[0].cache, contexts[n].cache
     assert unused == {}  # the caches-off run's
@@ -269,9 +268,9 @@ def test_rejected_share_tuples_are_never_remembered(backend):
     assert not held & {(i, share) for i, share, _ in forged}
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("kernels", KERNELS)
 @pytest.mark.parametrize("damage", [0, 6], ids=["decoded", "undecoded"])
-def test_non_codeword_commitment_gets_one_memoised_verdict(backend, damage):
+def test_non_codeword_commitment_gets_one_memoised_verdict(kernels, damage):
     """A byzantine broadcaster commits a vector that is not a codeword:
     every honest party gets the same ``None`` from ``decode_with_check``,
     computed once for the share set they all collected."""
@@ -302,7 +301,7 @@ def test_non_codeword_commitment_gets_one_memoised_verdict(backend, damage):
             adversary=NonCodewordSender(), trace=True,
         )
 
-    with config.use_backend(backend):
+    with use_kernels(kernels):
         (warm, ops), (cold, cold_ops) = _on_and_off(run)
     cache = contexts[0].cache  # the caches-on run came first
     assert _comparable(warm) == _comparable(cold)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given, strategies as st
+from kernel_oracle import KERNELS, use_kernels
 
 from repro.analysis.experiments import make_inputs
 from repro.core.bitstrings import BitString
@@ -349,8 +350,8 @@ class TestSteppingAPI:
     }
 
     @pytest.mark.parametrize("plane", sorted(PLANES))
-    @pytest.mark.parametrize("backend", config.available_backends())
-    def test_outside_driver_equals_run(self, backend, plane):
+    @pytest.mark.parametrize("kernels", KERNELS)
+    def test_outside_driver_equals_run(self, kernels, plane):
         inputs = make_inputs(4, 48, seed=2, spread="clustered")
 
         def network():
@@ -359,7 +360,7 @@ class TestSteppingAPI:
                 **self.PLANES[plane](),
             )
 
-        with config.use_backend(backend):
+        with use_kernels(kernels):
             ran = _everything(network(), SynchronousNetwork.run)
             stepped = _everything(network(), _stepped)
         assert stepped == ran
