@@ -39,17 +39,16 @@ __all__ = [
 
 from ..coding.reed_solomon import ReedSolomonCode, rs_code
 from ..errors import CodingError
-from ..perf import config, counters
+from ..perf import counters
 
 
 def _memo(ctx: Context, key: tuple, compute, counter: str | None = None):
     """``compute()``, remembered under ``key`` for this execution.
 
-    The one fork on :func:`repro.perf.config.caches_enabled`: off, every
-    call computes.  On, the result lives in ``ctx.cache`` -- one dict per
-    execution, shared by its ``n`` parties (they run in one process and
-    recompute the same pure functions of the same wire bytes), never by
-    two executions or two workers.  ``None`` means "nothing to remember"
+    The result lives in ``ctx.cache`` -- one dict per execution, shared
+    by its ``n`` parties (they run in one process and recompute the
+    same pure functions of the same wire bytes), never by two
+    executions or two workers.  ``None`` means "nothing to remember"
     and is never stored.  ``counter`` names the ``<counter>_hit`` /
     ``<counter>_miss`` pair of the one memo that has one.
 
@@ -59,8 +58,6 @@ def _memo(ctx: Context, key: tuple, compute, counter: str | None = None):
     ever hashed on its own terms, and whatever fails that test takes the
     uncached path.
     """
-    if not config.caches_enabled():
-        return compute()
     entry = ctx.cache.get(key)
     if counter is not None:
         counters.bump(counter + ("_miss" if entry is None else "_hit"))

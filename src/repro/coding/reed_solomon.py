@@ -27,44 +27,37 @@ imported at the first encode or decode, not with this module.  The
 test suite keeps a ``struct``-based scalar codec as the oracle these
 kernels are checked against.
 
-Inverted decode submatrices are memoized **process-wide**, keyed by the
-full code parameters ``(field degree, field modulus, n, k, indices)``
--- never by the index tuple alone, because distinct codes routinely
-decode from identical index tuples (the regression suite pins this).
+Inverted decode submatrices are memoized **process-wide** by one
+``lru_cache`` (:func:`_decode_matrix`), keyed by the full code
+parameters ``(field, n, k, indices)`` -- never by the index tuple alone,
+because distinct codes routinely decode from identical index tuples
+(the regression suite pins this).
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from functools import lru_cache
 
 from ..errors import CodingError
-from ..perf import config, counters
+from ..perf import counters
 from .gf import GF65536, BinaryField, LogMatrix
 
-__all__ = ["ReedSolomonCode", "rs_code", "clear_decode_matrix_cache"]
+__all__ = ["ReedSolomonCode", "rs_code"]
 
 _LENGTH_HEADER_BYTES = 4
 
-#: Process-wide inverted-Vandermonde memo.  FindPrefix-style loops
-#: decode from the same share set over and over, and the inversion is a
-#: pure function of the code parameters and the indices -- adversarial
-#: share *contents* never enter the key.  Keyed on the full
-#: ``(degree, modulus, n, k, indices)`` tuple: two codes with different
-#: parameters (or fields) frequently share index tuples and must never
-#: share inverses.
-#:
-#: Bounded LRU: a hit refreshes its entry, an insert at capacity evicts
-#: the least recently used one, so long multi-code soaks (fuzz
-#: campaigns rotating through many ``(n, k)`` shapes) keep their hot
-#: working set instead of the old clear-everything overflow behaviour.
-_DECODE_MATRIX_CACHE: OrderedDict[tuple, LogMatrix] = OrderedDict()
-_DECODE_MATRIX_CACHE_MAX = 512
 
-
-def clear_decode_matrix_cache() -> None:
-    """Drop every memoized decode matrix (profiling cold-start hook)."""
-    _DECODE_MATRIX_CACHE.clear()
+@lru_cache(maxsize=512)
+def _decode_matrix(
+    field: BinaryField, n: int, k: int, indices: tuple[int, ...]
+) -> LogMatrix:
+    """The inverse of the ``(n, k)`` code's generator rows at
+    ``indices``: a pure function of the code and the indices, never of
+    share contents.  ``n`` keeps each code's entries (and its committed
+    ``gf_matrix_invert`` counts) apart from every other code's."""
+    counters.bump("gf_matrix_invert")
+    rows = field.vandermonde([i + 1 for i in indices], k)
+    return LogMatrix(field.invert_matrix(rows))
 
 
 class ReedSolomonCode:
@@ -90,31 +83,6 @@ class ReedSolomonCode:
         self._wire_dtype = ">u2" if self.symbol_bytes == 2 else ">u1"
         self.points = [i + 1 for i in range(n)]
         self.generator = LogMatrix(field.vandermonde(self.points, k))
-
-    def _invert_submatrix(self, indices: tuple[int, ...]) -> LogMatrix:
-        counters.bump("gf_matrix_invert")
-        return LogMatrix(
-            self.field.invert_matrix([self.generator[i] for i in indices])
-        )
-
-    def _decode_matrix(self, indices: tuple[int, ...]) -> LogMatrix:
-        """The cached inverse for this code's share-index tuple."""
-        key = (
-            self.field.degree,
-            self.field.modulus,
-            self.n,
-            self.k,
-            indices,
-        )
-        hit = _DECODE_MATRIX_CACHE.get(key)
-        if hit is None:
-            hit = self._invert_submatrix(indices)
-            if len(_DECODE_MATRIX_CACHE) >= _DECODE_MATRIX_CACHE_MAX:
-                _DECODE_MATRIX_CACHE.popitem(last=False)
-            _DECODE_MATRIX_CACHE[key] = hit
-        else:
-            _DECODE_MATRIX_CACHE.move_to_end(key)
-        return hit
 
     # -- byte <-> symbol plumbing -----------------------------------------
     def _framed(self, data: bytes) -> bytes:
@@ -186,11 +154,7 @@ class ReedSolomonCode:
         if length == 0 or length % self.symbol_bytes:
             raise CodingError(f"share length {length} not a symbol multiple")
 
-        if config.caches_enabled():
-            decode_matrix = self._decode_matrix(indices)
-        else:
-            decode_matrix = self._invert_submatrix(indices)
-
+        decode_matrix = _decode_matrix(self.field, self.n, self.k, indices)
         return self._decode_numpy(decode_matrix, [shares[i] for i in indices])
 
     def _decode_numpy(

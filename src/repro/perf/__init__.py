@@ -1,4 +1,5 @@
-"""Hot-path performance layer: counters, cache switches, profiling.
+"""Hot-path performance layer: counters, the process-cache reset,
+profiling.
 
 The paper's headline is *communication* optimality; this package keeps
 the reproduction's *computation* honest too.  Three pieces:
@@ -9,10 +10,10 @@ the reproduction's *computation* honest too.  Three pieces:
   the executed protocol configs, so they are byte-identical across
   runs, machines, and worker counts -- unlike wall time, they can gate
   CI at a 0% regression threshold without flaking.
-* :mod:`repro.perf.config` -- the global switch for the execution-scoped
-  caches (RS-encode/Merkle-forest memo, decode-matrix reuse), used by
-  the A/B tests that prove the caches are byte-for-byte
-  correctness-neutral.
+* :mod:`repro.perf.config` -- ``reset_process_caches()``, which drops
+  the process-level memos before a measured run, and the kernel name
+  ``perfbench`` records.  The caches themselves are always on; the
+  tests hold them to an uncached oracle.
 * :mod:`repro.perf.profile` -- the ``repro profile`` harness: runs
   representative end-to-end configs under the counters and emits
   ``benchmarks/BENCH_hotpath.json``, one deterministic counter section

@@ -1,13 +1,10 @@
-"""Runtime configuration of the hot-path layer: the cache switch.
+"""Runtime configuration of the hot-path layer: the kernel name and the
+process-level memo reset.
 
-The switch is *byte-for-byte correctness-neutral*: with the caches on
-or off, every execution produces identical outputs, traces,
-``CommunicationStats``, and deterministic operation counters.  It exists
-so tests can prove exactly that (run one config under each setting,
-compare everything) and so benchmarks can quantify what each cache
-buys.
-
-**Caches** (:func:`caches_enabled` / :func:`set_caches_enabled`):
+The hot-path caches are always on and *byte-for-byte
+correctness-neutral*: outputs, traces, ``CommunicationStats`` and the
+operation counters equal the uncached computation's, which the tests
+keep as their oracle (``tests/kernel_oracle.py``'s ``uncached()``):
 
 * the kernel memo of :mod:`repro.ba.distribution`, one dict per
   execution on :attr:`repro.sim.party.Context.cache`, shared by that
@@ -20,59 +17,22 @@ buys.
 * the parse memo of :func:`repro.sim.party.parse_once` on a round's
   :class:`~repro.sim.party.SharedInbox`: Phase-King, ``PI_BA+`` and
   Turpin-Coan count a shared inbox's ballots once per round, not once
-  per party (off: each party parses its own copy of the same inbox);
-* the inverted-Vandermonde decode-matrix reuse in
+  per party;
+* the inverted-Vandermonde decode matrices of
   :meth:`repro.coding.reed_solomon.ReedSolomonCode.decode`, a
-  process-wide memo keyed by the *full* code parameters
-  ``(field degree, field modulus, n, k, share indices)``.
-
-Not gated (pure code paths, not state): the network's unarmed round
-stages compute the same values through cheaper code, so there is
-nothing to switch off.
+  process-wide ``lru_cache`` keyed by the *full* code parameters
+  ``(field, n, k, share indices)``.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator
-
-__all__ = [
-    "backend",
-    "caches",
-    "caches_enabled",
-    "reset_process_caches",
-    "set_caches_enabled",
-]
-
-_caches_enabled = True
+__all__ = ["backend", "reset_process_caches"]
 
 
 def backend() -> str:
     """The kernel implementation's name.  Constant: ``perfbench`` writes
     it into every result's ``env`` and compares only equal ones."""
     return "numpy"
-
-
-def caches_enabled() -> bool:
-    """Whether the execution-scoped hot-path caches are active."""
-    return _caches_enabled
-
-
-def set_caches_enabled(enabled: bool) -> None:
-    """Turn the hot-path caches on or off globally."""
-    global _caches_enabled
-    _caches_enabled = bool(enabled)
-
-
-@contextmanager
-def caches(enabled: bool) -> Iterator[None]:
-    """Temporarily force the caches on or off (A/B test helper)."""
-    previous = _caches_enabled
-    set_caches_enabled(enabled)
-    try:
-        yield
-    finally:
-        set_caches_enabled(previous)
 
 
 def reset_process_caches() -> None:
@@ -87,7 +47,7 @@ def reset_process_caches() -> None:
     from ..crypto import merkle
 
     reed_solomon.rs_code.cache_clear()
-    reed_solomon.clear_decode_matrix_cache()
+    reed_solomon._decode_matrix.cache_clear()
     merkle._empty_hash.cache_clear()
     merkle._frame_prefix.cache_clear()
     merkle._length_frame.cache_clear()

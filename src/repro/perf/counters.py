@@ -15,11 +15,11 @@ counter               bumped by
 ``merkle_verify``     every :func:`repro.crypto.merkle.verify`
 ``rs_encode``         every ``RS.ENCODE`` (:meth:`ReedSolomonCode.encode`)
 ``rs_decode``         every ``RS.DECODE`` (:meth:`ReedSolomonCode.decode`)
-                      -- these four count operations *computed*: with
-                      the caches on, the distributing step computes
-                      each distinct input once per execution
-                      (:mod:`repro.ba.distribution`), with them off
-                      once per party that asks
+                      -- these four count operations *computed*: the
+                      distributing step computes each distinct input
+                      once per execution
+                      (:mod:`repro.ba.distribution`), not once per
+                      party that asks
 ``gf_matmul``         every :meth:`BinaryField.matmul`
 ``gf_matrix_invert``  every Gauss-Jordan inversion actually computed
                       (cache hits on the decode matrix do not count)

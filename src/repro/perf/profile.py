@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Sequence
+from typing import Any
 
 from . import config, counters
 
@@ -88,19 +88,13 @@ def _run_config(cfg: dict[str, Any]) -> dict[str, Any]:
     }
 
 
-def hotpath_document(
-    quick: bool = False,
-    configs: Sequence[dict[str, Any]] | None = None,
-) -> dict[str, Any]:
+def hotpath_document(quick: bool = False) -> dict[str, Any]:
     """Run the profile battery and build the benchmark document."""
-    chosen = (
-        configs if configs is not None
-        else (QUICK_CONFIGS if quick else FULL_CONFIGS)
-    )
+    chosen = QUICK_CONFIGS if quick else FULL_CONFIGS
     deterministic = {config_key(cfg): _run_config(cfg) for cfg in chosen}
     return {
         "schema": SCHEMA,
-        "quick": bool(quick) if configs is None else None,
+        "quick": bool(quick),
         "deterministic": deterministic,
     }
 

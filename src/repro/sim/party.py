@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, TypeVar
 
 from ..errors import ConfigurationError
-from ..perf.config import caches_enabled
 
 __all__ = [
     "Outgoing",
@@ -145,11 +144,10 @@ def parse_once(
     ``n``, ``kappa``, ``cache``).  On a :class:`SharedInbox` the first
     party to ask runs ``parse`` and the others get the remembered
     result, keyed by ``parse`` and ``reads`` -- never by party -- so
-    ``parse`` returns an immutable result.  Any other inbox, a ``reads``
-    that is a ``bytes`` subclass, or the caches switched off
-    (:func:`repro.perf.config.caches`), is parsed by its own party.
+    ``parse`` returns an immutable result.  Any other inbox, or a
+    ``reads`` that is a ``bytes`` subclass, is parsed by its own party.
     """
-    if type(inbox) is SharedInbox and caches_enabled():
+    if type(inbox) is SharedInbox:
         if type(reads) is bytes:
             key = (parse, reads)
         elif isinstance(reads, bytes):

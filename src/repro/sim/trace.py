@@ -6,7 +6,7 @@ Enable with ``SynchronousNetwork(..., trace=True)`` (or
 simulated round.  Traces power
 
 * debugging (which subprotocol was active when behaviour diverged),
-* the per-round communication profiles in the analysis notebooks,
+* per-channel communication profiles (:func:`summarize_trace`),
 * tests asserting *when* things happen (e.g. that the distributing step
   only fires after a non-bottom root agreement),
 * the online invariant monitors of :mod:`repro.sim.invariants`, which
@@ -63,7 +63,8 @@ class RoundRecord:
     clipped_crashes: frozenset[int] = field(default_factory=frozenset)
 
     def to_dict(self) -> dict:
-        """JSON-friendly representation (used by repro artifacts)."""
+        """JSON-friendly representation: the fields, sets as sorted
+        lists.  No artifact stores one; tests compare records with it."""
         return {
             "round_index": self.round_index,
             "channel": self.channel,

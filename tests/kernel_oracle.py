@@ -1,5 +1,4 @@
-"""The scalar kernels: the oracle the shipped GF / RS / Merkle kernels
-are checked against.
+"""The test suite's oracles: scalar kernels and uncached recomputation.
 
 ``repro`` ships one implementation of each kernel: the numpy-batched
 GF(2^a) matrix product and Reed-Solomon plumbing, and the packed-buffer
@@ -15,20 +14,29 @@ compares outputs and counter snapshots alike.  The two kernel sets keep
 the parameter ids the suite has always used for them: ``"python"`` is
 the oracle, ``"numpy"`` the shipped kernels.  Pool workers forked
 while the oracle is in place inherit it.
+
+``repro``'s hot-path caches are always on.  :func:`uncached` is their
+oracle: the same block with each of the three memo sites computing
+every call, again below the counter bumps, so a test compares a cached
+run with the computation the caches stand for.
 """
 
 from __future__ import annotations
 
 import struct
+import sys
 from contextlib import contextmanager
 from typing import Iterator
 
 import numpy as np
 import pytest
 
+from repro.ba import distribution
+from repro.coding import reed_solomon
 from repro.coding.gf import BinaryField
 from repro.coding.reed_solomon import ReedSolomonCode
 from repro.crypto import merkle
+from repro.sim import party
 
 #: ``"python"``: the oracle below; ``"numpy"``: the shipped kernels.
 KERNELS = ("python", "numpy")
@@ -136,4 +144,41 @@ def use_kernels(kernels: str) -> Iterator[None]:
         if kernels == "python":
             for owner, attribute, oracle in ORACLE:
                 patch.setattr(owner, attribute, oracle)
+        yield
+
+
+def _compute(ctx, key, compute, counter=None):
+    """``distribution._memo`` with nothing remembered and nothing
+    tallied: the ``<counter>_hit`` / ``_miss`` pair counts memo use."""
+    return compute()
+
+
+def _parse(inbox, parse, reads, *shared):
+    """``parse_once`` with every party parsing its own inbox."""
+    return parse(inbox, reads, *shared)
+
+
+@contextmanager
+def uncached() -> Iterator[None]:
+    """Run the block with the hot-path caches bypassed.
+
+    The execution memo (``distribution._memo``) computes every call,
+    each party parses its own inbox -- ``parse_once`` is replaced in
+    every loaded ``repro`` module that holds it, so a new call site
+    cannot escape -- and every decode inverts its matrix afresh
+    (``reed_solomon._decode_matrix.__wrapped__``).
+    """
+    parse_once = party.parse_once
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(distribution, "_memo", _compute)
+        patch.setattr(
+            reed_solomon, "_decode_matrix",
+            reed_solomon._decode_matrix.__wrapped__,
+        )
+        for name, module in list(sys.modules.items()):
+            if (
+                name.partition(".")[0] == "repro"
+                and vars(module).get("parse_once") is parse_once
+            ):
+                patch.setattr(module, "parse_once", _parse)
         yield

@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 from repro.ba.ba_plus import _votes, ba_plus
 from repro.ba.turpin_coan import turpin_coan
 from repro.ba.domains import digest_domain
-from repro.perf import config
 from repro.sim import (
     Adversary,
     Context,
@@ -259,8 +258,7 @@ class TestSharedParse:
         domain = digest_domain(KAPPA)
         shared = SharedInbox(inputs), SharedInbox(votes)
         for party in range(4):
-            with config.caches(False):
-                own = drive(party, value(party), inputs, votes)
+            own = drive(party, value(party), inputs, votes)
             assert drive(party, value(party), *shared) == own
         memo = shared[1].memo
         assert len(shared[0].memo) == len(memo) == 1
@@ -295,7 +293,6 @@ class TestSharedParse:
             return [bundle.messages[party] for bundle in out]
 
         for party in range(4):
-            with config.caches(False):
-                own = bundles(party, inputs, candidates)
+            own = bundles(party, inputs, candidates)
             assert bundles(party, *shared) == own
         assert len(shared[0].memo) == len(shared[1].memo) == 1

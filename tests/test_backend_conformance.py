@@ -37,10 +37,7 @@ from repro.asynchrony import AsyncApproximateAgreement, AsyncNetwork
 from repro.ba.ba_plus import ba_plus
 from repro.ba.ext_ba_plus import ext_ba_plus
 from repro.coding.gf import GF256, GF65536
-from repro.coding.reed_solomon import (
-    ReedSolomonCode,
-    clear_decode_matrix_cache,
-)
+from repro.coding.reed_solomon import ReedSolomonCode
 from repro.perf import config, counters
 from repro.sim import run_protocol
 from repro.sim.fuzz import run_case_ex, sample_case, standard_registry
@@ -409,33 +406,31 @@ def test_decode_matrix_cache_not_shared_across_codes():
     """
     payload = b"decode matrix cache regression"
     indices = (0, 2, 4)
-    with config.caches(True):
-        clear_decode_matrix_cache()
-        small = ReedSolomonCode(5, 3, GF256)
-        large = ReedSolomonCode(5, 3, GF65536)
-        wide = ReedSolomonCode(6, 3, GF65536)
-        with counters.capture() as counts:
-            assert _decode_with(small, payload, indices) == payload
-            assert _decode_with(large, payload, indices) == payload
-            assert _decode_with(wide, payload, indices) == payload
-        # Three distinct codes -> three distinct cache entries, one
-        # inversion each -- the old per-index keying would have reused
-        # the first matrix for all three.
-        assert counts.get("gf_matrix_invert", 0) == 3
-        with counters.capture() as warm:
-            assert _decode_with(small, payload, indices) == payload
-            assert _decode_with(large, payload, indices) == payload
-            assert _decode_with(wide, payload, indices) == payload
-        assert warm.get("gf_matrix_invert", 0) == 0
+    config.reset_process_caches()
+    small = ReedSolomonCode(5, 3, GF256)
+    large = ReedSolomonCode(5, 3, GF65536)
+    wide = ReedSolomonCode(6, 3, GF65536)
+    with counters.capture() as counts:
+        assert _decode_with(small, payload, indices) == payload
+        assert _decode_with(large, payload, indices) == payload
+        assert _decode_with(wide, payload, indices) == payload
+    # Three distinct codes -> three distinct cache entries, one
+    # inversion each -- the old per-index keying would have reused
+    # the first matrix for all three.
+    assert counts.get("gf_matrix_invert", 0) == 3
+    with counters.capture() as warm:
+        assert _decode_with(small, payload, indices) == payload
+        assert _decode_with(large, payload, indices) == payload
+        assert _decode_with(wide, payload, indices) == payload
+    assert warm.get("gf_matrix_invert", 0) == 0
 
 
 def test_decode_matrix_cache_survives_per_code_reuse():
     """Same code + same indices twice -> exactly one inversion."""
-    with config.caches(True):
-        clear_decode_matrix_cache()
-        code = ReedSolomonCode(7, 5, GF65536)
-        indices = (1, 2, 3, 5, 6)
-        with counters.capture() as counts:
-            assert _decode_with(code, b"one", indices) == b"one"
-            assert _decode_with(code, b"two", indices) == b"two"
-        assert counts.get("gf_matrix_invert", 0) == 1
+    config.reset_process_caches()
+    code = ReedSolomonCode(7, 5, GF65536)
+    indices = (1, 2, 3, 5, 6)
+    with counters.capture() as counts:
+        assert _decode_with(code, b"one", indices) == b"one"
+        assert _decode_with(code, b"two", indices) == b"two"
+    assert counts.get("gf_matrix_invert", 0) == 1

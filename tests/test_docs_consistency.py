@@ -181,11 +181,16 @@ class TestOneWayToMeasure:
     def test_test_only_options_stay_undocumented(self):
         """Options that only tests set are constants now: no doc may
         send a reader to the escalation policy class, the WAL class and
-        its checkpoint interval, the backoff cap, or the engine's retry
-        sleep and chunk size."""
+        its checkpoint interval, the backoff cap, the engine's retry
+        sleep and chunk size, the cache switch, the hand-written
+        decode-matrix LRU or the profile battery's config override.
+        (``reset_process_caches()`` stays documented.)"""
         assert_undocumented(
             r"TimeoutEscalation|WriteAheadLog|checkpoint_interval"
             r"|max_backoff|retry_backoff_s|chunksize"
+            r"|caches_enabled|config\.caches\(|\bcaches\((?:False|True)\)"
+            r"|clear_decode_matrix_cache|_DECODE_MATRIX_CACHE"
+            r"|hotpath_document\(configs="
         )
 
     def test_unreached_mechanisms_stay_undocumented(self):

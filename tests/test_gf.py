@@ -295,12 +295,17 @@ class TestSentinelKernel:
     @pytest.mark.parametrize("shape", [(1, 1, 1), (4, 1, 1), (1, 4, 1),
                                        (4, 3, 1), (2, 3, 500)])
     def test_named_shapes(self, field, shape):
+        """Zero operands in most shapes, and in every shape some output
+        cell whose last ``k`` term is nonzero, so a reduction that drops
+        a row of ``k`` fails every case."""
         r, k, c = shape
         top = field.order - 1
-        matrix = [[(7 * i + j) % 3 and top - i - j for j in range(k)]
+        matrix = [[(7 * i + j + 1) % 3 and top - i - j for j in range(k)]
                   for i in range(r)]
-        data = [[(i + j) % 4 and top - 5 * i - j for j in range(c)]
+        data = [[(i + j + 3) % 4 and (top - 5 * i - j) % field.order
+                 for j in range(c)]
                 for i in range(k)]
+        assert any(row[-1] for row in matrix) and any(data[-1])
         out = field._matmul_numpy(matrix, data)
         assert out.shape == (r, c)
         assert out.tolist() == matmul_python(field, matrix, data)

@@ -283,7 +283,7 @@ SHARED_PLANES = {"bare", "transport"}
 @pytest.mark.parametrize("n,t", [(2, 0), (4, 1), (7, 2)])
 def test_inboxes_are_private(n, t):
     """Party 0 tries to vandalise its inbox before anyone else reads
-    theirs, under every plane and kernel set.  A shared inbox refuses with
+    theirs, under every plane.  A shared inbox refuses with
     ``TypeError``; a private one (adversary stage armed) takes the
     damage alone.  Either way the others, a WAL-replayed party
     (``crashed``) included, read every round intact."""
@@ -310,30 +310,24 @@ def test_inboxes_are_private(n, t):
         return tuple(seen)
 
     inputs = list(range(n))
-    for kernels in KERNELS:
-        for plane in planes_for(t):
-            with use_kernels(kernels):
-                result = run_protocol(
-                    protocol, inputs, n=n, t=t, **PLANES[plane]()
-                )
-            shared = plane in SHARED_PLANES
-            assert result.outputs[0] == ((shared, shared),) * 3, (
-                kernels, plane
+    for plane in planes_for(t):
+        result = run_protocol(protocol, inputs, n=n, t=t, **PLANES[plane]())
+        shared = plane in SHARED_PLANES
+        assert result.outputs[0] == ((shared, shared),) * 3, plane
+        # ``crashed``: party 1 is down in round 2, unheard then.
+        silent = {2: 1} if plane == "crashed" else {}
+        expected = tuple(
+            tuple(
+                (sender, (sender, round_index))
+                for sender in range(n)
+                if silent.get(round_index) != sender
             )
-            # ``crashed``: party 1 is down in round 2, unheard then.
-            silent = {2: 1} if plane == "crashed" else {}
-            expected = tuple(
-                tuple(
-                    (sender, (sender, round_index))
-                    for sender in range(n)
-                    if silent.get(round_index) != sender
-                )
-                for round_index in range(3)
-            )
-            readers = set(result.outputs) - {0}
-            assert readers, (kernels, plane)
-            for party in readers:
-                assert result.outputs[party] == expected, (kernels, plane)
+            for round_index in range(3)
+        )
+        readers = set(result.outputs) - {0}
+        assert readers, plane
+        for party in readers:
+            assert result.outputs[party] == expected, plane
 
 
 @pytest.mark.parametrize(
@@ -360,14 +354,12 @@ def test_marked_equals_unmarked_under_every_plane(kernels, n, t, plane):
         assert bare[key] == armed[key], key
 
 
-@pytest.mark.parametrize("kernels", KERNELS)
-def test_crash_restart_replays_marked_bundles(kernels):
+def test_crash_restart_replays_marked_bundles():
     """Party 1 is down over rounds 2-3 and replays its WAL at round 4."""
     n, t = 7, 2
-    with use_kernels(kernels):
-        crashed = observe(probe(marked), n, t, adversary=crash_1_over_2_3())
-        crashed_unmarked = observe(probe(unmarked), n, t,
-                                   adversary=crash_1_over_2_3())
+    crashed = observe(probe(marked), n, t, adversary=crash_1_over_2_3())
+    crashed_unmarked = observe(probe(unmarked), n, t,
+                               adversary=crash_1_over_2_3())
     assert crashed == crashed_unmarked
     assert crashed["events"] == [Event("down", 2, 1), Event("up", 4, 1)]
     # The replayed party rejoined and finished all six rounds; while it

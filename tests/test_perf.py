@@ -2,13 +2,14 @@
 
 Two contracts under test:
 
-1. **Correctness neutrality**: every cache (execution-scoped RS-encode +
-   Merkle-forest memo, decode-matrix reuse, memoized ``wire_bits``) is
-   byte-for-byte invisible -- identical outputs, ``CommunicationStats``,
-   channel traces, and round traces with the caches on or off, honest
-   or byzantine runs.  Byzantine garbage must never poison an honest
-   party's cache.  (That arming a network stage changes nothing is
-   ``tests/test_network_delivery.py``'s contract.)
+1. **Correctness neutrality**: every cache (the execution memo, the
+   shared-inbox parse memo, decode-matrix reuse) is byte-for-byte
+   invisible -- identical outputs, ``CommunicationStats``, channel
+   traces, and round traces cached and under the uncached oracle
+   (``kernel_oracle.uncached``), honest or byzantine runs.  Byzantine
+   garbage must never poison an honest party's cache.  (That arming a
+   network stage changes nothing is ``tests/test_network_delivery.py``'s
+   contract.)
 2. **Deterministic observability**: the operation counters are pure
    functions of the executed config (reproducible across runs once the
    process-level memos are cleared), and the ``repro profile`` document
@@ -18,6 +19,7 @@ Two contracts under test:
 from __future__ import annotations
 
 import sys
+from contextlib import nullcontext
 
 import pytest
 
@@ -36,7 +38,7 @@ from repro.core.high_cost_ca import high_cost_ca
 from repro.crypto import merkle
 from repro.crypto.merkle import MerkleWitness
 from repro.errors import CodingError
-from repro.perf import config, counters
+from repro.perf import config, counters, profile
 from repro.perf.profile import (
     QUICK_CONFIGS,
     check_counters,
@@ -54,7 +56,7 @@ from repro.sim.bombs import BOMB_CATALOG, deep_nest
 from repro.sim.party import Context
 from repro.sim.network import run_protocol
 
-from kernel_oracle import KERNELS, use_kernels
+from kernel_oracle import KERNELS, uncached, use_kernels
 from test_network_delivery import PLANES
 
 
@@ -82,12 +84,13 @@ def _comparable(result):
     )
 
 
-def _on_and_off(run):
-    """``run()`` with the caches on, then off: ``(result, ops)`` each."""
+def _cached_and_uncached(run):
+    """``run()`` with the caches, then under the :func:`uncached`
+    oracle: ``(result, ops)`` each."""
     observed = []
-    for enabled in (True, False):
+    for oracle in (nullcontext, uncached):
         config.reset_process_caches()
-        with config.caches(enabled), counters.capture() as ops:
+        with oracle(), counters.capture() as ops:
             result = run()
         observed.append((result, ops))
     return observed
@@ -97,13 +100,13 @@ def _on_and_off(run):
 
 
 def _assert_caches_invisible(run, planes):
-    """``run(**plane)`` is byte-identical with the caches on and off, on
-    both kernel sets and under every plane of ``planes``.  (A loop, so
+    """``run(**plane)`` is byte-identical cached and uncached, on both
+    kernel sets and under every plane of ``planes``.  (A loop, so
     the two tests below keep their unparametrised ids.)"""
     for kernels in KERNELS:
         for plane in sorted(planes):
             with use_kernels(kernels):
-                (warm, _), (cold, _) = _on_and_off(
+                (warm, _), (cold, _) = _cached_and_uncached(
                     lambda: run(**PLANES[plane]())
                 )
             assert _comparable(warm) == _comparable(cold), (kernels, plane)
@@ -165,9 +168,9 @@ def _memo_keys(cache, tag):
 
 
 def test_each_distinct_kernel_input_is_computed_once(monkeypatch):
-    """Fault-free, caches on: one hash chain per distinct
+    """Fault-free, cached: one hash chain per distinct
     ``(z*, i, share, witness)``, one decode + re-encode + root comparison
-    per distinct ``(z*, collected)``; caches off, one per call."""
+    per distinct ``(z*, collected)``; uncached, one per call."""
 
     def run():
         return measure("pi_z", 7, 2, 1024, seed=0, spread="clustered")
@@ -175,7 +178,7 @@ def test_each_distinct_kernel_input_is_computed_once(monkeypatch):
     with monkeypatch.context() as patch:
         verifies = _spy(patch, merkle, "verify")
         decodes = _spy(patch, distribution, "decode_with_check")
-        with config.caches(False), counters.capture() as cold:
+        with uncached(), counters.capture() as cold:
             run()
     assert all(accepted for _, accepted in verifies)
     distinct_tuples = {args for args, _ in verifies}
@@ -187,7 +190,7 @@ def test_each_distinct_kernel_input_is_computed_once(monkeypatch):
     assert (len(verifies), len(decodes)) == (280, 35)
     assert (len(distinct_tuples), len(distinct_share_sets)) == (35, 5)
 
-    with config.caches(True), counters.capture() as warm:
+    with counters.capture() as warm:
         run()
     assert warm["merkle_verify"] == len(distinct_tuples)
     assert warm["rs_decode"] == len(distinct_share_sets)
@@ -214,8 +217,8 @@ def _committed(n, t, value, damage=None):
 def test_rejected_share_tuples_are_never_remembered(kernels):
     """Two corrupted parties send every destination its *own* well-formed
     but invalid tuple in ``dist/r1`` and ``dist/r2``.  Every one a party
-    looks at is rejected and costs one ``merkle_verify`` -- caches on or
-    off -- and none is remembered.  (Round 1 stops at the first valid
+    looks at is rejected and costs one ``merkle_verify`` -- cached or
+    uncached -- and none is remembered.  (Round 1 stops at the first valid
     tuple and an honest holder's comes first, so only the round-2 junk
     is ever looked at.)"""
     n, t, value = 7, 2, b"the agreed value " * 8
@@ -249,9 +252,9 @@ def test_rejected_share_tuples_are_never_remembered(kernels):
         )
 
     with use_kernels(kernels):
-        (warm, ops), (cold, cold_ops) = _on_and_off(run)
+        (warm, ops), (cold, cold_ops) = _cached_and_uncached(run)
     cache, unused = contexts[0].cache, contexts[n].cache
-    assert unused == {}  # the caches-off run's
+    assert unused == {}  # the uncached run's
     assert _comparable(warm) == _comparable(cold)
     assert warm.common_output() == value
     # 2 senders x 7 destinations per round, no two alike.
@@ -302,8 +305,8 @@ def test_non_codeword_commitment_gets_one_memoised_verdict(kernels, damage):
         )
 
     with use_kernels(kernels):
-        (warm, ops), (cold, cold_ops) = _on_and_off(run)
-    cache = contexts[0].cache  # the caches-on run came first
+        (warm, ops), (cold, cold_ops) = _cached_and_uncached(run)
+    cache = contexts[0].cache  # the cached run came first
     assert _comparable(warm) == _comparable(cold)
     assert warm.common_output() is None
     verdicts = _memo_keys(cache, "rs.decode")
@@ -414,30 +417,29 @@ def test_hostile_share_tuples_never_reach_a_memo_key(name, position):
     n, t = 4, 1
     root, shares, witnesses = _committed(n, t, b"some honest value")
     ctx = Context(party_id=1, n=n, t=t, kappa=KAPPA)
-    with config.caches(True):
-        for i in range(n):
-            assert valid_share_tuple(
-                ctx, root, i, (i, shares[i], witnesses[i])
+    for i in range(n):
+        assert valid_share_tuple(
+            ctx, root, i, (i, shares[i], witnesses[i])
+        )
+    before = dict(ctx.cache)
+    assert len(_memo_keys(before, "mt.verify")) == n
+    probes = [JUNK[name]]
+    if name == "loud-bytes" and position in ("root", "share"):
+        # the right bytes in the wrong type: valid, still unhashed.
+        probes.append(LoudBytes(root if position == "root" else shares[1]))
+    for junk in probes:
+        z_star, index, message = _planted(
+            position, junk, root, 1, shares[1], witnesses[1]
+        )
+        with counters.capture() as ops:
+            verdict = valid_share_tuple(ctx, z_star, index, message)
+        with counters.capture() as oracle_ops:
+            expected = _share_tuple_at_the_parent(
+                ctx, z_star, index, message
             )
-        before = dict(ctx.cache)
-        assert len(_memo_keys(before, "mt.verify")) == n
-        probes = [JUNK[name]]
-        if name == "loud-bytes" and position in ("root", "share"):
-            # the right bytes in the wrong type: valid, still unhashed.
-            probes.append(LoudBytes(root if position == "root" else shares[1]))
-        for junk in probes:
-            z_star, index, message = _planted(
-                position, junk, root, 1, shares[1], witnesses[1]
-            )
-            with counters.capture() as ops:
-                verdict = valid_share_tuple(ctx, z_star, index, message)
-            with counters.capture() as oracle_ops:
-                expected = _share_tuple_at_the_parent(
-                    ctx, z_star, index, message
-                )
-            assert verdict is expected
-            assert ops == oracle_ops
-            assert ctx.cache == before
+        assert verdict is expected
+        assert ops == oracle_ops
+        assert ctx.cache == before
 
 
 # -- cache poisoning and scope ---------------------------------------------
@@ -448,12 +450,11 @@ def test_garbled_payloads_cannot_poison_the_encode_cache():
     ctx = Context(party_id=0, n=4, t=1)
     honest = b"honest value bytes"
     garbled = b"byzantine garbage!"
-    with config.caches(True):
-        # Garbage first: whatever a byzantine sender makes us decode and
-        # re-encode lands under *its* key, not the honest payload's.
-        _encode_and_build(ctx, garbled)
-        _, shares, root, _ = encode_and_accumulate(ctx, honest)
-    with config.caches(False):
+    # Garbage first: whatever a byzantine sender makes us decode and
+    # re-encode lands under *its* key, not the honest payload's.
+    _encode_and_build(ctx, garbled)
+    _, shares, root, _ = encode_and_accumulate(ctx, honest)
+    with uncached():
         _, ref_shares, ref_root, _ = encode_and_accumulate(ctx, honest)
     assert shares == ref_shares
     assert root == ref_root
@@ -477,24 +478,23 @@ def test_encode_cache_is_execution_scoped(monkeypatch):
         run(factory, inputs, n=7, t=2, **kwargs)
         return seen
 
-    with config.caches(True):
-        first = contexts_of(run_protocol)
-        second = contexts_of(run_protocol)
-        replayed = contexts_of(run_protocol, **PLANES["crashed"]())
-        fallen = []
+    first = contexts_of(run_protocol)
+    second = contexts_of(run_protocol)
+    replayed = contexts_of(run_protocol, **PLANES["crashed"]())
+    fallen = []
 
-        def fallback(ctx, v, channel):
-            fallen.append(ctx)
-            return high_cost_ca(ctx, v, channel=channel)
+    def fallback(ctx, v, channel):
+        fallen.append(ctx)
+        return high_cost_ca(ctx, v, channel=channel)
 
-        # the supervisor imports its HighCostCA rung at call time.
-        monkeypatch.setattr(
-            sys.modules["repro.core.high_cost_ca"], "high_cost_ca", fallback
-        )
-        primary = contexts_of(
-            run_with_escalation,
-            monitors=[BitBudgetMonitor(per_channel={"flca/fp": 1})],
-        )
+    # the supervisor imports its HighCostCA rung at call time.
+    monkeypatch.setattr(
+        sys.modules["repro.core.high_cost_ca"], "high_cost_ca", fallback
+    )
+    primary = contexts_of(
+        run_with_escalation,
+        monitors=[BitBudgetMonitor(per_channel={"flca/fp": 1})],
+    )
     for execution, size in (
         (first, 7), (second, 7), (replayed, 8), (primary, 7), (fallen, 7)
     ):
@@ -514,21 +514,20 @@ def test_decode_matrix_cache_survives_garbled_shares():
     code = ReedSolomonCode(5, 3)
     shares = code.encode(b"some value to protect")
     subset = {0: shares[0], 2: shares[2], 4: shares[4]}
-    with config.caches(True):
-        assert code.decode(subset) == b"some value to protect"
-        # Same index set, garbled contents: the cached inverse depends
-        # only on the indices, so decoding still inverts correctly and
-        # the re-encode check upstream rejects the junk value.
-        garbled = dict(subset)
-        garbled[2] = bytes(len(shares[2]))
-        try:
-            junk = code.decode(garbled)
-        except CodingError:
-            pass  # junk framing is rejected outright -- equally fine
-        else:
-            assert junk != b"some value to protect"
-        # The honest subset still decodes through the cached matrix.
-        assert code.decode(subset) == b"some value to protect"
+    assert code.decode(subset) == b"some value to protect"
+    # Same index set, garbled contents: the cached inverse depends
+    # only on the indices, so decoding still inverts correctly and
+    # the re-encode check upstream rejects the junk value.
+    garbled = dict(subset)
+    garbled[2] = bytes(len(shares[2]))
+    try:
+        junk = code.decode(garbled)
+    except CodingError:
+        pass  # junk framing is rejected outright -- equally fine
+    else:
+        assert junk != b"some value to protect"
+    # The honest subset still decodes through the cached matrix.
+    assert code.decode(subset) == b"some value to protect"
 
 
 def test_decode_matrix_cached_per_index_tuple():
@@ -538,47 +537,29 @@ def test_decode_matrix_cached_per_index_tuple():
     code = ReedSolomonCode(5, 3)
     shares = code.encode(b"abc")
     subset = {0: shares[0], 1: shares[1], 3: shares[3]}
-    with config.caches(True):
-        with counters.capture() as first:
-            code.decode(subset)
-        with counters.capture() as second:
-            code.decode(subset)
+    with counters.capture() as first:
+        code.decode(subset)
+    with counters.capture() as second:
+        code.decode(subset)
     assert first.get("gf_matrix_invert", 0) == 1
     assert second.get("gf_matrix_invert", 0) == 0
-    with config.caches(False):
-        with counters.capture() as uncached:
-            code.decode(subset)
-    assert uncached.get("gf_matrix_invert", 0) == 1
+    with uncached(), counters.capture() as cold:
+        code.decode(subset)
+    assert cold.get("gf_matrix_invert", 0) == 1
 
 
-def test_decode_matrix_cache_lru_eviction(monkeypatch):
+def test_decode_matrix_cache_lru_eviction():
+    """The decode-matrix memo is a bounded LRU, and the profiling
+    reset empties it."""
     from repro.coding import reed_solomon as rs
 
-    config.reset_process_caches()
-    monkeypatch.setattr(rs, "_DECODE_MATRIX_CACHE_MAX", 2)
     code = ReedSolomonCode(5, 3)
     shares = code.encode(b"abc")
-
-    def decode(indices) -> int:
-        """Decode from the given share indices; inversions performed."""
-        subset = {i: shares[i] for i in indices}
-        with counters.capture() as counts:
-            assert code.decode(subset) == b"abc"
-        return counts.get("gf_matrix_invert", 0)
-
-    with config.caches(True):
-        assert decode((0, 1, 2)) == 1
-        assert decode((0, 1, 3)) == 1
-        # Touch the oldest entry: it becomes most recently used.
-        assert decode((0, 1, 2)) == 0
-        # At capacity, a new key evicts the true LRU -- (0,1,3), not
-        # the refreshed (0,1,2).
-        assert decode((0, 1, 4)) == 1
-        assert decode((0, 1, 2)) == 0
-        assert decode((0, 1, 3)) == 1
-    assert len(rs._DECODE_MATRIX_CACHE) == 2
-    rs.clear_decode_matrix_cache()
-    assert len(rs._DECODE_MATRIX_CACHE) == 0
+    assert code.decode({i: shares[i] for i in (0, 1, 2)}) == b"abc"
+    assert rs._decode_matrix.cache_info().maxsize == 512
+    assert rs._decode_matrix.cache_info().currsize >= 1
+    config.reset_process_caches()
+    assert rs._decode_matrix.cache_info().currsize == 0
 
 
 def test_merkle_roundtrip_and_defensive_verify():
@@ -626,19 +607,21 @@ def test_rs_decode_raises_on_malformed_share_sets():
 # -- the profile document --------------------------------------------------
 
 
-def test_hotpath_document_self_checks_clean():
-    tiny = [dict(QUICK_CONFIGS[0])]
-    doc = hotpath_document(configs=tiny)
+def test_hotpath_document_self_checks_clean(monkeypatch):
+    tiny = (dict(QUICK_CONFIGS[0]),)
+    monkeypatch.setattr(profile, "QUICK_CONFIGS", tiny)
+    doc = hotpath_document(quick=True)
     key = config_key(tiny[0])
-    assert key in doc["deterministic"]
+    assert list(doc["deterministic"]) == [key] and doc["quick"] is True
     assert doc["deterministic"][key]["counters"]["net_rounds"] > 0
     errors, notes = check_counters(doc, doc)
     assert errors == [] and notes == []
 
 
-def test_check_counters_flags_regressions_and_improvements():
-    tiny = [dict(QUICK_CONFIGS[0])]
-    doc = hotpath_document(configs=tiny)
+def test_check_counters_flags_regressions_and_improvements(monkeypatch):
+    tiny = (dict(QUICK_CONFIGS[0]),)
+    monkeypatch.setattr(profile, "QUICK_CONFIGS", tiny)
+    doc = hotpath_document(quick=True)
     key = config_key(tiny[0])
     worse = {
         "deterministic": {

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import sys
 from collections import Counter, namedtuple
+from contextlib import nullcontext
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +23,6 @@ from repro.ba import (
 from repro.ba.phase_king import phase_king, phase_king_rounds
 from repro.core.bitstrings import BitString
 from repro.crypto.merkle import MerkleWitness
-from repro.perf import config
 from repro.sim import Context
 from repro.sim.party import SharedInbox
 from repro.sim import (
@@ -33,6 +33,7 @@ from repro.sim import (
 )
 
 from conftest import CONFIGS, adversary_params, oracle_tally
+from kernel_oracle import uncached
 
 NAT = nat_domain()
 
@@ -359,14 +360,14 @@ class TestPhaseDifferential:
 
 
 def test_a_shared_round_is_tallied_once(monkeypatch):
-    """One ``convex_agreement`` op at n = 16: with the caches on,
-    ``Domain.tally`` runs once per Phase-King exchange / propose round
-    and ``PI_BA+`` input round (every one of them shared); with them
-    off, once per party per round.  So do Phase-King's pluralities, and
+    """One ``convex_agreement`` op at n = 16: cached, ``Domain.tally``
+    runs once per Phase-King exchange / propose round and ``PI_BA+``
+    input round (every one of them shared); under the uncached oracle,
+    once per party per round.  So do Phase-King's pluralities, and
     the distributing step's share checks run once for the shared
     ``dist/r2`` inbox (plus each party's own ``dist/r1`` check).
-    Merkle witnesses are made only for the 16 the holders send, caches
-    on or off.  Nothing observable moves."""
+    Merkle witnesses are made only for the 16 the holders send of each
+    forest built.  Nothing observable moves."""
     calls = Counter()
 
     def spy(owner, name, key):
@@ -383,13 +384,13 @@ def test_a_shared_round_is_tallied_once(monkeypatch):
     spy(sys.modules["repro.ba.distribution"], "valid_share_tuple", "share")
     spy(MerkleWitness, "__init__", "witness")
     inputs = make_inputs(16, 256, seed=0, spread="spread")
-    runs = {}
-    for on in (True, False):
+    runs = []
+    for oracle in (nullcontext, uncached):
         calls.clear()
-        with config.caches(on):
+        with oracle():
             execution = convex_agreement(inputs, t=5).execution
-        runs[on] = (dict(calls), execution)
-    (shared_calls, shared), (own_calls, own) = runs[True], runs[False]
+        runs.append((dict(calls), execution))
+    (shared_calls, shared), (own_calls, own) = runs
     parsed = sum(
         channel.endswith(("/exch", "/prop", "/input"))
         for channel in shared.channel_trace
