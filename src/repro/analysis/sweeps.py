@@ -22,6 +22,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from ..errors import ConfigurationError
 from ..sim.parallel import run_many
 from .experiments import Measurement, measure_case, output_text
 
@@ -99,7 +100,8 @@ def run_grid(
     Measurements come back in the spec's row-major job order.  A grid
     point that fails (crash, timeout, protocol exception) aborts the
     sweep with a :class:`RuntimeError` naming the point -- a sweep with
-    holes would silently skew fitted exponents.
+    holes would silently skew fitted exponents -- or, when the protocol
+    refused the point's parameters, a :class:`ConfigurationError`.
     """
     jobs = spec.jobs()
     outcomes = run_many(
@@ -109,9 +111,13 @@ def run_grid(
     if failed:
         worst = failed[0]
         point = jobs[worst.index]
+        where = f"grid point n={point['n']} ell={point['ell']}"
+        if worst.error_type == "ConfigurationError":
+            reason = worst.error.split("\n", 1)[0].split(": ", 1)[1]
+            raise ConfigurationError(f"{where}: {reason}")
         raise RuntimeError(
-            f"sweep failed at grid point n={point['n']} "
-            f"ell={point['ell']} ({len(failed)} failure(s)): {worst.error}"
+            f"sweep failed at {where} "
+            f"({len(failed)} failure(s)): {worst.error}"
         )
     return [outcome.value for outcome in outcomes]
 

@@ -38,7 +38,7 @@ import json
 import os
 import sys
 
-from .errors import ReproError
+from .errors import ConfigurationError, ReproError
 # The adversary classes load with ``import repro`` (the protocol stack
 # needs them); every other import sits in the command that uses it, so
 # ``repro --help`` loads no harness.
@@ -513,9 +513,13 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code (2: bad arguments)."""
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except ConfigurationError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

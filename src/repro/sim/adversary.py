@@ -65,27 +65,15 @@ class RoundView:
     t: int
     kappa: int
     corrupted: frozenset[int]
-    #: channel label of each still-running party this round (honest parties
-    #: are in lockstep, so honest labels coincide; corrupted parties' spec
-    #: code may have diverged).
-    channels: dict[int, str]
-    #: ``(src, dst) -> payload`` for every honest message of this round.
+    #: the honest parties' channel label this round (they are in
+    #: lockstep); in a round no honest party yields (all finished or
+    #: down), the label of the lowest-id corrupted party that did.
+    channel: str
+    #: ``(src, dst) -> payload`` for every honest message of this round:
+    #: the rushing adversary reads them before it sends.
     honest_outgoing: dict[tuple[int, int], Any]
     #: ``(src, dst) -> payload`` the corrupted parties' spec code would send.
     spec_outgoing: dict[tuple[int, int], Any]
-    #: protocol inputs originally assigned to each corrupted party.
-    corrupted_inputs: dict[int, Any]
-    #: honest parties currently powered off by the crash plane (they send
-    #: and receive nothing until their scheduled restart + WAL replay).
-    down: frozenset[int] = frozenset()
-
-    @property
-    def channel(self) -> str:
-        """The honest parties' current channel label (lockstep)."""
-        for party, label in self.channels.items():
-            if party not in self.corrupted:
-                return label
-        return next(iter(self.channels.values()), "")
 
 
 class Adversary:

@@ -7,7 +7,7 @@ split votes, target the king) with link-level faults (drop, duplicate,
 garble, replay).  This module provides:
 
 * :class:`FaultSpec` -- a declarative, JSON-serialisable description of
-  link faults on corrupted links, seeded deterministically;
+  message faults on every corrupted link, seeded deterministically;
 * :class:`FaultInjector` -- the stateful applier of a spec (replay
   buffers, next-round duplicates);
 * :class:`ComposedAdversary` -- stacks any number of existing
@@ -107,20 +107,19 @@ def _garble(payload: Any, rng: random.Random, depth: int = 0) -> Any:
 
 @dataclass(frozen=True)
 class FaultSpec:
-    """Declarative per-link fault probabilities on corrupted links.
+    """Declarative per-message fault probabilities on corrupted links.
 
-    Each field is the per-message probability of the fault firing;
-    ``links`` restricts the faulty links (``None`` = every corrupted
-    link).  Faults compose in a fixed order -- replay, garble, duplicate,
-    drop -- and draw from one deterministic stream seeded by ``seed``,
-    so a spec plus a corruption schedule is a reproducible experiment.
+    Each field is the probability of the fault firing on a message of
+    any corrupted link (each is the adversary's: no per-link scope).
+    Faults compose in a fixed order -- replay, garble, duplicate, drop
+    -- and draw from one deterministic stream seeded by ``seed``, so a
+    spec plus a corruption schedule is a reproducible experiment.
     """
 
     drop: float = 0.0
     duplicate: float = 0.0
     garble: float = 0.0
     replay: float = 0.0
-    links: frozenset[tuple[int, int]] | None = None
     seed: int = 0
     #: link-fault plane (honest links, handled by ``LossyTransport``).
     link_drop: float = 0.0
@@ -261,8 +260,7 @@ class FaultSpec:
             )
         if self.link_churn:
             active.append(f"churn={len(self.link_churn)}")
-        scope = "all" if self.links is None else f"{len(self.links)} links"
-        return f"FaultSpec({', '.join(active) or 'noop'}, links={scope})"
+        return f"FaultSpec({', '.join(active) or 'noop'})"
 
     def to_dict(self) -> dict:
         """JSON-friendly representation (used by repro artifacts)."""
@@ -271,10 +269,6 @@ class FaultSpec:
             "duplicate": self.duplicate,
             "garble": self.garble,
             "replay": self.replay,
-            "links": (
-                None if self.links is None
-                else sorted([s, d] for s, d in self.links)
-            ),
             "seed": self.seed,
             "link_drop": self.link_drop,
             "link_delay": self.link_delay,
@@ -291,16 +285,16 @@ class FaultSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultSpec":
-        links = data.get("links")
+        if data.get("links") is not None:  # earlier writers: null
+            raise ValueError(
+                f"per-link fault scope {data['links']!r}: faults act on "
+                "every corrupted link"
+            )
         return cls(
             drop=data.get("drop", 0.0),
             duplicate=data.get("duplicate", 0.0),
             garble=data.get("garble", 0.0),
             replay=data.get("replay", 0.0),
-            links=(
-                None if links is None
-                else frozenset((s, d) for s, d in links)
-            ),
             seed=data.get("seed", 0),
             link_drop=data.get("link_drop", 0.0),
             link_delay=data.get("link_delay", 0.0),
@@ -333,9 +327,6 @@ class FaultInjector:
         #: payload per sender, so a same-round duplicate is a no-op).
         self._carryover: dict[tuple[int, int], Any] = {}
 
-    def _applies(self, link: tuple[int, int]) -> bool:
-        return self.spec.links is None or link in self.spec.links
-
     def apply(
         self, messages: dict[tuple[int, int], Any]
     ) -> dict[tuple[int, int], Any]:
@@ -351,9 +342,6 @@ class FaultInjector:
         rng = self.rng
         for link in sorted(messages):
             payload = messages[link]
-            if not self._applies(link):
-                out[link] = payload
-                continue
             history = self._history.setdefault(link, [])
             if spec.replay and history and rng.random() < spec.replay:
                 payload = history[rng.randrange(len(history))]

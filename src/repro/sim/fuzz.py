@@ -944,7 +944,8 @@ def validate_artifact(artifact: dict) -> list[str]:
         (
             "faults",
             artifact.get("case", {}).get("faults", {}),
-            frozenset(f.name for f in dataclass_fields(FaultSpec)),
+            # ``links``: earlier writers' null scope (FaultSpec refuses more)
+            frozenset(f.name for f in dataclass_fields(FaultSpec)) | {"links"},
         ),
     ]
     for label, section, known in sections:
@@ -1197,6 +1198,8 @@ def fuzz(
     ``registry_builder``: a module-level callable returning the
     registry (the specs themselves hold closures and do not pickle).
     """
+    if runs < 0:
+        raise ValueError(f"runs must be >= 0, got {runs}")
     builder = registry_builder or standard_registry
     parent_registry = _filtered_registry(builder(), protocols)
     worker_count = resolve_workers(workers)

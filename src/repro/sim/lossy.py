@@ -113,9 +113,6 @@ class LossyTransport:
         slot_budget: maximum physical slots simulated per logical
             round attempt before the synchronizer gives up on the
             attempt.
-        links: restrict faults to these ``(src, dst)`` links
-            (``None`` = every link); non-listed links still pay ack
-            accounting but never drop or delay.
         max_attempts: synchronization attempts per round; each retry
             follows a resync beacon exchange and a grown slot budget.
             ``1`` (the default) raises :class:`TransportTimeout` on the
@@ -133,7 +130,6 @@ class LossyTransport:
         reorder: float = 0.0,
         seed: int = 0,
         slot_budget: int = 256,
-        links: frozenset[tuple[int, int]] | None = None,
         max_attempts: int = 1,
         schedule: LinkSchedule | None = None,
     ) -> None:
@@ -165,7 +161,6 @@ class LossyTransport:
         self.reorder = reorder
         self.seed = seed
         self.slot_budget = slot_budget
-        self.links = links
         self.max_attempts = max_attempts
         self.schedule = schedule
         #: global physical time in slots (monotone across rounds and
@@ -239,7 +234,6 @@ class LossyTransport:
             return None
         return cls(
             seed=_derive("lossy-from-spec", spec.seed),
-            links=spec.links,
             **rates,
         )
 
@@ -389,7 +383,7 @@ class LossyTransport:
             return 1
         rng = random.Random(self._attempt_seed(round_index, attempt))
         coin = rng.random
-        faulty, delay, reorder = self.links, self.delay, self.reorder
+        delay, reorder = self.delay, self.reorder
         # without a schedule every slot has the same rate and no sides.
         base_drop = drop = self.drop
         sides: tuple[frozenset[int], ...] = ()
@@ -421,13 +415,11 @@ class LossyTransport:
                 if sent > 1:
                     retrans_messages += 1
                     retrans_bits += link_bits[link]
-                lossy = faulty is None or link in faulty
-                cut = sides and _severed(link, sides)
-                if cut or (lossy and coin() < drop):
+                if (sides and _severed(link, sides)) or coin() < drop:
                     # lost: the sender retransmits after a backoff.
                     resend = slot + self._backoff(sent)
                     events.setdefault(resend, ([], []))[0].append(link)
-                elif lossy and delay and coin() < delay:
+                elif delay and coin() < delay:
                     arrival = slot + 1
                     if reorder and coin() < reorder:
                         arrival += rng.randrange(1, 4)
@@ -438,9 +430,7 @@ class LossyTransport:
             # 2. arrivals: the receiver acks; the ack crosses the same link.
             for link in sorted(landing) if slot else landing:
                 acks += 1
-                lossy = faulty is None or link in faulty
-                cut = sides and _severed(link, sides)
-                if cut or (lossy and coin() < drop):
+                if (sides and _severed(link, sides)) or coin() < drop:
                     resend = slot + self._backoff(pending[link])
                     events.setdefault(resend, ([], []))[0].append(link)
                 else:

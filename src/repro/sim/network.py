@@ -86,16 +86,6 @@ ProtocolFactory = Callable[[Context, Any], Proto[Any]]
 #: exact totals, the events the first offenders for attribution.
 _QUARANTINE_CAP = 256
 
-#: The round record's party sets: ``(event kind, its round minus the
-#: record's) -> field``.
-_RECORD_SETS = {
-    ("up", 0): "restarted_parties",
-    ("corrupt", 0): "new_corruptions",
-    ("corrupt_clipped", 0): "clipped_corruptions",
-    ("down", 1): "new_crashes",
-    ("crash_clipped", 1): "clipped_crashes",
-}
-
 #: Sentinel for the payload-sizing memo: distinct from every real
 #: payload (including ``None``, the protocols' bottom symbol).
 _NO_PAYLOAD = object()
@@ -491,37 +481,23 @@ class SynchronousNetwork:
         self,
         round_index: int,
         honest_channels: set[str],
-        mark: int,
         channel: str = "",
         traffic: tuple[int, int, int] = (0, 0, 0),
     ) -> None:
         """Observe stage: the round's one record, traced and monitored.
 
         ``traffic`` is ``(honest messages, honest bits, byzantine
-        messages)``.  The record's party sets are read off the events
-        the round appended, after index ``mark`` (``_RECORD_SETS``);
-        ``down_parties`` is who is down now, less the crashes granted
-        at the round's end.
+        messages)``.  It runs before the crashes granted at the round's
+        end join ``down``.  What changed the ``t`` budget is in
+        ``events``, not on the record.
         """
-        sets: dict[str, list[int]] = {}
-        if len(self.events) != mark:
-            for kind, at, party, _ in self.events[mark:]:
-                name = _RECORD_SETS.get((kind, at - round_index))
-                if name is not None:
-                    sets.setdefault(name, []).append(party)
         record = RoundRecord(
             round_index,
             channel,
             *traffic,
             corrupted=frozenset(self.corrupted),
-            finished_parties=frozenset(
-                p for p, s in self._states.items() if s.finished
-            ),
             honest_channels=tuple(sorted(honest_channels)),
-            down_parties=frozenset(self.down).difference(
-                sets.get("new_crashes", ())
-            ),
-            **{name: frozenset(parties) for name, parties in sets.items()},
+            down_parties=frozenset(self.down),
         )
         if self.trace is not None:
             self.trace.append(record)
@@ -569,7 +545,6 @@ class SynchronousNetwork:
         recovery = self._recovery
         transport = self.transport
         events = self.events
-        mark = len(events)
 
         # Crash plane: restarts due now, before any generator resumes.
         if recovery is not None:
@@ -640,7 +615,7 @@ class SynchronousNetwork:
         observed = self.trace is not None or bool(self.monitors)
         if len(honest_channels) > 1:
             if observed:
-                self._observe(round_index, honest_channels, mark)
+                self._observe(round_index, honest_channels)
             raise self._failure(
                 f"honest parties out of lockstep in round {round_index}: "
                 f"{sorted(honest_channels)}"
@@ -737,11 +712,12 @@ class SynchronousNetwork:
                 t=self.t,
                 kappa=self.kappa,
                 corrupted=frozenset(corrupted),
-                channels={p: out.channel for p, out in outgoings.items()},
+                channel=(
+                    channel if honest_channels
+                    else next(iter(outgoings.values())).channel
+                ),
                 honest_outgoing=honest_outgoing,
                 spec_outgoing=spec_outgoing,
-                corrupted_inputs={p: self.inputs[p] for p in corrupted},
-                down=frozenset(down),
             )
             byz_messages = self.adversary.deliver(view)
 
@@ -812,7 +788,7 @@ class SynchronousNetwork:
         counters.bump("net_messages", round_messages + byz_count)
 
         running = bool(honest_channels)
-        accepted = ()
+        accepted = crashed = ()
         if consult:
             # Adaptive corruptions and crashes (both effective next
             # round) share the ``t`` budget with the parties still down;
@@ -846,26 +822,26 @@ class SynchronousNetwork:
                     and up > round_index + 1
                 }
                 if restart:
-                    granted, clipped = self._admit(
+                    crashed, clipped = self._admit(
                         restart, round_index, len(accepted)
                     )
                     for party in clipped:
                         self.events.append(
                             Event("crash_clipped", round_index + 1, party)
                         )
-                    for party in granted:
+                    for party in crashed:
                         self.events.append(
                             Event("down", round_index + 1, party)
                         )
-                        down.add(party)
                         self._restart_at.setdefault(
                             restart[party], set()
                         ).add(party)
         if observed:
             self._observe(
-                round_index, honest_channels, mark, channel,
+                round_index, honest_channels, channel,
                 (round_messages, round_bits, byz_count),
             )
+        down.update(crashed)
         if accepted:
             corrupted.update(accepted)
             running = any(party not in corrupted for party in outgoings)

@@ -15,7 +15,7 @@ simulated round.  Traces power
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, NamedTuple
 
 __all__ = ["Event", "RoundRecord", "summarize_trace"]
@@ -35,7 +35,8 @@ class Event(NamedTuple):
 
 @dataclass(frozen=True, slots=True)
 class RoundRecord:
-    """What happened in one synchronous round."""
+    """What happened in one synchronous round (budget changes at its
+    boundary are in ``ExecutionResult.events``, not here)."""
 
     round_index: int
     channel: str
@@ -43,24 +44,12 @@ class RoundRecord:
     honest_bits: int
     byzantine_messages: int
     corrupted: frozenset[int]
-    finished_parties: frozenset[int]
     #: distinct channel labels the running honest parties yielded this
     #: round; more than one entry means the lockstep discipline broke.
-    honest_channels: tuple[str, ...] = ()
-    #: adaptive corruptions accepted at this round boundary (effective
-    #: from the next round).
-    new_corruptions: frozenset[int] = field(default_factory=frozenset)
-    #: adaptive corruptions the adversary requested but the ``t`` budget
-    #: clipped -- an over-powered adversary config, made visible.
-    clipped_corruptions: frozenset[int] = field(default_factory=frozenset)
-    #: honest parties powered off (crash plane) during this round.
-    down_parties: frozenset[int] = field(default_factory=frozenset)
-    #: parties that replayed their WAL and rejoined at this round's start.
-    restarted_parties: frozenset[int] = field(default_factory=frozenset)
-    #: crash requests accepted at this round boundary (down next round).
-    new_crashes: frozenset[int] = field(default_factory=frozenset)
-    #: crash requests the combined ``t`` budget clipped.
-    clipped_crashes: frozenset[int] = field(default_factory=frozenset)
+    honest_channels: tuple[str, ...]
+    #: honest parties powered off (crash plane) during this round; the
+    #: crashes granted at its end are down from the next.
+    down_parties: frozenset[int]
 
     def to_dict(self) -> dict:
         """JSON-friendly representation: the fields, sets as sorted
@@ -72,14 +61,8 @@ class RoundRecord:
             "honest_bits": self.honest_bits,
             "byzantine_messages": self.byzantine_messages,
             "corrupted": sorted(self.corrupted),
-            "finished_parties": sorted(self.finished_parties),
             "honest_channels": list(self.honest_channels),
-            "new_corruptions": sorted(self.new_corruptions),
-            "clipped_corruptions": sorted(self.clipped_corruptions),
             "down_parties": sorted(self.down_parties),
-            "restarted_parties": sorted(self.restarted_parties),
-            "new_crashes": sorted(self.new_crashes),
-            "clipped_crashes": sorted(self.clipped_crashes),
         }
 
 

@@ -92,11 +92,11 @@ def oracle_tally(domain, ballots):
 
 # ---------------------------------------------------------------------------
 # Reference synchronizer: the slot-scan loop the lossy transport shipped
-# with before its due-slot table, kept verbatim as a differential oracle
+# with before its due-slot table, kept as a differential oracle
 # (tests/test_lossy.py).  It re-sorts and re-scans every pending flight
-# each slot and asks four per-message questions of the transport, here
-# answered from the transport's public configuration (its rates and the
-# windows of its ``schedule``).
+# each slot and asks per-message questions of the transport (is the link
+# cut, what is its loss rate), here answered from the transport's public
+# configuration (its rates and the windows of its ``schedule``).
 # ---------------------------------------------------------------------------
 
 
@@ -109,10 +109,6 @@ class _Flight:
         self.bits = bits
         self.attempts = 0
         self.due = 0
-
-
-def _oracle_lossy(transport, link):
-    return transport.links is None or link in transport.links
 
 
 def _oracle_cut(transport, link, at):
@@ -172,17 +168,11 @@ def oracle_attempt_round(transport, round_index, attempt, pending, stats, budget
                 # copy is deterministically lost.
                 flight.due = slot + transport._backoff(flight.attempts)
                 continue
-            if _oracle_lossy(transport, link) and rng.random() < (
-                _oracle_drop_rate(transport, link, at)
-            ):
+            if rng.random() < _oracle_drop_rate(transport, link, at):
                 flight.due = slot + transport._backoff(flight.attempts)
                 continue
             arrival = slot
-            if (
-                _oracle_lossy(transport, link)
-                and transport.delay
-                and rng.random() < transport.delay
-            ):
+            if transport.delay and rng.random() < transport.delay:
                 arrival += 1
                 if transport.reorder and rng.random() < transport.reorder:
                     arrival += rng.randrange(1, 4)
@@ -198,9 +188,7 @@ def oracle_attempt_round(transport, round_index, attempt, pending, stats, budget
             if _oracle_cut(transport, link, at):
                 flight.due = slot + transport._backoff(flight.attempts)
                 continue
-            if _oracle_lossy(transport, link) and rng.random() < (
-                _oracle_drop_rate(transport, link, at)
-            ):
+            if rng.random() < _oracle_drop_rate(transport, link, at):
                 flight.due = slot + transport._backoff(flight.attempts)
                 continue
             del pending[link]

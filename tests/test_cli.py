@@ -11,6 +11,7 @@ import pytest
 from repro.analysis import grid_record, measure
 from repro.cli import ADVERSARIES, build_parser, main
 from repro.sim.faults import FaultSpec
+from repro.sim.sizing import WIRE_SCHEMA
 from repro.sim.fuzz import (
     ARTIFACT_FORMAT,
     ARTIFACT_SCHEMA_VERSION,
@@ -288,6 +289,76 @@ class TestReplayErrors:
         code = main(["replay", "/no/such/artifact.json"])
         assert code == 2
         assert "no such artifact" in capsys.readouterr().err
+
+    def _artifact(self, tmp_path, name, **faults):
+        """A complete artifact of a clean case (it cannot reproduce)."""
+        case = FuzzCase("pi_z", 4, 1, 32, 64, "spread", ("passive",),
+                        FaultSpec(drop=0.25, seed=3), seed=0).to_dict()
+        path = tmp_path / name
+        path.write_text(json.dumps({
+            "format": ARTIFACT_FORMAT,
+            "schema_version": ARTIFACT_SCHEMA_VERSION,
+            "case": {**case, "faults": {**case["faults"], **faults}},
+            "violation": {"kind": "agreement", "message": "recorded"},
+            "inputs": [WIRE_SCHEMA[int].dump(v) for v in (1, 2, 3, 4)],
+            "initial_corruptions": [3],
+            "adapt_schedule": [],
+            "crash_schedule": [],
+            "script": [],
+        }))
+        return path
+
+    def test_a_null_link_scope_replays_unchanged(self, tmp_path, capsys):
+        """Artifacts written while specs had a per-link scope carry
+        ``"links": null``: they replay as if the key were absent."""
+        verdicts = []
+        for name, faults in (("bare.json", {}), ("null.json", {"links": None})):
+            path = self._artifact(tmp_path, name, **faults)
+            code = main(["replay", str(path)])
+            out = capsys.readouterr().out.replace(str(path), "PATH")
+            verdicts.append((code, out))
+        assert verdicts[0] == verdicts[1]
+        assert verdicts[0][0] == 1 and "warning" not in verdicts[0][1]
+        assert "DID NOT REPRODUCE" in verdicts[0][1]
+
+    def test_a_link_scope_is_a_friendly_exit_2(self, tmp_path, capsys):
+        path = self._artifact(tmp_path, "scoped.json", links=[[3, 0]])
+        code = main(["replay", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"cannot load artifact {path}" in err
+        assert "per-link fault scope" in err
+
+
+class TestArgumentErrors:
+    """Parameters the protocols refuse end in ``error: ...`` and exit 2,
+    never a traceback."""
+
+    @pytest.mark.parametrize("argv, reason", [
+        (["--t", "2"], "t < n/3"),
+        (["--kappa", "7"], "multiple of 8"),
+    ])
+    def test_run(self, argv, reason, capsys):
+        assert main(["run", "1", "2", "3", "4", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and reason in captured.err
+        assert "Traceback" not in captured.err + captured.out
+
+    def test_sweep(self, capsys):
+        code = main(["sweep", "--ns", "4", "--ells", "8", "--t", "2",
+                     "--workers", "1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: grid point n=4 ell=8: protocol requires t < n/3, "
+            "got n=4, t=2\n"
+        )
+
+    def test_fuzz_negative_runs(self, capsys):
+        assert main(["fuzz", "--runs", "-1", "--quiet"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: runs must be >= 0, got -1\n"
+        assert captured.out == ""
 
 
 class TestBombFlags:

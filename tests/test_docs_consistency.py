@@ -184,13 +184,19 @@ class TestOneWayToMeasure:
         its checkpoint interval, the backoff cap, the engine's retry
         sleep and chunk size, the cache switch, the hand-written
         decode-matrix LRU or the profile battery's config override.
-        (``reset_process_caches()`` stays documented.)"""
+        (``reset_process_caches()`` stays documented.)  Nor to the
+        per-link fault scope (``links=``, not the ``link_*`` rates), the
+        round view's corrupted inputs, or the round record's copies of
+        the event log."""
         assert_undocumented(
             r"TimeoutEscalation|WriteAheadLog|checkpoint_interval"
             r"|max_backoff|retry_backoff_s|chunksize"
             r"|caches_enabled|config\.caches\(|\bcaches\((?:False|True)\)"
             r"|clear_decode_matrix_cache|_DECODE_MATRIX_CACHE"
             r"|hotpath_document\(configs="
+            r"|\blinks=|_applies|corrupted_inputs|finished_parties"
+            r"|new_corruptions|clipped_corruptions|restarted_parties"
+            r"|new_crashes|_RECORD_SETS"
         )
 
     def test_unreached_mechanisms_stay_undocumented(self):

@@ -596,8 +596,8 @@ def campaign_digest(seeds: int, cases: int, **planes) -> str:
     """sha256 over everything a campaign case lets an observer see.
 
     Outputs, every stats field (with the insertion order of the
-    per-party ledger), channel trace, the full round trace, the crash
-    and quarantine logs, the recorded adversary script and the
+    per-party ledger), channel trace, every field of every round record,
+    every event of the log, the recorded adversary script and the
     deterministic counter block.  A delivery-path refactor that is not
     byte-identical moves this digest.
     """
@@ -617,9 +617,6 @@ def campaign_digest(seeds: int, cases: int, **planes) -> str:
                     observed = (type(error).__name__, str(error))
                 else:
                     stats = result.stats
-                    events = result.events
-                    # ``events`` projected onto the per-plane logs it
-                    # replaced, so the pinned bytes did not move.
                     observed = (
                         result.outputs,
                         stats.summary_dict(),
@@ -629,13 +626,16 @@ def campaign_digest(seeds: int, cases: int, **planes) -> str:
                         dict(stats.bits_by_channel),
                         list(stats.bits_by_party.items()),
                         result.channel_trace,
-                        repr(result.trace),
-                        [e[:3] for e in events if e.kind in ("down", "up")],
                         [
-                            (e.round, e.party, *e.detail)
-                            for e in events if e.kind == "quarantine"
+                            (
+                                r.round_index, r.channel, r.honest_messages,
+                                r.honest_bits, r.byzantine_messages,
+                                sorted(r.corrupted), r.honest_channels,
+                                sorted(r.down_parties),
+                            )
+                            for r in result.trace
                         ],
-                        sum(e.kind == "up" for e in events),
+                        result.events,
                         result.fallback and result.fallback.to_dict(),
                     )
             block = {name: captured.get(name) for name in NETWORK_COUNTERS}
@@ -648,10 +648,10 @@ def campaign_digest(seeds: int, cases: int, **planes) -> str:
 class TestCampaignGolden:
     def test_crash_bombs_campaign_is_pinned(self):
         assert campaign_digest(10, 8, crash=True, bombs=True) == (
-            "87c10a6bd00c2cbd5853efc13d75d5fb80b991ded82e51545af87639ce2e517b"
+            "8c59b574014c8b199cb317f77f99d9098b893d0f35a12add225e7fc741f8b1dd"
         )
 
     def test_crash_partition_bombs_campaign_is_pinned(self):
         assert campaign_digest(
             4, 8, crash=True, partition=True, bombs=True
-        ) == "e8a5849c9c227298ef69e0777dcbaa5d315b5e80f4e75646119897b66e464619"
+        ) == "ec2be1088954ba5cd245bb40ca7c5ab6e4d636ebda165266056beb306f0e3458"

@@ -119,14 +119,6 @@ class TestTransparency:
         }
         assert len(overheads) > 1
 
-    def test_link_restriction(self):
-        inputs = [1, 2, 3, 4]
-        transport = LossyTransport(
-            drop=0.5, seed=2, links=frozenset({(0, 1)}),
-        )
-        result = run_flca(inputs, 4, 1, transport=transport)
-        result.assert_convex_valid(inputs)
-
     def test_pi_z_runs_unmodified_on_lossy_links(self):
         inputs = [-100, -50, 0, 50, 100, 150, 200]
         baseline = run_protocol(
@@ -192,12 +184,9 @@ def transport_configs(draw):
         slot_budget=draw(st.integers(1, 10)),
         max_attempts=draw(st.integers(1, 3)),
     )
-    party = st.integers(0, n - 1)
     if draw(st.booleans()):
-        links = draw(
-            st.none() | st.frozensets(st.tuples(party, party), max_size=8)
-        )
-        return n, lambda: LossyTransport(links=links, **common)
+        return n, lambda: LossyTransport(**common)
+    party = st.integers(0, n - 1)
     gst = draw(st.none() | st.integers(0, 40))
     pre_gst_drop = draw(RATES) if gst is not None else 0.0
     windows = st.tuples(st.integers(0, 30), st.integers(1, 30))

@@ -146,7 +146,7 @@ class TestTransportConstruction:
     def test_escalation_armed_by_default(self):
         transport = LossyTransport.partial_sync(gst=10)
         assert transport.max_attempts == 6
-        assert transport.slot_budget == 64 and transport.links is None
+        assert transport.slot_budget == 64
         # a plain transport keeps the classic die-on-first-timeout.
         assert LossyTransport(schedule=transport.schedule).max_attempts == 1
 

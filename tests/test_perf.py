@@ -343,12 +343,11 @@ def _bomb_payloads():
     root, shares, witnesses = _committed(4, 1, b"spec")
     view = RoundView(
         round_index=0, n=4, t=1, kappa=KAPPA, corrupted=frozenset({3}),
-        channels={p: "lba+/dist/r2" for p in range(4)},
+        channel="lba+/dist/r2",
         honest_outgoing={},
         spec_outgoing={
             (3, dst): (3, shares[3], witnesses[3]) for dst in range(4)
         },
-        corrupted_inputs={3: b"spec"},
     )
     return {
         name: build(7).deliver(view)[(3, 0)]

@@ -447,18 +447,46 @@ class TestAdversaryFramework:
                               adversary=adv)
         assert len(result.corrupted) <= 1
 
-    def test_view_exposes_corrupted_inputs(self):
-        captured = {}
+    def test_view_channel_is_the_honest_label(self):
+        """The view's ``channel`` is the honest lockstep label even when a
+        lower-id corrupted party's spec code yields another one; in a
+        round where no honest party yields (finished, or down), it is
+        the label of the corrupted party that did."""
 
-        def handler(view, src, dst, spec):
-            captured.update(view.corrupted_inputs)
-            return spec if spec is not None else DROP
+        def protocol(ctx, v):
+            late = ctx.party_id == 0
+            for index in range(5 if late else 2):
+                yield broadcast_round(
+                    ctx, f"{'late' if late else 'early'}/r{index}", v
+                )
+            return v
 
-        run_protocol(
-            echo_protocol, [1, 2, 3, 4], 4, 1,
-            adversary=ScriptedAdversary(handler),
-        )
-        assert captured == {3: 4}
+        class ChannelSpy(Adversary):
+            has_crash_plane = True
+
+            def __init__(self):
+                super().__init__()
+                self.channels = {}
+
+            def select_corruptions(self, n, t):
+                return {0}
+
+            def crash_restarts(self, view):
+                # party 1 is down in rounds 1 and 2, back at round 3.
+                return {1: 3} if view.round_index == 0 else {}
+
+            def deliver(self, view):
+                self.channels[view.round_index] = view.channel
+                return super().deliver(view)
+
+        spy = ChannelSpy()
+        result = run_protocol(protocol, list(range(7)), 7, 2, adversary=spy)
+        assert result.events[0] == Event("down", 1, 1)
+        # round 2: parties 2..6 finished, party 1 down, party 0 corrupted;
+        # round 3: party 1 finishes while replaying, and the run ends.
+        assert spy.channels == {
+            0: "early/r0", 1: "early/r1", 2: "late/r2", 3: "late/r3",
+        }
 
     def test_crashing_spec_code_tolerated(self):
         # A corrupted party's spec generator that raises must not kill
