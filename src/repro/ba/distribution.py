@@ -266,7 +266,8 @@ def dispersal_bits_estimate(n: int, t: int, kappa: int, ell: int) -> int:
     """Closed-form estimate of the distributing step's honest bits.
 
     Each party sends at most two (index, share, witness) tuples to each
-    party: ``O(l n + kappa n^2 log n)``.  Used by the prediction module.
+    party: ``O(l n + kappa n^2 log n)``.  Tests bound the measured
+    dispersal by it.
     """
     share_bits = 8 * rs_code(n, n - t).share_length((ell + 7) // 8)
     witness = merkle.witness_bits(kappa, n)

@@ -39,29 +39,12 @@ import os
 import sys
 
 from .errors import ConfigurationError, ReproError
-# The adversary classes load with ``import repro`` (the protocol stack
-# needs them); every other import sits in the command that uses it, so
+# The adversary module loads with ``import repro`` (the protocol stack
+# needs it); every other import sits in the command that uses it, so
 # ``repro --help`` loads no harness.
-from .sim.adversary import (
-    Adversary,
-    CrashAdversary,
-    EquivocatingAdversary,
-    OutlierAdversary,
-    PassiveAdversary,
-    RandomGarbageAdversary,
-    SplitVoteAdversary,
-)
+from .sim.adversary import ADVERSARY_CATALOG
 
 __all__ = ["main", "build_parser"]
-
-ADVERSARIES: dict[str, type[Adversary]] = {
-    "passive": PassiveAdversary,
-    "crash": CrashAdversary,
-    "garbage": RandomGarbageAdversary,
-    "equivocate": EquivocatingAdversary,
-    "outlier": OutlierAdversary,
-    "splitvote": SplitVoteAdversary,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -83,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--t", type=int, default=None,
                      help="corruption bound (default: floor((n-1)/3))")
     run.add_argument("--kappa", type=int, default=128)
-    run.add_argument("--adversary", choices=sorted(ADVERSARIES),
+    run.add_argument("--adversary", choices=sorted(ADVERSARY_CATALOG),
                      default="passive")
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--channels", action="store_true",
@@ -219,7 +202,7 @@ def _str_list(text: str) -> list[str]:
 def _cmd_run(args) -> int:
     from .core.api import convex_agreement
 
-    adversary = ADVERSARIES[args.adversary](seed=args.seed)
+    adversary = ADVERSARY_CATALOG[args.adversary](args.seed)
     if args.setting == "authenticated":
         outcome = _run_authenticated(args, adversary)
     else:
@@ -377,7 +360,12 @@ def _cmd_fuzz(args) -> int:
 def _cmd_replay(args) -> int:
     import warnings as warnings_module
 
-    from .sim.fuzz import load_artifact, replay_artifact, replay_counters
+    from .sim.fuzz import (
+        load_artifact,
+        replay_artifact,
+        replay_counters,
+        standard_registry,
+    )
 
     try:
         with warnings_module.catch_warnings(record=True) as caught:
@@ -410,12 +398,12 @@ def _cmd_replay(args) -> int:
               f"partitions={len(faults.get('partitions') or ())} "
               f"churn={len(faults.get('link_churn') or ())}")
     print(f"recorded : {artifact['violation']['message']}")
-    try:
-        outcome = replay_artifact(artifact)
-    except KeyError:
+    if case["protocol"] not in standard_registry():
         print(f"error    : protocol {case['protocol']!r} is not in the "
               "standard registry (artifact from a custom registry?)")
         return 2
+    try:
+        outcome = replay_artifact(artifact)
     except ReproError as error:
         print(f"error    : inconsistent artifact: {error}")
         return 2

@@ -26,7 +26,7 @@ from .._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     ".adversary": (
-        "DROP", "AdaptiveCorruptionAdversary", "Adversary", "CrashAdversary",
+        "ADVERSARY_CATALOG", "DROP", "AdaptiveCorruptionAdversary", "Adversary", "CrashAdversary",
         "EquivocatingAdversary", "KingTargetingAdversary", "OutlierAdversary",
         "PassiveAdversary", "PrefixPoisonAdversary", "RandomGarbageAdversary",
         "RoundView", "ScriptedAdversary", "SplitVoteAdversary",
@@ -42,8 +42,8 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     ),
     ".invariants": (
         "AgreementMonitor", "BitBudgetMonitor", "ConvexValidityMonitor",
-        "CrashBudgetMonitor", "InvariantMonitor", "LockstepMonitor",
-        "RoundBudgetMonitor", "default_monitors",
+        "CrashBudgetMonitor", "InvariantMonitor", "RoundBudgetMonitor",
+        "default_monitors",
     ),
     ".lossy": ("ACK_BITS", "BEACON_BITS", "LossyTransport", "TransportTimeout"),
     ".metrics": ("CommunicationStats",),

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 __all__ = [
+    "ADVERSARY_CATALOG",
     "DROP",
     "RoundView",
     "Adversary",
@@ -454,17 +455,24 @@ class WitnessSuppressionAdversary(Adversary):
         return f"WitnessSuppressionAdversary(bit={self.flood_bit})"
 
 
+#: name -> builder(seed): the one catalog of strategies.  Fuzz
+#: campaigns compose its keys (sampled in sorted order), ``repro run
+#: --adversary`` takes them, and :func:`standard_adversary_suite` builds
+#: all of them in this order.
+ADVERSARY_CATALOG: dict[str, Callable[[int], Adversary]] = {
+    "passive": lambda seed: PassiveAdversary(seed),
+    "crash0": lambda seed: CrashAdversary(0, seed),
+    "crash3": lambda seed: CrashAdversary(3, seed),
+    "garbage": lambda seed: RandomGarbageAdversary(seed),
+    "equivocate": lambda seed: EquivocatingAdversary(seed),
+    "outlier": lambda seed: OutlierAdversary(seed=seed),
+    "splitvote": lambda seed: SplitVoteAdversary(alt_value=1, seed=seed),
+    "king": lambda seed: KingTargetingAdversary(seed=seed),
+    "prefixpoison": lambda seed: PrefixPoisonAdversary(seed=seed),
+    "witness": lambda seed: WitnessSuppressionAdversary(seed=seed),
+}
+
+
 def standard_adversary_suite(seed: int = 0) -> list[Adversary]:
     """The adversary battery used by integration tests and benchmarks."""
-    return [
-        PassiveAdversary(seed),
-        CrashAdversary(0, seed),
-        CrashAdversary(3, seed),
-        RandomGarbageAdversary(seed),
-        EquivocatingAdversary(seed),
-        OutlierAdversary(seed=seed),
-        SplitVoteAdversary(alt_value=1, seed=seed),
-        KingTargetingAdversary(seed=seed),
-        PrefixPoisonAdversary(seed=seed),
-        WitnessSuppressionAdversary(seed=seed),
-    ]
+    return [build(seed) for build in ADVERSARY_CATALOG.values()]

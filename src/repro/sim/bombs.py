@@ -26,7 +26,7 @@ All four are deterministic in their seed, compose through
 :class:`~repro.sim.faults.ComposedAdversary` like every catalog
 adversary, and are sampled by ``repro fuzz --bombs`` via
 :data:`BOMB_CATALOG`.  The catalog is deliberately
-separate from ``fuzz.ADVERSARY_CATALOG``: sampling draws from the
+separate from ``adversary.ADVERSARY_CATALOG``: sampling draws from the
 sorted catalog keys, so growing the base catalog would silently reseed
 every pinned campaign.  So would growing :data:`BOMB_CATALOG`: the
 string bomb (a ``str`` far past ``sizing.OPCODE_MAX_CHARS``) stays a
@@ -184,7 +184,7 @@ class NearValidMutantAdversary(Adversary):
         return payload
 
 
-#: name -> seed-taking factory, mirroring ``fuzz.ADVERSARY_CATALOG``.
+#: name -> seed-taking factory, mirroring ``adversary.ADVERSARY_CATALOG``.
 #: Kept separate so the base catalog's sorted key order (a pinned-seed
 #: sampling contract) never changes; ``fuzz._build_adversary`` resolves
 #: names against the union of both catalogs.

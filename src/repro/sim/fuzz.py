@@ -50,18 +50,7 @@ from ..perf import counters as perf_counters
 from ..perf.config import reset_process_caches
 
 from ..errors import HonestPartyError, ProtocolViolation, SimulationError
-from .adversary import (
-    Adversary,
-    CrashAdversary,
-    EquivocatingAdversary,
-    KingTargetingAdversary,
-    OutlierAdversary,
-    PassiveAdversary,
-    PrefixPoisonAdversary,
-    RandomGarbageAdversary,
-    SplitVoteAdversary,
-    WitnessSuppressionAdversary,
-)
+from .adversary import ADVERSARY_CATALOG, Adversary
 from .bombs import BOMB_CATALOG
 from .faults import ComposedAdversary, FaultSpec, RecordingAdversary, \
     ReplayAdversary
@@ -76,7 +65,6 @@ from .wire import WireLimits
 __all__ = [
     "ARTIFACT_FORMAT",
     "ARTIFACT_SCHEMA_VERSION",
-    "ADVERSARY_CATALOG",
     "ProtocolSpec",
     "CaseStats",
     "FuzzCase",
@@ -113,21 +101,6 @@ ARTIFACT_FORMAT = "repro-fuzz/1"
 #: 4 = payloads are encoded from the wire schema (``sizing.WIRE_SCHEMA``):
 #: ``witness`` and ``frac`` tags, ints in hex; ``inputs`` in hex.
 ARTIFACT_SCHEMA_VERSION = 4
-
-#: name -> builder(seed) for the strategies campaigns compose.
-ADVERSARY_CATALOG: dict[str, Callable[[int], Adversary]] = {
-    "passive": lambda seed: PassiveAdversary(seed),
-    "crash0": lambda seed: CrashAdversary(0, seed),
-    "crash3": lambda seed: CrashAdversary(3, seed),
-    "garbage": lambda seed: RandomGarbageAdversary(seed),
-    "equivocate": lambda seed: EquivocatingAdversary(seed),
-    "outlier": lambda seed: OutlierAdversary(seed=seed),
-    "splitvote": lambda seed: SplitVoteAdversary(alt_value=1, seed=seed),
-    "king": lambda seed: KingTargetingAdversary(seed=seed),
-    "prefixpoison": lambda seed: PrefixPoisonAdversary(seed=seed),
-    "witness": lambda seed: WitnessSuppressionAdversary(seed=seed),
-}
-
 
 # ---------------------------------------------------------------------------
 # Campaign cases
@@ -185,6 +158,11 @@ class FuzzCase:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FuzzCase":
+        """Rebuild a case; :class:`ValueError` names every field
+        :meth:`to_dict` writes that ``data`` lacks."""
+        missing = [f.name for f in dataclass_fields(cls) if f.name not in data]
+        if missing:
+            raise ValueError(f"case lacks key(s) {missing}")
         return cls(
             protocol=data["protocol"],
             n=data["n"],
@@ -195,7 +173,7 @@ class FuzzCase:
             adversaries=tuple(data["adversaries"]),
             faults=FaultSpec.from_dict(data["faults"]),
             seed=data["seed"],
-            guards=data.get("guards", False),
+            guards=data["guards"],
         )
 
 
@@ -548,40 +526,6 @@ class FuzzReport:
         return "\n".join(lines)
 
 
-def _check_escalated(case: FuzzCase, inputs: list[int], result) -> None:
-    """Post-hoc invariants for ladder-degraded outputs.
-
-    The primary's online monitors never saw the ``HighCostCA``
-    execution, so the campaign re-checks the paper's guarantees on the
-    final outputs: exact agreement and hull containment.
-    """
-    if result.fallback is None:
-        return
-    honest_inputs = [
-        inputs[party]
-        for party in range(case.n)
-        if party not in result.corrupted
-    ]
-    low, high = min(honest_inputs), max(honest_inputs)
-    values = [result.outputs[party] for party in result.honest_parties]
-    if not values:
-        raise ProtocolViolation(
-            "escalated execution produced no honest outputs",
-            monitor="EscalationAgreement",
-        )
-    if min(values) != max(values):
-        raise ProtocolViolation(
-            f"escalated outputs disagree: {values}",
-            monitor="EscalationAgreement",
-        )
-    if min(values) < low or max(values) > high:
-        raise ProtocolViolation(
-            f"escalated outputs {values} leave the honest hull "
-            f"[{low}, {high}]",
-            monitor="EscalationValidity",
-        )
-
-
 def _execute(
     case: FuzzCase,
     spec: ProtocolSpec,
@@ -596,12 +540,14 @@ def _execute(
     violations kept fatal (``escalate_on=(SimulationError,)``): a
     slow/partitioned network may degrade, a protocol bug may not hide
     behind the ladder.  Any other case escalates on nothing, which is
-    the primary run alone.  Returns the :class:`ExecutionResult`.
+    the primary run alone.  A ``HighCostCA`` decision is judged by the
+    supervisor itself (Agreement and Convex Validity, the monitors'
+    checks).  Returns the :class:`ExecutionResult`.
     """
     transport = LossyTransport.from_spec(case.faults)
     round_budget = spec.round_budget(case.n, case.t, case.ell)
     partial_sync = case.faults.has_partial_sync
-    result = run_with_escalation(
+    return run_with_escalation(
         spec.build(case.ell),
         inputs,
         n=case.n,
@@ -624,8 +570,6 @@ def _execute(
             else None
         ),
     )
-    _check_escalated(case, inputs, result)
-    return result
 
 
 @dataclass
@@ -883,23 +827,13 @@ def failure_to_artifact(failure: FuzzFailure) -> dict:
     }
 
 
-#: every key failure_to_artifact may write (plus the optional recorded
-#: counter block); anything else in a loaded artifact draws a warning.
-_ARTIFACT_KEYS = frozenset(
-    (
-        "format",
-        "schema_version",
-        "case",
-        "violation",
-        "inputs",
-        "initial_corruptions",
-        "adapt_schedule",
-        "crash_schedule",
-        "script",
-        "shrunk",
-        "original_script_size",
-        "counters",
-    )
+#: the top-level keys failure_to_artifact writes, which a loaded
+#: artifact must hold (the ``case`` section's are ``FuzzCase.from_dict``'s
+#: to check).
+_ARTIFACT_KEYS = (
+    "format", "schema_version", "case", "violation", "inputs",
+    "initial_corruptions", "adapt_schedule", "crash_schedule", "script",
+    "shrunk", "original_script_size",
 )
 
 
@@ -909,12 +843,13 @@ def validate_artifact(artifact: dict) -> list[str]:
     Raises :class:`ValueError` when the artifact's wire ``format`` or
     ``schema_version`` does not match this toolchain -- a pre-versioned
     corpus file (PR 1-7) or one from a newer writer would otherwise
-    replay with silently-defaulted ``FaultSpec`` axes -- or when its
-    case does not build (a reversed partition window, say).  Unknown
-    keys in the top level, the ``case`` section, or the ``faults``
-    section are *warnings* (emitted via :mod:`warnings` and returned),
-    since extra keys are how forward-compatible writers annotate
-    artifacts.
+    replay with silently-defaulted ``FaultSpec`` axes -- when it lacks
+    a key :func:`failure_to_artifact` writes (naming every missing one,
+    ``case`` and ``violation`` fields included), or when its case does
+    not build (a reversed partition window, say).  Unknown keys in the
+    top level, the ``case`` section, or the ``faults`` section are
+    *warnings* (emitted via :mod:`warnings` and returned), since extra
+    keys are how forward-compatible writers annotate artifacts.
     """
     if artifact.get("format") != ARTIFACT_FORMAT:
         raise ValueError(
@@ -932,18 +867,27 @@ def validate_artifact(artifact: dict) -> list[str]:
             f"artifact schema_version {version} does not match this "
             f"toolchain's {ARTIFACT_SCHEMA_VERSION}"
         )
-    FuzzCase.from_dict(artifact["case"])
+    # the case first: what it cannot build is the more specific reason.
+    FuzzCase.from_dict(artifact.get("case", {}))
+    missing = [key for key in _ARTIFACT_KEYS if key not in artifact]
+    missing += [
+        f"violation.{key}" for key in ("kind", "message")
+        if key not in artifact.get("violation", {})
+    ]
+    if missing:
+        raise ValueError(f"artifact lacks key(s) {missing}")
     messages: list[str] = []
     sections = [
-        ("artifact", artifact, _ARTIFACT_KEYS),
+        # plus the optional recorded counter block
+        ("artifact", artifact, frozenset(_ARTIFACT_KEYS) | {"counters"}),
         (
             "case",
-            artifact.get("case", {}),
+            artifact["case"],
             frozenset(f.name for f in dataclass_fields(FuzzCase)),
         ),
         (
             "faults",
-            artifact.get("case", {}).get("faults", {}),
+            artifact["case"]["faults"],
             # ``links``: earlier writers' null scope (FaultSpec refuses more)
             frozenset(f.name for f in dataclass_fields(FaultSpec)) | {"links"},
         ),

@@ -1,14 +1,18 @@
 """Online invariant monitors for simulated protocol executions.
 
 The paper's guarantees -- Agreement, Convex Validity, the
-``O(l n + kappa n^2 log^2 n)`` bit budget, the ``O(n log n)`` round
-budget, and the simulator's own lockstep-channel discipline -- are the
-contract any CA implementation must hold under *arbitrary* deviation.
-This module turns each of them into a pluggable
+``O(l n + kappa n^2 log^2 n)`` bit budget and the ``O(n log n)`` round
+budget -- are the contract any CA implementation must hold under
+*arbitrary* deviation.  This module turns each of them into a pluggable
 :class:`InvariantMonitor` that a :class:`~repro.sim.network.
 SynchronousNetwork` evaluates online (per round and at termination)
 instead of post-hoc in scattered test assertions.  The budgets a
 campaign gives the two budget monitors come from :mod:`repro.costs`.
+
+Each guarantee has one check, which monitors, result helpers and the
+degradation supervisor all run: ``ExecutionResult.common_output`` and
+:func:`~repro.sim.network.check_hull`.  Lockstep is the network's own
+verdict on every run, tagged ``LockstepMonitor``, monitors or not.
 
 A monitor that detects a violation raises
 :class:`~repro.errors.ProtocolViolation` carrying its own name, the
@@ -34,8 +38,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, NoReturn
 
-from ..errors import ProtocolViolation
-from .sizing import brief_text
+from .network import check_hull, monitor_violation
 from .trace import RoundRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -46,7 +49,6 @@ __all__ = [
     "AgreementMonitor",
     "ConvexValidityMonitor",
     "CrashBudgetMonitor",
-    "LockstepMonitor",
     "BitBudgetMonitor",
     "RoundBudgetMonitor",
     "default_monitors",
@@ -83,25 +85,14 @@ class InvariantMonitor:
         self, message: str, record: RoundRecord | None = None
     ) -> NoReturn:
         """Raise a tagged :class:`ProtocolViolation`."""
-        raise ProtocolViolation(
-            f"[{self.describe()}] {message}",
-            monitor=self.describe(),
-            record=record,
-        )
+        raise monitor_violation(self.describe(), message, record=record)
 
 
 class AgreementMonitor(InvariantMonitor):
     """At termination, all honest outputs must be identical."""
 
     def on_finish(self, result, network) -> None:
-        honest = {
-            party: result.outputs[party] for party in result.honest_parties
-        }
-        if not honest:
-            self.fail("no honest party produced an output")
-        values = list(honest.values())
-        if any(value != values[0] for value in values[1:]):
-            self.fail(f"honest parties disagree: {brief_text(honest)}")
+        result.common_output()
 
 
 class ConvexValidityMonitor(InvariantMonitor):
@@ -137,33 +128,8 @@ class ConvexValidityMonitor(InvariantMonitor):
         honest_inputs = (
             self._explicit if self._explicit is not None else self._captured
         )
-        if not honest_inputs:
-            return  # nothing to check against (non-integer protocol)
-        low, high = min(honest_inputs), max(honest_inputs)
-        for party in result.honest_parties:
-            value = result.outputs[party]
-            if not isinstance(value, int) or isinstance(value, bool):
-                self.fail(
-                    f"party {party} output non-integer "
-                    f"{brief_text(value)} for an integer CA instance"
-                )
-            if not low <= value <= high:
-                self.fail(
-                    f"party {party} output {brief_text(value)} outside "
-                    f"the honest hull [{brief_text(low)}, {brief_text(high)}]"
-                )
-
-
-class LockstepMonitor(InvariantMonitor):
-    """Running honest parties must share one channel label every round."""
-
-    def on_round(self, record, network) -> None:
-        if len(record.honest_channels) > 1:
-            self.fail(
-                f"honest parties out of lockstep in round "
-                f"{record.round_index}: {sorted(record.honest_channels)}",
-                record=record,
-            )
+        if honest_inputs:  # else no hull to check (non-integer protocol)
+            check_hull(result, honest_inputs)
 
 
 class CrashBudgetMonitor(InvariantMonitor):
@@ -259,7 +225,6 @@ def default_monitors(
     (inputs of the initially-honest parties); budgets are optional.
     """
     monitors: list[InvariantMonitor] = [
-        LockstepMonitor(),
         AgreementMonitor(),
         ConvexValidityMonitor(),
         CrashBudgetMonitor(),

@@ -132,15 +132,19 @@ class ExecutionResult:
         return [p for p in range(self.n) if p not in self.corrupted]
 
     def common_output(self) -> Any:
-        """Return the agreed output, asserting the Agreement property."""
+        """Return the agreed output: the one Agreement check, raising a
+        :class:`ProtocolViolation` tagged ``AgreementMonitor``."""
         values = {party: self.outputs[party] for party in self.honest_parties}
         if not values:
-            raise SimulationError("no honest parties produced an output")
+            raise monitor_violation(
+                "AgreementMonitor", "no honest party produced an output"
+            )
         iterator = iter(values.values())
         first = next(iterator)
         if any(value != first for value in iterator):
-            raise SimulationError(
-                f"honest parties disagree: {brief_text(values)}"
+            raise monitor_violation(
+                "AgreementMonitor",
+                f"honest parties disagree: {brief_text(values)}",
             )
         return first
 
@@ -163,14 +167,38 @@ class ExecutionResult:
         honest = [v for p, v in items if p not in self.corrupted]
         if not honest:
             raise SimulationError("no honest inputs to validate against")
-        low, high = min(honest), max(honest)
-        if not low <= value <= high:
-            raise ProtocolViolation(
-                f"output {brief_text(value)} outside honest hull "
-                f"[{brief_text(low)}, {brief_text(high)}]",
-                monitor="assert_convex_valid",
-            )
+        check_hull(self, honest)
         return value
+
+
+def monitor_violation(
+    monitor: str, message: str, **context: Any
+) -> ProtocolViolation:
+    """A :class:`ProtocolViolation` tagged ``monitor``: ``[name] text``."""
+    return ProtocolViolation(
+        f"[{monitor}] {message}", monitor=monitor, **context
+    )
+
+
+def check_hull(result: ExecutionResult, honest_inputs: Sequence[int]) -> None:
+    """The one Convex Validity check, tagged ``ConvexValidityMonitor``:
+    every honest output is an integer in the hull of ``honest_inputs``
+    (the monitor's captured ones, or ``assert_convex_valid``'s)."""
+    low, high = min(honest_inputs), max(honest_inputs)
+    for party in result.honest_parties:
+        value = result.outputs[party]
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise monitor_violation(
+                "ConvexValidityMonitor",
+                f"party {party} output non-integer "
+                f"{brief_text(value)} for an integer CA instance",
+            )
+        if not low <= value <= high:
+            raise monitor_violation(
+                "ConvexValidityMonitor",
+                f"party {party} output {brief_text(value)} outside "
+                f"the honest hull [{brief_text(low)}, {brief_text(high)}]",
+            )
 
 
 @dataclass(slots=True)
@@ -483,8 +511,8 @@ class SynchronousNetwork:
         honest_channels: set[str],
         channel: str = "",
         traffic: tuple[int, int, int] = (0, 0, 0),
-    ) -> None:
-        """Observe stage: the round's one record, traced and monitored.
+    ) -> RoundRecord:
+        """Observe stage: the round's one record, appended to the trace.
 
         ``traffic`` is ``(honest messages, honest bits, byzantine
         messages)``.  It runs before the crashes granted at the round's
@@ -501,8 +529,7 @@ class SynchronousNetwork:
         )
         if self.trace is not None:
             self.trace.append(record)
-        for monitor in self.monitors:
-            self._monitored(monitor.on_round, record, self)
+        return record
 
     def _run_round(self, round_index: int) -> bool:
         """Run one round; ``False`` once every honest party has finished.
@@ -516,7 +543,7 @@ class SynchronousNetwork:
         ================  =========================  =====================
         crash / restart   a recovery plane           WALs, restart rounds
         resume            always                     last round's inboxes
-        lockstep check    always                     honest channel labels
+        lockstep verdict  always                     honest channel labels
         price + deliver   always                     the yielded bundles
         adversary         ``_consult_adversary``     ``RoundView`` (links)
         synchronize       a transport                link -> bits
@@ -611,14 +638,15 @@ class SynchronousNetwork:
             # inbox -- no network round takes place.
             return bool(down)
 
-        # Lockstep sanity check: running honest parties share one channel.
-        observed = self.trace is not None or bool(self.monitors)
+        # Lockstep: running honest parties share one channel.  The one
+        # check of it, on every run; the break round's record is traced.
         if len(honest_channels) > 1:
-            if observed:
-                self._observe(round_index, honest_channels)
-            raise self._failure(
+            raise monitor_violation(
+                "LockstepMonitor",
                 f"honest parties out of lockstep in round {round_index}: "
-                f"{sorted(honest_channels)}"
+                f"{sorted(honest_channels)}",
+                record=self._observe(round_index, honest_channels),
+                trace=self.trace,
             )
         channel = next(iter(honest_channels), "")
         if honest_channels:
@@ -836,11 +864,13 @@ class SynchronousNetwork:
                         self._restart_at.setdefault(
                             restart[party], set()
                         ).add(party)
-        if observed:
-            self._observe(
+        if self.trace is not None or self.monitors:
+            record = self._observe(
                 round_index, honest_channels, channel,
                 (round_messages, round_bits, byz_count),
             )
+            for monitor in self.monitors:
+                self._monitored(monitor.on_round, record, self)
         down.update(crashed)
         if accepted:
             corrupted.update(accepted)

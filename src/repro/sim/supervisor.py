@@ -10,9 +10,9 @@ wrong and still end with a convex-valid output.
 
 :func:`run_with_escalation` is the supervisor.  It runs a primary
 execution; if that dies with a :class:`~repro.errors.ProtocolViolation`
-(a monitor fired) or a :class:`~repro.errors.SimulationError` (lockstep
-break, round-budget exhaustion, transport timeout), it descends one
-rung::
+(a monitor fired, or the network's own lockstep verdict) or a
+:class:`~repro.errors.SimulationError` (round-budget exhaustion,
+transport timeout), it descends one rung::
 
     optimal CA  ->  HighCostCA
     (primary)       (over the caller's transport)
@@ -37,7 +37,8 @@ on a network that does not exist.
 ``HighCostCA`` operates on natural numbers; the supervisor embeds
 arbitrary integer inputs by shifting them into N (the harness knows all
 inputs) and un-shifting the agreed output, which preserves the convex
-hull exactly.
+hull exactly.  No monitor watches the fallback, so the supervisor runs
+the monitors' checks (``assert_convex_valid``) on its decision.
 
 The fallback rung keeps the primary's corruption set but replaces the
 adversary's *strategy* with spec-following corrupted parties: byzantine
@@ -178,6 +179,9 @@ def run_with_escalation(
     Non-integer inputs cannot ride the fallback rung, so the primary
     failure propagates unchanged for them.
 
+    A ``HighCostCA`` decision outside Agreement or Convex Validity
+    raises their tagged :class:`ProtocolViolation`, not an exhausted ladder.
+
     ``adversary`` and ``monitors`` are the primary rung's; every other
     keyword (``kappa``, ``max_rounds``, ``trace``, ``transport``,
     ``guards``: :class:`~repro.sim.network.SynchronousNetwork`'s
@@ -237,6 +241,7 @@ def run_with_escalation(
     result.outputs = {
         party: value - offset for party, value in result.outputs.items()
     }
+    result.assert_convex_valid(inputs)
     result.fallback = FallbackRecord(
         trigger=type(primary_failure).__name__,
         detail=str(primary_failure),

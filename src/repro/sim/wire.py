@@ -74,9 +74,8 @@ class WireLimits:
             inbound bits; ``None`` disables the ceiling.  In the
             lockstep model one sender delivers at most one message per
             destination per round, so the derived default
-            (``n * max_message_bits``) is a backstop that binds only in
-            models with multiple messages per link (e.g. async
-            injections, which share this guard).
+            (``n * max_message_bits``) is a backstop that one
+            sender's round of conforming messages never reaches.
     """
 
     max_message_bits: int
@@ -110,8 +109,8 @@ class WireGuard:
 
     Tracks accepted inbound bits per sender within the current round so
     the per-round ceiling can be enforced on top of the stateless
-    per-message checks.  Rounds are visited in order by both network
-    models, so a single "current round" accumulator suffices.
+    per-message checks.  The synchronous network visits rounds in
+    order, so a single "current round" accumulator suffices.
     """
 
     def __init__(self, limits: WireLimits) -> None:

@@ -9,7 +9,8 @@ import pathlib
 import pytest
 
 from repro.analysis import grid_record, measure
-from repro.cli import ADVERSARIES, build_parser, main
+from repro.cli import build_parser, main
+from repro.sim.adversary import ADVERSARY_CATALOG
 from repro.sim.faults import FaultSpec
 from repro.sim.sizing import WIRE_SCHEMA
 from repro.sim.fuzz import (
@@ -56,8 +57,8 @@ class TestParser:
             build_parser().parse_args(["run", "1", "--adversary", "nope"])
 
     def test_all_adversaries_constructible(self):
-        for name, cls in ADVERSARIES.items():
-            adversary = cls(seed=1)
+        for name, build in ADVERSARY_CATALOG.items():
+            adversary = build(1)
             assert adversary.describe()
 
 
@@ -78,6 +79,14 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "per-channel breakdown" in out
         assert "OutlierAdversary" in out
+
+    @pytest.mark.parametrize("name", sorted(ADVERSARY_CATALOG))
+    def test_run_takes_every_catalog_adversary(self, name, capsys):
+        code = main(["run", "10", "20", "30", "40", "50", "60", "70",
+                     "--kappa", "64", "--adversary", name])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert ADVERSARY_CATALOG[name](0).describe() in out
 
     def test_run_output_in_honest_range(self, capsys):
         main(["run", "100", "101", "102", "103", "--kappa", "64"])
@@ -285,6 +294,27 @@ class TestReplayErrors:
         assert f"cannot load artifact {path}" in err
         assert "spread 8" in err
 
+    @pytest.mark.parametrize("section, key", [
+        (None, "inputs"), (None, "violation"), ("case", "n"),
+    ])
+    def test_a_missing_key_is_a_friendly_exit_2(
+        self, section, key, tmp_path, capsys
+    ):
+        """An artifact without a key the writer always emits is refused
+        at load, naming the key; it never reaches the replay (where it
+        ended in a KeyError, or read as an unknown protocol)."""
+        path = self._artifact(tmp_path, "complete.json")
+        artifact = json.loads(path.read_text())
+        del (artifact if section is None else artifact[section])[key]
+        path.write_text(json.dumps(artifact))
+        with pytest.raises(ValueError, match=repr(key)):
+            validate_artifact(artifact)
+        code = main(["replay", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"cannot load artifact {path}" in err
+        assert repr(key) in err
+
     def test_missing_artifact_is_exit_2(self, capsys):
         code = main(["replay", "/no/such/artifact.json"])
         assert code == 2
@@ -305,6 +335,8 @@ class TestReplayErrors:
             "adapt_schedule": [],
             "crash_schedule": [],
             "script": [],
+            "shrunk": False,
+            "original_script_size": 0,
         }))
         return path
 

@@ -187,7 +187,11 @@ class TestOneWayToMeasure:
         (``reset_process_caches()`` stays documented.)  Nor to the
         per-link fault scope (``links=``, not the ``link_*`` rates), the
         round view's corrupted inputs, or the round record's copies of
-        the event log."""
+        the event log.  Nor to the second copy of a guarantee's check:
+        the lockstep monitor class (lockstep is the network's verdict),
+        the campaign's post-check of a degraded run and its two kinds
+        (the supervisor runs the monitors' checks), or the CLI's own
+        adversary table (``ADVERSARY_CATALOG`` is the one)."""
         assert_undocumented(
             r"TimeoutEscalation|WriteAheadLog|checkpoint_interval"
             r"|max_backoff|retry_backoff_s|chunksize"
@@ -197,6 +201,8 @@ class TestOneWayToMeasure:
             r"|\blinks=|_applies|corrupted_inputs|finished_parties"
             r"|new_corruptions|clipped_corruptions|restarted_parties"
             r"|new_crashes|_RECORD_SETS"
+            r"|LockstepMonitor\(|_check_escalated|EscalationAgreement"
+            r"|EscalationValidity|cli\.ADVERSARIES"
         )
 
     def test_unreached_mechanisms_stay_undocumented(self):

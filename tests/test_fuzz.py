@@ -17,7 +17,7 @@ from repro.core.add_last import add_last_bit
 from repro.core.bitstrings import BitString
 from repro.core.find_prefix import find_prefix
 from repro.crypto.merkle import MerkleWitness
-from repro.errors import ProtocolViolation, ReproError
+from repro.errors import ReproError
 from repro.perf import counters as perf_counters
 from repro.sim.fuzz import (
     ARTIFACT_FORMAT,
@@ -41,12 +41,8 @@ from repro.sim.fuzz import (
     validate_artifact,
     _build_adversary,
     _build_inputs,
-    _check_escalated,
     _execute,
 )
-from repro.sim.metrics import CommunicationStats
-from repro.sim.network import ExecutionResult
-from repro.sim.supervisor import FallbackRecord
 
 
 # ---------------------------------------------------------------------------
@@ -507,54 +503,6 @@ class TestCrashCampaign:
             c.to_dict() for c in fanned.cases
         ]
         assert len(serial.failures) == len(fanned.failures)
-
-
-# ---------------------------------------------------------------------------
-# the post-check of a degraded run
-# ---------------------------------------------------------------------------
-
-
-class TestEscalatedCheck:
-    """No online monitor sees the ``HighCostCA`` fallback execution, so
-    ``_check_escalated`` re-checks its honest outputs."""
-
-    CASE = dataclasses.replace(
-        sample_case_at(0, 0, standard_registry()), n=4, t=1
-    )
-    #: party 3 is corrupted: its input and output are outside the hull.
-    INPUTS = [10, 20, 30, 99]
-
-    def result(self, outputs, degraded=True):
-        return ExecutionResult(
-            n=4, t=1, outputs=dict(enumerate(outputs)),
-            corrupted=frozenset({3}), stats=CommunicationStats(),
-            fallback=FallbackRecord(
-                trigger="SimulationError", detail="as if", monitor=None,
-                offset=0,
-            ) if degraded else None,
-        )
-
-    def check(self, outputs, degraded=True):
-        _check_escalated(
-            self.CASE, self.INPUTS, self.result(outputs, degraded)
-        )
-
-    def test_disagreeing_outputs_fail(self):
-        with pytest.raises(ProtocolViolation) as caught:
-            self.check([20, 20, 30, 99])
-        assert caught.value.monitor == "EscalationAgreement"
-
-    def test_outputs_outside_the_honest_hull_fail(self):
-        with pytest.raises(ProtocolViolation) as caught:
-            self.check([31, 31, 31, 20])
-        assert caught.value.monitor == "EscalationValidity"
-
-    def test_agreement_inside_the_hull_passes(self):
-        self.check([30, 30, 30, 99])
-        self.check([10, 10, 10, 0])
-
-    def test_a_primary_result_is_left_to_its_monitors(self):
-        self.check([20, 20, 30, 99], degraded=False)
 
 
 # ---------------------------------------------------------------------------

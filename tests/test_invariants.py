@@ -8,12 +8,11 @@ import pytest
 
 from repro import convex_agreement, costs
 from repro.core import protocol_z
-from repro.errors import ProtocolViolation, SimulationError
+from repro.errors import ProtocolViolation
 from repro.sim import (
     AgreementMonitor,
     BitBudgetMonitor,
     ConvexValidityMonitor,
-    LockstepMonitor,
     RoundBudgetMonitor,
     SynchronousNetwork,
     broadcast_round,
@@ -148,10 +147,10 @@ class TestVerdictsOnLongValues:
 
     def test_result_helpers_report_instead_of_crashing(self):
         split = run_monitored(echo_protocol, LONG, 4, 0, [])
-        with pytest.raises(SimulationError, match="disagree"):
+        with pytest.raises(ProtocolViolation, match="disagree"):
             split.common_output()
         agreed = run_monitored(constant_protocol(LONG[3] + 1), LONG, 4, 0, [])
-        with pytest.raises(ProtocolViolation, match="outside honest hull"):
+        with pytest.raises(ProtocolViolation, match="outside the honest hull"):
             agreed.assert_convex_valid(LONG)
 
 
@@ -193,17 +192,29 @@ class TestConvexValidityMonitor:
 
 
 class TestLockstepMonitor:
-    def test_catches_diverging_channels(self):
-        def skewed(ctx, v):
-            channel = "left" if ctx.party_id % 2 == 0 else "right"
-            yield broadcast_round(ctx, channel, v)
-            return v
+    """Lockstep is the network's own verdict, tagged ``LockstepMonitor``:
+    a bare run (no monitors, no trace) raises it too."""
 
+    @staticmethod
+    def skewed(ctx, v):
+        channel = "left" if ctx.party_id % 2 == 0 else "right"
+        yield broadcast_round(ctx, channel, v)
+        return v
+
+    def test_catches_diverging_channels(self):
         with pytest.raises(ProtocolViolation) as excinfo:
-            run_monitored(skewed, [1, 1, 1, 1], 4, 0, [LockstepMonitor()])
+            run_protocol(self.skewed, [1, 1, 1, 1], 4, 0)
         assert excinfo.value.monitor == "LockstepMonitor"
+        assert str(excinfo.value).startswith("[LockstepMonitor] ")
         assert excinfo.value.record is not None
         assert set(excinfo.value.record.honest_channels) == {"left", "right"}
+        assert excinfo.value.trace is None
+
+    def test_a_traced_break_carries_its_trace(self):
+        with pytest.raises(ProtocolViolation) as excinfo:
+            run_monitored(self.skewed, [1, 1, 1, 1], 4, 0, [])
+        trace = excinfo.value.trace
+        assert trace is not None and trace[-1] is excinfo.value.record
 
 
 class TestBitBudgetMonitor:
@@ -252,7 +263,6 @@ class TestDefaultMonitors:
         stack = default_monitors(bit_budget=1 << 20, round_budget=100)
         names = [type(m).__name__ for m in stack]
         assert names == [
-            "LockstepMonitor",
             "AgreementMonitor",
             "ConvexValidityMonitor",
             "CrashBudgetMonitor",
@@ -262,7 +272,7 @@ class TestDefaultMonitors:
 
     def test_budgetless_stack(self):
         stack = default_monitors()
-        assert len(stack) == 4
+        assert len(stack) == 3
 
     def test_full_stack_on_pi_z(self):
         inputs = [5, 6, 7, 8]
@@ -304,7 +314,12 @@ class TestAssertConvexValid:
         )
         with pytest.raises(ProtocolViolation) as excinfo:
             result.assert_convex_valid([100, 200, 300, 400])
-        assert excinfo.value.monitor == "assert_convex_valid"
+        assert excinfo.value.monitor == "ConvexValidityMonitor"
+
+    def test_raises_on_a_non_integer_output(self):
+        result = run_protocol(constant_protocol("x"), [3, 4, 5, 6], 4, 1)
+        with pytest.raises(ProtocolViolation, match="non-integer"):
+            result.assert_convex_valid([3, 4, 5, 6])
 
 
 # ---------------------------------------------------------------------------

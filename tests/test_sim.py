@@ -12,6 +12,7 @@ from repro.core.fixed_length import fixed_length_ca
 from repro.errors import (
     ConfigurationError,
     HonestPartyError,
+    ProtocolViolation,
     SimulationError,
 )
 from repro.sim import (
@@ -210,8 +211,12 @@ class TestScheduler:
             return ctx.party_id
 
         result = run_protocol(disagree, [0] * 4, 4, 1)
-        with pytest.raises(SimulationError):
+        with pytest.raises(ProtocolViolation) as caught:
             result.common_output()
+        assert caught.value.monitor == "AgreementMonitor"
+        assert str(caught.value).startswith(
+            "[AgreementMonitor] honest parties disagree"
+        )
 
     def test_lockstep_violation_detected(self):
         def skewed(ctx, v):
@@ -221,8 +226,12 @@ class TestScheduler:
                 yield exchange("channel_b", {})
             return 0
 
-        with pytest.raises(SimulationError):
+        with pytest.raises(ProtocolViolation) as caught:
             run_protocol(skewed, [0] * 4, 4, 1)
+        assert caught.value.monitor == "LockstepMonitor"
+        assert caught.value.record.honest_channels == (
+            "channel_a", "channel_b"
+        )
 
     def test_inputs_dict_accepted(self):
         result = run_protocol(echo_protocol, {0: 1, 1: 2, 2: 3, 3: 4}, 4, 1)

@@ -7,6 +7,8 @@ never heals is exercised in tests/test_partial_sync.py.)"""
 
 from __future__ import annotations
 
+import importlib
+
 import pytest
 
 from repro import convex_agreement
@@ -16,10 +18,15 @@ from repro.sim import (
     BitBudgetMonitor,
     FallbackRecord,
     LossyTransport,
+    RoundBudgetMonitor,
+    broadcast_round,
     run_with_escalation,
 )
 
 KAPPA = 64
+#: the module itself (``repro.core.high_cost_ca`` the attribute is the
+#: function): the supervisor imports its rung from here on every call.
+high_cost_module = importlib.import_module("repro.core.high_cost_ca")
 
 
 def flca_factory(ell=8):
@@ -177,3 +184,73 @@ class TestApiIntegration:
         supervised = convex_agreement(inputs, t=2, kappa=KAPPA, degrade=True)
         assert supervised.value == plain.value
         assert supervised.execution.fallback is None
+
+
+class TestFallbackIsJudged:
+    """No monitor watches the ``HighCostCA`` rung, so the supervisor
+    judges its decision with the monitors' own checks.  The rung is
+    replaced by a stub deciding fixed per-party values; party 3 is
+    corrupted (the default corruption set), so its input and output are
+    outside the hull."""
+
+    INPUTS = [10, 20, 30, 99]
+
+    @staticmethod
+    def echo(ctx, v):
+        yield broadcast_round(ctx, "echo", v)
+        return v
+
+    def degrade_to(self, monkeypatch, outputs):
+        def stub(ctx, v, channel):
+            yield broadcast_round(ctx, channel, v)
+            return outputs[ctx.party_id]
+
+        monkeypatch.setattr(high_cost_module, "high_cost_ca", stub)
+        # a 1-bit budget fires in the echo round: every run descends.
+        return run_with_escalation(
+            self.echo, self.INPUTS, n=4, t=1, kappa=KAPPA,
+            monitors=[BitBudgetMonitor(total=1)],
+        )
+
+    def test_disagreeing_outputs_fail(self, monkeypatch):
+        with pytest.raises(ProtocolViolation) as caught:
+            self.degrade_to(monkeypatch, [20, 20, 30, 99])
+        assert caught.value.monitor == "AgreementMonitor"
+
+    def test_outputs_outside_the_honest_hull_fail(self, monkeypatch):
+        with pytest.raises(ProtocolViolation) as caught:
+            self.degrade_to(monkeypatch, [31, 31, 31, 20])
+        assert caught.value.monitor == "ConvexValidityMonitor"
+
+    def test_agreement_inside_the_hull_passes(self, monkeypatch):
+        for outputs in ([30, 30, 30, 99], [10, 10, 10, 0]):
+            result = self.degrade_to(monkeypatch, outputs)
+            assert result.fallback is not None
+            assert result.common_output() == outputs[0]
+
+    def test_a_primary_result_is_left_to_its_monitors(self, monkeypatch):
+        monkeypatch.setattr(high_cost_module, "high_cost_ca", None)
+        # the echo primary disagrees, but no monitor is attached: the
+        # supervisor returns it as it is.
+        result = run_with_escalation(
+            self.echo, self.INPUTS, n=4, t=1, kappa=KAPPA,
+        )
+        assert result.fallback is None
+        assert result.outputs == {0: 10, 1: 20, 2: 30}
+
+    def test_degrade_never_returns_a_value_outside_the_hull(
+        self, monkeypatch
+    ):
+        real = high_cost_module.high_cost_ca
+
+        def off_by_far(ctx, v, channel):
+            yield from real(ctx, v, channel=channel)
+            return 10_000
+
+        monkeypatch.setattr(high_cost_module, "high_cost_ca", off_by_far)
+        with pytest.raises(ProtocolViolation) as caught:
+            convex_agreement(
+                [3, 4, 5, 6], kappa=KAPPA, degrade=True,
+                monitors=[RoundBudgetMonitor(1)],
+            )
+        assert caught.value.monitor == "ConvexValidityMonitor"
