@@ -455,7 +455,7 @@ class WitnessSuppressionAdversary(Adversary):
         return f"WitnessSuppressionAdversary(bit={self.flood_bit})"
 
 
-#: name -> builder(seed): the one catalog of strategies.  Fuzz
+#: name -> factory(seed): the one catalog of strategies.  Fuzz
 #: campaigns compose its keys (sampled in sorted order), ``repro run
 #: --adversary`` takes them, and :func:`standard_adversary_suite` builds
 #: all of them in this order.

@@ -867,13 +867,14 @@ def validate_artifact(artifact: dict) -> list[str]:
             f"artifact schema_version {version} does not match this "
             f"toolchain's {ARTIFACT_SCHEMA_VERSION}"
         )
-    # the case first: what it cannot build is the more specific reason.
-    FuzzCase.from_dict(artifact.get("case", {}))
+    if "case" in artifact:  # first: what it cannot build is more specific
+        FuzzCase.from_dict(artifact["case"])
     missing = [key for key in _ARTIFACT_KEYS if key not in artifact]
-    missing += [
-        f"violation.{key}" for key in ("kind", "message")
-        if key not in artifact.get("violation", {})
-    ]
+    if "violation" in artifact:
+        missing += [
+            f"violation.{key}" for key in ("kind", "message")
+            if key not in artifact["violation"]
+        ]
     if missing:
         raise ValueError(f"artifact lacks key(s) {missing}")
     messages: list[str] = []
